@@ -23,8 +23,9 @@ type sizes struct {
 	serveGen     string
 	pool         int // serve-hot repeat pool (fits the 4096-entry cache)
 	reps         int // set-ups per run; setup_s is their median
+	spanners     int // offline-spanner's spanners per run (its set-ups)
 	windows      int // timed-phase windows; rates and percentiles are window medians
-	probeBatches int // mutation batches of the post-phase probe
+	probeBatches int // mutation batches of the mutate_p50_ms probe
 	checkPairs   int // pairs behind stretch_mean / stretch_max
 }
 
@@ -32,7 +33,7 @@ type sizes struct {
 var full = sizes{
 	roadSide: 100, spannerN: 16384, spannerM: 524288,
 	serveGen: "grid:side=64,w=uniform,maxw=50",
-	pool:     512, reps: 3, windows: 10, probeBatches: 252, checkPairs: 128,
+	pool:     512, reps: 3, spanners: 12, windows: 10, probeBatches: 252, checkPairs: 128,
 }
 
 type config struct {

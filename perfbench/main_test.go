@@ -40,7 +40,7 @@ func readSpec(t *testing.T) spec {
 var tiny = sizes{
 	roadSide: 12, spannerN: 256, spannerM: 2048,
 	serveGen: "grid:side=8,w=uniform,maxw=50",
-	pool:     32, reps: 1, windows: 2, probeBatches: 4, checkPairs: 8,
+	pool:     32, reps: 1, spanners: 2, windows: 2, probeBatches: 4, checkPairs: 8,
 }
 
 func tinyRun(t *testing.T, workload string, traced, corrupt bool) *result {
