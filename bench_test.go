@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/experiments"
+	"repro/internal/sssp"
 )
 
 const benchSeed = 2015
@@ -388,8 +389,12 @@ func BenchmarkConcurrentBFS(b *testing.B) {
 // Δ-stepping on the generator families, at the current GOMAXPROCS.
 // On a multicore host Δ-stepping should win wall-clock on the large
 // graphs; distances are identical across all three (differential
-// tests assert it), so this benchmark is purely about speed.
+// tests assert it), so this benchmark is purely about speed. The
+// spanner row is the graph a spanner-backed distance query searches:
+// a k=4 weighted spanner of a dense ER graph, about a third of its
+// edges.
 func BenchmarkWeightedSSSP(b *testing.B) {
+	dense := WithUniformWeights(RandomGraph(16384, 524288, 21), 100, 21)
 	cases := []struct {
 		name string
 		g    *Graph
@@ -397,12 +402,21 @@ func BenchmarkWeightedSSSP(b *testing.B) {
 		{"gnm-n=1e5-m=8e5", WithUniformWeights(RandomGraph(100_000, 800_000, 7), 64, 8)},
 		{"grid-400x400", WithUniformWeights(GridGraph(400, 400), 32, 9)},
 		{"rmat-s=16-m=5e5", WithUniformWeights(RMATGraph(16, 500_000, 10), 64, 11)},
+		{"spanner-k=4-er-n=16384-m=524288", WeightedSpannerOn(dense, 4, 21, SequentialExec(), nil).Graph(dense)},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name+"/dijkstra", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ShortestPaths(tc.g, 0)
+			}
+		})
+		b.Run(tc.name+"/dijkstra-pooled", func(b *testing.B) {
+			b.ReportAllocs()
+			ec := SequentialExec()
+			for i := 0; i < b.N; i++ {
+				res := sssp.Dijkstra(tc.g, []V{0}, sssp.Options{Exec: ec})
+				res.Release(ec)
 			}
 		})
 		b.Run(tc.name+"/dial", func(b *testing.B) {

@@ -161,14 +161,21 @@ type Coord struct {
 
 // ReadDIMACSCoords parses a DIMACS .co coordinate file and returns
 // one Coord per vertex, 0-indexed. Every vertex declared in the
-// problem line must receive exactly one coordinate line.
+// problem line must receive exactly one coordinate line. Memory grows
+// with the vertex lines read, never with the declared count alone:
+// lines in id order are appended in place, the rest wait in a side
+// list that is placed once the input is known to cover every vertex.
 func ReadDIMACSCoords(r io.Reader) ([]Coord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 
-	var coords []Coord
-	var filled []bool
-	sawProblem := false
+	type lateCoord struct {
+		id int32
+		c  Coord
+	}
+	var coords []Coord // coords[i] is vertex i+1's, read in order
+	var late []lateCoord
+	n := -1 // declared vertex count; -1 before the problem line
 	lines := 0
 	line := 0
 	for sc.Scan() {
@@ -182,7 +189,7 @@ func ReadDIMACSCoords(r io.Reader) ([]Coord, error) {
 		case "c":
 
 		case "p":
-			if sawProblem {
+			if n >= 0 {
 				return nil, fmt.Errorf("graph: dimacs co line %d: second problem line", line)
 			}
 			if len(fields) != 5 || fields[1] != "aux" || fields[2] != "sp" || fields[3] != "co" {
@@ -195,12 +202,10 @@ func ReadDIMACSCoords(r io.Reader) ([]Coord, error) {
 			if n64 > maxFileVertices {
 				return nil, fmt.Errorf("graph: dimacs co vertex count %d exceeds the file-format limit %d", n64, maxFileVertices)
 			}
-			coords = make([]Coord, n64)
-			filled = make([]bool, n64)
-			sawProblem = true
+			n = int(n64)
 
 		case "v":
-			if !sawProblem {
+			if n < 0 {
 				return nil, fmt.Errorf("graph: dimacs co line %d: vertex before problem line", line)
 			}
 			if len(fields) != 4 {
@@ -212,14 +217,14 @@ func ReadDIMACSCoords(r io.Reader) ([]Coord, error) {
 			if err1 != nil || err2 != nil || err3 != nil {
 				return nil, fmt.Errorf("graph: dimacs co line %d: bad vertex line %q", line, text)
 			}
-			if id64 < 1 || id64 > int64(len(coords)) {
-				return nil, fmt.Errorf("graph: dimacs co line %d: vertex id %d out of range, n=%d", line, id64, len(coords))
+			if id64 < 1 || id64 > int64(n) {
+				return nil, fmt.Errorf("graph: dimacs co line %d: vertex id %d out of range, n=%d", line, id64, n)
 			}
-			if filled[id64-1] {
-				return nil, fmt.Errorf("graph: dimacs co line %d: duplicate coordinate for vertex %d", line, id64)
+			if c := (Coord{X: x, Y: y}); int(id64) == len(coords)+1 {
+				coords = append(coords, c)
+			} else {
+				late = append(late, lateCoord{int32(id64), c})
 			}
-			filled[id64-1] = true
-			coords[id64-1] = Coord{X: x, Y: y}
 			lines++
 
 		default:
@@ -229,11 +234,28 @@ func ReadDIMACSCoords(r io.Reader) ([]Coord, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if !sawProblem {
+	if n < 0 {
 		return nil, fmt.Errorf("graph: dimacs co input has no problem line")
 	}
-	if lines != len(coords) {
-		return nil, fmt.Errorf("graph: dimacs co truncated input: %d of %d vertices", lines, len(coords))
+	if lines < n {
+		return nil, fmt.Errorf("graph: dimacs co truncated input: %d of %d vertices", lines, n)
+	}
+	if len(late) == 0 {
+		return coords, nil // n lines, all in id order
+	}
+	// n <= lines now, so sizing by n is backed by the input. With
+	// exactly n in-range lines, no duplicate means every vertex is set.
+	filled := make([]bool, n)
+	for i := range coords {
+		filled[i] = true
+	}
+	coords = append(coords, make([]Coord, n-len(coords))...)
+	for _, lc := range late {
+		if filled[lc.id-1] {
+			return nil, fmt.Errorf("graph: dimacs co: duplicate coordinate for vertex %d", lc.id)
+		}
+		filled[lc.id-1] = true
+		coords[lc.id-1] = lc.c
 	}
 	return coords, nil
 }

@@ -161,6 +161,8 @@ v 2 -73980000 40760000
 		{"duplicate vertex", "p aux sp co 2\nv 1 0 0\nv 1 1 1\n", "duplicate coordinate"},
 		{"id out of range", "p aux sp co 2\nv 3 0 0\n", "out of range"},
 		{"truncated", "p aux sp co 2\nv 1 0 0\n", "truncated"},
+		{"late duplicate", "p aux sp co 3\nv 2 0 0\nv 1 0 0\nv 2 1 1\n", "duplicate coordinate"},
+		{"forged count", forgedCoordsN, "truncated"},
 	}
 	for _, tc := range errCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,6 +216,33 @@ func FuzzReadDIMACS(f *testing.F) {
 		}
 		if back.Fingerprint() != g.Fingerprint() {
 			t.Fatal("round trip changed the graph")
+		}
+	})
+}
+
+// FuzzReadDIMACSCoords: arbitrary .co input must never panic, and a
+// parsed file must have given every vertex exactly one coordinate.
+func FuzzReadDIMACSCoords(f *testing.F) {
+	f.Add("p aux sp co 3\nv 1 5 6\nv 3 1 2\nv 2 3 4\n")
+	f.Add("p aux sp co 2\nv 1 0 0\nv 1 1 1\n") // duplicate
+	f.Add("p aux sp co 2\nv 3 0 0\n")          // out of range
+	f.Add("v 1 0 0\n")                         // no problem line
+	f.Add(forgedCoordsN)
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, input string) {
+		coords, err := ReadDIMACSCoords(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		vLines := 0
+		for _, l := range strings.Split(input, "\n") {
+			if fs := strings.Fields(l); len(fs) > 0 && fs[0] == "v" {
+				vLines++
+			}
+		}
+		if vLines != len(coords) {
+			t.Fatalf("parsed %d coordinates from %d vertex lines", len(coords), vLines)
 		}
 	})
 }

@@ -24,6 +24,7 @@ func FuzzReadText(f *testing.F) {
 	f.Add("wrong 1 2 3\n")
 	f.Add("")
 	f.Add("spanhop-graph/v1 2 1 1\n0 1 99999999999999999999\n") // overflow
+	f.Add(forgedTextM)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		defer func() {

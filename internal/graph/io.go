@@ -62,11 +62,13 @@ func ReadText(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: bad n: %v", err)
 	}
 	m, err := strconv.ParseInt(header[2], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("graph: bad m: %v", err)
+	if err != nil || m < 0 {
+		return nil, fmt.Errorf("graph: bad m %q", header[2])
 	}
 	weighted := header[3] == "1"
-	edges := make([]Edge, 0, m)
+	// Grow the edge list with the lines actually read: a forged m
+	// must not size an allocation the input does not back.
+	edges := make([]Edge, 0, min(m, maxPrealloc))
 	for int64(len(edges)) < m {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("graph: truncated input: %d of %d edges", len(edges), m)
@@ -97,6 +99,10 @@ func ReadText(r io.Reader) (*Graph, error) {
 // header is treated as corrupt rather than honored with a giant
 // allocation.
 const maxFileVertices = 1 << 26
+
+// maxPrealloc caps the edges a reader preallocates from a header's
+// edge count; longer lists grow as their lines are read.
+const maxPrealloc = 1 << 16
 
 // validateEdgeList turns the malformed-input panics of FromEdges into
 // parser errors: a file is data, not a programming mistake.
@@ -251,11 +257,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	// Grow the edge list incrementally so a forged header cannot
 	// force a giant allocation before the (truncated) stream errors.
-	cap0 := m
-	if cap0 > 1<<16 {
-		cap0 = 1 << 16
-	}
-	edges := make([]Edge, 0, cap0)
+	edges := make([]Edge, 0, min(m, maxPrealloc))
 	for i := int64(0); i < m; i++ {
 		var pair [2]int32
 		if err := binary.Read(br, binary.LittleEndian, &pair); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -79,11 +80,49 @@ func TestReadTextErrors(t *testing.T) {
 		"spanhop-graph/v1 x 1 0\n0 1 1\n", // bad n
 		"spanhop-graph/v1 2 x 0\n0 1 1\n", // bad m
 		"spanhop-graph/v1 2 1\n0 1 1\n",   // short header
+		"spanhop-graph/v1 2 -1 0\n",       // negative m
+		forgedTextM,
 	}
 	for i, c := range cases {
 		if _, err := ReadText(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+}
+
+// Inputs of a few dozen bytes whose headers declare counts far past
+// what they carry.
+const (
+	forgedTextM    = "spanhop-graph/v1 2 1000000000000000 0\n0 1 1\n"
+	forgedCoordsN  = "p aux sp co 67108864\nv 1 0 0\n"
+	forgedAllocCap = 8 << 20
+)
+
+// TestForgedCountsBoundAllocation: a declared edge or vertex count
+// must not size an allocation the input does not back. Each forged
+// input must fail cleanly with the bytes allocated bounded by the
+// readers' fixed buffers, not by the header.
+func TestForgedCountsBoundAllocation(t *testing.T) {
+	cases := []struct {
+		name, in string
+		read     func(io.Reader) error
+	}{
+		{"text", forgedTextM, func(r io.Reader) error { _, err := ReadText(r); return err }},
+		{"dimacs-co", forgedCoordsN, func(r io.Reader) error { _, err := ReadDIMACSCoords(r); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.read(strings.NewReader(tc.in))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "truncated") {
+				t.Fatalf("error %v, want a truncation error", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > forgedAllocCap {
+				t.Fatalf("allocated %d bytes for a %d-byte input (cap %d)", grew, len(tc.in), forgedAllocCap)
+			}
+		})
 	}
 }
 

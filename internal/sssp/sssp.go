@@ -17,7 +17,6 @@
 package sssp
 
 import (
-	"container/heap"
 	"fmt"
 	"sync/atomic"
 
@@ -288,63 +287,72 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	return res
 }
 
-// Dijkstra is the exact sequential reference implementation (binary
-// heap). It accepts the same Options; cost accounting treats it as a
-// sequential algorithm: depth equals work.
+// Dijkstra is the exact sequential reference implementation: an
+// indexed 4-ary min-heap with decrease-key over vertex ids, keyed by
+// Result.Dist. A per-vertex position array records each vertex as
+// unqueued (0), queued at heap slot i (i+1), or settled (-1), so the
+// heap never holds a stale entry or more than n items, and a run on an
+// execution context takes all of its O(n) buffers from the arenas.
+// Distances are exact; parents form some certifying shortest-path
+// tree (ties among equal-length paths may resolve either way). It
+// accepts the same Options; cost accounting treats it as a sequential
+// algorithm: work and depth both equal the edges scanned from settled
+// vertices.
 func Dijkstra(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	n := g.NumVertices()
 	res := newResultOn(opt.Exec, n)
 	bound := opt.bound()
-	pq := &distHeap{}
+	h := indexedHeap{
+		items: opt.Exec.Verts(int(n))[:0],
+		pos:   opt.Exec.MarksZero(int(n)),
+		dist:  res.Dist,
+	}
+	defer opt.Exec.PutVerts(h.items)
+	defer opt.Exec.PutMarks(h.pos)
 	for _, s := range sources {
-		if !opt.admits(s) {
+		if !opt.admits(s) || h.pos[s] != 0 {
 			continue
 		}
 		res.Dist[s] = 0
-		heap.Push(pq, distEntry{v: s, d: 0})
+		h.push(s)
 	}
-	settled := opt.Exec.Bools(int(n))
-	defer opt.Exec.PutBools(settled)
 	var ops int64
-	for pq.Len() > 0 {
+	for len(h.items) > 0 {
 		if opt.Exec.Canceled() {
 			return res // canceled: partial, invalid
 		}
-		top := heap.Pop(pq).(distEntry)
-		v := top.v
-		if settled[v] || top.d != res.Dist[v] {
-			continue
+		v := h.pop()
+		d := res.Dist[v]
+		if d > bound {
+			// Every key still queued is at least d: clear the
+			// tentative labels past the bound and stop.
+			res.Dist[v], res.Parent[v] = graph.InfDist, graph.NoVertex
+			for _, u := range h.items {
+				res.Dist[u], res.Parent[u] = graph.InfDist, graph.NoVertex
+			}
+			break
 		}
-		if top.d > bound {
-			res.Dist[v] = graph.InfDist
-			res.Parent[v] = graph.NoVertex
-			continue
-		}
-		settled[v] = true
+		h.pos[v] = settledPos
 		adj := g.Neighbors(v)
 		wts := g.AdjWeights(v)
+		ops += int64(len(adj))
 		for i, u := range adj {
-			ops++
-			if !opt.admits(u) || settled[u] {
+			if h.pos[u] == settledPos || !opt.admits(u) {
 				continue
 			}
 			w := graph.W(1)
 			if wts != nil {
 				w = wts[i]
 			}
-			nd := top.d + w
-			if nd < res.Dist[u] {
+			if nd := d + w; nd < res.Dist[u] {
 				res.Dist[u] = nd
 				res.Parent[u] = v
-				heap.Push(pq, distEntry{v: u, d: nd})
+				if p := h.pos[u]; p == 0 {
+					h.push(u)
+				} else {
+					h.up(int(p - 1))
+				}
 			}
-		}
-	}
-	// Clear tentative-but-unsettled labels beyond the bound.
-	for v := range res.Dist {
-		if res.Dist[v] != graph.InfDist && !settled[v] {
-			res.Dist[v] = graph.InfDist
-			res.Parent[v] = graph.NoVertex
 		}
 	}
 	opt.Cost.AddWork(ops)
@@ -352,23 +360,79 @@ func Dijkstra(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	return res
 }
 
-type distEntry struct {
-	v graph.V
-	d graph.Dist
+// settledPos marks a vertex Dijkstra has settled in indexedHeap.pos.
+const settledPos = -1
+
+// indexedHeap is a 4-ary min-heap of vertex ids keyed by dist[v].
+// pos[v] is v's slot plus one while queued (0 when unqueued); the
+// caller owns the settledPos marks. Decreasing dist[v] for a queued v
+// must be followed by up(pos[v]-1).
+type indexedHeap struct {
+	items []graph.V
+	pos   []int32
+	dist  []graph.Dist
 }
 
-type distHeap []distEntry
+func (h *indexedHeap) push(v graph.V) {
+	h.items = append(h.items, v)
+	h.up(len(h.items) - 1)
+}
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distEntry)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// pop removes and returns the minimum; its pos entry is left stale
+// for the caller to overwrite.
+func (h *indexedHeap) pop() graph.V {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	if last > 0 {
+		h.down(0)
+	}
+	return top
+}
+
+func (h *indexedHeap) up(i int) {
+	v := h.items[i]
+	d := h.dist[v]
+	for i > 0 {
+		p := (i - 1) / 4
+		pv := h.items[p]
+		if h.dist[pv] <= d {
+			break
+		}
+		h.items[i] = pv
+		h.pos[pv] = int32(i + 1)
+		i = p
+	}
+	h.items[i] = v
+	h.pos[v] = int32(i + 1)
+}
+
+func (h *indexedHeap) down(i int) {
+	items := h.items
+	v := items[i]
+	d := h.dist[v]
+	for {
+		c := 4*i + 1
+		if c >= len(items) {
+			break
+		}
+		best, bd := c, h.dist[items[c]]
+		end := min(c+4, len(items))
+		for j := c + 1; j < end; j++ {
+			if dj := h.dist[items[j]]; dj < bd {
+				best, bd = j, dj
+			}
+		}
+		if bd >= d {
+			break
+		}
+		items[i] = items[best]
+		h.pos[items[i]] = int32(i + 1)
+		i = best
+	}
+	items[i] = v
+	h.pos[v] = int32(i + 1)
 }
 
 // Weighted dispatches a weighted multi-source SSSP on the execution

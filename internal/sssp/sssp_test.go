@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -239,68 +240,163 @@ func TestEccentricityAndDiameter(t *testing.T) {
 	}
 }
 
-// Property: Dial == Dijkstra on arbitrary random weighted graphs,
-// including with distance bounds.
-func TestDialDijkstraProperty(t *testing.T) {
-	f := func(seedRaw uint32, boundRaw uint8) bool {
-		seed := uint64(seedRaw)
-		r := rng.New(seed)
-		n := int32(r.Intn(60) + 2)
-		m := int64(n) + int64(r.Intn(100))
-		if max := int64(n) * int64(n-1) / 2; m > max {
-			m = max
-		}
-		g := graph.UniformWeights(graph.RandomConnectedGNM(n, m, seed), 15, seed^3)
-		src := graph.V(r.Int31n(n))
-		opt := Options{}
-		if boundRaw%2 == 0 {
-			opt.MaxDist = graph.Dist(boundRaw)
-		}
-		a := Dial(g, []graph.V{src}, opt)
-		b := Dijkstra(g, []graph.V{src}, opt)
-		for v := range a.Dist {
-			if a.Dist[v] != b.Dist[v] {
-				return false
+// randomSearch draws a random search instance for the differential
+// properties: a connected graph with unit or random weights, optional
+// parallel edges (a second copy of some edges at a new weight), one or
+// several possibly duplicated sources, an optional Mark/Token
+// restriction to about three quarters of the vertices, and an
+// optional distance bound.
+func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, Options) {
+	r := rng.New(seed)
+	n := int32(r.Intn(60) + 2)
+	m := int64(n) + int64(r.Intn(100))
+	if max := int64(n) * int64(n-1) / 2; m > max {
+		m = max
+	}
+	weighted := flags&1 == 0
+	edges := append([]graph.Edge(nil), graph.RandomConnectedGNM(n, m, seed).Edges()...)
+	if flags&2 != 0 {
+		for i := range edges {
+			if r.Intn(3) == 0 {
+				edges = append(edges, edges[i])
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	for i := range edges {
+		edges[i].W = graph.W(r.Intn(15) + 1)
+	}
+	g := graph.FromEdges(n, edges, weighted)
+
+	sources := []graph.V{graph.V(r.Int31n(n))}
+	if flags&4 != 0 {
+		for k := r.Intn(4); k >= 0; k-- {
+			sources = append(sources, graph.V(r.Int31n(n)))
+		}
+		sources = append(sources, sources[0])
+	}
+	var opt Options
+	if flags&8 != 0 {
+		opt.Mark, opt.Token = make([]int32, n), 7
+		for v := range opt.Mark {
+			if r.Intn(4) != 0 {
+				opt.Mark[v] = opt.Token
+			}
+		}
+	}
+	if boundRaw%2 == 0 {
+		opt.MaxDist = graph.Dist(boundRaw)
+	}
+	return g, sources, opt
+}
+
+// certifyParents reports whether res is a valid shortest-path forest
+// from sources: every admitted source sits at distance 0 without a
+// parent, and every other reached vertex has a reached parent joined
+// to it by an edge whose weight closes the distance exactly.
+func certifyParents(g *graph.Graph, sources []graph.V, opt Options, res *Result) bool {
+	isSource := make(map[graph.V]bool)
+	for _, s := range sources {
+		if opt.admits(s) {
+			isSource[s] = true
+		}
+	}
+	for v := graph.V(0); v < g.NumVertices(); v++ {
+		if !res.Reached(v) {
+			if isSource[v] || res.Parent[v] != graph.NoVertex {
+				return false
+			}
+			continue
+		}
+		p := res.Parent[v]
+		if isSource[v] {
+			if res.Dist[v] != 0 || p != graph.NoVertex {
+				return false
+			}
+			continue
+		}
+		if p == graph.NoVertex || !res.Reached(p) {
+			return false
+		}
+		ok := false
+		wts := g.AdjWeights(v)
+		for i, u := range g.Neighbors(v) {
+			w := graph.W(1)
+			if wts != nil {
+				w = wts[i]
+			}
+			if u == p && res.Dist[p]+w == res.Dist[v] {
+				ok = true
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: on random instances (unit and random weights, parallel
+// edges, multiple and duplicate sources, Mark/Token restriction,
+// distance bounds) Dijkstra's distances equal Dial's, its parents
+// certify them, two runs give identical results, and its work equals
+// the degree sum over the settled vertices, with depth equal to work.
+func TestDialDijkstraProperty(t *testing.T) {
+	f := func(seedRaw uint32, boundRaw, flags uint8) bool {
+		g, sources, opt := randomSearch(uint64(seedRaw), boundRaw, flags)
+		a := Dial(g, sources, opt)
+		again := Dijkstra(g, sources, opt)
+		cost := par.NewCost()
+		opt.Cost = cost
+		b := Dijkstra(g, sources, opt)
+		var degrees int64
+		for v := range a.Dist {
+			if a.Dist[v] != b.Dist[v] || b.Dist[v] != again.Dist[v] || b.Parent[v] != again.Parent[v] {
+				return false
+			}
+			if b.Reached(graph.V(v)) {
+				degrees += int64(g.Degree(graph.V(v)))
+			}
+		}
+		return certifyParents(g, sources, opt, b) &&
+			cost.Work() == degrees && cost.Depth() == degrees
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: parent pointers always certify the reported distance.
+// Property: Dial's parent pointers always certify the reported
+// distance.
 func TestParentCertifiesDistance(t *testing.T) {
 	f := func(seedRaw uint32) bool {
 		seed := uint64(seedRaw)
 		g := graph.UniformWeights(graph.RandomConnectedGNM(50, 150, seed), 9, seed^7)
-		res := Dial(g, []graph.V{0}, Options{})
-		for v := graph.V(0); v < g.NumVertices(); v++ {
-			if !res.Reached(v) || v == 0 {
-				continue
-			}
-			p := res.Parent[v]
-			if p == graph.NoVertex {
-				return false
-			}
-			// Find the p-v edge weight.
-			var w graph.W = -1
-			adj := g.Neighbors(v)
-			wts := g.AdjWeights(v)
-			for i, u := range adj {
-				if u == p && (w == -1 || wts[i] < w) {
-					w = wts[i]
-				}
-			}
-			if w == -1 || res.Dist[p]+w != res.Dist[v] {
-				return false
-			}
-		}
-		return true
+		sources := []graph.V{0}
+		return certifyParents(g, sources, Options{}, Dial(g, sources, Options{}))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDijkstraAllocsConstant pins the kernel's allocation count: on an
+// execution context with released results, a search allocates the
+// same small constant however many edges it relaxes — the heap holds
+// vertex ids in an arena buffer, nothing is boxed per push.
+func TestDijkstraAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	ec := exec.Sequential()
+	allocs := func(g *graph.Graph) float64 {
+		return testing.AllocsPerRun(20, func() {
+			Dijkstra(g, []graph.V{0}, Options{Exec: ec}).Release(ec)
+		})
+	}
+	sparse := allocs(graph.UniformWeights(graph.RandomConnectedGNM(2000, 4000, 1), 50, 2))
+	dense := allocs(graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 3), 50, 4))
+	if sparse != dense || dense > 8 {
+		t.Fatalf("Dijkstra allocs/op = %v (m=4000), %v (m=60000); want the same constant <= 8", sparse, dense)
 	}
 }
 
