@@ -308,7 +308,8 @@ func shortLabel(s string) string {
 
 // BenchmarkSpannerScaling sweeps input sizes for the headline spanner
 // construction (wall-clock + work/depth per n, complements T1.1's
-// size law with a performance law).
+// size law with a performance law), then times one weighted build at
+// the benchmark's offline-spanner shape.
 func BenchmarkSpannerScaling(b *testing.B) {
 	for _, n := range []V{1 << 11, 1 << 13, 1 << 15} {
 		g := RandomGraph(n, 8*int64(n), uint64(n))
@@ -324,6 +325,19 @@ func BenchmarkSpannerScaling(b *testing.B) {
 			b.ReportMetric(float64(work)/float64(g.NumEdges()), "work_per_edge")
 		})
 	}
+	// The weighted construction (Theorem 3.3) on perfbench's
+	// offline-spanner shape: dense ER, weights in [1, 100], k = 4,
+	// sequential, a fresh seed per iteration.
+	g := WithUniformWeights(RandomGraph(16384, 524288, 1), 100, 1)
+	b.Run("weighted-k=4-er-n=16384-m=524288", func(b *testing.B) {
+		b.ReportAllocs()
+		ec := SequentialExec()
+		var size int
+		for i := 0; i < b.N; i++ {
+			size = WeightedSpannerOn(g, 4, uint64(i), ec, nil).Size()
+		}
+		b.ReportMetric(float64(size), "edges")
+	})
 }
 
 // BenchmarkHopsetScaling sweeps input sizes for the hopset build.

@@ -585,7 +585,7 @@ func awaitQuality(client *http.Client, addr, id string, before obs.AuditGraphSna
 		if !ok {
 			return snap, fmt.Errorf("graph %s missing from /debug/quality", id)
 		}
-		settled := snap.Audited+snap.Dropped+snap.BudgetSkips+snap.StaleSkips+snap.Errors
+		settled := snap.Audited + snap.Dropped + snap.BudgetSkips + snap.StaleSkips + snap.Errors
 		if settled >= snap.Sampled || time.Now().After(deadline) {
 			return snap, nil
 		}

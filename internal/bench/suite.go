@@ -23,10 +23,10 @@ const (
 	// "does it survive a real social-graph shape" size: ~4.2M
 	// vertices is far past every cache and forces the frontier
 	// structures through main memory.
-	stressScale    = 22
-	stressEdges    = 8 << 20
-	stressMaxW     = 64
-	stressQueries  = 64
+	stressScale   = 22
+	stressEdges   = 8 << 20
+	stressMaxW    = 64
+	stressQueries = 64
 
 	// The DIMACS road stress graph: a 600x600 grid with multi-scale
 	// weights — the high-diameter, low-degree shape of road networks

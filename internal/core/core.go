@@ -30,9 +30,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/exec"
@@ -206,14 +207,14 @@ func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 		t := math.Floor(s)
 		wakes[i] = wake{u: v, t: graph.Dist(t), frac: s - t}
 	}
-	sort.Slice(wakes, func(i, j int) bool {
-		if wakes[i].t != wakes[j].t {
-			return wakes[i].t < wakes[j].t
+	slices.SortFunc(wakes, func(x, y wake) int {
+		if c := cmp.Compare(x.t, y.t); c != 0 {
+			return c
 		}
-		if wakes[i].frac != wakes[j].frac {
-			return wakes[i].frac < wakes[j].frac
+		if c := cmp.Compare(x.frac, y.frac); c != 0 {
+			return c
 		}
-		return wakes[i].u < wakes[j].u
+		return cmp.Compare(x.u, y.u)
 	})
 	// Sorting is a parallel primitive with O(log n) depth in the
 	// model; account it as such.
@@ -283,16 +284,19 @@ func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 		buckets[t] = nil
 		pending -= len(b)
 		// Resolve the winning claim per vertex in this bucket:
-		// smallest fractional part, then smallest center id.
+		// smallest fractional part, then smallest center id. Claims
+		// equal on all three (same center, different parents) are won
+		// by whichever the sort leaves first, so Parent depends on this
+		// exact pdqsort; a stable sort or a linear scan would change it.
 		winners = winners[:0]
-		sort.Slice(b, func(i, j int) bool {
-			if b[i].v != b[j].v {
-				return b[i].v < b[j].v
+		slices.SortFunc(b, func(x, y claim) int {
+			if c := cmp.Compare(x.v, y.v); c != 0 {
+				return c
 			}
-			if b[i].frac != b[j].frac {
-				return b[i].frac < b[j].frac
+			if c := cmp.Compare(x.frac, y.frac); c != 0 {
+				return c
 			}
-			return b[i].center < b[j].center
+			return cmp.Compare(x.center, y.center)
 		})
 		for i := range b {
 			if i > 0 && b[i].v == b[i-1].v {
@@ -412,7 +416,7 @@ func finishResult(res *Result, subset []graph.V, settledAt, startAt []graph.Dist
 	}
 	order := make([]graph.V, len(subset))
 	copy(order, subset)
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	for _, v := range order {
 		if res.Center[v] == v && res.ClusterOf[v] == -1 {
 			res.ClusterOf[v] = int32(len(res.Centers))

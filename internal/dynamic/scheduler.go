@@ -79,12 +79,12 @@ type Scheduler struct {
 	pol   Policy
 	build RebuildFunc
 
-	mu        sync.Mutex
-	idle      *sync.Cond // broadcast whenever running flips to false
-	running   bool
-	closed    bool
-	cancel    context.CancelFunc
-	timer     *time.Timer
+	mu         sync.Mutex
+	idle       *sync.Cond // broadcast whenever running flips to false
+	running    bool
+	closed     bool
+	cancel     context.CancelFunc
+	timer      *time.Timer
 	rebuilds   int64
 	lastErr    string
 	lastMS     int64

@@ -184,11 +184,11 @@ func FuzzReadDIMACS(f *testing.F) {
 	f.Add(good.String())
 	f.Add("p sp 3 2\na 1 2 5\na 2 3 7\n")
 	f.Add("c comment\np sp 2 2\na 1 2 4\na 2 1 4\n")
-	f.Add("p sp 3 2\na 1 2 5\n")            // truncated
-	f.Add("p sp 2 1\na 1 1 5\n")            // self loop
-	f.Add("p sp 2 1\na 0 2 5\n")            // out of range
-	f.Add("p sp 2 1\na 1 2 0\n")            // zero weight
-	f.Add("p sp 2 99999999\n")              // absurd m
+	f.Add("p sp 3 2\na 1 2 5\n")                    // truncated
+	f.Add("p sp 2 1\na 1 1 5\n")                    // self loop
+	f.Add("p sp 2 1\na 0 2 5\n")                    // out of range
+	f.Add("p sp 2 1\na 1 2 0\n")                    // zero weight
+	f.Add("p sp 2 99999999\n")                      // absurd m
 	f.Add("p sp 2 1\na 1 2 99999999999999999999\n") // overflow
 	f.Add("p max 2 1\na 1 2 1\n")
 	f.Add("")

@@ -423,14 +423,36 @@ func (g *Graph) InducedSubgraph(vs []V) (*Graph, []V) {
 // that contraction chains preserve weights uniformly; for an
 // unweighted g all weights are 1.
 func (g *Graph) Contract(label []V, k int32) *Graph {
+	edges, orig := ContractEdges(g.edges, label, k)
+	for i, e := range orig {
+		orig[i] = g.OrigEdgeID(e)
+	}
+	q := FromEdges(k, edges, true)
+	q.origEID = orig
+	return q
+}
+
+// ContractEdges is the quotient step of Contract on a bare edge list:
+// it maps every edge (u, v) to (a, b) = (label[u], label[v]) with
+// a < b, drops the edges that become self-loops, and keeps, for each
+// distinct (a, b), the lightest edge, the lowest index on weight ties.
+// The result is in ascending (a, b) order; src[i] is the index into
+// edges of the edge kept as result edge i. label must map every
+// endpoint of a surviving edge into [0, k).
+//
+// Two stable counting-sort passes over the labels, first by b and
+// then by a, put the candidates in (a, b, index) order, so the work is
+// O(len(edges) + k) and no comparison sort is needed.
+func ContractEdges(edges []Edge, label []V, k int32) (out []Edge, src []int32) {
 	type cand struct {
 		a, b V
-		w    W
-		eid  int32
+		i    int32
 	}
-	cands := make([]cand, 0, len(g.edges))
-	for i := range g.edges {
-		e := g.edges[i]
+	cands := make([]cand, 0, len(edges))
+	cntA := make([]int32, k+1)
+	cntB := make([]int32, k+1)
+	for i := range edges {
+		e := &edges[i]
 		a, b := label[e.U], label[e.V]
 		if a == b {
 			continue
@@ -441,36 +463,42 @@ func (g *Graph) Contract(label []V, k int32) *Graph {
 		if a < 0 || b >= k {
 			panic(fmt.Sprintf("graph: label out of range in Contract: %d/%d with k=%d", a, b, k))
 		}
-		cands = append(cands, cand{a: a, b: b, w: e.W, eid: int32(i)})
+		cands = append(cands, cand{a: a, b: b, i: int32(i)})
+		cntA[a+1]++
+		cntB[b+1]++
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].a != cands[j].a {
-			return cands[i].a < cands[j].a
-		}
-		if cands[i].b != cands[j].b {
-			return cands[i].b < cands[j].b
-		}
-		if cands[i].w != cands[j].w {
-			return cands[i].w < cands[j].w
-		}
-		return cands[i].eid < cands[j].eid
-	})
-	edges := make([]Edge, 0, len(cands))
-	orig := make([]int32, 0, len(cands))
-	for i := range cands {
-		c := cands[i]
-		if len(edges) > 0 {
-			last := edges[len(edges)-1]
-			if last.U == c.a && last.V == c.b {
-				continue
+	for c := int32(1); c <= k; c++ {
+		cntA[c] += cntA[c-1]
+		cntB[c] += cntB[c-1]
+	}
+	byB := make([]cand, len(cands))
+	for _, c := range cands {
+		byB[cntB[c.b]] = c
+		cntB[c.b]++
+	}
+	for _, c := range byB {
+		cands[cntA[c.a]] = c
+		cntA[c.a]++
+	}
+
+	out = make([]Edge, 0, len(cands))
+	src = make([]int32, 0, len(cands))
+	for lo := 0; lo < len(cands); {
+		a, b := cands[lo].a, cands[lo].b
+		best := cands[lo].i
+		hi := lo + 1
+		for ; hi < len(cands) && cands[hi].a == a && cands[hi].b == b; hi++ {
+			// Indices ascend within the run, so only a strictly
+			// lighter edge displaces the current choice.
+			if edges[cands[hi].i].W < edges[best].W {
+				best = cands[hi].i
 			}
 		}
-		edges = append(edges, Edge{U: c.a, V: c.b, W: c.w})
-		orig = append(orig, g.OrigEdgeID(c.eid))
+		out = append(out, Edge{U: a, V: b, W: edges[best].W})
+		src = append(src, best)
+		lo = hi
 	}
-	q := FromEdges(k, edges, true)
-	q.origEID = orig
-	return q
+	return out, src
 }
 
 // ---------------------------------------------------------------------------

@@ -92,9 +92,9 @@ type AuditEvidence struct {
 
 // Violation reasons recorded in evidence and logs.
 const (
-	ReasonBelowEnvelope      = "below-envelope"
-	ReasonAboveEnvelope      = "above-envelope"
-	ReasonExactMismatch      = "exact-mismatch"       // degrading regime answered ≠ exact
+	ReasonBelowEnvelope       = "below-envelope"
+	ReasonAboveEnvelope       = "above-envelope"
+	ReasonExactMismatch       = "exact-mismatch"       // degrading regime answered ≠ exact
 	ReasonUnreachableMismatch = "unreachable-mismatch" // connectivity disagreement
 )
 

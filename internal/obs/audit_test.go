@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -388,5 +389,87 @@ func TestRingAnnotate(t *testing.T) {
 	var nilRing *Ring
 	if nilRing.Annotate("a", "k", "v") {
 		t.Fatal("nil ring annotated")
+	}
+}
+
+// TestRingAnnotateBeforeAdd: an audit verdict can beat the HTTP edge
+// to the ring. The annotation parks until Add files its trace, the
+// parking set stays bounded, and what overflows is counted.
+func TestRingAnnotateBeforeAdd(t *testing.T) {
+	r := NewRing(4)
+	if r.Annotate("early", "audit", "ok") {
+		t.Fatal("Annotate reported a trace that was never added")
+	}
+	r.Annotate("early", "audit_ratio", 1.5)
+	attrs := map[string]any{"k": 1}
+	r.Add(TraceData{ID: "early", Attrs: attrs})
+	got := r.Snapshot()[0].Attrs
+	if got["audit"] != "ok" || got["audit_ratio"] != 1.5 || got["k"] != 1 {
+		t.Fatalf("parked annotation not applied: %+v", got)
+	}
+	if _, leaked := attrs["audit"]; leaked {
+		t.Fatal("Add mutated the caller's attrs map")
+	}
+	// Applied entries leave the parking set: filing the same id again
+	// picks up nothing.
+	r.Add(TraceData{ID: "early"})
+	if _, ok := r.Snapshot()[0].Attrs["audit"]; ok {
+		t.Fatal("parked annotation applied twice")
+	}
+	if d := r.DroppedAnnotations(); d != 0 {
+		t.Fatalf("dropped = %d before any overflow", d)
+	}
+
+	// Overflow: the oldest parked entries go first, each one counted.
+	const extra = 5
+	for i := 0; i < maxPendingAnnotations+extra; i++ {
+		r.Annotate(fmt.Sprintf("p%d", i), "audit", "ok")
+	}
+	if n := len(r.pending); n != maxPendingAnnotations {
+		t.Fatalf("pending = %d, want the bound %d", n, maxPendingAnnotations)
+	}
+	if d := r.DroppedAnnotations(); d != extra {
+		t.Fatalf("dropped = %d, want %d", d, extra)
+	}
+	r.Add(TraceData{ID: "p0"}) // evicted: lands unannotated
+	if _, ok := r.Snapshot()[0].Attrs["audit"]; ok {
+		t.Fatal("an evicted annotation was applied")
+	}
+	r.Add(TraceData{ID: fmt.Sprintf("p%d", extra)}) // oldest survivor
+	if r.Snapshot()[0].Attrs["audit"] != "ok" {
+		t.Fatal("a surviving parked annotation was lost")
+	}
+	var nilRing *Ring
+	if nilRing.DroppedAnnotations() != 0 {
+		t.Fatal("nil ring reports drops")
+	}
+}
+
+// TestRingAnnotateRacesAdd: verdicts and trace filing race from
+// separate goroutines, in either order; with fewer traces in flight
+// than the parking bound, every verdict lands and none is dropped.
+func TestRingAnnotateRacesAdd(t *testing.T) {
+	const traces, inFlight = 400, 32
+	r := NewRing(traces)
+	sem := make(chan struct{}, inFlight)
+	var wg sync.WaitGroup
+	for i := 0; i < traces; i++ {
+		id := fmt.Sprintf("t%d", i)
+		sem <- struct{}{}
+		var pair sync.WaitGroup
+		pair.Add(2)
+		go func() { defer pair.Done(); r.Annotate(id, "audit", "ok") }()
+		go func() { defer pair.Done(); r.Add(TraceData{ID: id}) }()
+		wg.Add(1)
+		go func() { defer wg.Done(); pair.Wait(); <-sem }()
+	}
+	wg.Wait()
+	for _, td := range r.Snapshot() {
+		if td.Attrs["audit"] != "ok" {
+			t.Fatalf("trace %s lost its verdict: %+v", td.ID, td.Attrs)
+		}
+	}
+	if r.Len() != traces || r.DroppedAnnotations() != 0 {
+		t.Fatalf("len %d dropped %d, want %d and 0", r.Len(), r.DroppedAnnotations(), traces)
 	}
 }

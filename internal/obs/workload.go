@@ -55,11 +55,11 @@ type tkItem struct {
 // O(log k).
 type tkHeap []*tkItem
 
-func (h tkHeap) Len() int            { return len(h) }
-func (h tkHeap) Less(i, j int) bool  { return h[i].count < h[j].count }
-func (h tkHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
-func (h *tkHeap) Push(x any)         { it := x.(*tkItem); it.idx = len(*h); *h = append(*h, it) }
-func (h *tkHeap) Pop() any           { old := *h; it := old[len(old)-1]; *h = old[:len(old)-1]; return it }
+func (h tkHeap) Len() int           { return len(h) }
+func (h tkHeap) Less(i, j int) bool { return h[i].count < h[j].count }
+func (h tkHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
+func (h *tkHeap) Push(x any)        { it := x.(*tkItem); it.idx = len(*h); *h = append(*h, it) }
+func (h *tkHeap) Pop() any          { old := *h; it := old[len(old)-1]; *h = old[:len(old)-1]; return it }
 
 // TopK is a space-saving heavy-hitter sketch over uint64 keys.
 type TopK struct {

@@ -352,6 +352,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Recent-trace ring occupancy.
 	p.family("spanhop_traces_buffered", "Traces held in the /debug/traces ring.", "gauge")
 	p.sample("spanhop_traces_buffered", nil, s.cfg.Obs.Traces().Len())
+	p.family("spanhop_trace_annotations_dropped_total", "Late trace annotations (audit verdicts) dropped before their trace was filed.", "counter")
+	p.sample("spanhop_trace_annotations_dropped_total", nil, s.cfg.Obs.Traces().DroppedAnnotations())
 
 	// Go runtime health: heap, GC, goroutines, and scheduler latency
 	// quantiles (runnable-to-running wait — the canary for the build

@@ -247,6 +247,7 @@ func TestMetricsExposition(t *testing.T) {
 	// Families this PR promises must be present.
 	for _, want := range []string{
 		"spanhop_build_info", "spanhop_events_total", "spanhop_traces_buffered",
+		"spanhop_trace_annotations_dropped_total",
 		"spanhop_go_goroutines", "spanhop_go_heap_alloc_bytes", "spanhop_go_gc_cycles_total",
 		"spanhop_go_sched_latency_seconds", "spanhop_query_latency_seconds",
 		"spanhop_stretch_ratio", "spanhop_stretch_ratio_max",

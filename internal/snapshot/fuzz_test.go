@@ -141,7 +141,7 @@ func layoutForgedArena() []byte {
 	ent = data[96:]
 	le.PutUint32(ent, 4) // kindI32
 	le.PutUint64(ent[8:], 128)
-	le.PutUint32(data[60:], crc(data[72:120]))                          // table CRC
+	le.PutUint32(data[60:], crc(data[72:120]))                                      // table CRC
 	le.PutUint32(data[64:], crc32.Update(crc(data[0:64]), castagnoli, data[68:72])) // header CRC
 	return data
 }

@@ -158,7 +158,7 @@ func BaswanaSen(g *graph.Graph, k int, seed uint64, cost *par.Cost) *Result {
 		}
 	}
 	cost.Round(int64(m) + int64(n))
-	return &Result{EdgeIDs: dedupeIDs(out), Levels: k}
+	return &Result{EdgeIDs: uniqueIDs(out, m), Levels: k}
 }
 
 // Greedy builds the greedy (2k−1)-spanner of Althöfer et al. [ADD+93]:
@@ -249,5 +249,5 @@ func Greedy(g *graph.Graph, k int, cost *par.Cost) *Result {
 			adj[ed.V] = append(adj[ed.V], arc{ed.U, w})
 		}
 	}
-	return &Result{EdgeIDs: dedupeIDs(out), Levels: 1}
+	return &Result{EdgeIDs: uniqueIDs(out, g.NumEdges()), Levels: 1}
 }

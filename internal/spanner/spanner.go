@@ -22,7 +22,7 @@ package spanner
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -114,14 +114,13 @@ func UnweightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
 		panic(fmt.Sprintf("spanner: k = %d", k))
 	}
 	ids, clus := unweightedStep(g, k, seed, opt)
-	sortIDs(ids)
 	return &Result{EdgeIDs: ids, Clustering: clus, Levels: 1}
 }
 
 // unweightedStep performs the decomposition-plus-boundary-edges step
 // shared by Unweighted and WellSeparated: cluster g with unit weights,
 // keep the forest, and add one edge per (boundary vertex, adjacent
-// cluster) pair. Returns edge ids of g (unsorted, duplicate-free).
+// cluster) pair. Returns edge ids of g, ascending and duplicate-free.
 func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *core.Result) {
 	cost := opt.Cost
 	n := g.NumVertices()
@@ -141,19 +140,23 @@ func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *
 	// foreign cluster (Algorithm 2 line 2). One parallel round over
 	// vertices in the model; with opt.Parallel the sweep runs on
 	// goroutine chunks (per-vertex choices are independent, and
-	// dedupeIDs sorts, so the output does not depend on merge order).
+	// uniqueIDs sorts, so the output does not depend on merge order).
 	var boundaryWork atomic.Int64
 	var mu sync.Mutex
 	collect := func(lo, hi int) {
 		var local []int32
 		var work int64
-		best := map[int32]int32{} // adjacent cluster -> edge id, reused
+		// best[c] is the chosen edge to adjacent cluster c (NoEdge when
+		// none yet); touched lists the clusters set for this vertex so
+		// the reset costs its degree, not the cluster count.
+		best := opt.Exec.Marks(clus.NumClusters())
+		defer opt.Exec.PutMarks(best)
+		var touched []int32
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
 			adj := g.Neighbors(v)
 			eids := g.AdjEdgeIDs(v)
 			cv := clus.ClusterOf[v]
-			clear(best)
 			for i, u := range adj {
 				work++
 				cu := clus.ClusterOf[u]
@@ -161,13 +164,18 @@ func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *
 					continue
 				}
 				e := eids[i]
-				if prev, ok := best[cu]; !ok || better(g, e, prev) {
+				if prev := best[cu]; prev == graph.NoEdge {
+					touched = append(touched, cu)
+					best[cu] = e
+				} else if better(g, e, prev) {
 					best[cu] = e
 				}
 			}
-			for _, e := range best {
-				local = append(local, e)
+			for _, cu := range touched {
+				local = append(local, best[cu])
+				best[cu] = graph.NoEdge
 			}
+			touched = touched[:0]
 		}
 		boundaryWork.Add(work)
 		mu.Lock()
@@ -181,7 +189,7 @@ func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *
 	}
 	cost.AddWork(boundaryWork.Load())
 	cost.AddDepth(1)
-	return dedupeIDs(ids), clus
+	return uniqueIDs(ids, g.NumEdges()), clus
 }
 
 // better orders candidate boundary edges by (weight, id) so selection
@@ -194,21 +202,25 @@ func better(g *graph.Graph, a, b int32) bool {
 	return a < b
 }
 
-func dedupeIDs(ids []int32) []int32 {
-	sortIDs(ids)
-	w := 0
-	for i, e := range ids {
-		if i > 0 && e == ids[w-1] {
-			continue
-		}
-		ids[w] = e
-		w++
+// uniqueIDs returns the distinct ids, every one in [0, m), in
+// ascending order, reusing ids' storage. One pass sets a bit per id
+// and one pass reads the bitmap back: O(len(ids) + m/64), no sort.
+func uniqueIDs(ids []int32, m int64) []int32 {
+	if len(ids) == 0 {
+		return ids
 	}
-	return ids[:w]
-}
-
-func sortIDs(ids []int32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	seen := make([]uint64, (m+63)/64)
+	for _, e := range ids {
+		seen[e>>6] |= 1 << (e & 63)
+	}
+	out := ids[:0]
+	for w, word := range seen {
+		for word != 0 {
+			out = append(out, int32(w<<6|bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return out
 }
 
 // bucketIndex returns the power-of-two weight bucket of w relative to
@@ -249,26 +261,27 @@ func wellSeparated(g *graph.Graph, groupEdges []int32, k int, seed uint64, opt O
 		return nil
 	}
 	minW := g.MinWeight()
-	// Bucket the group's edges by weight scale, ascending.
-	byBucket := map[int][]int32{}
+	// Bucket the group's edges by weight scale; bucket indices are
+	// below 63, so a slice indexed by them visits the buckets ascending.
+	var byBucket [][]int32
 	for _, e := range groupEdges {
 		b := bucketIndex(g.EdgeWeight(e), minW)
+		for len(byBucket) <= b {
+			byBucket = append(byBucket, nil)
+		}
 		byBucket[b] = append(byBucket[b], e)
 	}
-	bucketKeys := make([]int, 0, len(byBucket))
-	for b := range byBucket {
-		bucketKeys = append(bucketKeys, b)
-	}
-	sort.Ints(bucketKeys)
 
 	uf := ufind.New(g.NumVertices())
 	r := rng.New(seed)
 	var out []int32
-	for _, b := range bucketKeys {
+	for _, bucketIDs := range byBucket {
+		if len(bucketIDs) == 0 {
+			continue
+		}
 		if opt.Exec.Checkpoint() {
 			return nil // canceled: the group's edges are discarded
 		}
-		bucketIDs := byBucket[b]
 		// Quotient the bucket edges by the contraction state H_{i-1}
 		// (Algorithm 3 line 4): Γ_i = G[A_i]/H_{i-1}.
 		labels, numLabels := uf.DenseLabels()
@@ -276,8 +289,9 @@ func wellSeparated(g *graph.Graph, groupEdges []int32, k int, seed uint64, opt O
 		for i, e := range bucketIDs {
 			bucketEdges[i] = g.Edges()[e]
 		}
-		bucketG := graph.FromEdges(g.NumVertices(), bucketEdges, true)
-		gamma := bucketG.Contract(labels, numLabels)
+		// src[ge] indexes bucketIDs: Γ edge ge is bucket edge src[ge].
+		gammaEdges, src := graph.ContractEdges(bucketEdges, labels, numLabels)
+		gamma := graph.FromEdges(numLabels, gammaEdges, true)
 		cost.AddWork(int64(len(bucketIDs)) + int64(g.NumVertices()))
 		cost.AddDepth(1)
 		if gamma.NumEdges() == 0 {
@@ -287,19 +301,18 @@ func wellSeparated(g *graph.Graph, groupEdges []int32, k int, seed uint64, opt O
 		// boundary edges, mapped back to g's edge ids.
 		gammaIDs, clus := unweightedStep(gamma, k, r.Uint64(), opt)
 		for _, ge := range gammaIDs {
-			// gamma -> bucketG -> g.
-			out = append(out, bucketIDs[gamma.OrigEdgeID(ge)])
+			out = append(out, bucketIDs[src[ge]])
 		}
 		// Contract the new forest into H_i (Algorithm 3 line 7): union
 		// the original endpoints of every Γ-forest edge, merging the
 		// H-components the tree connects.
 		forest := core.ForestEdges(gamma, clus)
 		for _, ge := range forest {
-			orig := g.Edges()[bucketIDs[gamma.OrigEdgeID(ge)]]
+			orig := g.Edges()[bucketIDs[src[ge]]]
 			uf.Union(orig.U, orig.V)
 		}
 	}
-	return dedupeIDs(out)
+	return uniqueIDs(out, g.NumEdges())
 }
 
 // Weighted builds an O(k)-stretch spanner of expected size
@@ -355,5 +368,5 @@ func WeightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
 		all = append(all, perGroup[j]...)
 	}
 	opt.Cost.JoinMax(costs...)
-	return &Result{EdgeIDs: dedupeIDs(all), Levels: groups}
+	return &Result{EdgeIDs: uniqueIDs(all, g.NumEdges()), Levels: groups}
 }

@@ -67,16 +67,15 @@ func (u *UF) Len() int32 { return int32(len(u.parent)) }
 func (u *UF) DenseLabels() ([]int32, int32) {
 	labels := make([]int32, len(u.parent))
 	next := int32(0)
-	seen := make(map[int32]int32, u.sets)
+	// of[r] is representative r's label plus one; 0 means unseen.
+	of := make([]int32, len(u.parent))
 	for i := range u.parent {
 		r := u.Find(int32(i))
-		l, ok := seen[r]
-		if !ok {
-			l = next
-			seen[r] = l
+		if of[r] == 0 {
 			next++
+			of[r] = next
 		}
-		labels[i] = l
+		labels[i] = of[r] - 1
 	}
 	return labels, next
 }
