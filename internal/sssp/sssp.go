@@ -18,6 +18,7 @@ package sssp
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/exec"
@@ -244,7 +245,6 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 		if opt.Exec.Checkpoint() {
 			return res // canceled: partial, invalid
 		}
-		buckets[int(level)%nb] = nil
 		pending -= len(b)
 		var touched int64
 		for _, v := range b {
@@ -256,15 +256,15 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 			wts := g.AdjWeights(v)
 			for i, u := range adj {
 				touched++
-				if !opt.admits(u) || settled[u] {
-					continue
-				}
 				w := graph.W(1)
 				if wts != nil {
 					w = wts[i]
 				}
+				// A settled u already has Dist[u] <= level < nd. An
+				// admitted nd lands in bucket nd%nb, never the one
+				// being drained: 0 < nd-level <= span < nb.
 				nd := level + w
-				if nd < res.Dist[u] && nd <= bound {
+				if nd < res.Dist[u] && nd <= bound && opt.admits(u) {
 					res.Dist[u] = nd
 					res.Parent[u] = v
 					buckets[int(nd)%nb] = append(buckets[int(nd)%nb], u)
@@ -272,6 +272,8 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 				}
 			}
 		}
+		// Keep the drained bucket's capacity for its next refill.
+		buckets[int(level)%nb] = b[:0]
 		opt.Cost.AddWork(touched + int64(len(b)))
 	}
 	// Clear any tentative distances that were never settled within the
@@ -287,71 +289,61 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	return res
 }
 
-// Dijkstra is the exact sequential reference implementation: an
-// indexed 4-ary min-heap with decrease-key over vertex ids, keyed by
-// Result.Dist. A per-vertex position array records each vertex as
-// unqueued (0), queued at heap slot i (i+1), or settled (-1), so the
-// heap never holds a stale entry or more than n items, and a run on an
-// execution context takes all of its O(n) buffers from the arenas.
-// Distances are exact; parents form some certifying shortest-path
-// tree (ties among equal-length paths may resolve either way). It
-// accepts the same Options; cost accounting treats it as a sequential
-// algorithm: work and depth both equal the edges scanned from settled
-// vertices.
+// Dijkstra is the exact sequential reference implementation, run on
+// the radix heap of Ahuja, Mehlhorn, Orlin and Tarjan (JACM 1990) keyed
+// by Result.Dist: O(m + n log C) for integer weights up to C, with one
+// queue for every weight range. Weights are strictly positive, so
+// popped keys never decrease; a queued key k sits in bucket
+// bits.Len64(k ^ last), where last is the most recent popped minimum.
+// Each bucket is an intrusive doubly linked list over per-vertex
+// next/prev arrays, so decrease-key is O(1), the queue never holds a
+// stale entry or allocates per push, and a run on an execution
+// context takes every O(n) buffer from the arenas: the allocation
+// count is a constant independent of n, m and the weights.
+//
+// Distances are exact; parents form some certifying shortest-path tree
+// (ties among equal-length paths may resolve either way). It accepts
+// the same Options; MaxDist is enforced at relaxation, as in Dial, so
+// no key past the bound is ever queued. Cost accounting treats it as a
+// sequential algorithm: work and depth both equal the edges scanned
+// from settled vertices.
 func Dijkstra(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	n := g.NumVertices()
 	res := newResultOn(opt.Exec, n)
 	bound := opt.bound()
-	h := indexedHeap{
-		items: opt.Exec.Verts(int(n))[:0],
-		pos:   opt.Exec.MarksZero(int(n)),
-		dist:  res.Dist,
-	}
-	defer opt.Exec.PutVerts(h.items)
-	defer opt.Exec.PutMarks(h.pos)
+	// One arena buffer holds the three per-vertex queue arrays.
+	buf := opt.Exec.MarksZero(3 * int(n))
+	defer opt.Exec.PutMarks(buf)
+	q := newRadixHeap(res.Dist, buf)
 	for _, s := range sources {
-		if !opt.admits(s) || h.pos[s] != 0 {
+		if !opt.admits(s) || q.slot[s] != 0 {
 			continue
 		}
 		res.Dist[s] = 0
-		h.push(s)
+		q.update(s, 0)
 	}
 	var ops int64
-	for len(h.items) > 0 {
+	for q.nonEmpty != 0 {
 		if opt.Exec.Canceled() {
 			return res // canceled: partial, invalid
 		}
-		v := h.pop()
+		v := q.pop()
 		d := res.Dist[v]
-		if d > bound {
-			// Every key still queued is at least d: clear the
-			// tentative labels past the bound and stop.
-			res.Dist[v], res.Parent[v] = graph.InfDist, graph.NoVertex
-			for _, u := range h.items {
-				res.Dist[u], res.Parent[u] = graph.InfDist, graph.NoVertex
-			}
-			break
-		}
-		h.pos[v] = settledPos
 		adj := g.Neighbors(v)
 		wts := g.AdjWeights(v)
 		ops += int64(len(adj))
 		for i, u := range adj {
-			if h.pos[u] == settledPos || !opt.admits(u) {
-				continue
-			}
 			w := graph.W(1)
 			if wts != nil {
 				w = wts[i]
 			}
-			if nd := d + w; nd < res.Dist[u] {
+			// A settled u already has Dist[u] <= d < nd, so only
+			// queued and unreached vertices pass the first test; the
+			// bound keeps every queued key within MaxDist.
+			if nd := d + w; nd < res.Dist[u] && nd <= bound && opt.admits(u) {
 				res.Dist[u] = nd
 				res.Parent[u] = v
-				if p := h.pos[u]; p == 0 {
-					h.push(u)
-				} else {
-					h.up(int(p - 1))
-				}
+				q.update(u, nd)
 			}
 		}
 	}
@@ -360,79 +352,105 @@ func Dijkstra(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	return res
 }
 
-// settledPos marks a vertex Dijkstra has settled in indexedHeap.pos.
-const settledPos = -1
+// radixBuckets is the number of radix-heap buckets: queued keys are
+// below InfDist < 2^62, so key ^ last has at most 62 significant bits.
+const radixBuckets = 63
 
-// indexedHeap is a 4-ary min-heap of vertex ids keyed by dist[v].
-// pos[v] is v's slot plus one while queued (0 when unqueued); the
-// caller owns the settledPos marks. Decreasing dist[v] for a queued v
-// must be followed by up(pos[v]-1).
-type indexedHeap struct {
-	items []graph.V
-	pos   []int32
-	dist  []graph.Dist
+// radixHeap is a monotone priority queue of vertex ids keyed by
+// dist[v] >= last. Bucket b holds the vertices whose key first differs
+// from last at bit b-1 (bucket 0: key == last), as a doubly linked
+// list through next/prev headed by head[b]. slot[v] is v's bucket plus
+// one while queued, 0 while unqueued, and settledSlot once popped.
+type radixHeap struct {
+	dist       []graph.Dist
+	slot       []int32
+	next, prev []graph.V
+	head       [radixBuckets]graph.V
+	nonEmpty   uint64 // bit b set iff head[b] != NoVertex
+	last       graph.Dist
 }
 
-func (h *indexedHeap) push(v graph.V) {
-	h.items = append(h.items, v)
-	h.up(len(h.items) - 1)
-}
+// settledSlot marks a vertex radixHeap.pop has returned.
+const settledSlot = -1
 
-// pop removes and returns the minimum; its pos entry is left stale
-// for the caller to overwrite.
-func (h *indexedHeap) pop() graph.V {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
+// newRadixHeap lays the queue over buf, a zeroed buffer of 3n entries.
+func newRadixHeap(dist []graph.Dist, buf []int32) radixHeap {
+	n := len(dist)
+	q := radixHeap{dist: dist, slot: buf[:n], next: buf[n : 2*n], prev: buf[2*n : 3*n]}
+	for b := range q.head {
+		q.head[b] = graph.NoVertex
 	}
-	return top
+	return q
 }
 
-func (h *indexedHeap) up(i int) {
-	v := h.items[i]
-	d := h.dist[v]
-	for i > 0 {
-		p := (i - 1) / 4
-		pv := h.items[p]
-		if h.dist[pv] <= d {
-			break
-		}
-		h.items[i] = pv
-		h.pos[pv] = int32(i + 1)
-		i = p
-	}
-	h.items[i] = v
-	h.pos[v] = int32(i + 1)
+func (q *radixHeap) bucket(key graph.Dist) int32 {
+	return int32(bits.Len64(uint64(key ^ q.last)))
 }
 
-func (h *indexedHeap) down(i int) {
-	items := h.items
-	v := items[i]
-	d := h.dist[v]
-	for {
-		c := 4*i + 1
-		if c >= len(items) {
-			break
-		}
-		best, bd := c, h.dist[items[c]]
-		end := min(c+4, len(items))
-		for j := c + 1; j < end; j++ {
-			if dj := h.dist[items[j]]; dj < bd {
-				best, bd = j, dj
-			}
-		}
-		if bd >= d {
-			break
-		}
-		items[i] = items[best]
-		h.pos[items[i]] = int32(i + 1)
-		i = best
+func (q *radixHeap) link(v graph.V, b int32) {
+	h := q.head[b]
+	q.next[v], q.prev[v] = h, graph.NoVertex
+	if h != graph.NoVertex {
+		q.prev[h] = v
 	}
-	items[i] = v
-	h.pos[v] = int32(i + 1)
+	q.head[b] = v
+	q.nonEmpty |= 1 << uint(b)
+	q.slot[v] = b + 1
+}
+
+func (q *radixHeap) unlink(v graph.V, b int32) {
+	nx, pv := q.next[v], q.prev[v]
+	if nx != graph.NoVertex {
+		q.prev[nx] = pv
+	}
+	if pv != graph.NoVertex {
+		q.next[pv] = nx
+		return
+	}
+	q.head[b] = nx
+	if nx == graph.NoVertex {
+		q.nonEmpty &^= 1 << uint(b)
+	}
+}
+
+// update queues an unsettled v at key >= last: an unqueued v is
+// linked into key's bucket, a queued one whose key was lowered moves
+// there unless it is already in it.
+func (q *radixHeap) update(v graph.V, key graph.Dist) {
+	nb := q.bucket(key)
+	if s := q.slot[v]; s != 0 {
+		if s-1 == nb {
+			return
+		}
+		q.unlink(v, s-1)
+	}
+	q.link(v, nb)
+}
+
+// pop removes and returns a vertex of minimum key. When bucket 0 is
+// empty, the lowest non-empty bucket's minimum becomes last and its
+// members move to strictly lower buckets, filling bucket 0.
+func (q *radixHeap) pop() graph.V {
+	if q.head[0] == graph.NoVertex {
+		b := int32(bits.TrailingZeros64(q.nonEmpty))
+		m := graph.InfDist
+		for v := q.head[b]; v != graph.NoVertex; v = q.next[v] {
+			m = min(m, q.dist[v])
+		}
+		q.last = m
+		v := q.head[b]
+		q.head[b] = graph.NoVertex
+		q.nonEmpty &^= 1 << uint(b)
+		for v != graph.NoVertex {
+			nx := q.next[v]
+			q.link(v, q.bucket(q.dist[v]))
+			v = nx
+		}
+	}
+	v := q.head[0]
+	q.unlink(v, 0)
+	q.slot[v] = settledSlot
+	return v
 }
 
 // Weighted dispatches a weighted multi-source SSSP on the execution

@@ -1,6 +1,9 @@
 package sssp
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -240,12 +243,19 @@ func TestEccentricityAndDiameter(t *testing.T) {
 	}
 }
 
+// weightRanges are the edge-weight ceilings randomSearch draws from,
+// selected by flag bits 4–5: a narrow range Dial's buckets cover, then
+// 2^16, 2^40 and 2^55, where distances span most of the int64 range
+// below InfDist.
+var weightRanges = [4]graph.W{15, 1 << 16, 1 << 40, 1 << 55}
+
 // randomSearch draws a random search instance for the differential
-// properties: a connected graph with unit or random weights, optional
-// parallel edges (a second copy of some edges at a new weight), one or
-// several possibly duplicated sources, an optional Mark/Token
-// restriction to about three quarters of the vertices, and an
-// optional distance bound.
+// properties: a connected graph with unit weights or random weights up
+// to weightRanges[flags>>4&3], optional parallel edges (a second copy
+// of some edges at a new weight), one or several possibly duplicated
+// sources, an optional Mark/Token restriction to about three quarters
+// of the vertices, and an optional distance bound scaled to the
+// weight range.
 func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, Options) {
 	r := rng.New(seed)
 	n := int32(r.Intn(60) + 2)
@@ -254,6 +264,7 @@ func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, 
 		m = max
 	}
 	weighted := flags&1 == 0
+	maxW := weightRanges[flags>>4&3]
 	edges := append([]graph.Edge(nil), graph.RandomConnectedGNM(n, m, seed).Edges()...)
 	if flags&2 != 0 {
 		for i := range edges {
@@ -263,7 +274,7 @@ func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, 
 		}
 	}
 	for i := range edges {
-		edges[i].W = graph.W(r.Intn(15) + 1)
+		edges[i].W = 1 + r.Int63n(maxW)
 	}
 	g := graph.FromEdges(n, edges, weighted)
 
@@ -285,6 +296,9 @@ func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, 
 	}
 	if boundRaw%2 == 0 {
 		opt.MaxDist = graph.Dist(boundRaw)
+		if weighted {
+			opt.MaxDist *= maxW / 15
+		}
 	}
 	return g, sources, opt
 }
@@ -335,32 +349,86 @@ func certifyParents(g *graph.Graph, sources []graph.V, opt Options, res *Result)
 	return true
 }
 
-// Property: on random instances (unit and random weights, parallel
-// edges, multiple and duplicate sources, Mark/Token restriction,
-// distance bounds) Dijkstra's distances equal Dial's, its parents
-// certify them, two runs give identical results, and its work equals
-// the degree sum over the settled vertices, with depth equal to work.
+// checkDijkstra runs Dijkstra twice on one instance and reports the
+// first way it departs from the indexed-heap reference: a distance
+// that differs, a second run that differs, parents that do not certify
+// the distances, or work or depth other than the degree sum over the
+// settled vertices.
+func checkDijkstra(g *graph.Graph, sources []graph.V, opt Options) error {
+	ref := referenceDijkstra(g, sources, opt)
+	again := Dijkstra(g, sources, opt)
+	cost := par.NewCost()
+	opt.Cost = cost
+	res := Dijkstra(g, sources, opt)
+	var degrees int64
+	for v := range res.Dist {
+		if res.Dist[v] != ref.Dist[v] {
+			return fmt.Errorf("dist[%d] = %d, reference %d", v, res.Dist[v], ref.Dist[v])
+		}
+		if res.Dist[v] != again.Dist[v] || res.Parent[v] != again.Parent[v] {
+			return fmt.Errorf("vertex %d differs between two runs", v)
+		}
+		if res.Reached(graph.V(v)) {
+			degrees += int64(g.Degree(graph.V(v)))
+		}
+	}
+	if !certifyParents(g, sources, opt, res) {
+		return errors.New("parents do not certify the distances")
+	}
+	if cost.Work() != degrees || cost.Depth() != degrees {
+		return fmt.Errorf("work %d, depth %d; want the degree sum %d", cost.Work(), cost.Depth(), degrees)
+	}
+	return nil
+}
+
+// Property: on random instances (unit and random weights up to 2^55,
+// parallel edges, multiple and duplicate sources, Mark/Token
+// restriction, distance bounds) Dijkstra passes checkDijkstra, and
+// where the weights fit Dial's buckets its distances equal Dial's.
 func TestDialDijkstraProperty(t *testing.T) {
 	f := func(seedRaw uint32, boundRaw, flags uint8) bool {
 		g, sources, opt := randomSearch(uint64(seedRaw), boundRaw, flags)
-		a := Dial(g, sources, opt)
-		again := Dijkstra(g, sources, opt)
-		cost := par.NewCost()
-		opt.Cost = cost
-		b := Dijkstra(g, sources, opt)
-		var degrees int64
-		for v := range a.Dist {
-			if a.Dist[v] != b.Dist[v] || b.Dist[v] != again.Dist[v] || b.Parent[v] != again.Parent[v] {
-				return false
-			}
-			if b.Reached(graph.V(v)) {
-				degrees += int64(g.Degree(graph.V(v)))
+		if err := checkDijkstra(g, sources, opt); err != nil {
+			t.Log(err)
+			return false
+		}
+		return g.MaxWeight() > 1<<16 ||
+			slices.Equal(Dial(g, sources, opt).Dist, Dijkstra(g, sources, opt).Dist)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDijkstraMatchesReference runs checkDijkstra on every randomSearch
+// flag combination (unit or random weights in each weight range,
+// parallel edges, duplicate sources, Mark), unbounded and at two
+// distance bounds, so each range, 2^55 included, is covered with and
+// without MaxDist on every run.
+func TestDijkstraMatchesReference(t *testing.T) {
+	for flags := 0; flags < 64; flags++ {
+		for _, boundRaw := range []uint8{1, 40, 120} {
+			for seed := uint64(0); seed < 4; seed++ {
+				g, sources, opt := randomSearch(seed, boundRaw, uint8(flags))
+				if err := checkDijkstra(g, sources, opt); err != nil {
+					t.Fatalf("flags %#x, MaxDist %d, seed %d: %v", flags, opt.MaxDist, seed, err)
+				}
 			}
 		}
-		return certifyParents(g, sources, opt, b) &&
-			cost.Work() == degrees && cost.Depth() == degrees
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+}
+
+// Property: Dial returns the same Dist and Parent arrays, bit for bit,
+// as the reference body (which re-allocates each drained bucket and
+// reads the settled flag per arc) on random instances with weights up
+// to 2^16.
+func TestDialMatchesReference(t *testing.T) {
+	f := func(seedRaw uint32, boundRaw, flags uint8) bool {
+		g, sources, opt := randomSearch(uint64(seedRaw), boundRaw, flags&^0x20)
+		got, want := Dial(g, sources, opt), referenceDial(g, sources, opt)
+		return slices.Equal(got.Dist, want.Dist) && slices.Equal(got.Parent, want.Parent)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -379,10 +447,246 @@ func TestParentCertifiesDistance(t *testing.T) {
 	}
 }
 
+// referenceDial is Dial without its two shortcuts, kept as the
+// bit-identity oracle for TestDialMatchesReference: it drops each
+// drained bucket (so every refill re-grows it) and tests the settled
+// flag on every arc.
+func referenceDial(g *graph.Graph, sources []graph.V, opt Options) *Result {
+	n := g.NumVertices()
+	res := newResultOn(opt.Exec, n)
+	bound := opt.bound()
+	maxW := g.MaxWeight()
+	if maxW < 1 {
+		maxW = 1
+	}
+	// Circular buckets: a relaxation increases the key by at most
+	// maxW, so maxW+1 buckets suffice. A bounded search never keeps
+	// keys above the bound, so the bucket span clamps to it — this is
+	// what keeps level-capped searches on huge-weight graphs cheap.
+	span := maxW
+	if bound < graph.InfDist && graph.W(bound)+1 < span {
+		span = graph.W(bound) + 1
+	}
+	const maxBuckets = 1 << 28
+	if span+1 > maxBuckets {
+		panic(fmt.Sprintf("sssp: Dial bucket span %d too large; round weights or set MaxDist", span))
+	}
+	nb := int(span) + 1
+	buckets := make([][]graph.V, nb)
+	pending := 0
+	for _, s := range sources {
+		if !opt.admits(s) || res.Dist[s] == 0 {
+			continue
+		}
+		res.Dist[s] = 0
+		buckets[0] = append(buckets[0], s)
+		pending++
+	}
+	settled := opt.Exec.Bools(int(n))
+	defer opt.Exec.PutBools(settled)
+	for level := graph.Dist(0); pending > 0 && level <= bound; level++ {
+		// Every distance level is one synchronous round of the
+		// weighted parallel BFS, empty or not: this is the "depth
+		// linear in path lengths" that Section 5's rounding scheme
+		// exists to shrink.
+		opt.Cost.AddDepth(1)
+		b := buckets[int(level)%nb]
+		if len(b) == 0 {
+			continue
+		}
+		if opt.Exec.Checkpoint() {
+			return res // canceled: partial, invalid
+		}
+		buckets[int(level)%nb] = nil
+		pending -= len(b)
+		var touched int64
+		for _, v := range b {
+			if settled[v] || res.Dist[v] != level {
+				continue // stale entry
+			}
+			settled[v] = true
+			adj := g.Neighbors(v)
+			wts := g.AdjWeights(v)
+			for i, u := range adj {
+				touched++
+				if !opt.admits(u) || settled[u] {
+					continue
+				}
+				w := graph.W(1)
+				if wts != nil {
+					w = wts[i]
+				}
+				nd := level + w
+				if nd < res.Dist[u] && nd <= bound {
+					res.Dist[u] = nd
+					res.Parent[u] = v
+					buckets[int(nd)%nb] = append(buckets[int(nd)%nb], u)
+					pending++
+				}
+			}
+		}
+		opt.Cost.AddWork(touched + int64(len(b)))
+	}
+	// Clear any tentative distances that were never settled within the
+	// bound (stale bucket entries beyond it).
+	if bound < graph.InfDist {
+		for v := range res.Dist {
+			if res.Dist[v] != graph.InfDist && !settled[v] {
+				res.Dist[v] = graph.InfDist
+				res.Parent[v] = graph.NoVertex
+			}
+		}
+	}
+	return res
+}
+
+// referenceDijkstra is Dijkstra on an indexed 4-ary heap, kept as the
+// differential oracle for the radix-heap kernel: a per-vertex
+// position array records each vertex as unqueued (0), queued at heap
+// slot i (i+1), or settled (-1), and decrease-key sifts up.
+func referenceDijkstra(g *graph.Graph, sources []graph.V, opt Options) *Result {
+	n := g.NumVertices()
+	res := newResultOn(opt.Exec, n)
+	bound := opt.bound()
+	h := indexedHeap{
+		items: opt.Exec.Verts(int(n))[:0],
+		pos:   opt.Exec.MarksZero(int(n)),
+		dist:  res.Dist,
+	}
+	defer opt.Exec.PutVerts(h.items)
+	defer opt.Exec.PutMarks(h.pos)
+	for _, s := range sources {
+		if !opt.admits(s) || h.pos[s] != 0 {
+			continue
+		}
+		res.Dist[s] = 0
+		h.push(s)
+	}
+	var ops int64
+	for len(h.items) > 0 {
+		if opt.Exec.Canceled() {
+			return res // canceled: partial, invalid
+		}
+		v := h.pop()
+		d := res.Dist[v]
+		if d > bound {
+			// Every key still queued is at least d: clear the
+			// tentative labels past the bound and stop.
+			res.Dist[v], res.Parent[v] = graph.InfDist, graph.NoVertex
+			for _, u := range h.items {
+				res.Dist[u], res.Parent[u] = graph.InfDist, graph.NoVertex
+			}
+			break
+		}
+		h.pos[v] = refSettled
+		adj := g.Neighbors(v)
+		wts := g.AdjWeights(v)
+		ops += int64(len(adj))
+		for i, u := range adj {
+			if h.pos[u] == refSettled || !opt.admits(u) {
+				continue
+			}
+			w := graph.W(1)
+			if wts != nil {
+				w = wts[i]
+			}
+			if nd := d + w; nd < res.Dist[u] {
+				res.Dist[u] = nd
+				res.Parent[u] = v
+				if p := h.pos[u]; p == 0 {
+					h.push(u)
+				} else {
+					h.up(int(p - 1))
+				}
+			}
+		}
+	}
+	opt.Cost.AddWork(ops)
+	opt.Cost.AddDepth(ops)
+	return res
+}
+
+// refSettled marks a vertex referenceDijkstra has settled in
+// indexedHeap.pos.
+const refSettled = -1
+
+// indexedHeap is a 4-ary min-heap of vertex ids keyed by dist[v].
+// pos[v] is v's slot plus one while queued (0 when unqueued); the
+// caller owns the refSettled marks. Decreasing dist[v] for a queued v
+// must be followed by up(pos[v]-1).
+type indexedHeap struct {
+	items []graph.V
+	pos   []int32
+	dist  []graph.Dist
+}
+
+func (h *indexedHeap) push(v graph.V) {
+	h.items = append(h.items, v)
+	h.up(len(h.items) - 1)
+}
+
+// pop removes and returns the minimum; its pos entry is left stale
+// for the caller to overwrite.
+func (h *indexedHeap) pop() graph.V {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	if last > 0 {
+		h.down(0)
+	}
+	return top
+}
+
+func (h *indexedHeap) up(i int) {
+	v := h.items[i]
+	d := h.dist[v]
+	for i > 0 {
+		p := (i - 1) / 4
+		pv := h.items[p]
+		if h.dist[pv] <= d {
+			break
+		}
+		h.items[i] = pv
+		h.pos[pv] = int32(i + 1)
+		i = p
+	}
+	h.items[i] = v
+	h.pos[v] = int32(i + 1)
+}
+
+func (h *indexedHeap) down(i int) {
+	items := h.items
+	v := items[i]
+	d := h.dist[v]
+	for {
+		c := 4*i + 1
+		if c >= len(items) {
+			break
+		}
+		best, bd := c, h.dist[items[c]]
+		end := min(c+4, len(items))
+		for j := c + 1; j < end; j++ {
+			if dj := h.dist[items[j]]; dj < bd {
+				best, bd = j, dj
+			}
+		}
+		if bd >= d {
+			break
+		}
+		items[i] = items[best]
+		h.pos[items[i]] = int32(i + 1)
+		i = best
+	}
+	items[i] = v
+	h.pos[v] = int32(i + 1)
+}
+
 // TestDijkstraAllocsConstant pins the kernel's allocation count: on an
 // execution context with released results, a search allocates the
-// same small constant however many edges it relaxes — the heap holds
-// vertex ids in an arena buffer, nothing is boxed per push.
+// same small constant however many edges it relaxes and however wide
+// its weights — the queue links vertex ids through an arena buffer,
+// nothing is allocated per push.
 func TestDijkstraAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
@@ -395,8 +699,10 @@ func TestDijkstraAllocsConstant(t *testing.T) {
 	}
 	sparse := allocs(graph.UniformWeights(graph.RandomConnectedGNM(2000, 4000, 1), 50, 2))
 	dense := allocs(graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 3), 50, 4))
-	if sparse != dense || dense > 8 {
-		t.Fatalf("Dijkstra allocs/op = %v (m=4000), %v (m=60000); want the same constant <= 8", sparse, dense)
+	wide := allocs(graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 5), 1<<40, 6))
+	if sparse != dense || wide != dense || dense > 8 {
+		t.Fatalf("Dijkstra allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40); want the same constant <= 8",
+			sparse, dense, wide)
 	}
 }
 
@@ -418,6 +724,24 @@ func BenchmarkDialRandom(b *testing.B) {
 
 func BenchmarkDijkstraRandom(b *testing.B) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(10000, 40000, 1), 50, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Dijkstra(g, []graph.V{0}, Options{})
+	}
+}
+
+func BenchmarkDijkstraWide(b *testing.B) {
+	g := graph.UniformWeights(graph.RandomConnectedGNM(16384, 200000, 3), 1<<40, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Dijkstra(g, []graph.V{0}, Options{})
+	}
+}
+
+func BenchmarkDijkstraMultiScale(b *testing.B) {
+	g := graph.ExponentialWeights(graph.Grid2D(100, 100), 4, 5, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Dijkstra(g, []graph.V{0}, Options{})
