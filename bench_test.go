@@ -590,11 +590,10 @@ func BenchmarkOracleBuild(b *testing.B) {
 }
 
 // BenchmarkDynamicOracleQuery measures the live-update overlay's
-// three query regimes against the same base oracle: a clean overlay
-// (pure delegation), an improving overlay (sketch over the patched
-// endpoints + base-oracle estimates), and a degrading overlay (exact
-// bidirectional search on the patched graph) — the cost profile the
-// rebuild policy trades against.
+// query paths against the same base oracle: a clean overlay (pure
+// delegation), an insert-only overlay (exact patched search), and an
+// overlay with deleted base edges (exact patched search) — the cost
+// profile the rebuild policy trades against.
 func BenchmarkDynamicOracleQuery(b *testing.B) {
 	g := WithUniformWeights(GridGraph(40, 40), 50, 3)
 	n := g.NumVertices()
@@ -613,6 +612,7 @@ func BenchmarkDynamicOracleQuery(b *testing.B) {
 		defer d.Close()
 		run(b, d)
 	})
+	// Insert-only overlay, exact patched search.
 	b.Run("improving-8-inserts", func(b *testing.B) {
 		d := NewDynamicOracle(o, RebuildPolicy{Disabled: true})
 		defer d.Close()

@@ -227,10 +227,10 @@ func (d *DynamicOracle) SetRebuildInstrument(f func(cause string, do func() erro
 	d.sch.SetInstrument(f)
 }
 
-// TraceInfo reports the overlay regime ("clean", "improving",
-// "degrading") and the latest applied generation — the two facts a
-// request trace pins so a slow query can be attributed to the overlay
-// state it actually ran under.
+// TraceInfo reports the overlay regime ("clean" or "degrading") and
+// the latest applied generation — the two facts a request trace pins
+// so a slow query can be attributed to the overlay state it actually
+// ran under.
 func (d *DynamicOracle) TraceInfo() (regime string, gen uint64) { return d.ov.Regime() }
 
 // ApplyUpdates applies a batch of mutations atomically (all or none),
@@ -249,9 +249,9 @@ func (d *DynamicOracle) ApplyUpdates(us []DynamicUpdate) (uint64, error) {
 }
 
 // Query estimates the s-t distance on the latest generation's graph.
-// See internal/dynamic for the bound: with only insertions and weight
-// decreases pending the static (1±ε̃) envelope is preserved verbatim;
-// with deletions or increases pending the answer is exact.
+// See internal/dynamic for the bound: while no pair diverges from the
+// base graph the static (1±ε̃) envelope holds verbatim; once any
+// insert, delete, or reweight diverges the answer is exact.
 func (d *DynamicOracle) Query(s, t V) (Dist, error) { return d.ov.Query(s, t) }
 
 // QueryAt is Query pinned at a generation in
@@ -276,18 +276,20 @@ func (d *DynamicOracle) ExactDistanceAt(gen uint64, s, t V) (Dist, error) {
 
 // StretchEnvelope returns the multiplicative answer envelope the
 // current base oracle promises (see DistanceOracle.StretchEnvelope).
-// The improving overlay regime preserves it verbatim; the degrading
-// regime answers exactly (ratio 1 by construction).
+// A clean overlay's answers come from the base oracle and lie inside
+// it; a dirty (degrading) overlay answers exactly (ratio 1 by
+// construction).
 func (d *DynamicOracle) StretchEnvelope() (lo, hi float64) {
 	return d.Oracle().StretchEnvelope()
 }
 
-// QueryStats mirrors DistanceOracle.QueryStats. While the overlay is
-// empty the full static diagnostics pass through; once mutations are
-// pending the overlay path answers and Levels/Fallback read zero (the
-// overlay search has no hopset depth to report).
+// QueryStats mirrors DistanceOracle.QueryStats. While the overlay
+// is clean (no pair diverges from the base graph) the full static
+// diagnostics pass through; once it is dirty the exact patched search
+// answers and Levels/Fallback read zero (that search has no hopset
+// depth to report).
 func (d *DynamicOracle) QueryStats(s, t V) (QueryStats, error) {
-	if d.ov.Pending() == 0 && d.ov.OverlayEdges() == 0 {
+	if reg, _ := d.ov.Regime(); reg == "clean" {
 		return d.Oracle().QueryStats(s, t)
 	}
 	dist, err := d.ov.Query(s, t)

@@ -246,6 +246,57 @@ func TestDynamicOracleQueryAtAndBatch(t *testing.T) {
 	}
 }
 
+// TestDynamicOracleQueryStatsDispatch: QueryStats follows the
+// overlay's own regime. An insert-then-delete no-op overlay is clean,
+// so the static oracle's full diagnostics pass through; a dirty
+// overlay answers the exact distance on the mutated graph.
+func TestDynamicOracleQueryStatsDispatch(t *testing.T) {
+	g := WithUniformWeights(GridGraph(8, 8), 20, 5)
+	o := NewDistanceOracle(g, 0.3, 6)
+	d := NewDynamicOracle(o, RebuildPolicy{Disabled: true})
+	defer d.Close()
+	pairs := [][2]V{{0, 63}, {7, 56}, {10, 45}}
+
+	if _, err := d.ApplyUpdates([]DynamicUpdate{
+		{Op: UpdateInsert, U: 0, V: 63, W: 1},
+		{Op: UpdateDelete, U: 0, V: 63},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if reg, _ := d.TraceInfo(); reg != "clean" {
+		t.Fatalf("no-op overlay regime = %q, want clean", reg)
+	}
+	levels := int64(0)
+	for _, p := range pairs {
+		want, err := o.QueryStats(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.QueryStats(p[0], p[1])
+		if err != nil || got != want {
+			t.Fatalf("no-op overlay QueryStats(%d,%d) = %+v (%v), want static %+v", p[0], p[1], got, err, want)
+		}
+		levels += got.Levels
+	}
+	if levels == 0 {
+		t.Fatal("static diagnostics report no levels; the pass-through is unobservable")
+	}
+
+	if _, err := d.ApplyUpdates([]DynamicUpdate{{Op: UpdateInsert, U: 0, V: 63, W: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if reg, _ := d.TraceInfo(); reg != "degrading" {
+		t.Fatalf("dirty overlay regime = %q, want degrading", reg)
+	}
+	mg := d.MutatedGraph()
+	for _, p := range pairs {
+		want := QueryStats{Dist: ShortestPaths(mg, p[0]).Dist[p[1]]}
+		if got, err := d.QueryStats(p[0], p[1]); err != nil || got != want {
+			t.Fatalf("dirty overlay QueryStats(%d,%d) = %+v (%v), want %+v", p[0], p[1], got, err, want)
+		}
+	}
+}
+
 // TestDynamicOracleSnapshotRoundTrip: SaveDynamicOracle persists the
 // base oracle plus the pending journal; LoadDynamicOracle replays it,
 // reproducing generation and answers; plain LoadOracle refuses to

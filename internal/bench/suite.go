@@ -210,8 +210,9 @@ func Suite() []Spec {
 			}
 		}},
 
-		// --- dynamic overlay: clean / improving / degrading regimes ---
+		// --- dynamic overlay: clean delegation / dirty exact search ---
 		{Name: "dynamic/clean", Run: func(b *testing.B) { dynamicBench(b, 0, 0) }},
+		// Insert-only overlay, exact patched search.
 		{Name: "dynamic/improving-8-inserts", Run: func(b *testing.B) { dynamicBench(b, 8, 0) }},
 		{Name: "dynamic/degrading-8-deletes", Run: func(b *testing.B) { dynamicBench(b, 0, 8) }},
 
@@ -392,7 +393,8 @@ func warmBatch(b *testing.B, o *spanhop.DistanceOracle, pairs [][2]graph.V) {
 }
 
 // dynamicBench measures the overlay query path with the given number
-// of improving (insert) and degrading (delete) mutations applied.
+// of inserted and deleted pairs applied; any of either makes the
+// overlay dirty, so its queries run the exact patched search.
 func dynamicBench(b *testing.B, inserts, deletes int) {
 	g := cachedGraph("grid40", func() *graph.Graph {
 		return spanhop.WithUniformWeights(spanhop.GridGraph(40, 40), 50, 3)

@@ -3,42 +3,33 @@
 // top of a built (static) distance oracle. Edge insertions, deletions,
 // and reweights append to an in-memory journal — each stamped with a
 // monotonically increasing generation — and queries answer against
-// min(base-oracle distance, best path through overlay edges) without
-// touching the expensive hopset construction. A rebuild scheduler
-// (scheduler.go) folds the journal back into a fresh base oracle in
-// the background and atomically swaps generations.
+// the mutated graph without touching the expensive hopset
+// construction. A rebuild scheduler (scheduler.go) folds the journal
+// back into a fresh base oracle in the background and atomically
+// swaps generations.
 //
-// # Query semantics and approximation bound
+// # Query semantics and bound
 //
 // Let G be the base graph the current static oracle was built on
 // (generation = FloorGen) and G'(g) the graph after applying every
-// journal entry with generation ≤ g. QueryAt(g, s, t) estimates
+// journal entry with generation ≤ g. QueryAt(g, s, t) answers
 // d_{G'(g)}(s, t) in one of two regimes:
 //
-//   - Improving overlay (no pair is deleted or weight-increased
-//     relative to G): the answer is the shortest path in a sketch
-//     graph over {s, t} ∪ P, where P is the set of overlay-edge
-//     endpoints; sketch arcs are the overlay edges at their new
-//     weights plus base-oracle estimates between every pair of sketch
-//     vertices. Every base segment of a true shortest path in G'
-//     consists of unchanged edges and is therefore a path in G, so
-//     the static envelope survives intact:
+//   - Clean (no pair's state at g diverges from G, e.g. an empty
+//     journal or an insert that was deleted again): G'(g) = G, so the
+//     base oracle answers directly and the static envelope holds
+//     verbatim.
 //
-//     answer ∈ [(1−ε)·d_{G'}, (1+ε̃)·d_{G'}]
+//   - Degrading (some pair is inserted, deleted, or reweighted
+//     relative to G): the answer is an exact bidirectional Dijkstra
+//     over the patched adjacency (base CSR with per-edge patch
+//     resolution plus net-inserted overlay arcs):
 //
-//     with ε and ε̃ exactly the static oracle's lower/upper distortion
-//     — the overlay adds NO additional error term in this regime.
+//     answer = d_{G'}
 //
-//   - Degrading overlay (some pair is deleted or weight-increased):
-//     base-oracle estimates can undershoot d_{G'} arbitrarily (the
-//     oracle may route through a deleted edge), so no composition of
-//     static estimates is sound. Queries fall back to an exact
-//     bidirectional Dijkstra over the patched adjacency (base CSR
-//     with per-edge patch resolution plus overlay arcs); the answer
-//     is d_{G'} exactly. This is the documented "overlay term": zero
-//     approximation error, paid for with query work proportional to
-//     the searched ball rather than the hopset depth. The rebuild
-//     policy bounds how long this regime lasts.
+//     The overlay adds zero approximation error, paid for with query
+//     work proportional to the searched ball rather than the hopset
+//     depth. The rebuild policy bounds how long this regime lasts.
 //
 // After the scheduler's rebuild completes at generation g*, queries
 // at g ≥ g* answer through a from-scratch oracle on G'(g*) and match
@@ -183,23 +174,17 @@ type Oracle struct {
 	floorGen uint64 // generation the base oracle reflects
 	curGen   uint64 // latest applied generation
 
-	entries []Entry                // pending journal, ascending Gen
-	patch   map[pairKey][]ver      // per-pair absolute state history, ascending gen
-	cache   map[pairKey]graph.Dist // base-oracle P×P estimates (valid until swap)
-	// epoch increments on every Swap; estimate writers capture it with
-	// the base they queried, so a slow query racing a swap can never
-	// store an old-base estimate into the new cache.
-	epoch uint64
+	entries []Entry           // pending journal, ascending Gen
+	patch   map[pairKey][]ver // per-pair absolute state history, ascending gen
 
-	// curBlocked/curArcs cache the current generation's regime
-	// classification and improving-arc list — the values every Query
-	// (the overwhelmingly common gen == curGen case) needs — so the hot
-	// path skips the O(|patch|·degree) rescan; Apply and Swap hold the
-	// write lock and refresh them. Historical QueryAt generations still
-	// scan.
-	curBlocked bool
-	curArcs    []arc
-	curIns     map[graph.V][]arc // degrading-regime insert adjacency at curGen
+	// curDirty/curIns cache the current generation's regime and the
+	// net-insert adjacency the exact search walks — the values every
+	// Query (the overwhelmingly common gen == curGen case) needs — so
+	// the hot path skips the O(|patch|·degree) rescan; Apply and Swap
+	// hold the write lock and refresh them. Historical QueryAt
+	// generations still scan.
+	curDirty bool
+	curIns   map[graph.V][]arc // insert adjacency at curGen (dirty only)
 }
 
 // New wraps a built static oracle (base, answering distances on
@@ -212,7 +197,6 @@ func New(base Querier, baseG *graph.Graph, floorGen uint64) *Oracle {
 		floorGen: floorGen,
 		curGen:   floorGen,
 		patch:    map[pairKey][]ver{},
-		cache:    map[pairKey]graph.Dist{},
 	}
 }
 
@@ -288,24 +272,17 @@ func (d *Oracle) Gauges() Gauges {
 
 // Regime classifies the query path the latest generation dispatches
 // to — the label request traces carry: "clean" (no divergence from
-// the base, queries hit the base oracle directly), "improving"
-// (insert-only overlay, sketch Dijkstra over base estimates), or
-// "degrading" (deletes present, exact bidirectional search). Returns
-// the latest applied generation alongside. Mirrors queryRLocked's
-// dispatch exactly.
+// the base, queries hit the base oracle directly) or "degrading"
+// (diverges from the base; answered by the exact patched search).
+// Returns the latest applied generation alongside. Mirrors
+// queryRLocked's dispatch exactly.
 func (d *Oracle) Regime() (string, uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	switch {
-	case len(d.patch) == 0:
-		return "clean", d.curGen
-	case d.curBlocked:
+	if d.curDirty {
 		return "degrading", d.curGen
-	case len(d.curArcs) == 0:
-		return "clean", d.curGen
-	default:
-		return "improving", d.curGen
 	}
+	return "clean", d.curGen
 }
 
 // OldestPending returns the apply time of the oldest journal entry
@@ -505,16 +482,14 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 	return d.curGen, nil
 }
 
-// refreshCurLocked recomputes the cached current-generation regime,
-// arc list, and (in the degrading regime) the net-insert adjacency
-// the exact search walks. d.mu held for writing.
+// refreshCurLocked recomputes the cached current-generation regime
+// and (when dirty) the net-insert adjacency the exact search walks.
+// d.mu held for writing.
 func (d *Oracle) refreshCurLocked() {
-	d.curBlocked = d.blockedAtLocked(d.curGen)
-	d.curArcs = d.arcsAtLocked(d.curGen)
-	if d.curBlocked {
+	d.curDirty = d.dirtyAtLocked(d.curGen)
+	d.curIns = nil
+	if d.curDirty {
 		d.curIns = d.insAdjLocked(d.curGen)
-	} else {
-		d.curIns = nil
 	}
 }
 
@@ -568,55 +543,17 @@ func (d *Oracle) Replay(entries []Entry) error {
 	return nil
 }
 
-// blockedAtLocked reports whether generation g has any pair deleted
-// or weight-increased relative to the base graph — the regime where
-// composed base-oracle estimates are unsound and queries must run the
-// exact patched search.
-func (d *Oracle) blockedAtLocked(g uint64) bool {
+// dirtyAtLocked reports whether any pair's state at generation g
+// diverges from the base graph — the generations the exact patched
+// search answers. It stops at the first diverging pair.
+func (d *Oracle) dirtyAtLocked(g uint64) bool {
 	for k, hist := range d.patch {
 		i := sort.Search(len(hist), func(i int) bool { return hist[i].gen > g })
-		if i == 0 {
-			continue
-		}
-		v := hist[i-1]
-		base := d.basePairLocked(k)
-		if !base.present {
-			continue // net insert (or insert+delete = no-op): never degrading
-		}
-		if v.deleted || v.w > base.w {
+		if i > 0 && d.divergesLocked(k, hist[i-1]) {
 			return true
 		}
 	}
 	return false
-}
-
-// arcsAtLocked collects the overlay arcs live at generation g that
-// differ from base: for the sketch (improving regime) every arc is an
-// insert or a decrease. Sorted by pair for determinism.
-func (d *Oracle) arcsAtLocked(g uint64) []arc {
-	var out []arc
-	for k, hist := range d.patch {
-		i := sort.Search(len(hist), func(i int) bool { return hist[i].gen > g })
-		if i == 0 {
-			continue
-		}
-		v := hist[i-1]
-		if v.deleted {
-			continue
-		}
-		base := d.basePairLocked(k)
-		if base.present && base.w == v.w {
-			continue
-		}
-		out = append(out, arc{u: k.a, v: k.b, w: v.w})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].u != out[j].u {
-			return out[i].u < out[j].u
-		}
-		return out[i].v < out[j].v
-	})
-	return out
 }
 
 // checkGenLocked validates a query generation.
@@ -663,35 +600,24 @@ func (d *Oracle) queryRLocked(gen uint64, s, t graph.V) (graph.Dist, error) {
 		d.mu.RUnlock()
 		return 0, nil
 	}
-	// Capture the base (and its cache epoch) under the lock: a
-	// concurrent Swap may replace both, and the estimates below must
-	// come from one consistent base.
-	base, epoch := d.base, d.epoch
-	if len(d.patch) == 0 {
+	// The common case queries the latest generation, whose regime is
+	// precomputed; historical generations rescan.
+	dirty := d.curDirty
+	if gen != d.curGen {
+		dirty = d.dirtyAtLocked(gen)
+	}
+	if !dirty {
+		// Capture the base under the lock: a concurrent Swap may
+		// replace it once the lock is released.
+		base := d.base
 		d.mu.RUnlock()
 		return base.Query(s, t)
 	}
-	// The common case queries the latest generation, whose regime and
-	// arc list are precomputed; historical generations rescan.
-	blocked, arcs, cached := d.curBlocked, d.curArcs, gen == d.curGen
-	if !cached {
-		blocked = d.blockedAtLocked(gen)
-	}
-	if blocked {
-		// Degrading regime: exact bidirectional search on the patched
-		// adjacency (still under the read lock — mutations wait).
-		dist := d.exactPatchedLocked(gen, s, t)
-		d.mu.RUnlock()
-		return dist, nil
-	}
-	if !cached {
-		arcs = d.arcsAtLocked(gen)
-	}
+	// Exact search on the patched adjacency (still under the read
+	// lock — mutations wait).
+	dist := d.exactPatchedLocked(gen, s, t)
 	d.mu.RUnlock()
-	if len(arcs) == 0 {
-		return base.Query(s, t)
-	}
-	return d.sketchQuery(base, epoch, arcs, s, t)
+	return dist, nil
 }
 
 // ExactDistanceAt computes the exact s-t distance on G'(gen) with a
@@ -723,10 +649,9 @@ func (d *Oracle) ExactDistanceAt(gen uint64, s, t graph.V) (graph.Dist, error) {
 }
 
 // Swap installs a freshly built base oracle reflecting G'(upTo):
-// journal entries with gen ≤ upTo are compacted away, pair histories
-// drop versions the new base already embodies, and the P×P estimate
-// cache resets. newG must be the materialization the new base was
-// built on (MutatedGraphAt(upTo)).
+// journal entries with gen ≤ upTo are compacted away and pair
+// histories drop versions the new base already embodies. newG must be
+// the materialization the new base was built on (MutatedGraphAt(upTo)).
 func (d *Oracle) Swap(base Querier, newG *graph.Graph, upTo uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -748,8 +673,6 @@ func (d *Oracle) Swap(base Querier, newG *graph.Graph, upTo uint64) error {
 		}
 		d.patch[k] = append([]ver(nil), hist[j:]...)
 	}
-	d.cache = map[pairKey]graph.Dist{}
-	d.epoch++
 	d.refreshCurLocked()
 	return nil
 }

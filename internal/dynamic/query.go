@@ -13,138 +13,11 @@ type arc struct {
 }
 
 // ---------------------------------------------------------------------------
-// Improving-regime sketch query.
-//
-// The sketch graph has vertex set {s, t} ∪ P (P = overlay-arc
-// endpoints) and two arc families: the overlay arcs at their new
-// weights, and base-oracle estimates between every ordered pair of
-// sketch vertices. A shortest s-t path in the mutated graph
-// decomposes at its overlay arcs into base segments that exist
-// unchanged in the base graph, so Dijkstra over the sketch inherits
-// the static oracle's envelope edge-for-edge (see the package
-// comment). |P| is bounded by the rebuild policy, so the sketch stays
-// tiny; the dominant cost is the 2|P| base-oracle estimates touching
-// s and t (the P×P block is cached until the next rebuild swap).
-
-// pqueryCached answers a base-oracle estimate for a P×P pair through
-// the swap-scoped cache. base and epoch were captured together under
-// the lock; the store is skipped when a Swap bumped the epoch in the
-// meantime, so an estimate from a retired base never lands in the new
-// base's cache.
-func (d *Oracle) pqueryCached(base Querier, epoch uint64, x, y graph.V) (graph.Dist, error) {
-	if x == y {
-		return 0, nil
-	}
-	k := keyOf(x, y)
-	d.mu.RLock()
-	dist, ok := d.cache[k]
-	hit := ok && d.epoch == epoch
-	d.mu.RUnlock()
-	if hit {
-		return dist, nil
-	}
-	dist, err := base.Query(x, y)
-	if err != nil {
-		return 0, err
-	}
-	d.mu.Lock()
-	if d.epoch == epoch {
-		d.cache[k] = dist
-	}
-	d.mu.Unlock()
-	return dist, nil
-}
-
-// sketchQuery runs Dijkstra over the sketch graph against the
-// captured base. arcs must be the improving overlay arcs of the
-// queried generation; s != t.
-func (d *Oracle) sketchQuery(base Querier, epoch uint64, arcs []arc, s, t graph.V) (graph.Dist, error) {
-	// Sketch vertex index: patch endpoints first (sorted arc order
-	// keeps this deterministic), then s and t unless already present.
-	idx := map[graph.V]int{}
-	var nodes []graph.V
-	add := func(v graph.V) int {
-		if i, ok := idx[v]; ok {
-			return i
-		}
-		idx[v] = len(nodes)
-		nodes = append(nodes, v)
-		return len(nodes) - 1
-	}
-	for _, a := range arcs {
-		add(a.u)
-		add(a.v)
-	}
-	si, ti := add(s), add(t)
-	k := len(nodes)
-
-	// Dense weight matrix: min(base estimate, overlay arcs).
-	const inf = graph.InfDist
-	wm := make([]graph.Dist, k*k)
-	for i := range wm {
-		wm[i] = inf
-	}
-	setMin := func(i, j int, w graph.Dist) {
-		if w < wm[i*k+j] {
-			wm[i*k+j] = w
-			wm[j*k+i] = w
-		}
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			var est graph.Dist
-			var err error
-			if i == si || i == ti || j == si || j == ti {
-				// Pairs touching s or t churn per query; skip the cache.
-				est, err = base.Query(nodes[i], nodes[j])
-			} else {
-				est, err = d.pqueryCached(base, epoch, nodes[i], nodes[j])
-			}
-			if err != nil {
-				return 0, err
-			}
-			if est < inf {
-				setMin(i, j, est)
-			}
-		}
-	}
-	for _, a := range arcs {
-		setMin(idx[a.u], idx[a.v], graph.Dist(a.w))
-	}
-
-	// Dense Dijkstra (k is tiny).
-	dist := make([]graph.Dist, k)
-	done := make([]bool, k)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[si] = 0
-	for {
-		u, best := -1, inf
-		for i := 0; i < k; i++ {
-			if !done[i] && dist[i] < best {
-				u, best = i, dist[i]
-			}
-		}
-		if u < 0 || u == ti {
-			break
-		}
-		done[u] = true
-		for j := 0; j < k; j++ {
-			if w := wm[u*k+j]; w < inf && best+w < dist[j] {
-				dist[j] = best + w
-			}
-		}
-	}
-	return dist[ti], nil
-}
-
-// ---------------------------------------------------------------------------
-// Degrading-regime exact query: bidirectional Dijkstra over the
-// patched adjacency (base CSR with per-edge patch resolution plus
-// net-inserted overlay arcs). Exact by construction; the search is
-// sparse (maps, not O(n) arrays) so cost scales with the explored
-// ball, not the graph.
+// Exact patched query, serving every dirty generation: bidirectional
+// Dijkstra over the patched adjacency (base CSR with per-edge patch
+// resolution plus net-inserted overlay arcs). Exact by construction;
+// the search is sparse (maps, not O(n) arrays) so cost scales with
+// the explored ball, not the graph.
 
 type heapItem struct {
 	v graph.V

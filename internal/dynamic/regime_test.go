@@ -40,12 +40,14 @@ func findHeavyEdge(t *testing.T, g *graph.Graph) graph.Edge {
 }
 
 // TestRegimeClassification walks Regime() through every
-// mutation-driven transition: fresh oracles are clean, net inserts
-// and weight decreases are improving, any delete or weight increase
-// of a present base pair is degrading (and stays degrading while a
-// single blocked pair remains), reverting the patch to a net no-op
-// returns to clean, and a Swap at the latest generation compacts the
-// journal back to clean regardless of what preceded it.
+// mutation-driven transition: fresh oracles are clean, any pair that
+// diverges from the base — an insert, a delete, or a reweight in
+// either direction — makes the overlay degrading (answered by the
+// exact patched search), reverting the patch to a net no-op returns to
+// clean, and a Swap at the latest generation compacts the journal back
+// to clean regardless of what preceded it. In the two mixed rows'
+// names, "improving" names an insert and "degrading" a base-pair
+// delete.
 func TestRegimeClassification(t *testing.T) {
 	type step struct {
 		ops  func(t *testing.T, d *Oracle, g *graph.Graph) []Update
@@ -79,24 +81,23 @@ func TestRegimeClassification(t *testing.T) {
 		steps []step
 	}{
 		{"fresh-clean", nil},
-		{"insert-improving", []step{{insertNew, "improving"}}},
+		{"insert-degrading", []step{{insertNew, "degrading"}}},
 		{"insert-then-delete-clean", []step{
-			{insertNew, "improving"},
+			{insertNew, "degrading"},
 			// Deleting the inserted pair nets the patch back to a
-			// no-op: non-empty journal, but no blocked pairs and no
-			// overlay arcs.
+			// no-op: non-empty journal, but no diverging pair.
 			{deleteInserted, "clean"},
 		}},
 		{"delete-base-degrading", []step{{deleteBase, "degrading"}}},
 		{"reweight-up-degrading", []step{{reweightUp, "degrading"}}},
-		{"reweight-down-improving", []step{{reweightDown, "improving"}}},
+		{"reweight-down-degrading", []step{{reweightDown, "degrading"}}},
 		{"improving-to-degrading-flip", []step{
-			{insertNew, "improving"},
+			{insertNew, "degrading"},
 			{deleteBase, "degrading"},
 		}},
 		{"degrading-dominates-improving", []step{
 			{deleteBase, "degrading"},
-			// An improving op cannot lift a blocked pair.
+			// An insert cannot lift a deleted base pair.
 			{insertNew, "degrading"},
 		}},
 	} {

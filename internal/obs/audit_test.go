@@ -113,7 +113,7 @@ func TestAuditorEnvelopeViolation(t *testing.T) {
 func TestAuditorBelowEnvelope(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
 	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(100, false, nil))
-	a.Offer(AuditSample{Graph: "g", Answer: 50, Regime: "improving"})
+	a.Offer(AuditSample{Graph: "g", Answer: 50, Regime: "clean"})
 	snap := awaitAudit(t, a, "g", 1)
 	if snap.Violations != 1 || len(snap.Evidence) != 1 || snap.Evidence[0].Reason != ReasonBelowEnvelope {
 		t.Fatalf("snapshot = %+v, want one below-envelope violation", snap)

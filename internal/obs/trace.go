@@ -123,7 +123,7 @@ func (t *Trace) add(name string, start time.Time, d time.Duration) {
 }
 
 // Annotate attaches a key/value fact to the trace (cache=hit,
-// batch_size=5, regime=improving, ...). Last write per key wins.
+// batch_size=5, regime=degrading, ...). Last write per key wins.
 func (t *Trace) Annotate(key string, v any) {
 	if t == nil {
 		return

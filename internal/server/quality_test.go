@@ -59,10 +59,30 @@ func awaitQuality(t *testing.T, ts *httptest.Server, id string, min int64) obs.A
 	return obs.AuditGraphSnapshot{}
 }
 
+// awaitRegime polls /debug/quality?graph=id until the regime row has
+// audited at least min answers, and returns that row.
+func awaitRegime(t *testing.T, ts *httptest.Server, id, regime string, min int64) obs.AuditRegimeSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		snap := awaitQuality(t, ts, id, 1)
+		for _, r := range snap.Regimes {
+			if r.Regime == regime && r.Count >= min {
+				return r
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("regime %s of %s did not reach %d audits: %+v", regime, id, min, snap.Regimes)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestQualityEndpointEndToEnd drives traced and untraced traffic
-// through clean, improving, and degrading regimes and asserts the
-// auditor re-checks it all with zero violations — the continuous
-// correctness monitor agreeing with a correct build.
+// through a clean overlay, an insert-only one, and one with a deleted
+// base edge, and asserts the auditor re-checks it all with zero
+// violations — the continuous correctness monitor agreeing with a
+// correct build.
 func TestQualityEndpointEndToEnd(t *testing.T) {
 	_, ts := newAuditTestServer(t)
 	code := httpJSON(t, ts, "POST", "/graphs",
@@ -82,8 +102,8 @@ func TestQualityEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("traced query attrs = %v, want audit=sampled", td.Attrs)
 	}
 
-	// Improving: insert a shortcut, then degrading: delete a base grid
-	// edge (0-1 in row-major order), querying in each regime.
+	// Insert a shortcut, then delete a base grid edge (0-1 in
+	// row-major order), querying after each.
 	code = httpJSON(t, ts, "POST", "/graphs/q1/edges", map[string]any{
 		"updates": []map[string]any{{"op": "insert", "u": 0, "v": 21}},
 	}, nil)
@@ -92,6 +112,13 @@ func TestQualityEndpointEndToEnd(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		httpJSON(t, ts, "POST", "/graphs/q1/query", map[string]any{"s": i, "t": 30 + i}, nil)
+	}
+	// The insert diverges from the base, so the exact patched search
+	// answers it and the auditor holds every answer to exactness
+	// under the "degrading" label.
+	ins := awaitRegime(t, ts, "q1", "degrading", 3)
+	if ins.Violations != 0 || ins.MinRatio != 1 || ins.MaxRatio != 1 {
+		t.Fatalf("insert-only overlay audited inexact: %+v", ins)
 	}
 	code = httpJSON(t, ts, "POST", "/graphs/q1/edges", map[string]any{
 		"updates": []map[string]any{{"op": "delete", "u": 0, "v": 1}},

@@ -398,8 +398,8 @@ type Mutator struct {
 //
 //   - "churn":    1/3 insert, 1/3 delete, 1/3 reweight (insert/delete
 //     only on unweighted graphs) — steady-state read/write traffic.
-//   - "grow":     insertions only; the overlay's fast (improving) path.
-//   - "decay":    deletions only; the exact (degrading) path.
+//   - "grow":     insertions only; the overlay's exact patched search.
+//   - "decay":    deletions only; the same exact search.
 //   - "reweight": weight changes only (weighted graphs).
 //
 // Weights for inserts/reweights are uniform in [1, maxW] (maxW ≤ 1

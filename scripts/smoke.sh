@@ -254,7 +254,7 @@ grep -q 'spanhop_requests_total{graph="grid"}' <<<"$METRICS" \
 
 stage "answer-quality auditing: traced burst over the mutated graph"
 # Every query is sampled (-audit-sample 1) and the graph carries live
-# mutations, so the auditor re-checks clean/improving/degrading
+# mutations, so the auditor re-checks clean and degrading
 # answers alike. loadgen waits for the audit queue to drain and
 # asserts zero envelope violations for the traffic it generated.
 "$DIR/bin/loadgen" -addr "http://$ADDR" -graph grid -mix uniform \
