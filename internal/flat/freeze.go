@@ -208,19 +208,7 @@ func (b *builder) addScaled(ix *ixWriter, s *hopset.Scaled) {
 	ix.f64(wp.Escalation)
 	ix.f64(wp.InitialHopBudget)
 
-	index := map[*hopset.Result]uint32{}
-	var results []*hopset.Result
-	resIdx := make([]uint32, len(s.Scales))
-	for i := range s.Scales {
-		res := s.Scales[i].Res
-		idx, ok := index[res]
-		if !ok {
-			idx = uint32(len(results))
-			index[res] = idx
-			results = append(results, res)
-		}
-		resIdx[i] = idx
-	}
+	results, resIdx := s.Results()
 	ix.u32(uint32(len(results)))
 	for _, res := range results {
 		ix.f64(res.Params.Epsilon)

@@ -314,11 +314,10 @@ func (b *builder) cliqueEdges(clus *core.Result, largeIdx []int, token int32, co
 		}
 		src := centers[i]
 		res := sssp.Weighted(b.gWork, []graph.V{src}, sssp.Options{
-			Cost:     costs[i],
-			Mark:     b.mark,
-			Token:    token,
-			Exec:     b.ec,
-			Parallel: b.p.Parallel,
+			Cost:  costs[i],
+			Mark:  b.mark,
+			Token: token,
+			Exec:  b.ec,
 		})
 		var es []graph.Edge
 		if !b.ec.Canceled() {

@@ -466,6 +466,7 @@ func BenchmarkQuery(b *testing.B) {
 	g := graph.UniformWeights(graph.Grid2D(60, 60), 16, 1)
 	s := BuildScaled(g, DefaultWeightedParams(2), nil)
 	s.Query(0, g.NumVertices()-1, nil) // warm caches
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Query(0, g.NumVertices()-1, nil)

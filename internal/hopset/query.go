@@ -32,13 +32,15 @@ type QueryResult struct {
 }
 
 // Query answers an approximate s-t distance query following Section 5.
-// The O(1/η) distance-band estimates race in parallel, exactly as the
-// paper runs them ("we can just try ... O(3/η) estimates, incurring a
-// factor of O(3/η) in the work"): in every round, each band rounds the
-// augmented graph to multiples of ŵ = ζ·d/h (Lemma 5.2, with d the
-// band floor so the additive error ζ·d ≤ ζ·dist) and runs a
-// level-capped weighted parallel BFS; the round's depth is the maximum
-// over bands, its work the sum.
+// The paper races the O(1/η) distance-band estimates in parallel ("we
+// can just try ... O(3/η) estimates, incurring a factor of O(3/η) in
+// the work"): in every round, each band runs a level-capped weighted
+// parallel BFS over the augmented graph with every weight rounded up
+// to a multiple of ŵ = ζ·d/h (Lemma 5.2, with d the band floor so the
+// additive error ζ·d ≤ ζ·dist; the search rounds each arc as it
+// relaxes it). Here the bands of a round run one after another, but
+// the round is costed as the PRAM runs it: its depth is the maximum
+// over bands (par.Cost.JoinMax), its work the sum.
 //
 // The hop budget h escalates geometrically across rounds up to the
 // Lemma 4.2 bound: the bound is a with-high-probability worst case,
@@ -125,12 +127,12 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 			// ~2·sc.D; rounded, it fits in 2·D/qHat + b levels.
 			levelCap := graph.Dist(math.Ceil(2*sc.D/float64(qHat))) +
 				graph.Dist(math.Ceil(b)) + 16
-			g := s.roundedAugmented(qHat)
 			bandCost := par.NewCost()
-			res := sssp.Dial(g, []graph.V{src}, sssp.Options{
+			res := sssp.Dial(s.Augmented(), []graph.V{src}, sssp.Options{
 				Cost:    bandCost,
 				MaxDist: levelCap,
 				Exec:    ec,
+				Round:   qHat,
 			})
 			roundCosts = append(roundCosts, bandCost)
 			total.Work += bandCost.Work()
@@ -142,8 +144,8 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 			}
 			res.Release(ec)
 		}
-		// The bands of this round ran side by side: depth is the max,
-		// work is the sum.
+		// The bands of this round ran one after another, but side by
+		// side in the PRAM model: depth is the max, work is the sum.
 		round := par.NewCost()
 		round.JoinMax(roundCosts...)
 		total.Levels += round.Depth()
@@ -170,61 +172,6 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 	total.Fallback = true
 	res.Release(ec)
 	return total
-}
-
-// roundedAugmented returns (and caches) the augmented graph rounded to
-// multiples of qHat. qHat = 1 shares the plain augmented graph. The
-// O(m) build runs under the cache lock: concurrent cold queries (the
-// oracle's QueryBatch fan-out) hitting the same handful of qHat values
-// then build each rounded graph once instead of once per goroutine —
-// brief serialization beats duplicated builds and peak memory. The
-// cache holds at most roundedAugCap granularities (LRU eviction): an
-// evicted granularity rebuilds identically on its next use, so the
-// bound changes memory, never answers.
-func (s *Scaled) roundedAugmented(qHat graph.W) *graph.Graph {
-	if qHat <= 1 {
-		return s.Augmented()
-	}
-	aug := s.Augmented()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g, ok := s.roundedAug[qHat]; ok {
-		s.touchRounded(qHat)
-		return g
-	}
-	g := roundGraph(aug, qHat)
-	if s.roundedAug == nil {
-		s.roundedAug = map[graph.W]*graph.Graph{}
-	}
-	s.roundedAug[qHat] = g
-	s.roundedOrder = append(s.roundedOrder, qHat)
-	if len(s.roundedOrder) > roundedAugCap {
-		evict := s.roundedOrder[0]
-		s.roundedOrder = s.roundedOrder[1:]
-		delete(s.roundedAug, evict)
-	}
-	return g
-}
-
-// touchRounded moves qHat to the most-recent end of the eviction
-// order; s.mu held. The order list is at most roundedAugCap long, so
-// the linear scan is cheaper than any list structure.
-func (s *Scaled) touchRounded(qHat graph.W) {
-	for i, k := range s.roundedOrder {
-		if k == qHat {
-			copy(s.roundedOrder[i:], s.roundedOrder[i+1:])
-			s.roundedOrder[len(s.roundedOrder)-1] = qHat
-			return
-		}
-	}
-}
-
-// RoundedCacheLen reports how many rounded-augmented graphs are
-// currently cached (tests assert the roundedAugCap bound).
-func (s *Scaled) RoundedCacheLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.roundedAug)
 }
 
 // ExactDistance returns the true s-t distance via Dijkstra on the base

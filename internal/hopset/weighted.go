@@ -3,6 +3,7 @@ package hopset
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -86,38 +87,22 @@ type Scaled struct {
 
 	mu  sync.Mutex
 	aug *graph.Graph // lazily built Base ∪ all hopset edges
-	// roundedAug caches augmented graphs rounded at each query
-	// granularity encountered, bounded to roundedAugCap entries with
-	// LRU eviction (roundedOrder is the recency list, most recent
-	// last): query hop budgets escalate geometrically, so steady-state
-	// traffic touches a handful of granularities, but an adversarial
-	// query mix must not grow the cache without bound.
-	roundedAug   map[graph.W]*graph.Graph
-	roundedOrder []graph.W
 }
-
-// roundedAugCap bounds the rounded-augmented-graph cache. Budgets
-// escalate by Params.Escalation per round from InitialHopBudget up to
-// the Lemma 4.2 ceiling, so the distinct qHat values per band form a
-// short geometric ladder; 8 entries cover every ladder seen in the
-// test suite with room to spare while capping worst-case memory at
-// 8 augmented-graph copies.
-const roundedAugCap = 8
 
 // NewScaled assembles a queryable Scaled from already-built parts —
 // the snapshot decoder's entry point. The caller guarantees the scales
 // were produced by BuildScaled over base with wp (the codec verifies
 // structural invariants; semantic fidelity is the encoder's job).
-// Query caches (augmented and rounded-augmented graphs) start cold and
-// repopulate lazily, exactly as after a fresh build.
+// The augmented query graph starts cold and is rebuilt lazily,
+// exactly as after a fresh build.
 func NewScaled(base *graph.Graph, scales []Scale, wp WeightedParams) *Scaled {
-	return &Scaled{Base: base, Scales: scales, Params: wp, roundedAug: map[graph.W]*graph.Graph{}}
+	return &Scaled{Base: base, Scales: scales, Params: wp}
 }
 
 // Rebind points the hopset at an equivalent base graph (same
 // fingerprint; the caller validates). Snapshot loading uses it to
 // share the caller's already-resident graph instead of the embedded
-// copy. The augmented-graph caches survive: they are built from edge
+// copy. A cached augmented graph survives: it is built from edge
 // values only, and a fingerprint-equal graph has bit-identical edges.
 func (s *Scaled) Rebind(base *graph.Graph) {
 	s.mu.Lock()
@@ -125,20 +110,42 @@ func (s *Scaled) Rebind(base *graph.Graph) {
 	s.Base = base
 }
 
-// Edges returns the union of all bands' hopset edges.
-func (s *Scaled) Edges() []graph.Edge {
-	var out []graph.Edge
+// Results returns the distinct band hopsets in band order and, for
+// each band, its index into them. BuildScaled makes a band whose
+// rounding collapses to ŵ = 1 over the previous band's edges reuse
+// that band's Result; this is the one place that sharing is found
+// again.
+func (s *Scaled) Results() (results []*Result, index []uint32) {
+	index = make([]uint32, len(s.Scales))
 	for i := range s.Scales {
-		out = append(out, s.Scales[i].Res.Edges...)
+		res := s.Scales[i].Res
+		k := slices.Index(results, res)
+		if k < 0 {
+			k = len(results)
+			results = append(results, res)
+		}
+		index[i] = uint32(k)
+	}
+	return results, index
+}
+
+// Edges returns the union of all bands' hopset edges, a shared band's
+// hopset once.
+func (s *Scaled) Edges() []graph.Edge {
+	results, _ := s.Results()
+	var out []graph.Edge
+	for _, res := range results {
+		out = append(out, res.Edges...)
 	}
 	return out
 }
 
-// Size returns the total hopset size over all bands.
+// Size returns the total hopset size over the distinct band hopsets.
 func (s *Scaled) Size() int {
+	results, _ := s.Results()
 	total := 0
-	for i := range s.Scales {
-		total += s.Scales[i].Res.Size()
+	for _, res := range results {
+		total += res.Size()
 	}
 	return total
 }
@@ -156,7 +163,7 @@ func (s *Scaled) Size() int {
 func BuildScaled(g *graph.Graph, wp WeightedParams, cost *par.Cost) *Scaled {
 	wp = wp.normalized()
 	n := int(g.NumVertices())
-	s := &Scaled{Base: g, Params: wp, roundedAug: map[graph.W]*graph.Graph{}}
+	s := &Scaled{Base: g, Params: wp}
 	if n == 0 || g.NumEdges() == 0 {
 		return s
 	}
@@ -282,9 +289,10 @@ func roundGraph(g *graph.Graph, wHat graph.W) *graph.Graph {
 	return graph.FromEdges(g.NumVertices(), edges, true)
 }
 
-// Augmented returns (and caches) Base ∪ all hopset edges, with true
-// weights. Because hopset edges are real path weights, the augmented
-// graph has exactly the same shortest-path metric as Base.
+// Augmented returns (and caches) Base ∪ the distinct band hopsets'
+// edges, with true weights. Because hopset edges are real path
+// weights, the augmented graph has exactly the same shortest-path
+// metric as Base.
 func (s *Scaled) Augmented() *graph.Graph {
 	s.mu.Lock()
 	defer s.mu.Unlock()

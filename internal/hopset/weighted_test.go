@@ -2,7 +2,6 @@ package hopset
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -167,44 +166,6 @@ func TestWeightedParamsValidation(t *testing.T) {
 	wp = wp.normalized()
 	if wp.Escalation != 8 || wp.InitialHopBudget != 16 {
 		t.Fatalf("defaults not applied: %+v", wp)
-	}
-}
-
-// TestRoundedCacheBounded pins the rounded-augmented cache's memory
-// contract: however many distinct query granularities a workload
-// touches, at most roundedAugCap rounded graphs are resident, eviction
-// is least-recently-used, and a re-requested evicted granularity
-// rebuilds the identical graph (the bound changes memory, not answers).
-func TestRoundedCacheBounded(t *testing.T) {
-	g := graph.UniformWeights(graph.RandomConnectedGNM(80, 240, 11), 1000, 12)
-	s := BuildScaled(g, DefaultWeightedParams(13), nil)
-	first := s.roundedAugmented(2)
-	for q := graph.W(2); q < graph.W(2+4*roundedAugCap); q++ {
-		s.roundedAugmented(q)
-		if n := s.RoundedCacheLen(); n > roundedAugCap {
-			t.Fatalf("cache holds %d rounded graphs after granularity %d, cap %d", n, q, roundedAugCap)
-		}
-	}
-	if n := s.RoundedCacheLen(); n != roundedAugCap {
-		t.Fatalf("cache holds %d rounded graphs, want full cap %d", n, roundedAugCap)
-	}
-	// Granularity 2 was evicted long ago; asking again rebuilds an
-	// equal (but distinct) graph.
-	rebuilt := s.roundedAugmented(2)
-	if rebuilt == first {
-		t.Fatalf("granularity 2 survived %d inserts past the cap", 4*roundedAugCap)
-	}
-	if rebuilt.NumVertices() != first.NumVertices() ||
-		!reflect.DeepEqual(first.Edges(), rebuilt.Edges()) {
-		t.Fatalf("rebuilt rounded graph differs from the evicted one")
-	}
-	// Touching the oldest resident granularity must protect it from the
-	// next eviction (recency, not insertion order).
-	oldest := s.roundedOrder[0]
-	s.roundedAugmented(oldest)
-	s.roundedAugmented(graph.W(1 << 20)) // forces one eviction
-	if _, ok := s.roundedAug[oldest]; !ok {
-		t.Fatalf("recently used granularity %d evicted", oldest)
 	}
 }
 

@@ -677,25 +677,6 @@ func checkScaledComplete(s *hopset.Scaled) error {
 	return nil
 }
 
-// scaledResults builds the dedup table: bands whose rounding collapsed
-// to the same hopset share one Result pointer (BuildScaled's reuse
-// path), and the snapshot preserves that sharing.
-func scaledResults(s *hopset.Scaled) (results []*hopset.Result, resIdx []uint32) {
-	index := map[*hopset.Result]uint32{}
-	resIdx = make([]uint32, len(s.Scales))
-	for i := range s.Scales {
-		res := s.Scales[i].Res
-		idx, ok := index[res]
-		if !ok {
-			idx = uint32(len(results))
-			index[res] = idx
-			results = append(results, res)
-		}
-		resIdx[i] = idx
-	}
-	return results, resIdx
-}
-
 func scaledSize(s *hopset.Scaled, results []*hopset.Result) uint64 {
 	size := uint64(wparamsSize) + 4 + 4
 	for _, res := range results {
@@ -706,7 +687,7 @@ func scaledSize(s *hopset.Scaled, results []*hopset.Result) uint64 {
 }
 
 func writeScaled(e *encoder, s *hopset.Scaled) {
-	results, resIdx := scaledResults(s)
+	results, resIdx := s.Results()
 	e.begin(secScaled, scaledSize(s, results))
 	writeWParams(e, s.Params)
 	e.u32(uint32(len(results)))

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -158,12 +159,12 @@ func TestDeltaSteppingDeterministic(t *testing.T) {
 	})
 }
 
-// TestWeightedDispatcher: the Options.Parallel knob selects Δ-stepping
-// vs Dial and both agree.
+// TestWeightedDispatcher: a parallel execution context selects
+// Δ-stepping over Dial and both agree.
 func TestWeightedDispatcher(t *testing.T) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(300, 900, 41), 18, 42)
 	seqRes := Weighted(g, []graph.V{0}, Options{})
-	parRes := Weighted(g, []graph.V{0}, Options{Parallel: true})
+	parRes := Weighted(g, []graph.V{0}, Options{Exec: exec.Parallel(4)})
 	sameDistances(t, "dispatcher", parRes, seqRes)
 }
 

@@ -46,30 +46,14 @@ type Options struct {
 	// legacy behavior (full GOMAXPROCS, plain allocation, no
 	// cancellation).
 	Exec *exec.Ctx
-	// Parallel selects the multicore implementation in the Weighted
-	// dispatcher: Δ-stepping instead of the sequential Dial. The
-	// sequential paths remain the reference oracles for differential
-	// tests; distances are identical either way.
-	//
-	// Deprecated: set Exec to a parallel execution context instead;
-	// Parallel remains as a thin alias for Exec = exec.Default().
-	Parallel bool
+	// Round makes Dial relax every arc at ⌈w/Round⌉ instead of w:
+	// Lemma 5.2's rounding, applied per arc so no rounded graph copy
+	// is built. Dial only; 0 or 1 = true weights, like Delta.
+	Round graph.W
 	// Delta overrides the Δ-stepping bucket width (0 = the
 	// Meyer–Sanders default maxW/avgDegree). Ignored by the other
 	// searches.
 	Delta graph.W
-}
-
-// parallel reports whether the Weighted dispatcher (and the bucket
-// expansions inside Δ-stepping) should take the multicore path. An
-// explicit execution context is decisive — a sequential Exec forces
-// the reference path even if the deprecated bool is also set — and
-// the bool only matters for legacy (nil-Exec) callers.
-func (o *Options) parallel() bool {
-	if o.Exec != nil {
-		return o.Exec.IsParallel()
-	}
-	return o.Parallel
 }
 
 // admits loads the mark atomically: the hopset recursion runs sibling
@@ -199,11 +183,17 @@ func BFS(g *graph.Graph, sources []graph.V, opt Options) *Result {
 // weights, with depth equal to the number of distance levels advanced —
 // the weighted parallel BFS depth the paper quotes in Section 5. The
 // graph must be weighted (or all weights are 1 and BFS is equivalent).
+// With opt.Round = q > 1 it searches g with every weight w read as
+// ⌈w/q⌉, bit-identical to a search over the rounded copy of g.
 func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	n := g.NumVertices()
 	res := newResultOn(opt.Exec, n)
 	bound := opt.bound()
+	q := opt.Round
 	maxW := g.MaxWeight()
+	if q > 1 {
+		maxW = (maxW-1)/q + 1
+	}
 	if maxW < 1 {
 		maxW = 1
 	}
@@ -259,6 +249,9 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 				w := graph.W(1)
 				if wts != nil {
 					w = wts[i]
+					if q > 1 {
+						w = (w-1)/q + 1 // ⌈w/q⌉ without overflow, w >= 1
+					}
 				}
 				// A settled u already has Dist[u] <= level < nd. An
 				// admitted nd lands in bucket nd%nb, never the one
@@ -454,7 +447,7 @@ func (q *radixHeap) pop() graph.V {
 }
 
 // Weighted dispatches a weighted multi-source SSSP on the execution
-// context (or the deprecated Parallel knob): Δ-stepping with pooled
+// context: Δ-stepping with pooled
 // goroutine frontier expansion when the context is parallel, the
 // sequential Dial bucket race otherwise. Distances are identical
 // either way (both are exact); parent trees may differ (any
@@ -462,7 +455,7 @@ func (q *radixHeap) pop() graph.V {
 // the hopset recursion, the oracle query engine — call this so one
 // execution context flips the whole stack to multicore execution.
 func Weighted(g *graph.Graph, sources []graph.V, opt Options) *Result {
-	if opt.parallel() {
+	if opt.Exec.IsParallel() {
 		return DeltaStepping(g, sources, opt)
 	}
 	return Dial(g, sources, opt)

@@ -418,14 +418,32 @@ func TestDijkstraMatchesReference(t *testing.T) {
 	}
 }
 
+// dialRounds are the Options.Round values TestDialMatchesReference
+// draws: true weights, small granularities, and one above every weight
+// in its ranges (every arc rounds to 1).
+var dialRounds = [5]graph.W{1, 2, 3, 7, 1 << 20}
+
+// roundedCopy materialises g with every weight w replaced by ⌈w/q⌉.
+func roundedCopy(g *graph.Graph, q graph.W) *graph.Graph {
+	edges := append([]graph.Edge(nil), g.Edges()...)
+	for i := range edges {
+		edges[i].W = (edges[i].W + q - 1) / q
+	}
+	return graph.FromEdges(g.NumVertices(), edges, g.Weighted())
+}
+
 // Property: Dial returns the same Dist and Parent arrays, bit for bit,
 // as the reference body (which re-allocates each drained bucket and
 // reads the settled flag per arc) on random instances with weights up
-// to 2^16.
+// to 2^16; with Options.Round = q, as the reference body on the
+// materialised ⌈w/q⌉ copy of the graph.
 func TestDialMatchesReference(t *testing.T) {
 	f := func(seedRaw uint32, boundRaw, flags uint8) bool {
 		g, sources, opt := randomSearch(uint64(seedRaw), boundRaw, flags&^0x20)
-		got, want := Dial(g, sources, opt), referenceDial(g, sources, opt)
+		q := dialRounds[seedRaw%uint32(len(dialRounds))]
+		want := referenceDial(roundedCopy(g, q), sources, opt)
+		opt.Round = q
+		got := Dial(g, sources, opt)
 		return slices.Equal(got.Dist, want.Dist) && slices.Equal(got.Parent, want.Parent)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

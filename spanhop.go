@@ -343,7 +343,7 @@ func WeightedParallelBFSOn(g *Graph, src V, ec *ExecCtx, cost *Cost) *PathResult
 // weighted counterpart of ConcurrentBFS. Distances are exact and
 // bit-identical to ShortestPaths; wall-clock scales with GOMAXPROCS.
 func ParallelShortestPaths(g *Graph, src V, cost *Cost) *PathResult {
-	return sssp.DeltaStepping(g, []V{src}, sssp.Options{Cost: cost, Parallel: true})
+	return sssp.DeltaStepping(g, []V{src}, sssp.Options{Cost: cost, Exec: exec.Default()})
 }
 
 // ParallelShortestPathsOn is ParallelShortestPaths on an execution
