@@ -9,13 +9,13 @@ import (
 
 // Scratch arenas: process-wide, size-class-keyed sync.Pools of the
 // per-vertex buffers every search and clustering round needs — dist,
-// parent, frontier, mark, and settled arrays. Buffers are handed out
-// explicitly reset to their algorithm-neutral sentinel (InfDist,
-// NoVertex, -1, false, 0), so a recycled buffer is indistinguishable
-// from a fresh allocation and results stay bit-identical. Resetting
-// costs the same memset a fresh make() would pay; what the arena
-// removes is the allocation itself and the GC pressure of abandoning
-// an O(n) buffer per round.
+// parent, frontier, mark, and settled arrays, and bucket-queue levels.
+// Buffers are handed out explicitly reset to their algorithm-neutral
+// sentinel (InfDist, NoVertex, -1, false, 0, empty), so a recycled
+// buffer is indistinguishable from a fresh allocation and results stay
+// bit-identical. Resetting costs the same memset a fresh make() would
+// pay; what the arena removes is the allocation itself and the GC
+// pressure of abandoning an O(n) buffer per round.
 //
 // Pools are keyed by ceil-power-of-two capacity class, so a buffer
 // released for an n-vertex graph is reusable by any computation of
@@ -72,10 +72,11 @@ func (p *slicePools[T]) put(s []T) {
 }
 
 var (
-	distPools slicePools[graph.Dist]
-	vertPools slicePools[graph.V]
-	markPools slicePools[int32]
-	boolPools slicePools[bool]
+	distPools   slicePools[graph.Dist]
+	vertPools   slicePools[graph.V]
+	markPools   slicePools[int32]
+	boolPools   slicePools[bool]
+	bucketPools slicePools[[]graph.V]
 )
 
 // Dists returns a len-n distance buffer filled with graph.InfDist —
@@ -197,4 +198,26 @@ func (e *Ctx) PutBools(s []bool) {
 		return
 	}
 	boolPools.put(s)
+}
+
+// Buckets returns n empty vertex buckets (a bucket queue's levels).
+// Each keeps the capacity it had when released, so a queue reused
+// through the arena stops growing its buckets once warm.
+func (e *Ctx) Buckets(n int) [][]graph.V {
+	if e == nil || !e.arenaOn {
+		return make([][]graph.V, n)
+	}
+	s := bucketPools.get(n)
+	for i := range s {
+		s[i] = s[i][:0]
+	}
+	return s
+}
+
+// PutBuckets releases a buffer obtained from Buckets.
+func (e *Ctx) PutBuckets(s [][]graph.V) {
+	if e == nil || !e.arenaOn {
+		return
+	}
+	bucketPools.put(s)
 }

@@ -38,9 +38,14 @@ type QueryResult struct {
 // parallel BFS over the augmented graph with every weight rounded up
 // to a multiple of ŵ = ζ·d/h (Lemma 5.2, with d the band floor so the
 // additive error ζ·d ≤ ζ·dist; the search rounds each arc as it
-// relaxes it). Here the bands of a round run one after another, but
-// the round is costed as the PRAM runs it: its depth is the maximum
-// over bands (par.Cost.JoinMax), its work the sum.
+// relaxes it). Here the bands of a round run one after another in
+// index order, each a point-to-point search that stops once t settles,
+// and a band after one that answered D is capped at ⌊(D−1)/ŵ⌋ levels,
+// or skipped when that cap is below 1: it could only tie or lose to D.
+// The answer is the same best band the full race picks, but since a
+// band's cap depends on the bands before it, the round is costed as
+// the serial sweep it is: Levels is the sum of the levels every band
+// actually ran, and depth composes band by band (par.Cost.AddSequential).
 //
 // The hop budget h escalates geometrically across rounds up to the
 // Lemma 4.2 bound: the bound is a with-high-probability worst case,
@@ -57,11 +62,10 @@ func (s *Scaled) Query(src, dst graph.V, cost *par.Cost) QueryResult {
 }
 
 // QueryOn is Query on an execution context: every band search draws
-// its result arrays from ec's arenas and releases them when the band
-// is judged, so steady-state query traffic stops allocating O(n)
-// buffers per band per query. The context must never be canceled (use
-// exec.Ctx.Detached from a build context): queries have no notion of
-// a partial answer.
+// its arrays from ec's arenas and releases them before it returns, so
+// steady-state query traffic stops allocating O(n) buffers per band
+// per query. The context must never be canceled (use exec.Ctx.Detached
+// from a build context): queries have no notion of a partial answer.
 func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryResult {
 	if src == dst {
 		return QueryResult{Dist: 0, Scale: -1}
@@ -105,7 +109,6 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 		if hb > globalMax {
 			hb = globalMax
 		}
-		roundCosts := make([]*par.Cost, 0, len(s.Scales))
 		bestDist := graph.Dist(-1)
 		bestScale := -1
 		for idx := range s.Scales {
@@ -127,29 +130,28 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 			// ~2·sc.D; rounded, it fits in 2·D/qHat + b levels.
 			levelCap := graph.Dist(math.Ceil(2*sc.D/float64(qHat))) +
 				graph.Dist(math.Ceil(b)) + 16
+			if bestDist >= 0 {
+				// Only a rounded distance d with qHat·d < bestDist
+				// can beat the round's answer so far.
+				levelCap = min(levelCap, (bestDist-1)/graph.Dist(qHat))
+				if levelCap < 1 {
+					continue
+				}
+			}
 			bandCost := par.NewCost()
-			res := sssp.Dial(s.Augmented(), []graph.V{src}, sssp.Options{
+			d := sssp.DialTo(s.Augmented(), src, dst, sssp.Options{
 				Cost:    bandCost,
 				MaxDist: levelCap,
 				Exec:    ec,
 				Round:   qHat,
 			})
-			roundCosts = append(roundCosts, bandCost)
+			total.Levels += bandCost.Depth()
 			total.Work += bandCost.Work()
-			if res.Reached(dst) {
-				cand := graph.Dist(qHat) * res.Dist[dst]
-				if bestDist < 0 || cand < bestDist {
-					bestDist, bestScale = cand, idx
-				}
+			cost.AddSequential(bandCost)
+			if d < graph.InfDist { // the cap admits only a better answer
+				bestDist, bestScale = graph.Dist(qHat)*d, idx
 			}
-			res.Release(ec)
 		}
-		// The bands of this round ran one after another, but side by
-		// side in the PRAM model: depth is the max, work is the sum.
-		round := par.NewCost()
-		round.JoinMax(roundCosts...)
-		total.Levels += round.Depth()
-		cost.AddSequential(round)
 		if bestDist >= 0 {
 			total.Dist = bestDist
 			total.Scale = bestScale

@@ -188,6 +188,48 @@ func BFS(g *graph.Graph, sources []graph.V, opt Options) *Result {
 func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	n := g.NumVertices()
 	res := newResultOn(opt.Exec, n)
+	settled := opt.Exec.Bools(int(n))
+	defer opt.Exec.PutBools(settled)
+	dial(g, sources, &opt, graph.NoVertex, res, settled)
+	// Clear any tentative distances that were never settled within the
+	// bound (stale bucket entries beyond it).
+	if opt.bound() < graph.InfDist {
+		for v := range res.Dist {
+			if res.Dist[v] != graph.InfDist && !settled[v] {
+				res.Dist[v] = graph.InfDist
+				res.Parent[v] = graph.NoVertex
+			}
+		}
+	}
+	return res
+}
+
+// DialTo is the point-to-point Dial: it returns the distance from src
+// to dst (InfDist if dst is unreachable, outside opt.MaxDist or not
+// admitted), stopping as soon as dst is settled. Its depth is the
+// number of levels up to and including dst's, its work the relaxations
+// made before dst settled. Every buffer comes from and returns to opt.Exec, so on
+// an execution context it allocates a small constant, not O(n).
+func DialTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
+	n := int(g.NumVertices())
+	res := Result{Dist: opt.Exec.Dists(n), Parent: opt.Exec.Verts(n)}
+	settled := opt.Exec.Bools(n)
+	sources := [1]graph.V{src}
+	dial(g, sources[:], &opt, dst, &res, settled)
+	d := graph.InfDist
+	if settled[dst] {
+		d = res.Dist[dst]
+	}
+	opt.Exec.PutBools(settled)
+	res.Release(opt.Exec)
+	return d
+}
+
+// dial is the bucket race behind Dial and DialTo. It settles vertices
+// into res in distance order, marking each in settled, and returns as
+// soon as stop is settled (never, for NoVertex). Tentative distances
+// it leaves behind are the caller's to clear.
+func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result, settled []bool) {
 	bound := opt.bound()
 	q := opt.Round
 	maxW := g.MaxWeight()
@@ -210,7 +252,8 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 		panic(fmt.Sprintf("sssp: Dial bucket span %d too large; round weights or set MaxDist", span))
 	}
 	nb := int(span) + 1
-	buckets := make([][]graph.V, nb)
+	buckets := opt.Exec.Buckets(nb)
+	defer opt.Exec.PutBuckets(buckets)
 	pending := 0
 	for _, s := range sources {
 		if !opt.admits(s) || res.Dist[s] == 0 {
@@ -220,8 +263,6 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 		buckets[0] = append(buckets[0], s)
 		pending++
 	}
-	settled := opt.Exec.Bools(int(n))
-	defer opt.Exec.PutBools(settled)
 	for level := graph.Dist(0); pending > 0 && level <= bound; level++ {
 		// Every distance level is one synchronous round of the
 		// weighted parallel BFS, empty or not: this is the "depth
@@ -233,15 +274,19 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 			continue
 		}
 		if opt.Exec.Checkpoint() {
-			return res // canceled: partial, invalid
+			return // canceled: partial, invalid
 		}
 		pending -= len(b)
 		var touched int64
-		for _, v := range b {
+		for k, v := range b {
 			if settled[v] || res.Dist[v] != level {
 				continue // stale entry
 			}
 			settled[v] = true
+			if v == stop {
+				opt.Cost.AddWork(touched + int64(k+1))
+				return
+			}
 			adj := g.Neighbors(v)
 			wts := g.AdjWeights(v)
 			for i, u := range adj {
@@ -269,17 +314,6 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 		buckets[int(level)%nb] = b[:0]
 		opt.Cost.AddWork(touched + int64(len(b)))
 	}
-	// Clear any tentative distances that were never settled within the
-	// bound (stale bucket entries beyond it).
-	if bound < graph.InfDist {
-		for v := range res.Dist {
-			if res.Dist[v] != graph.InfDist && !settled[v] {
-				res.Dist[v] = graph.InfDist
-				res.Parent[v] = graph.NoVertex
-			}
-		}
-	}
-	return res
 }
 
 // Dijkstra is the exact sequential reference implementation, run on

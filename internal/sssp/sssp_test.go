@@ -451,6 +451,67 @@ func TestDialMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDialToMatchesDial: on random instances (unit and random weights
+// up to 15, parallel edges, Mark restriction, bounded and unbounded
+// MaxDist, plus an isolated vertex) and every Round in {0, 1, 3, 17},
+// DialTo(src, dst) equals Dial's Dist[dst] for every dst — src itself,
+// vertices beyond the bound and unreachable ones included — with no
+// more depth or work than the full search.
+func TestDialToMatchesDial(t *testing.T) {
+	ec := exec.Sequential()
+	var self, beyond, unreachable, reached int
+	for flags := 0; flags < 16; flags++ {
+		for _, boundRaw := range []uint8{1, 20, 90} {
+			for seed := uint64(0); seed < 3; seed++ {
+				g, sources, opt := randomSearch(seed, boundRaw, uint8(flags))
+				// One more vertex, joined to nothing.
+				g = graph.FromEdges(g.NumVertices()+1, g.Edges(), g.Weighted())
+				if opt.Mark != nil {
+					opt.Mark = append(opt.Mark, opt.Token)
+				}
+				src := sources[0]
+				for _, q := range []graph.W{0, 1, 3, 17} {
+					opt.Round = q
+					fullCost := par.NewCost()
+					full := opt
+					full.Cost, full.Exec = fullCost, nil
+					want := Dial(g, []graph.V{src}, full).Dist
+					unbounded := full
+					unbounded.MaxDist = 0
+					free := Dial(g, []graph.V{src}, unbounded).Dist
+					for dst := graph.V(0); dst < g.NumVertices(); dst++ {
+						cost := par.NewCost()
+						opt.Cost, opt.Exec = cost, ec
+						got := DialTo(g, src, dst, opt)
+						if got != want[dst] {
+							t.Fatalf("flags %#x, MaxDist %d, seed %d, Round %d, %d->%d: DialTo %d, Dial %d",
+								flags, opt.MaxDist, seed, q, src, dst, got, want[dst])
+						}
+						if cost.Depth() > fullCost.Depth() || cost.Work() > fullCost.Work() {
+							t.Fatalf("flags %#x, seed %d, %d->%d: DialTo depth %d, work %d; Dial %d, %d",
+								flags, seed, src, dst, cost.Depth(), cost.Work(), fullCost.Depth(), fullCost.Work())
+						}
+						switch {
+						case dst == src && got == 0:
+							self++
+						case got < graph.InfDist:
+							reached++
+						case free[dst] < graph.InfDist:
+							beyond++
+						default:
+							unreachable++
+						}
+					}
+				}
+			}
+		}
+	}
+	if self == 0 || beyond == 0 || unreachable == 0 || reached == 0 {
+		t.Fatalf("cases covered: %d self, %d beyond the bound, %d unreachable, %d reached; want each > 0",
+			self, beyond, unreachable, reached)
+	}
+}
+
 // Property: Dial's parent pointers always certify the reported
 // distance.
 func TestParentCertifiesDistance(t *testing.T) {
@@ -700,26 +761,48 @@ func (h *indexedHeap) down(i int) {
 	h.pos[v] = int32(i + 1)
 }
 
-// TestDijkstraAllocsConstant pins the kernel's allocation count: on an
-// execution context with released results, a search allocates the
-// same small constant however many edges it relaxes and however wide
-// its weights — the queue links vertex ids through an arena buffer,
-// nothing is allocated per push.
+// TestDijkstraAllocsConstant pins the point-to-point kernels'
+// allocation counts: on an execution context with released results,
+// Dijkstra and DialTo each allocate the same small constant however
+// many edges they relax and however wide the weights — the radix heap
+// links vertex ids through an arena buffer, and Dial's buckets come
+// back from the arena with their capacity, so nothing is allocated per
+// push.
 func TestDijkstraAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
 	}
 	ec := exec.Sequential()
+	sparseG := graph.UniformWeights(graph.RandomConnectedGNM(2000, 4000, 1), 50, 2)
+	denseG := graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 3), 50, 4)
+	wideG := graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 5), 1<<40, 6)
 	allocs := func(g *graph.Graph) float64 {
 		return testing.AllocsPerRun(20, func() {
 			Dijkstra(g, []graph.V{0}, Options{Exec: ec}).Release(ec)
 		})
 	}
-	sparse := allocs(graph.UniformWeights(graph.RandomConnectedGNM(2000, 4000, 1), 50, 2))
-	dense := allocs(graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 3), 50, 4))
-	wide := allocs(graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 5), 1<<40, 6))
+	sparse, dense, wide := allocs(sparseG), allocs(denseG), allocs(wideG)
 	if sparse != dense || wide != dense || dense > 8 {
 		t.Fatalf("Dijkstra allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40); want the same constant <= 8",
+			sparse, dense, wide)
+	}
+	// DialTo to the vertex the search settles last, so it relaxes
+	// every edge; the wide graph is rounded down to 2^10 buckets.
+	allocsTo := func(g *graph.Graph, round graph.W) float64 {
+		res := Dijkstra(g, []graph.V{0}, Options{})
+		last := graph.V(0)
+		for v, d := range res.Dist {
+			if d > res.Dist[last] {
+				last = graph.V(v)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			DialTo(g, 0, last, Options{Exec: ec, Round: round})
+		})
+	}
+	sparse, dense, wide = allocsTo(sparseG, 0), allocsTo(denseG, 0), allocsTo(wideG, 1<<30)
+	if sparse != dense || wide != dense || dense > 8 {
+		t.Fatalf("DialTo allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40, Round 2^30); want the same constant <= 8",
 			sparse, dense, wide)
 	}
 }

@@ -280,12 +280,13 @@ func (o *DistanceOracle) QueryStats(s, t V) (QueryStats, error) {
 // QueryBatch answers many s-t queries, fanning them across the pooled
 // workers (bounded by the oracle's execution context, or par.Workers()
 // when it was built without one). The oracle is read-mostly after
-// preprocessing — the only mutation is the mutex-guarded rounded-graph
-// cache — so queries run concurrently without coordination; this is
-// the serving shape of the Theorem 1.2 pipeline: preprocess once,
-// answer query traffic in parallel. Results are positionally aligned
-// with pairs and identical to issuing each Query sequentially. The
-// first invalid pair reported by index order fails the whole batch.
+// preprocessing — the only lazy state is each hopset's augmented
+// graph, built once under its mutex — so queries run concurrently
+// without coordination; this is the serving shape of the Theorem 1.2
+// pipeline: preprocess once, answer query traffic in parallel. Results
+// are positionally aligned with pairs and identical to issuing each
+// Query sequentially. The first invalid pair reported by index order
+// fails the whole batch.
 func (o *DistanceOracle) QueryBatch(pairs [][2]V) ([]QueryStats, error) {
 	out := make([]QueryStats, len(pairs))
 	errs := make([]error, len(pairs))
