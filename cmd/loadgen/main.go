@@ -90,7 +90,7 @@ func main() {
 	mutateBatch := flag.Int("mutate-batch", 4, "mutations per batch (with -mutate)")
 	mutateMix := flag.String("mutate-mix", "churn", "mutation mix: churn, grow, decay, reweight")
 	mutateMaxW := flag.Int64("mutate-maxw", 50, "max weight for inserted/reweighted edges (weighted graphs)")
-	workers := flag.Int("workers", 0, "worker cap for the local -verify rebuild; must mirror the daemon's -workers so both sides build the same oracle (0 = the sequential reference build, matching a daemon without -workers/-parallel)")
+	workers := flag.Int("workers", 0, "worker cap for the local -verify rebuild; must mirror the daemon's -workers so both sides build the same oracle (0 = the sequential reference build, matching a daemon without -workers)")
 	traceSample := flag.Int("trace-sample", 0, "request a server-side trace for every Nth query and print the slowest traced request's span breakdown (0 disables)")
 	reportWorkload := flag.Bool("report-workload", false, "snapshot /debug/workload around the run and assert the server's hot-pair sketch and op mix match the generated load")
 	reportQuality := flag.Bool("report-quality", false, "snapshot /debug/quality around the run and assert the server's answer auditor found zero envelope violations in this run's sampled traffic")
@@ -412,7 +412,7 @@ func main() {
 		}
 	}
 
-	// Server-side counters: did the window actually coalesce, did the
+	// Server-side counters: did the executor actually coalesce, did the
 	// cache absorb the hot set?
 	var serverStats any
 	code, body, err := doJSON(client, "GET", *addr+"/stats", nil)

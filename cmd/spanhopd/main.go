@@ -5,9 +5,8 @@
 // Usage:
 //
 //	spanhopd -addr :8080 [-load name=path]... [-gen name=spec]... \
-//	    [-eps 0.25] [-seed 1] [-workers N] [-parallel] \
-//	    [-build-workers 1] [-build-queue 16] \
-//	    [-batch-window 2ms] [-max-batch 64] \
+//	    [-eps 0.25] [-seed 1] [-workers N] \
+//	    [-build-workers 1] [-build-queue 16] [-max-batch 64] \
 //	    [-query-workers N] [-query-queue 1024] [-cache 4096] \
 //	    [-snapshot-dir DIR] [-snapshot-format flat|codec] \
 //	    [-rebuild-max-journal N] [-rebuild-max-patch-frac F] \
@@ -31,8 +30,10 @@
 // internal/graph text or binary format, -gen for workload.ParseSpec
 // generator strings such as "er:n=4096,d=8,w=uniform") or registered
 // at runtime via POST /graphs. Queries go to POST /graphs/{id}/query;
-// see internal/server for the full API. SIGINT/SIGTERM drain in-flight
-// requests before exit.
+// see internal/server for the full API. A cache miss runs as soon as
+// one of the graph's -query-workers is free; misses that queue while
+// all of them are busy leave together as one batch of at most
+// -max-batch. SIGINT/SIGTERM drain in-flight requests before exit.
 //
 // With -snapshot-dir, every oracle that becomes ready is persisted to
 // DIR (one self-contained .snap file per graph, written atomically),
@@ -87,12 +88,10 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	eps := flag.Float64("eps", 0.25, "oracle accuracy for preloaded graphs")
 	seed := flag.Uint64("seed", 1, "seed for preloaded graphs")
-	parallel := flag.Bool("parallel", false, "build oracles with goroutine-parallel construction (deprecated: use -workers)")
-	workers := flag.Int("workers", 0, "worker cap for oracle builds: 1 = sequential reference build, N > 1 = multicore capped at N, 0 = defer to -parallel")
+	workers := flag.Int("workers", 0, "worker cap for oracle builds: 0 or 1 = sequential reference build, N > 1 = multicore capped at N")
 	buildWorkers := flag.Int("build-workers", 1, "concurrent oracle builds")
 	buildQueue := flag.Int("build-queue", 16, "max queued builds (overflow → 503)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batch coalescing window")
-	maxBatch := flag.Int("max-batch", 64, "max queries per micro-batch")
+	maxBatch := flag.Int("max-batch", 64, "max queued queries one micro-batch takes when a pool slot frees up")
 	queryWorkers := flag.Int("query-workers", 0, "concurrent query batches per graph (0 = GOMAXPROCS)")
 	queryQueue := flag.Int("query-queue", 1024, "max waiting single queries per graph (overflow → 503)")
 	cacheSize := flag.Int("cache", 4096, "per-graph LRU result cache entries (negative disables)")
@@ -156,8 +155,6 @@ func main() {
 		BuildWorkers: *buildWorkers,
 		BuildQueue:   *buildQueue,
 		Workers:      *workers,
-		Parallel:     *parallel,
-		BatchWindow:  *batchWindow,
 		MaxBatch:     *maxBatch,
 		QueryWorkers: *queryWorkers,
 		QueryQueue:   *queryQueue,
@@ -244,7 +241,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	logger.Info("spanhopd: listening", "addr", *addr,
-		"batch_window", batchWindow.String(), "max_batch", *maxBatch,
+		"max_batch", *maxBatch,
 		"log_format", *logFormat, "trace_sample", *traceSample)
 
 	select {

@@ -30,7 +30,7 @@ type serveConfig struct {
 // subprocess orchestration.
 func serveBench(b *testing.B, cfg serveConfig) {
 	b.Helper()
-	srv := server.New(server.Config{BatchWindow: 200 * time.Microsecond})
+	srv := server.New(server.Config{})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -9,9 +9,9 @@ import (
 
 // Scratch arenas: process-wide, size-class-keyed sync.Pools of the
 // per-vertex buffers every search and clustering round needs — dist,
-// parent, frontier, mark, and settled arrays, and bucket-queue levels.
+// parent, frontier and mark arrays, and bucket-queue levels.
 // Buffers are handed out explicitly reset to their algorithm-neutral
-// sentinel (InfDist, NoVertex, -1, false, 0, empty), so a recycled
+// sentinel (InfDist, NoVertex, -1, 0, empty), so a recycled
 // buffer is indistinguishable from a fresh allocation and results stay
 // bit-identical. Resetting costs the same memset a fresh make() would
 // pay; what the arena removes is the allocation itself and the GC
@@ -75,7 +75,6 @@ var (
 	distPools   slicePools[graph.Dist]
 	vertPools   slicePools[graph.V]
 	markPools   slicePools[int32]
-	boolPools   slicePools[bool]
 	bucketPools slicePools[[]graph.V]
 )
 
@@ -177,27 +176,6 @@ func (e *Ctx) PutMarks(s []int32) {
 		return
 	}
 	markPools.put(s)
-}
-
-// Bools returns a len-n bool buffer filled with false (settled
-// arrays).
-func (e *Ctx) Bools(n int) []bool {
-	if e == nil || !e.arenaOn {
-		return make([]bool, n)
-	}
-	s := boolPools.get(n)
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// PutBools releases a buffer obtained from Bools.
-func (e *Ctx) PutBools(s []bool) {
-	if e == nil || !e.arenaOn {
-		return
-	}
-	boolPools.put(s)
 }
 
 // Buckets returns n empty vertex buckets (a bucket queue's levels).

@@ -172,15 +172,6 @@ func TestArenaResetAndReuse(t *testing.T) {
 		}
 	}
 	e.PutMarks(mz)
-
-	b := e.Bools(33)
-	b[0] = true
-	e.PutBools(b)
-	b2 := e.Bools(20)
-	if b2[0] {
-		t.Fatal("recycled bool not reset")
-	}
-	e.PutBools(b2)
 }
 
 func TestArenaSizeClasses(t *testing.T) {

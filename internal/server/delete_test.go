@@ -58,7 +58,7 @@ func TestDeleteReadyGraph(t *testing.T) {
 // the goroutine count at its baseline — no leaked build goroutines,
 // no partial state.
 func TestDeleteAbortsInFlightBuild(t *testing.T) {
-	s := New(Config{BuildWorkers: 1, BatchWindow: time.Millisecond})
+	s := New(Config{BuildWorkers: 1})
 	defer s.Close()
 	reg := s.Registry()
 
@@ -118,7 +118,7 @@ func TestDeleteAbortsInFlightBuild(t *testing.T) {
 // TestDeleteQueuedBuild: deleting a graph stuck behind another build
 // in the queue prevents its build from ever running.
 func TestDeleteQueuedBuild(t *testing.T) {
-	s := New(Config{BuildWorkers: 1, BatchWindow: time.Millisecond})
+	s := New(Config{BuildWorkers: 1})
 	defer s.Close()
 	reg := s.Registry()
 

@@ -179,7 +179,7 @@ func TestMutationEndpoints(t *testing.T) {
 // TestAutoRebuildOverHTTP: crossing the journal policy triggers a
 // background rebuild that the gauges surface.
 func TestAutoRebuildOverHTTP(t *testing.T) {
-	s := New(Config{BatchWindow: time.Millisecond, RebuildMaxJournal: 3, RebuildMaxPatchFraction: -1})
+	s := New(Config{RebuildMaxJournal: 3, RebuildMaxPatchFraction: -1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 

@@ -56,23 +56,24 @@ type response struct {
 }
 
 // Executor turns concurrently arriving single queries into QueryBatch
-// fan-outs. A collector goroutine gathers requests into a micro-batch
-// until either MaxBatch queries are pending or BatchWindow has elapsed
-// since the batch opened, then hands the batch to a bounded worker
-// pool; the pool runs DistanceOracle.QueryBatch (the PR 1 parallel
-// fan-out) and distributes results. Because QueryBatch is positionally
-// identical to serial Query calls, coalescing changes wall-clock
-// shape only, never an answer.
+// fan-outs. A collector goroutine takes the first queued request,
+// waits for a free slot of the bounded worker pool, and only then
+// gathers whatever else queued meanwhile (up to MaxBatch) into one
+// micro-batch; the pool runs DistanceOracle.QueryBatch (the parallel
+// fan-out) and distributes results. The collector never waits while a
+// slot is free, so an idle executor answers a miss at once, and
+// batches form exactly when the pool is busy. Because QueryBatch is
+// positionally identical to serial Query calls, coalescing changes
+// wall-clock shape only, never an answer.
 //
 // Backpressure: the request queue is a bounded channel and Query never
 // blocks on a full one — it fails fast with ErrOverloaded. When every
-// pool worker is busy the collector itself blocks handing off the
-// batch, the queue fills, and overload propagates to callers as typed
-// errors rather than unbounded goroutine pileup.
+// pool worker is busy the collector itself blocks waiting for a slot,
+// the queue fills, and overload propagates to callers as typed errors
+// rather than unbounded goroutine pileup.
 type Executor struct {
 	oracle servingOracle
 	n      graph.V
-	window time.Duration
 	maxB   int
 
 	reqs  chan request
@@ -115,7 +116,6 @@ func newExecutor(oracle servingOracle, cfg Config, stats *GraphStats) *Executor 
 	x := &Executor{
 		oracle: oracle,
 		n:      oracle.NumVertices(),
-		window: cfg.BatchWindow,
 		maxB:   cfg.MaxBatch,
 		reqs:   make(chan request, cfg.QueryQueue),
 		sem:    make(chan struct{}, cfg.QueryWorkers),
@@ -217,7 +217,7 @@ func (x *Executor) Query(ctx context.Context, s, t graph.V) (spanhop.QueryStats,
 		// The response channel is buffered, so the batch worker that
 		// eventually answers doesn't leak; the result is dropped. The
 		// queue-wait span is recorded at dispatch, so its absence means
-		// the request died still coalescing.
+		// the request died waiting for a pool slot.
 		if tr.HasSpan("queue-wait") {
 			tr.Annotate("cancel_stage", "exec")
 		} else {
@@ -238,8 +238,8 @@ func (x *Executor) Query(ctx context.Context, s, t graph.V) (spanhop.QueryStats,
 }
 
 // Batch answers an explicit batch request through the worker pool
-// (bounded like the coalesced path, but bypassing the batching window
-// — the caller already batched). At most QueryQueue batch calls may
+// (bounded like the coalesced path, but bypassing the collector — the
+// caller already batched). At most QueryQueue batch calls may
 // wait for a pool slot; beyond that Batch fails fast with
 // ErrOverloaded, and a canceled ctx abandons the wait.
 func (x *Executor) Batch(ctx context.Context, pairs [][2]graph.V) ([]spanhop.QueryStats, error) {
@@ -318,64 +318,58 @@ func (x *Executor) Batch(ctx context.Context, pairs [][2]graph.V) ([]spanhop.Que
 	return res, nil
 }
 
-// collect is the micro-batching loop.
+// collect is the dispatch loop. It blocks for the first queued
+// request, then for a free pool slot, and only then takes into the
+// batch whatever else queued meanwhile, up to MaxBatch, without
+// blocking. An idle pool therefore answers a miss at once, and a busy
+// one still coalesces: requests pile up while every slot is working.
 func (x *Executor) collect() {
 	defer close(x.done)
-	var batch []request
-	var timer *time.Timer
-	var timeC <-chan time.Time
-	flush := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timeC = nil, nil
-		}
-		if len(batch) == 0 {
+	for {
+		var first request
+		select {
+		case first = <-x.reqs:
+		case <-x.quit:
+			x.failQueued()
 			return
 		}
+		select {
+		case x.sem <- struct{}{}:
+		case <-x.quit:
+			first.ch <- response{err: ErrClosed}
+			x.failQueued()
+			return
+		}
+		batch := []request{first}
+	drain:
+		for len(batch) < x.maxB {
+			select {
+			case r := <-x.reqs:
+				batch = append(batch, r)
+			default:
+				break drain
+			}
+		}
 		x.dispatch(batch)
-		batch = nil
 	}
+}
+
+// failQueued answers every request still queued with ErrClosed, so
+// each caller gets a definitive response at shutdown.
+func (x *Executor) failQueued() {
 	for {
 		select {
 		case r := <-x.reqs:
-			batch = append(batch, r)
-			if len(batch) == 1 {
-				timer = time.NewTimer(x.window)
-				timeC = timer.C
-			}
-			if len(batch) >= x.maxB {
-				flush()
-			}
-		case <-timeC:
-			timer, timeC = nil, nil
-			flush()
-		case <-x.quit:
-			// Answer what we gathered, then fail whatever is still
-			// queued: every caller gets a definitive response.
-			flush()
-			for {
-				select {
-				case r := <-x.reqs:
-					r.ch <- response{err: ErrClosed}
-				default:
-					return
-				}
-			}
+			r.ch <- response{err: ErrClosed}
+		default:
+			return
 		}
 	}
 }
 
-// dispatch hands one micro-batch to the worker pool. Blocks while the
-// pool is saturated (that is the backpressure valve).
+// dispatch runs one batch on the pool slot the collector acquired for
+// it and releases the slot when the results are delivered.
 func (x *Executor) dispatch(batch []request) {
-	select {
-	case x.sem <- struct{}{}:
-	case <-x.quit:
-		for _, r := range batch {
-			r.ch <- response{err: ErrClosed}
-		}
-		return
-	}
 	x.wg.Add(1)
 	go func() {
 		defer func() {

@@ -30,20 +30,22 @@ func withProcs(t *testing.T, p int, body func()) {
 // TestCoalescingMatchesSerial is the serving-path differential test:
 // many goroutines hammer the executor with single queries; every
 // answer must be bit-identical to a serial DistanceOracle.Query, and
-// the window must demonstrably coalesce (mean batch size > 1).
+// a busy pool must demonstrably coalesce (mean batch size > 1). The
+// pool is held until every worker's first query is queued, so at
+// least that first batch is formed while all slots are busy.
 // Runs under -race in CI.
 func TestCoalescingMatchesSerial(t *testing.T) {
 	withProcs(t, 4, func() {
 		oracle := testOracle(t)
 		stats := &GraphStats{}
 		x := newExecutor(oracle, Config{
-			BatchWindow:  10 * time.Millisecond,
 			MaxBatch:     1024,
 			QueryWorkers: 4,
 			QueryQueue:   4096,
 			CacheSize:    -1, // force every query through the batching path
 		}, stats)
 		defer x.Close()
+		wedge(x)
 
 		const workers = 8
 		const perWorker = 40
@@ -69,6 +71,13 @@ func TestCoalescingMatchesSerial(t *testing.T) {
 					results[w] = append(results[w], res{s: s, t: u, st: st})
 				}
 			}(w)
+		}
+		// The collector holds one first query while it waits for a
+		// slot; the other workers' first queries queue behind it.
+		queued := waitQueued(x, workers-1)
+		unwedge(x)
+		if !queued {
+			t.Fatalf("%d queries queued, want %d", len(x.reqs), workers-1)
 		}
 		wg.Wait()
 		if t.Failed() {
@@ -108,7 +117,7 @@ func TestCoalescingMatchesSerial(t *testing.T) {
 func TestExecutorCacheHits(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{BatchWindow: time.Millisecond, CacheSize: 16}, stats)
+	x := newExecutor(oracle, Config{CacheSize: 16}, stats)
 	defer x.Close()
 
 	first, err := x.Query(context.Background(), 3, 77)
@@ -166,7 +175,7 @@ func TestExecutorBatchAPI(t *testing.T) {
 func TestExecutorValidationIsolated(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{BatchWindow: 5 * time.Millisecond}, stats)
+	x := newExecutor(oracle, Config{}, stats)
 	defer x.Close()
 
 	var wg sync.WaitGroup
@@ -193,7 +202,6 @@ func TestExecutorBackpressure(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
 	x := newExecutor(oracle, Config{
-		BatchWindow:  time.Nanosecond, // flush immediately
 		MaxBatch:     1,
 		QueryWorkers: 1,
 		QueryQueue:   2,
@@ -213,9 +221,9 @@ func TestExecutorBackpressure(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	// Capacity while wedged: 1 in the collector's blocked dispatch +
-	// 2 in the queue; at least 3 of 6 must be rejected. Wait for that
-	// before releasing the pool.
+	// Capacity while wedged: 1 held by the collector waiting for a
+	// slot + 2 in the queue; at least 3 of 6 must be rejected. Wait
+	// for that before releasing the pool.
 	deadline := time.Now().Add(10 * time.Second)
 	for stats.rejects.Load() < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -281,26 +289,111 @@ func TestExecutorBatchOverload(t *testing.T) {
 	}
 }
 
+// TestExecutorCloseFailsPending: queries parked behind a busy pool
+// when Close runs (one held by the collector, one still queued) get
+// ErrClosed, not a hang.
 func TestExecutorCloseFailsPending(t *testing.T) {
 	oracle := testOracle(t)
-	x := newExecutor(oracle, Config{BatchWindow: time.Hour, MaxBatch: 1 << 20}, &GraphStats{})
-	done := make(chan error, 1)
-	go func() {
-		_, err := x.Query(context.Background(), 0, 1)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the query reach the collector
+	x := newExecutor(oracle, Config{}, &GraphStats{})
+	wedge(x) // no slot frees before Close
+	const pending = 2
+	done := make(chan error, pending)
+	for i := 0; i < pending; i++ {
+		go func() {
+			_, err := x.Query(context.Background(), 0, 1)
+			done <- err
+		}()
+	}
+	if !waitQueued(x, 1) {
+		t.Fatal("no query reached the queue")
+	}
 	x.Close()
-	select {
-	case err := <-done:
-		if err != nil && !errors.Is(err, ErrClosed) {
-			t.Fatalf("pending query got %v, want nil (flushed) or ErrClosed", err)
+	for i := 0; i < pending; i++ {
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("pending query got %v, want ErrClosed", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("pending query hung across Close")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pending query hung across Close")
 	}
 	if _, err := x.Query(context.Background(), 0, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Query after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestExecutorCoalescesWhilePoolBusy: requests that queue while every
+// pool slot is busy leave together, as one batch, on the first slot
+// that frees up.
+func TestExecutorCoalescesWhilePoolBusy(t *testing.T) {
+	oracle := testOracle(t)
+	stats := &GraphStats{}
+	x := newExecutor(oracle, Config{QueryWorkers: 2, CacheSize: -1}, stats)
+	defer x.Close()
+
+	wedge(x)
+	const k = 5
+	type res struct {
+		s, t graph.V
+		st   spanhop.QueryStats
+		err  error
+	}
+	out := make(chan res, k)
+	for i := 0; i < k; i++ {
+		go func(s, u graph.V) {
+			st, err := x.Query(context.Background(), s, u)
+			out <- res{s: s, t: u, st: st, err: err}
+		}(graph.V(i), graph.V(200-i))
+	}
+	// One request is held by the collector, waiting for a slot; the
+	// other k-1 queue behind it.
+	if !waitQueued(x, k-1) {
+		unwedge(x)
+		t.Fatalf("%d queries queued, want %d", len(x.reqs), k-1)
+	}
+	<-x.sem // free one slot
+	for i := 0; i < k; i++ {
+		r := <-out
+		if r.err != nil {
+			t.Fatalf("Query(%d,%d): %v", r.s, r.t, r.err)
+		}
+		want, err := oracle.QueryStats(r.s, r.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.st != want {
+			t.Fatalf("Query(%d,%d) = %+v, serial = %+v", r.s, r.t, r.st, want)
+		}
+	}
+	for i := 1; i < cap(x.sem); i++ {
+		<-x.sem // the slots still held
+	}
+	if snap := stats.Snapshot(); snap.Batches != 1 || snap.BatchedQueries != k {
+		t.Fatalf("batches = %d of %d queries, want 1 of %d",
+			snap.Batches, snap.BatchedQueries, k)
+	}
+}
+
+// TestExecutorIdleDispatchesAtOnce: sequential misses on an idle
+// executor each run as their own batch — a miss never waits for
+// company while a pool slot is free.
+func TestExecutorIdleDispatchesAtOnce(t *testing.T) {
+	oracle := testOracle(t)
+	stats := &GraphStats{}
+	x := newExecutor(oracle, Config{CacheSize: -1}, stats)
+	defer x.Close()
+
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := x.Query(context.Background(), graph.V(i), graph.V(255-i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := stats.Snapshot()
+	if snap.Requests != n || snap.Batches != snap.Requests {
+		t.Fatalf("%d requests ran as %d batches, want %d of each",
+			snap.Requests, snap.Batches, n)
 	}
 }
 
@@ -361,4 +454,30 @@ func TestLatencyHistogram(t *testing.T) {
 	if snap.P50US == 0 || snap.P99US < snap.P50US {
 		t.Fatalf("quantiles = %d/%d", snap.P50US, snap.P99US)
 	}
+}
+
+// wedge takes every pool slot of x, so the collector parks the next
+// request it receives until unwedge gives the slots back.
+func wedge(x *Executor) {
+	for i := 0; i < cap(x.sem); i++ {
+		x.sem <- struct{}{}
+	}
+}
+
+func unwedge(x *Executor) {
+	for i := 0; i < cap(x.sem); i++ {
+		<-x.sem
+	}
+}
+
+// waitQueued reports whether k requests sit in x's queue within 10 s.
+func waitQueued(x *Executor, k int) bool {
+	deadline := time.Now().Add(10 * time.Second)
+	for len(x.reqs) < k {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
 }

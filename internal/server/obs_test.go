@@ -486,10 +486,10 @@ func spanPresent(td obs.TraceData, name string) bool {
 }
 
 func TestTraceCancellationStage(t *testing.T) {
-	// A long coalescing window parks the request in queue-wait; the
-	// client gives up first, and the published trace must say where
-	// the request died.
-	s := New(Config{BatchWindow: 300 * time.Millisecond})
+	// Holding every pool slot of the graph parks the request in
+	// queue-wait; the client gives up first, and the published trace
+	// must say where the request died.
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
@@ -499,6 +499,13 @@ func TestTraceCancellationStage(t *testing.T) {
 		t.Fatalf("POST /graphs = %d", code)
 	}
 	waitReady(t, ts, "c1")
+	e, _ := s.Registry().Get("c1")
+	x, err := e.executor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedge(x)
+	defer unwedge(x)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()

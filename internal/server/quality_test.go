@@ -27,7 +27,7 @@ type qualityResponse struct {
 // coverage instead of rate- and budget-dependent sampling.
 func newAuditTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{BatchWindow: time.Millisecond, AuditSample: 1, AuditCPUFrac: -1})
+	s := New(Config{AuditSample: 1, AuditCPUFrac: -1})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

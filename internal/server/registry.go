@@ -579,7 +579,6 @@ func (r *Registry) build(e *Entry) {
 					Workers: r.cfg.queryExecWorkers(),
 					Labels:  graphLabels(e.id, ""),
 				}),
-				Parallel: r.cfg.Parallel,
 			})
 		if cerr := ec.Err(); cerr != nil {
 			return fmt.Errorf("build canceled: %w", cerr)

@@ -26,22 +26,15 @@ type Config struct {
 	BuildWorkers int
 	BuildQueue   int
 	// Workers caps the execution context each oracle build runs on:
-	// 1 forces the sequential reference construction, n > 1 runs the
-	// multicore construction on at most n pooled workers, and 0 defers
-	// to the deprecated Parallel bool (Parallel ? GOMAXPROCS : 1).
-	// Every build is cancelable (DELETE /graphs/{id}) and arena-backed
-	// regardless of the cap.
+	// 0 or 1 runs the sequential reference construction, n > 1 the
+	// multicore construction on at most n pooled workers. Every build
+	// is cancelable (DELETE /graphs/{id}) and arena-backed regardless
+	// of the cap.
 	Workers int
-	// Parallel builds oracles with the machine-parallel construction
-	// (goroutine hot loops).
-	//
-	// Deprecated: set Workers instead; Parallel is Workers=GOMAXPROCS.
-	Parallel bool
 
-	// BatchWindow is how long a micro-batch stays open after its
-	// first query; MaxBatch closes it early.
-	BatchWindow time.Duration
-	MaxBatch    int
+	// MaxBatch caps how many queued single queries one micro-batch
+	// takes when a pool slot frees up.
+	MaxBatch int
 	// QueryWorkers bounds concurrent QueryBatch executions per graph;
 	// QueryQueue bounds waiting single queries (overflow is a typed
 	// 503, the backpressure contract).
@@ -165,9 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.BuildQueue <= 0 {
 		c.BuildQueue = 16
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -197,15 +187,11 @@ func (c Config) withDefaults() Config {
 }
 
 // buildExecWorkers resolves the worker cap of build execution
-// contexts: an explicit Workers wins; otherwise the deprecated
-// Parallel bool maps to GOMAXPROCS (0) or the sequential reference
-// build (1).
+// contexts: an explicit Workers wins; otherwise the sequential
+// reference build (1).
 func (c Config) buildExecWorkers() int {
 	if c.Workers > 0 {
 		return c.Workers
-	}
-	if c.Parallel {
-		return 0
 	}
 	return 1
 }

@@ -64,7 +64,7 @@ func waitReady(t *testing.T, ts *httptest.Server, id string) Info {
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{BatchWindow: time.Millisecond})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -259,9 +259,11 @@ func TestHTTPBuildFailureSurfaced(t *testing.T) {
 // TestHTTPConcurrentSingleQueries hammers one graph over real HTTP
 // with concurrent single queries and asserts (a) every answer matches
 // the serial oracle and (b) the /stats mean batch size shows
-// coalescing — the acceptance criterion observed end to end.
+// coalescing — the acceptance criterion observed end to end. The
+// graph's pool is held until every worker's first query is queued,
+// so those queries meet a busy pool and must leave as one batch.
 func TestHTTPConcurrentSingleQueries(t *testing.T) {
-	s := New(Config{BatchWindow: 5 * time.Millisecond, CacheSize: -1})
+	s := New(Config{CacheSize: -1})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()
@@ -279,6 +281,12 @@ func TestHTTPConcurrentSingleQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := spanhop.NewDistanceOracle(spec.Gen(), eps, seed)
+	e, _ := s.Registry().Get("grid")
+	x, err := e.executor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedge(x)
 
 	const workers = 8
 	const perWorker = 10
@@ -307,6 +315,13 @@ func TestHTTPConcurrentSingleQueries(t *testing.T) {
 			}
 			errc <- nil
 		}(w)
+	}
+	// The collector holds one first query while it waits for a slot;
+	// the other workers' first queries queue behind it.
+	queued := waitQueued(x, workers-1)
+	unwedge(x)
+	if !queued {
+		t.Fatalf("%d queries queued, want %d", len(x.reqs), workers-1)
 	}
 	for w := 0; w < workers; w++ {
 		if err := <-errc; err != nil {

@@ -16,7 +16,7 @@ import (
 
 func newSnapshotServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(Config{BatchWindow: time.Millisecond, SnapshotDir: dir})
+	s := New(Config{SnapshotDir: dir})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

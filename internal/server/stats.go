@@ -23,7 +23,7 @@ type GraphStats struct {
 	coalesced        atomic.Int64
 	coalescedQueries atomic.Int64
 	// batchCalls / batchQueries count explicit batch API calls and
-	// the pairs inside them (these bypass the coalescing window).
+	// the pairs inside them (these bypass the collector).
 	batchCalls   atomic.Int64
 	batchQueries atomic.Int64
 	// failures counts queries that returned an error from the oracle.

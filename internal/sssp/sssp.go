@@ -186,21 +186,8 @@ func BFS(g *graph.Graph, sources []graph.V, opt Options) *Result {
 // With opt.Round = q > 1 it searches g with every weight w read as
 // ⌈w/q⌉, bit-identical to a search over the rounded copy of g.
 func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
-	n := g.NumVertices()
-	res := newResultOn(opt.Exec, n)
-	settled := opt.Exec.Bools(int(n))
-	defer opt.Exec.PutBools(settled)
-	dial(g, sources, &opt, graph.NoVertex, res, settled)
-	// Clear any tentative distances that were never settled within the
-	// bound (stale bucket entries beyond it).
-	if opt.bound() < graph.InfDist {
-		for v := range res.Dist {
-			if res.Dist[v] != graph.InfDist && !settled[v] {
-				res.Dist[v] = graph.InfDist
-				res.Parent[v] = graph.NoVertex
-			}
-		}
-	}
+	res := newResultOn(opt.Exec, g.NumVertices())
+	dial(g, sources, &opt, graph.NoVertex, res)
 	return res
 }
 
@@ -208,28 +195,25 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 // to dst (InfDist if dst is unreachable, outside opt.MaxDist or not
 // admitted), stopping as soon as dst is settled. Its depth is the
 // number of levels up to and including dst's, its work the relaxations
-// made before dst settled. Every buffer comes from and returns to opt.Exec, so on
-// an execution context it allocates a small constant, not O(n).
+// made before dst settled. It keeps no parents, and its one distance
+// buffer comes from and returns to opt.Exec, so on an execution context
+// it allocates a small constant, not O(n).
 func DialTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
-	n := int(g.NumVertices())
-	res := Result{Dist: opt.Exec.Dists(n), Parent: opt.Exec.Verts(n)}
-	settled := opt.Exec.Bools(n)
+	res := Result{Dist: opt.Exec.Dists(int(g.NumVertices()))}
 	sources := [1]graph.V{src}
-	dial(g, sources[:], &opt, dst, &res, settled)
-	d := graph.InfDist
-	if settled[dst] {
-		d = res.Dist[dst]
-	}
-	opt.Exec.PutBools(settled)
-	res.Release(opt.Exec)
+	dial(g, sources[:], &opt, dst, &res)
+	d := res.Dist[dst]
+	opt.Exec.PutDists(res.Dist)
 	return d
 }
 
 // dial is the bucket race behind Dial and DialTo. It settles vertices
-// into res in distance order, marking each in settled, and returns as
-// soon as stop is settled (never, for NoVertex). Tentative distances
-// it leaves behind are the caller's to clear.
-func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result, settled []bool) {
+// into res in distance order and returns as soon as stop is settled
+// (never, for NoVertex); it records parents only when res.Parent is
+// non-nil. A run that neither stops nor is canceled leaves no
+// tentative distance behind: every queued key is within the bound and
+// is drained, so each finite Dist is final.
+func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result) {
 	bound := opt.bound()
 	q := opt.Round
 	maxW := g.MaxWeight()
@@ -279,10 +263,12 @@ func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Re
 		pending -= len(b)
 		var touched int64
 		for k, v := range b {
-			if settled[v] || res.Dist[v] != level {
+			// A vertex is queued at most once per key and every entry
+			// is drained at its own key, so an entry is current iff
+			// its key is still the vertex's distance.
+			if res.Dist[v] != level {
 				continue // stale entry
 			}
-			settled[v] = true
 			if v == stop {
 				opt.Cost.AddWork(touched + int64(k+1))
 				return
@@ -304,7 +290,9 @@ func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Re
 				nd := level + w
 				if nd < res.Dist[u] && nd <= bound && opt.admits(u) {
 					res.Dist[u] = nd
-					res.Parent[u] = v
+					if res.Parent != nil {
+						res.Parent[u] = v
+					}
 					buckets[int(nd)%nb] = append(buckets[int(nd)%nb], u)
 					pending++
 				}

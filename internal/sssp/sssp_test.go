@@ -433,8 +433,8 @@ func roundedCopy(g *graph.Graph, q graph.W) *graph.Graph {
 }
 
 // Property: Dial returns the same Dist and Parent arrays, bit for bit,
-// as the reference body (which re-allocates each drained bucket and
-// reads the settled flag per arc) on random instances with weights up
+// as the reference body (which re-allocates each drained bucket,
+// reads a settled flag per arc and clears unsettled entries) on random instances with weights up
 // to 2^16; with Options.Round = q, as the reference body on the
 // materialised ⌈w/q⌉ copy of the graph.
 func TestDialMatchesReference(t *testing.T) {
@@ -526,10 +526,11 @@ func TestParentCertifiesDistance(t *testing.T) {
 	}
 }
 
-// referenceDial is Dial without its two shortcuts, kept as the
+// referenceDial is Dial without its shortcuts, kept as the
 // bit-identity oracle for TestDialMatchesReference: it drops each
-// drained bucket (so every refill re-grows it) and tests the settled
-// flag on every arc.
+// drained bucket (so every refill re-grows it), keeps a settled array
+// and tests it on every arc, and clears never-settled distances at the
+// end.
 func referenceDial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	n := g.NumVertices()
 	res := newResultOn(opt.Exec, n)
@@ -561,8 +562,7 @@ func referenceDial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 		buckets[0] = append(buckets[0], s)
 		pending++
 	}
-	settled := opt.Exec.Bools(int(n))
-	defer opt.Exec.PutBools(settled)
+	settled := make([]bool, n)
 	for level := graph.Dist(0); pending > 0 && level <= bound; level++ {
 		// Every distance level is one synchronous round of the
 		// weighted parallel BFS, empty or not: this is the "depth

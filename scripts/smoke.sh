@@ -35,7 +35,7 @@ stage "generate a small weighted grid (binary format)"
     -format binary -out "$DIR/grid.bin"
 
 start_daemon() {
-    "$DIR/bin/spanhopd" -addr "$ADDR" -batch-window 2ms -load "grid=$DIR/grid.bin" \
+    "$DIR/bin/spanhopd" -addr "$ADDR" -load "grid=$DIR/grid.bin" \
         -eps 0.3 -seed 2 -snapshot-dir "$SNAPDIR" \
         -profile-dir "$DIR/profiles" -profile-interval 5s \
         -slo-target 250ms -audit-sample 1 -audit-cpu-frac 0.5 >"$1" 2>&1 &
