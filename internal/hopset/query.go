@@ -2,6 +2,7 @@ package hopset
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -36,16 +37,26 @@ type QueryResult struct {
 // can just try ... O(3/η) estimates, incurring a factor of O(3/η) in
 // the work"): in every round, each band runs a level-capped weighted
 // parallel BFS over the augmented graph with every weight rounded up
-// to a multiple of ŵ = ζ·d/h (Lemma 5.2, with d the band floor so the
-// additive error ζ·d ≤ ζ·dist; the search rounds each arc as it
-// relaxes it). Here the bands of a round run one after another in
-// index order, each a point-to-point search that stops once t settles,
-// and a band after one that answered D is capped at ⌊(D−1)/ŵ⌋ levels,
-// or skipped when that cap is below 1: it could only tie or lose to D.
-// The answer is the same best band the full race picks, but since a
-// band's cap depends on the bands before it, the round is costed as
-// the serial sweep it is: Levels is the sum of the levels every band
-// actually ran, and depth composes band by band (par.Cost.AddSequential).
+// to a multiple of a granularity ŵ ≤ ζ·d/h (Lemma 5.2, with d the band
+// floor so the additive error ζ·d ≤ ζ·dist; the search rounds each arc
+// as it relaxes it). Each band takes ŵ = 2^⌊log₂(ζ·d/h)⌋, the power of
+// two in (ζ·d/(2h), ζ·d/h], or 1 below that: the error bound holds as
+// before, the band's level count at most doubles, and the rounding is
+// a shift.
+//
+// Here the bands of a round run one after another in index order, each
+// a point-to-point search that stops once t settles. Powers of two make
+// the bands comparable: when ŵ_j ≥ ŵ_i, ŵ_i divides ŵ_j, so every arc
+// satisfies ŵ_j·⌈w/ŵ_j⌉ ≥ ŵ_i·⌈w/ŵ_i⌉ and band j's answer is never
+// below band i's exact one. So once band i answers, every later band
+// with ŵ_j ≥ ŵ_i is skipped. A later band with a finer ŵ (possible when
+// the round clamps band i's hop budget below the later band's) runs
+// capped at ⌊(D−1)/ŵ⌋ levels, D the best answer so far, or is skipped
+// when that cap is below 1: it could only tie or lose to D. The answer
+// is the same best band the full race picks, but since a band's cap
+// depends on the bands before it, the round is costed as the serial
+// sweep it is: Levels is the sum of the levels every band actually
+// ran, and depth composes band by band (par.Cost.AddSequential).
 //
 // The hop budget h escalates geometrically across rounds up to the
 // Lemma 4.2 bound: the bound is a with-high-probability worst case,
@@ -64,8 +75,9 @@ func (s *Scaled) Query(src, dst graph.V, cost *par.Cost) QueryResult {
 // QueryOn is Query on an execution context: every band search draws
 // its arrays from ec's arenas and releases them before it returns, so
 // steady-state query traffic stops allocating O(n) buffers per band
-// per query. The context must never be canceled (use exec.Ctx.Detached
-// from a build context): queries have no notion of a partial answer.
+// per query, and the augmented graph is fetched once per query. The
+// context must never be canceled (use exec.Ctx.Detached from a build
+// context): queries have no notion of a partial answer.
 func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryResult {
 	if src == dst {
 		return QueryResult{Dist: 0, Scale: -1}
@@ -76,6 +88,7 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 		step = 2
 	}
 	zeta := s.Params.Zeta
+	aug := s.Augmented()
 	var total QueryResult
 
 	// Per-band hop-budget ceilings (Lemma 4.2 in build-rounded units,
@@ -111,6 +124,7 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 		}
 		bestDist := graph.Dist(-1)
 		bestScale := -1
+		var bestShift uint // log₂ ŵ of the band that set bestDist
 		for idx := range s.Scales {
 			b := hb
 			if b > hbMax[idx] {
@@ -122,34 +136,37 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 			prev[idx] = b
 			sc := s.Scales[idx]
 			floor := sc.D / step
-			qHat := graph.W(math.Floor(zeta * floor / b))
-			if qHat < 1 {
-				qHat = 1
+			var shift uint // ŵ = 2^shift ≤ ζ·floor/b, or 1
+			if q := zeta * floor / b; q >= 2 {
+				shift = uint(bits.Len64(uint64(q))) - 1
+			}
+			if bestDist >= 0 && shift >= bestShift {
+				continue // a multiple of the answer's ŵ: it can only tie or lose
 			}
 			// A relevant shortcut path has ≤ b hops and weight ≤
-			// ~2·sc.D; rounded, it fits in 2·D/qHat + b levels.
-			levelCap := graph.Dist(math.Ceil(2*sc.D/float64(qHat))) +
+			// ~2·sc.D; rounded, it fits in 2·D/ŵ + b levels.
+			levelCap := graph.Dist(math.Ceil(2*sc.D/float64(graph.W(1)<<shift))) +
 				graph.Dist(math.Ceil(b)) + 16
 			if bestDist >= 0 {
-				// Only a rounded distance d with qHat·d < bestDist
-				// can beat the round's answer so far.
-				levelCap = min(levelCap, (bestDist-1)/graph.Dist(qHat))
+				// Only a rounded distance d with ŵ·d < bestDist can
+				// beat the round's answer so far.
+				levelCap = min(levelCap, (bestDist-1)>>shift)
 				if levelCap < 1 {
 					continue
 				}
 			}
 			bandCost := par.NewCost()
-			d := sssp.DialTo(s.Augmented(), src, dst, sssp.Options{
+			d := sssp.DialTo(aug, src, dst, sssp.Options{
 				Cost:    bandCost,
 				MaxDist: levelCap,
 				Exec:    ec,
-				Round:   qHat,
+				Shift:   shift,
 			})
 			total.Levels += bandCost.Depth()
 			total.Work += bandCost.Work()
 			cost.AddSequential(bandCost)
 			if d < graph.InfDist { // the cap admits only a better answer
-				bestDist, bestScale = graph.Dist(qHat)*d, idx
+				bestDist, bestScale, bestShift = d<<shift, idx, shift
 			}
 		}
 		if bestDist >= 0 {
@@ -165,7 +182,7 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 	// Deterministic fallback: exact on the augmented graph (same
 	// metric as the base graph).
 	fb := par.NewCost()
-	res := sssp.Dijkstra(s.Augmented(), []graph.V{src}, sssp.Options{Cost: fb, Exec: ec})
+	res := sssp.Dijkstra(aug, []graph.V{src}, sssp.Options{Cost: fb, Exec: ec})
 	cost.AddSequential(fb)
 	total.Levels += fb.Depth()
 	total.Work += fb.Work()

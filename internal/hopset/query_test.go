@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -39,20 +40,21 @@ func answerDigests(s *Scaled, pairs [][2]graph.V) (answers, levels uint64) {
 
 // TestQueryOnAnswersPinned pins the query engine's answers, band
 // choices and fallbacks on a multi-scale grid and an ER graph, and
-// separately its depths. The answers are those of the full band race
-// (every band searched to its level cap); stopping each band when dst
-// settles and capping later bands at the best answer so far must not
-// move them. Levels is pinned on its own: it is the sum of the levels
-// the serial sweep actually runs, and any change to the kernel's stop
-// or caps moves it.
+// separately its depths. The answers are those of the full power-of-two
+// band race (every band searched to its level cap at ŵ = 2^⌊log₂(ζ·d/h)⌋);
+// stopping each band when dst settles, skipping the bands whose ŵ is a
+// multiple of the answer's and capping the others at the best answer
+// so far must not move them. Levels is pinned on its own: it is the
+// sum of the levels the serial sweep actually runs, and any change to
+// the kernel's stop, skips or caps moves it.
 func TestQueryOnAnswersPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		g               *graph.Graph
 		answers, levels uint64
 	}{
-		{"multiscale-grid", graph.ExponentialWeights(graph.Grid2D(24, 24), 4, 5, 1), 0x43727f0f9c4708f7, 0x02895782abd0aadc},
-		{"er", graph.UniformWeights(graph.RandomConnectedGNM(500, 2000, 3), 1000, 4), 0xb6116ad5e86257c4, 0x34fb4c92253c66f8},
+		{"multiscale-grid", graph.ExponentialWeights(graph.Grid2D(24, 24), 4, 5, 1), 0x43727f0f9c4708f7, 0xd823901d7f64758e},
+		{"er", graph.UniformWeights(graph.RandomConnectedGNM(500, 2000, 3), 1000, 4), 0x7ef1dd42b4108c77, 0xf1a33202bd1b528a},
 	} {
 		s := BuildScaled(tc.g, DefaultWeightedParams(5), nil)
 		answers, levels := answerDigests(s, queryPairs(tc.g.NumVertices(), 320, 7))
@@ -65,13 +67,17 @@ func TestQueryOnAnswersPinned(t *testing.T) {
 	}
 }
 
-// referenceQueryOn is the full band race QueryOn replaced, kept as the
-// differential oracle for TestQueryOnMatchesReference: every band of a
-// round runs a full Dial from src out to its level cap, the round's
-// best band answers, and the round is costed as its band maximum.
-func referenceQueryOn(s *Scaled, src, dst graph.V) QueryResult {
+// referenceQueryOn is the full power-of-two band race QueryOn sweeps,
+// kept as the differential oracle for TestQueryOnMatchesReference:
+// every band of a round runs a full Dial from src out to its level cap
+// at ŵ = 2^⌊log₂(ζ·d/h)⌋, with no band skipped, the round's best band
+// answers (the earliest on a tie), and the round is costed as its band
+// maximum. finer reports whether, in the answering round, a band after
+// the first one to reach dst had a strictly finer ŵ than it, so the
+// sweep had to run it rather than skip it.
+func referenceQueryOn(s *Scaled, src, dst graph.V) (total QueryResult, finer bool) {
 	if src == dst {
-		return QueryResult{Dist: 0, Scale: -1}
+		return QueryResult{Dist: 0, Scale: -1}, false
 	}
 	n := int(s.Base.NumVertices())
 	step := math.Pow(float64(n), s.Params.Eta)
@@ -79,7 +85,6 @@ func referenceQueryOn(s *Scaled, src, dst graph.V) QueryResult {
 		step = 2
 	}
 	zeta := s.Params.Zeta
-	var total QueryResult
 	hbMax := make([]float64, len(s.Scales))
 	globalMax := 16.0
 	for i, sc := range s.Scales {
@@ -111,6 +116,7 @@ func referenceQueryOn(s *Scaled, src, dst graph.V) QueryResult {
 		roundCosts := make([]*par.Cost, 0, len(s.Scales))
 		bestDist := graph.Dist(-1)
 		bestScale := -1
+		firstQ := graph.W(0) // ŵ of the first band to reach dst
 		for idx := range s.Scales {
 			b := hb
 			if b > hbMax[idx] {
@@ -121,19 +127,26 @@ func referenceQueryOn(s *Scaled, src, dst graph.V) QueryResult {
 			}
 			prev[idx] = b
 			sc := s.Scales[idx]
-			qHat := graph.W(math.Floor(zeta * (sc.D / step) / b))
-			if qHat < 1 {
-				qHat = 1
+			shift := uint(0)
+			for q := zeta * (sc.D / step) / b; q >= 2; q /= 2 {
+				shift++
+			}
+			qHat := graph.W(1) << shift
+			if firstQ > 0 && qHat < firstQ {
+				finer = true
 			}
 			levelCap := graph.Dist(math.Ceil(2*sc.D/float64(qHat))) +
 				graph.Dist(math.Ceil(b)) + 16
 			bandCost := par.NewCost()
 			res := sssp.Dial(s.Augmented(), []graph.V{src}, sssp.Options{
-				Cost: bandCost, MaxDist: levelCap, Round: qHat,
+				Cost: bandCost, MaxDist: levelCap, Shift: shift,
 			})
 			roundCosts = append(roundCosts, bandCost)
 			total.Work += bandCost.Work()
 			if res.Reached(dst) {
+				if firstQ == 0 {
+					firstQ = qHat
+				}
 				cand := graph.Dist(qHat) * res.Dist[dst]
 				if bestDist < 0 || cand < bestDist {
 					bestDist, bestScale = cand, idx
@@ -145,7 +158,7 @@ func referenceQueryOn(s *Scaled, src, dst graph.V) QueryResult {
 		total.Levels += round.Depth()
 		if bestDist >= 0 {
 			total.Dist, total.Scale = bestDist, bestScale
-			return total
+			return total, finer
 		}
 		if hb >= globalMax {
 			break
@@ -156,36 +169,64 @@ func referenceQueryOn(s *Scaled, src, dst graph.V) QueryResult {
 	total.Levels += fb.Depth()
 	total.Work += fb.Work()
 	total.Dist, total.Scale, total.Fallback = res.Dist[dst], -1, true
-	return total
+	return total, false
+}
+
+// clampedBand returns s with band k's hop-budget ceiling cut to the
+// floor of 16, by scaling the build granularity WHat it is derived
+// from, and queried from a first hop budget of 128. Band k then runs
+// at 16 hops while band k+1 runs at 128, so its ŵ is coarser than band
+// k+1's. BuildScaled never makes such bands (a later band's ŵ is never
+// finer within a round), but the sweep must stay exact on any Scaled.
+func clampedBand(s *Scaled, k int) *Scaled {
+	scales := slices.Clone(s.Scales)
+	sc := &scales[k]
+	hbMax := 4 * s.Params.ExpectedHops(int(s.Base.NumVertices()), 2*sc.D/float64(sc.WHat))
+	sc.WHat = graph.W(float64(sc.WHat) * hbMax / 16)
+	wp := s.Params
+	wp.InitialHopBudget = 128
+	return NewScaled(s.Base, scales, wp)
 }
 
 // TestQueryOnMatchesReference: on ER, R-MAT (disconnected, so the
 // Dijkstra fallback answers some pairs) and multi-scale grid graphs at
-// several seeds, and on the disconnected graph of TestQueryDisconnected,
-// QueryOn returns the full band race's Dist, Scale and Fallback for
-// every pair, with no more relaxation work.
+// several seeds, on a multi-scale 4×2048 ladder, and on the
+// disconnected graph of TestQueryDisconnected, QueryOn returns the full
+// power-of-two band race's Dist, Scale and Fallback for every pair,
+// with no more relaxation work. The ladder, on fewer pairs since the
+// reference searches every band to its cap, is also queried through
+// clampedBand, where pairs have a band after the first answer with a
+// finer ŵ, which the sweep must run, not skip.
 func TestQueryOnMatchesReference(t *testing.T) {
 	type instance struct {
-		name string
-		g    *graph.Graph
+		name  string
+		s     *Scaled
+		pairs int
 	}
+	build := func(g *graph.Graph) *Scaled { return BuildScaled(g, DefaultWeightedParams(5), nil) }
 	var instances []instance
 	for seed := uint64(1); seed <= 3; seed++ {
 		instances = append(instances,
-			instance{fmt.Sprintf("er/%d", seed), graph.UniformWeights(graph.RandomConnectedGNM(300, 1200, seed), 1000, seed+10)},
-			instance{fmt.Sprintf("rmat/%d", seed), graph.UniformWeights(graph.RMAT(8, 700, 0.57, 0.19, 0.19, seed), 200, seed+20)},
-			instance{fmt.Sprintf("multiscale-grid/%d", seed), graph.ExponentialWeights(graph.Grid2D(16, 16), 4, 5, seed)})
+			instance{fmt.Sprintf("er/%d", seed), build(graph.UniformWeights(graph.RandomConnectedGNM(300, 1200, seed), 1000, seed+10)), 60},
+			instance{fmt.Sprintf("rmat/%d", seed), build(graph.UniformWeights(graph.RMAT(8, 700, 0.57, 0.19, 0.19, seed), 200, seed+20)), 60},
+			instance{fmt.Sprintf("multiscale-grid/%d", seed), build(graph.ExponentialWeights(graph.Grid2D(16, 16), 4, 5, seed)), 60})
 	}
-	instances = append(instances, instance{"disconnected",
-		graph.FromEdges(10, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}}, false)})
-	fallbacks := 0
+	ladder := build(graph.ExponentialWeights(graph.Grid2D(4, 2048), 4, 5, 1))
+	instances = append(instances,
+		instance{"ladder", ladder, 16},
+		instance{"ladder/clamped-band-6", clampedBand(ladder, 6), 16},
+		instance{"disconnected", build(graph.FromEdges(10, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}}, false)), 60})
+	fallbacks, finer := 0, 0
 	for _, in := range instances {
-		s := BuildScaled(in.g, DefaultWeightedParams(5), nil)
+		s := in.s
 		ec := exec.Sequential()
-		pairs := append(queryPairs(in.g.NumVertices(), 60, 11), [2]graph.V{0, 3})
+		pairs := append(queryPairs(s.Base.NumVertices(), in.pairs, 11), [2]graph.V{0, 3})
 		for _, p := range pairs {
 			got := s.QueryOn(ec, p[0], p[1], nil)
-			want := referenceQueryOn(s, p[0], p[1])
+			want, f := referenceQueryOn(s, p[0], p[1])
+			if f {
+				finer++
+			}
 			if got.Dist != want.Dist || got.Scale != want.Scale || got.Fallback != want.Fallback {
 				t.Fatalf("%s %v: QueryOn %+v, reference %+v", in.name, p, got, want)
 			}
@@ -199,6 +240,49 @@ func TestQueryOnMatchesReference(t *testing.T) {
 	}
 	if fallbacks == 0 {
 		t.Fatal("no pair took the fallback: the test must cover it")
+	}
+	if finer == 0 {
+		t.Fatal("no pair had a finer band after the first answer: the test must cover one")
+	}
+}
+
+// TestQueryOnStretchNotWorse: on serve-hot's uniform 64×64 grid,
+// offline-road's multi-scale 100×100 grid and a multi-scale 4×4096
+// ladder, the mean and max stretch of QueryOn over 64 fixed pairs,
+// against ExactDistance, are no worse than before bands were rounded
+// to power-of-two granularities. The bounds are the earlier sweep's
+// figures on the same pairs, rounded up in the sixth decimal. It runs
+// one goroutine, so the race detector would only slow it twentyfold.
+func TestQueryOnStretchNotWorse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sequential quality check; nothing for the race detector")
+	}
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Graph
+		mean, max float64
+	}{
+		{"serve-grid", graph.UniformWeights(graph.Grid2D(64, 64), 50, 1), 1.013768, 1.066607},
+		{"road-grid", graph.ExponentialWeights(graph.Grid2D(100, 100), 4, 5, 1), 1.011934, 1.037176},
+		{"ladder", graph.ExponentialWeights(graph.Grid2D(4, 4096), 4, 5, 1), 1.055964, 1.133201},
+	} {
+		s := BuildScaled(tc.g, DefaultWeightedParams(1), nil)
+		ec := exec.Sequential()
+		pairs := queryPairs(tc.g.NumVertices(), 64, 5)
+		var sum, worst float64
+		for _, p := range pairs {
+			exact := s.ExactDistance(p[0], p[1])
+			got := s.QueryOn(ec, p[0], p[1], nil).Dist
+			stretch := 1.0
+			if exact > 0 {
+				stretch = float64(got) / float64(exact)
+			}
+			sum += stretch
+			worst = max(worst, stretch)
+		}
+		if mean := sum / float64(len(pairs)); mean > tc.mean || worst > tc.max {
+			t.Errorf("%s: stretch mean %.6f, max %.6f; want at most %.6f, %.6f", tc.name, mean, worst, tc.mean, tc.max)
+		}
 	}
 }
 
@@ -270,9 +354,12 @@ func TestQueryOnConcurrentCold(t *testing.T) {
 // execution context, and reports the sweep's relaxations and levels
 // per query.
 func BenchmarkScaledQueryOn(b *testing.B) {
-	g := graph.UniformWeights(graph.Grid2D(64, 64), 50, 1)
 	wp := DefaultWeightedParams(1)
 	wp.Zeta = 0.25
+	benchmarkQueryOn(b, graph.UniformWeights(graph.Grid2D(64, 64), 50, 1), wp)
+}
+
+func benchmarkQueryOn(b *testing.B, g *graph.Graph, wp WeightedParams) {
 	s := BuildScaled(g, wp, nil)
 	pairs := queryPairs(g.NumVertices(), 64, 3)
 	ec := exec.Sequential()
@@ -288,4 +375,11 @@ func BenchmarkScaledQueryOn(b *testing.B) {
 	}
 	b.ReportMetric(float64(work)/float64(b.N), "work/op")
 	b.ReportMetric(float64(levels)/float64(b.N), "levels/op")
+}
+
+// BenchmarkScaledQueryOnRoad is BenchmarkScaledQueryOn on offline-road's
+// graph shape: a 100×100 grid with multi-scale weights (base 4, five
+// scales), where the sweep runs the most bands per query.
+func BenchmarkScaledQueryOnRoad(b *testing.B) {
+	benchmarkQueryOn(b, graph.ExponentialWeights(graph.Grid2D(100, 100), 4, 5, 1), DefaultWeightedParams(1))
 }

@@ -46,10 +46,11 @@ type Options struct {
 	// legacy behavior (full GOMAXPROCS, plain allocation, no
 	// cancellation).
 	Exec *exec.Ctx
-	// Round makes Dial relax every arc at ⌈w/Round⌉ instead of w:
-	// Lemma 5.2's rounding, applied per arc so no rounded graph copy
-	// is built. Dial only; 0 or 1 = true weights, like Delta.
-	Round graph.W
+	// Shift makes Dial relax every arc at ⌈w/2^Shift⌉ instead of w:
+	// Lemma 5.2's rounding to a power-of-two granularity, applied per
+	// arc as ((w-1)>>Shift)+1, so no rounded graph copy is built and
+	// no arc pays a division. Dial only; 0 = true weights.
+	Shift uint
 	// Delta overrides the Δ-stepping bucket width (0 = the
 	// Meyer–Sanders default maxW/avgDegree). Ignored by the other
 	// searches.
@@ -183,8 +184,13 @@ func BFS(g *graph.Graph, sources []graph.V, opt Options) *Result {
 // weights, with depth equal to the number of distance levels advanced —
 // the weighted parallel BFS depth the paper quotes in Section 5. The
 // graph must be weighted (or all weights are 1 and BFS is equivalent).
-// With opt.Round = q > 1 it searches g with every weight w read as
-// ⌈w/q⌉, bit-identical to a search over the rounded copy of g.
+// With opt.Shift = s > 0 it searches g with every weight w read as
+// ⌈w/2^s⌉, bit-identical to a search over the rounded copy of g.
+//
+// Work is one per settled vertex plus the arcs it scans; a stale
+// bucket entry (a vertex queued again at a lower key) is skipped and
+// costs nothing, so Work equals Σ(1 + degree) over the settled
+// vertices.
 func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	res := newResultOn(opt.Exec, g.NumVertices())
 	dial(g, sources, &opt, graph.NoVertex, res)
@@ -194,10 +200,10 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 // DialTo is the point-to-point Dial: it returns the distance from src
 // to dst (InfDist if dst is unreachable, outside opt.MaxDist or not
 // admitted), stopping as soon as dst is settled. Its depth is the
-// number of levels up to and including dst's, its work the relaxations
-// made before dst settled. It keeps no parents, and its one distance
-// buffer comes from and returns to opt.Exec, so on an execution context
-// it allocates a small constant, not O(n).
+// number of levels up to and including dst's, its work Dial's over the
+// vertices settled before dst, plus one for dst. It keeps no parents,
+// and its one distance buffer comes from and returns to opt.Exec, so
+// on an execution context it allocates a small constant, not O(n).
 func DialTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
 	res := Result{Dist: opt.Exec.Dists(int(g.NumVertices()))}
 	sources := [1]graph.V{src}
@@ -215,11 +221,8 @@ func DialTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
 // is drained, so each finite Dist is final.
 func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result) {
 	bound := opt.bound()
-	q := opt.Round
-	maxW := g.MaxWeight()
-	if q > 1 {
-		maxW = (maxW-1)/q + 1
-	}
+	shift := opt.Shift
+	maxW := (g.MaxWeight()-1)>>shift + 1
 	if maxW < 1 {
 		maxW = 1
 	}
@@ -261,8 +264,8 @@ func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Re
 			return // canceled: partial, invalid
 		}
 		pending -= len(b)
-		var touched int64
-		for k, v := range b {
+		var work int64
+		for _, v := range b {
 			// A vertex is queued at most once per key and every entry
 			// is drained at its own key, so an entry is current iff
 			// its key is still the vertex's distance.
@@ -270,19 +273,16 @@ func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Re
 				continue // stale entry
 			}
 			if v == stop {
-				opt.Cost.AddWork(touched + int64(k+1))
+				opt.Cost.AddWork(work + 1)
 				return
 			}
 			adj := g.Neighbors(v)
 			wts := g.AdjWeights(v)
+			work += 1 + int64(len(adj))
 			for i, u := range adj {
-				touched++
 				w := graph.W(1)
 				if wts != nil {
-					w = wts[i]
-					if q > 1 {
-						w = (w-1)/q + 1 // ⌈w/q⌉ without overflow, w >= 1
-					}
+					w = (wts[i]-1)>>shift + 1 // ⌈w/2^shift⌉, w >= 1
 				}
 				// A settled u already has Dist[u] <= level < nd. An
 				// admitted nd lands in bucket nd%nb, never the one
@@ -300,7 +300,7 @@ func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Re
 		}
 		// Keep the drained bucket's capacity for its next refill.
 		buckets[int(level)%nb] = b[:0]
-		opt.Cost.AddWork(touched + int64(len(b)))
+		opt.Cost.AddWork(work)
 	}
 }
 

@@ -418,13 +418,15 @@ func TestDijkstraMatchesReference(t *testing.T) {
 	}
 }
 
-// dialRounds are the Options.Round values TestDialMatchesReference
+// dialShifts are the Options.Shift values TestDialMatchesReference
 // draws: true weights, small granularities, and one above every weight
 // in its ranges (every arc rounds to 1).
-var dialRounds = [5]graph.W{1, 2, 3, 7, 1 << 20}
+var dialShifts = [5]uint{0, 1, 2, 3, 20}
 
-// roundedCopy materialises g with every weight w replaced by ⌈w/q⌉.
-func roundedCopy(g *graph.Graph, q graph.W) *graph.Graph {
+// roundedCopy materialises g with every weight w replaced by
+// ⌈w/2^shift⌉, computed by division.
+func roundedCopy(g *graph.Graph, shift uint) *graph.Graph {
+	q := graph.W(1) << shift
 	edges := append([]graph.Edge(nil), g.Edges()...)
 	for i := range edges {
 		edges[i].W = (edges[i].W + q - 1) / q
@@ -435,14 +437,14 @@ func roundedCopy(g *graph.Graph, q graph.W) *graph.Graph {
 // Property: Dial returns the same Dist and Parent arrays, bit for bit,
 // as the reference body (which re-allocates each drained bucket,
 // reads a settled flag per arc and clears unsettled entries) on random instances with weights up
-// to 2^16; with Options.Round = q, as the reference body on the
-// materialised ⌈w/q⌉ copy of the graph.
+// to 2^16; with Options.Shift = s, as the reference body on the
+// materialised ⌈w/2^s⌉ copy of the graph.
 func TestDialMatchesReference(t *testing.T) {
 	f := func(seedRaw uint32, boundRaw, flags uint8) bool {
 		g, sources, opt := randomSearch(uint64(seedRaw), boundRaw, flags&^0x20)
-		q := dialRounds[seedRaw%uint32(len(dialRounds))]
-		want := referenceDial(roundedCopy(g, q), sources, opt)
-		opt.Round = q
+		shift := dialShifts[seedRaw%uint32(len(dialShifts))]
+		want, _ := referenceDial(roundedCopy(g, shift), sources, opt, graph.NoVertex)
+		opt.Shift = shift
 		got := Dial(g, sources, opt)
 		return slices.Equal(got.Dist, want.Dist) && slices.Equal(got.Parent, want.Parent)
 	}
@@ -453,7 +455,7 @@ func TestDialMatchesReference(t *testing.T) {
 
 // TestDialToMatchesDial: on random instances (unit and random weights
 // up to 15, parallel edges, Mark restriction, bounded and unbounded
-// MaxDist, plus an isolated vertex) and every Round in {0, 1, 3, 17},
+// MaxDist, plus an isolated vertex) and every Shift in {0, 1, 2, 4},
 // DialTo(src, dst) equals Dial's Dist[dst] for every dst — src itself,
 // vertices beyond the bound and unreachable ones included — with no
 // more depth or work than the full search.
@@ -470,8 +472,8 @@ func TestDialToMatchesDial(t *testing.T) {
 					opt.Mark = append(opt.Mark, opt.Token)
 				}
 				src := sources[0]
-				for _, q := range []graph.W{0, 1, 3, 17} {
-					opt.Round = q
+				for _, shift := range []uint{0, 1, 2, 4} {
+					opt.Shift = shift
 					fullCost := par.NewCost()
 					full := opt
 					full.Cost, full.Exec = fullCost, nil
@@ -484,8 +486,8 @@ func TestDialToMatchesDial(t *testing.T) {
 						opt.Cost, opt.Exec = cost, ec
 						got := DialTo(g, src, dst, opt)
 						if got != want[dst] {
-							t.Fatalf("flags %#x, MaxDist %d, seed %d, Round %d, %d->%d: DialTo %d, Dial %d",
-								flags, opt.MaxDist, seed, q, src, dst, got, want[dst])
+							t.Fatalf("flags %#x, MaxDist %d, seed %d, Shift %d, %d->%d: DialTo %d, Dial %d",
+								flags, opt.MaxDist, seed, shift, src, dst, got, want[dst])
 						}
 						if cost.Depth() > fullCost.Depth() || cost.Work() > fullCost.Work() {
 							t.Fatalf("flags %#x, seed %d, %d->%d: DialTo depth %d, work %d; Dial %d, %d",
@@ -512,6 +514,59 @@ func TestDialToMatchesDial(t *testing.T) {
 	}
 }
 
+// TestDialWorkCounted pins the work Dial and DialTo report to
+// referenceDial's count, on random instances (unit and random weights
+// up to 15, parallel edges, several sources, Mark restriction) at every
+// Shift in {0, 1, 3}, bounded and unbounded: Dial's work is Σ(1 +
+// degree) over the vertices it settles, and DialTo's to each dst is
+// that sum over the vertices settled before dst, plus one. The
+// instances drain stale entries, so a kernel that expanded them again
+// would report more. Dijkstra's work, the degree sum over its settled
+// vertices, is pinned on the same instances by checkDijkstra.
+func TestDialWorkCounted(t *testing.T) {
+	ec := exec.Sequential()
+	var stale int64
+	for flags := 0; flags < 16; flags++ {
+		for _, boundRaw := range []uint8{1, 20} {
+			for seed := uint64(0); seed < 3; seed++ {
+				g, sources, opt := randomSearch(seed, boundRaw, uint8(flags))
+				if err := checkDijkstra(g, sources, opt); err != nil {
+					t.Fatalf("flags %#x, MaxDist %d, seed %d: Dijkstra: %v", flags, opt.MaxDist, seed, err)
+				}
+				for _, shift := range []uint{0, 1, 3} {
+					opt.Shift = shift
+					rounded := roundedCopy(g, shift)
+					_, want := referenceDial(rounded, sources, opt, graph.NoVertex)
+					stale += want.stale
+					cost := par.NewCost()
+					full := opt
+					full.Cost = cost
+					Dial(g, sources, full)
+					if cost.Work() != want.work {
+						t.Fatalf("flags %#x, MaxDist %d, seed %d, Shift %d: Dial work %d, counted %d",
+							flags, opt.MaxDist, seed, shift, cost.Work(), want.work)
+					}
+					src := sources[0]
+					for dst := graph.V(0); dst < g.NumVertices(); dst++ {
+						_, want := referenceDial(rounded, []graph.V{src}, opt, dst)
+						cost := par.NewCost()
+						to := opt
+						to.Cost, to.Exec = cost, ec
+						DialTo(g, src, dst, to)
+						if cost.Work() != want.work {
+							t.Fatalf("flags %#x, MaxDist %d, seed %d, Shift %d, %d->%d: DialTo work %d, counted %d",
+								flags, opt.MaxDist, seed, shift, src, dst, cost.Work(), want.work)
+						}
+					}
+				}
+			}
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no instance drained a stale entry: the test must cover one")
+	}
+}
+
 // Property: Dial's parent pointers always certify the reported
 // distance.
 func TestParentCertifiesDistance(t *testing.T) {
@@ -526,12 +581,24 @@ func TestParentCertifiesDistance(t *testing.T) {
 	}
 }
 
+// dialCount is what referenceDial counts as it drains its buckets.
+type dialCount struct {
+	// work is the work Dial must report: one per settled vertex plus
+	// its degree, and one for the stop vertex, which scans nothing.
+	work int64
+	// stale is the number of drained entries whose vertex had already
+	// settled at a lower key.
+	stale int64
+}
+
 // referenceDial is Dial without its shortcuts, kept as the
-// bit-identity oracle for TestDialMatchesReference: it drops each
-// drained bucket (so every refill re-grows it), keeps a settled array
-// and tests it on every arc, and clears never-settled distances at the
-// end.
-func referenceDial(g *graph.Graph, sources []graph.V, opt Options) *Result {
+// bit-identity and work-counting oracle for TestDialMatchesReference
+// and TestDialWorkCounted: it drops each drained bucket (so every
+// refill re-grows it), keeps a settled array and tests it on every
+// arc, and clears never-settled distances at the end. It returns as
+// soon as stop settles (never, for NoVertex), with the result left
+// partial and only the count meaningful.
+func referenceDial(g *graph.Graph, sources []graph.V, opt Options, stop graph.V) (*Result, dialCount) {
 	n := g.NumVertices()
 	res := newResultOn(opt.Exec, n)
 	bound := opt.bound()
@@ -563,6 +630,7 @@ func referenceDial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 		pending++
 	}
 	settled := make([]bool, n)
+	var count dialCount
 	for level := graph.Dist(0); pending > 0 && level <= bound; level++ {
 		// Every distance level is one synchronous round of the
 		// weighted parallel BFS, empty or not: this is the "depth
@@ -574,20 +642,24 @@ func referenceDial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 			continue
 		}
 		if opt.Exec.Checkpoint() {
-			return res // canceled: partial, invalid
+			return res, count // canceled: partial, invalid
 		}
 		buckets[int(level)%nb] = nil
 		pending -= len(b)
-		var touched int64
 		for _, v := range b {
 			if settled[v] || res.Dist[v] != level {
+				count.stale++
 				continue // stale entry
 			}
 			settled[v] = true
+			count.work++
+			if v == stop {
+				return res, count
+			}
 			adj := g.Neighbors(v)
 			wts := g.AdjWeights(v)
+			count.work += int64(len(adj))
 			for i, u := range adj {
-				touched++
 				if !opt.admits(u) || settled[u] {
 					continue
 				}
@@ -604,7 +676,6 @@ func referenceDial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 				}
 			}
 		}
-		opt.Cost.AddWork(touched + int64(len(b)))
 	}
 	// Clear any tentative distances that were never settled within the
 	// bound (stale bucket entries beyond it).
@@ -616,7 +687,7 @@ func referenceDial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 			}
 		}
 	}
-	return res
+	return res, count
 }
 
 // referenceDijkstra is Dijkstra on an indexed 4-ary heap, kept as the
@@ -788,7 +859,7 @@ func TestDijkstraAllocsConstant(t *testing.T) {
 	}
 	// DialTo to the vertex the search settles last, so it relaxes
 	// every edge; the wide graph is rounded down to 2^10 buckets.
-	allocsTo := func(g *graph.Graph, round graph.W) float64 {
+	allocsTo := func(g *graph.Graph, shift uint) float64 {
 		res := Dijkstra(g, []graph.V{0}, Options{})
 		last := graph.V(0)
 		for v, d := range res.Dist {
@@ -797,12 +868,12 @@ func TestDijkstraAllocsConstant(t *testing.T) {
 			}
 		}
 		return testing.AllocsPerRun(20, func() {
-			DialTo(g, 0, last, Options{Exec: ec, Round: round})
+			DialTo(g, 0, last, Options{Exec: ec, Shift: shift})
 		})
 	}
-	sparse, dense, wide = allocsTo(sparseG, 0), allocsTo(denseG, 0), allocsTo(wideG, 1<<30)
+	sparse, dense, wide = allocsTo(sparseG, 0), allocsTo(denseG, 0), allocsTo(wideG, 30)
 	if sparse != dense || wide != dense || dense > 8 {
-		t.Fatalf("DialTo allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40, Round 2^30); want the same constant <= 8",
+		t.Fatalf("DialTo allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40, Shift 30); want the same constant <= 8",
 			sparse, dense, wide)
 	}
 }
