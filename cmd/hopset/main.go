@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	hopset -in graph.txt [-algo est|ks97|cohen|limited] [-seed N] [-queries 10] [-gamma2 0.5] [-workers N] [-parallel]
+//	hopset -in graph.txt [-algo est|ks97|cohen|limited] [-seed N] [-queries 10] [-gamma2 0.5] [-workers N]
 //	hopset -in graph.txt -save hopset.snap     # build once, persist
 //	hopset -load hopset.snap [-queries 100]    # reuse across runs
 //
@@ -35,8 +35,7 @@ func main() {
 	queries := flag.Int("queries", 10, "approximate distance queries to run (est only)")
 	gamma2 := flag.Float64("gamma2", 0.5, "top-level decomposition exponent (est only)")
 	alpha := flag.Float64("alpha", 0.5, "target depth exponent (limited only)")
-	parallel := flag.Bool("parallel", false, "run the construction's hot loops on goroutines (est only; deprecated: use -workers)")
-	workers := flag.Int("workers", 0, "worker cap for the est build: 1 = sequential, N > 1 = multicore capped at N, 0 = defer to -parallel")
+	workers := flag.Int("workers", 0, "worker cap for the est build: 0 or 1 = sequential, N > 1 = multicore capped at N")
 	save := flag.String("save", "", "write the built est hopset to this snapshot file")
 	load := flag.String("load", "", "restore an est hopset snapshot instead of building")
 	flag.Parse()
@@ -93,7 +92,6 @@ func main() {
 		} else {
 			wp := hopset.DefaultWeightedParams(*seed)
 			wp.Gamma2 = *gamma2
-			wp.Parallel = *parallel
 			if *workers > 0 {
 				wp.Exec = exec.Parallel(*workers)
 			}
@@ -152,8 +150,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hopset: unknown algorithm %q\n", *algo)
 		os.Exit(2)
 	}
-	if *parallel && *algo != "est" {
-		fmt.Fprintln(os.Stderr, "hopset: note: -parallel only affects -algo est; baselines ran sequentially")
+	if *workers > 1 && *algo != "est" {
+		fmt.Fprintln(os.Stderr, "hopset: note: -workers only affects -algo est; baselines ran sequentially")
 	}
 	if *save != "" && *algo != "est" {
 		fmt.Fprintln(os.Stderr, "hopset: note: -save only applies to -algo est; nothing was written")

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	spanner -in graph.txt [-k 3] [-algo est|baswana-sen|greedy] [-seed N] [-out spanner.txt] [-samples 200] [-workers N] [-parallel]
+//	spanner -in graph.txt [-k 3] [-algo est|baswana-sen|greedy] [-seed N] [-out spanner.txt] [-samples 200] [-workers N]
 //	spanner -in graph.txt -save sp.snap        # build once, persist
 //	spanner -in graph.txt -load sp.snap        # reuse across runs
 //
@@ -35,8 +35,7 @@ func main() {
 	algo := flag.String("algo", "est", "algorithm: est (ours), baswana-sen, greedy")
 	seed := flag.Uint64("seed", 1, "random seed")
 	samples := flag.Int("samples", 200, "edges sampled for stretch measurement (0 = skip)")
-	parallel := flag.Bool("parallel", false, "run the clustering race and boundary sweep on goroutines (est only; deprecated: use -workers)")
-	workers := flag.Int("workers", 0, "worker cap for the est build: 1 = sequential, N > 1 = multicore capped at N, 0 = defer to -parallel")
+	workers := flag.Int("workers", 0, "worker cap for the est build: 0 or 1 = sequential, N > 1 = multicore capped at N")
 	save := flag.String("save", "", "write the built spanner to this snapshot file")
 	load := flag.String("load", "", "restore a spanner snapshot instead of building (requires the matching -in graph)")
 	flag.Parse()
@@ -76,7 +75,7 @@ func main() {
 		*seed = sseed
 		res = &spanner.Result{EdgeIDs: ids}
 	case *algo == "est":
-		opts := spanner.Options{Cost: cost, Parallel: *parallel}
+		opts := spanner.Options{Cost: cost}
 		if *workers > 0 {
 			opts.Exec = exec.Parallel(*workers)
 		}
@@ -93,8 +92,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spanner: unknown algorithm %q\n", *algo)
 		os.Exit(2)
 	}
-	if *parallel && *load == "" && *algo != "est" {
-		fmt.Fprintln(os.Stderr, "spanner: note: -parallel only affects -algo est; baselines ran sequentially")
+	if *workers > 1 && *load == "" && *algo != "est" {
+		fmt.Fprintln(os.Stderr, "spanner: note: -workers only affects -algo est; baselines ran sequentially")
 	}
 
 	fmt.Printf("graph: n=%d m=%d weighted=%v ratio=%.3g\n",

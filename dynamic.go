@@ -264,10 +264,10 @@ func (d *DynamicOracle) QueryAt(gen uint64, s, t V) (Dist, error) {
 }
 
 // ExactDistanceAt computes the exact s-t distance at a pinned
-// generation via bidirectional Dijkstra over the patched adjacency —
-// no hopset approximation on any path, in any regime. It is
-// deliberately slower than Query (cost scales with the searched ball)
-// and exists for answer auditing: the serving layer shadow-samples
+// generation via point-to-point Dijkstra over the patched adjacency —
+// no hopset approximation on any path, in any regime. Its cost is one
+// O(n) scratch reset plus the searched ball, and it exists for answer
+// auditing: the serving layer shadow-samples
 // served answers and re-checks them against this ground truth.
 // Returns ErrCompactedGen when a rebuild folded gen into the base.
 func (d *DynamicOracle) ExactDistanceAt(gen uint64, s, t V) (Dist, error) {

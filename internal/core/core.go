@@ -62,29 +62,14 @@ type Options struct {
 	// bucket with pooled goroutines, its arenas back the race's O(n)
 	// scratch, and its cancellation is polled per bucket — a canceled
 	// Cluster returns an invalid partial result, so callers must check
-	// Exec.Err() before using it. Nil keeps legacy behavior.
+	// Exec.Err() before using it. Nil keeps legacy behavior. On a
+	// parallel context every bucket of the race expands with
+	// concurrent goroutines (the CRCW frontier step of Appendix A
+	// realized on cores). The output — centers, parents, distances,
+	// groupings — is bit-identical to the sequential race: settlements
+	// write disjoint vertices, and generated claims are merged back in
+	// deterministic winner order before the next bucket resolves.
 	Exec *exec.Ctx
-	// Parallel expands every bucket of the race with concurrent
-	// goroutines (the CRCW frontier step of Appendix A realized on
-	// cores). The output — centers, parents, distances, groupings — is
-	// bit-identical to the sequential race: settlements write disjoint
-	// vertices, and generated claims are merged back in deterministic
-	// winner order before the next bucket resolves.
-	//
-	// Deprecated: set Exec to a parallel execution context instead;
-	// Parallel remains as a thin alias for Exec = exec.Default().
-	Parallel bool
-}
-
-// parallel reports whether bucket expansion should fan out. An
-// explicit execution context is decisive (a sequential Exec forces
-// the reference path); the deprecated bool only matters for legacy
-// nil-Exec callers.
-func (o *Options) parallel() bool {
-	if o.Exec != nil {
-		return o.Exec.IsParallel()
-	}
-	return o.Parallel
 }
 
 // admits loads the mark atomically for the same reason sssp.Options
@@ -329,7 +314,7 @@ func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 		var touched int64
 		// Buckets below the chunk grain would run inline anyway; the
 		// direct push loop skips their per-winner buffer allocations.
-		if opt.parallel() && len(winners) > 16 {
+		if opt.Exec.IsParallel() && len(winners) > 16 {
 			// One concurrent frontier round (the Appendix A CRCW step on
 			// real cores): winners expand side by side, buffering claims
 			// per winner; buffers merge back in winner order, so bucket

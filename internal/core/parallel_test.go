@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -34,7 +35,7 @@ func sameClustering(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestClusterParallelMatchesSequential: the Parallel knob must produce
+// TestClusterParallelMatchesSequential: a parallel Exec must produce
 // a bit-identical Result — including parents — since claims merge in
 // deterministic winner order.
 func TestClusterParallelMatchesSequential(t *testing.T) {
@@ -49,7 +50,7 @@ func TestClusterParallelMatchesSequential(t *testing.T) {
 			for _, beta := range []float64{0.05, 0.3} {
 				seed := uint64(gi)*10 + uint64(beta*100)
 				seq := Cluster(g, beta, seed, Options{})
-				par := Cluster(g, beta, seed, Options{Parallel: true})
+				par := Cluster(g, beta, seed, Options{Exec: exec.Default()})
 				sameClustering(t, "vs sequential", par, seq)
 				for v := range seq.Parent {
 					if seq.Parent[v] != par.Parent[v] {
@@ -67,7 +68,7 @@ func TestClusterParallelMatchesReference(t *testing.T) {
 	withProcs(t, 4, func() {
 		for seed := uint64(0); seed < 6; seed++ {
 			g := graph.UniformWeights(graph.RandomConnectedGNM(800, 3200, seed), 9, seed^21)
-			a := Cluster(g, 0.15, seed, Options{Parallel: true})
+			a := Cluster(g, 0.15, seed, Options{Exec: exec.Default()})
 			b := ClusterReference(g, 0.15, seed, Options{})
 			sameClustering(t, "vs reference", a, b)
 			checkPartition(t, g, a, allVertices(g))
@@ -91,7 +92,7 @@ func TestClusterParallelSubset(t *testing.T) {
 		}
 		opt := Options{Vertices: subset, Mark: mark, Token: 1}
 		popt := opt
-		popt.Parallel = true
+		popt.Exec = exec.Default()
 		a := Cluster(g, 0.2, 7, popt)
 		b := ClusterReference(g, 0.2, 7, opt)
 		sameClustering(t, "subset", a, b)
@@ -117,7 +118,7 @@ func TestClusterParallelReferenceProperty(t *testing.T) {
 				g = graph.UniformWeights(g, 6, seed^5)
 			}
 			beta := 0.02 + float64(betaRaw)/256.0
-			a := Cluster(g, beta, seed, Options{Parallel: true})
+			a := Cluster(g, beta, seed, Options{Exec: exec.Default()})
 			b := ClusterReference(g, beta, seed, Options{})
 			for v := graph.V(0); v < n; v++ {
 				if a.Center[v] != b.Center[v] || a.DistToCenter[v] != b.DistToCenter[v] {
@@ -136,6 +137,6 @@ func BenchmarkClusterParallel(b *testing.B) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(20000, 80000, 1), 16, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Cluster(g, 0.1, uint64(i), Options{Parallel: true})
+		Cluster(g, 0.1, uint64(i), Options{Exec: exec.Default()})
 	}
 }

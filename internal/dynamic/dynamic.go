@@ -21,15 +21,17 @@
 //     verbatim.
 //
 //   - Degrading (some pair is inserted, deleted, or reweighted
-//     relative to G): the answer is an exact bidirectional Dijkstra
-//     over the patched adjacency (base CSR with per-edge patch
-//     resolution plus net-inserted overlay arcs):
+//     relative to G): the answer is an exact point-to-point Dijkstra
+//     on sssp's radix heap over the patched adjacency (base CSR, with
+//     per-edge patch resolution at the endpoints of patched pairs,
+//     plus net-inserted overlay arcs):
 //
 //     answer = d_{G'}
 //
 //     The overlay adds zero approximation error, paid for with query
-//     work proportional to the searched ball rather than the hopset
-//     depth. The rebuild policy bounds how long this regime lasts.
+//     work proportional to the searched ball (plus one O(n) scratch
+//     reset) rather than the hopset depth. The rebuild policy bounds
+//     how long this regime lasts.
 //
 // After the scheduler's rebuild completes at generation g*, queries
 // at g ≥ g* answer through a from-scratch oracle on G'(g*) and match
@@ -185,6 +187,12 @@ type Oracle struct {
 	// generations still scan.
 	curDirty bool
 	curIns   map[graph.V][]arc // insert adjacency at curGen (dirty only)
+
+	// touched[v] reports whether v is an endpoint of some pair in
+	// patch, at any generation: the exact search relaxes every other
+	// vertex straight from the base CSR. Apply marks a batch's pairs;
+	// Swap, which drops pairs, rebuilds it.
+	touched []bool
 }
 
 // New wraps a built static oracle (base, answering distances on
@@ -197,6 +205,7 @@ func New(base Querier, baseG *graph.Graph, floorGen uint64) *Oracle {
 		floorGen: floorGen,
 		curGen:   floorGen,
 		patch:    map[pairKey][]ver{},
+		touched:  make([]bool, baseG.NumVertices()),
 	}
 }
 
@@ -470,6 +479,7 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 		v := staged[i]
 		v.gen = d.curGen
 		d.patch[keys[i]] = append(d.patch[keys[i]], v)
+		d.touched[keys[i].a], d.touched[keys[i].b] = true, true
 		up := us[i]
 		if up.Op == OpDelete {
 			up.W = 0
@@ -615,13 +625,13 @@ func (d *Oracle) queryRLocked(gen uint64, s, t graph.V) (graph.Dist, error) {
 	}
 	// Exact search on the patched adjacency (still under the read
 	// lock — mutations wait).
-	dist := d.exactPatchedLocked(gen, s, t)
+	dist := d.exactPatchedLocked(gen, s, t, nil)
 	d.mu.RUnlock()
 	return dist, nil
 }
 
 // ExactDistanceAt computes the exact s-t distance on G'(gen) with a
-// bidirectional Dijkstra over the patched adjacency — the same search
+// point-to-point Dijkstra over the patched adjacency — the same search
 // the degrading regime serves from, run unconditionally regardless of
 // the generation's regime. Unlike QueryAt it never routes through the
 // approximate base oracle, so the answer carries no distortion
@@ -630,8 +640,9 @@ func (d *Oracle) queryRLocked(gen uint64, s, t graph.V) (graph.Dist, error) {
 // graph.InfDist for disconnected pairs. gen must lie in
 // [FloorGen, Generation] (ErrCompactedGen / ErrFutureGen otherwise —
 // an auditor holding a generation a rebuild compacted away must treat
-// that as a dropped sample, never a violation). Cost scales with the
-// searched ball, not the hopset depth; callers budget accordingly.
+// that as a dropped sample, never a violation). Cost is one O(n)
+// scratch reset plus the searched ball, not the hopset depth; callers
+// budget accordingly.
 func (d *Oracle) ExactDistanceAt(gen uint64, s, t graph.V) (graph.Dist, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -645,7 +656,7 @@ func (d *Oracle) ExactDistanceAt(gen uint64, s, t graph.V) (graph.Dist, error) {
 	if s == t {
 		return 0, nil
 	}
-	return d.exactPatchedLocked(gen, s, t), nil
+	return d.exactPatchedLocked(gen, s, t, nil), nil
 }
 
 // Swap installs a freshly built base oracle reflecting G'(upTo):
@@ -672,6 +683,10 @@ func (d *Oracle) Swap(base Querier, newG *graph.Graph, upTo uint64) error {
 			continue
 		}
 		d.patch[k] = append([]ver(nil), hist[j:]...)
+	}
+	clear(d.touched)
+	for k := range d.patch {
+		d.touched[k.a], d.touched[k.b] = true, true
 	}
 	d.refreshCurLocked()
 	return nil

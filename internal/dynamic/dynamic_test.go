@@ -403,7 +403,11 @@ func TestSchedulerForceAndCancel(t *testing.T) {
 // contract, and every answer must still be exact for
 // SOME generation in the journal window at the time it was issued —
 // we simply require it to be a finite/consistent value and leave
-// exactness to the quiescent check at the end.
+// exactness to the quiescent check at the end. The readers also take
+// the answer-quality auditor's path: ExactDistanceAt at a generation
+// pinned a few queries earlier, which a swap may have compacted away
+// meanwhile (ErrCompactedGen, a dropped sample); every other answer
+// must equal the model's distance on that generation's graph.
 func TestConcurrentQueriesDuringSwap(t *testing.T) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(50, 120, 23), 20, 24)
 	d := New(exactBase{g}, g, 0)
@@ -413,6 +417,15 @@ func TestConcurrentQueriesDuringSwap(t *testing.T) {
 		})
 	defer sch.Close()
 
+	// A reader pins Generation(), which only ever reads a batch's last
+	// generation: models holds the graph at each of them.
+	models := map[uint64]*graph.Graph{0: g}
+	type sample struct {
+		gen  uint64
+		s, t graph.V
+		d    graph.Dist
+	}
+	samples := make([][]sample, 4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -421,29 +434,52 @@ func TestConcurrentQueriesDuringSwap(t *testing.T) {
 			defer wg.Done()
 			r := rng.New(uint64(w) + 100)
 			n := g.NumVertices()
-			for {
+			var pinned uint64
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, err := d.Query(r.Int31n(n), r.Int31n(n)); err != nil {
+				s, u := r.Int31n(n), r.Int31n(n)
+				if _, err := d.Query(s, u); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
+				}
+				if i%16 == 0 {
+					pinned = d.Generation()
+				}
+				got, err := d.ExactDistanceAt(pinned, s, u)
+				switch {
+				case errors.Is(err, ErrCompactedGen):
+				case err != nil:
+					t.Errorf("worker %d: ExactDistanceAt(%d): %v", w, pinned, err)
+					return
+				case len(samples[w]) < 4096:
+					samples[w] = append(samples[w], sample{pinned, s, u, got})
 				}
 			}
 		}(w)
 	}
 	for round := 0; round < 8; round++ {
 		ups := randomUpdates(t, d, d.MutatedGraph(), 4, uint64(round)+700)
-		if _, err := d.Apply(ups); err != nil {
+		gen, err := d.Apply(ups)
+		if err != nil {
 			t.Fatal(err)
 		}
+		models[gen] = d.MutatedGraph()
 		sch.Notify()
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
+	for w := range samples {
+		for _, sm := range samples[w] {
+			if want := exactDist(models[sm.gen], sm.s, sm.t); sm.d != want {
+				t.Fatalf("worker %d: ExactDistanceAt(%d, %d, %d) = %d, model %d", w, sm.gen, sm.s, sm.t, sm.d, want)
+			}
+		}
+	}
 	if err := sch.Force(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 package dynamic
 
 import (
-	"container/heap"
-
+	"repro/internal/exec"
 	"repro/internal/graph"
+	"repro/internal/par"
+	"repro/internal/sssp"
 )
 
 // arc is one overlay edge live at some generation.
@@ -12,61 +13,9 @@ type arc struct {
 	w    graph.W
 }
 
-// ---------------------------------------------------------------------------
-// Exact patched query, serving every dirty generation: bidirectional
-// Dijkstra over the patched adjacency (base CSR with per-edge patch
-// resolution plus net-inserted overlay arcs). Exact by construction;
-// the search is sparse (maps, not O(n) arrays) so cost scales with
-// the explored ball, not the graph.
-
-type heapItem struct {
-	v graph.V
-	d graph.Dist
-}
-
-type distHeap []heapItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// side is one direction of the bidirectional search.
-type side struct {
-	dist    map[graph.V]graph.Dist
-	settled map[graph.V]bool
-	pq      distHeap
-}
-
-func newSide(src graph.V) *side {
-	s := &side{
-		dist:    map[graph.V]graph.Dist{src: 0},
-		settled: map[graph.V]bool{},
-	}
-	heap.Push(&s.pq, heapItem{v: src, d: 0})
-	return s
-}
-
-// top returns the smallest unsettled tentative distance (InfDist when
-// the frontier is exhausted), popping stale heap entries.
-func (s *side) top() graph.Dist {
-	for len(s.pq) > 0 {
-		it := s.pq[0]
-		if s.settled[it.v] || s.dist[it.v] != it.d {
-			heap.Pop(&s.pq)
-			continue
-		}
-		return it.d
-	}
-	return graph.InfDist
-}
+// scratch backs the exact search's per-query distance and queue
+// buffers with the process-wide exec arenas.
+var scratch = exec.Sequential()
 
 // insAdjLocked builds the net-insert adjacency at generation gen:
 // deleted/reweighted pairs resolve inline during CSR scans, but
@@ -92,89 +41,80 @@ func (d *Oracle) insAdjLocked(gen uint64) map[graph.V][]arc {
 }
 
 // exactPatchedLocked computes the exact s-t distance at generation
-// gen over the patched graph. Caller holds d.mu (read).
-func (d *Oracle) exactPatchedLocked(gen uint64, s, t graph.V) graph.Dist {
+// gen over the patched graph: a point-to-point Dijkstra on sssp's radix
+// heap that stops when t settles. A vertex that no pair in d.patch
+// touches is relaxed straight from the base CSR. A touched vertex
+// resolves each arc to another touched vertex against the pair's
+// history at gen (a patched pair with parallel base copies yields its
+// new weight for each copy, harmless for Dijkstra) and adds its
+// net-inserted arcs, so historical generations stay exact. cost (may
+// be nil) gains the arcs scanned, as sssp.DijkstraTo counts them.
+// Caller holds d.mu (read).
+func (d *Oracle) exactPatchedLocked(gen uint64, s, t graph.V, cost *par.Cost) graph.Dist {
 	// The common case (latest generation) reuses the adjacency that
-	// refreshCurLocked precomputed; historical generations rebuild it.
+	// refreshCurLocked precomputed (nil when that generation is clean:
+	// it has no net inserts); historical generations rebuild it.
 	ins := d.curIns
-	if gen != d.curGen || ins == nil {
+	if gen != d.curGen {
 		ins = d.insAdjLocked(gen)
 	}
-
-	// forEach visits v's patched neighbors. A patched pair with
-	// parallel base copies yields its new weight for each copy —
-	// harmless for Dijkstra.
-	forEach := func(v graph.V, visit func(to graph.V, w graph.W)) {
+	n := int(d.baseG.NumVertices())
+	dist := scratch.Dists(n)
+	buf := scratch.MarksZero(3 * n)
+	q := sssp.NewRadixHeap(dist, buf)
+	dist[s] = 0
+	q.Update(s, 0)
+	var work int64
+	for !q.Empty() {
+		v := q.Pop()
+		if v == t {
+			break
+		}
+		dv := dist[v]
+		touched := d.touched[v]
 		adj := d.baseG.Neighbors(v)
 		wts := d.baseG.AdjWeights(v)
-		for i, to := range adj {
+		work += int64(len(adj))
+		for i, u := range adj {
 			w := graph.W(1)
 			if wts != nil {
 				w = wts[i]
 			}
-			if hist := d.patch[keyOf(v, to)]; len(hist) > 0 {
-				j := 0
-				for j < len(hist) && hist[j].gen <= gen {
-					j++
-				}
-				if j > 0 {
-					pv := hist[j-1]
-					if pv.deleted {
-						continue
+			if touched && d.touched[u] {
+				if hist := d.patch[keyOf(v, u)]; len(hist) > 0 {
+					j := 0
+					for j < len(hist) && hist[j].gen <= gen {
+						j++
 					}
-					w = pv.w
+					if j > 0 {
+						if hist[j-1].deleted {
+							continue
+						}
+						w = hist[j-1].w
+					}
 				}
 			}
-			visit(to, w)
-		}
-		for _, a := range ins[v] {
-			visit(a.v, a.w)
-		}
-	}
-
-	fwd, bwd := newSide(s), newSide(t)
-	best := graph.InfDist
-	for {
-		tf, tb := fwd.top(), bwd.top()
-		if tf >= graph.InfDist && tb >= graph.InfDist {
-			break
-		}
-		if tf >= graph.InfDist || tb >= graph.InfDist {
-			// One side exhausted its whole component. If the searches
-			// never met, s and t are disconnected — settling the rest of
-			// the other component cannot change that. If they met, any
-			// remaining two-sided path costs at least the live frontier's
-			// top (the exhausted side contributes ≥ 0), so stop once that
-			// passes best.
-			if best >= graph.InfDist || min(tf, tb) >= best {
-				break
+			// Weights are positive, so a settled u never passes.
+			if nd := dv + w; nd < dist[u] {
+				dist[u] = nd
+				q.Update(u, nd)
 			}
-		} else if tf+tb >= best {
-			break
 		}
-		// Expand the cheaper frontier; the other side's map is the
-		// meeting detector.
-		cur, other := fwd, bwd
-		if tb < tf {
-			cur, other = bwd, fwd
-		}
-		it := heap.Pop(&cur.pq).(heapItem)
-		if cur.settled[it.v] || cur.dist[it.v] != it.d {
+		if !touched {
 			continue
 		}
-		cur.settled[it.v] = true
-		forEach(it.v, func(to graph.V, w graph.W) {
-			nd := it.d + graph.Dist(w)
-			if od, ok := cur.dist[to]; !ok || nd < od {
-				cur.dist[to] = nd
-				heap.Push(&cur.pq, heapItem{v: to, d: nd})
+		work += int64(len(ins[v]))
+		for _, a := range ins[v] {
+			if nd := dv + a.w; nd < dist[a.v] {
+				dist[a.v] = nd
+				q.Update(a.v, nd)
 			}
-			if bd, ok := other.dist[to]; ok {
-				if cand := it.d + graph.Dist(w) + bd; cand < best {
-					best = cand
-				}
-			}
-		})
+		}
 	}
-	return best
+	cost.AddWork(work)
+	cost.AddDepth(work)
+	ans := dist[t]
+	scratch.PutMarks(buf)
+	scratch.PutDists(dist)
+	return ans
 }

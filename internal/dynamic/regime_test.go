@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/par"
+	"repro/internal/rng"
 )
 
 // findNonEdge returns a vertex pair with no base edge in g.
@@ -271,5 +273,57 @@ func TestExactDistanceAtDisconnected(t *testing.T) {
 	// Generation 0 still sees the intact grid.
 	if got, err := d.ExactDistanceAt(0, 0, 15); err != nil || got != exactDist(g, 0, 15) {
 		t.Fatalf("gen 0: got (%d, %v), want (%d, nil)", got, err, exactDist(g, 0, 15))
+	}
+}
+
+// BenchmarkExactDistanceAt times the overlay's exact search, the
+// ground truth the answer-quality auditor and perfbench's answer
+// checker call, on offline-road's graph shape (a 100×100 grid with
+// multi-scale weights: base 4, five scales), cycling over 64 fixed
+// random pairs. The clean overlay has an empty journal; the dirty one
+// carries 8 inserted long-range shortcuts, so its search walks patched
+// vertices and inserted arcs too. work/op is the arcs the search scans
+// per query, averaged over the pairs.
+func BenchmarkExactDistanceAt(b *testing.B) {
+	g := graph.ExponentialWeights(graph.Grid2D(100, 100), 4, 5, 1)
+	n := g.NumVertices()
+	r := rng.New(3)
+	pairs := make([][2]graph.V, 64)
+	for i := range pairs {
+		pairs[i] = [2]graph.V{r.Int31n(n), r.Int31n(n)}
+	}
+	for _, tc := range []struct {
+		name    string
+		inserts int
+	}{{"clean", 0}, {"dirty-8-inserts", 8}} {
+		b.Run(tc.name, func(b *testing.B) {
+			d := New(exactBase{g}, g, 0)
+			var ups []Update
+			for i := 0; i < tc.inserts; i++ {
+				ups = append(ups, Update{Op: OpInsert, U: graph.V(i * 11), V: n - 1 - graph.V(i*17), W: graph.W(i + 1)})
+			}
+			if len(ups) > 0 {
+				if _, err := d.Apply(ups); err != nil {
+					b.Fatal(err)
+				}
+			}
+			gen := d.Generation()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if _, err := d.ExactDistanceAt(gen, p[0], p[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			cost := par.NewCost()
+			d.mu.RLock()
+			for _, p := range pairs {
+				d.exactPatchedLocked(gen, p[0], p[1], cost)
+			}
+			d.mu.RUnlock()
+			b.ReportMetric(float64(cost.Work())/float64(len(pairs)), "work/op")
+		})
 	}
 }

@@ -74,7 +74,7 @@ func SpannerStretch(g *graph.Graph, spannerIDs []int32, samples int, seed uint64
 // and t are disconnected. Doubling plus binary search over
 // hop-limited Bellman–Ford rounds.
 func HopsForApprox(g *graph.Graph, extra []graph.Edge, s, t graph.V, eps float64) int {
-	exact := sssp.Dijkstra(g, []graph.V{s}, sssp.Options{}).Dist[t]
+	exact := sssp.DijkstraTo(g, s, t, sssp.Options{})
 	if exact == graph.InfDist {
 		return -1
 	}

@@ -10,8 +10,7 @@
 // A Ctx replaces the Parallel bool knobs that used to be duplicated
 // across sssp.Options, core.Options, spanner.Options, and
 // hopset.Params: algorithms take an optional *Ctx and derive their
-// parallelism, scratch space, and cancellation from it. The old knobs
-// remain as thin deprecated wrappers.
+// parallelism, scratch space, and cancellation from it.
 //
 // # Nil semantics
 //
@@ -120,12 +119,12 @@ func Sequential() *Ctx { return New(Options{Workers: 1}) }
 // GOMAXPROCS) with arenas on and no cancellation.
 func Parallel(workers int) *Ctx { return New(Options{Workers: workers}) }
 
-// defaultCtx is the shared process-wide parallel context used by the
-// deprecated Parallel-bool wrappers.
+// defaultCtx is the shared process-wide parallel context behind the
+// facade's *Parallel helpers.
 var defaultCtx = Parallel(0)
 
 // Default returns the shared full-parallelism Ctx (GOMAXPROCS workers,
-// arenas on, never canceled). The deprecated Parallel knobs map to it.
+// arenas on, never canceled).
 func Default() *Ctx { return defaultCtx }
 
 // Detached returns a Ctx with the same worker cap and arena setting

@@ -117,7 +117,6 @@ func checkScaledEqual(t *testing.T, want, got *hopset.Scaled, label string) {
 
 func stripExec(wp hopset.WeightedParams) hopset.WeightedParams {
 	wp.Exec = nil
-	wp.Parallel = false
 	return wp
 }
 

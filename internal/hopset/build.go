@@ -63,7 +63,7 @@ func buildOn(gWork, gTrue *graph.Graph, p Params, cost *par.Cost) *Result {
 		gWork:    gWork,
 		gTrue:    gTrue,
 		p:        p,
-		ec:       p.exec(),
+		ec:       p.Exec,
 		rho:      p.Rho(n),
 		nfinal:   p.NFinal(n),
 		betaStep: p.BetaStep(n),
@@ -129,7 +129,6 @@ func (b *builder) recurse(subset []graph.V, token int32, beta float64, level int
 		Mark:     b.mark,
 		Token:    token,
 		Exec:     b.ec,
-		Parallel: b.p.Parallel,
 	})
 	if b.ec.Canceled() {
 		return nil // clus is partial; do not consume it

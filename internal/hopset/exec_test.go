@@ -11,9 +11,9 @@ import (
 )
 
 // TestBuildExecEquivalence: driving the build through an execution
-// context must reproduce the deprecated knobs exactly — a sequential
-// ctx matches the legacy sequential build, a parallel ctx matches
-// Parallel=true.
+// context must reproduce the legacy builds exactly — a sequential ctx
+// matches the nil-Exec sequential build, a 4-worker ctx matches the
+// shared full-parallelism exec.Default().
 func TestBuildExecEquivalence(t *testing.T) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(600, 2400, 21), 12, 22)
 	base := DefaultParams(7)
@@ -26,7 +26,7 @@ func TestBuildExecEquivalence(t *testing.T) {
 	assertSameEdges(t, "sequential-ctx", legacySeq.Edges, seq.Edges)
 
 	pLegacyPar := base
-	pLegacyPar.Parallel = true
+	pLegacyPar.Exec = exec.Default()
 	legacyPar := Build(g, pLegacyPar, nil)
 	pPar := base
 	pPar.Exec = exec.Parallel(4)

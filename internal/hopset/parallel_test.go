@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/sssp"
 )
@@ -24,7 +25,7 @@ func withProcs(t *testing.T, p int, body func()) {
 func TestBuildParallelMetricPreserved(t *testing.T) {
 	withProcs(t, 4, func() {
 		p := DefaultParams(2)
-		p.Parallel = true
+		p.Exec = exec.Default()
 		g := graph.RandomConnectedGNM(600, 2400, 1)
 		res := Build(g, p, nil)
 		if res.Size() == 0 {
@@ -34,7 +35,7 @@ func TestBuildParallelMetricPreserved(t *testing.T) {
 
 		wg := graph.UniformWeights(graph.Grid2D(20, 20), 5, 4)
 		wp := DefaultParams(5)
-		wp.Parallel = true
+		wp.Exec = exec.Default()
 		wres := Build(wg, wp, nil)
 		checkMetricPreserved(t, wg, wres.Edges, 6)
 	})
@@ -50,7 +51,7 @@ func TestBuildParallelSameStructure(t *testing.T) {
 		g := graph.UniformWeights(graph.RandomConnectedGNM(500, 2000, 11), 4, 12)
 		seq := Build(g, DefaultParams(13), nil)
 		pp := DefaultParams(13)
-		pp.Parallel = true
+		pp.Exec = exec.Default()
 		par := Build(g, pp, nil)
 		if seq.Stars != par.Stars || seq.Levels != par.Levels || seq.Cliques != par.Cliques {
 			t.Fatalf("structure diverged: stars %d/%d cliques %d/%d levels %d/%d",
@@ -89,12 +90,12 @@ func TestBuildParallelSameStructure(t *testing.T) {
 }
 
 // TestBuildScaledParallelQueries: the end-to-end multi-scale build and
-// query engine stay sound and tight with the Parallel knob on.
+// query engine stay sound and tight on a parallel execution context.
 func TestBuildScaledParallelQueries(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := graph.UniformWeights(graph.Grid2D(15, 15), 30, 21)
 		wp := DefaultWeightedParams(22)
-		wp.Parallel = true
+		wp.Exec = exec.Default()
 		s := BuildScaled(g, wp, nil)
 		distortion := wp.ExpectedDistortion(int(g.NumVertices()))
 		for _, pairSeed := range []graph.V{0, 7, 100} {

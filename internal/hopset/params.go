@@ -56,36 +56,17 @@ type Params struct {
 	// expansions, and the clique searches; its arenas back the mark
 	// array and search scratch; its cancellation is polled at
 	// recursion and band boundaries (a canceled build's result is
-	// invalid — check Exec.Err()). A parallel context implies the
-	// multicore construction exactly as Parallel did. Nil keeps legacy
-	// behavior (Parallel decides, process-wide pool).
+	// invalid — check Exec.Err()). Nil keeps legacy behavior
+	// (sequential, plain allocation). On a parallel context the
+	// construction's hot loops run on actual goroutines: every
+	// clustering bucket expands concurrently and the center-to-center
+	// clique searches use Δ-stepping instead of the sequential Dial.
+	// The clustering — and hence the recursion tree, star edges, and
+	// which center pairs get clique edges — is bit-identical to the
+	// sequential build; clique edge weights may differ within the same
+	// shortest-path metric when the rounded graph admits several
+	// shortest trees (any raced path is a valid Definition 2.4 edge).
 	Exec *exec.Ctx
-	// Parallel runs the construction's hot loops on actual goroutines:
-	// every clustering bucket expands concurrently and the
-	// center-to-center clique searches use Δ-stepping instead of the
-	// sequential Dial. The clustering — and hence the recursion tree,
-	// star edges, and which center pairs get clique edges — is
-	// bit-identical to the sequential build; clique edge weights may
-	// differ within the same shortest-path metric when the rounded
-	// graph admits several shortest trees (any raced path is a valid
-	// Definition 2.4 edge).
-	//
-	// Deprecated: set Exec to a parallel execution context instead;
-	// Parallel remains as a thin alias for Exec = exec.Default().
-	Parallel bool
-}
-
-// exec resolves the effective execution context: an explicit Exec
-// wins; otherwise the deprecated Parallel knob maps to the shared
-// full-parallelism context, and false to legacy nil.
-func (p Params) exec() *exec.Ctx {
-	if p.Exec != nil {
-		return p.Exec
-	}
-	if p.Parallel {
-		return exec.Default()
-	}
-	return nil
 }
 
 // DefaultParams returns the parameter point used by most experiments:

@@ -66,8 +66,9 @@ type QueryResult struct {
 // per-round level caps at O(n^η · h / ζ) — the Lemma 5.2 level count.
 //
 // If every band exhausts its budget — a probabilistic event — Query
-// falls back to an exact Dijkstra on the augmented graph, so the
-// answer is always finite iff s and t are connected.
+// falls back to an exact point-to-point Dijkstra on the base graph
+// (hopset edges are real paths, so the base graph has the same
+// metric), and the answer is always finite iff s and t are connected.
 func (s *Scaled) Query(src, dst graph.V, cost *par.Cost) QueryResult {
 	return s.QueryOn(nil, src, dst, cost)
 }
@@ -75,39 +76,17 @@ func (s *Scaled) Query(src, dst graph.V, cost *par.Cost) QueryResult {
 // QueryOn is Query on an execution context: every band search draws
 // its arrays from ec's arenas and releases them before it returns, so
 // steady-state query traffic stops allocating O(n) buffers per band
-// per query, and the augmented graph is fetched once per query. The
+// per query, and the augmented graph and hop-budget ceilings are
+// fetched once per query (see queryPlan). The
 // context must never be canceled (use exec.Ctx.Detached from a build
 // context): queries have no notion of a partial answer.
 func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryResult {
 	if src == dst {
 		return QueryResult{Dist: 0, Scale: -1}
 	}
-	n := int(s.Base.NumVertices())
-	step := math.Pow(float64(n), s.Params.Eta)
-	if step < 2 {
-		step = 2
-	}
+	plan := s.queryPlan()
 	zeta := s.Params.Zeta
-	aug := s.Augmented()
 	var total QueryResult
-
-	// Per-band hop-budget ceilings (Lemma 4.2 in build-rounded units,
-	// with the paper's 4x Markov slack, clamped to n).
-	hbMax := make([]float64, len(s.Scales))
-	globalMax := 16.0
-	for i, sc := range s.Scales {
-		hb := 4 * s.Params.ExpectedHops(n, 2*sc.D/float64(sc.WHat))
-		if hb < 16 {
-			hb = 16
-		}
-		if hb > float64(n) {
-			hb = float64(n)
-		}
-		hbMax[i] = hb
-		if hb > globalMax {
-			globalMax = hb
-		}
-	}
 
 	esc := s.Params.Escalation
 	if esc < 2 {
@@ -117,25 +96,23 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 	if hb0 < 1 {
 		hb0 = 16
 	}
-	prev := make([]float64, len(s.Scales)) // last budget attempted per band
+	// hb grows every round, so a band has nothing new to try once its
+	// ceiling is at most the previous round's budget.
+	prevHB := 0.0
 	for hb := hb0; ; hb *= esc {
-		if hb > globalMax {
-			hb = globalMax
+		if hb > plan.hbTop {
+			hb = plan.hbTop
 		}
 		bestDist := graph.Dist(-1)
 		bestScale := -1
 		var bestShift uint // log₂ ŵ of the band that set bestDist
 		for idx := range s.Scales {
-			b := hb
-			if b > hbMax[idx] {
-				b = hbMax[idx]
-			}
-			if b <= prev[idx] {
+			if plan.hbMax[idx] <= prevHB {
 				continue // this band is already exhausted
 			}
-			prev[idx] = b
+			b := min(hb, plan.hbMax[idx])
 			sc := s.Scales[idx]
-			floor := sc.D / step
+			floor := sc.D / plan.step
 			var shift uint // ŵ = 2^shift ≤ ζ·floor/b, or 1
 			if q := zeta * floor / b; q >= 2 {
 				shift = uint(bits.Len64(uint64(q))) - 1
@@ -156,7 +133,7 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 				}
 			}
 			bandCost := par.NewCost()
-			d := sssp.DialTo(aug, src, dst, sssp.Options{
+			d := sssp.DialTo(plan.aug, src, dst, sssp.Options{
 				Cost:    bandCost,
 				MaxDist: levelCap,
 				Exec:    ec,
@@ -174,28 +151,25 @@ func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryRe
 			total.Scale = bestScale
 			return total
 		}
-		if hb >= globalMax {
+		if hb >= plan.hbTop {
 			break
 		}
+		prevHB = hb
 	}
 
-	// Deterministic fallback: exact on the augmented graph (same
-	// metric as the base graph).
+	// Deterministic fallback: exact on the base graph.
 	fb := par.NewCost()
-	res := sssp.Dijkstra(aug, []graph.V{src}, sssp.Options{Cost: fb, Exec: ec})
+	total.Dist = sssp.DijkstraTo(s.Base, src, dst, sssp.Options{Cost: fb, Exec: ec})
 	cost.AddSequential(fb)
 	total.Levels += fb.Depth()
 	total.Work += fb.Work()
-	total.Dist = res.Dist[dst]
 	total.Scale = -1
 	total.Fallback = true
-	res.Release(ec)
 	return total
 }
 
-// ExactDistance returns the true s-t distance via Dijkstra on the base
-// graph; tests and benchmarks use it as ground truth.
+// ExactDistance returns the true s-t distance via DijkstraTo on the
+// base graph; tests and benchmarks use it as ground truth.
 func (s *Scaled) ExactDistance(src, dst graph.V) graph.Dist {
-	res := sssp.Dijkstra(s.Base, []graph.V{src}, sssp.Options{})
-	return res.Dist[dst]
+	return sssp.DijkstraTo(s.Base, src, dst, sssp.Options{})
 }

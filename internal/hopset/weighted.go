@@ -85,16 +85,24 @@ type Scaled struct {
 	// Params echoes the construction parameters.
 	Params WeightedParams
 
-	mu  sync.Mutex
-	aug *graph.Graph // lazily built Base ∪ all hopset edges
+	mu   sync.Mutex
+	plan *queryPlan // built on first use
+}
+
+// queryPlan is what every query reads and no query changes.
+type queryPlan struct {
+	aug   *graph.Graph // Base ∪ all hopset edges
+	step  float64      // n^Eta, at least 2: band D's floor is D/step
+	hbMax []float64    // per-band hop-budget ceilings
+	hbTop float64      // the largest ceiling, at least 16
 }
 
 // NewScaled assembles a queryable Scaled from already-built parts —
 // the snapshot decoder's entry point. The caller guarantees the scales
 // were produced by BuildScaled over base with wp (the codec verifies
 // structural invariants; semantic fidelity is the encoder's job).
-// The augmented query graph starts cold and is rebuilt lazily,
-// exactly as after a fresh build.
+// The query plan (augmented graph included) starts cold and is
+// rebuilt lazily, exactly as after a fresh build.
 func NewScaled(base *graph.Graph, scales []Scale, wp WeightedParams) *Scaled {
 	return &Scaled{Base: base, Scales: scales, Params: wp}
 }
@@ -102,8 +110,9 @@ func NewScaled(base *graph.Graph, scales []Scale, wp WeightedParams) *Scaled {
 // Rebind points the hopset at an equivalent base graph (same
 // fingerprint; the caller validates). Snapshot loading uses it to
 // share the caller's already-resident graph instead of the embedded
-// copy. A cached augmented graph survives: it is built from edge
-// values only, and a fingerprint-equal graph has bit-identical edges.
+// copy. A cached query plan survives: it is built from edge values and
+// the vertex count only, and a fingerprint-equal graph has
+// bit-identical edges.
 func (s *Scaled) Rebind(base *graph.Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,7 +246,7 @@ func BuildScaled(g *graph.Graph, wp WeightedParams, cost *par.Cost) *Scaled {
 	}
 
 	// The bands are independent: they run side by side in the model.
-	ec := wp.Params.exec()
+	ec := wp.Exec
 	costs := make([]*par.Cost, len(jobs))
 	scales := make([]Scale, len(jobs))
 	for i, jb := range jobs {
@@ -293,11 +302,27 @@ func roundGraph(g *graph.Graph, wHat graph.W) *graph.Graph {
 // edges, with true weights. Because hopset edges are real path
 // weights, the augmented graph has exactly the same shortest-path
 // metric as Base.
-func (s *Scaled) Augmented() *graph.Graph {
+func (s *Scaled) Augmented() *graph.Graph { return s.queryPlan().aug }
+
+// queryPlan returns (and caches) the query plan: the augmented graph,
+// and each band's hop-budget ceiling — Lemma 4.2's bound in
+// build-rounded units, with the paper's 4x Markov slack, clamped to
+// [16, n].
+func (s *Scaled) queryPlan() *queryPlan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.aug != nil {
-		return s.aug
+	if s.plan != nil {
+		return s.plan
+	}
+	n := int(s.Base.NumVertices())
+	p := &queryPlan{step: max(math.Pow(float64(n), s.Params.Eta), 2),
+		hbMax: make([]float64, len(s.Scales)), hbTop: 16}
+	for i, sc := range s.Scales {
+		hb := min(max(4*s.Params.ExpectedHops(n, 2*sc.D/float64(sc.WHat)), 16), float64(n))
+		p.hbMax[i] = hb
+		if hb > p.hbTop {
+			p.hbTop = hb
+		}
 	}
 	base := s.Base.Edges()
 	extra := s.Edges()
@@ -310,6 +335,7 @@ func (s *Scaled) Augmented() *graph.Graph {
 		all = append(all, graph.Edge{U: e.U, V: e.V, W: w})
 	}
 	all = append(all, extra...)
-	s.aug = graph.FromEdges(s.Base.NumVertices(), all, true)
-	return s.aug
+	p.aug = graph.FromEdges(s.Base.NumVertices(), all, true)
+	s.plan = p
+	return p
 }

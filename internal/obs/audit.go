@@ -6,7 +6,7 @@ package obs
 // none of them would notice the one failure mode that actually
 // matters for a distance oracle: silently wrong answers. The Auditor
 // closes that gap by shadow-sampling served queries and re-checking
-// them against an exact recomputation (bidirectional Dijkstra over
+// them against an exact recomputation (point-to-point Dijkstra over
 // the patched adjacency, pinned to the generation the answer was
 // served at). The observed stretch ratio served/exact is accumulated
 // into per-(graph, regime) log-spaced histograms; a ratio outside the

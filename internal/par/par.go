@@ -49,8 +49,9 @@
 //     buffer merges, the CAS retry loop — is machine detail outside
 //     the model and is never recorded.
 //
-// Consequently a routine reports the same (work, depth) whether its
-// Parallel knob is on or off; only wall-clock changes. Benchmarks
+// Consequently a routine reports the same (work, depth) whether it
+// runs on a sequential or a parallel execution context; only
+// wall-clock changes. Benchmarks
 // (BenchmarkWeightedSSSP and friends) measure the wall-clock side —
 // the "does the PRAM model translate to cores" check.
 //

@@ -819,7 +819,7 @@ func (r *Registry) Close() {
 // registerAudit installs a ready graph's exact-recheck hook and
 // stretch envelope into the answer auditor. The recheck pins the
 // sampled generation through the dynamic overlay's patched
-// bidirectional Dijkstra — ground truth, no hopset on any path — and
+// point-to-point Dijkstra — ground truth, no hopset on any path — and
 // maps a generation compacted away by a rebuild to obs.ErrAuditStale
 // (a counted skip, never a violation). Runs before the executor is
 // instrumented so the first sampled query already finds the graph

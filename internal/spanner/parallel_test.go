@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/par"
 )
@@ -27,7 +28,7 @@ func sameEdgeIDs(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestUnweightedParallelIdentical: Options.Parallel must reproduce the
+// TestUnweightedParallelIdentical: a parallel Options.Exec must reproduce the
 // sequential construction's exact edge set (the clustering is
 // bit-identical and the boundary selection is per-vertex).
 func TestUnweightedParallelIdentical(t *testing.T) {
@@ -35,7 +36,7 @@ func TestUnweightedParallelIdentical(t *testing.T) {
 		for seed := uint64(0); seed < 5; seed++ {
 			g := graph.RandomConnectedGNM(1200, 6000, seed)
 			seq := UnweightedOpts(g, 3, seed, Options{})
-			par := UnweightedOpts(g, 3, seed, Options{Parallel: true})
+			par := UnweightedOpts(g, 3, seed, Options{Exec: exec.Default()})
 			sameEdgeIDs(t, "unweighted", par, seq)
 		}
 	})
@@ -48,7 +49,7 @@ func TestWeightedParallelIdentical(t *testing.T) {
 		for seed := uint64(0); seed < 4; seed++ {
 			g := graph.ExponentialWeights(graph.RandomConnectedGNM(600, 2400, seed), 2, 20, seed^9)
 			seq := WeightedOpts(g, 4, seed, Options{})
-			par := WeightedOpts(g, 4, seed, Options{Parallel: true})
+			par := WeightedOpts(g, 4, seed, Options{Exec: exec.Default()})
 			sameEdgeIDs(t, "weighted", par, seq)
 		}
 	})
@@ -62,7 +63,7 @@ func TestParallelCostAccounted(t *testing.T) {
 		cSeq := par.NewCost()
 		UnweightedOpts(g, 3, 7, Options{Cost: cSeq})
 		cPar := par.NewCost()
-		UnweightedOpts(g, 3, 7, Options{Cost: cPar, Parallel: true})
+		UnweightedOpts(g, 3, 7, Options{Cost: cPar, Exec: exec.Default()})
 		if cSeq.Work() != cPar.Work() {
 			t.Fatalf("work diverged: %d vs %d", cSeq.Work(), cPar.Work())
 		}

@@ -42,29 +42,11 @@ type Options struct {
 	// clustering races, boundary sweeps, and weighted groups on the
 	// pooled workers under its cap; its cancellation is polled at
 	// bucket boundaries (a canceled build's result is invalid — check
-	// Exec.Err()). Nil keeps legacy behavior.
+	// Exec.Err()). Nil keeps legacy behavior. The resulting edge set
+	// is identical on a parallel context (the clustering is
+	// bit-identical and per-vertex boundary choices are independent;
+	// the id list is canonicalized by sorting).
 	Exec *exec.Ctx
-	// Parallel runs the construction's hot loops on goroutines: the
-	// EST clustering race expands buckets concurrently and the
-	// boundary-edge selection sweeps vertices in parallel chunks. The
-	// resulting edge set is identical to the sequential construction
-	// (the clustering is bit-identical and per-vertex boundary choices
-	// are independent; the id list is canonicalized by sorting).
-	//
-	// Deprecated: set Exec to a parallel execution context instead;
-	// Parallel remains as a thin alias for Exec = exec.Default().
-	Parallel bool
-}
-
-// parallel reports whether the multicore paths should run. An
-// explicit execution context is decisive (a sequential Exec forces
-// the reference path); the deprecated bool only matters for legacy
-// nil-Exec callers.
-func (o Options) parallel() bool {
-	if o.Exec != nil {
-		return o.Exec.IsParallel()
-	}
-	return o.Parallel
 }
 
 // Result is a spanner: a subset of the input graph's canonical edge
@@ -108,7 +90,7 @@ func Unweighted(g *graph.Graph, k int, seed uint64, cost *par.Cost) *Result {
 }
 
 // UnweightedOpts is Unweighted with the full option set (notably
-// Options.Parallel for multicore execution).
+// Options.Exec for multicore execution).
 func UnweightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
 	if k < 1 {
 		panic(fmt.Sprintf("spanner: k = %d", k))
@@ -129,7 +111,7 @@ func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *
 	}
 	beta := betaFor(n, k)
 	clus := core.Cluster(g, beta, seed, core.Options{
-		Cost: cost, UnitWeights: true, Exec: opt.Exec, Parallel: opt.Parallel,
+		Cost: cost, UnitWeights: true, Exec: opt.Exec,
 	})
 	if opt.Exec.Canceled() {
 		return nil, clus // partial, invalid; owner must check Err()
@@ -138,7 +120,7 @@ func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *
 
 	// Boundary edges: per vertex, the lightest edge to each adjacent
 	// foreign cluster (Algorithm 2 line 2). One parallel round over
-	// vertices in the model; with opt.Parallel the sweep runs on
+	// vertices in the model; on a parallel opt.Exec the sweep runs on
 	// goroutine chunks (per-vertex choices are independent, and
 	// uniqueIDs sorts, so the output does not depend on merge order).
 	var boundaryWork atomic.Int64
@@ -182,7 +164,7 @@ func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *
 		ids = append(ids, local...)
 		mu.Unlock()
 	}
-	if opt.parallel() {
+	if opt.Exec.IsParallel() {
 		opt.Exec.For(int(n), 1024, collect)
 	} else {
 		collect(0, int(n))
@@ -325,8 +307,8 @@ func Weighted(g *graph.Graph, k int, seed uint64, cost *par.Cost) *Result {
 	return WeightedOpts(g, k, seed, Options{Cost: cost})
 }
 
-// WeightedOpts is Weighted with the full option set. With
-// Options.Parallel the O(log k) well-separated groups — independent by
+// WeightedOpts is Weighted with the full option set. On a parallel
+// Options.Exec the O(log k) well-separated groups — independent by
 // construction, side by side in the model — also run on their own
 // goroutines, each with parallel clustering inside.
 func WeightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
@@ -356,7 +338,7 @@ func WeightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
 		gOpt.Cost = costs[j]
 		perGroup[j] = wellSeparated(g, groupEdges[j], k, seeds[j], gOpt)
 	}
-	if opt.parallel() {
+	if opt.Exec.IsParallel() {
 		opt.Exec.DoN(groups, runGroup)
 	} else {
 		for j := 0; j < groups; j++ {

@@ -306,14 +306,9 @@ func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Re
 
 // Dijkstra is the exact sequential reference implementation, run on
 // the radix heap of Ahuja, Mehlhorn, Orlin and Tarjan (JACM 1990) keyed
-// by Result.Dist: O(m + n log C) for integer weights up to C, with one
-// queue for every weight range. Weights are strictly positive, so
-// popped keys never decrease; a queued key k sits in bucket
-// bits.Len64(k ^ last), where last is the most recent popped minimum.
-// Each bucket is an intrusive doubly linked list over per-vertex
-// next/prev arrays, so decrease-key is O(1), the queue never holds a
-// stale entry or allocates per push, and a run on an execution
-// context takes every O(n) buffer from the arenas: the allocation
+// by Result.Dist (see RadixHeap): O(m + n log C) for integer weights up
+// to C, with one queue for every weight range. A run on an execution
+// context takes every O(n) buffer from the arenas, so the allocation
 // count is a constant independent of n, m and the weights.
 //
 // Distances are exact; parents form some certifying shortest-path tree
@@ -323,60 +318,103 @@ func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Re
 // sequential algorithm: work and depth both equal the edges scanned
 // from settled vertices.
 func Dijkstra(g *graph.Graph, sources []graph.V, opt Options) *Result {
-	n := g.NumVertices()
-	res := newResultOn(opt.Exec, n)
+	res := newResultOn(opt.Exec, g.NumVertices())
+	dijkstra(g, sources, &opt, graph.NoVertex, res)
+	return res
+}
+
+// DijkstraTo is the point-to-point Dijkstra, the radix-heap twin of
+// DialTo: it returns the distance from src to dst (InfDist if dst is
+// unreachable, outside opt.MaxDist or not admitted), stopping as soon
+// as dst is settled. Its work and depth are the edges scanned from the
+// vertices settled before dst; dst itself scans nothing. It keeps no
+// parents, and its distance and queue buffers come from and return to
+// opt.Exec, so on an execution context it allocates a small constant,
+// not O(n). This is the repository's one exact s–t kernel: every
+// ground-truth distance and every exact fallback runs on it.
+func DijkstraTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
+	res := Result{Dist: opt.Exec.Dists(int(g.NumVertices()))}
+	sources := [1]graph.V{src}
+	dijkstra(g, sources[:], &opt, dst, &res)
+	d := res.Dist[dst]
+	opt.Exec.PutDists(res.Dist)
+	return d
+}
+
+// dijkstra is the radix-heap search behind Dijkstra and DijkstraTo. It
+// settles vertices into res in distance order and returns as soon as
+// stop is settled (never, for NoVertex); it records parents only when
+// res.Parent is non-nil. A run that is not canceled drains every
+// queued vertex it does not stop before, so each finite Dist it
+// leaves is final.
+func dijkstra(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result) {
+	n := int(g.NumVertices())
 	bound := opt.bound()
 	// One arena buffer holds the three per-vertex queue arrays.
-	buf := opt.Exec.MarksZero(3 * int(n))
+	buf := opt.Exec.MarksZero(3 * n)
 	defer opt.Exec.PutMarks(buf)
-	q := newRadixHeap(res.Dist, buf)
+	q := NewRadixHeap(res.Dist, buf)
 	for _, s := range sources {
-		if !opt.admits(s) || q.slot[s] != 0 {
+		if !opt.admits(s) || res.Dist[s] == 0 {
 			continue
 		}
 		res.Dist[s] = 0
-		q.update(s, 0)
+		q.Update(s, 0)
 	}
 	var ops int64
-	for q.nonEmpty != 0 {
+	for !q.Empty() {
 		if opt.Exec.Canceled() {
-			return res // canceled: partial, invalid
+			return // canceled: partial, invalid
 		}
-		v := q.pop()
+		v := q.Pop()
+		if v == stop {
+			break
+		}
 		d := res.Dist[v]
 		adj := g.Neighbors(v)
 		wts := g.AdjWeights(v)
 		ops += int64(len(adj))
 		for i, u := range adj {
-			w := graph.W(1)
+			// nd directly, with no separate weight variable: one more
+			// live value per arc spills to the stack in this loop.
+			nd := d + 1
 			if wts != nil {
-				w = wts[i]
+				nd = d + wts[i]
 			}
 			// A settled u already has Dist[u] <= d < nd, so only
 			// queued and unreached vertices pass the first test; the
 			// bound keeps every queued key within MaxDist.
-			if nd := d + w; nd < res.Dist[u] && nd <= bound && opt.admits(u) {
+			if nd < res.Dist[u] && nd <= bound && opt.admits(u) {
 				res.Dist[u] = nd
-				res.Parent[u] = v
-				q.update(u, nd)
+				if res.Parent != nil {
+					res.Parent[u] = v
+				}
+				q.Update(u, nd)
 			}
 		}
 	}
 	opt.Cost.AddWork(ops)
 	opt.Cost.AddDepth(ops)
-	return res
 }
 
 // radixBuckets is the number of radix-heap buckets: queued keys are
 // below InfDist < 2^62, so key ^ last has at most 62 significant bits.
 const radixBuckets = 63
 
-// radixHeap is a monotone priority queue of vertex ids keyed by
-// dist[v] >= last. Bucket b holds the vertices whose key first differs
-// from last at bit b-1 (bucket 0: key == last), as a doubly linked
-// list through next/prev headed by head[b]. slot[v] is v's bucket plus
-// one while queued, 0 while unqueued, and settledSlot once popped.
-type radixHeap struct {
+// RadixHeap is the monotone priority queue of Ahuja, Mehlhorn, Orlin
+// and Tarjan over vertex ids keyed by dist[v], the queue of every exact
+// search in the repository: Dijkstra and DijkstraTo here, and the
+// dynamic overlay's patched search, which relaxes arcs no CSR holds.
+// Pops are monotone: every key passed to Update must be at least the
+// last popped one, which positive weights guarantee.
+//
+// A queued key k sits in bucket bits.Len64(k ^ last), where last is
+// the most recent popped minimum (bucket 0: k == last). Each bucket is
+// a doubly linked list through next/prev headed by head[b], so
+// decrease-key is O(1) and the queue never holds a stale entry or
+// allocates per push. slot[v] is v's bucket plus one while queued, 0
+// while unqueued, and settledSlot once popped.
+type RadixHeap struct {
 	dist       []graph.Dist
 	slot       []int32
 	next, prev []graph.V
@@ -385,24 +423,29 @@ type radixHeap struct {
 	last       graph.Dist
 }
 
-// settledSlot marks a vertex radixHeap.pop has returned.
+// settledSlot marks a vertex RadixHeap.Pop has returned.
 const settledSlot = -1
 
-// newRadixHeap lays the queue over buf, a zeroed buffer of 3n entries.
-func newRadixHeap(dist []graph.Dist, buf []int32) radixHeap {
+// NewRadixHeap lays an empty queue keyed by dist over buf, a zeroed
+// buffer of 3·len(dist) entries (exec.Ctx.MarksZero), which the queue
+// owns until the caller is done with it.
+func NewRadixHeap(dist []graph.Dist, buf []int32) RadixHeap {
 	n := len(dist)
-	q := radixHeap{dist: dist, slot: buf[:n], next: buf[n : 2*n], prev: buf[2*n : 3*n]}
+	q := RadixHeap{dist: dist, slot: buf[:n], next: buf[n : 2*n], prev: buf[2*n : 3*n]}
 	for b := range q.head {
 		q.head[b] = graph.NoVertex
 	}
 	return q
 }
 
-func (q *radixHeap) bucket(key graph.Dist) int32 {
+// Empty reports whether no vertex is queued.
+func (q *RadixHeap) Empty() bool { return q.nonEmpty == 0 }
+
+func (q *RadixHeap) bucket(key graph.Dist) int32 {
 	return int32(bits.Len64(uint64(key ^ q.last)))
 }
 
-func (q *radixHeap) link(v graph.V, b int32) {
+func (q *RadixHeap) link(v graph.V, b int32) {
 	h := q.head[b]
 	q.next[v], q.prev[v] = h, graph.NoVertex
 	if h != graph.NoVertex {
@@ -413,7 +456,7 @@ func (q *radixHeap) link(v graph.V, b int32) {
 	q.slot[v] = b + 1
 }
 
-func (q *radixHeap) unlink(v graph.V, b int32) {
+func (q *RadixHeap) unlink(v graph.V, b int32) {
 	nx, pv := q.next[v], q.prev[v]
 	if nx != graph.NoVertex {
 		q.prev[nx] = pv
@@ -428,10 +471,11 @@ func (q *radixHeap) unlink(v graph.V, b int32) {
 	}
 }
 
-// update queues an unsettled v at key >= last: an unqueued v is
-// linked into key's bucket, a queued one whose key was lowered moves
-// there unless it is already in it.
-func (q *radixHeap) update(v graph.V, key graph.Dist) {
+// Update queues an unsettled v whose dist[v] the caller has just set
+// to key >= the last popped key: an unqueued v is linked into key's
+// bucket, a queued one whose key was lowered moves there unless it is
+// already in it.
+func (q *RadixHeap) Update(v graph.V, key graph.Dist) {
 	nb := q.bucket(key)
 	if s := q.slot[v]; s != 0 {
 		if s-1 == nb {
@@ -442,10 +486,11 @@ func (q *radixHeap) update(v graph.V, key graph.Dist) {
 	q.link(v, nb)
 }
 
-// pop removes and returns a vertex of minimum key. When bucket 0 is
-// empty, the lowest non-empty bucket's minimum becomes last and its
-// members move to strictly lower buckets, filling bucket 0.
-func (q *radixHeap) pop() graph.V {
+// Pop removes and returns a vertex of minimum key; the queue must not
+// be Empty. When bucket 0 is empty, the lowest non-empty bucket's
+// minimum becomes last and its members move to strictly lower
+// buckets, filling bucket 0.
+func (q *RadixHeap) Pop() graph.V {
 	if q.head[0] == graph.NoVertex {
 		b := int32(bits.TrailingZeros64(q.nonEmpty))
 		m := graph.InfDist

@@ -381,6 +381,44 @@ func checkDijkstra(g *graph.Graph, sources []graph.V, opt Options) error {
 	return nil
 }
 
+// checkDijkstraTo runs DijkstraTo from src to every dst and reports the
+// first way it departs from the full Dijkstra: a distance that
+// differs, depth other than work, or work outside the only range a
+// stop at dst allows. Every vertex closer than dst settles before it
+// and ties may settle either way, so the work lies between the degree
+// sums over {v : Dist[v] < Dist[dst]} and {v ≠ dst : Dist[v] <=
+// Dist[dst]}; an unreached dst drains the search, paying the full
+// degree sum.
+func checkDijkstraTo(g *graph.Graph, src graph.V, opt Options, ec *exec.Ctx) error {
+	full := Dijkstra(g, []graph.V{src}, opt).Dist
+	for dst := graph.V(0); dst < g.NumVertices(); dst++ {
+		var lo, hi int64
+		for v, d := range full {
+			if d == graph.InfDist {
+				continue
+			}
+			deg := int64(g.Degree(graph.V(v)))
+			if d < full[dst] || full[dst] == graph.InfDist {
+				lo += deg
+			}
+			if d <= full[dst] && graph.V(v) != dst {
+				hi += deg
+			}
+		}
+		cost := par.NewCost()
+		to := opt
+		to.Cost, to.Exec = cost, ec
+		if got := DijkstraTo(g, src, dst, to); got != full[dst] {
+			return fmt.Errorf("%d->%d: DijkstraTo %d, Dijkstra %d", src, dst, got, full[dst])
+		}
+		if cost.Work() != cost.Depth() || cost.Work() < lo || cost.Work() > hi {
+			return fmt.Errorf("%d->%d: work %d, depth %d; want equal and in [%d, %d]",
+				src, dst, cost.Work(), cost.Depth(), lo, hi)
+		}
+	}
+	return nil
+}
+
 // Property: on random instances (unit and random weights up to 2^55,
 // parallel edges, multiple and duplicate sources, Mark/Token
 // restriction, distance bounds) Dijkstra passes checkDijkstra, and
@@ -458,7 +496,8 @@ func TestDialMatchesReference(t *testing.T) {
 // MaxDist, plus an isolated vertex) and every Shift in {0, 1, 2, 4},
 // DialTo(src, dst) equals Dial's Dist[dst] for every dst — src itself,
 // vertices beyond the bound and unreachable ones included — with no
-// more depth or work than the full search.
+// more depth or work than the full search. At Shift 0, DijkstraTo
+// returns the same distance.
 func TestDialToMatchesDial(t *testing.T) {
 	ec := exec.Sequential()
 	var self, beyond, unreachable, reached int
@@ -488,6 +527,14 @@ func TestDialToMatchesDial(t *testing.T) {
 						if got != want[dst] {
 							t.Fatalf("flags %#x, MaxDist %d, seed %d, Shift %d, %d->%d: DialTo %d, Dial %d",
 								flags, opt.MaxDist, seed, shift, src, dst, got, want[dst])
+						}
+						if shift == 0 {
+							noCost := opt
+							noCost.Cost = nil
+							if exact := DijkstraTo(g, src, dst, noCost); exact != got {
+								t.Fatalf("flags %#x, MaxDist %d, seed %d, %d->%d: DijkstraTo %d, Dial %d",
+									flags, opt.MaxDist, seed, src, dst, exact, got)
+							}
 						}
 						if cost.Depth() > fullCost.Depth() || cost.Work() > fullCost.Work() {
 							t.Fatalf("flags %#x, seed %d, %d->%d: DialTo depth %d, work %d; Dial %d, %d",
@@ -522,7 +569,8 @@ func TestDialToMatchesDial(t *testing.T) {
 // that sum over the vertices settled before dst, plus one. The
 // instances drain stale entries, so a kernel that expanded them again
 // would report more. Dijkstra's work, the degree sum over its settled
-// vertices, is pinned on the same instances by checkDijkstra.
+// vertices, is pinned on the same instances by checkDijkstra, and
+// DijkstraTo's to every dst by checkDijkstraTo.
 func TestDialWorkCounted(t *testing.T) {
 	ec := exec.Sequential()
 	var stale int64
@@ -532,6 +580,9 @@ func TestDialWorkCounted(t *testing.T) {
 				g, sources, opt := randomSearch(seed, boundRaw, uint8(flags))
 				if err := checkDijkstra(g, sources, opt); err != nil {
 					t.Fatalf("flags %#x, MaxDist %d, seed %d: Dijkstra: %v", flags, opt.MaxDist, seed, err)
+				}
+				if err := checkDijkstraTo(g, sources[0], opt, ec); err != nil {
+					t.Fatalf("flags %#x, MaxDist %d, seed %d: DijkstraTo: %v", flags, opt.MaxDist, seed, err)
 				}
 				for _, shift := range []uint{0, 1, 3} {
 					opt.Shift = shift
@@ -834,7 +885,7 @@ func (h *indexedHeap) down(i int) {
 
 // TestDijkstraAllocsConstant pins the point-to-point kernels'
 // allocation counts: on an execution context with released results,
-// Dijkstra and DialTo each allocate the same small constant however
+// Dijkstra, DijkstraTo and DialTo each allocate the same small constant however
 // many edges they relax and however wide the weights — the radix heap
 // links vertex ids through an arena buffer, and Dial's buckets come
 // back from the arena with their capacity, so nothing is allocated per
@@ -857,9 +908,10 @@ func TestDijkstraAllocsConstant(t *testing.T) {
 		t.Fatalf("Dijkstra allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40); want the same constant <= 8",
 			sparse, dense, wide)
 	}
-	// DialTo to the vertex the search settles last, so it relaxes
-	// every edge; the wide graph is rounded down to 2^10 buckets.
-	allocsTo := func(g *graph.Graph, shift uint) float64 {
+	// The point-to-point kernels run to the vertex the search settles
+	// last, so they relax every edge; DialTo rounds the wide graph down
+	// to 2^10 buckets.
+	farthest := func(g *graph.Graph) graph.V {
 		res := Dijkstra(g, []graph.V{0}, Options{})
 		last := graph.V(0)
 		for v, d := range res.Dist {
@@ -867,6 +919,21 @@ func TestDijkstraAllocsConstant(t *testing.T) {
 				last = graph.V(v)
 			}
 		}
+		return last
+	}
+	allocsExact := func(g *graph.Graph) float64 {
+		last := farthest(g)
+		return testing.AllocsPerRun(20, func() {
+			DijkstraTo(g, 0, last, Options{Exec: ec})
+		})
+	}
+	sparse, dense, wide = allocsExact(sparseG), allocsExact(denseG), allocsExact(wideG)
+	if sparse != dense || wide != dense || dense > 8 {
+		t.Fatalf("DijkstraTo allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40); want the same constant <= 8",
+			sparse, dense, wide)
+	}
+	allocsTo := func(g *graph.Graph, shift uint) float64 {
+		last := farthest(g)
 		return testing.AllocsPerRun(20, func() {
 			DialTo(g, 0, last, Options{Exec: ec, Shift: shift})
 		})

@@ -217,8 +217,7 @@ func (d *Decomposition) Query(s, t graph.V, cost *par.Cost) graph.Dist {
 		// kept as a safe degenerate answer.
 		return 0
 	}
-	res := sssp.Dijkstra(inst.G, []graph.V{is}, sssp.Options{Cost: cost})
-	return res.Dist[it]
+	return sssp.DijkstraTo(inst.G, is, it, sssp.Options{Cost: cost})
 }
 
 // MaxInstanceRatio returns the largest weight ratio over all

@@ -8,6 +8,7 @@ import (
 	"repro/internal/flat"
 	"repro/internal/hopset"
 	"repro/internal/par"
+	"repro/internal/sssp"
 	"repro/internal/wscale"
 )
 
@@ -70,7 +71,7 @@ type OracleOptions struct {
 	// boundaries — a canceled build's oracle is invalid and must be
 	// discarded after checking Exec.Err()), and per-stage telemetry.
 	// Queries run on a detached copy that ignores the cancellation.
-	// Nil keeps legacy behavior (Parallel decides the fan-out).
+	// Nil keeps legacy behavior (sequential, plain allocation).
 	Exec *ExecCtx
 	// QueryExec overrides the execution context queries run on
 	// (default: Exec.Detached()). The serving layer passes a
@@ -78,13 +79,6 @@ type OracleOptions struct {
 	// independent of the build's worker cap. It must never be
 	// cancelable: queries have no notion of a partial answer.
 	QueryExec *ExecCtx
-	// Parallel runs the hopset construction's hot loops on actual
-	// goroutines; the resulting oracle is equivalent, only the build
-	// wall-clock changes.
-	//
-	// Deprecated: set Exec to a parallel execution context instead;
-	// Parallel remains as a thin alias for Exec = exec.Default().
-	Parallel bool
 }
 
 // NewDistanceOracle preprocesses g. eps ∈ (0, 1) controls both the
@@ -107,9 +101,6 @@ func NewDistanceOracleOpts(g *Graph, eps float64, seed uint64, opt OracleOptions
 	}
 	cost := opt.Cost
 	ec := opt.Exec
-	if ec == nil && opt.Parallel {
-		ec = exec.Default()
-	}
 	queryEc := opt.QueryExec
 	if queryEc == nil {
 		queryEc = ec.Detached()
@@ -118,7 +109,6 @@ func NewDistanceOracleOpts(g *Graph, eps float64, seed uint64, opt OracleOptions
 	wp := hopset.DefaultWeightedParams(seed)
 	wp.Zeta = eps
 	wp.Exec = ec
-	wp.Parallel = opt.Parallel
 	n := float64(g.NumVertices())
 	if n < 2 || g.NumEdges() == 0 {
 		o.degenerate = true
@@ -301,9 +291,8 @@ func (o *DistanceOracle) QueryBatch(pairs [][2]V) ([]QueryStats, error) {
 	return out, nil
 }
 
-// ExactDistance runs exact Dijkstra on the base graph (ground truth
-// for tests and benchmarks).
+// ExactDistance runs exact point-to-point Dijkstra on the base graph
+// (ground truth for tests and benchmarks), stopping once t settles.
 func (o *DistanceOracle) ExactDistance(s, t V) Dist {
-	res := ShortestPaths(o.g, s)
-	return res.Dist[t]
+	return sssp.DijkstraTo(o.g, s, t, sssp.Options{Exec: o.queryEc})
 }

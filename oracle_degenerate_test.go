@@ -78,13 +78,13 @@ func TestOracleIntrospection(t *testing.T) {
 	}
 }
 
-// TestOracleOptsParallelEquivalent: the Parallel build knob must not
+// TestOracleOptsParallelEquivalent: a parallel build Exec must not
 // change any answer (it only moves the construction onto goroutines).
 func TestOracleOptsParallelEquivalent(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := WithUniformWeights(GridGraph(12, 12), 30, 3)
 		seq := NewDistanceOracle(g, 0.3, 5)
-		parl := NewDistanceOracleOpts(g, 0.3, 5, OracleOptions{Parallel: true})
+		parl := NewDistanceOracleOpts(g, 0.3, 5, OracleOptions{Exec: ParallelExec(0)})
 		pairs := [][2]V{{0, 143}, {5, 77}, {11, 132}, {60, 61}}
 		for _, p := range pairs {
 			ds, err1 := seq.Query(p[0], p[1])

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/dynamic"
-	"repro/internal/exec"
 	"repro/internal/snapshot"
 )
 
@@ -87,8 +86,8 @@ func SaveDynamicOracle(w io.Writer, d *DynamicOracle, note []byte) error {
 // oracle's base (sharing the caller's already-resident graph); nil
 // uses the embedded copy. opt supplies the execution contexts queries
 // run on, resolved exactly as NewDistanceOracleOpts resolves them
-// (QueryExec wins, then Exec.Detached(), then the deprecated Parallel
-// bool); build-only fields (Cost) are ignored — nothing is built.
+// (QueryExec wins, then Exec.Detached()); build-only fields (Cost)
+// are ignored — nothing is built.
 //
 // The restored oracle is bit-identical to the one saved: every Query/
 // QueryBatch answer, including Levels and Fallback diagnostics,
@@ -177,9 +176,6 @@ func assembleOracle(so *snapshot.Oracle, embedded *Graph, g *Graph, opt OracleOp
 		}
 	}
 	ec := opt.Exec
-	if ec == nil && opt.Parallel {
-		ec = exec.Default()
-	}
 	queryEc := opt.QueryExec
 	if queryEc == nil {
 		queryEc = ec.Detached()

@@ -166,7 +166,7 @@ func ESTClusterWithCost(g *Graph, beta float64, seed uint64, cost *Cost) *Cluste
 // CRCW frontier step. The clustering returned is bit-identical to
 // ESTCluster's for the same seed; only the wall-clock changes.
 func ESTClusterParallel(g *Graph, beta float64, seed uint64, cost *Cost) *Clustering {
-	return core.Cluster(g, beta, seed, core.Options{Cost: cost, Parallel: true})
+	return core.Cluster(g, beta, seed, core.Options{Cost: cost, Exec: exec.Default()})
 }
 
 // ESTClusterOn is ESTCluster on an execution context: the race runs
@@ -195,7 +195,7 @@ func UnweightedSpannerWithCost(g *Graph, k int, seed uint64, cost *Cost) *Spanne
 // race and boundary sweep on goroutines; the edge set is identical to
 // the sequential construction for the same seed.
 func UnweightedSpannerParallel(g *Graph, k int, seed uint64, cost *Cost) *Spanner {
-	return spanner.UnweightedOpts(g, k, seed, spanner.Options{Cost: cost, Parallel: true})
+	return spanner.UnweightedOpts(g, k, seed, spanner.Options{Cost: cost, Exec: exec.Default()})
 }
 
 // WeightedSpanner builds an O(k)-stretch spanner of expected size
@@ -215,7 +215,7 @@ func WeightedSpannerWithCost(g *Graph, k int, seed uint64, cost *Cost) *Spanner 
 // well-separated groups, their clustering races, and boundary sweeps
 // all running on goroutines; same edge set as WeightedSpanner.
 func WeightedSpannerParallel(g *Graph, k int, seed uint64, cost *Cost) *Spanner {
-	return spanner.WeightedOpts(g, k, seed, spanner.Options{Cost: cost, Parallel: true})
+	return spanner.WeightedOpts(g, k, seed, spanner.Options{Cost: cost, Exec: exec.Default()})
 }
 
 // UnweightedSpannerOn is UnweightedSpanner on an execution context
