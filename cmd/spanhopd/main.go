@@ -96,7 +96,7 @@ func main() {
 	queryQueue := flag.Int("query-queue", 1024, "max waiting single queries per graph (overflow → 503)")
 	cacheSize := flag.Int("cache", 4096, "per-graph LRU result cache entries (negative disables)")
 	snapshotDir := flag.String("snapshot-dir", "", "persist ready oracles here and warm-start them on boot (empty disables)")
-	snapshotFormat := flag.String("snapshot-format", server.SnapshotFormatFlat, "snapshot encoding: flat (v3 arena, warm starts by mmap) or codec (portable v2 stream); warm start reads both")
+	snapshotFormat := flag.String("snapshot-format", server.SnapshotFormatFlat, "snapshot encoding: flat (arena, warm starts by mmap) or codec (portable v2 stream); warm start reads both")
 	rebuildJournal := flag.Int("rebuild-max-journal", 0, "rebuild a graph's oracle once this many mutations are pending (0 = default 256, negative disables)")
 	rebuildPatchFrac := flag.Float64("rebuild-max-patch-frac", 0, "rebuild once the mutation overlay exceeds this fraction of base edges (0 = default 0.10, negative disables)")
 	rebuildStaleness := flag.Duration("rebuild-max-staleness", 0, "rebuild once the oldest pending mutation is this old (0 disables)")

@@ -1,6 +1,6 @@
 package spanhop
 
-// Differential coverage for the flat-arena (v3) snapshot format: an
+// Differential coverage for the flat-arena snapshot format: an
 // oracle opened from an arena — mapped from disk or sniffed out of a
 // generic reader — must answer bit-identically to the pointer oracle
 // it was frozen from, and a damaged arena must come back as ErrCorrupt,
@@ -17,7 +17,7 @@ import (
 	"repro/internal/snapshot"
 )
 
-// saveFlatFile freezes o into a v3 arena file and returns its path.
+// saveFlatFile freezes o into a flat arena file and returns its path.
 func saveFlatFile(t *testing.T, o *DistanceOracle) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "oracle.snap")

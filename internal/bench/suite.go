@@ -113,7 +113,7 @@ func builtOracle(name string, g *graph.Graph) *spanhop.DistanceOracle {
 	return o.(*spanhop.DistanceOracle)
 }
 
-// flatSnapshotFile memoizes the flat-arena (v3) snapshot file of
+// flatSnapshotFile memoizes the flat-arena snapshot file of
 // name's oracle and returns its path.
 func flatSnapshotFile(b *testing.B, name string, g *graph.Graph) string {
 	cacheName := "flat-file:" + name
@@ -251,7 +251,7 @@ func Suite() []Spec {
 			}
 		}},
 
-		// --- flat arena (snapshot v3): mmap warm start + mapped-memory
+		// --- flat arena: mmap warm start + mapped-memory
 		// queries, against the same grid the codec and pointer entries
 		// measure ---
 		{Name: "snapshot/save-flat-grid-50x50", Run: func(b *testing.B) {

@@ -81,11 +81,16 @@ func (o *Options) admits(v graph.V) bool {
 	return o.Mark == nil || atomic.LoadInt32(&o.Mark[v]) == o.Token
 }
 
-func (o *Options) weight(wts []graph.W, i int) graph.W {
-	if o.UnitWeights || wts == nil {
+// weight is arc i's race length: 1 under UnitWeights, else its weight
+// (wide holds it when non-nil).
+func (o *Options) weight(a graph.Arc, wide []graph.W, i int) graph.W {
+	switch {
+	case o.UnitWeights:
 		return 1
+	case wide != nil:
+		return wide[i]
 	}
-	return wts[i]
+	return graph.W(a.W)
 }
 
 // Result describes an EST clustering. The per-vertex arrays have
@@ -333,16 +338,16 @@ func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 			opt.Exec.For(len(winners), 16, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					c := winners[i]
-					adj := g.Neighbors(c.v)
-					wts := g.AdjWeights(c.v)
-					for j, u := range adj {
+					wide := g.Wide(c.v)
+					for j, a := range g.Arcs(c.v) {
 						cnt[i]++
+						u := a.To
 						if !opt.admits(u) || res.Center[u] != graph.NoVertex {
 							continue
 						}
 						pw[i] = append(pw[i], timedClaim{
 							c: claim{v: u, center: c.center, parent: c.v, frac: c.frac},
-							t: t + opt.weight(wts, j),
+							t: t + opt.weight(a, wide, j),
 						})
 					}
 				}
@@ -355,14 +360,14 @@ func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 			}
 		} else {
 			for _, c := range winners {
-				adj := g.Neighbors(c.v)
-				wts := g.AdjWeights(c.v)
-				for i, u := range adj {
+				wide := g.Wide(c.v)
+				for i, a := range g.Arcs(c.v) {
 					touched++
+					u := a.To
 					if !opt.admits(u) || res.Center[u] != graph.NoVertex {
 						continue
 					}
-					push(claim{v: u, center: c.center, parent: c.v, frac: c.frac}, t+opt.weight(wts, i))
+					push(claim{v: u, center: c.center, parent: c.v, frac: c.frac}, t+opt.weight(a, wide, i))
 				}
 			}
 		}
@@ -500,13 +505,13 @@ func ClusterReference(g *graph.Graph, beta float64, seed uint64, opt Options) *R
 		res.Parent[e.v] = e.parent
 		settledAt[e.v] = e.intPart
 		settled++
-		adj := g.Neighbors(e.v)
-		wts := g.AdjWeights(e.v)
-		for i, u := range adj {
+		wide := g.Wide(e.v)
+		for i, a := range g.Arcs(e.v) {
+			u := a.To
 			if !opt.admits(u) || res.Center[u] != graph.NoVertex {
 				continue
 			}
-			pq = append(pq, entry{intPart: e.intPart + opt.weight(wts, i), frac: e.frac, v: u, center: e.center, parent: e.v})
+			pq = append(pq, entry{intPart: e.intPart + opt.weight(a, wide, i), frac: e.frac, v: u, center: e.center, parent: e.v})
 		}
 	}
 	// finishResult only consults startAt for actual centers, so the
@@ -542,18 +547,17 @@ func ForestEdges(g *graph.Graph, res *Result) []int32 {
 		if p == graph.NoVertex {
 			continue
 		}
-		adj := g.Neighbors(v)
-		wts := g.AdjWeights(v)
+		wide := g.Wide(v)
 		ids := g.AdjEdgeIDs(v)
 		best := graph.NoEdge
 		var bestW graph.W
-		for i, u := range adj {
-			if u != p {
+		for i, a := range g.Arcs(v) {
+			if a.To != p {
 				continue
 			}
-			w := graph.W(1)
-			if wts != nil {
-				w = wts[i]
+			w := graph.W(a.W)
+			if wide != nil {
+				w = wide[i]
 			}
 			if best == graph.NoEdge || w < bestW {
 				best, bestW = ids[i], w
@@ -594,12 +598,12 @@ func BallClusterCount(g *graph.Graph, res *Result, v graph.V, radius graph.Dist)
 		if c := res.Center[cur.v]; c != graph.NoVertex {
 			seen[c] = struct{}{}
 		}
-		adj := g.Neighbors(cur.v)
-		wts := g.AdjWeights(cur.v)
-		for i, u := range adj {
-			w := graph.W(1)
-			if wts != nil {
-				w = wts[i]
+		wide := g.Wide(cur.v)
+		for i, a := range g.Arcs(cur.v) {
+			u := a.To
+			w := graph.W(a.W)
+			if wide != nil {
+				w = wide[i]
 			}
 			nd := cur.d + w
 			if nd > radius {

@@ -48,13 +48,12 @@ func checkPartition(t *testing.T, g *graph.Graph, res *Result, subset []graph.V)
 			// Edge p-u must exist; DistToCenter must decrease by some
 			// incident edge weight.
 			w := graph.W(-1)
-			adj := g.Neighbors(u)
-			wts := g.AdjWeights(u)
-			for i, x := range adj {
-				if x == p {
-					ew := graph.W(1)
-					if wts != nil {
-						ew = wts[i]
+			wide := g.Wide(u)
+			for i, a := range g.Arcs(u) {
+				if a.To == p {
+					ew := graph.W(a.W)
+					if wide != nil {
+						ew = wide[i]
 					}
 					if w == -1 || ew < w {
 						w = ew
@@ -192,6 +191,53 @@ func TestClusterMatchesReference(t *testing.T) {
 	}
 }
 
+// TestClusterMatchesReferenceWide runs Cluster and ClusterReference on
+// a graph with Wide weights: a weighted base whose vertices each hang
+// a pendant of weight just above math.MaxUint32. The clustering is
+// restricted to the base (the bucket race cannot hold the pendants'
+// arrivals), so the pendant arcs are never relaxed, but every base arc
+// weight is read through Wide. Both must equal the clustering of the
+// base graph alone, whose arcs hold the same weights.
+func TestClusterMatchesReferenceWide(t *testing.T) {
+	base := graph.UniformWeights(graph.RandomConnectedGNM(120, 400, 9), 7, 10)
+	n := base.NumVertices()
+	edges := append([]graph.Edge(nil), base.Edges()...)
+	for v := graph.V(0); v < n; v += 3 {
+		edges = append(edges, graph.Edge{U: v, V: n + v/3, W: 1<<32 + graph.W(v)})
+	}
+	g := graph.FromEdges(n+(n+2)/3, edges, true)
+	if g.Wide(0) == nil {
+		t.Fatal("graph with weights above math.MaxUint32 has no Wide weights")
+	}
+	mark := make([]int32, g.NumVertices())
+	subset := make([]graph.V, n)
+	for v := range subset {
+		subset[v] = graph.V(v)
+		mark[v] = 1
+	}
+	opt := Options{Vertices: subset, Mark: mark, Token: 1}
+	for _, beta := range []float64{0.05, 0.2, 0.7} {
+		seed := uint64(beta * 1000)
+		want := Cluster(base, beta, seed, Options{})
+		a := Cluster(g, beta, seed, opt)
+		b := ClusterReference(g, beta, seed, opt)
+		for v := graph.V(0); v < n; v++ {
+			// The reference may break distance ties to another parent,
+			// so only Cluster's parents are compared.
+			if a.Parent[v] != want.Parent[v] {
+				t.Fatalf("beta %v vertex %d: Cluster parent %d on the wide graph, %d on the base",
+					beta, v, a.Parent[v], want.Parent[v])
+			}
+			for _, got := range []*Result{a, b} {
+				if got.Center[v] != want.Center[v] || got.DistToCenter[v] != want.DistToCenter[v] {
+					t.Fatalf("beta %v vertex %d: center/dist %d/%d on the wide graph, %d/%d on the base",
+						beta, v, got.Center[v], got.DistToCenter[v], want.Center[v], want.DistToCenter[v])
+				}
+			}
+		}
+	}
+}
+
 func TestClusterDeterministic(t *testing.T) {
 	g := graph.RandomConnectedGNM(100, 300, 1)
 	a := Cluster(g, 0.3, 5, Options{})
@@ -240,11 +286,14 @@ func TestClusterOptimality(t *testing.T) {
 				return d
 			}
 			settled[u] = true
-			adj := g.Neighbors(u)
-			wts := g.AdjWeights(u)
-			for i, x := range adj {
-				if d[u]+wts[i] < d[x] {
-					d[x] = d[u] + wts[i]
+			wide := g.Wide(u)
+			for i, a := range g.Arcs(u) {
+				w := graph.W(a.W)
+				if wide != nil {
+					w = wide[i]
+				}
+				if d[u]+w < d[a.To] {
+					d[a.To] = d[u] + w
 				}
 			}
 		}
@@ -370,8 +419,8 @@ func TestForestEdges(t *testing.T) {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, u := range fg.Neighbors(v) {
-				if !reach[u] && res.Center[u] == center {
+			for _, a := range fg.Arcs(v) {
+				if u := a.To; !reach[u] && res.Center[u] == center {
 					reach[u] = true
 					stack = append(stack, u)
 				}

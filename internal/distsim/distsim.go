@@ -137,8 +137,8 @@ func (n *Network) Run(maxRounds int) (Stats, error) {
 func (n *Network) adjacent(u, v graph.V) bool {
 	// Degree-bounded scan; the simulator is a correctness harness,
 	// not a performance path.
-	for _, x := range n.g.Neighbors(u) {
-		if x == v {
+	for _, a := range n.g.Arcs(u) {
+		if a.To == v {
 			return true
 		}
 	}
@@ -149,8 +149,8 @@ func (n *Network) adjacent(u, v graph.V) bool {
 // payload to every neighbor of v.
 func Broadcast(g *graph.Graph, v graph.V, payload Message) map[graph.V]Message {
 	out := make(map[graph.V]Message, g.Degree(v))
-	for _, u := range g.Neighbors(v) {
-		out[u] = payload
+	for _, a := range g.Arcs(v) {
+		out[a.To] = payload
 	}
 	return out
 }

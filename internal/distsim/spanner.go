@@ -181,7 +181,8 @@ func (nd *SpannerNode) selectEdges() {
 		nd.SelectedEdges = append(nd.SelectedEdges, [2]graph.V{nd.parent, nd.v})
 	}
 	bestPerCluster := map[graph.V]graph.V{}
-	for _, u := range nd.g.Neighbors(nd.v) {
+	for _, a := range nd.g.Arcs(nd.v) {
+		u := a.To
 		cu, ok := nd.neighborCluster[u]
 		if !ok || cu == nd.center {
 			continue

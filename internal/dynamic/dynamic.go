@@ -345,16 +345,15 @@ func (d *Oracle) basePairLocked(k pairKey) pairState {
 	if d.baseG.Degree(v) < d.baseG.Degree(u) {
 		u, v = v, u
 	}
-	adj := d.baseG.Neighbors(u)
-	wts := d.baseG.AdjWeights(u)
+	wide := d.baseG.Wide(u)
 	st := pairState{}
-	for i, nb := range adj {
-		if nb != v {
+	for i, a := range d.baseG.Arcs(u) {
+		if a.To != v {
 			continue
 		}
-		w := graph.W(1)
-		if wts != nil {
-			w = wts[i]
+		w := graph.W(a.W)
+		if wide != nil {
+			w = wide[i]
 		}
 		if !st.present || w < st.w {
 			st = pairState{present: true, w: w}

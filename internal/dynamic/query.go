@@ -72,13 +72,14 @@ func (d *Oracle) exactPatchedLocked(gen uint64, s, t graph.V, cost *par.Cost) gr
 		}
 		dv := dist[v]
 		touched := d.touched[v]
-		adj := d.baseG.Neighbors(v)
-		wts := d.baseG.AdjWeights(v)
-		work += int64(len(adj))
-		for i, u := range adj {
-			w := graph.W(1)
-			if wts != nil {
-				w = wts[i]
+		arcs := d.baseG.Arcs(v)
+		wide := d.baseG.Wide(v)
+		work += int64(len(arcs))
+		for i, a := range arcs {
+			u := a.To
+			w := graph.W(a.W)
+			if wide != nil {
+				w = wide[i]
 			}
 			if touched && d.touched[u] {
 				if hist := d.patch[keyOf(v, u)]; len(hist) > 0 {

@@ -145,10 +145,9 @@ func spannerFromClustering(g *graph.Graph, clus *core.Result, seed uint64) (int,
 	for v := graph.V(0); v < g.NumVertices(); v++ {
 		cv := clus.ClusterOf[v]
 		clear(best)
-		adj := g.Neighbors(v)
 		eids := g.AdjEdgeIDs(v)
-		for i, u := range adj {
-			cu := clus.ClusterOf[u]
+		for i, a := range g.Arcs(v) {
+			cu := clus.ClusterOf[a.To]
 			if cu == cv {
 				continue
 			}

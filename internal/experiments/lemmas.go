@@ -119,8 +119,8 @@ func Corollary31Adjacency(scale Scale, seed uint64) []StatRow {
 		total := 0.0
 		for v := graph.V(0); v < g.NumVertices(); v++ {
 			seen := map[int32]bool{res.Clustering.ClusterOf[v]: true}
-			for _, u := range g.Neighbors(v) {
-				seen[res.Clustering.ClusterOf[u]] = true
+			for _, a := range g.Arcs(v) {
+				seen[res.Clustering.ClusterOf[a.To]] = true
 			}
 			total += float64(len(seen))
 		}

@@ -17,11 +17,11 @@
 // a slice of the same arrays — this layout is the enabler for
 // multi-node serving.
 //
-// # Arena format (version 3 of the snapshot lineage)
+// # Arena format (version 4)
 //
 //	header (72 bytes):
-//	  magic       "SPF3"
-//	  version     u32 (3)
+//	  magic       "SPF3" (the arena family, every version)
+//	  version     u32 (4)
 //	  endian      u32 marker (the arena is host-endianness; see below)
 //	  sections    u32 count
 //	  totalSize   u64 (whole arena, bytes)
@@ -36,11 +36,20 @@
 //	table: sections × 24 bytes {kind u32, crc u32, off u64, size u64}
 //	payloads: 8-byte aligned, ascending, zero-filled gaps
 //
-// Section kinds are typed arrays (i32, i64, 16-byte edge records) or
-// byte blobs (the index, the note, the journal). The INDEX section —
-// always section 0 — is a compact walk of the object tree that names
-// which array sections belong to which graph/hopset/level; it is the
-// only part of the arena that is decoded rather than aliased.
+// Section kinds are typed arrays (i32, i64, 16-byte edge records,
+// 8-byte graph.Arc records) or byte blobs (the index, the note, the
+// journal). The INDEX section — always section 0 — is a compact walk
+// of the object tree that names which array sections belong to which
+// graph/hopset/level; it is the only part of the arena that is decoded
+// rather than aliased. A graph is its edge list, offsets, arcs
+// ({To, W} per CSR direction), edge ids and optional back-map, plus a
+// wide i64 weight section exactly when its maximum weight exceeds
+// math.MaxUint32 (graph.Graph.Wide).
+//
+// Version 4 replaced version 3's split neighbor (i32) and weight (i64)
+// sections with the arc section. Open refuses any other version with
+// ErrVersion, so a server's warm start reports an older arena as
+// skipped instead of failing.
 //
 // # Integrity and trust
 //
@@ -78,7 +87,7 @@ import (
 // codec's "SPS1" so version negotiation is a 4-byte sniff.
 const (
 	Magic   = "SPF3"
-	Version = 3
+	Version = 4
 
 	// endianMarker is written through encoding/binary little-endian;
 	// it doubles as a guard against a (hypothetical) arena produced by
@@ -97,6 +106,7 @@ const (
 	kindI32     uint32 = 4 // []int32 array
 	kindI64     uint32 = 5 // []int64 array
 	kindEdge    uint32 = 6 // []graph.Edge array (16-byte records)
+	kindArc     uint32 = 7 // []graph.Arc array (8-byte records)
 )
 
 // Oracle shape tags (header mode byte), mirroring the codec.
@@ -119,6 +129,12 @@ const (
 // arena is an error, never a panic.
 var ErrCorrupt = errors.New("flat: corrupt arena")
 
+// ErrVersion is returned for an intact arena header of another format
+// version (an arena written before the current layout): the file is
+// not corrupt, it is not readable by this build, and it is rebuilt
+// rather than opened.
+var ErrVersion = errors.New("flat: unsupported arena version")
+
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
@@ -130,6 +146,13 @@ const edgeSize = 16
 
 var _ [edgeSize]byte = [unsafe.Sizeof(graph.Edge{})]byte{}
 var _ [0]byte = [unsafe.Offsetof(graph.Edge{}.W) - 8]byte{}
+
+// arcSize is the wire size of one graph.Arc record (To i32 at 0, W u32
+// at 4), pinned the same way.
+const arcSize = 8
+
+var _ [arcSize]byte = [unsafe.Sizeof(graph.Arc{})]byte{}
+var _ [0]byte = [unsafe.Offsetof(graph.Arc{}.W) - 4]byte{}
 
 // hostLittleEndian reports the byte order arrays are laid out in.
 func hostLittleEndian() bool {

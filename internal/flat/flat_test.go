@@ -76,6 +76,11 @@ func checkGraphEqual(t *testing.T, want, got *graph.Graph, label string) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: restored graph invalid: %v", label, err)
 	}
+	for v := graph.V(0); v < want.NumVertices(); v++ {
+		if !reflect.DeepEqual(want.Arcs(v), got.Arcs(v)) || !reflect.DeepEqual(want.Wide(v), got.Wide(v)) {
+			t.Fatalf("%s: arcs of vertex %d differ", label, v)
+		}
+	}
 }
 
 func checkScaledEqual(t *testing.T, want, got *hopset.Scaled, label string) {
@@ -208,6 +213,85 @@ func TestRoundTripDecomposed(t *testing.T) {
 	}
 	if string(got.Note) != string(p.Note) {
 		t.Fatalf("note %q, want %q", got.Note, p.Note)
+	}
+}
+
+// TestRoundTripWideGraph: a graph with weights on both sides of
+// math.MaxUint32 freezes with its wide weight section and opens with
+// Arcs and Wide equal to the source's (checkGraphEqual), its arcs
+// saturated where the weight does not fit.
+func TestRoundTripWideGraph(t *testing.T) {
+	edges := []graph.Edge{{U: 0, V: 1, W: 1<<32 - 1}, {U: 1, V: 2, W: 1 << 32}, {U: 2, V: 3, W: 1<<32 + 1}, {U: 3, V: 0, W: 5}}
+	g := graph.FromEdges(4, edges, true)
+	got, err := Open(freezeBytes(t, &Parts{Graph: g, Eps: 0.5, Seed: 1, Degenerate: true}), nil)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	checkGraphEqual(t, g, got.Graph, "wide base")
+	wantArcs := []graph.Arc{{To: 2, W: 1<<32 - 1}, {To: 0, W: 5}}
+	if a := got.Graph.Arcs(3); !reflect.DeepEqual(a, wantArcs) {
+		t.Fatalf("arcs of vertex 3 = %v, want %v", a, wantArcs)
+	}
+	if w := got.Graph.Wide(3); !reflect.DeepEqual(w, []graph.W{1<<32 + 1, 5}) {
+		t.Fatalf("wide weights of vertex 3 = %v", w)
+	}
+}
+
+// TestOpenRejectsWideSectionMismatch: a wide graph frozen without its
+// wide section, a narrow one frozen with one, and arcs whose weight
+// disagrees with the edge list are corrupt, though every checksum is
+// valid.
+func TestOpenRejectsWideSectionMismatch(t *testing.T) {
+	wide := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1 << 40}, {U: 1, V: 2, W: 3}}, true)
+	narrow := graph.UniformWeights(graph.Grid2D(3, 3), 9, 1)
+	mutate := map[string]func() *graph.Graph{
+		"wide graph without wide section": func() *graph.Graph {
+			v := wide.CSRView()
+			v.Wide = nil
+			return graph.FromCSRView(v)
+		},
+		"narrow graph with wide section": func() *graph.Graph {
+			v := narrow.CSRView()
+			v.Wide = make([]graph.W, len(v.Arcs))
+			for i, a := range v.Arcs {
+				v.Wide[i] = graph.W(a.W)
+			}
+			return graph.FromCSRView(v)
+		},
+		"arc weight off the edge list": func() *graph.Graph {
+			v := narrow.CSRView()
+			v.Arcs = append([]graph.Arc(nil), v.Arcs...)
+			v.Arcs[0].W++
+			return graph.FromCSRView(v)
+		},
+		"wide weight off the edge list": func() *graph.Graph {
+			v := wide.CSRView()
+			v.Wide = append([]graph.W(nil), v.Wide...)
+			v.Wide[0]--
+			return graph.FromCSRView(v)
+		},
+	}
+	for name, f := range mutate {
+		data := freezeBytes(t, &Parts{Graph: f(), Eps: 0.5, Seed: 1, Degenerate: true})
+		if _, err := Open(data, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Open = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestOpenRefusesOtherVersions: an intact arena header of version 3
+// (the split neighbor/weight layout) or 5 is refused with ErrVersion,
+// not read as the current layout and not reported as corrupt.
+func TestOpenRefusesOtherVersions(t *testing.T) {
+	data := freezeBytes(t, directParts(t))
+	for _, v := range []uint32{3, 5} {
+		old := append([]byte(nil), data...)
+		put32(old[4:], v)
+		put32(old[64:], headerCRC(old))
+		_, err := Open(old, nil)
+		if !errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("version %d: Open = %v, want ErrVersion", v, err)
+		}
 	}
 }
 

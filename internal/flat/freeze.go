@@ -172,9 +172,9 @@ func (b *builder) addGraph(ix *ixWriter, g *graph.Graph) {
 	ix.i64(v.MaxW)
 	ix.i32(b.add(kindEdge, bytesOf(v.Edges)))
 	ix.i32(b.add(kindI64, bytesOf(v.Offs)))
-	ix.i32(b.add(kindI32, bytesOf(v.Dst)))
-	if v.Weighted {
-		ix.i32(b.add(kindI64, bytesOf(v.Wts)))
+	ix.i32(b.add(kindArc, bytesOf(v.Arcs)))
+	if v.Wide != nil {
+		ix.i32(b.add(kindI64, bytesOf(v.Wide)))
 	} else {
 		ix.i32(-1)
 	}

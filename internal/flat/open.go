@@ -1,6 +1,9 @@
 package flat
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/hopset"
@@ -105,7 +108,7 @@ func Fingerprint(data []byte) (uint64, error) {
 }
 
 // IsArena sniffs the 4-byte magic: the format negotiation between the
-// v3 arena and the v1/v2 codec streams.
+// flat arena (of any version) and the v1/v2 codec streams.
 func IsArena(prefix []byte) bool {
 	return len(prefix) >= 4 && string(prefix[:4]) == Magic
 }
@@ -136,7 +139,7 @@ func parseHeader(data []byte) (arenaHeader, uint32, uint64, error) {
 		return h, 0, 0, corruptf("header checksum mismatch")
 	}
 	if v := le32(data[4:]); v != Version {
-		return h, 0, 0, corruptf("arena version %d, want %d", v, Version)
+		return h, 0, 0, fmt.Errorf("%w %d, want %d", ErrVersion, v, Version)
 	}
 	if le32(data[8:]) != endianMarker {
 		return h, 0, 0, corruptf("arena written with foreign byte order")
@@ -305,13 +308,14 @@ func (o *opener) readGraph(r *ixReader, maxOrig int64, deep bool, trusted *graph
 	}
 	v.Edges = arrayOf[graph.Edge](o, r, kindEdge, int(m))
 	v.Offs = arrayOf[int64](o, r, kindI64, int(v.N)+1)
-	v.Dst = arrayOf[graph.V](o, r, kindI32, int(2*m))
-	if v.Weighted {
-		v.Wts = arrayOf[graph.W](o, r, kindI64, int(2*m))
-	} else {
-		if sec := r.i32(); r.err == nil && sec != -1 {
-			r.fail(corruptf("unweighted graph carries a weight section"))
-		}
+	v.Arcs = arrayOf[graph.Arc](o, r, kindArc, int(2*m))
+	// The wide section is present exactly when the declared maximum
+	// weight does not fit an Arc; checkGraphView then proves the
+	// declared maximum against the edge list.
+	if v.Weighted && v.MaxW > math.MaxUint32 {
+		v.Wide = arrayOf[graph.W](o, r, kindI64, int(2*m))
+	} else if sec := r.i32(); r.err == nil && sec != -1 {
+		r.fail(corruptf("graph of maximum weight %d carries a wide weight section", v.MaxW))
 	}
 	v.Eids = arrayOf[int32](o, r, kindI32, int(2*m))
 	origSec := r.i32()
@@ -374,13 +378,14 @@ func checkGraphView(v *graph.CSRView, maxOrig int64, deep bool) error {
 			// with in-range endpoints, and ranging over the subslices
 			// lets the compiler drop per-entry bounds checks.
 			lo, hi := v.Offs[u], v.Offs[u+1]
-			dst, eids := v.Dst[lo:hi], v.Eids[lo:hi]
-			var wts []graph.W
-			if v.Weighted {
-				wts = v.Wts[lo:hi]
+			arcs, eids := v.Arcs[lo:hi], v.Eids[lo:hi]
+			var wide []graph.W
+			if v.Wide != nil {
+				wide = v.Wide[lo:hi]
 			}
 			uv := graph.V(u)
-			for i, d := range dst {
+			for i, a := range arcs {
+				d := a.To
 				if uint32(d) >= un {
 					return corruptf("adjacency target %d out of range n=%d at vertex %d", d, n, u)
 				}
@@ -392,8 +397,8 @@ func checkGraphView(v *graph.CSRView, maxOrig int64, deep bool) error {
 				if !((ed.U == uv && ed.V == d) || (ed.U == d && ed.V == uv)) {
 					return corruptf("adjacency edge id %d at vertex %d does not match edge (%d,%d)", e, u, ed.U, ed.V)
 				}
-				if wts != nil && wts[i] != ed.W {
-					return corruptf("adjacency weight %d != edge %d weight %d", wts[i], e, ed.W)
+				if a.W != graph.ArcWeight(ed.W) || (wide != nil && wide[i] != ed.W) {
+					return corruptf("adjacency weight %d != edge %d weight %d", a.W, e, ed.W)
 				}
 				dirCount[e]++
 			}
@@ -404,9 +409,12 @@ func checkGraphView(v *graph.CSRView, maxOrig int64, deep bool) error {
 			}
 		}
 	} else {
-		for i, d := range v.Dst {
-			if uint32(d) >= un {
-				return corruptf("adjacency target %d out of range n=%d at %d", d, n, i)
+		for i, a := range v.Arcs {
+			if uint32(a.To) >= un {
+				return corruptf("adjacency target %d out of range n=%d at %d", a.To, n, i)
+			}
+			if a.W < 1 {
+				return corruptf("adjacency weight %d invalid at %d", a.W, i)
 			}
 		}
 		for i, e := range v.Eids {
@@ -414,9 +422,9 @@ func checkGraphView(v *graph.CSRView, maxOrig int64, deep bool) error {
 				return corruptf("adjacency edge id %d out of range m=%d at %d", e, m, i)
 			}
 		}
-		for i := range v.Wts {
-			if v.Wts[i] <= 0 {
-				return corruptf("adjacency weight %d invalid at %d", v.Wts[i], i)
+		for i, w := range v.Wide {
+			if w <= 0 {
+				return corruptf("adjacency wide weight %d invalid at %d", w, i)
 			}
 		}
 	}

@@ -18,11 +18,12 @@ type CSRView struct {
 	// Edges is the canonical undirected edge list (len m). For
 	// unweighted graphs the W fields are the materialized 1s.
 	Edges []Edge
-	// Offs/Dst/Eids are the CSR arrays (len n+1 / 2m / 2m); Wts is nil
-	// for unweighted graphs.
+	// Offs/Arcs/Eids are the CSR arrays (len n+1 / 2m / 2m); Wide is
+	// the full weight per arc (len 2m) when MaxW exceeds
+	// math.MaxUint32, nil otherwise.
 	Offs []int64
-	Dst  []V
-	Wts  []W
+	Arcs []Arc
+	Wide []W
 	Eids []int32
 	// OrigEID is the contraction back-map (len m), nil when absent.
 	OrigEID []int32
@@ -37,8 +38,8 @@ func (g *Graph) CSRView() CSRView {
 		MaxW:     g.maxW,
 		Edges:    g.edges,
 		Offs:     g.offs,
-		Dst:      g.dst,
-		Wts:      g.wts,
+		Arcs:     g.arcs,
+		Wide:     g.wide,
 		Eids:     g.eids,
 		OrigEID:  g.origEID,
 	}
@@ -58,8 +59,8 @@ func FromCSRView(v CSRView) *Graph {
 		maxW:     v.MaxW,
 		edges:    v.Edges,
 		offs:     v.Offs,
-		dst:      v.Dst,
-		wts:      v.Wts,
+		arcs:     v.Arcs,
+		wide:     v.Wide,
 		eids:     v.Eids,
 		origEID:  v.OrigEID,
 	}

@@ -8,10 +8,17 @@
 //
 //   - Vertices are V = int32 ids in [0, NumVertices()).
 //   - Weights are W = int64 and strictly positive; an unweighted graph
-//     stores no weight array and reports weight 1 for every edge, which
-//     matches the paper's normalization min w(e) = 1.
+//     reports weight 1 for every edge, which matches the paper's
+//     normalization min w(e) = 1.
+//   - The CSR stores each direction of an edge as an 8-byte Arc
+//     {To, W} in one stream per vertex (Arcs), so a search reads the
+//     head and the weight of an arc together. Unweighted graphs store
+//     W = 1. A graph whose MaxWeight exceeds math.MaxUint32 also keeps
+//     the full weights aligned with its arcs (Wide); every weighted
+//     loop reads w := W(a.W) and overrides it with Wide's entry when
+//     that slice is non-nil.
 //   - Every undirected edge has a canonical edge id in [0, NumEdges())
-//     referring to the Edges() list; the CSR arrays carry the edge id
+//     referring to the Edges() list; the CSR carries the edge id
 //     alongside each direction so subgraphs (spanners, hopsets) can be
 //     described as subsets of edge ids.
 //   - Dist is the distance type; InfDist is the "unreached" sentinel
@@ -52,12 +59,26 @@ type Edge struct {
 	W    W
 }
 
+// Arc is one direction of an edge in CSR order: the head vertex and
+// the weight, 8 bytes together. W is the edge weight (1 on unweighted
+// graphs), saturated at math.MaxUint32; on a graph with Wide arcs the
+// full weight is the Wide entry aligned with the arc.
+type Arc struct {
+	To V
+	W  uint32
+}
+
+// ArcWeight is the Arc.W stored for an edge of weight w >= 1.
+func ArcWeight(w W) uint32 {
+	return uint32(min(w, math.MaxUint32))
+}
+
 // Graph is an immutable undirected graph in CSR form.
 type Graph struct {
 	n    int32
 	offs []int64 // len n+1; offs[v]..offs[v+1] index the CSR arrays
-	dst  []V     // len 2m; neighbor
-	wts  []W     // len 2m or nil for unweighted
+	arcs []Arc   // len 2m; head and (saturated) weight
+	wide []W     // len 2m when maxW > math.MaxUint32, else nil
 	eids []int32 // len 2m; canonical edge id of this direction
 
 	edges []Edge // canonical undirected edge list, len m
@@ -115,22 +136,22 @@ func (g *Graph) Degree(v V) int32 {
 	return int32(g.offs[v+1] - g.offs[v])
 }
 
-// Neighbors returns the CSR neighbor slice of v. The caller must not
-// modify it.
-func (g *Graph) Neighbors(v V) []V {
-	return g.dst[g.offs[v]:g.offs[v+1]]
+// Arcs returns v's arcs in CSR order. The caller must not modify it.
+func (g *Graph) Arcs(v V) []Arc {
+	return g.arcs[g.offs[v]:g.offs[v+1]]
 }
 
-// AdjWeights returns the weight slice aligned with Neighbors(v), or
-// nil for unweighted graphs.
-func (g *Graph) AdjWeights(v V) []W {
-	if !g.weighted {
+// Wide returns the full weights aligned with Arcs(v) on a graph whose
+// MaxWeight exceeds math.MaxUint32, and nil on every other graph,
+// whose Arc.W already is the weight.
+func (g *Graph) Wide(v V) []W {
+	if g.wide == nil {
 		return nil
 	}
-	return g.wts[g.offs[v]:g.offs[v+1]]
+	return g.wide[g.offs[v]:g.offs[v+1]]
 }
 
-// AdjEdgeIDs returns the canonical edge ids aligned with Neighbors(v).
+// AdjEdgeIDs returns the canonical edge ids aligned with Arcs(v).
 func (g *Graph) AdjEdgeIDs(v V) []int32 {
 	return g.eids[g.offs[v]:g.offs[v+1]]
 }
@@ -234,24 +255,25 @@ func FromEdges(n int32, edges []Edge, weighted bool) *Graph {
 	}
 	offs[n] = run
 	g.offs = offs
-	g.dst = make([]V, run)
+	g.arcs = make([]Arc, run)
 	g.eids = make([]int32, run)
-	if weighted {
-		g.wts = make([]W, run)
+	if g.maxW > math.MaxUint32 {
+		g.wide = make([]W, run)
 	}
 	cursor := make([]int64, n)
 	copy(cursor, offs[:n])
 	for i := range g.edges {
 		e := &g.edges[i]
+		aw := ArcWeight(e.W)
 		cu := cursor[e.U]
-		g.dst[cu] = e.V
+		g.arcs[cu] = Arc{To: e.V, W: aw}
 		g.eids[cu] = int32(i)
 		cv := cursor[e.V]
-		g.dst[cv] = e.U
+		g.arcs[cv] = Arc{To: e.U, W: aw}
 		g.eids[cv] = int32(i)
-		if weighted {
-			g.wts[cu] = e.W
-			g.wts[cv] = e.W
+		if g.wide != nil {
+			g.wide[cu] = e.W
+			g.wide[cv] = e.W
 		}
 		cursor[e.U]++
 		cursor[e.V]++
@@ -327,21 +349,23 @@ func (g *Graph) Validate() error {
 	if g.offs[n] != want {
 		return fmt.Errorf("offs[n] = %d, want 2m = %d", g.offs[n], want)
 	}
-	if int64(len(g.dst)) != want || int64(len(g.eids)) != want {
-		return fmt.Errorf("CSR array lengths %d/%d, want %d", len(g.dst), len(g.eids), want)
+	if int64(len(g.arcs)) != want || int64(len(g.eids)) != want {
+		return fmt.Errorf("CSR array lengths %d/%d, want %d", len(g.arcs), len(g.eids), want)
 	}
-	if g.weighted && int64(len(g.wts)) != want {
-		return fmt.Errorf("weight array length %d, want %d", len(g.wts), want)
+	if wantWide := g.weighted && g.maxW > math.MaxUint32; wantWide != (g.wide != nil) ||
+		(wantWide && int64(len(g.wide)) != want) {
+		return fmt.Errorf("wide weight array length %d (maxW %d)", len(g.wide), g.maxW)
 	}
 	dirCount := make([]int32, len(g.edges))
 	for v := V(0); v < n; v++ {
 		if g.offs[v] > g.offs[v+1] {
 			return fmt.Errorf("offs not monotone at %d", v)
 		}
-		adj := g.Neighbors(v)
+		arcs := g.Arcs(v)
 		ids := g.AdjEdgeIDs(v)
-		wts := g.AdjWeights(v)
-		for i, u := range adj {
+		wide := g.Wide(v)
+		for i, a := range arcs {
+			u := a.To
 			if u < 0 || u >= n {
 				return fmt.Errorf("neighbor %d of %d out of range", u, v)
 			}
@@ -356,8 +380,8 @@ func (g *Graph) Validate() error {
 			if !((ed.U == v && ed.V == u) || (ed.U == u && ed.V == v)) {
 				return fmt.Errorf("edge id %d at vertex %d does not match edge list (%d,%d)", e, v, ed.U, ed.V)
 			}
-			if g.weighted && wts[i] != ed.W {
-				return fmt.Errorf("CSR weight %d != edge list weight %d for edge %d", wts[i], ed.W, e)
+			if a.W != ArcWeight(ed.W) || (wide != nil && wide[i] != ed.W) {
+				return fmt.Errorf("CSR weight %d != edge list weight %d for edge %d", a.W, ed.W, e)
 			}
 			dirCount[e]++
 		}
@@ -522,8 +546,8 @@ func (g *Graph) Components() (comp []V, count int32) {
 		for len(queue) > 0 {
 			v := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, u := range g.Neighbors(v) {
-				if comp[u] == NoVertex {
+			for _, a := range g.Arcs(v) {
+				if u := a.To; comp[u] == NoVertex {
 					comp[u] = count
 					queue = append(queue, u)
 				}

@@ -31,11 +31,9 @@ func TestFromEdgesBasic(t *testing.T) {
 		t.Fatal("cycle degrees wrong")
 	}
 	// Adjacency of 0 must be {1, 3} with weights {5, 2}.
-	adj := g.Neighbors(0)
-	wts := g.AdjWeights(0)
 	got := map[V]W{}
-	for i, u := range adj {
-		got[u] = wts[i]
+	for _, a := range g.Arcs(0) {
+		got[a.To] = W(a.W)
 	}
 	if got[1] != 5 || got[3] != 2 || len(got) != 2 {
 		t.Fatalf("adjacency of 0: %v", got)
@@ -53,8 +51,13 @@ func TestFromEdgesUnweighted(t *testing.T) {
 			t.Fatalf("unweighted edge %d has weight %d", i, g.EdgeWeight(int32(i)))
 		}
 	}
-	if g.AdjWeights(0) != nil {
-		t.Fatal("unweighted graph should have nil AdjWeights")
+	for _, a := range g.Arcs(1) {
+		if a.W != 1 {
+			t.Fatalf("unweighted arc %d->%d stores weight %d, want 1", 1, a.To, a.W)
+		}
+	}
+	if g.Wide(0) != nil {
+		t.Fatal("unweighted graph should have nil Wide")
 	}
 	if g.WeightRatio() != 1 {
 		t.Fatalf("weight ratio %v, want 1", g.WeightRatio())
@@ -121,7 +124,8 @@ func TestEdgeIDsConsistent(t *testing.T) {
 	// Walking the CSR and looking up eids must reproduce endpoints.
 	for v := V(0); v < g.NumVertices(); v++ {
 		ids := g.AdjEdgeIDs(v)
-		for i, u := range g.Neighbors(v) {
+		for i, a := range g.Arcs(v) {
+			u := a.To
 			e := g.Edges()[ids[i]]
 			if !((e.U == v && e.V == u) || (e.U == u && e.V == v)) {
 				t.Fatalf("edge id mismatch at %d->%d", v, u)

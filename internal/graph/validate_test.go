@@ -35,13 +35,13 @@ func TestValidateDetectsNonMonotoneOffsets(t *testing.T) {
 }
 
 func TestValidateDetectsBadNeighbor(t *testing.T) {
-	corrupt(t, func(g *Graph) { g.dst[0] = 99 }, "out of range")
+	corrupt(t, func(g *Graph) { g.arcs[0].To = 99 }, "out of range")
 }
 
 func TestValidateDetectsSelfLoopInCSR(t *testing.T) {
 	corrupt(t, func(g *Graph) {
 		// Point vertex 0's first neighbor at itself.
-		g.dst[g.offs[0]] = 0
+		g.arcs[g.offs[0]].To = 0
 	}, "self-loop")
 }
 
@@ -58,7 +58,22 @@ func TestValidateDetectsEdgeIDMismatch(t *testing.T) {
 }
 
 func TestValidateDetectsWeightMismatch(t *testing.T) {
-	corrupt(t, func(g *Graph) { g.wts[0] = g.wts[0] + 1 }, "weight")
+	corrupt(t, func(g *Graph) { g.arcs[0].W++ }, "weight")
+}
+
+func TestValidateDetectsWideWeightMismatch(t *testing.T) {
+	g := FromEdges(3, []Edge{{0, 1, 1 << 33}, {1, 2, 7}}, true)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("baseline invalid: %v", err)
+	}
+	g.wide[0]--
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "weight") {
+		t.Fatalf("wide weight corruption: err = %v", err)
+	}
+	g.wide = nil
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "wide") {
+		t.Fatalf("missing wide array: err = %v", err)
+	}
 }
 
 func TestValidateDetectsDirectionCount(t *testing.T) {
@@ -79,7 +94,7 @@ func TestValidateDetectsDirectionCount(t *testing.T) {
 }
 
 func TestValidateDetectsTruncatedArrays(t *testing.T) {
-	corrupt(t, func(g *Graph) { g.dst = g.dst[:len(g.dst)-1] }, "lengths")
+	corrupt(t, func(g *Graph) { g.arcs = g.arcs[:len(g.arcs)-1] }, "lengths")
 }
 
 func TestValidateDetectsBadEdgeID(t *testing.T) {

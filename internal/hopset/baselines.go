@@ -171,16 +171,16 @@ func bunchEdges(g *graph.Graph, v graph.V, sameLevel, nextLevel []bool, cost *pa
 				out = append(out, graph.Edge{U: v, V: top.v, W: top.d})
 			}
 		}
-		adj := g.Neighbors(top.v)
-		wts := g.AdjWeights(top.v)
-		for i, u := range adj {
+		wide := g.Wide(top.v)
+		for i, a := range g.Arcs(top.v) {
 			ops++
+			u := a.To
 			if settled[u] {
 				continue
 			}
-			w := graph.W(1)
-			if wts != nil {
-				w = wts[i]
+			w := graph.W(a.W)
+			if wide != nil {
+				w = wide[i]
 			}
 			nd := top.d + w
 			if d, ok := dist[u]; !ok || nd < d {

@@ -275,16 +275,15 @@ func (b *builder) starEdges(clus *core.Result, ci int, cost *par.Cost) []graph.E
 // trueEdgeWeight returns the minimum original weight among the
 // parallel edges joining u and v; the pair must be adjacent.
 func (b *builder) trueEdgeWeight(u, v graph.V) graph.W {
-	adj := b.gTrue.Neighbors(u)
-	wts := b.gTrue.AdjWeights(u)
+	wide := b.gTrue.Wide(u)
 	best := graph.W(-1)
-	for i, x := range adj {
-		if x != v {
+	for i, a := range b.gTrue.Arcs(u) {
+		if a.To != v {
 			continue
 		}
-		w := graph.W(1)
-		if wts != nil {
-			w = wts[i]
+		w := graph.W(a.W)
+		if wide != nil {
+			w = wide[i]
 		}
 		if best == -1 || w < best {
 			best = w

@@ -142,12 +142,13 @@ func (a *Accountant) Begin() CostSample {
 }
 
 // End closes a section opened by Begin, attributing the deltas to
-// (graph, op). n counts the work units inside the section (queries in
-// a batch, 1 for a build); failed reports whether the section's work
-// errored.
-func (a *Accountant) End(s CostSample, graph, op string, n int, failed bool) {
+// (graph, op), and returns the section's thread CPU time in
+// nanoseconds (0 on a nil Accountant). n counts the work units inside
+// the section (queries in a batch, 1 for a build); failed reports
+// whether the section's work errored.
+func (a *Accountant) End(s CostSample, graph, op string, n int, failed bool) int64 {
 	if a == nil || !s.open {
-		return
+		return 0
 	}
 	cpu := threadCPU() - s.cpu0
 	objs, bytes := readAllocs()
@@ -171,6 +172,7 @@ func (a *Accountant) End(s CostSample, graph, op string, n int, failed bool) {
 		c.errors.Add(1)
 	}
 	c.samples.Add(1)
+	return cpu
 }
 
 // Measure runs f as one accounted section (convenience for builds and

@@ -29,10 +29,10 @@ package obs
 //     calls, so library users and tests pay nothing.
 
 import (
+	"context"
 	"errors"
 	"log/slog"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,6 +44,10 @@ import (
 // and auditing. The sample is uncheckable — counted as a stale skip,
 // never as a violation.
 var ErrAuditStale = errors.New("obs: audited generation compacted away")
+
+// ErrAuditorClosed is Drain's error when the auditor closes with
+// samples still queued: they are abandoned, never audited.
+var ErrAuditorClosed = errors.New("obs: auditor closed")
 
 // RecheckFunc recomputes the exact distance for (s, t) on the graph
 // as of generation gen. unreachable reports a disconnected pair (the
@@ -227,6 +231,13 @@ type Auditor struct {
 	quit   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
+
+	// pending counts accepted samples not yet audited, skipped or
+	// dropped; idle is closed whenever pending is zero (Drain waits on
+	// it) and replaced when a sample arrives at an idle auditor.
+	pendMu  sync.Mutex
+	pending int
+	idle    chan struct{}
 }
 
 // NewAuditor starts an auditor with opts.Workers background recheck
@@ -247,6 +258,11 @@ func NewAuditor(opts AuditorOptions) *Auditor {
 	if opts.Evidence <= 0 {
 		opts.Evidence = defaultAuditEvidence
 	}
+	if opts.Acct == nil {
+		// audit meters each recheck through the accountant; a private
+		// one keeps the CPU budget working when no caller reads it.
+		opts.Acct = NewAccountant()
+	}
 	a := &Auditor{
 		sampleEvery: opts.SampleEvery,
 		cpuFrac:     opts.CPUFrac,
@@ -258,7 +274,9 @@ func NewAuditor(opts AuditorOptions) *Auditor {
 		graphs:      make(map[string]*auditGraph),
 		queue:       make(chan AuditSample, opts.Queue),
 		quit:        make(chan struct{}),
+		idle:        make(chan struct{}),
 	}
+	close(a.idle)
 	a.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go a.worker()
@@ -328,6 +346,53 @@ func (a *Auditor) Close() {
 	a.wg.Wait()
 }
 
+// Drain blocks until every sample Offer has accepted is audited,
+// skipped or dropped. It returns ctx's error if ctx ends first, and
+// ErrAuditorClosed if the auditor closes first. It returns the first
+// time the pipeline is empty: samples offered before then extend the
+// wait, later ones do not.
+func (a *Auditor) Drain(ctx context.Context) error {
+	if a == nil {
+		return nil
+	}
+	a.pendMu.Lock()
+	idle := a.idle
+	a.pendMu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	default:
+	}
+	select {
+	case <-idle:
+		return nil
+	case <-a.quit:
+		return ErrAuditorClosed
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// enter counts one sample into the pipeline before it is queued.
+func (a *Auditor) enter() {
+	a.pendMu.Lock()
+	if a.pending == 0 {
+		a.idle = make(chan struct{})
+	}
+	a.pending++
+	a.pendMu.Unlock()
+}
+
+// leave counts one sample out: audited, skipped or dropped.
+func (a *Auditor) leave() {
+	a.pendMu.Lock()
+	a.pending--
+	if a.pending == 0 {
+		close(a.idle)
+	}
+	a.pendMu.Unlock()
+}
+
 func (a *Auditor) graph(id string) *auditGraph {
 	a.mu.RLock()
 	g := a.graphs[id]
@@ -361,6 +426,9 @@ func (a *Auditor) Offer(s AuditSample) bool {
 		g.sampled++
 		g.mu.Unlock()
 	}
+	// Counted in before the send, so a worker that audits it at once
+	// never takes pending below zero.
+	a.enter()
 	select {
 	case a.queue <- s:
 		accept()
@@ -375,6 +443,7 @@ func (a *Auditor) Offer(s AuditSample) bool {
 			og.dropped++
 			og.mu.Unlock()
 		}
+		a.leave()
 	default:
 	}
 	select {
@@ -385,6 +454,7 @@ func (a *Auditor) Offer(s AuditSample) bool {
 		g.mu.Lock()
 		g.dropped++
 		g.mu.Unlock()
+		a.leave()
 		return false
 	}
 }
@@ -397,6 +467,7 @@ func (a *Auditor) worker() {
 			return
 		case s := <-a.queue:
 			a.audit(s)
+			a.leave()
 		}
 	}
 }
@@ -422,15 +493,12 @@ func (a *Auditor) audit(s AuditSample) {
 	env := g.env
 	g.mu.Unlock()
 
-	// The recheck runs thread-locked so its CPU is attributable both
-	// to the Accountant cell (op=audit) and to this graph's budget.
-	runtime.LockOSThread()
+	// The accountant section runs the recheck thread-locked; the CPU
+	// it measures is charged both to its cell (op=audit) and to this
+	// graph's budget.
 	cs := a.acct.Begin()
-	cpu0 := threadCPU()
 	exact, exUnreach, err := recheck(s.Gen, s.S, s.T)
-	cpu := threadCPU() - cpu0
-	a.acct.End(cs, s.Graph, OpAudit, 1, err != nil && !errors.Is(err, ErrAuditStale))
-	runtime.UnlockOSThread()
+	cpu := a.acct.End(cs, s.Graph, OpAudit, 1, err != nil && !errors.Is(err, ErrAuditStale))
 
 	g.mu.Lock()
 	defer g.mu.Unlock()

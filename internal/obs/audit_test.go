@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -259,6 +260,113 @@ func TestAuditorDropOldest(t *testing.T) {
 	snap, _ := a.GraphSnapshot("g")
 	if snap.Sampled != 4 || snap.Dropped != 1 {
 		t.Fatalf("sampled=%d dropped=%d, want 4/1", snap.Sampled, snap.Dropped)
+	}
+}
+
+// TestAuditorDrain: Drain returns at once on an idle auditor, waits
+// while a recheck is blocked (returning ctx's error when ctx ends
+// first), and returns nil once every accepted sample is audited or
+// dropped; after Close with samples still queued it reports
+// ErrAuditorClosed.
+func TestAuditorDrain(t *testing.T) {
+	block := make(chan struct{})
+	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Queue: 2, Workers: 1})
+	if err := a.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain on an idle auditor = %v", err)
+	}
+	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, func(gen uint64, s, t int32) (int64, bool, error) {
+		<-block
+		return 100, false, nil
+	})
+	for i := int32(0); i < 4; i++ {
+		a.Offer(AuditSample{Graph: "g", S: i, Answer: 100, Regime: "clean"})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := a.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with a blocked recheck = %v, want deadline exceeded", err)
+	}
+	close(block)
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := a.Drain(ctx); err != nil {
+		t.Fatalf("Drain = %v", err)
+	}
+	snap, _ := a.GraphSnapshot("g")
+	if snap.Sampled != 4 || snap.Audited+snap.Dropped != 4 || snap.Dropped == 0 {
+		t.Fatalf("after Drain: sampled=%d audited=%d dropped=%d, want 4 = audited + dropped, some dropped",
+			snap.Sampled, snap.Audited, snap.Dropped)
+	}
+
+	stuck := make(chan struct{})
+	b := NewAuditor(AuditorOptions{SampleEvery: 1, CPUFrac: -1, Workers: 1})
+	b.Register("g", Envelope{Lo: 0.9, Hi: 2}, func(gen uint64, s, t int32) (int64, bool, error) {
+		<-stuck
+		return 100, false, nil
+	})
+	b.Offer(AuditSample{Graph: "g", Answer: 100, Regime: "clean"})
+	b.Offer(AuditSample{Graph: "g", Answer: 100, Regime: "clean"})
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	if err := b.Drain(ctx); !errors.Is(err, ErrAuditorClosed) {
+		t.Fatalf("Drain on a closing auditor = %v, want ErrAuditorClosed", err)
+	}
+	close(stuck)
+	<-closed
+}
+
+// TestAuditorDrainConcurrentOffers: four goroutines offer through a
+// small queue (so samples are evicted and rejected) while a fifth
+// drains repeatedly; once the offers end, one Drain settles every
+// accepted sample and the pending count is back at zero.
+func TestAuditorDrainConcurrentOffers(t *testing.T) {
+	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Queue: 4, Workers: 2})
+	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(100, false, nil))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var offers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		offers.Add(1)
+		go func() {
+			defer offers.Done()
+			for i := 0; i < 200; i++ {
+				a.Offer(AuditSample{Graph: "g", S: int32(i), Answer: 100, Regime: "clean"})
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	drained := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				drained <- nil
+				return
+			default:
+			}
+			if err := a.Drain(ctx); err != nil {
+				drained <- err
+				return
+			}
+		}
+	}()
+	offers.Wait()
+	close(stop)
+	if err := <-drained; err != nil {
+		t.Fatalf("concurrent Drain = %v", err)
+	}
+	if err := a.Drain(ctx); err != nil {
+		t.Fatalf("Drain = %v", err)
+	}
+	snap, _ := a.GraphSnapshot("g")
+	if snap.Audited+snap.Dropped < snap.Sampled || snap.Audited == 0 {
+		t.Fatalf("after Drain: sampled=%d audited=%d dropped=%d", snap.Sampled, snap.Audited, snap.Dropped)
+	}
+	a.pendMu.Lock()
+	pending := a.pending
+	a.pendMu.Unlock()
+	if pending != 0 {
+		t.Fatalf("pending = %d after Drain, want 0", pending)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -36,46 +37,43 @@ func newAuditTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// awaitQuality polls /debug/quality?graph=id until the audit pipeline
-// has drained every accepted sample and audited at least min of them.
-func awaitQuality(t *testing.T, ts *httptest.Server, id string, min int64) obs.AuditGraphSnapshot {
+// awaitQuality drains the server's audit pipeline, then reads
+// /debug/quality?graph=id and requires every accepted sample settled
+// and at least min of them audited. Queries offer their samples before
+// their responses ship, so a drain after the responses covers them.
+func awaitQuality(t *testing.T, s *Server, ts *httptest.Server, id string, min int64) obs.AuditGraphSnapshot {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	var last qualityResponse
-	for time.Now().Before(deadline) {
-		if code := httpJSON(t, ts, "GET", "/debug/quality?graph="+id, nil, &last); code != http.StatusOK {
-			t.Fatalf("GET /debug/quality?graph=%s = %d", id, code)
-		}
-		if len(last.Graphs) == 1 {
-			g := last.Graphs[0]
-			settled := g.Audited+g.Dropped+g.BudgetSkips+g.StaleSkips+g.Errors >= g.Sampled
-			if settled && g.Audited >= min {
-				return g
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := s.reg.aud.Drain(ctx); err != nil {
+		t.Fatalf("audit pipeline for %s did not drain: %v", id, err)
 	}
-	t.Fatalf("audit pipeline for %s did not reach %d audits: %+v", id, min, last.Graphs)
-	return obs.AuditGraphSnapshot{}
+	var last qualityResponse
+	if code := httpJSON(t, ts, "GET", "/debug/quality?graph="+id, nil, &last); code != http.StatusOK {
+		t.Fatalf("GET /debug/quality?graph=%s = %d", id, code)
+	}
+	if len(last.Graphs) != 1 {
+		t.Fatalf("GET /debug/quality?graph=%s returned %d graphs", id, len(last.Graphs))
+	}
+	g := last.Graphs[0]
+	if g.Audited+g.Dropped+g.BudgetSkips+g.StaleSkips+g.Errors < g.Sampled || g.Audited < min {
+		t.Fatalf("audit pipeline for %s drained short of %d audits: %+v", id, min, g)
+	}
+	return g
 }
 
-// awaitRegime polls /debug/quality?graph=id until the regime row has
-// audited at least min answers, and returns that row.
-func awaitRegime(t *testing.T, ts *httptest.Server, id, regime string, min int64) obs.AuditRegimeSnapshot {
+// awaitRegime is awaitQuality's snapshot's regime row, which must have
+// audited at least min answers.
+func awaitRegime(t *testing.T, s *Server, ts *httptest.Server, id, regime string, min int64) obs.AuditRegimeSnapshot {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		snap := awaitQuality(t, ts, id, 1)
-		for _, r := range snap.Regimes {
-			if r.Regime == regime && r.Count >= min {
-				return r
-			}
+	snap := awaitQuality(t, s, ts, id, 1)
+	for _, r := range snap.Regimes {
+		if r.Regime == regime && r.Count >= min {
+			return r
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("regime %s of %s did not reach %d audits: %+v", regime, id, min, snap.Regimes)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	t.Fatalf("regime %s of %s did not reach %d audits: %+v", regime, id, min, snap.Regimes)
+	return obs.AuditRegimeSnapshot{}
 }
 
 // TestQualityEndpointEndToEnd drives traced and untraced traffic
@@ -84,7 +82,7 @@ func awaitRegime(t *testing.T, ts *httptest.Server, id, regime string, min int64
 // violations — the continuous correctness monitor agreeing with a
 // correct build.
 func TestQualityEndpointEndToEnd(t *testing.T) {
-	_, ts := newAuditTestServer(t)
+	s, ts := newAuditTestServer(t)
 	code := httpJSON(t, ts, "POST", "/graphs",
 		GraphSpec{Name: "q1", Gen: "grid:side=6", Eps: 0.3, Seed: 4}, nil)
 	if code != http.StatusAccepted {
@@ -116,7 +114,7 @@ func TestQualityEndpointEndToEnd(t *testing.T) {
 	// The insert diverges from the base, so the exact patched search
 	// answers it and the auditor holds every answer to exactness
 	// under the "degrading" label.
-	ins := awaitRegime(t, ts, "q1", "degrading", 3)
+	ins := awaitRegime(t, s, ts, "q1", "degrading", 3)
 	if ins.Violations != 0 || ins.MinRatio != 1 || ins.MaxRatio != 1 {
 		t.Fatalf("insert-only overlay audited inexact: %+v", ins)
 	}
@@ -130,7 +128,7 @@ func TestQualityEndpointEndToEnd(t *testing.T) {
 		httpJSON(t, ts, "POST", "/graphs/q1/query", map[string]any{"s": 1 + i, "t": 34 - i}, nil)
 	}
 
-	snap := awaitQuality(t, ts, "q1", 3)
+	snap := awaitQuality(t, s, ts, "q1", 3)
 	if snap.Violations != 0 || len(snap.Evidence) != 0 {
 		t.Fatalf("correct build reported violations: %+v", snap)
 	}
@@ -164,27 +162,20 @@ func TestQualityEndpointEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The traced query's ring entry eventually carries the async audit
-	// outcome.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var out struct {
-			Traces []obs.TraceData `json:"traces"`
+	// The traced query's ring entry carries the async audit outcome,
+	// annotated before the drain in awaitQuality returned.
+	var out struct {
+		Traces []obs.TraceData `json:"traces"`
+	}
+	httpJSON(t, ts, "GET", "/debug/traces", nil, &out)
+	annotated := false
+	for _, tr := range out.Traces {
+		if tr.ID == rid && tr.Attrs["audit"] == "ok" {
+			annotated = true
 		}
-		httpJSON(t, ts, "GET", "/debug/traces", nil, &out)
-		ok := false
-		for _, tr := range out.Traces {
-			if tr.ID == rid && tr.Attrs["audit"] == "ok" {
-				ok = true
-			}
-		}
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace %s never annotated audit=ok", rid)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if !annotated {
+		t.Fatalf("trace %s never annotated audit=ok", rid)
 	}
 
 	// Envelope of the full endpoint: buckets shared with the metrics
@@ -240,18 +231,10 @@ func TestQualityFaultInjection(t *testing.T) {
 		t.Fatalf("traced query attrs = %v, want audit=sampled", td.Attrs)
 	}
 
-	// The alarm fires asynchronously.
-	deadline := time.Now().Add(15 * time.Second)
-	var snap obs.AuditGraphSnapshot
-	for {
-		snap = awaitQuality(t, ts, "q2", 1)
-		if snap.Violations >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("corrupted answer never flagged: %+v", snap)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The alarm fires asynchronously, by the time the pipeline drains.
+	snap := awaitQuality(t, s, ts, "q2", 1)
+	if snap.Violations < 1 {
+		t.Fatalf("corrupted answer never flagged: %+v", snap)
 	}
 
 	if len(snap.Evidence) == 0 {
@@ -274,29 +257,23 @@ func TestQualityFaultInjection(t *testing.T) {
 		t.Fatalf("worst offender = %+v", snap.Worst)
 	}
 
-	// Trace ring records the violation verdict.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		var out struct {
-			Traces []obs.TraceData `json:"traces"`
-		}
-		httpJSON(t, ts, "GET", "/debug/traces", nil, &out)
-		done := false
-		for _, tr := range out.Traces {
-			if tr.ID == rid && tr.Attrs["audit"] == "violation" {
-				if tr.Attrs["audit_reason"] != obs.ReasonAboveEnvelope {
-					t.Fatalf("trace audit_reason = %v", tr.Attrs["audit_reason"])
-				}
-				done = true
+	// Trace ring records the violation verdict: the audit annotates
+	// the trace before the drain above returned.
+	var out struct {
+		Traces []obs.TraceData `json:"traces"`
+	}
+	httpJSON(t, ts, "GET", "/debug/traces", nil, &out)
+	annotated := false
+	for _, tr := range out.Traces {
+		if tr.ID == rid && tr.Attrs["audit"] == "violation" {
+			if tr.Attrs["audit_reason"] != obs.ReasonAboveEnvelope {
+				t.Fatalf("trace audit_reason = %v", tr.Attrs["audit_reason"])
 			}
+			annotated = true
 		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace %s never annotated audit=violation", rid)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if !annotated {
+		t.Fatalf("trace %s never annotated audit=violation", rid)
 	}
 
 	// /metrics carries the alarm and the histogram that caught it.
@@ -327,7 +304,7 @@ func TestQualityFaultInjection(t *testing.T) {
 	e.exec.corrupt.Store(nil)
 	before := snap.Violations
 	httpJSON(t, ts, "POST", "/graphs/q2/query", map[string]any{"s": 1, "t": 62}, nil)
-	snap = awaitQuality(t, ts, "q2", snap.Audited+1)
+	snap = awaitQuality(t, s, ts, "q2", snap.Audited+1)
 	if snap.Violations != before {
 		t.Fatalf("clean query after disarm changed violations: %d -> %d", before, snap.Violations)
 	}

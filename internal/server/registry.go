@@ -144,8 +144,8 @@ type Info struct {
 	BuildStages []exec.StageStats `json:"build_stages,omitempty"`
 	// WarmStarted marks a graph restored from a snapshot at boot.
 	WarmStarted bool `json:"warm_started,omitempty"`
-	// Flat marks an oracle served from a mapped flat arena (a v3
-	// snapshot warm start); FlatBytes is the arena size backing it.
+	// Flat marks an oracle served from a mapped flat arena (a flat
+	// snapshot's warm start); FlatBytes is the arena size backing it.
 	// Cleared once a rebuild swaps in a freshly built oracle.
 	Flat      bool  `json:"flat,omitempty"`
 	FlatBytes int64 `json:"flat_bytes,omitempty"`

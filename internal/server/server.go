@@ -53,7 +53,7 @@ type Config struct {
 	// disables persistence.
 	SnapshotDir string
 	// SnapshotFormat picks the on-disk snapshot encoding:
-	// SnapshotFormatFlat (the default) writes the v3 flat arena, which
+	// SnapshotFormatFlat (the default) writes the flat arena, which
 	// WarmStart restores by memory mapping instead of decoding;
 	// SnapshotFormatCodec writes the portable v2 streaming codec.
 	// WarmStart always accepts both — the format is sniffed per file —
@@ -127,7 +127,7 @@ func (c Config) workloadOptions() obs.WorkloadOptions {
 
 // Snapshot format names for Config.SnapshotFormat.
 const (
-	// SnapshotFormatFlat is the v3 flat-arena format: mmap-restored on
+	// SnapshotFormatFlat is the flat-arena format: mmap-restored on
 	// warm start, host-endianness, every section checksummed.
 	SnapshotFormatFlat = "flat"
 	// SnapshotFormatCodec is the v2 streaming codec: portable across
@@ -860,7 +860,7 @@ type graphStats struct {
 	StatsSnapshot
 	BuildStages []exec.StageStats `json:"build_stages,omitempty"`
 	WarmStarted bool              `json:"warm_started,omitempty"`
-	// Flat marks an oracle serving straight out of a mapped v3 arena;
+	// Flat marks an oracle serving straight out of a mapped flat arena;
 	// FlatBytes is how many arena bytes back it.
 	Flat      bool          `json:"flat,omitempty"`
 	FlatBytes int64         `json:"flat_bytes,omitempty"`

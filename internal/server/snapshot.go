@@ -118,7 +118,7 @@ func (r *Registry) snapshotEntry(e *Entry) (SnapshotInfo, error) {
 	}
 	// Either writer persists the current base oracle plus any pending
 	// mutation journal, so a warm start replays updates the scheduler
-	// had not yet folded in. The flat default writes the v3 arena the
+	// had not yet folded in. The flat default writes the flat arena the
 	// next boot restores by mmap; -snapshot-format codec keeps the
 	// portable v2 stream.
 	var werr error
@@ -252,7 +252,7 @@ func (r *Registry) WarmStart() (int, []WarmStartError) {
 }
 
 // warmStartFile restores one snapshot into a ready entry. The format
-// is sniffed per file — a v3 arena is memory-mapped (startup is
+// is sniffed per file — a flat arena is memory-mapped (startup is
 // checksum validation, pages fault in as queries touch them), a codec
 // stream is decoded — so a directory can mix formats and a
 // -snapshot-format change needs no migration.

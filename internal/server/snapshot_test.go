@@ -5,13 +5,18 @@ package server
 // /graphs/{id}/snapshot forces a write, and DELETE removes the file.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/flat"
 )
 
 func newSnapshotServer(t *testing.T, dir string) (*Server, *httptest.Server) {
@@ -190,6 +195,45 @@ func TestWarmStartSkipsCorruptFiles(t *testing.T) {
 	// The daemon still works after skipping garbage.
 	if _, err := s.Registry().Add(GraphSpec{Gen: "grid:side=4"}); err != nil {
 		t.Fatalf("registry unusable after warm-start errors: %v", err)
+	}
+}
+
+// TestWarmStartSkipsOldArenaVersion: a flat arena of an older format
+// version (its header rewritten to version 3 with a valid checksum) is
+// skipped with a WarmStartError naming the graph and wrapping
+// flat.ErrVersion, and the graph can be registered again.
+func TestWarmStartSkipsOldArenaVersion(t *testing.T) {
+	dir := t.TempDir()
+	spec := GraphSpec{Name: "old", Gen: "grid:side=6,w=uniform,maxw=9", Eps: 0.4, Seed: 3}
+	_, ts := newSnapshotServer(t, dir)
+	if code := httpJSON(t, ts, "POST", "/graphs", spec, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /graphs = %d", code)
+	}
+	waitReady(t, ts, "old")
+	path := filepath.Join(dir, "old.snap")
+	waitSnapshot(t, path)
+	data, err := os.ReadFile(path)
+	if err != nil || !flat.IsArena(data) {
+		t.Fatalf("snapshot is not a flat arena (err %v)", err)
+	}
+	le := binary.LittleEndian
+	le.PutUint32(data[4:], 3)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	le.PutUint32(data[64:], crc32.Update(crc32.Checksum(data[0:64], castagnoli), castagnoli, data[68:72]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _ := newSnapshotServer(t, dir)
+	loaded, errs := s2.Registry().WarmStart()
+	if loaded != 0 || len(errs) != 1 {
+		t.Fatalf("warm start loaded=%d errs=%v, want 0 and the old arena", loaded, errs)
+	}
+	if errs[0].ID != "old" || !errors.Is(errs[0], flat.ErrVersion) {
+		t.Fatalf("warm start error = %+v, want graph old wrapping flat.ErrVersion", errs[0])
+	}
+	if _, err := s2.Registry().Add(spec); err != nil {
+		t.Fatalf("registering the skipped graph again: %v", err)
 	}
 }
 

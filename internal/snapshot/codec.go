@@ -108,7 +108,7 @@ func writeOracleVersion(w io.Writer, g *graph.Graph, o *Oracle, note []byte, ver
 // skeleton, the embedded base graph, and the caller annotation (nil
 // when none was written). Every structural invariant the query path
 // relies on is validated; any violation, truncation, or checksum
-// mismatch returns an error wrapping ErrCorrupt. A v3 arena arriving
+// mismatch returns an error wrapping ErrCorrupt. A flat arena arriving
 // through this generic-reader path is slurped into an aligned buffer
 // and opened in place; use MapOracleFile to open an arena file
 // without reading it.

@@ -10,16 +10,16 @@ import (
 	"repro/internal/graph"
 )
 
-// Version 3 of the snapshot lineage is not a new section layout for
-// the streaming codec — it is the flat oracle arena (internal/flat)
-// written to disk verbatim. This file is the negotiation shim: the
+// The flat snapshot format is not a new section layout for the
+// streaming codec — it is the flat oracle arena (internal/flat, with
+// its own format version) written to disk verbatim. This file is the negotiation shim: the
 // two formats are distinguished by their 4-byte magic ("SPF3" vs the
 // codec's "SPS1"), writers pick a format explicitly, and ReadOracle
 // accepts either. The codec remains the portable interchange format
 // (any endianness, streaming decode); the arena is the fast
 // same-machine warm-start format (mmap + checksum validation).
 
-// FreezeOracle flattens an oracle into a v3 arena ready to be written
+// FreezeOracle flattens an oracle into a flat arena ready to be written
 // to disk verbatim.
 func FreezeOracle(g *graph.Graph, o *Oracle, note []byte) (*flat.Arena, error) {
 	return flat.Freeze(&flat.Parts{
@@ -36,7 +36,7 @@ func FreezeOracle(g *graph.Graph, o *Oracle, note []byte) (*flat.Arena, error) {
 	})
 }
 
-// WriteOracleFlat is WriteOracle in the v3 arena format.
+// WriteOracleFlat is WriteOracle in the flat arena format.
 func WriteOracleFlat(w io.Writer, g *graph.Graph, o *Oracle, note []byte) error {
 	a, err := FreezeOracle(g, o, note)
 	if err != nil {
@@ -46,7 +46,7 @@ func WriteOracleFlat(w io.Writer, g *graph.Graph, o *Oracle, note []byte) error 
 	return err
 }
 
-// OpenOracleArena restores an oracle from an in-memory v3 arena. The
+// OpenOracleArena restores an oracle from an in-memory flat arena. The
 // returned structures alias data — the caller keeps data alive for
 // the oracle's lifetime (automatic when data is an ordinary heap
 // buffer; for a Mapping the caller must hold it, see MapOracleFile).
@@ -72,7 +72,7 @@ func OpenOracleArena(data []byte, g *graph.Graph) (*Oracle, *graph.Graph, []byte
 	return o, p.Graph, p.Note, nil
 }
 
-// MapOracleFile memory-maps a v3 arena file and opens it in place:
+// MapOracleFile memory-maps a flat arena file and opens it in place:
 // the restored oracle's arrays alias the mapping, so startup is
 // header + checksum validation instead of a decode. The caller MUST
 // keep the returned Mapping reachable for as long as the oracle
@@ -95,7 +95,7 @@ func MapOracleFile(path string, g *graph.Graph) (*Oracle, *graph.Graph, []byte, 
 	return o, g, note, m, nil
 }
 
-// IsFlatFile sniffs whether the file at path holds a v3 arena (as
+// IsFlatFile sniffs whether the file at path holds a flat arena (as
 // opposed to a codec stream or anything else).
 func IsFlatFile(path string) bool {
 	f, err := os.Open(path)

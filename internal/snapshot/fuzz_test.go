@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/hopset"
 )
@@ -112,8 +114,9 @@ func FuzzReadOracle(f *testing.F) {
 	})
 }
 
-// layoutForgedArena builds a 127-byte v3 arena whose checksums are
-// all valid but whose section table is forged: section 0 ends
+// layoutForgedArena builds a 127-byte arena of the current version
+// (flat.Version) whose checksums are all valid but whose section
+// table is forged: section 0 ends
 // unaligned at byte 125, so section 1's tight-packing offset
 // align8(125)=128 lands past the end of the file. Byte-flip mutants
 // can never reach this corruption class — a flip breaks a CRC before
@@ -126,7 +129,7 @@ func layoutForgedArena() []byte {
 	data := make([]byte, 127)
 	le := binary.LittleEndian
 	copy(data, "SPF3")
-	le.PutUint32(data[4:], 3)                      // version
+	le.PutUint32(data[4:], flat.Version)           // version
 	le.PutUint32(data[8:], 0x1A2B3C4D)             // endian marker
 	le.PutUint32(data[12:], 2)                     // section count
 	le.PutUint64(data[16:], 127)                   // total size
@@ -144,6 +147,16 @@ func layoutForgedArena() []byte {
 	le.PutUint32(data[60:], crc(data[72:120]))                                      // table CRC
 	le.PutUint32(data[64:], crc32.Update(crc(data[0:64]), castagnoli, data[68:72])) // header CRC
 	return data
+}
+
+// TestLayoutForgedArenaReachesSectionChecks keeps the fuzz seed above
+// useful: it must pass the header checks (magic, checksum, version)
+// and fail at the section layout rule it forges.
+func TestLayoutForgedArenaReachesSectionChecks(t *testing.T) {
+	_, _, _, err := ReadOracle(bytes.NewReader(layoutForgedArena()))
+	if err == nil || !strings.Contains(err.Error(), "tight packing") {
+		t.Fatalf("ReadOracle(layoutForgedArena) = %v, want the section layout error", err)
+	}
 }
 
 // FuzzReadSpanner covers the standalone spanner shape's decoder.

@@ -55,14 +55,13 @@ func BaswanaSen(g *graph.Graph, k int, seed uint64, cost *par.Cost) *Result {
 	// cluster, among alive edges.
 	lightestPerCluster := func(v graph.V) map[graph.V]int32 {
 		best := map[graph.V]int32{}
-		adj := g.Neighbors(v)
 		ids := g.AdjEdgeIDs(v)
-		for i, u := range adj {
+		for i, a := range g.Arcs(v) {
 			e := ids[i]
 			if removed[e] {
 				continue
 			}
-			cu := clusterOf[u]
+			cu := clusterOf[a.To]
 			if cu == graph.NoVertex || cu == clusterOf[v] {
 				continue
 			}
@@ -73,10 +72,9 @@ func BaswanaSen(g *graph.Graph, k int, seed uint64, cost *par.Cost) *Result {
 		return best
 	}
 	removeEdgesTo := func(v graph.V, target graph.V) {
-		adj := g.Neighbors(v)
 		ids := g.AdjEdgeIDs(v)
-		for i, u := range adj {
-			if clusterOf[u] == target {
+		for i, a := range g.Arcs(v) {
+			if clusterOf[a.To] == target {
 				removed[ids[i]] = true
 			}
 		}

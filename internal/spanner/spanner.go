@@ -136,12 +136,11 @@ func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *
 		var touched []int32
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
-			adj := g.Neighbors(v)
 			eids := g.AdjEdgeIDs(v)
 			cv := clus.ClusterOf[v]
-			for i, u := range adj {
+			for i, a := range g.Arcs(v) {
 				work++
-				cu := clus.ClusterOf[u]
+				cu := clus.ClusterOf[a.To]
 				if cu == cv {
 					continue
 				}

@@ -339,8 +339,8 @@ func TestCorollary31BallIntersection(t *testing.T) {
 	total := 0.0
 	for v := graph.V(0); v < g.NumVertices(); v++ {
 		seen := map[int32]bool{}
-		for _, u := range g.Neighbors(v) {
-			seen[res.Clustering.ClusterOf[u]] = true
+		for _, a := range g.Arcs(v) {
+			seen[res.Clustering.ClusterOf[a.To]] = true
 		}
 		seen[res.Clustering.ClusterOf[v]] = true
 		total += float64(len(seen))

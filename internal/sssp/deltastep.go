@@ -248,14 +248,15 @@ func relaxFrontier(g *graph.Graph, dist []graph.Dist, frontier []cand, opt *Opti
 	opt.Exec.For(len(frontier), 64, func(lo, hiIdx int) {
 		for i := lo; i < hiIdx; i++ {
 			v, dv := frontier[i].v, frontier[i].d
-			adj := g.Neighbors(v)
-			wts := g.AdjWeights(v)
+			arcs := g.Arcs(v)
+			wide := g.Wide(v)
 			c := &perVertex[i]
-			for j, u := range adj {
-				w := graph.W(1)
-				if wts != nil {
-					w = wts[j]
+			for j, a := range arcs {
+				w := graph.W(a.W)
+				if wide != nil {
+					w = wide[j]
 				}
+				u := a.To
 				if (w <= graph.W(delta)) != light {
 					continue
 				}
@@ -315,15 +316,16 @@ func resolveParents(g *graph.Graph, res *Result, opt *Options) {
 			if d == 0 || d == graph.InfDist {
 				continue // sources and unreached keep NoVertex
 			}
-			adj := g.Neighbors(v)
-			wts := g.AdjWeights(v)
-			for i, u := range adj {
+			arcs := g.Arcs(v)
+			wide := g.Wide(v)
+			for i, a := range arcs {
+				u := a.To
 				if !opt.admits(u) {
 					continue
 				}
-				w := graph.W(1)
-				if wts != nil {
-					w = wts[i]
+				w := graph.W(a.W)
+				if wide != nil {
+					w = wide[i]
 				}
 				if res.Dist[u]+w == d {
 					res.Parent[v] = u

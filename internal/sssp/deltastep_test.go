@@ -128,10 +128,8 @@ func TestDeltaSteppingParentsCertify(t *testing.T) {
 			t.Fatalf("reached vertex %d has no parent", v)
 		}
 		ok := false
-		adj := g.Neighbors(v)
-		wts := g.AdjWeights(v)
-		for i, u := range adj {
-			if u == p && res.Dist[p]+wts[i] == res.Dist[v] {
+		for _, a := range g.Arcs(v) {
+			if a.To == p && res.Dist[p]+graph.W(a.W) == res.Dist[v] {
 				ok = true
 			}
 		}

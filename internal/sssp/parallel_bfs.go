@@ -52,8 +52,9 @@ func BFSParallel(g *graph.Graph, sources []graph.V, opt Options) *Result {
 			var local []graph.V
 			var scanned int64
 			for _, v := range frontier[lo:hi] {
-				for _, u := range g.Neighbors(v) {
+				for _, a := range g.Arcs(v) {
 					scanned++
+					u := a.To
 					if !opt.admits(u) {
 						continue
 					}

@@ -45,8 +45,8 @@ func TestBFSParallelParentsValid(t *testing.T) {
 			t.Fatalf("parent level mismatch at %d", v)
 		}
 		found := false
-		for _, u := range g.Neighbors(v) {
-			if u == p {
+		for _, a := range g.Arcs(v) {
+			if a.To == p {
 				found = true
 				break
 			}

@@ -163,8 +163,9 @@ func BFS(g *graph.Graph, sources []graph.V, opt Options) *Result {
 		var next []graph.V
 		var touched int64
 		for _, v := range frontier {
-			for _, u := range g.Neighbors(v) {
+			for _, a := range g.Arcs(v) {
 				touched++
+				u := a.To
 				if !opt.admits(u) || res.Dist[u] != graph.InfDist {
 					continue
 				}
@@ -276,18 +277,19 @@ func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Re
 				opt.Cost.AddWork(work + 1)
 				return
 			}
-			adj := g.Neighbors(v)
-			wts := g.AdjWeights(v)
-			work += 1 + int64(len(adj))
-			for i, u := range adj {
-				w := graph.W(1)
-				if wts != nil {
-					w = (wts[i]-1)>>shift + 1 // ⌈w/2^shift⌉, w >= 1
+			arcs := g.Arcs(v)
+			wide := g.Wide(v)
+			work += 1 + int64(len(arcs))
+			for i, a := range arcs {
+				w := graph.W(a.W)
+				if wide != nil {
+					w = wide[i]
 				}
+				u := a.To
 				// A settled u already has Dist[u] <= level < nd. An
 				// admitted nd lands in bucket nd%nb, never the one
 				// being drained: 0 < nd-level <= span < nb.
-				nd := level + w
+				nd := level + (w-1)>>shift + 1 // ⌈w/2^shift⌉, w >= 1
 				if nd < res.Dist[u] && nd <= bound && opt.admits(u) {
 					res.Dist[u] = nd
 					if res.Parent != nil {
@@ -371,16 +373,17 @@ func dijkstra(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res
 			break
 		}
 		d := res.Dist[v]
-		adj := g.Neighbors(v)
-		wts := g.AdjWeights(v)
-		ops += int64(len(adj))
-		for i, u := range adj {
+		arcs := g.Arcs(v)
+		wide := g.Wide(v)
+		ops += int64(len(arcs))
+		for i, a := range arcs {
 			// nd directly, with no separate weight variable: one more
 			// live value per arc spills to the stack in this loop.
-			nd := d + 1
-			if wts != nil {
-				nd = d + wts[i]
+			nd := d + graph.Dist(a.W)
+			if wide != nil {
+				nd = d + wide[i]
 			}
+			u := a.To
 			// A settled u already has Dist[u] <= d < nd, so only
 			// queued and unreached vertices pass the first test; the
 			// bound keeps every queued key within MaxDist.

@@ -249,9 +249,17 @@ func TestEccentricityAndDiameter(t *testing.T) {
 // below InfDist.
 var weightRanges = [4]graph.W{15, 1 << 16, 1 << 40, 1 << 55}
 
+// boundaryRanges replace weightRanges when flag bit 6 is set: ceilings
+// on either side of math.MaxUint32, the largest weight an Arc holds.
+// Half the edges then sit within 2 of the ceiling, so a 2^32+1 graph
+// mixes narrow arcs with arcs only its Wide weights describe, and a
+// 2^32-1 graph stores weights up to exactly math.MaxUint32 in its arcs.
+var boundaryRanges = [2]graph.W{1<<32 - 1, 1<<32 + 1}
+
 // randomSearch draws a random search instance for the differential
 // properties: a connected graph with unit weights or random weights up
-// to weightRanges[flags>>4&3], optional parallel edges (a second copy
+// to weightRanges[flags>>4&3] (boundaryRanges[flags>>4&1] when flags
+// has bit 6), optional parallel edges (a second copy
 // of some edges at a new weight), one or several possibly duplicated
 // sources, an optional Mark/Token restriction to about three quarters
 // of the vertices, and an optional distance bound scaled to the
@@ -265,6 +273,10 @@ func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, 
 	}
 	weighted := flags&1 == 0
 	maxW := weightRanges[flags>>4&3]
+	boundary := flags&0x40 != 0
+	if boundary {
+		maxW = boundaryRanges[flags>>4&1]
+	}
 	edges := append([]graph.Edge(nil), graph.RandomConnectedGNM(n, m, seed).Edges()...)
 	if flags&2 != 0 {
 		for i := range edges {
@@ -275,6 +287,9 @@ func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, 
 	}
 	for i := range edges {
 		edges[i].W = 1 + r.Int63n(maxW)
+		if boundary && r.Intn(2) == 0 {
+			edges[i].W = maxW - r.Int63n(3)
+		}
 	}
 	g := graph.FromEdges(n, edges, weighted)
 
@@ -332,13 +347,9 @@ func certifyParents(g *graph.Graph, sources []graph.V, opt Options, res *Result)
 			return false
 		}
 		ok := false
-		wts := g.AdjWeights(v)
-		for i, u := range g.Neighbors(v) {
-			w := graph.W(1)
-			if wts != nil {
-				w = wts[i]
-			}
-			if u == p && res.Dist[p]+w == res.Dist[v] {
+		ids := g.AdjEdgeIDs(v)
+		for i, a := range g.Arcs(v) {
+			if a.To == p && res.Dist[p]+g.EdgeWeight(ids[i]) == res.Dist[v] {
 				ok = true
 			}
 		}
@@ -439,20 +450,27 @@ func TestDialDijkstraProperty(t *testing.T) {
 }
 
 // TestDijkstraMatchesReference runs checkDijkstra on every randomSearch
-// flag combination (unit or random weights in each weight range,
-// parallel edges, duplicate sources, Mark), unbounded and at two
-// distance bounds, so each range, 2^55 included, is covered with and
-// without MaxDist on every run.
+// flag combination (unit or random weights in each weight range and on
+// either side of math.MaxUint32, parallel edges, duplicate sources,
+// Mark), unbounded and at two distance bounds, so each range, 2^55
+// included, is covered with and without MaxDist on every run.
 func TestDijkstraMatchesReference(t *testing.T) {
-	for flags := 0; flags < 64; flags++ {
+	wide := 0
+	for flags := 0; flags < 128; flags++ {
 		for _, boundRaw := range []uint8{1, 40, 120} {
 			for seed := uint64(0); seed < 4; seed++ {
 				g, sources, opt := randomSearch(seed, boundRaw, uint8(flags))
+				if g.Wide(0) != nil {
+					wide++
+				}
 				if err := checkDijkstra(g, sources, opt); err != nil {
 					t.Fatalf("flags %#x, MaxDist %d, seed %d: %v", flags, opt.MaxDist, seed, err)
 				}
 			}
 		}
+	}
+	if wide == 0 {
+		t.Fatal("no instance has Wide weights")
 	}
 }
 
@@ -460,6 +478,11 @@ func TestDijkstraMatchesReference(t *testing.T) {
 // draws: true weights, small granularities, and one above every weight
 // in its ranges (every arc rounds to 1).
 var dialShifts = [5]uint{0, 1, 2, 3, 20}
+
+// boundaryShifts are its Shift values on boundaryRanges instances,
+// coarse enough for Dial's buckets: at 31 and 32 the weights
+// 2^32-1, 2^32 and 2^32+1 round to different values.
+var boundaryShifts = [3]uint{20, 31, 32}
 
 // roundedCopy materialises g with every weight w replaced by
 // ⌈w/2^shift⌉, computed by division.
@@ -474,13 +497,19 @@ func roundedCopy(g *graph.Graph, shift uint) *graph.Graph {
 
 // Property: Dial returns the same Dist and Parent arrays, bit for bit,
 // as the reference body (which re-allocates each drained bucket,
-// reads a settled flag per arc and clears unsettled entries) on random instances with weights up
-// to 2^16; with Options.Shift = s, as the reference body on the
-// materialised ⌈w/2^s⌉ copy of the graph.
+// reads a settled flag per arc and clears unsettled entries) on random
+// instances with weights up to 2^16 or on either side of
+// math.MaxUint32; with Options.Shift = s, as the reference body on the
+// materialised ⌈w/2^s⌉ copy of the graph. The boundary instances run
+// only at a boundaryShifts Shift, so every Wide graph is searched
+// through Shift.
 func TestDialMatchesReference(t *testing.T) {
 	f := func(seedRaw uint32, boundRaw, flags uint8) bool {
 		g, sources, opt := randomSearch(uint64(seedRaw), boundRaw, flags&^0x20)
 		shift := dialShifts[seedRaw%uint32(len(dialShifts))]
+		if flags&0x40 != 0 {
+			shift = boundaryShifts[seedRaw%uint32(len(boundaryShifts))]
+		}
 		want, _ := referenceDial(roundedCopy(g, shift), sources, opt, graph.NoVertex)
 		opt.Shift = shift
 		got := Dial(g, sources, opt)
@@ -707,17 +736,15 @@ func referenceDial(g *graph.Graph, sources []graph.V, opt Options, stop graph.V)
 			if v == stop {
 				return res, count
 			}
-			adj := g.Neighbors(v)
-			wts := g.AdjWeights(v)
-			count.work += int64(len(adj))
-			for i, u := range adj {
+			arcs := g.Arcs(v)
+			ids := g.AdjEdgeIDs(v)
+			count.work += int64(len(arcs))
+			for i, a := range arcs {
+				u := a.To
 				if !opt.admits(u) || settled[u] {
 					continue
 				}
-				w := graph.W(1)
-				if wts != nil {
-					w = wts[i]
-				}
+				w := g.EdgeWeight(ids[i])
 				nd := level + w
 				if nd < res.Dist[u] && nd <= bound {
 					res.Dist[u] = nd
@@ -780,17 +807,15 @@ func referenceDijkstra(g *graph.Graph, sources []graph.V, opt Options) *Result {
 			break
 		}
 		h.pos[v] = refSettled
-		adj := g.Neighbors(v)
-		wts := g.AdjWeights(v)
-		ops += int64(len(adj))
-		for i, u := range adj {
+		arcs := g.Arcs(v)
+		ids := g.AdjEdgeIDs(v)
+		ops += int64(len(arcs))
+		for i, a := range arcs {
+			u := a.To
 			if h.pos[u] == refSettled || !opt.admits(u) {
 				continue
 			}
-			w := graph.W(1)
-			if wts != nil {
-				w = wts[i]
-			}
+			w := g.EdgeWeight(ids[i])
 			if nd := d + w; nd < res.Dist[u] {
 				res.Dist[u] = nd
 				res.Parent[u] = v

@@ -48,7 +48,7 @@ func (o *DistanceOracle) exchange(floor uint64, journal []dynamic.Entry) *snapsh
 	}
 }
 
-// SaveOracleFlat writes o in the snapshot-v3 flat-arena format: the
+// SaveOracleFlat writes o in the flat-arena format: the
 // oracle's arrays laid out contiguously with per-section checksums,
 // so a later OpenOracleFile (or LoadOracle) restores it by mapping —
 // not decoding — the file. The arena is a same-machine cache format
@@ -192,13 +192,13 @@ func assembleOracle(so *snapshot.Oracle, embedded *Graph, g *Graph, opt OracleOp
 	}, nil
 }
 
-// OpenOracleFile restores a flat-arena (v3) snapshot file by memory
+// OpenOracleFile restores a flat-arena snapshot file by memory
 // mapping: startup is page-table setup plus checksum and structural
 // validation — the oracle's arrays are served straight from the page
 // cache and fault in as queries touch them. The mapping lives exactly
 // as long as the returned oracle (an internal reference pins it for
 // the garbage collector; there is nothing to close). g and opt behave
-// as in LoadOracle. Only v3 files open this way — a codec (v1/v2)
+// as in LoadOracle. Only flat-arena files open this way — a codec (v1/v2)
 // file returns an error directing the caller to LoadOracle.
 func OpenOracleFile(path string, g *Graph, opt OracleOptions) (*DistanceOracle, []byte, error) {
 	o, note, _, journal, err := openOracleFile(path, g, opt)
