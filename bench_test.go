@@ -12,7 +12,10 @@ package spanhop
 // runs are reproducible.
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/eval"
@@ -516,24 +519,50 @@ func BenchmarkHopLimitedParallel(b *testing.B) {
 	})
 }
 
+// queryGrid is the graph the oracle query and snapshot benchmarks
+// share.
+func queryGrid() *Graph { return WithUniformWeights(GridGraph(50, 50), 500, 1) }
+
+// flatFile saves o as a flat arena under b's temp dir and returns its
+// path.
+func flatFile(b *testing.B, o *DistanceOracle) string {
+	b.Helper()
+	var buf bytes.Buffer
+	if err := SaveOracleFlat(&buf, o); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "oracle.snap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
 // BenchmarkOracleQueryBatch measures serving throughput: a fixed batch
 // answered serially versus fanned across the pooled workers, on the
-// legacy (per-query allocation) and exec (arena-recycled) oracles.
+// legacy (per-query allocation), exec (arena-recycled) and flat
+// (OpenOracleFile, arrays read from the mapped arena) oracles.
 // allocs/op on the exec rows is the serving-path allocation budget —
 // regressions here show up directly in the CI bench log.
 func BenchmarkOracleQueryBatch(b *testing.B) {
-	g := WithUniformWeights(GridGraph(50, 50), 500, 1)
+	g := queryGrid()
 	n := g.NumVertices()
 	var pairs [][2]V
 	for i := V(0); i < 64; i++ {
 		pairs = append(pairs, [2]V{(i * 37) % n, (n - 1 - i*53%n) % n})
 	}
+	legacy := NewDistanceOracle(g, 0.25, 2)
+	flat, _, err := OpenOracleFile(flatFile(b, legacy), g, OracleOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name string
 		o    *DistanceOracle
 	}{
-		{"legacy", NewDistanceOracle(g, 0.25, 2)},
+		{"legacy", legacy},
 		{"exec", NewDistanceOracleOpts(g, 0.25, 2, OracleOptions{Exec: ParallelExec(0)})},
+		{"flat", flat},
 	} {
 		o := mode.o
 		if _, err := o.QueryBatch(pairs); err != nil { // warm caches
@@ -556,6 +585,49 @@ func BenchmarkOracleQueryBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSnapshot measures warm start on BenchmarkOracleQueryBatch's
+// oracle: the streaming codec's save and load against the flat
+// arena's save and mmap open. snapshot_bytes is the size of the
+// stream each row writes or reads.
+func BenchmarkSnapshot(b *testing.B) {
+	g := queryGrid()
+	o := NewDistanceOracle(g, 0.25, 2)
+	var codec, arena, buf bytes.Buffer
+	if err := SaveOracle(&codec, o); err != nil {
+		b.Fatal(err)
+	}
+	if err := SaveOracleFlat(&arena, o); err != nil {
+		b.Fatal(err)
+	}
+	path := flatFile(b, o)
+	for _, row := range []struct {
+		name  string
+		bytes int
+		op    func() error
+	}{
+		{"codec-save", codec.Len(), func() error { buf.Reset(); return SaveOracle(&buf, o) }},
+		{"codec-load", codec.Len(), func() error {
+			_, err := LoadOracle(bytes.NewReader(codec.Bytes()), g, OracleOptions{})
+			return err
+		}},
+		{"flat-save", arena.Len(), func() error { buf.Reset(); return SaveOracleFlat(&buf, o) }},
+		{"mmap-open", arena.Len(), func() error {
+			_, _, err := OpenOracleFile(path, g, OracleOptions{})
+			return err
+		}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := row.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(row.bytes), "snapshot_bytes")
 		})
 	}
 }

@@ -95,7 +95,7 @@ func main() {
 	reportWorkload := flag.Bool("report-workload", false, "snapshot /debug/workload around the run and assert the server's hot-pair sketch and op mix match the generated load")
 	reportQuality := flag.Bool("report-quality", false, "snapshot /debug/quality around the run and assert the server's answer auditor found zero envelope violations in this run's sampled traffic")
 	timeout := flag.Duration("timeout", 120*time.Second, "build-wait timeout")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON summary on stdout (progress moves to stderr); the shape internal/bench and scripts consume")
+	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON summary on stdout (progress moves to stderr)")
 	flag.Parse()
 
 	if *jsonOut {

@@ -157,7 +157,10 @@ type timedClaim struct {
 
 // Cluster runs EST clustering on g (or the subset in opt) with
 // parameter beta, using randomness derived from seed. It panics on
-// beta <= 0; every other input is handled.
+// beta <= 0, and when an arrival time reaches 2^30 buckets (an arc
+// weight near 2^30 or above): the bucket race is for small weights,
+// so round or scale such weights down first. Every other input is
+// handled.
 func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 	if beta <= 0 {
 		panic(fmt.Sprintf("core: Cluster with beta = %v", beta))

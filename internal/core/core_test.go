@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -505,6 +506,20 @@ func TestClusterPanicsOnBadBeta(t *testing.T) {
 			Cluster(g, beta, 1, Options{})
 		}()
 	}
+}
+
+// An arc weight of 2^31 puts every relaxed arrival past the bucket
+// race's 2^30 limit: Cluster refuses with the documented panic, before
+// any bucket beyond the start times is allocated.
+func TestClusterPanicsOnHugeArrival(t *testing.T) {
+	g := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, W: 1 << 31}}, true)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "round weights first") {
+			t.Fatalf("recovered %q, want the round-weights-first panic", msg)
+		}
+	}()
+	Cluster(g, 0.5, 1, Options{})
 }
 
 // Property: Cluster == ClusterReference on arbitrary random weighted

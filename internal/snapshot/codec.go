@@ -487,16 +487,32 @@ func writeGraph(e *encoder, g *graph.Graph) {
 	e.end()
 }
 
+// graphPayload is one decoded and validated graph payload, built only
+// after its section's CRC verifies: n sizes the CSR arrays.
+type graphPayload struct {
+	n        int32
+	edges    []graph.Edge
+	weighted bool
+	orig     []int32
+}
+
+// build returns the payload's graph, or an empty placeholder (never
+// nil) once the decode has failed; the error aborts the decode.
+func (p graphPayload) build(d *decoder) *graph.Graph {
+	if d.err != nil {
+		return graph.FromEdges(0, nil, false)
+	}
+	return graph.FromEdgesOrig(p.n, p.edges, p.weighted, p.orig)
+}
+
 // readGraphPayload decodes and validates one graph payload. maxOrig
 // bounds the OrigEdgeID back-map values (exclusive): contraction
 // back-references point into the edge list of an ancestor graph, so a
 // value outside [0, maxOrig) would make any consumer that indexes
 // with it panic — the codec's never-panic policy rejects it here. On
-// any sticky error it returns an empty placeholder graph (never nil)
-// so callers can proceed structurally; the error aborts the decode at
-// the next boundary.
-func readGraphPayload(d *decoder, maxOrig int64) *graph.Graph {
-	empty := graph.FromEdges(0, nil, false)
+// any sticky error it returns the zero payload.
+func readGraphPayload(d *decoder, maxOrig int64) graphPayload {
+	var empty graphPayload
 	nu := d.u32()
 	m := d.u64()
 	weighted := d.u8() == 1
@@ -561,7 +577,7 @@ func readGraphPayload(d *decoder, maxOrig int64) *graph.Graph {
 			}
 		}
 	}
-	return graph.FromEdgesOrig(n, edges, weighted, orig)
+	return graphPayload{n: n, edges: edges, weighted: weighted, orig: orig}
 }
 
 func readGraph(d *decoder) *graph.Graph {
@@ -569,9 +585,9 @@ func readGraph(d *decoder) *graph.Graph {
 	// A base graph's back-map (unusual but representable) has no
 	// decodable ancestor to bound against; require ids non-negative
 	// and representable.
-	g := readGraphPayload(d, int64(1)<<31)
+	p := readGraphPayload(d, int64(1)<<31)
 	d.end()
-	return g
+	return p.build(d)
 }
 
 func le32(b []byte) uint32 {
@@ -957,9 +973,9 @@ func readInstance(d *decoder, base *graph.Graph, dec *wscale.Decomposition, j in
 	kind := d.u8()
 	// Instance graphs are contracted from subsets of base edges, so
 	// their back-maps index base-local edge ids.
-	inst.G = readGraphPayload(d, base.NumEdges())
+	p := readGraphPayload(d, base.NumEdges())
 	n := base.NumVertices()
-	instN := inst.G.NumVertices()
+	instN := p.n
 	switch kind {
 	case labelIdentity:
 		// Contract with the identity keeps every vertex.
@@ -1010,5 +1026,6 @@ func readInstance(d *decoder, base *graph.Graph, dec *wscale.Decomposition, j in
 		}
 	}
 	d.end()
+	inst.G = p.build(d)
 	return inst
 }

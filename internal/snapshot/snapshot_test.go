@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -268,4 +270,31 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestForgedVertexCountBoundsAllocation: the degenerate stream with its
+// GRAPH vertex count rewritten to the format limit and the section CRC
+// left stale must fail on the CRC before the count sizes the graph's
+// CSR arrays (about 1.3 GB at 2^26 vertices).
+func TestForgedVertexCountBoundsAllocation(t *testing.T) {
+	const allocCap = 16 << 20
+	raw := mustWrite(t, graph.FromEdges(1, nil, false), &Oracle{Eps: 0.5, Seed: 1, Degenerate: true}, nil)
+	// Walk the frames (8-byte header; per section type u32, length
+	// u64, payload, CRC u32) to the GRAPH payload's leading count.
+	off := 8
+	for binary.LittleEndian.Uint32(raw[off:]) != secGraph {
+		off += 12 + int(binary.LittleEndian.Uint64(raw[off+4:])) + 4
+	}
+	binary.LittleEndian.PutUint32(raw[off+12:], maxVertices)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := ReadOracle(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > allocCap {
+		t.Fatalf("allocated %d bytes for a %d-byte stream (cap %d)", grew, len(raw), allocCap)
+	}
 }
