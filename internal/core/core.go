@@ -12,17 +12,23 @@
 // Edge weights are positive integers, so every arrival time from
 // cluster u has the same fractional part frac(s_u). We therefore
 // settle vertices with a Dial bucket queue keyed by the integer part
-// of the arrival time, breaking ties inside a bucket by the fractional
-// part (and then by center id, for determinism). Because weights are
-// ≥ 1, two settlements in the same bucket can never relax each other,
-// so this order equals exact nondecreasing real-key order: the
-// clustering computed here is exactly the one defined by the real
+// of the arrival time. Every unsettled vertex holds one tentative
+// offer, and an offer replaces it only if it is smaller in the total
+// key (integer arrival, fractional part, center id, parent id): the
+// fraction breaks ties inside a bucket, and the smallest center and
+// then the smallest parent break the measure-zero rest. Because
+// weights are ≥ 1, two settlements in the same bucket can never relax
+// each other, so this order equals exact nondecreasing real-key order:
+// the clustering computed here is exactly the one defined by the real
 // shifts, and the paper's Appendix A "integer parts with tie breaking"
 // implementation is realized with no approximation.
 //
 // Depth is the number of processed buckets — O(β^{-1} log n) with high
 // probability by Lemma 2.1, because both δ_max and the cluster radii
-// are O(β^{-1} log n). Work is linear in vertices plus edges touched.
+// are O(β^{-1} log n); nothing is sorted, so there is no further
+// depth term. Work is linear in vertices plus edges touched: a bucket
+// resolves by reading each queued vertex's offer, the linear-work
+// CRCW write of Appendix A.
 //
 // The routine accepts a vertex-subset restriction so that recursive
 // callers (the hopset construction) can cluster inside a cluster
@@ -30,7 +36,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -67,8 +72,9 @@ type Options struct {
 	// concurrent goroutines (the CRCW frontier step of Appendix A
 	// realized on cores). The output — centers, parents, distances,
 	// groupings — is bit-identical to the sequential race: settlements
-	// write disjoint vertices, and generated claims are merged back in
-	// deterministic winner order before the next bucket resolves.
+	// write disjoint vertices, and the offers each goroutine buffers
+	// are merged before the next bucket resolves; a vertex keeps the
+	// smallest offer in a total order, whatever the merge order.
 	Exec *exec.Ctx
 }
 
@@ -100,7 +106,9 @@ type Result struct {
 	// Center[v] is the center of v's cluster.
 	Center []graph.V
 	// Parent[v] is v's parent in its cluster's spanning tree;
-	// NoVertex for cluster centers (and non-subset vertices).
+	// NoVertex for cluster centers (and non-subset vertices). Among
+	// neighbors that reach v at the same time from v's center, it is
+	// the one with the smallest id.
 	Parent []graph.V
 	// DistToCenter[v] is the tree (= shortest within the race)
 	// distance from v's center to v.
@@ -132,27 +140,72 @@ func (r *Result) MaxRadius() graph.Dist {
 	return m
 }
 
-// claim is a tentative settlement offer: vertex v can join center's
-// cluster through parent with the given integer arrival bucket; frac
-// is the center's fractional start time, the within-bucket tie-break.
-type claim struct {
-	v, center, parent graph.V
-	frac              float64
+// maxBuckets bounds the race's arrival times. The bucket race is only
+// meant for graphs whose weights are small (unit, or pre-rounded by the
+// Section 5 / Appendix B reductions); refusing loudly beats an OOM.
+const maxBuckets = 1 << 30
+
+// race is the state of one EST race. Every unsettled vertex v holds one
+// tentative offer (bestT[v], bestC[v], bestP[v]): arrival bucket,
+// center and parent. Offers are ordered by the total key (arrival,
+// frac(s_center), center, parent), so the race's outcome does not
+// depend on the order in which offers are made.
+type race struct {
+	shifts   []float64
+	deltaMax float64
+	bestT    []graph.Dist
+	bestC    []graph.V
+	bestP    []graph.V
+	// buckets[t] lists the vertices queued at arrival t; an entry is
+	// current iff its vertex is unsettled and bestT[v] == t.
+	buckets [][]graph.V
 }
 
-// wake is a deferred self-claim: center u enters the race at integer
-// time t with fractional part frac.
-type wake struct {
-	u    graph.V
+// frac is the fractional part of center c's start time s_c = δ_max − δ_c,
+// shared by every arrival from c: the within-bucket tie-break.
+func (r *race) frac(c graph.V) float64 {
+	s := r.deltaMax - r.shifts[c]
+	return s - math.Floor(s)
+}
+
+// beats reports whether the offer (t, c, p) has a smaller key than v's.
+func (r *race) beats(v graph.V, t graph.Dist, c, p graph.V) bool {
+	if t != r.bestT[v] {
+		return t < r.bestT[v]
+	}
+	if b := r.bestC[v]; c != b {
+		if fc, fb := r.frac(c), r.frac(b); fc != fb {
+			return fc < fb
+		}
+		return c < b
+	}
+	return p < r.bestP[v]
+}
+
+// offer makes (t, c, p) v's offer if its key is smaller, and queues v at
+// t if t is earlier than v's current arrival (a same-t improvement is
+// already queued).
+func (r *race) offer(v graph.V, t graph.Dist, c, p graph.V) {
+	if t >= maxBuckets {
+		panic(fmt.Sprintf("core: arrival %d too large for the bucket race; round weights first", t))
+	}
+	if !r.beats(v, t, c, p) {
+		return
+	}
+	if t < r.bestT[v] {
+		for int64(len(r.buckets)) <= int64(t) {
+			r.buckets = append(r.buckets, nil)
+		}
+		r.buckets[t] = append(r.buckets[t], v)
+	}
+	r.bestT[v], r.bestC[v], r.bestP[v] = t, c, p
+}
+
+// arcOffer is an offer buffered by the parallel expansion: parent p
+// offers v arrival t in p's cluster.
+type arcOffer struct {
+	v, p graph.V
 	t    graph.Dist
-	frac float64
-}
-
-// timedClaim buffers a claim with its target bucket during parallel
-// expansion, before the sequential merge into the bucket array.
-type timedClaim struct {
-	c claim
-	t graph.Dist
 }
 
 // Cluster runs EST clustering on g (or the subset in opt) with
@@ -161,9 +214,135 @@ type timedClaim struct {
 // weight near 2^30 or above): the bucket race is for small weights,
 // so round or scale such weights down first. Every other input is
 // handled.
+//
+// The race costs O(n + m) work and one round per bucket, with no sort:
+// each vertex is queued once by its own start and at most once per
+// strictly earlier offer, and each settled vertex scans its arcs once.
+// Among offers equal in arrival, fraction and center, the smallest
+// parent id wins.
 func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
+	subset, res, deltaMax := drawShifts("Cluster", g, beta, seed, opt)
+	if len(subset) == 0 {
+		return res
+	}
+	n := g.NumVertices()
+	opt.Cost.Round(int64(len(subset)))
+
+	// Dense arrays rather than maps so the parallel expansion can read
+	// offers without synchronization. A settled vertex's offer is
+	// final, so bestT doubles as its settlement bucket.
+	r := &race{
+		shifts:   res.Shifts,
+		deltaMax: deltaMax,
+		bestT:    opt.Exec.Dists(int(n)),
+		bestC:    opt.Exec.Verts(int(n)),
+		bestP:    opt.Exec.Verts(int(n)),
+	}
+	defer opt.Exec.PutDists(r.bestT)
+	defer opt.Exec.PutVerts(r.bestC)
+	defer opt.Exec.PutVerts(r.bestP)
+	// startAt[u] = ⌊s_u⌋: u's own start, from which DistToCenter is
+	// measured (the shared fractional parts cancel).
+	startAt := opt.Exec.DistsZero(int(n))
+	defer opt.Exec.PutDists(startAt)
+	for _, v := range subset {
+		t := graph.Dist(math.Floor(deltaMax - res.Shifts[v]))
+		startAt[v] = t
+		r.offer(v, t, v, graph.NoVertex)
+	}
+
+	settled := 0
+	var winners []graph.V // reused per bucket
+	var bufs [][]arcOffer // parallel expansion buffers, one per chunk
+	// Every unsettled vertex is queued at its bestT, which is at least
+	// the cursor, so the cursor never runs past the bucket array.
+	for t := graph.Dist(0); settled < len(subset); t++ {
+		// Every level of the virtual-source search is one synchronous
+		// round, whether or not anything settles at it: this is the
+		// O(β^{-1} log n) term of Lemma 2.1.
+		opt.Cost.AddDepth(1)
+		if opt.Exec.Checkpoint() {
+			return res // canceled: partial, invalid (skip finishResult)
+		}
+		b := r.buckets[t]
+		r.buckets[t] = nil
+		// Settle the bucket's current entries, then expand them.
+		// Weights are ≥ 1, so vertices of one bucket cannot relax each
+		// other and settle in any order; settling all of them first is
+		// what lets the expansion run concurrently.
+		winners = winners[:0]
+		work := int64(len(b))
+		for _, v := range b {
+			if res.Center[v] != graph.NoVertex || r.bestT[v] != t {
+				continue // settled earlier, or re-queued at an earlier t
+			}
+			res.Center[v], res.Parent[v] = r.bestC[v], r.bestP[v]
+			winners = append(winners, v)
+			work += int64(len(g.Arcs(v)))
+		}
+		settled += len(winners)
+		// Buckets below the chunk grain would run inline anyway.
+		if opt.Exec.IsParallel() && len(winners) > 16 {
+			// One concurrent frontier round (the Appendix A CRCW step on
+			// real cores): chunks of winners buffer the offers that beat
+			// the current ones, then the buffers merge through offer.
+			// Nothing writes during the scan, and the key is a total
+			// order, so the result equals the sequential race.
+			nc := min(4*opt.Exec.Workers(), (len(winners)+15)/16)
+			for len(bufs) < nc {
+				bufs = append(bufs, nil)
+			}
+			opt.Exec.DoN(nc, func(k int) {
+				buf := bufs[k][:0]
+				for _, v := range winners[k*len(winners)/nc : (k+1)*len(winners)/nc] {
+					c := res.Center[v]
+					wide := g.Wide(v)
+					for i, a := range g.Arcs(v) {
+						u := a.To
+						if !opt.admits(u) || res.Center[u] != graph.NoVertex {
+							continue
+						}
+						// Oversized arrivals go to the merge, which panics.
+						if tu := t + opt.weight(a, wide, i); tu >= maxBuckets || r.beats(u, tu, c, v) {
+							buf = append(buf, arcOffer{v: u, p: v, t: tu})
+						}
+					}
+				}
+				bufs[k] = buf
+			})
+			for _, buf := range bufs[:nc] {
+				for _, o := range buf {
+					r.offer(o.v, o.t, res.Center[o.p], o.p)
+				}
+			}
+		} else {
+			for _, v := range winners {
+				c := res.Center[v]
+				wide := g.Wide(v)
+				for i, a := range g.Arcs(v) {
+					u := a.To
+					if !opt.admits(u) || res.Center[u] != graph.NoVertex {
+						continue
+					}
+					r.offer(u, t+opt.weight(a, wide, i), c, v)
+				}
+			}
+		}
+		opt.Cost.AddWork(work)
+	}
+
+	finishResult(res, subset, r.bestT, startAt)
+	opt.Cost.Round(int64(len(subset)))
+	return res
+}
+
+// drawShifts validates beta, resolves the clustered subset (all of g
+// when opt.Vertices is nil) and draws its shifts δ_u ~ Exp(β) into a
+// fresh Result. A single stream keeps the draw deterministic
+// regardless of parallelism.
+func drawShifts(name string, g *graph.Graph, beta float64, seed uint64, opt Options) ([]graph.V, *Result, float64) {
 	if beta <= 0 {
-		panic(fmt.Sprintf("core: Cluster with beta = %v", beta))
+		panic(fmt.Sprintf("core: %s with beta = %v", name, beta))
 	}
 	n := g.NumVertices()
 	subset := opt.Vertices
@@ -174,12 +353,6 @@ func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 		}
 	}
 	res := newResult(n)
-	if len(subset) == 0 {
-		return res
-	}
-
-	// Draw shifts and find δ_max. A single stream keeps the draw
-	// deterministic regardless of parallelism.
 	r := rng.New(seed)
 	deltaMax := 0.0
 	for _, v := range subset {
@@ -189,197 +362,7 @@ func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 			deltaMax = d
 		}
 	}
-	opt.Cost.Round(int64(len(subset)))
-
-	// Start times s_u = δ_max − δ_u, split into integer bucket and
-	// fractional tie-break. Sort wake events by (t, frac, id) so they
-	// can be injected as the bucket cursor advances.
-	wakes := make([]wake, len(subset))
-	for i, v := range subset {
-		s := deltaMax - res.Shifts[v]
-		t := math.Floor(s)
-		wakes[i] = wake{u: v, t: graph.Dist(t), frac: s - t}
-	}
-	slices.SortFunc(wakes, func(x, y wake) int {
-		if c := cmp.Compare(x.t, y.t); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.frac, y.frac); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.u, y.u)
-	})
-	// Sorting is a parallel primitive with O(log n) depth in the
-	// model; account it as such.
-	opt.Cost.AddWork(int64(len(subset)))
-	opt.Cost.AddDepth(int64(math.Ceil(math.Log2(float64(len(subset) + 1)))))
-
-	// settledAt[v] is the integer arrival bucket at settlement; used
-	// to compute DistToCenter (the shared fractional parts cancel).
-	// Dense arrays rather than maps so the parallel expansion can
-	// write settlements for distinct vertices without synchronization.
-	settledAt := opt.Exec.DistsZero(int(n))
-	defer opt.Exec.PutDists(settledAt)
-	startAt := opt.Exec.DistsZero(int(n))
-	defer opt.Exec.PutDists(startAt)
-
-	var buckets [][]claim
-	pending := 0
-	const maxBuckets = 1 << 30
-	push := func(c claim, t graph.Dist) {
-		if t >= maxBuckets {
-			// The bucket race is only meant for graphs whose weights
-			// are small (unit, or pre-rounded by the Section 5 /
-			// Appendix B reductions); refusing loudly beats an OOM.
-			panic(fmt.Sprintf("core: arrival %d too large for the bucket race; round weights first", t))
-		}
-		for int64(len(buckets)) <= int64(t) {
-			buckets = append(buckets, nil)
-		}
-		buckets[t] = append(buckets[t], c)
-		pending++
-	}
-
-	nextWake := 0
-	settledCount := 0
-	var winners []claim // reused per bucket
-	// Parallel-expansion buffers, reused across buckets (and holding
-	// on to their inner claim capacity).
-	var perWinner [][]timedClaim
-	var counts []int64
-	for t := graph.Dist(0); settledCount < len(subset); t++ {
-		// Every level of the virtual-source search is one synchronous
-		// round, whether or not anything settles at it: this is the
-		// O(β^{-1} log n) term of Lemma 2.1.
-		opt.Cost.AddDepth(1)
-		if opt.Exec.Checkpoint() {
-			return res // canceled: partial, invalid (skip finishResult)
-		}
-		// Inject wake events due at t.
-		for nextWake < len(wakes) && wakes[nextWake].t == t {
-			w := wakes[nextWake]
-			nextWake++
-			if res.Center[w.u] != graph.NoVertex {
-				continue // already captured by an earlier cluster
-			}
-			push(claim{v: w.u, center: w.u, parent: graph.NoVertex, frac: w.frac}, t)
-		}
-		if int64(t) >= int64(len(buckets)) {
-			if pending == 0 && nextWake >= len(wakes) {
-				break
-			}
-			continue
-		}
-		b := buckets[t]
-		if len(b) == 0 {
-			continue
-		}
-		buckets[t] = nil
-		pending -= len(b)
-		// Resolve the winning claim per vertex in this bucket:
-		// smallest fractional part, then smallest center id. Claims
-		// equal on all three (same center, different parents) are won
-		// by whichever the sort leaves first, so Parent depends on this
-		// exact pdqsort; a stable sort or a linear scan would change it.
-		winners = winners[:0]
-		slices.SortFunc(b, func(x, y claim) int {
-			if c := cmp.Compare(x.v, y.v); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(x.frac, y.frac); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.center, y.center)
-		})
-		for i := range b {
-			if i > 0 && b[i].v == b[i-1].v {
-				continue
-			}
-			if res.Center[b[i].v] != graph.NoVertex {
-				continue // settled in an earlier bucket
-			}
-			winners = append(winners, b[i])
-		}
-		// Settle the winners first (disjoint vertices, cheap writes),
-		// then expand their adjacency. Settling up front means the
-		// expansion never emits a claim for a vertex settled in this
-		// same bucket — such claims were filtered at resolution anyway,
-		// so the clustering is unchanged, and it is what lets the
-		// expansion run concurrently: during the scan nothing writes.
-		// (Suppressing those dead claims does shave the work recorded
-		// for later buckets' `len(b)` terms relative to the historical
-		// interleaved loop — the model cost of useless claims that were
-		// never part of the paper's accounting.)
-		for _, c := range winners {
-			res.Center[c.v] = c.center
-			res.Parent[c.v] = c.parent
-			settledAt[c.v] = t
-			if c.parent == graph.NoVertex {
-				startAt[c.center] = t
-			}
-			settledCount++
-		}
-		var touched int64
-		// Buckets below the chunk grain would run inline anyway; the
-		// direct push loop skips their per-winner buffer allocations.
-		if opt.Exec.IsParallel() && len(winners) > 16 {
-			// One concurrent frontier round (the Appendix A CRCW step on
-			// real cores): winners expand side by side, buffering claims
-			// per winner; buffers merge back in winner order, so bucket
-			// contents — and therefore the whole race — stay
-			// bit-identical to the sequential path.
-			if cap(perWinner) < len(winners) {
-				perWinner = make([][]timedClaim, len(winners))
-				counts = make([]int64, len(winners))
-			}
-			pw := perWinner[:len(winners)]
-			cnt := counts[:len(winners)]
-			for i := range pw {
-				pw[i] = pw[i][:0]
-				cnt[i] = 0
-			}
-			opt.Exec.For(len(winners), 16, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					c := winners[i]
-					wide := g.Wide(c.v)
-					for j, a := range g.Arcs(c.v) {
-						cnt[i]++
-						u := a.To
-						if !opt.admits(u) || res.Center[u] != graph.NoVertex {
-							continue
-						}
-						pw[i] = append(pw[i], timedClaim{
-							c: claim{v: u, center: c.center, parent: c.v, frac: c.frac},
-							t: t + opt.weight(a, wide, j),
-						})
-					}
-				}
-			})
-			for i := range pw {
-				touched += cnt[i]
-				for _, tc := range pw[i] {
-					push(tc.c, tc.t)
-				}
-			}
-		} else {
-			for _, c := range winners {
-				wide := g.Wide(c.v)
-				for i, a := range g.Arcs(c.v) {
-					touched++
-					u := a.To
-					if !opt.admits(u) || res.Center[u] != graph.NoVertex {
-						continue
-					}
-					push(claim{v: u, center: c.center, parent: c.v, frac: c.frac}, t+opt.weight(a, wide, i))
-				}
-			}
-		}
-		opt.Cost.AddWork(touched + int64(len(b)))
-	}
-
-	finishResult(res, subset, settledAt, startAt)
-	opt.Cost.Round(int64(len(subset)))
-	return res
+	return subset, res, deltaMax
 }
 
 func newResult(n int32) *Result {
@@ -399,62 +382,63 @@ func newResult(n int32) *Result {
 	return res
 }
 
-// finishResult computes DistToCenter and the dense cluster grouping.
+// finishResult computes DistToCenter and the dense cluster grouping:
+// clusters are numbered by center id and list their center first, then
+// their other vertices by id, all carved from one backing array.
 // settledAt/startAt are dense per-vertex arrays; only entries for the
 // clustered subset (and its centers) are meaningful.
 func finishResult(res *Result, subset []graph.V, settledAt, startAt []graph.Dist) {
-	for _, v := range subset {
+	order := subset
+	if !slices.IsSorted(order) {
+		order = slices.Clone(subset)
+		slices.Sort(order)
+	}
+	k := int32(0)
+	for _, v := range order {
 		c := res.Center[v]
 		res.DistToCenter[v] = settledAt[v] - startAt[c]
-	}
-	order := make([]graph.V, len(subset))
-	copy(order, subset)
-	slices.Sort(order)
-	for _, v := range order {
-		if res.Center[v] == v && res.ClusterOf[v] == -1 {
-			res.ClusterOf[v] = int32(len(res.Centers))
-			res.Centers = append(res.Centers, v)
-			res.Clusters = append(res.Clusters, []graph.V{v})
+		if c == v {
+			res.ClusterOf[v] = k
+			k++
 		}
 	}
+	res.Centers = make([]graph.V, k)
+	size := make([]int32, k)
 	for _, v := range order {
-		if res.Center[v] != v {
-			ci := res.ClusterOf[res.Center[v]]
+		ci := res.ClusterOf[res.Center[v]]
+		if res.Center[v] == v {
+			res.Centers[ci] = v
+		}
+		size[ci]++
+	}
+	members := make([]graph.V, len(order))
+	res.Clusters = make([][]graph.V, k)
+	lo := int32(0)
+	for i, c := range res.Centers {
+		members[lo] = c
+		res.Clusters[i] = members[lo : lo+1 : lo+size[i]]
+		lo += size[i]
+	}
+	for _, v := range order {
+		if c := res.Center[v]; c != v {
+			ci := res.ClusterOf[c]
 			res.ClusterOf[v] = ci
 			res.Clusters[ci] = append(res.Clusters[ci], v)
 		}
 	}
 }
 
-// ClusterReference computes the identical clustering with a plain
-// priority search over real arrival keys (integer part, fraction) and
-// the same tie-breaking. It exists to validate Cluster in tests; the
-// two must agree exactly when given the same seed.
+// ClusterReference computes the identical clustering, parents
+// included, with a plain priority search over real arrival keys
+// (integer part, fraction) and the same tie-breaking. It exists to
+// validate Cluster in tests; the two must agree exactly when given the
+// same seed.
 func ClusterReference(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
-	if beta <= 0 {
-		panic(fmt.Sprintf("core: ClusterReference with beta = %v", beta))
-	}
-	n := g.NumVertices()
-	subset := opt.Vertices
-	if subset == nil {
-		subset = make([]graph.V, n)
-		for i := range subset {
-			subset[i] = graph.V(i)
-		}
-	}
-	res := newResult(n)
+	subset, res, deltaMax := drawShifts("ClusterReference", g, beta, seed, opt)
 	if len(subset) == 0 {
 		return res
 	}
-	r := rng.New(seed)
-	deltaMax := 0.0
-	for _, v := range subset {
-		d := r.Exp(beta)
-		res.Shifts[v] = d
-		if d > deltaMax {
-			deltaMax = d
-		}
-	}
+	n := g.NumVertices()
 
 	type entry struct {
 		intPart graph.Dist
@@ -473,7 +457,10 @@ func ClusterReference(g *graph.Graph, beta float64, seed uint64, opt Options) *R
 		if a.center != b.center {
 			return a.center < b.center
 		}
-		return a.v < b.v
+		if a.v != b.v {
+			return a.v < b.v
+		}
+		return a.parent < b.parent
 	}
 	// Simple slice-backed priority queue (reference code favors
 	// obviousness over speed).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,6 +163,19 @@ func TestClusterSubset(t *testing.T) {
 	}
 	res := Cluster(g, 0.4, 11, Options{Vertices: subset, Mark: mark, Token: 1})
 	checkPartition(t, g, res, subset)
+	// A subset in any order groups the same way: clusters numbered by
+	// center id, each listing its center and then the rest by id.
+	slices.Reverse(subset)
+	res = Cluster(g, 0.4, 11, Options{Vertices: subset, Mark: mark, Token: 1})
+	checkPartition(t, g, res, subset)
+	if !slices.IsSorted(res.Centers) {
+		t.Fatalf("centers %v not by id", res.Centers)
+	}
+	for _, cl := range res.Clusters {
+		if !slices.IsSorted(cl[1:]) {
+			t.Fatalf("cluster %v not by id after its center", cl)
+		}
+	}
 }
 
 func TestClusterMatchesReference(t *testing.T) {
@@ -186,6 +200,10 @@ func TestClusterMatchesReference(t *testing.T) {
 				if a.DistToCenter[v] != b.DistToCenter[v] {
 					t.Fatalf("graph %d beta %v: dist mismatch at %d: %d vs %d",
 						gi, beta, v, a.DistToCenter[v], b.DistToCenter[v])
+				}
+				if a.Parent[v] != b.Parent[v] {
+					t.Fatalf("graph %d beta %v: parent mismatch at %d: %d vs %d",
+						gi, beta, v, a.Parent[v], b.Parent[v])
 				}
 			}
 		}
@@ -223,16 +241,12 @@ func TestClusterMatchesReferenceWide(t *testing.T) {
 		a := Cluster(g, beta, seed, opt)
 		b := ClusterReference(g, beta, seed, opt)
 		for v := graph.V(0); v < n; v++ {
-			// The reference may break distance ties to another parent,
-			// so only Cluster's parents are compared.
-			if a.Parent[v] != want.Parent[v] {
-				t.Fatalf("beta %v vertex %d: Cluster parent %d on the wide graph, %d on the base",
-					beta, v, a.Parent[v], want.Parent[v])
-			}
 			for _, got := range []*Result{a, b} {
-				if got.Center[v] != want.Center[v] || got.DistToCenter[v] != want.DistToCenter[v] {
-					t.Fatalf("beta %v vertex %d: center/dist %d/%d on the wide graph, %d/%d on the base",
-						beta, v, got.Center[v], got.DistToCenter[v], want.Center[v], want.DistToCenter[v])
+				if got.Center[v] != want.Center[v] || got.DistToCenter[v] != want.DistToCenter[v] ||
+					got.Parent[v] != want.Parent[v] {
+					t.Fatalf("beta %v vertex %d: center/dist/parent %d/%d/%d on the wide graph, %d/%d/%d on the base",
+						beta, v, got.Center[v], got.DistToCenter[v], got.Parent[v],
+						want.Center[v], want.DistToCenter[v], want.Parent[v])
 				}
 			}
 		}
@@ -494,6 +508,22 @@ func TestClusterCostAccounting(t *testing.T) {
 	}
 }
 
+// TestClusterWorkLinear pins the race's linear work: two Round(n)
+// passes, each arc scanned once by its settled endpoint, and at most
+// two bucket entries per vertex — its start, and on unit weights at
+// most one earlier offer, since offers arrive in nondecreasing time and
+// a same-time improvement is not re-queued. A race that queued every
+// offer (or sorted them) would exceed 2m + 4n on this dense graph.
+func TestClusterWorkLinear(t *testing.T) {
+	g := graph.RandomConnectedGNM(2000, 32000, 3)
+	cost := par.NewCost()
+	Cluster(g, 0.3, 7, Options{Cost: cost})
+	n, m := int64(g.NumVertices()), int64(g.NumEdges())
+	if bound := 2*m + 4*n; cost.Work() > bound {
+		t.Fatalf("work %d exceeds 2m + 4n = %d", cost.Work(), bound)
+	}
+}
+
 func TestClusterPanicsOnBadBeta(t *testing.T) {
 	g := graph.Path(3)
 	for _, beta := range []float64{0, -1} {
@@ -551,7 +581,7 @@ func TestClusterReferenceProperty(t *testing.T) {
 		a := Cluster(g, beta, seed, opt)
 		b := ClusterReference(g, beta, seed, opt)
 		for v := graph.V(0); v < n; v++ {
-			if a.Center[v] != b.Center[v] || a.DistToCenter[v] != b.DistToCenter[v] {
+			if a.Center[v] != b.Center[v] || a.DistToCenter[v] != b.DistToCenter[v] || a.Parent[v] != b.Parent[v] {
 				return false
 			}
 		}

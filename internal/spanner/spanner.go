@@ -207,11 +207,7 @@ func uniqueIDs(ids []int32, m int64) []int32 {
 // bucketIndex returns the power-of-two weight bucket of w relative to
 // the graph minimum: E_i = {e : w(e)/minW ∈ [2^i, 2^{i+1})}.
 func bucketIndex(w, minW graph.W) int {
-	i := 0
-	for x := w / minW; x > 1; x >>= 1 {
-		i++
-	}
-	return i
+	return bits.Len64(uint64(w/minW)) - 1
 }
 
 // numGroups returns the O(log k) group count of Theorem 3.3's

@@ -233,6 +233,34 @@ func TestBucketIndex(t *testing.T) {
 	}
 }
 
+// TestBucketIndexMatchesHalving checks the bit-length form against the
+// halving loop it replaces, for ratios w/minW around every power of two
+// from 1 to 2^40, including ratios whose division truncates.
+func TestBucketIndexMatchesHalving(t *testing.T) {
+	halving := func(w, minW graph.W) int {
+		i := 0
+		for x := w / minW; x > 1; x >>= 1 {
+			i++
+		}
+		return i
+	}
+	for _, minW := range []graph.W{1, 3, 7, 1000} {
+		for e := 0; e <= 40; e++ {
+			p := graph.W(1) << e
+			for _, ratio := range []graph.W{p - 1, p, p + 1, 2*p - 1} {
+				if ratio < 1 || ratio > 1<<40 {
+					continue
+				}
+				for _, w := range []graph.W{ratio * minW, ratio*minW + minW - 1} {
+					if got, want := bucketIndex(w, minW), halving(w, minW); got != want {
+						t.Errorf("bucketIndex(%d,%d) = %d, want %d", w, minW, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBaswanaSenStretch(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
 		g := graph.UniformWeights(graph.RandomConnectedGNM(200, 1000, uint64(k+70)), 9, uint64(k+80))
@@ -355,6 +383,7 @@ func TestCorollary31BallIntersection(t *testing.T) {
 
 func BenchmarkUnweightedSpanner(b *testing.B) {
 	g := graph.RandomConnectedGNM(20000, 100000, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Unweighted(g, 3, uint64(i), nil)
@@ -363,6 +392,7 @@ func BenchmarkUnweightedSpanner(b *testing.B) {
 
 func BenchmarkWeightedSpanner(b *testing.B) {
 	g := graph.ExponentialWeights(graph.RandomConnectedGNM(20000, 100000, 1), 2, 16, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Weighted(g, 3, uint64(i), nil)
