@@ -528,7 +528,7 @@ func queryGrid() *Graph { return WithUniformWeights(GridGraph(50, 50), 500, 1) }
 func flatFile(b *testing.B, o *DistanceOracle) string {
 	b.Helper()
 	var buf bytes.Buffer
-	if err := SaveOracleFlat(&buf, o); err != nil {
+	if err := SaveOracle(&buf, o); err != nil {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "oracle.snap")
@@ -590,32 +590,23 @@ func BenchmarkOracleQueryBatch(b *testing.B) {
 }
 
 // BenchmarkSnapshot measures warm start on BenchmarkOracleQueryBatch's
-// oracle: the streaming codec's save and load against the flat
-// arena's save and mmap open. snapshot_bytes is the size of the
-// stream each row writes or reads.
+// oracle: the arena's save and its mmap open. snapshot_bytes is the
+// size of the file each row writes or reads.
 func BenchmarkSnapshot(b *testing.B) {
 	g := queryGrid()
 	o := NewDistanceOracle(g, 0.25, 2)
-	var codec, arena, buf bytes.Buffer
-	if err := SaveOracle(&codec, o); err != nil {
-		b.Fatal(err)
-	}
-	if err := SaveOracleFlat(&arena, o); err != nil {
-		b.Fatal(err)
-	}
 	path := flatFile(b, o)
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
 	for _, row := range []struct {
-		name  string
-		bytes int
-		op    func() error
+		name string
+		op   func() error
 	}{
-		{"codec-save", codec.Len(), func() error { buf.Reset(); return SaveOracle(&buf, o) }},
-		{"codec-load", codec.Len(), func() error {
-			_, err := LoadOracle(bytes.NewReader(codec.Bytes()), g, OracleOptions{})
-			return err
-		}},
-		{"flat-save", arena.Len(), func() error { buf.Reset(); return SaveOracleFlat(&buf, o) }},
-		{"mmap-open", arena.Len(), func() error {
+		{"flat-save", func() error { buf.Reset(); return SaveOracle(&buf, o) }},
+		{"mmap-open", func() error {
 			_, _, err := OpenOracleFile(path, g, OracleOptions{})
 			return err
 		}},
@@ -627,7 +618,7 @@ func BenchmarkSnapshot(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(row.bytes), "snapshot_bytes")
+			b.ReportMetric(float64(st.Size()), "snapshot_bytes")
 		})
 	}
 }

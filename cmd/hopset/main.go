@@ -8,24 +8,26 @@
 //	hopset -in graph.txt -save hopset.snap     # build once, persist
 //	hopset -load hopset.snap [-queries 100]    # reuse across runs
 //
-// -save/-load apply to the est multi-scale hopset: -save snapshots
-// the built structure (graph included, checksummed), -load restores
-// it and skips the build entirely. With both -load and -in, the input
-// graph must fingerprint-match the one the snapshot was built for.
+// -save/-load apply to the est multi-scale hopset: -save writes the
+// built structure as a direct-mode flat arena (graph included, every
+// section checksummed; see internal/flat), -load maps it and skips the
+// build entirely. With both -load and -in, the input graph must
+// fingerprint-match the one the snapshot was built for.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"repro/internal/eval"
 	"repro/internal/exec"
+	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/hopset"
 	"repro/internal/par"
 	"repro/internal/rng"
-	"repro/internal/snapshot"
 )
 
 func main() {
@@ -68,20 +70,25 @@ func main() {
 	case "est":
 		var s *hopset.Scaled
 		if *load != "" {
-			f, err := os.Open(*load)
+			m, err := flat.MapFile(*load)
 			if err != nil {
 				fatal(err)
 			}
-			s, _, err = snapshot.ReadScaled(f)
-			f.Close()
+			// The hopset's arrays alias the mapping.
+			defer runtime.KeepAlive(m)
+			p, err := flat.Open(m.Bytes(), g)
 			if err != nil {
 				fatal(err)
 			}
+			if p.Direct == nil {
+				fatal(fmt.Errorf("snapshot %s holds no multi-scale hopset", *load))
+			}
+			s = p.Direct
+			// Open adopts g only when its fingerprint matches the arena's.
 			if g != nil {
-				if g.Fingerprint() != s.Base.Fingerprint() {
+				if p.Graph != g {
 					fatal(fmt.Errorf("snapshot %s was built for a different graph than %s", *load, *in))
 				}
-				s.Rebind(g)
 			} else {
 				g = s.Base
 				fmt.Printf("graph (from snapshot): n=%d m=%d weighted=%v\n",
@@ -100,13 +107,9 @@ func main() {
 			fmt.Printf("cost: work=%d depth=%d\n", cost.Work(), cost.Depth())
 		}
 		if *save != "" {
-			f, err := os.Create(*save)
-			if err != nil {
-				fatal(err)
-			}
-			err = snapshot.WriteScaled(f, s, nil)
-			if cerr := f.Close(); err == nil {
-				err = cerr
+			a, err := flat.Freeze(&flat.Parts{Graph: s.Base, Seed: s.Params.Seed, Direct: s})
+			if err == nil {
+				err = os.WriteFile(*save, a.Bytes(), 0o644)
 			}
 			if err != nil {
 				fatal(err)

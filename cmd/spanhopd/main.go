@@ -8,7 +8,7 @@
 //	    [-eps 0.25] [-seed 1] [-workers N] \
 //	    [-build-workers 1] [-build-queue 16] [-max-batch 64] \
 //	    [-query-workers N] [-query-queue 1024] [-cache 4096] \
-//	    [-snapshot-dir DIR] [-snapshot-format flat|codec] \
+//	    [-snapshot-dir DIR] \
 //	    [-rebuild-max-journal N] [-rebuild-max-patch-frac F] \
 //	    [-rebuild-max-staleness D] \
 //	    [-log-format text|json] [-log-level LEVEL] \
@@ -36,10 +36,12 @@
 // -max-batch. SIGINT/SIGTERM drain in-flight requests before exit.
 //
 // With -snapshot-dir, every oracle that becomes ready is persisted to
-// DIR (one self-contained .snap file per graph, written atomically),
-// and on boot the daemon warm-starts every snapshot found there:
-// graphs are ready to serve immediately, with no rebuild and no
-// build-stage telemetry. A -load/-gen preload whose name was already
+// DIR (one self-contained .snap flat arena per graph, written
+// atomically), and on boot the daemon warm-starts every snapshot found
+// there by memory mapping it: graphs are ready to serve immediately,
+// with no rebuild and no build-stage telemetry. Arenas are
+// host-endianness; a file that is not a current arena is skipped with
+// a warning. A -load/-gen preload whose name was already
 // warm-started is skipped, so restarting with identical flags is
 // idempotent and cheap.
 //
@@ -96,7 +98,6 @@ func main() {
 	queryQueue := flag.Int("query-queue", 1024, "max waiting single queries per graph (overflow → 503)")
 	cacheSize := flag.Int("cache", 4096, "per-graph LRU result cache entries (negative disables)")
 	snapshotDir := flag.String("snapshot-dir", "", "persist ready oracles here and warm-start them on boot (empty disables)")
-	snapshotFormat := flag.String("snapshot-format", server.SnapshotFormatFlat, "snapshot encoding: flat (arena, warm starts by mmap) or codec (portable v2 stream); warm start reads both")
 	rebuildJournal := flag.Int("rebuild-max-journal", 0, "rebuild a graph's oracle once this many mutations are pending (0 = default 256, negative disables)")
 	rebuildPatchFrac := flag.Float64("rebuild-max-patch-frac", 0, "rebuild once the mutation overlay exceeds this fraction of base edges (0 = default 0.10, negative disables)")
 	rebuildStaleness := flag.Duration("rebuild-max-staleness", 0, "rebuild once the oldest pending mutation is this old (0 disables)")
@@ -141,9 +142,6 @@ func main() {
 			fatal("spanhopd: -snapshot-dir", "err", err)
 		}
 	}
-	if *snapshotFormat != server.SnapshotFormatFlat && *snapshotFormat != server.SnapshotFormatCodec {
-		fatal("spanhopd: bad -snapshot-format", "got", *snapshotFormat, "want", "flat or codec")
-	}
 	observer := obs.New(obs.Options{
 		Logger:             logger,
 		TraceRing:          *traceRing,
@@ -160,8 +158,6 @@ func main() {
 		QueryQueue:   *queryQueue,
 		CacheSize:    *cacheSize,
 		SnapshotDir:  *snapshotDir,
-
-		SnapshotFormat: *snapshotFormat,
 
 		RebuildMaxJournal:       *rebuildJournal,
 		RebuildMaxPatchFraction: *rebuildPatchFrac,

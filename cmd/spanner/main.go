@@ -4,15 +4,10 @@
 // Usage:
 //
 //	spanner -in graph.txt [-k 3] [-algo est|baswana-sen|greedy] [-seed N] [-out spanner.txt] [-samples 200] [-workers N]
-//	spanner -in graph.txt -save sp.snap        # build once, persist
-//	spanner -in graph.txt -load sp.snap        # reuse across runs
 //
 // Graph files use the text or binary format of internal/graph (see
-// cmd/gengraph to create one; the format is sniffed). -save persists
-// the spanner's edge-id set in a checksummed snapshot pinned to the
-// input graph's fingerprint; -load restores it (the same -in graph is
-// required) and skips the build, so expensive constructions are
-// reusable across runs.
+// cmd/gengraph to create one; the format is sniffed). -out writes the
+// spanner subgraph in the text format, which any tool here reads back.
 package main
 
 import (
@@ -24,7 +19,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/par"
-	"repro/internal/snapshot"
 	"repro/internal/spanner"
 )
 
@@ -36,8 +30,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	samples := flag.Int("samples", 200, "edges sampled for stretch measurement (0 = skip)")
 	workers := flag.Int("workers", 0, "worker cap for the est build: 0 or 1 = sequential, N > 1 = multicore capped at N")
-	save := flag.String("save", "", "write the built spanner to this snapshot file")
-	load := flag.String("load", "", "restore a spanner snapshot instead of building (requires the matching -in graph)")
 	flag.Parse()
 
 	if *in == "" {
@@ -57,24 +49,8 @@ func main() {
 
 	cost := par.NewCost()
 	var res *spanner.Result
-	switch {
-	case *load != "":
-		lf, err := os.Open(*load)
-		if err != nil {
-			fatal(err)
-		}
-		sk, sseed, ids, _, err := snapshot.ReadSpanner(lf, g)
-		lf.Close()
-		if err != nil {
-			fatal(err)
-		}
-		// Adopt the snapshot's provenance so a re-save (-load -save)
-		// records the parameters the edge set was actually built with.
-		*algo = fmt.Sprintf("restored from %s", *load)
-		*k = sk
-		*seed = sseed
-		res = &spanner.Result{EdgeIDs: ids}
-	case *algo == "est":
+	switch *algo {
+	case "est":
 		opts := spanner.Options{Cost: cost}
 		if *workers > 0 {
 			opts.Exec = exec.Parallel(*workers)
@@ -84,15 +60,15 @@ func main() {
 		} else {
 			res = spanner.UnweightedOpts(g, *k, *seed, opts)
 		}
-	case *algo == "baswana-sen":
+	case "baswana-sen":
 		res = spanner.BaswanaSen(g, *k, *seed, cost)
-	case *algo == "greedy":
+	case "greedy":
 		res = spanner.Greedy(g, *k, cost)
 	default:
 		fmt.Fprintf(os.Stderr, "spanner: unknown algorithm %q\n", *algo)
 		os.Exit(2)
 	}
-	if *workers > 1 && *load == "" && *algo != "est" {
+	if *workers > 1 && *algo != "est" {
 		fmt.Fprintln(os.Stderr, "spanner: note: -workers only affects -algo est; baselines ran sequentially")
 	}
 
@@ -105,20 +81,6 @@ func main() {
 		st := eval.SpannerStretch(g, res.EdgeIDs, *samples, *seed+7)
 		fmt.Printf("stretch over %d sampled edges: max=%.3f mean=%.3f\n",
 			st.Samples, st.Max, st.Mean)
-	}
-	if *save != "" {
-		sf, err := os.Create(*save)
-		if err != nil {
-			fatal(err)
-		}
-		err = snapshot.WriteSpanner(sf, g, *k, *seed, res.EdgeIDs, nil)
-		if cerr := sf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("saved spanner snapshot to %s\n", *save)
 	}
 	if *out != "" {
 		h := res.Graph(g)

@@ -1,20 +1,20 @@
 package spanhop
 
 // Differential coverage for the flat-arena snapshot format: an
-// oracle opened from an arena — mapped from disk or sniffed out of a
+// oracle opened from an arena — mapped from disk or read from a
 // generic reader — must answer bit-identically to the pointer oracle
 // it was frozen from, and a damaged arena must come back as ErrCorrupt,
 // never a panic.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"repro/internal/snapshot"
+	"repro/internal/flat"
 )
 
 // saveFlatFile freezes o into a flat arena file and returns its path.
@@ -25,8 +25,8 @@ func saveFlatFile(t *testing.T, o *DistanceOracle) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveOracleFlat(f, o); err != nil {
-		t.Fatalf("SaveOracleFlat: %v", err)
+	if err := SaveOracle(f, o); err != nil {
+		t.Fatalf("SaveOracle: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -77,8 +77,8 @@ func TestFlatSnapshotDifferentialFamilies(t *testing.T) {
 			}
 			assertOracleEquivalent(t, tc.name+"/embedded", o, selfContained, pairs)
 
-			// The generic reader path: LoadOracle sniffs the v3 magic and
-			// opens the arena from an in-memory buffer.
+			// The generic reader path: LoadOracle reads the arena into an
+			// aligned buffer and opens it there.
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -106,8 +106,8 @@ func TestFlatSnapshotDynamicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveDynamicOracleFlat(f, d, []byte("note")); err != nil {
-		t.Fatalf("SaveDynamicOracleFlat: %v", err)
+	if err := SaveDynamicOracle(f, d, []byte("note")); err != nil {
+		t.Fatalf("SaveDynamicOracle: %v", err)
 	}
 	f.Close()
 
@@ -155,7 +155,7 @@ func TestFlatSnapshotCorruptArena(t *testing.T) {
 	}
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 3, len(data) / 3, len(data) - 1} {
-			if _, _, err := OpenOracleFile(write(t, data[:n]), nil, OracleOptions{}); !errors.Is(err, snapshot.ErrCorrupt) {
+			if _, _, err := OpenOracleFile(write(t, data[:n]), nil, OracleOptions{}); !errors.Is(err, flat.ErrCorrupt) {
 				t.Fatalf("truncation to %d bytes: err = %v, want ErrCorrupt", n, err)
 			}
 		}
@@ -164,48 +164,29 @@ func TestFlatSnapshotCorruptArena(t *testing.T) {
 		for _, at := range []int{16, len(data) / 2, len(data) - 5} {
 			mut := append([]byte(nil), data...)
 			mut[at] ^= 0x10
-			if _, _, err := OpenOracleFile(write(t, mut), nil, OracleOptions{}); !errors.Is(err, snapshot.ErrCorrupt) {
+			if _, _, err := OpenOracleFile(write(t, mut), nil, OracleOptions{}); !errors.Is(err, flat.ErrCorrupt) {
 				t.Fatalf("flip at %d: err = %v, want ErrCorrupt", at, err)
 			}
+		}
+	})
+	t.Run("codec-stream", func(t *testing.T) {
+		// The head of a snapshot in the streaming codec an earlier
+		// release wrote: its magic word, then version 2.
+		codec := make([]byte, len(data))
+		binary.LittleEndian.PutUint32(codec, 0x31535053)
+		binary.LittleEndian.PutUint32(codec[4:], 2)
+		if _, _, err := OpenOracleFile(write(t, codec), nil, OracleOptions{}); !errors.Is(err, flat.ErrCorrupt) {
+			t.Fatalf("OpenOracleFile over a codec stream: err = %v, want ErrCorrupt", err)
+		}
+		if _, err := LoadOracle(bytes.NewReader(codec), nil, OracleOptions{}); !errors.Is(err, flat.ErrCorrupt) {
+			t.Fatalf("LoadOracle over a codec stream: err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("sniffed-reader", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[len(mut)/2] ^= 0x10
-		if _, err := LoadOracle(bytes.NewReader(mut), nil, OracleOptions{}); !errors.Is(err, snapshot.ErrCorrupt) {
+		if _, err := LoadOracle(bytes.NewReader(mut), nil, OracleOptions{}); !errors.Is(err, flat.ErrCorrupt) {
 			t.Fatalf("LoadOracle over flipped arena: err = %v, want ErrCorrupt", err)
 		}
 	})
-}
-
-func TestOpenOracleFileRejectsCodecStream(t *testing.T) {
-	g := GridGraph(6, 6)
-	o := NewDistanceOracle(g, 0.4, 8)
-	path := filepath.Join(t.TempDir(), "codec.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveOracle(f, o); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	_, _, err = OpenOracleFile(path, g, OracleOptions{})
-	if err == nil {
-		t.Fatal("OpenOracleFile accepted a codec stream")
-	}
-	if !strings.Contains(err.Error(), "LoadOracle") {
-		t.Fatalf("error %q does not direct the caller to LoadOracle", err)
-	}
-	// The codec file still loads fine through its own path.
-	rf, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
-	back, err := LoadOracle(rf, g, OracleOptions{})
-	if err != nil {
-		t.Fatalf("LoadOracle: %v", err)
-	}
-	assertOracleEquivalent(t, "codec", o, back, queryPairs(g.NumVertices(), 20, 5))
 }

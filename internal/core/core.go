@@ -140,11 +140,6 @@ func (r *Result) MaxRadius() graph.Dist {
 	return m
 }
 
-// maxBuckets bounds the race's arrival times. The bucket race is only
-// meant for graphs whose weights are small (unit, or pre-rounded by the
-// Section 5 / Appendix B reductions); refusing loudly beats an OOM.
-const maxBuckets = 1 << 30
-
 // race is the state of one EST race. Every unsettled vertex v holds one
 // tentative offer (bestT[v], bestC[v], bestP[v]): arrival bucket,
 // center and parent. Offers are ordered by the total key (arrival,
@@ -184,11 +179,11 @@ func (r *race) beats(v graph.V, t graph.Dist, c, p graph.V) bool {
 
 // offer makes (t, c, p) v's offer if its key is smaller, and queues v at
 // t if t is earlier than v's current arrival (a same-t improvement is
-// already queued).
+// already queued). beats drops an arrival later than v's current one
+// before any other check, and every vertex of the race holds its own
+// start, at most ⌊δmax⌋, from the outset: so whatever the weights, no
+// bucket past ⌊δmax⌋ is ever made.
 func (r *race) offer(v graph.V, t graph.Dist, c, p graph.V) {
-	if t >= maxBuckets {
-		panic(fmt.Sprintf("core: arrival %d too large for the bucket race; round weights first", t))
-	}
 	if !r.beats(v, t, c, p) {
 		return
 	}
@@ -210,10 +205,8 @@ type arcOffer struct {
 
 // Cluster runs EST clustering on g (or the subset in opt) with
 // parameter beta, using randomness derived from seed. It panics on
-// beta <= 0, and when an arrival time reaches 2^30 buckets (an arc
-// weight near 2^30 or above): the bucket race is for small weights,
-// so round or scale such weights down first. Every other input is
-// handled.
+// beta <= 0; every other input, any edge weight below graph.InfDist
+// included, is handled.
 //
 // The race costs O(n + m) work and one round per bucket, with no sort:
 // each vertex is queued once by its own start and at most once per
@@ -302,8 +295,7 @@ func Cluster(g *graph.Graph, beta float64, seed uint64, opt Options) *Result {
 						if !opt.admits(u) || res.Center[u] != graph.NoVertex {
 							continue
 						}
-						// Oversized arrivals go to the merge, which panics.
-						if tu := t + opt.weight(a, wide, i); tu >= maxBuckets || r.beats(u, tu, c, v) {
+						if tu := t + opt.weight(a, wide, i); r.beats(u, tu, c, v) {
 							buf = append(buf, arcOffer{v: u, p: v, t: tu})
 						}
 					}

@@ -2,11 +2,12 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/rng"
@@ -211,12 +212,13 @@ func TestClusterMatchesReference(t *testing.T) {
 }
 
 // TestClusterMatchesReferenceWide runs Cluster and ClusterReference on
-// a graph with Wide weights: a weighted base whose vertices each hang
-// a pendant of weight just above math.MaxUint32. The clustering is
-// restricted to the base (the bucket race cannot hold the pendants'
-// arrivals), so the pendant arcs are never relaxed, but every base arc
-// weight is read through Wide. Both must equal the clustering of the
-// base graph alone, whose arcs hold the same weights.
+// a graph with Wide weights: a weighted base whose every third vertex
+// hangs a pendant of weight just above math.MaxUint32. Every vertex is
+// clustered, so the pendant arcs are relaxed both ways, and every arc
+// weight is read through Wide. A pendant arrival lands after every
+// start, so each pendant is its own center, and both must equal, on
+// the base vertices, the clustering of the base graph alone, whose
+// arcs hold the same weights.
 func TestClusterMatchesReferenceWide(t *testing.T) {
 	base := graph.UniformWeights(graph.RandomConnectedGNM(120, 400, 9), 7, 10)
 	n := base.NumVertices()
@@ -228,18 +230,17 @@ func TestClusterMatchesReferenceWide(t *testing.T) {
 	if g.Wide(0) == nil {
 		t.Fatal("graph with weights above math.MaxUint32 has no Wide weights")
 	}
-	mark := make([]int32, g.NumVertices())
-	subset := make([]graph.V, n)
-	for v := range subset {
-		subset[v] = graph.V(v)
-		mark[v] = 1
-	}
-	opt := Options{Vertices: subset, Mark: mark, Token: 1}
 	for _, beta := range []float64{0.05, 0.2, 0.7} {
 		seed := uint64(beta * 1000)
 		want := Cluster(base, beta, seed, Options{})
-		a := Cluster(g, beta, seed, opt)
-		b := ClusterReference(g, beta, seed, opt)
+		a := Cluster(g, beta, seed, Options{})
+		b := ClusterReference(g, beta, seed, Options{})
+		sameClustering(t, "wide vs reference", a, b)
+		for v := n; v < g.NumVertices(); v++ {
+			if a.Center[v] != v {
+				t.Fatalf("beta %v: pendant %d joined the cluster of %d", beta, v, a.Center[v])
+			}
+		}
 		for v := graph.V(0); v < n; v++ {
 			for _, got := range []*Result{a, b} {
 				if got.Center[v] != want.Center[v] || got.DistToCenter[v] != want.DistToCenter[v] ||
@@ -538,18 +539,51 @@ func TestClusterPanicsOnBadBeta(t *testing.T) {
 	}
 }
 
-// An arc weight of 2^31 puts every relaxed arrival past the bucket
-// race's 2^30 limit: Cluster refuses with the documented panic, before
-// any bucket beyond the start times is allocated.
-func TestClusterPanicsOnHugeArrival(t *testing.T) {
-	g := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, W: 1 << 31}}, true)
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "round weights first") {
-			t.Fatalf("recovered %q, want the round-weights-first panic", msg)
+// TestClusterHugeWeightsMatchReference: the race takes any weight.
+// On graphs whose weights span 1 to about 4^21 (past 2^32, so wide),
+// sequential and parallel Cluster equal ClusterReference — centers,
+// distances and parents — while a share of the vertices joins another
+// vertex's cluster over the light arcs.
+func TestClusterHugeWeightsMatchReference(t *testing.T) {
+	withProcs(t, 4, func() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := graph.ExponentialWeights(graph.RandomConnectedGNM(600, 3000, seed), 4, 21, seed)
+			if g.MaxWeight() <= 1<<32 {
+				t.Fatalf("seed %d: max weight %d does not pass 2^32", seed, g.MaxWeight())
+			}
+			want := ClusterReference(g, 0.5, seed, Options{})
+			joined := 0
+			for v := range want.Parent {
+				if want.Parent[v] != graph.NoVertex {
+					joined++
+				}
+			}
+			if joined == 0 {
+				t.Fatalf("seed %d: every vertex is its own center", seed)
+			}
+			sameClustering(t, "sequential vs reference", Cluster(g, 0.5, seed, Options{}), want)
+			sameClustering(t, "parallel vs reference", Cluster(g, 0.5, seed, Options{Exec: exec.Default()}), want)
 		}
-	}()
-	Cluster(g, 0.5, 1, Options{})
+	})
+}
+
+// TestClusterHugeWeightAllocation: an arc of weight 2^40 costs the race
+// nothing — the arrival it offers is later than its head's own start
+// and is dropped, so no bucket past the largest start is made. One
+// call allocates what the same graph with a unit arc does.
+func TestClusterHugeWeightAllocation(t *testing.T) {
+	alloc := func(w graph.W) uint64 {
+		g := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, W: w}}, true)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Cluster(g, 0.5, 1, Options{})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	unit, huge := alloc(1), alloc(1<<40)
+	if huge > unit+4096 {
+		t.Fatalf("Cluster with a 2^40 arc allocated %d bytes, %d with a unit arc", huge, unit)
+	}
 }
 
 // Property: Cluster == ClusterReference on arbitrary random weighted

@@ -10,7 +10,8 @@
 // Freeze converts a built oracle into the arena; Open does the
 // reverse by pointing Go slices directly at the arena bytes (zero
 // copy, no CSR reconstruction), so loading a frozen oracle from disk
-// is mmap + header/CRC validation instead of a full streaming decode.
+// is mmap + header/CRC validation instead of a decode. The arena is
+// the repository's only snapshot format.
 // The restored oracle's graphs, hopsets, and decomposition alias the
 // arena, which is what makes a multi-GB warm start near-free: pages
 // fault in as queries touch them. A shard of the vertex space is just
@@ -25,7 +26,7 @@
 //	  endian      u32 marker (the arena is host-endianness; see below)
 //	  sections    u32 count
 //	  totalSize   u64 (whole arena, bytes)
-//	  fingerprint u64 (base graph digest, as snapshot META)
+//	  fingerprint u64 (base graph digest, graph.Graph.Fingerprint)
 //	  eps         f64
 //	  seed        u64
 //	  floorGen    u64 (dynamic journal floor generation)
@@ -55,22 +56,24 @@
 //
 // Every payload carries a CRC32 in the table and Open verifies all of
 // them plus the header and table CRCs — a hardware-accelerated linear
-// scan, orders of magnitude cheaper than the v2 streaming decode.
-// Open then validates the same structural invariants the v2 codec
-// checks (vertex ranges, CSR shape, label ranges, parameter domains,
-// journal ordering) so that nothing restored from an arena can panic
-// later, and runs the full graph.Validate on the embedded base graph.
-// Any violation returns an error wrapping ErrCorrupt; Open never
-// panics on corrupt input.
+// scan. Open then validates the structural invariants the query path
+// relies on (vertex ranges, CSR shape, label ranges, parameter
+// domains, journal ordering) so that nothing restored from an arena
+// can panic later, and runs the full graph.Validate on the embedded
+// base graph. Any violation returns an error wrapping ErrCorrupt;
+// Open never panics on corrupt input. Every count that sizes memory is
+// bounded by the arena's own bytes: a graph's offsets are a section of
+// exactly n+1 entries, so a forged vertex count cannot allocate what
+// the file does not hold, and a table read from the index is
+// preallocated only up to the index bytes that could hold it.
 //
 // # Portability
 //
-// The arena is a same-machine cache format, not an interchange
-// format: arrays are host-endianness and Open refuses to run on a
-// big-endian host (the v2 codec remains the portable format). On
-// platforms without mmap — or under the purego build tag — MapFile
-// falls back to reading the file into an aligned heap buffer and
-// opening the identical arena from memory.
+// The arena is a same-machine format, not an interchange format:
+// arrays are host-endianness, and Freeze and Open refuse to run on a
+// big-endian host. On platforms without mmap — or under the purego
+// build tag — MapFile falls back to reading the file into an aligned
+// heap buffer and opening the identical arena from memory.
 package flat
 
 import (
@@ -83,8 +86,8 @@ import (
 	"repro/internal/graph"
 )
 
-// Arena version and magic. The magic deliberately differs from the
-// codec's "SPS1" so version negotiation is a 4-byte sniff.
+// Arena version and magic. The magic is shared by every arena version;
+// the version word tells them apart.
 const (
 	Magic   = "SPF3"
 	Version = 4
@@ -109,14 +112,14 @@ const (
 	kindArc     uint32 = 7 // []graph.Arc array (8-byte records)
 )
 
-// Oracle shape tags (header mode byte), mirroring the codec.
+// Oracle shape tags (header mode byte).
 const (
 	modeDegenerate uint8 = 0
 	modeDirect     uint8 = 1
 	modeDecomposed uint8 = 2
 )
 
-// Format limits, mirroring internal/snapshot.
+// Format limits.
 const (
 	maxVertices       = 1 << 26
 	maxNote           = 1 << 20
@@ -124,9 +127,8 @@ const (
 	maxSections       = 1 << 20
 )
 
-// ErrCorrupt wraps every open-side failure, mirroring the snapshot
-// codec's corruption policy: data from disk is not trusted and a bad
-// arena is an error, never a panic.
+// ErrCorrupt wraps every open-side failure: data from disk is not
+// trusted and a bad arena is an error, never a panic.
 var ErrCorrupt = errors.New("flat: corrupt arena")
 
 // ErrVersion is returned for an intact arena header of another format
@@ -238,8 +240,8 @@ func put64(b []byte, v uint64) {
 
 // ---------------------------------------------------------------------------
 // Index blob writer/reader: a bounds-checked sequential scalar codec
-// for the object-tree index and the journal. Sticky-error on the read
-// side, exactly like the snapshot decoder.
+// for the object-tree index and the journal, sticky-error on the read
+// side.
 
 type ixWriter struct{ buf []byte }
 
@@ -313,6 +315,13 @@ func (r *ixReader) u64() uint64 {
 func (r *ixReader) i32() int32   { return int32(r.u32()) }
 func (r *ixReader) i64() int64   { return int64(r.u64()) }
 func (r *ixReader) f64() float64 { return mathFloat64frombits(r.u64()) }
+
+// room bounds a declared count of index entries of entSize bytes
+// each by the index bytes left, so a forged count cannot size an
+// allocation the arena does not hold.
+func (r *ixReader) room(count uint32, entSize int) int {
+	return min(int(count), (len(r.b)-r.off)/entSize)
+}
 
 // done reports whether the reader consumed the blob exactly.
 func (r *ixReader) done() bool { return r.err == nil && r.off == len(r.b) }

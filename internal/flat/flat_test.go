@@ -15,7 +15,7 @@ import (
 
 // directParts builds a small direct-mode oracle shape over a weighted
 // grid graph.
-func directParts(t *testing.T) *Parts {
+func directParts(t testing.TB) *Parts {
 	t.Helper()
 	g := graph.UniformWeights(graph.Grid2D(6, 6), 50, 1)
 	wp := hopset.DefaultWeightedParams(7)
@@ -25,7 +25,7 @@ func directParts(t *testing.T) *Parts {
 
 // decomposedParts builds a decomposed-mode oracle shape: a path graph
 // with astronomically spread weights forces the wscale decomposition.
-func decomposedParts(t *testing.T) *Parts {
+func decomposedParts(t testing.TB) *Parts {
 	t.Helper()
 	var edges []graph.Edge
 	w := graph.W(1)
@@ -49,13 +49,14 @@ func decomposedParts(t *testing.T) *Parts {
 		FloorGen: 3,
 		Journal: []dynamic.Entry{
 			{Update: dynamic.Update{Op: dynamic.OpInsert, U: 0, V: 5, W: 2}, Gen: 4},
+			{Update: dynamic.Update{Op: dynamic.OpReweight, U: 0, V: 5, W: 3}, Gen: 5},
 			{Update: dynamic.Update{Op: dynamic.OpDelete, U: 0, V: 1}, Gen: 6},
 		},
 		Note: []byte(`{"kind":"test"}`),
 	}
 }
 
-func freezeBytes(t *testing.T, p *Parts) []byte {
+func freezeBytes(t testing.TB, p *Parts) []byte {
 	t.Helper()
 	a, err := Freeze(p)
 	if err != nil {

@@ -10,10 +10,11 @@ import (
 	"repro/internal/wscale"
 )
 
-// Parts is the exchange shape between a built oracle and its arena —
-// the same decomposition the v2 codec uses (snapshot.Oracle), so the
-// facade converts one way regardless of format. Exactly one of the
-// three shapes is populated: Degenerate, Direct, or Dec+Instances.
+// Parts is the exchange shape between a built oracle and its arena:
+// the facade's DistanceOracle converts to it on save and is assembled
+// from it on load. Exactly one of the three shapes is populated:
+// Degenerate, Direct, or Dec+Instances. A standalone multi-scale
+// hopset (cmd/hopset -save) is the direct shape.
 type Parts struct {
 	// Graph is the base graph the oracle answers queries on.
 	Graph *graph.Graph
@@ -59,7 +60,7 @@ func (a *Arena) Size() int64 { return int64(len(a.data)) }
 // stored: they rebuild deterministically on first query.
 func Freeze(p *Parts) (*Arena, error) {
 	if !hostLittleEndian() {
-		return nil, errors.New("flat: arena format requires a little-endian host (use the codec format)")
+		return nil, errors.New("flat: arena format requires a little-endian host")
 	}
 	if p.Graph == nil {
 		return nil, errors.New("flat: nil base graph")
@@ -125,7 +126,7 @@ func Freeze(p *Parts) (*Arena, error) {
 }
 
 // checkComplete rejects partial hopsets (a canceled BuildScaled leaves
-// bands with nil Res), mirroring the codec.
+// bands with nil Res).
 func checkComplete(s *hopset.Scaled) error {
 	if s == nil {
 		return errors.New("flat: cannot freeze a partial (canceled) oracle")
@@ -187,8 +188,8 @@ func (b *builder) addGraph(ix *ixWriter, g *graph.Graph) {
 }
 
 // addScaled writes one multi-scale hopset: parameters, the dedup
-// result table (bands sharing a Result store it once, as in the
-// codec), and per-band scales. The augmented query graph is NOT
+// result table (bands sharing a Result store it once), and per-band
+// scales. The augmented query graph is NOT
 // frozen — Augmented() rebuilds it deterministically from the base
 // graph and the band edges, so storing it would double the arena for
 // bytes the opener can reproduce exactly. Opened-arena queries stay
@@ -233,8 +234,8 @@ func (b *builder) addScaled(ix *ixWriter, s *hopset.Scaled) {
 
 // addWScale writes the decomposition and its per-level instances.
 // Level labelings are one i32 section each; an instance whose Label
-// aliases a level's slice stores a reference, not a copy (the codec's
-// labelShared), so open restores the aliasing and the memory
+// aliases a level's slice stores a reference, not a copy
+// (labelShared), so open restores the aliasing and the memory
 // footprint of a fresh build.
 func (b *builder) addWScale(ix *ixWriter, dec *wscale.Decomposition, instances []*hopset.Scaled) {
 	ix.f64(dec.Eps)
@@ -263,7 +264,7 @@ func (b *builder) addWScale(ix *ixWriter, dec *wscale.Decomposition, instances [
 	}
 }
 
-// Instance label encodings, mirroring the codec's constants.
+// Instance label encodings.
 const (
 	labelExplicit uint8 = 0
 	labelIdentity uint8 = 1
@@ -298,7 +299,7 @@ func labelKind(dec *wscale.Decomposition, inst *wscale.Instance) (kind uint8, re
 }
 
 // packJournal serializes the dynamic journal (gen u64, op u8, u i32,
-// v i32, w i64 per entry — same record the codec uses). The journal is
+// v i32, w i64 per entry, after a u64 count). The journal is
 // decoded, not aliased, on open: entries are tiny and carry fields
 // (apply timestamps) the arena does not persist.
 func packJournal(entries []dynamic.Entry) []byte {

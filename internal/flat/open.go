@@ -17,22 +17,21 @@ import (
 // chains the oracle to its Mapping for exactly this reason.
 //
 // The arena is untrusted: Open verifies the header, table, and every
-// per-section CRC32, then validates the same structural invariants
-// the v2 decoder checks — nothing Open accepts can panic a later
+// per-section CRC32, then validates every structural invariant the
+// query path relies on — nothing Open accepts can panic a later
 // query. Any violation returns an error wrapping ErrCorrupt.
 //
 // base, when non-nil, is a caller-resident graph the oracle should
 // bind to instead of the embedded copy. If its fingerprint matches
 // the arena header, the embedded base graph's arrays are only
 // section-checked (kind, size, CRC) — not cross-validated — because
-// the oracle will never read them; this mirrors the v2 codec, which
-// binds a caller graph by fingerprint without re-validating the
-// embedded copy. A base whose fingerprint does not match is ignored
+// the oracle will never read them. A base whose fingerprint does not
+// match is ignored
 // (the fully validated embedded graph is returned, and the caller's
 // own fingerprint comparison reports the mismatch).
 func Open(data []byte, base *graph.Graph) (*Parts, error) {
 	if !hostLittleEndian() {
-		return nil, corruptf("arena format requires a little-endian host (use the codec format)")
+		return nil, corruptf("arena format requires a little-endian host")
 	}
 	o, h, err := openArena(data)
 	if err != nil {
@@ -105,12 +104,6 @@ func Fingerprint(data []byte) (uint64, error) {
 		return 0, err
 	}
 	return h.fingerprint, nil
-}
-
-// IsArena sniffs the 4-byte magic: the format negotiation between the
-// flat arena (of any version) and the v1/v2 codec streams.
-func IsArena(prefix []byte) bool {
-	return len(prefix) >= 4 && string(prefix[:4]) == Magic
 }
 
 // ---------------------------------------------------------------------------
@@ -273,8 +266,8 @@ func arrayOf[T any](o *opener, r *ixReader, kind uint32, count int) []T {
 // Graph references.
 
 // readGraph reconstructs one graph as a zero-copy view over the arena
-// and validates it. maxOrig bounds OrigEdgeID back-map values, as in
-// the codec. deep selects the fused graph.Validate-equivalent pass
+// and validates it. maxOrig bounds OrigEdgeID back-map values. deep
+// selects the fused graph.Validate-equivalent pass
 // (the base graph's contract with the fuzz harness); shallow graphs
 // get the targeted array checks, which already cover everything their
 // use on the query path can index with. A non-nil trusted graph (its
@@ -323,6 +316,10 @@ func (o *opener) readGraph(r *ixReader, maxOrig int64, deep bool, trusted *graph
 		// Re-read through arrayOf's machinery: back up one i32.
 		r.off -= 4
 		v.OrigEID = arrayOf[int32](o, r, kindI32, int(m))
+		if v.OrigEID == nil {
+			// An edgeless contracted graph keeps its (empty) back-map.
+			v.OrigEID = []int32{}
+		}
 	}
 	if r.err != nil {
 		return nil
@@ -351,10 +348,10 @@ func (o *opener) readGraph(r *ixReader, maxOrig int64, deep bool, trusted *graph
 // With deep=true it additionally proves full CSR ↔ edge-list
 // cross-consistency in one fused pass — every check graph.Validate
 // performs, rewritten flat over the raw view so the base graph is
-// walked once instead of twice (the snapshot fuzz target asserts
-// loaded graphs pass Validate; this is what guarantees it). With
-// deep=false (contracted instance graphs) only range/domain checks
-// run, matching what the v2 codec verifies for them.
+// walked once instead of twice (FuzzReadOracle asserts loaded graphs
+// pass Validate; this is what guarantees it). With deep=false
+// (contracted instance graphs) only range/domain checks run: the
+// query path indexes nothing else of them.
 func checkGraphView(v *graph.CSRView, maxOrig int64, deep bool) error {
 	n, m := int64(v.N), int64(len(v.Edges))
 	if v.Offs[0] != 0 || v.Offs[n] != 2*m {
@@ -507,7 +504,7 @@ func (o *opener) readScaled(r *ixReader, base *graph.Graph) *hopset.Scaled {
 		r.fail(corruptf("hopset declares %d result tables", numResults))
 		return nil
 	}
-	results := make([]*hopset.Result, 0, numResults)
+	results := make([]*hopset.Result, 0, r.room(numResults, resultIndexSize))
 	for ri := uint32(0); ri < numResults && r.err == nil; ri++ {
 		res := &hopset.Result{}
 		res.Params.Epsilon = r.f64()
@@ -543,7 +540,7 @@ func (o *opener) readScaled(r *ixReader, base *graph.Graph) *hopset.Scaled {
 		r.fail(corruptf("hopset declares %d scales", numScales))
 		return nil
 	}
-	scales := make([]hopset.Scale, 0, numScales)
+	scales := make([]hopset.Scale, 0, r.room(numScales, scaleIndexSize))
 	for i := uint32(0); i < numScales && r.err == nil; i++ {
 		var sc hopset.Scale
 		sc.D = r.f64()
@@ -574,6 +571,13 @@ func (o *opener) readScaled(r *ixReader, base *graph.Graph) *hopset.Scaled {
 	// deterministically from the base graph and band edges on first use.
 	return hopset.NewScaled(base, scales, wp)
 }
+
+// Index bytes per hopset result (ten 8-byte scalars and a section
+// reference) and per scale (D, ŵ and a result index).
+const (
+	resultIndexSize = 10*8 + 4
+	scaleIndexSize  = 2*8 + 4
+)
 
 func checkParams(p *hopset.Params, mf int64) error {
 	switch {
@@ -716,7 +720,9 @@ func (o *opener) readWScale(r *ixReader, base *graph.Graph) (*wscale.Decompositi
 // Journal.
 
 // unpackJournal decodes and validates the journal blob against the
-// base graph, with the same rules as the codec's readJournal.
+// base graph: a known op, strictly ascending generations above the
+// floor, in-range endpoints, no self-loop, and a positive weight (1
+// in an unweighted graph) on every insert and reweight.
 func unpackJournal(raw []byte, g *graph.Graph, floorGen uint64) ([]dynamic.Entry, error) {
 	r := &ixReader{b: raw}
 	count := r.u64()

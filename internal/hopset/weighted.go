@@ -98,25 +98,13 @@ type queryPlan struct {
 }
 
 // NewScaled assembles a queryable Scaled from already-built parts —
-// the snapshot decoder's entry point. The caller guarantees the scales
-// were produced by BuildScaled over base with wp (the codec verifies
-// structural invariants; semantic fidelity is the encoder's job).
+// the snapshot reader's entry point. The caller guarantees the scales
+// were produced by BuildScaled over base with wp (the reader verifies
+// structural invariants; semantic fidelity is the writer's job).
 // The query plan (augmented graph included) starts cold and is
 // rebuilt lazily, exactly as after a fresh build.
 func NewScaled(base *graph.Graph, scales []Scale, wp WeightedParams) *Scaled {
 	return &Scaled{Base: base, Scales: scales, Params: wp}
-}
-
-// Rebind points the hopset at an equivalent base graph (same
-// fingerprint; the caller validates). Snapshot loading uses it to
-// share the caller's already-resident graph instead of the embedded
-// copy. A cached query plan survives: it is built from edge values and
-// the vertex count only, and a fingerprint-equal graph has
-// bit-identical edges.
-func (s *Scaled) Rebind(base *graph.Graph) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.Base = base
 }
 
 // Results returns the distinct band hopsets in band order and, for

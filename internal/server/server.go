@@ -52,13 +52,6 @@ type Config struct {
 	// the journal), and DELETE /graphs/{id} removes the file. Empty
 	// disables persistence.
 	SnapshotDir string
-	// SnapshotFormat picks the on-disk snapshot encoding:
-	// SnapshotFormatFlat (the default) writes the flat arena, which
-	// WarmStart restores by memory mapping instead of decoding;
-	// SnapshotFormatCodec writes the portable v2 streaming codec.
-	// WarmStart always accepts both — the format is sniffed per file —
-	// so switching formats across restarts needs no migration.
-	SnapshotFormat string
 
 	// Rebuild policy for the dynamic-update overlay: a background
 	// rebuild of a graph's oracle triggers once RebuildMaxJournal
@@ -125,22 +118,6 @@ func (c Config) workloadOptions() obs.WorkloadOptions {
 	}
 }
 
-// Snapshot format names for Config.SnapshotFormat.
-const (
-	// SnapshotFormatFlat is the flat-arena format: mmap-restored on
-	// warm start, host-endianness, every section checksummed.
-	SnapshotFormatFlat = "flat"
-	// SnapshotFormatCodec is the v2 streaming codec: portable across
-	// machines, decoded (not mapped) on warm start.
-	SnapshotFormatCodec = "codec"
-)
-
-// snapshotFlat reports whether snapshot writes use the flat-arena
-// format (empty defaults to flat; withDefaults rejected anything else).
-func (c Config) snapshotFlat() bool {
-	return c.SnapshotFormat != SnapshotFormatCodec
-}
-
 // rebuildPolicy resolves the dynamic-overlay scheduler policy.
 func (c Config) rebuildPolicy() spanhop.RebuildPolicy {
 	return spanhop.RebuildPolicy{
@@ -172,16 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Obs == nil {
 		c.Obs = obs.New(obs.Options{})
-	}
-	switch c.SnapshotFormat {
-	case "":
-		c.SnapshotFormat = SnapshotFormatFlat
-	case SnapshotFormatFlat, SnapshotFormatCodec:
-	default:
-		// A typo'd format silently picking a default would surprise the
-		// operator on the next warm start; fail loudly at construction.
-		panic(fmt.Sprintf("server: SnapshotFormat %q, want %q or %q",
-			c.SnapshotFormat, SnapshotFormatFlat, SnapshotFormatCodec))
 	}
 	return c
 }

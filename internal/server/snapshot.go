@@ -23,7 +23,6 @@ import (
 	spanhop "repro"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/snapshot"
 )
 
 // ErrNoSnapshots reports a snapshot operation against a server that
@@ -116,17 +115,10 @@ func (r *Registry) snapshotEntry(e *Entry) (SnapshotInfo, error) {
 	if err != nil {
 		return record(err)
 	}
-	// Either writer persists the current base oracle plus any pending
-	// mutation journal, so a warm start replays updates the scheduler
-	// had not yet folded in. The flat default writes the flat arena the
-	// next boot restores by mmap; -snapshot-format codec keeps the
-	// portable v2 stream.
-	var werr error
-	if r.cfg.snapshotFlat() {
-		werr = spanhop.SaveDynamicOracleFlat(f, dyn, note)
-	} else {
-		werr = spanhop.SaveDynamicOracle(f, dyn, note)
-	}
+	// The arena holds the current base oracle plus any pending
+	// mutation journal, so a warm start maps it and replays updates the
+	// scheduler had not yet folded in.
+	werr := spanhop.SaveDynamicOracle(f, dyn, note)
 	if werr == nil {
 		werr = f.Sync() // the rename must publish fully durable bytes
 	}
@@ -251,11 +243,10 @@ func (r *Registry) WarmStart() (int, []WarmStartError) {
 	return loaded, errs
 }
 
-// warmStartFile restores one snapshot into a ready entry. The format
-// is sniffed per file — a flat arena is memory-mapped (startup is
-// checksum validation, pages fault in as queries touch them), a codec
-// stream is decoded — so a directory can mix formats and a
-// -snapshot-format change needs no migration.
+// warmStartFile restores one snapshot into a ready entry. The arena is
+// memory-mapped: startup is checksum validation, and pages fault in as
+// queries touch them. A file that is not an arena fails flat.Open and
+// is skipped like any other corrupt snapshot.
 func (r *Registry) warmStartFile(id, path string) error {
 	opt := spanhop.OracleOptions{
 		QueryExec: exec.New(exec.Options{
@@ -263,22 +254,7 @@ func (r *Registry) warmStartFile(id, path string) error {
 			Labels:  graphLabels(id, ""),
 		}),
 	}
-	pol := r.graphRebuildPolicy(id)
-	var (
-		dyn  *spanhop.DynamicOracle
-		note []byte
-		err  error
-	)
-	if snapshot.IsFlatFile(path) {
-		dyn, note, err = spanhop.OpenDynamicOracleFile(path, nil, opt, pol)
-	} else {
-		var f *os.File
-		if f, err = os.Open(path); err != nil {
-			return err
-		}
-		dyn, note, err = spanhop.LoadDynamicOracle(f, nil, opt, pol)
-		f.Close()
-	}
+	dyn, note, err := spanhop.OpenDynamicOracleFile(path, nil, opt, r.graphRebuildPolicy(id))
 	if err != nil {
 		return err
 	}

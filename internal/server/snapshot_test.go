@@ -170,8 +170,16 @@ func TestSnapshotDisabled(t *testing.T) {
 
 func TestWarmStartSkipsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
-	// A corrupt snapshot, a foreign file, and a leftover temp file.
+	// A corrupt snapshot, a snapshot in the streaming codec an earlier
+	// release wrote (its magic word, version 2), a foreign file, and a
+	// leftover temp file.
 	if err := os.WriteFile(filepath.Join(dir, "bad.snap"), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	codec := make([]byte, 143)
+	binary.LittleEndian.PutUint32(codec, 0x31535053)
+	binary.LittleEndian.PutUint32(codec[4:], 2)
+	if err := os.WriteFile(filepath.Join(dir, "codec.snap"), codec, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o644); err != nil {
@@ -186,8 +194,13 @@ func TestWarmStartSkipsCorruptFiles(t *testing.T) {
 	if loaded != 0 {
 		t.Fatalf("loaded %d graphs from garbage", loaded)
 	}
-	if len(errs) != 1 {
-		t.Fatalf("errs = %v, want exactly the corrupt snapshot", errs)
+	if len(errs) != 2 {
+		t.Fatalf("errs = %v, want exactly the corrupt and the codec snapshot", errs)
+	}
+	for _, e := range errs {
+		if !errors.Is(e, flat.ErrCorrupt) {
+			t.Fatalf("warm start error %v does not wrap flat.ErrCorrupt", e)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "old.snap.tmp")); !os.IsNotExist(err) {
 		t.Fatal("leftover temp file not swept")
@@ -213,7 +226,7 @@ func TestWarmStartSkipsOldArenaVersion(t *testing.T) {
 	path := filepath.Join(dir, "old.snap")
 	waitSnapshot(t, path)
 	data, err := os.ReadFile(path)
-	if err != nil || !flat.IsArena(data) {
+	if err != nil || string(data[:4]) != flat.Magic {
 		t.Fatalf("snapshot is not a flat arena (err %v)", err)
 	}
 	le := binary.LittleEndian

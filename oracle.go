@@ -55,7 +55,7 @@ type DistanceOracle struct {
 	queryEc *exec.Ctx
 
 	// arena pins the flat-snapshot mapping this oracle's arrays alias
-	// (OpenOracleFile); nil for built or codec-loaded oracles. The GC
+	// (OpenOracleFile); nil for built or stream-loaded oracles. The GC
 	// does not trace mmap'd memory through the aliasing slices, so the
 	// oracle itself must keep the mapping reachable.
 	arena *flat.Mapping

@@ -152,16 +152,13 @@ func WithMultiScaleWeights(g *Graph, base, scales float64, seed uint64) *Graph {
 // the vertex u maximizing δ_u − dist(u, v), δ_u ~ Exp(beta). Cluster
 // radii are O(β^{-1} log n) with high probability (Lemma 2.1) and
 // every edge is cut with probability ≤ β·w(e) (Corollary 2.3). It
-// panics on beta <= 0, and when an arrival time reaches 2^30 buckets
-// (an arc weight near 2^30 or above); round or scale such weights
-// down first.
+// panics on beta <= 0; any edge weight below InfDist is accepted.
 func ESTCluster(g *Graph, beta float64, seed uint64) *Clustering {
 	return core.Cluster(g, beta, seed, core.Options{})
 }
 
 // ESTClusterWithCost is ESTCluster with work/depth accounting.
-// Like ESTCluster, it panics on beta <= 0 and on arrival times of 2^30
-// buckets or more; round or scale such weights down first.
+// Like ESTCluster, it panics on beta <= 0.
 func ESTClusterWithCost(g *Graph, beta float64, seed uint64, cost *Cost) *Clustering {
 	return core.Cluster(g, beta, seed, core.Options{Cost: cost})
 }
@@ -170,8 +167,7 @@ func ESTClusterWithCost(g *Graph, beta float64, seed uint64, cost *Cost) *Cluste
 // expanded by concurrent goroutines — the multicore realization of the
 // CRCW frontier step. The clustering returned is bit-identical to
 // ESTCluster's for the same seed; only the wall-clock changes.
-// Like ESTCluster, it panics on beta <= 0 and on arrival times of 2^30
-// buckets or more; round or scale such weights down first.
+// Like ESTCluster, it panics on beta <= 0.
 func ESTClusterParallel(g *Graph, beta float64, seed uint64, cost *Cost) *Clustering {
 	return core.Cluster(g, beta, seed, core.Options{Cost: cost, Exec: exec.Default()})
 }
@@ -180,8 +176,7 @@ func ESTClusterParallel(g *Graph, beta float64, seed uint64, cost *Cost) *Cluste
 // under ec's worker cap with arena-backed scratch and aborts at the
 // next bucket once ec is canceled (check ec.Err() before using the
 // result). Output is bit-identical to ESTCluster for any ec.
-// Like ESTCluster, it panics on beta <= 0 and on arrival times of 2^30
-// buckets or more; round or scale such weights down first.
+// Like ESTCluster, it panics on beta <= 0.
 func ESTClusterOn(g *Graph, beta float64, seed uint64, ec *ExecCtx, cost *Cost) *Clustering {
 	return core.Cluster(g, beta, seed, core.Options{Cost: cost, Exec: ec})
 }

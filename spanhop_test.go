@@ -4,8 +4,25 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 )
+
+// TestESTClusterHugeWeight: the public clustering takes a graph with a
+// 2^40-weight edge and returns what the reference priority search does.
+func TestESTClusterHugeWeight(t *testing.T) {
+	edges := []Edge{{U: 0, V: 1, W: 1 << 40}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 3}, {U: 3, V: 0, W: 1 << 33}}
+	g := NewGraph(4, edges, true)
+	for seed := uint64(1); seed <= 8; seed++ {
+		got, want := ESTCluster(g, 0.5, seed), core.ClusterReference(g, 0.5, seed, core.Options{})
+		for v := range want.Center {
+			if got.Center[v] != want.Center[v] || got.Parent[v] != want.Parent[v] || got.DistToCenter[v] != want.DistToCenter[v] {
+				t.Fatalf("seed %d vertex %d: center/parent/dist %d/%d/%d, reference %d/%d/%d", seed, v,
+					got.Center[v], got.Parent[v], got.DistToCenter[v], want.Center[v], want.Parent[v], want.DistToCenter[v])
+			}
+		}
+	}
+}
 
 func TestFacadeQuickstartFlow(t *testing.T) {
 	g := RandomGraph(2000, 8000, 42)
