@@ -14,8 +14,7 @@
 //	    [-log-format text|json] [-log-level LEVEL] \
 //	    [-trace-sample N] [-trace-ring N] \
 //	    [-slow-query D] [-slow-query-per-min N] \
-//	    [-workload-topk K] [-slo-target D] [-slo-objective F] \
-//	    [-profile-dir DIR] [-profile-interval D] [-profile-keep N] \
+//	    [-workload-topk K] \
 //	    [-audit-sample N] [-audit-cpu-frac F]
 //
 // Served graphs accept live edge mutations (POST /graphs/{id}/edges:
@@ -51,14 +50,12 @@
 // request (X-Spanhop-Trace header) or by -trace-sample land in the
 // /debug/traces ring with a per-stage span breakdown; -slow-query
 // logs queries over the threshold (rate-limited); pprof is live under
-// /debug/pprof/.
+// /debug/pprof/, its CPU samples labeled {graph, op}.
 //
 // Cost attribution and workload analytics: per-graph CPU/allocation
 // counters surface as spanhop_graph_* in /metrics and under each
 // graph in /stats; GET /debug/workload reports per-graph hot (s,t)
-// pairs, op mix, and SLO burn rate (-slo-target, -slo-objective);
-// with -profile-dir a background profiler keeps a bounded on-disk
-// ring of CPU and heap profiles served at /debug/profiles/.
+// pairs and op mix (-workload-topk bounds the pair sketch).
 //
 // Answer-quality auditing: every -audit-sample'th served query (and
 // every traced one) is shadow re-checked in the background against an
@@ -108,11 +105,6 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this (0 disables)")
 	slowQueryPerMin := flag.Int("slow-query-per-min", 0, "rate limit for the slow-query log (0 = default 60/min)")
 	workloadTopK := flag.Int("workload-topk", 0, "per-graph heavy-hitter sketch capacity for /debug/workload (0 = default 128)")
-	sloTarget := flag.Duration("slo-target", 100*time.Millisecond, "query latency SLO threshold for burn-rate tracking (0 disables)")
-	sloObjective := flag.Float64("slo-objective", 0.99, "fraction of queries that must beat -slo-target")
-	profileDir := flag.String("profile-dir", "", "continuous profiling: keep a ring of CPU/heap profiles here (empty disables)")
-	profileInterval := flag.Duration("profile-interval", time.Minute, "continuous profiling capture period")
-	profileKeep := flag.Int("profile-keep", 16, "profiles of each kind kept in the -profile-dir ring")
 	auditSample := flag.Int("audit-sample", 0, "answer-quality auditing: shadow re-check every Nth served query against exact recomputation (0 = default 64, negative disables rate sampling; traced requests always audit)")
 	auditCPUFrac := flag.Float64("audit-cpu-frac", 0, "cap per-graph audit CPU at this fraction of wall time (0 = default 0.05, negative uncaps)")
 	var loads, gens []string
@@ -164,13 +156,6 @@ func main() {
 		RebuildMaxStaleness:     *rebuildStaleness,
 
 		WorkloadTopK: *workloadTopK,
-		SLOTarget:    *sloTarget,
-		SLOObjective: *sloObjective,
-
-		ProfileDir:      *profileDir,
-		ProfileInterval: *profileInterval,
-		ProfileKeep:     *profileKeep,
-
 		AuditSample:  *auditSample,
 		AuditCPUFrac: *auditCPUFrac,
 

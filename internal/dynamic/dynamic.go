@@ -412,6 +412,7 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 	}
 	staged := make([]ver, 0, len(us))
 	keys := make([]pairKey, 0, len(us))
+	wCap := graph.WeightCap(n)
 	for i := range us {
 		u := us[i]
 		if u.U < 0 || u.U >= n || u.V < 0 || u.V >= n {
@@ -435,8 +436,8 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 				}
 				w = 1
 			}
-			if w <= 0 {
-				return 0, badUpdatef("update %d: insert (%d,%d): non-positive weight %d", i, u.U, u.V, w)
+			if w <= 0 || w > wCap {
+				return 0, badUpdatef("update %d: insert (%d,%d): weight %d outside [1, %d]", i, u.U, u.V, w, wCap)
 			}
 			nv = ver{w: w}
 		case OpDelete:
@@ -451,8 +452,8 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 			if !st.present {
 				return 0, badUpdatef("update %d: reweight (%d,%d): edge not present", i, u.U, u.V)
 			}
-			if u.W <= 0 {
-				return 0, badUpdatef("update %d: reweight (%d,%d): non-positive weight %d", i, u.U, u.V, u.W)
+			if u.W <= 0 || u.W > wCap {
+				return 0, badUpdatef("update %d: reweight (%d,%d): weight %d outside [1, %d]", i, u.U, u.V, u.W, wCap)
 			}
 			nv = ver{w: u.W}
 		default:

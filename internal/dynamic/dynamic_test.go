@@ -264,6 +264,29 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
+// TestApplyWeightCap: insert and reweight refuse a weight w with
+// w·max(n−1, 1) ≥ InfDist, so no mutation can make a reachable pair
+// read as unreachable; the cap itself is accepted.
+func TestApplyWeightCap(t *testing.T) {
+	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}}, true)
+	d := New(exactBase{g}, g, 0)
+	for _, u := range []Update{
+		{Op: OpInsert, U: 0, V: 2, W: 1 << 61},
+		{Op: OpReweight, U: 0, V: 1, W: 1 << 61},
+	} {
+		if _, err := d.Apply([]Update{u}); !errors.Is(err, ErrBadUpdate) {
+			t.Errorf("%+v: err = %v, want ErrBadUpdate", u, err)
+		}
+	}
+	wCap := graph.WeightCap(3)
+	if _, err := d.Apply([]Update{{Op: OpReweight, U: 0, V: 1, W: wCap}, {Op: OpReweight, U: 1, V: 2, W: wCap}}); err != nil {
+		t.Fatalf("reweight to the cap: %v", err)
+	}
+	if dist, _ := d.Query(0, 2); dist != 2*wCap {
+		t.Fatalf("dist(0,2) = %d, want %d", dist, 2*wCap)
+	}
+}
+
 // TestSwapCompaction: Swap drops absorbed journal entries, rebases
 // pair histories, and invalidates generations below the new floor.
 func TestSwapCompaction(t *testing.T) {

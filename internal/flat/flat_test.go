@@ -426,35 +426,6 @@ func TestOpenRejectsLayoutForgeries(t *testing.T) {
 	}
 }
 
-// TestFingerprintHeaderOnly pins Fingerprint's cost contract: it
-// validates the header checksum only, so it must succeed even when a
-// payload byte is corrupt (no full-arena scan) and fail when the
-// header itself is.
-func TestFingerprintHeaderOnly(t *testing.T) {
-	p := directParts(t)
-	data := freezeBytes(t, p)
-	want := p.Graph.Fingerprint()
-	if got, err := Fingerprint(data); err != nil || got != want {
-		t.Fatalf("Fingerprint = %#x, %v; want %#x", got, err, want)
-	}
-	// Corrupt the last payload byte: full validation would reject this,
-	// a header-only read must not notice.
-	mut := append([]byte(nil), data...)
-	mut[len(mut)-1] ^= 0xFF
-	if _, err := Open(mut, nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open must reject the payload flip, got %v", err)
-	}
-	if got, err := Fingerprint(mut); err != nil || got != want {
-		t.Fatalf("Fingerprint after payload flip = %#x, %v; want %#x (header-only)", got, err, want)
-	}
-	// Corrupt a header byte: the header CRC must catch it.
-	mut = append(mut[:0:0], data...)
-	mut[24] ^= 0x01 // fingerprint field itself
-	if _, err := Fingerprint(mut); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Fingerprint must reject a header flip, got %v", err)
-	}
-}
-
 func TestMapFileRoundTrip(t *testing.T) {
 	p := directParts(t)
 	data := freezeBytes(t, p)

@@ -92,20 +92,6 @@ func Open(data []byte, base *graph.Graph) (*Parts, error) {
 	return p, nil
 }
 
-// Fingerprint reads just the base-graph digest from an arena header
-// (after verifying the header checksum only — no table or payload
-// CRCs are scanned, so a mapped multi-GB arena is not faulted in),
-// for cheap identity checks without a full open. A matching
-// fingerprint is an identity hint, not an integrity proof; Open
-// performs the full validation.
-func Fingerprint(data []byte) (uint64, error) {
-	h, _, _, err := parseHeader(data)
-	if err != nil {
-		return 0, err
-	}
-	return h.fingerprint, nil
-}
-
 // ---------------------------------------------------------------------------
 // Arena envelope: header, table, checksums.
 
@@ -341,9 +327,9 @@ func (o *opener) readGraph(r *ixReader, maxOrig int64, deep bool, trusted *graph
 }
 
 // checkGraphView validates the CSR arrays: every value any consumer
-// indexes with must be in range, weights must satisfy the positivity
-// the search kernels assume, and the cached extrema must match the
-// edge list (wscale's category math reads them).
+// indexes with must be in range, weights must lie in
+// [1, graph.WeightCap(n)] as the search kernels assume, and the cached
+// extrema must match the edge list (wscale's category math reads them).
 //
 // With deep=true it additionally proves full CSR ↔ edge-list
 // cross-consistency in one fused pass — every check graph.Validate
@@ -363,6 +349,7 @@ func checkGraphView(v *graph.CSRView, maxOrig int64, deep bool) error {
 		}
 	}
 	un := uint32(n) // n <= maxVertices < 2^31, so unsigned compares catch negatives too
+	wCap := graph.WeightCap(v.N)
 	if deep {
 		// Each CSR direction must name an in-range neighbor and point at
 		// the canonical edge it came from (endpoints and weight match),
@@ -420,7 +407,7 @@ func checkGraphView(v *graph.CSRView, maxOrig int64, deep bool) error {
 			}
 		}
 		for i, w := range v.Wide {
-			if w <= 0 {
+			if w <= 0 || w > wCap {
 				return corruptf("adjacency wide weight %d invalid at %d", w, i)
 			}
 		}
@@ -434,8 +421,8 @@ func checkGraphView(v *graph.CSRView, maxOrig int64, deep bool) error {
 		if e.U == e.V {
 			return corruptf("self-loop at vertex %d", e.U)
 		}
-		if e.W <= 0 || (!v.Weighted && e.W != 1) {
-			return corruptf("edge weight %d invalid (weighted=%v)", e.W, v.Weighted)
+		if e.W <= 0 || e.W > wCap || (!v.Weighted && e.W != 1) {
+			return corruptf("edge weight %d invalid (weighted=%v, cap %d)", e.W, v.Weighted, wCap)
 		}
 		if v.Weighted {
 			if i == 0 {
@@ -528,7 +515,8 @@ func (o *opener) readScaled(r *ixReader, base *graph.Graph) *hopset.Scaled {
 		un := uint32(n) // unsigned compares catch negative endpoints too
 		for i := range res.Edges {
 			e := &res.Edges[i]
-			if uint32(e.U) >= un || uint32(e.V) >= un || e.U == e.V || e.W <= 0 {
+			// Hopset weights are base distances, so below InfDist.
+			if uint32(e.U) >= un || uint32(e.V) >= un || e.U == e.V || e.W <= 0 || e.W >= graph.InfDist {
 				r.fail(corruptf("hopset edge (%d,%d,w=%d) invalid for n=%d", e.U, e.V, e.W, n))
 				break
 			}
@@ -757,8 +745,8 @@ func unpackJournal(raw []byte, g *graph.Graph, floorGen uint64) ([]dynamic.Entry
 			return nil, corruptf("journal entry %d is a self-loop at %d", i, ent.U)
 		}
 		if ent.Op != dynamic.OpDelete {
-			if ent.W <= 0 {
-				return nil, corruptf("journal entry %d has non-positive weight %d", i, ent.W)
+			if ent.W <= 0 || ent.W > graph.WeightCap(n) {
+				return nil, corruptf("journal entry %d weight %d outside [1, %d]", i, ent.W, graph.WeightCap(n))
 			}
 			if !g.Weighted() && ent.W != 1 {
 				return nil, corruptf("journal entry %d carries weight %d into an unweighted graph", i, ent.W)

@@ -273,6 +273,7 @@ func TestCorruptJournalRejected(t *testing.T) {
 		"self-loop":             func(_ *uint64, e []dynamic.Entry) { e[1].V = e[1].U },
 		"bad-op":                func(_ *uint64, e []dynamic.Entry) { e[0].Op = dynamic.Op(7) },
 		"non-positive-weight":   func(_ *uint64, e []dynamic.Entry) { e[0].W = 0 },
+		"weight-over-cap":       func(_ *uint64, e []dynamic.Entry) { e[0].W = graph.WeightCap(16) + 1 },
 	}
 	for name, mutate := range cases {
 		floor, journal := journalFixture()
@@ -302,5 +303,36 @@ func TestWeightIntoUnweightedJournalRejected(t *testing.T) {
 	journal := []dynamic.Entry{{Update: dynamic.Update{Op: dynamic.OpInsert, U: 0, V: 5, W: 9}, Gen: 1}}
 	if _, err := Open(journalArena(t, graph.Grid2D(4, 4), 0, journal), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestGraphWeightOverCapRejected: an embedded graph past
+// graph.WeightCap — two edges of weight 2^61 on three vertices, which
+// FromEdges refuses — is ErrCorrupt, never a graph whose reachable
+// vertices read as unreachable; so is a hopset edge at InfDist.
+func TestGraphWeightOverCapRejected(t *testing.T) {
+	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1 << 33}, {U: 1, V: 2, W: 1 << 33}}, true)
+	v := g.CSRView() // aliases g's arrays: forge them in place
+	for i := range v.Edges {
+		v.Edges[i].W = 1 << 61
+	}
+	for i := range v.Wide {
+		v.Wide[i] = 1 << 61
+	}
+	v.MinW, v.MaxW = 1<<61, 1<<61
+	data := freezeBytes(t, &Parts{Graph: graph.FromCSRView(v), Eps: 0.5, Seed: 1, Degenerate: true})
+	if _, err := Open(data, nil); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("Open = %v, want a weight-cap ErrCorrupt", err)
+	}
+
+	// A hopset shortcut is a base distance, so InfDist is out of range
+	// too: accepted, it would panic the first query's Augmented build.
+	gg := graph.UniformWeights(graph.Grid2D(4, 4), 9, 1)
+	s := hopset.BuildScaled(gg, hopset.DefaultWeightedParams(2), nil)
+	res, _ := s.Results()
+	res[len(res)-1].Edges[0].W = graph.InfDist
+	data = freezeBytes(t, &Parts{Graph: gg, Eps: 0.3, Seed: 2, Direct: s})
+	if _, err := Open(data, nil); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "hopset edge") {
+		t.Fatalf("Open = %v, want a hopset-edge ErrCorrupt", err)
 	}
 }

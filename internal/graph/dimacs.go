@@ -100,6 +100,9 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 			if w64 <= 0 {
 				return nil, fmt.Errorf("graph: dimacs line %d: non-positive arc weight %d", line, w64)
 			}
+			if w64 > WeightCap(n) {
+				return nil, fmt.Errorf("graph: dimacs line %d: arc weight %d exceeds the cap %d for n=%d", line, w64, WeightCap(n), n)
+			}
 			u, v := V(u64-1), V(v64-1)
 			if u > v {
 				u, v = v, u

@@ -76,6 +76,7 @@ func TestReadDIMACSErrors(t *testing.T) {
 		{"self loop", "p sp 2 1\na 1 1 5\n", "self-loop"},
 		{"zero weight", "p sp 2 1\na 1 2 0\n", "non-positive arc weight"},
 		{"negative weight", "p sp 2 1\na 1 2 -7\n", "non-positive arc weight"},
+		{"weight over cap", "p sp 3 2\na 1 2 2305843009213693952\na 2 3 1\n", "exceeds the cap"},
 		{"weight overflow", "p sp 2 1\na 1 2 99999999999999999999\n", "bad arc line"},
 		{"too few arcs", "p sp 3 5\na 1 2 1\n", "truncated"},
 		{"too many arcs", "p sp 3 1\na 1 2 1\na 2 3 1\n", "more than the declared"},

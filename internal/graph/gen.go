@@ -309,24 +309,22 @@ func UniformWeights(g *Graph, maxW W, seed uint64) *Graph {
 }
 
 // ExponentialWeights returns a weighted copy of g whose weights span
-// many scales: w = round(base^(U*scales)) for uniform U in [0,1). This
-// produces the large weight-ratio instances that exercise the
-// bucketing machinery (weighted spanner groups, Appendix B
-// decomposition).
+// many scales: w = ⌊base^(U*scales)⌋ for uniform U in [0,1), clamped to
+// [1, WeightCap(n)]. This produces the large weight-ratio instances
+// that exercise the bucketing machinery (weighted spanner groups,
+// Appendix B decomposition).
 func ExponentialWeights(g *Graph, base float64, scales float64, seed uint64) *Graph {
 	if base <= 1 || scales <= 0 {
 		panic("graph: ExponentialWeights needs base > 1 and scales > 0")
 	}
 	r := rng.New(seed)
+	maxW := WeightCap(g.n)
 	edges := make([]Edge, len(g.edges))
 	copy(edges, g.edges)
 	for i := range edges {
 		u := r.Float64()
-		w := W(math.Pow(base, u*scales))
-		if w < 1 {
-			w = 1
-		}
-		edges[i].W = w
+		w := W(math.Min(math.Pow(base, u*scales), float64(maxW)))
+		edges[i].W = max(min(w, maxW), 1)
 	}
 	return FromEdges(g.n, edges, true)
 }

@@ -47,6 +47,11 @@ type Dist = int64
 // InfDist + maxWeight cannot overflow int64.
 const InfDist Dist = math.MaxInt64 / 4
 
+// WeightCap is the largest edge weight an n-vertex graph accepts:
+// w·max(n−1, 1) < InfDist. A shortest path has at most n−1 edges, so
+// under the cap every finite distance stays below InfDist.
+func WeightCap(n V) W { return (InfDist - 1) / W(max(n-1, 1)) }
+
 // NoVertex marks the absence of a vertex (e.g. the parent of a root).
 const NoVertex V = -1
 
@@ -199,9 +204,30 @@ func (g *Graph) TotalWeight() W {
 // edge list. Self-loops are rejected; parallel edges are kept as-is
 // (use Simplify first if the input may contain them). For unweighted
 // graphs pass weighted=false and any W values are ignored (treated as
-// 1). Panics on malformed input: this is a programming error, not a
-// runtime condition.
+// 1). Panics on malformed input, a weight outside [1, WeightCap(n)]
+// included: this is a programming error, not a runtime condition.
 func FromEdges(n int32, edges []Edge, weighted bool) *Graph {
+	return fromEdges(n, edges, weighted, WeightCap(n))
+}
+
+// Derive builds a weighted graph on g's vertices from edges derived
+// from g's own: a subset of them, lighter copies, or g-paths such as
+// hopset edges. Their weights passed g's checks or are lengths of
+// paths in g, so they are held below InfDist rather than to
+// WeightCap(n): a graph augmented with long shortcuts stays buildable.
+func (g *Graph) Derive(edges []Edge) *Graph {
+	return fromEdges(g.n, edges, true, InfDist-1)
+}
+
+// Augment returns g ∪ extra as a weighted graph: g's edges in order,
+// then extra's. The extra edges must be g-paths, such as hopset edges,
+// so the union has g's metric.
+func (g *Graph) Augment(extra []Edge) *Graph {
+	return g.Derive(append(append(make([]Edge, 0, len(g.edges)+len(extra)), g.edges...), extra...))
+}
+
+// fromEdges is FromEdges with maxW as the weight ceiling.
+func fromEdges(n int32, edges []Edge, weighted bool, maxW W) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
@@ -229,6 +255,9 @@ func FromEdges(n int32, edges []Edge, weighted bool) *Graph {
 		}
 		if weighted && e.W <= 0 {
 			panic(fmt.Sprintf("graph: non-positive weight %d on edge %d", e.W, i))
+		}
+		if weighted && e.W > maxW {
+			panic(fmt.Sprintf("graph: weight %d on edge %d exceeds the cap %d for n=%d", e.W, i, maxW, n))
 		}
 		if e.W < g.minW {
 			g.minW = e.W

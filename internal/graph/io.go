@@ -123,6 +123,9 @@ func validateEdgeList(n V, edges []Edge, weighted bool) error {
 		if weighted && e.W <= 0 {
 			return fmt.Errorf("graph: edge %d has non-positive weight %d", i, e.W)
 		}
+		if weighted && e.W > WeightCap(n) {
+			return fmt.Errorf("graph: edge %d weight %d exceeds the cap %d for n=%d", i, e.W, WeightCap(n), n)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -338,5 +339,55 @@ func TestFromEdgesOrig(t *testing.T) {
 	}
 	if p := FromEdgesOrig(3, edges, true, nil); p.HasOrigEdgeIDs() {
 		t.Fatal("nil mapping reported as present")
+	}
+}
+
+// TestWeightCap: a weight w with w·max(n−1, 1) ≥ InfDist is refused at
+// every graph entry point — FromEdges panics, the text and binary
+// readers return errors — while the cap itself is accepted. The case
+// is two edges of weight 2^61 on three vertices, where an uncapped
+// graph reported a reachable vertex at InfDist.
+func TestWeightCap(t *testing.T) {
+	const heavy = W(1) << 61
+	wCap := WeightCap(3)
+	if wCap != (InfDist-1)/2 || 2*wCap >= InfDist || 2*(wCap+1) < InfDist {
+		t.Fatalf("WeightCap(3) = %d is not the largest w with 2w < InfDist", wCap)
+	}
+	if WeightCap(1) != InfDist-1 || WeightCap(2) != InfDist-1 {
+		t.Fatalf("WeightCap(1), WeightCap(2) = %d, %d, want InfDist-1", WeightCap(1), WeightCap(2))
+	}
+	path := func(w W) []Edge { return []Edge{{U: 0, V: 1, W: w}, {U: 1, V: 2, W: w}} }
+	if g := FromEdges(3, path(wCap), true); g.MaxWeight() != wCap {
+		t.Fatalf("FromEdges at the cap: max weight %d, want %d", g.MaxWeight(), wCap)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("FromEdges accepted weight 2^61 on 3 vertices")
+			}
+		}()
+		FromEdges(3, path(heavy), true)
+	}()
+
+	text := fmt.Sprintf("%s 3 2 1\n0 1 %d\n1 2 1\n", textMagic, heavy)
+	if _, err := ReadText(strings.NewReader(text)); err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+		t.Fatalf("ReadText = %v, want a cap error", err)
+	}
+	var bin bytes.Buffer
+	for _, v := range []any{uint32(binaryMagic), int32(3), int64(2), uint32(1),
+		[2]int32{0, 1}, [2]int32{1, 2}, int64(heavy), int64(1)} {
+		if err := binaryWrite(&bin, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ReadBinary(&bin); err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+		t.Fatalf("ReadBinary = %v, want a cap error", err)
+	}
+
+	// Hopset-style shortcuts are base distances: Augment holds them
+	// below InfDist, not to the per-edge cap.
+	aug := FromEdges(3, path(wCap), true).Augment([]Edge{{U: 0, V: 2, W: 2 * wCap}})
+	if aug.NumEdges() != 3 || aug.MaxWeight() != 2*wCap {
+		t.Fatalf("Augment: %d edges, max weight %d", aug.NumEdges(), aug.MaxWeight())
 	}
 }

@@ -297,7 +297,11 @@ func (b *builder) trueEdgeWeight(u, v graph.V) graph.W {
 
 // cliqueEdges connects the centers of the given large clusters with
 // edges weighted by the true weight of the raced path between them,
-// searching within the current recursion subset only.
+// searching within the current recursion subset only. The sources fan
+// out over the execution context; each search is the sequential Dial
+// race, whose parent tree is fixed by its bucket order, so the clique
+// weights are a function of the graph alone and the build is
+// bit-identical at any worker count.
 func (b *builder) cliqueEdges(clus *core.Result, largeIdx []int, token int32, cost *par.Cost) []graph.Edge {
 	centers := make([]graph.V, len(largeIdx))
 	for i, ci := range largeIdx {
@@ -311,7 +315,7 @@ func (b *builder) cliqueEdges(clus *core.Result, largeIdx []int, token int32, co
 			return // the partial clique is discarded with the build
 		}
 		src := centers[i]
-		res := sssp.Weighted(b.gWork, []graph.V{src}, sssp.Options{
+		res := sssp.Dial(b.gWork, []graph.V{src}, sssp.Options{
 			Cost:  costs[i],
 			Mark:  b.mark,
 			Token: token,

@@ -17,7 +17,7 @@ import (
 // the metric). Verified from a few sampled sources.
 func checkMetricPreserved(t *testing.T, g *graph.Graph, edges []graph.Edge, seed uint64) {
 	t.Helper()
-	aug := augment(g, edges)
+	aug := g.Augment(edges)
 	r := rng.New(seed)
 	for trial := 0; trial < 4; trial++ {
 		s := r.Int31n(g.NumVertices())
@@ -30,19 +30,6 @@ func checkMetricPreserved(t *testing.T, g *graph.Graph, edges []graph.Edge, seed
 			}
 		}
 	}
-}
-
-func augment(g *graph.Graph, extra []graph.Edge) *graph.Graph {
-	all := make([]graph.Edge, 0, int(g.NumEdges())+len(extra))
-	for _, e := range g.Edges() {
-		w := e.W
-		if !g.Weighted() {
-			w = 1
-		}
-		all = append(all, graph.Edge{U: e.U, V: e.V, W: w})
-	}
-	all = append(all, extra...)
-	return graph.FromEdges(g.NumVertices(), all, true)
 }
 
 // hopsNeeded returns the smallest h (from the probe set) such that the
@@ -393,6 +380,25 @@ func TestLimited(t *testing.T) {
 	if h >= exactHops {
 		t.Fatalf("Limited hopset did not reduce hops: %d vs %d", h, exactHops)
 	}
+}
+
+// TestLimitedHeavyPath: Limited rebuilds on its own augmented graph,
+// whose shortcuts span the whole path and weigh far more than
+// graph.WeightCap(n) allows an input edge; the rounds still build and
+// keep the metric.
+func TestLimitedHeavyPath(t *testing.T) {
+	const n = 1000
+	es := make([]graph.Edge, n-1)
+	for i := range es {
+		es[i] = graph.Edge{U: graph.V(i), V: graph.V(i + 1), W: 1 << 42}
+	}
+	g := graph.FromEdges(n, es, true)
+	res := Limited(g, 0.5, 0.25, 1, nil)
+	if res.Levels < 2 || g.Augment(res.Edges).MaxWeight() <= graph.WeightCap(n) {
+		t.Fatalf("%d rounds, heaviest shortcut %d: the augmented rounds were not exercised",
+			res.Levels, g.Augment(res.Edges).MaxWeight())
+	}
+	checkMetricPreserved(t, g, res.Edges, 2)
 }
 
 func TestLimitedPanics(t *testing.T) {

@@ -98,16 +98,7 @@ func Limited(g *graph.Graph, alpha float64, eps float64, seed uint64, cost *par.
 		res.Levels++
 		// Feed the shortcuts back: the next round shortcuts paths in
 		// the augmented graph.
-		all := make([]graph.Edge, 0, int(cur.NumEdges())+len(added))
-		for _, e := range cur.Edges() {
-			w := e.W
-			if !cur.Weighted() {
-				w = 1
-			}
-			all = append(all, graph.Edge{U: e.U, V: e.V, W: w})
-		}
-		all = append(all, added...)
-		cur = graph.FromEdges(cur.NumVertices(), all, true)
+		cur = cur.Augment(added)
 	}
 	return res
 }

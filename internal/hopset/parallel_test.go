@@ -1,16 +1,16 @@
 package hopset
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
-	"repro/internal/sssp"
 )
 
-// withProcs forces GOMAXPROCS above 1 so the sibling-recursion DoN
-// fan-out and the Δ-stepping/cluster goroutine paths genuinely
+// withProcs forces GOMAXPROCS above 1 so the sibling-recursion and
+// clique-source DoN fan-outs and the cluster goroutine paths genuinely
 // interleave under `go test -race`.
 func withProcs(t *testing.T, p int, body func()) {
 	t.Helper()
@@ -42,10 +42,9 @@ func TestBuildParallelMetricPreserved(t *testing.T) {
 }
 
 // TestBuildParallelSameStructure: the parallel build races the same
-// clustering (bit-identical), so the star edges, recursion shape, and
-// clique endpoints must match the sequential build exactly; clique
-// edge weights may differ only when the rounded graph admits several
-// shortest trees, and then both weights certify the same metric.
+// clustering and searches each clique source with the same sequential
+// Dial race, so its edges — endpoints, order and true path weights —
+// equal the sequential build's exactly.
 func TestBuildParallelSameStructure(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := graph.UniformWeights(graph.RandomConnectedGNM(500, 2000, 11), 4, 12)
@@ -57,36 +56,58 @@ func TestBuildParallelSameStructure(t *testing.T) {
 			t.Fatalf("structure diverged: stars %d/%d cliques %d/%d levels %d/%d",
 				seq.Stars, par.Stars, seq.Cliques, par.Cliques, seq.Levels, par.Levels)
 		}
-		type pair struct{ u, v graph.V }
-		key := func(e graph.Edge) pair {
-			if e.U < e.V {
-				return pair{e.U, e.V}
+		sameEdges(t, "parallel build", seq.Edges, par.Edges)
+	})
+}
+
+// TestBuildScaledDeterministicAcrossWorkers: every band of a
+// multi-scale build — its D, its rounding granularity and its edge
+// list — is bit-identical at 1, 2 and GOMAXPROCS workers.
+func TestBuildScaledDeterministicAcrossWorkers(t *testing.T) {
+	withProcs(t, 4, func() {
+		for _, tc := range []struct {
+			name string
+			g    *graph.Graph
+		}{
+			{"er", graph.ExponentialWeights(graph.RandomConnectedGNM(1500, 6000, 31), 4, 5, 32)},
+			{"grid", graph.ExponentialWeights(graph.Grid2D(40, 40), 4, 5, 33)},
+		} {
+			build := func(workers int) *Scaled {
+				wp := DefaultWeightedParams(34)
+				wp.Exec = exec.Parallel(workers)
+				return BuildScaled(tc.g, wp, nil)
 			}
-			return pair{e.V, e.U}
-		}
-		seqSet := make(map[pair]graph.W, len(seq.Edges))
-		for _, e := range seq.Edges {
-			seqSet[key(e)] = e.W
-		}
-		if len(par.Edges) != len(seq.Edges) {
-			t.Fatalf("edge count diverged: %d vs %d", len(par.Edges), len(seq.Edges))
-		}
-		for _, e := range par.Edges {
-			w, ok := seqSet[key(e)]
-			if !ok {
-				t.Fatalf("parallel build added edge (%d,%d) absent sequentially", e.U, e.V)
-			}
-			if w != e.W {
-				// Both must still be real path weights ≥ the true
-				// distance (alternative shortest trees in gWork).
-				d := sssp.Dijkstra(g, []graph.V{e.U}, sssp.Options{}).Dist[e.V]
-				if e.W < d || w < d {
-					t.Fatalf("edge (%d,%d): weights %d/%d below true distance %d",
-						e.U, e.V, e.W, w, d)
+			ref := build(1)
+			for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
+				got := build(workers)
+				if len(got.Scales) != len(ref.Scales) {
+					t.Fatalf("%s, %d workers: %d bands, want %d", tc.name, workers, len(got.Scales), len(ref.Scales))
+				}
+				for i, sc := range got.Scales {
+					want := ref.Scales[i]
+					if sc.D != want.D || sc.WHat != want.WHat {
+						t.Fatalf("%s, %d workers, band %d: (D, ŵ) = (%g, %d), want (%g, %d)",
+							tc.name, workers, i, sc.D, sc.WHat, want.D, want.WHat)
+					}
+					sameEdges(t, fmt.Sprintf("%s, %d workers, band %d", tc.name, workers, i),
+						want.Res.Edges, sc.Res.Edges)
 				}
 			}
 		}
 	})
+}
+
+// sameEdges fails unless got equals want edge for edge, in order.
+func sameEdges(t *testing.T, what string, want, got []graph.Edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: edge %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
 }
 
 // TestBuildScaledParallelQueries: the end-to-end multi-scale build and

@@ -60,12 +60,9 @@ type Params struct {
 	// (sequential, plain allocation). On a parallel context the
 	// construction's hot loops run on actual goroutines: every
 	// clustering bucket expands concurrently and the center-to-center
-	// clique searches use Δ-stepping instead of the sequential Dial.
-	// The clustering — and hence the recursion tree, star edges, and
-	// which center pairs get clique edges — is bit-identical to the
-	// sequential build; clique edge weights may differ within the same
-	// shortest-path metric when the rounded graph admits several
-	// shortest trees (any raced path is a valid Definition 2.4 edge).
+	// clique searches fan out across sources, each one the sequential
+	// Dial race. The result — recursion tree, star edges, clique edges
+	// and their weights — is bit-identical to the sequential build.
 	Exec *exec.Ctx
 }
 

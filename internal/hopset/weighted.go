@@ -247,7 +247,7 @@ func BuildScaled(g *graph.Graph, wp WeightedParams, cost *par.Cost) *Scaled {
 			continue // resolved after the parallel phase
 		}
 		costs[i] = par.NewCost()
-		gTrue := graph.FromEdges(g.NumVertices(), jb.filter, true)
+		gTrue := g.Derive(jb.filter)
 		gWork := roundGraph(gTrue, jb.wHat)
 		p := wp.Params
 		p.Seed = jb.seed
@@ -273,9 +273,7 @@ func roundGraph(g *graph.Graph, wHat graph.W) *graph.Graph {
 		}
 		// Promote an unweighted graph to an explicit unit-weight
 		// graph so that augmented searches handle it uniformly.
-		edges := make([]graph.Edge, len(g.Edges()))
-		copy(edges, g.Edges())
-		return graph.FromEdges(g.NumVertices(), edges, true)
+		return g.Derive(g.Edges())
 	}
 	edges := make([]graph.Edge, len(g.Edges()))
 	copy(edges, g.Edges())
@@ -283,7 +281,7 @@ func roundGraph(g *graph.Graph, wHat graph.W) *graph.Graph {
 		w := edges[i].W
 		edges[i].W = (w + wHat - 1) / wHat
 	}
-	return graph.FromEdges(g.NumVertices(), edges, true)
+	return g.Derive(edges)
 }
 
 // Augmented returns (and caches) Base ∪ the distinct band hopsets'
@@ -312,18 +310,7 @@ func (s *Scaled) queryPlan() *queryPlan {
 			p.hbTop = hb
 		}
 	}
-	base := s.Base.Edges()
-	extra := s.Edges()
-	all := make([]graph.Edge, 0, len(base)+len(extra))
-	for _, e := range base {
-		w := e.W
-		if !s.Base.Weighted() {
-			w = 1
-		}
-		all = append(all, graph.Edge{U: e.U, V: e.V, W: w})
-	}
-	all = append(all, extra...)
-	p.aug = graph.FromEdges(s.Base.NumVertices(), all, true)
+	p.aug = s.Base.Augment(s.Edges())
 	s.plan = p
 	return p
 }

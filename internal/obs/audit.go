@@ -194,10 +194,8 @@ type auditGraph struct {
 	cpuNS       int64 // cumulative audit thread-CPU
 
 	regimes  map[string]*auditRegime
-	evidence []AuditEvidence // bounded ring of violations
-	evNext   int
-	evN      int
-	worst    *AuditEvidence // largest |log ratio| over ALL audits
+	evidence ring[AuditEvidence] // newest violations
+	worst    *AuditEvidence      // largest |log ratio| over ALL audits
 	worstDev float64
 }
 
@@ -319,10 +317,11 @@ func (a *Auditor) Register(graph string, env Envelope, recheck RecheckFunc) {
 		return
 	}
 	a.graphs[graph] = &auditGraph{
-		env:     env,
-		recheck: recheck,
-		start:   time.Now(),
-		regimes: make(map[string]*auditRegime),
+		env:      env,
+		recheck:  recheck,
+		start:    time.Now(),
+		regimes:  make(map[string]*auditRegime),
+		evidence: newRing[AuditEvidence](a.evidenceCap),
 	}
 }
 
@@ -619,13 +618,7 @@ func (a *Auditor) audit(s AuditSample) {
 
 	// Correctness alarm: the theorem says this cannot happen.
 	g.violations++
-	if len(g.evidence) < a.evidenceCap {
-		g.evidence = append(g.evidence, ev)
-		g.evN = len(g.evidence)
-	} else {
-		g.evidence[g.evNext] = ev
-	}
-	g.evNext = (g.evNext + 1) % a.evidenceCap
+	g.evidence.push(ev)
 	a.events.Count("quality_violation")
 	if a.log != nil {
 		a.log.Error("answer-quality violation: served distance outside envelope",
@@ -687,7 +680,7 @@ func (g *auditGraph) snapshot(name string) AuditGraphSnapshot {
 		Violations:  g.violations,
 		AuditCPUNS:  g.cpuNS,
 		Regimes:     make([]AuditRegimeSnapshot, 0, len(g.regimes)),
-		Evidence:    make([]AuditEvidence, 0, g.evN),
+		Evidence:    g.evidence.slice(), // newest first, like the trace ring
 	}
 	for name, r := range g.regimes {
 		rs := AuditRegimeSnapshot{
@@ -707,11 +700,6 @@ func (g *auditGraph) snapshot(name string) AuditGraphSnapshot {
 	sort.Slice(snap.Regimes, func(i, j int) bool {
 		return snap.Regimes[i].Regime < snap.Regimes[j].Regime
 	})
-	// Evidence newest-first, like the trace ring.
-	for i := 1; i <= g.evN; i++ {
-		snap.Evidence = append(snap.Evidence,
-			g.evidence[(g.evNext-i+len(g.evidence))%len(g.evidence)])
-	}
 	if g.worst != nil {
 		w := *g.worst
 		snap.Worst = &w

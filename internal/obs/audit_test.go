@@ -494,6 +494,14 @@ func TestRingAnnotate(t *testing.T) {
 	if r.Annotate("a", "k", "v") {
 		t.Fatal("Annotate matched an evicted trace")
 	}
+	// Across the wrap, a repeated id annotates only its newest copy.
+	r.Add(TraceData{ID: "c"}) // evicts "b"; both slots hold "c"
+	if !r.Annotate("c", "n", 2) {
+		t.Fatal("Annotate missed a wrapped trace")
+	}
+	if got := r.Snapshot(); got[0].Attrs["n"] != 2 || got[1].Attrs["n"] != nil {
+		t.Fatalf("annotated [%v, %v], want only the newest", got[0].Attrs, got[1].Attrs)
+	}
 	var nilRing *Ring
 	if nilRing.Annotate("a", "k", "v") {
 		t.Fatal("nil ring annotated")

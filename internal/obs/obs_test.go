@@ -119,18 +119,26 @@ func TestTraceContextRoundTrip(t *testing.T) {
 }
 
 func TestRingEvictionAndOrder(t *testing.T) {
-	r := NewRing(3)
-	for i := 0; i < 5; i++ {
-		r.Add(TraceData{ID: string(rune('a' + i))})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	snap := r.Snapshot()
-	want := []string{"e", "d", "c"} // newest first, a and b evicted
-	for i, td := range snap {
-		if td.ID != want[i] {
-			t.Fatalf("snapshot[%d] = %q, want %q", i, td.ID, want[i])
+	// Capacity 3 at every fill level: empty, partial, exactly full,
+	// wrapped once, and wrapped past a second lap. Snapshot is always
+	// the last min(adds, 3) ids, newest first.
+	for _, adds := range []int{0, 2, 3, 5, 7} {
+		r := NewRing(3)
+		for i := 0; i < adds; i++ {
+			r.Add(TraceData{ID: string(rune('a' + i))})
+		}
+		var want []string
+		for i := adds - 1; i >= 0 && len(want) < 3; i-- {
+			want = append(want, string(rune('a'+i)))
+		}
+		snap := r.Snapshot()
+		if r.Len() != len(want) || len(snap) != len(want) {
+			t.Fatalf("adds=%d: Len = %d, snapshot %d, want %d", adds, r.Len(), len(snap), len(want))
+		}
+		for i, td := range snap {
+			if td.ID != want[i] {
+				t.Fatalf("adds=%d: snapshot[%d] = %q, want %q", adds, i, td.ID, want[i])
+			}
 		}
 	}
 	var nilRing *Ring

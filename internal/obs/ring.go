@@ -2,15 +2,54 @@ package obs
 
 import "sync"
 
+// ring is a bounded buffer of the newest values: it grows to max
+// entries, then each push overwrites the oldest. Not synchronized;
+// the owner's lock guards it. It backs the trace Ring and the
+// auditor's violation evidence.
+type ring[T any] struct {
+	buf  []T
+	max  int
+	next int // slot the next push overwrites once len(buf) == max
+}
+
+func newRing[T any](max int) ring[T] { return ring[T]{max: max} }
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < r.max {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % r.max
+}
+
+func (r *ring[T]) len() int { return len(r.buf) }
+
+// newest calls fn on each live entry, newest first, until fn returns
+// false. fn may modify the entry in place.
+func (r *ring[T]) newest(fn func(*T) bool) {
+	n := len(r.buf)
+	for i := 1; i <= n; i++ {
+		if !fn(&r.buf[(r.next-i+n)%n]) {
+			return
+		}
+	}
+}
+
+// slice copies the live entries, newest first.
+func (r *ring[T]) slice() []T {
+	out := make([]T, 0, len(r.buf))
+	r.newest(func(v *T) bool { out = append(out, *v); return true })
+	return out
+}
+
 // Ring is a bounded, mutex-guarded buffer of the most recent finished
 // traces — the storage behind GET /debug/traces. Old entries are
 // overwritten in place; memory is bounded by capacity regardless of
 // query volume.
 type Ring struct {
-	mu   sync.Mutex
-	buf  []TraceData
-	next int // index of the slot the next Add writes
-	n    int // number of live entries (≤ len(buf))
+	mu  sync.Mutex
+	buf ring[TraceData]
 
 	// pending parks annotations for traces not (or no longer) in buf,
 	// oldest first, at most maxPendingAnnotations; Add applies the
@@ -35,7 +74,7 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
-	return &Ring{buf: make([]TraceData, capacity)}
+	return &Ring{buf: newRing[TraceData](capacity)}
 }
 
 // Add files a finished trace, evicting the oldest when full. No-op on
@@ -52,11 +91,7 @@ func (r *Ring) Add(td TraceData) {
 			break
 		}
 	}
-	r.buf[r.next] = td
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
+	r.buf.push(td)
 	r.mu.Unlock()
 }
 
@@ -78,12 +113,16 @@ func (r *Ring) Annotate(id string, kvs ...any) bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := 1; i <= r.n; i++ {
-		slot := (r.next - i + len(r.buf)) % len(r.buf)
-		if r.buf[slot].ID == id {
-			r.buf[slot].Attrs = withAttrs(r.buf[slot].Attrs, kvs)
-			return true
+	found := false
+	r.buf.newest(func(td *TraceData) bool {
+		if td.ID == id {
+			td.Attrs = withAttrs(td.Attrs, kvs)
+			found = true
 		}
+		return !found
+	})
+	if found {
+		return true
 	}
 	for i := range r.pending {
 		if r.pending[i].id == id {
@@ -132,11 +171,7 @@ func (r *Ring) Snapshot() []TraceData {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]TraceData, 0, r.n)
-	for i := 1; i <= r.n; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out
+	return r.buf.slice()
 }
 
 // Len reports the number of buffered traces.
@@ -146,5 +181,5 @@ func (r *Ring) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.buf.len()
 }

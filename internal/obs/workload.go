@@ -1,6 +1,6 @@
 package obs
 
-// Workload analytics: who is asking for what, and is the SLO burning?
+// Workload analytics: who is asking for what?
 //
 // One Workload per served graph bundles
 //
@@ -13,9 +13,7 @@ package obs
 //     counts (err == 0, the common case for concentrated workloads)
 //     from clipped ones;
 //   - per-operation RED counters (rate from a cumulative count, errors,
-//     duration) for the query/batch/mutate surfaces; and
-//   - a latency SLO objective evaluated over rolling burn-rate
-//     windows (see SLO).
+//     duration) for the query/batch/mutate surfaces.
 //
 // Everything is mutex- or atomic-guarded and cheap enough for the
 // query hot path: one sketch observation is a map probe plus a heap
@@ -154,134 +152,6 @@ func (t *TopK) Snapshot(k int) (pairs []TopPair, total uint64) {
 }
 
 // ---------------------------------------------------------------------------
-// SLO burn rate.
-
-// sloWindowSeconds is the ring span: enough for the 5-minute long
-// window plus the second in flight.
-const sloWindowSeconds = 301
-
-type sloBucket struct {
-	sec         int64
-	good, total int64
-}
-
-// SLO tracks a latency objective — "objective fraction of queries
-// answer within target" — over a rolling ring of per-second buckets
-// and reports burn rates over short (1m) and long (5m) windows. Burn
-// rate is (observed bad fraction) / (allowed bad fraction): 1.0 means
-// the error budget is being spent exactly at the sustainable rate,
-// above 1 it is burning.
-type SLO struct {
-	target    time.Duration
-	objective float64
-
-	mu      sync.Mutex
-	buckets [sloWindowSeconds]sloBucket
-	good    int64 // lifetime
-	total   int64
-}
-
-// NewSLO builds an SLO tracker; target <= 0 disables (returns nil,
-// which all methods tolerate). objective outside (0,1) defaults to
-// 0.99.
-func NewSLO(target time.Duration, objective float64) *SLO {
-	if target <= 0 {
-		return nil
-	}
-	if objective <= 0 || objective >= 1 {
-		objective = 0.99
-	}
-	return &SLO{target: target, objective: objective}
-}
-
-// Record classifies one query: good when it succeeded within the
-// target latency.
-func (s *SLO) Record(d time.Duration, failed bool) {
-	if s == nil {
-		return
-	}
-	good := !failed && d <= s.target
-	sec := time.Now().Unix()
-	s.mu.Lock()
-	b := &s.buckets[sec%sloWindowSeconds]
-	if b.sec != sec {
-		b.sec, b.good, b.total = sec, 0, 0
-	}
-	b.total++
-	s.total++
-	if good {
-		b.good++
-		s.good++
-	}
-	s.mu.Unlock()
-}
-
-// SLOSnapshot is the JSON shape of one graph's SLO state.
-type SLOSnapshot struct {
-	TargetMS  float64 `json:"target_ms"`
-	Objective float64 `json:"objective"`
-	Good      int64   `json:"good"`
-	Total     int64   `json:"total"`
-	// Burn1m / Burn5m are the rolling-window burn rates; windows with
-	// no traffic burn at 0.
-	Burn1m float64 `json:"burn_1m"`
-	Burn5m float64 `json:"burn_5m"`
-	// Status summarizes: "ok" (long window inside budget), "warning"
-	// (long window burning but the last minute has recovered),
-	// "critical" (burning in both windows).
-	Status string `json:"status"`
-}
-
-// window sums the buckets of the trailing w seconds. s.mu held.
-func (s *SLO) window(now int64, w int64) (good, total int64) {
-	for i := int64(0); i < w; i++ {
-		b := &s.buckets[(now-i)%sloWindowSeconds]
-		if b.sec == now-i {
-			good += b.good
-			total += b.total
-		}
-	}
-	return good, total
-}
-
-// Snapshot evaluates the burn-rate windows now.
-func (s *SLO) Snapshot() *SLOSnapshot {
-	if s == nil {
-		return nil
-	}
-	now := time.Now().Unix()
-	s.mu.Lock()
-	g1, t1 := s.window(now, 60)
-	g5, t5 := s.window(now, 300)
-	good, total := s.good, s.total
-	s.mu.Unlock()
-	burn := func(good, total int64) float64 {
-		if total == 0 {
-			return 0
-		}
-		bad := float64(total-good) / float64(total)
-		return bad / (1 - s.objective)
-	}
-	snap := &SLOSnapshot{
-		TargetMS:  float64(s.target) / float64(time.Millisecond),
-		Objective: s.objective,
-		Good:      good,
-		Total:     total,
-		Burn1m:    burn(g1, t1),
-		Burn5m:    burn(g5, t5),
-	}
-	switch {
-	case snap.Burn5m <= 1:
-		snap.Status = "ok"
-	case snap.Burn1m <= 1:
-		snap.Status = "warning"
-	default:
-		snap.Status = "critical"
-	}
-	return snap
-}
-
-// ---------------------------------------------------------------------------
 // Per-graph workload bundle.
 
 // opCell is one operation's RED counters.
@@ -291,33 +161,22 @@ type opCell struct {
 	durNS atomic.Int64
 }
 
-// Workload bundles the per-graph analytics: the heavy-hitter sketch,
-// per-op RED counters, and the SLO tracker. A nil *Workload is valid
-// and inert (library users of internal/server pay nothing).
+// Workload bundles the per-graph analytics: the heavy-hitter sketch
+// and per-op RED counters. A nil *Workload is valid and inert (library
+// users of internal/server pay nothing).
 type Workload struct {
 	top   *TopK
-	slo   *SLO
 	start time.Time
 
 	mu  sync.RWMutex
 	ops map[string]*opCell
 }
 
-// WorkloadOptions configure NewWorkload.
-type WorkloadOptions struct {
-	// TopK is the heavy-hitter sketch capacity (0 = DefaultTopK).
-	TopK int
-	// SLOTarget is the latency objective threshold; 0 disables SLO
-	// tracking. SLOObjective is the good fraction (default 0.99).
-	SLOTarget    time.Duration
-	SLOObjective float64
-}
-
-// NewWorkload builds one graph's analytics bundle.
-func NewWorkload(opt WorkloadOptions) *Workload {
+// NewWorkload builds one graph's analytics bundle; topK is the
+// heavy-hitter sketch capacity (0 = DefaultTopK).
+func NewWorkload(topK int) *Workload {
 	return &Workload{
-		top:   NewTopK(opt.TopK),
-		slo:   NewSLO(opt.SLOTarget, opt.SLOObjective),
+		top:   NewTopK(topK),
 		start: time.Now(),
 		ops:   make(map[string]*opCell, 4),
 	}
@@ -366,14 +225,6 @@ func (w *Workload) RecordOp(name string, n int, d time.Duration, failed bool) {
 	}
 }
 
-// RecordQuery feeds the SLO with one query-surface observation.
-func (w *Workload) RecordQuery(d time.Duration, failed bool) {
-	if w == nil {
-		return
-	}
-	w.slo.Record(d, failed)
-}
-
 // OpSnapshot is one operation's RED row.
 type OpSnapshot struct {
 	Op        string  `json:"op"`
@@ -392,7 +243,6 @@ type WorkloadSnapshot struct {
 	TopPairs   []TopPair    `json:"top_pairs"`
 	TotalPairs uint64       `json:"total_pairs"`
 	Ops        []OpSnapshot `json:"ops"`
-	SLO        *SLOSnapshot `json:"slo,omitempty"`
 }
 
 // Snapshot captures the analytics; k bounds the reported heavy
@@ -425,15 +275,5 @@ func (w *Workload) Snapshot(k int) WorkloadSnapshot {
 	}
 	w.mu.RUnlock()
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Op < ops[j].Op })
-	return WorkloadSnapshot{TopPairs: pairs, TotalPairs: total, Ops: ops, SLO: w.slo.Snapshot()}
-}
-
-// SLOSnapshot exposes just the SLO state (the /metrics burn-rate
-// gauges read it without paying for a sketch snapshot). Nil when SLO
-// tracking is disabled.
-func (w *Workload) SLOSnapshot() *SLOSnapshot {
-	if w == nil {
-		return nil
-	}
-	return w.slo.Snapshot()
+	return WorkloadSnapshot{TopPairs: pairs, TotalPairs: total, Ops: ops}
 }

@@ -1,8 +1,7 @@
 package obs
 
 // Workload-analytics unit tests: the space-saving sketch's exactness
-// and admission guarantees, the SLO burn-rate classification, and the
-// per-graph Workload bundle's snapshot shape (including nil safety —
+// and admission guarantees, and the per-graph Workload bundle's snapshot shape (including nil safety —
 // library users of internal/server carry a nil bundle).
 
 import (
@@ -109,64 +108,14 @@ func TestTopKNilAndDefaults(t *testing.T) {
 	}
 }
 
-func TestSLODisabledAndDefaults(t *testing.T) {
-	if NewSLO(0, 0.99) != nil {
-		t.Fatal("target 0 must disable")
-	}
-	var s *SLO
-	s.Record(time.Millisecond, false) // nil-safe
-	if s.Snapshot() != nil {
-		t.Fatal("nil SLO snapshot must be nil")
-	}
-	if got := NewSLO(time.Second, 7).objective; got != 0.99 {
-		t.Fatalf("objective 7 defaulted to %g, want 0.99", got)
-	}
-}
-
-func TestSLOBurnRate(t *testing.T) {
-	s := NewSLO(10*time.Millisecond, 0.9) // allowed bad fraction 0.1
-	// 8 good, 2 bad (one slow, one failed): bad fraction 0.2, burn 2.
-	for i := 0; i < 8; i++ {
-		s.Record(time.Millisecond, false)
-	}
-	s.Record(50*time.Millisecond, false)
-	s.Record(time.Millisecond, true)
-	snap := s.Snapshot()
-	if snap.Good != 8 || snap.Total != 10 {
-		t.Fatalf("good/total = %d/%d, want 8/10", snap.Good, snap.Total)
-	}
-	if snap.TargetMS != 10 || snap.Objective != 0.9 {
-		t.Fatalf("target/objective = %g/%g", snap.TargetMS, snap.Objective)
-	}
-	// All records landed within the last minute, so both windows agree.
-	if snap.Burn1m < 1.99 || snap.Burn1m > 2.01 || snap.Burn5m < 1.99 || snap.Burn5m > 2.01 {
-		t.Fatalf("burn = %g/%g, want 2.0", snap.Burn1m, snap.Burn5m)
-	}
-	if snap.Status != "critical" {
-		t.Fatalf("status = %q, want critical (burning in both windows)", snap.Status)
-	}
-}
-
-func TestSLOStatusOK(t *testing.T) {
-	s := NewSLO(time.Second, 0.5)
-	for i := 0; i < 10; i++ {
-		s.Record(time.Millisecond, false)
-	}
-	snap := s.Snapshot()
-	if snap.Burn1m != 0 || snap.Status != "ok" {
-		t.Fatalf("all-good SLO = burn %g status %q", snap.Burn1m, snap.Status)
-	}
-}
-
 func TestWorkloadBundle(t *testing.T) {
-	w := NewWorkload(WorkloadOptions{TopK: 8, SLOTarget: time.Second, SLOObjective: 0.99})
+	w := NewWorkload(8)
 	w.ObservePair(3, 4)
 	w.ObservePair(3, 4)
 	w.ObservePair(5, 6)
 	w.RecordOp(OpQuery, 1, time.Millisecond, false)
 	w.RecordOp(OpQuery, 1, time.Millisecond, false)
 	w.RecordOp(OpBatch, 7, 2*time.Millisecond, true)
-	w.RecordQuery(time.Millisecond, false)
 
 	snap := w.Snapshot(10)
 	if snap.TotalPairs != 3 || len(snap.TopPairs) != 2 {
@@ -185,21 +134,14 @@ func TestWorkloadBundle(t *testing.T) {
 	if b := ops[OpBatch]; b.Count != 7 || b.Errors != 1 {
 		t.Fatalf("batch op = %+v", b)
 	}
-	if snap.SLO == nil || snap.SLO.Total != 1 {
-		t.Fatalf("slo = %+v", snap.SLO)
-	}
 
 	// Nil bundle: every method inert, snapshot non-nil slices (the
 	// HTTP layer marshals it directly).
 	var nw *Workload
 	nw.ObservePair(1, 2)
 	nw.RecordOp(OpQuery, 1, 0, false)
-	nw.RecordQuery(0, false)
 	ns := nw.Snapshot(5)
-	if ns.TopPairs == nil || ns.Ops == nil || ns.SLO != nil {
+	if ns.TopPairs == nil || ns.Ops == nil {
 		t.Fatalf("nil workload snapshot = %+v", ns)
-	}
-	if nw.SLOSnapshot() != nil {
-		t.Fatal("nil workload SLOSnapshot must be nil")
 	}
 }

@@ -8,7 +8,6 @@ package server
 // analytics row on the right graph.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -138,10 +137,6 @@ func TestWorkloadEndpoint(t *testing.T) {
 	if query == nil || query.Count != 5 || query.Errors != 0 {
 		t.Fatalf("query op = %+v, want count 5", query)
 	}
-	// The default server has no SLO target configured.
-	if snap.SLO != nil {
-		t.Fatalf("slo = %+v, want nil without -slo-target", snap.SLO)
-	}
 
 	// ?k bounds the report; bad values and unknown graphs are client
 	// errors, not empty documents.
@@ -217,43 +212,15 @@ func TestTraceFilters(t *testing.T) {
 	if code, _ := count("/debug/traces?min_ms=soon"); code != http.StatusBadRequest {
 		t.Fatalf("min_ms=soon = %d, want 400", code)
 	}
-	if code, _ := count("/debug/traces?format=svg"); code != http.StatusBadRequest {
-		t.Fatalf("format=svg = %d, want 400", code)
-	}
-
-	// Chrome export: valid trace-event JSON, filters still applied.
-	resp, err := ts.Client().Get(ts.URL + "/debug/traces?format=chrome&graph=tb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("chrome export = %d", resp.StatusCode)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph   string         `json:"ph"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("chrome export is not JSON: %v", err)
-	}
-	var xEvents, graphTagged int
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" {
-			xEvents++
-			if ev.Args["graph"] == "tb" {
-				graphTagged++
-			}
+	// JSON is the only rendering; any other format, the retired
+	// Chrome export included, is a client error.
+	for _, f := range []string{"svg", "chrome"} {
+		if code, _ := count("/debug/traces?format=" + f); code != http.StatusBadRequest {
+			t.Fatalf("format=%s = %d, want 400", f, code)
 		}
 	}
-	if xEvents == 0 {
-		t.Fatal("chrome export has no complete events")
-	}
-	if graphTagged != tbCount {
-		t.Fatalf("chrome export holds %d tb totals, want the %d filtered traces", graphTagged, tbCount)
+	if code, n := count("/debug/traces?format=json"); code != http.StatusOK || n != all {
+		t.Fatalf("format=json = %d traces (code %d), want all %d", n, code, all)
 	}
 }
 

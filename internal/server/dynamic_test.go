@@ -135,6 +135,17 @@ func TestMutationEndpoints(t *testing.T) {
 		map[string]any{"updates": bad}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad batch = %d, want 400", code)
 	}
+	// A weight past graph.WeightCap(n) is a client error too, for
+	// insert and reweight alike.
+	for _, up := range []map[string]any{
+		{"op": "insert", "u": 2, "v": 30, "w": int64(1) << 61},
+		{"op": "reweight", "u": 0, "v": 1, "w": int64(1) << 61},
+	} {
+		if code := httpJSON(t, ts, "POST", "/graphs/g/edges",
+			map[string]any{"updates": []map[string]any{up}}, nil); code != http.StatusBadRequest {
+			t.Fatalf("%s at 2^61 = %d, want 400", up["op"], code)
+		}
+	}
 	var stats struct {
 		Graphs map[string]graphStats `json:"graphs"`
 	}

@@ -146,13 +146,12 @@ func (x *Executor) instrument(id string, wl *obs.Workload, acct *obs.Accountant,
 		pprof.Labels("graph", id, "op", obs.OpBatch))
 }
 
-// recordQuery feeds the workload analytics (RED counters + SLO) with
-// one completed single-query operation. The count reflects demanded
+// recordQuery feeds the workload analytics' RED counters with one
+// completed single-query operation. The count reflects demanded
 // queries — failures count too — matching ObservePair's at-entry
 // semantics.
 func (x *Executor) recordQuery(d time.Duration, failed bool) {
 	x.workload.RecordOp(obs.OpQuery, 1, d, failed)
-	x.workload.RecordQuery(d, failed)
 }
 
 // checkPair validates ids before enqueueing, so one malformed query

@@ -307,40 +307,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			[][2]string{{"graph", ag.Graph}}, float64(ag.AuditCPUNS)/1e9)
 	}
 
-	// SLO burn rates (only for graphs with SLO tracking on).
-	type sloRow struct {
-		id   string
-		snap *obs.SLOSnapshot
-	}
-	var slos []sloRow
-	for _, row := range rows {
-		e, ok := s.reg.Get(row.info.ID)
-		if !ok {
-			continue
-		}
-		if snap := e.Workload().SLOSnapshot(); snap != nil {
-			slos = append(slos, sloRow{row.info.ID, snap})
-		}
-	}
-	if len(slos) > 0 {
-		p.family("spanhop_slo_burn_rate",
-			"Latency SLO error-budget burn rate over rolling windows (1 = sustainable).", "gauge")
-		for _, sr := range slos {
-			p.sample("spanhop_slo_burn_rate",
-				[][2]string{{"graph", sr.id}, {"window", "1m"}}, sr.snap.Burn1m)
-			p.sample("spanhop_slo_burn_rate",
-				[][2]string{{"graph", sr.id}, {"window", "5m"}}, sr.snap.Burn5m)
-		}
-		p.family("spanhop_slo_good_total", "Queries answered within the SLO target.", "counter")
-		for _, sr := range slos {
-			p.sample("spanhop_slo_good_total", [][2]string{{"graph", sr.id}}, sr.snap.Good)
-		}
-		p.family("spanhop_slo_queries_total", "Queries classified by the SLO tracker.", "counter")
-		for _, sr := range slos {
-			p.sample("spanhop_slo_queries_total", [][2]string{{"graph", sr.id}}, sr.snap.Total)
-		}
-	}
-
 	// Lifecycle event counters (build queued/ready, snapshot written,
 	// rebuild swapped, ...) — the countable face of the structured
 	// event log.

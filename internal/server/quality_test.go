@@ -311,8 +311,7 @@ func TestQualityFaultInjection(t *testing.T) {
 }
 
 // TestDebugContentTypes sweeps every introspection endpoint for an
-// explicit, correct Content-Type header — including the chrome trace
-// export, which is JSON even though it isn't the default trace shape.
+// explicit, correct Content-Type header.
 func TestDebugContentTypes(t *testing.T) {
 	_, ts := newTestServer(t)
 	code := httpJSON(t, ts, "POST", "/graphs",
@@ -332,7 +331,6 @@ func TestDebugContentTypes(t *testing.T) {
 		{"/stats", "application/json"},
 		{"/healthz", "application/json"},
 		{"/debug/traces", "application/json"},
-		{"/debug/traces?format=chrome", "application/json"},
 		{"/debug/traces?graph=ct", "application/json"},
 		{"/debug/workload", "application/json"},
 		{"/debug/quality", "application/json"},

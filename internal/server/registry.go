@@ -599,7 +599,7 @@ func (r *Registry) build(e *Entry) {
 	// straight to the static oracle.
 	dyn := spanhop.NewDynamicOracle(oracle, r.graphRebuildPolicy(e.id))
 	ex := newExecutor(dyn, r.cfg, e.stats)
-	wl := obs.NewWorkload(r.cfg.workloadOptions())
+	wl := obs.NewWorkload(r.cfg.WorkloadTopK)
 	r.registerAudit(e.id, dyn)
 	ex.instrument(e.id, wl, acct, r.aud)
 	r.hookRebuild(e, dyn, ex)

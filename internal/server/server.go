@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"path/filepath"
 	"runtime"
 	rpprof "runtime/pprof"
 	"strconv"
@@ -77,22 +76,6 @@ type Config struct {
 	// over (s, t) query pairs, surfaced at GET /debug/workload
 	// (0 = obs.DefaultTopK).
 	WorkloadTopK int
-	// SLOTarget is the per-graph query latency objective: a query
-	// counts as good when it succeeds within SLOTarget. 0 disables SLO
-	// tracking entirely. SLOObjective is the required good fraction
-	// (default 0.99).
-	SLOTarget    time.Duration
-	SLOObjective float64
-
-	// ProfileDir enables continuous profiling: a background collector
-	// periodically captures CPU and heap profiles into a bounded
-	// on-disk ring there, served at GET /debug/profiles/. Empty
-	// disables. ProfileInterval is the capture period (default 1m);
-	// ProfileKeep bounds how many files are kept per profile kind
-	// (default 16).
-	ProfileDir      string
-	ProfileInterval time.Duration
-	ProfileKeep     int
 
 	// AuditSample drives continuous answer-quality auditing: every Nth
 	// served query is shadow-sampled and re-checked in the background
@@ -107,15 +90,6 @@ type Config struct {
 	// can never starve serving. 0 takes the default
 	// (obs.DefaultAuditCPUFrac), negative removes the cap.
 	AuditCPUFrac float64
-}
-
-// workloadOptions resolves the per-graph workload analytics options.
-func (c Config) workloadOptions() obs.WorkloadOptions {
-	return obs.WorkloadOptions{
-		TopK:         c.WorkloadTopK,
-		SLOTarget:    c.SLOTarget,
-		SLOObjective: c.SLOObjective,
-	}
 }
 
 // rebuildPolicy resolves the dynamic-overlay scheduler policy.
@@ -193,7 +167,6 @@ type Server struct {
 	cfg   Config
 	reg   *Registry
 	mux   *http.ServeMux
-	prof  *obs.Profiler
 	start time.Time
 }
 
@@ -223,7 +196,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /debug/workload", s.handleWorkload)
 	s.mux.HandleFunc("GET /debug/quality", s.handleQuality)
-	s.mux.HandleFunc("GET /debug/profiles/{name...}", s.handleProfiles)
 	// net/http/pprof registers on DefaultServeMux; this server runs its
 	// own mux, so route the profile surface explicitly.
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -231,35 +203,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// Continuous profiling: failures to set up the ring directory
-	// degrade to "no profiler" with a logged event, never a dead
-	// server — the serving path does not depend on it.
-	if cfg.ProfileDir != "" {
-		prof, err := obs.NewProfiler(obs.ProfilerOptions{
-			Dir:      cfg.ProfileDir,
-			Interval: cfg.ProfileInterval,
-			Keep:     cfg.ProfileKeep,
-			Log:      cfg.Obs.Log(),
-		})
-		if err != nil {
-			cfg.Obs.EventError("profiler_failed", err, "dir", cfg.ProfileDir)
-		} else {
-			s.prof = prof
-			prof.Start()
-			cfg.Obs.Event("profiler_started", "dir", cfg.ProfileDir,
-				"interval_ms", profInterval(cfg).Milliseconds())
-		}
-	}
 	return s
-}
-
-// profInterval resolves the effective capture period (for the startup
-// event only; the profiler resolves its own defaults).
-func profInterval(cfg Config) time.Duration {
-	if cfg.ProfileInterval > 0 {
-		return cfg.ProfileInterval
-	}
-	return obs.DefaultProfileInterval
 }
 
 // Handler returns the routing handler wrapped with the observability
@@ -284,7 +228,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 // typed shutdown errors; the HTTP listener itself is the caller's to
 // drain (http.Server.Shutdown first, then Close).
 func (s *Server) Close() {
-	s.prof.Stop()
 	s.reg.Close()
 }
 
@@ -539,8 +482,8 @@ func (s *Server) finishQueryTrace(w http.ResponseWriter, tr *obs.Trace, echo boo
 // GET /debug/traces. Query parameters narrow and reshape the dump:
 // ?graph={id} keeps only traces annotated with that graph, ?min_ms={f}
 // keeps only traces at least that long (triaging: "show me the slow
-// ones on g1"), and ?format=chrome renders the selection as a Chrome
-// trace-event document loadable by chrome://tracing and Perfetto.
+// ones on g1"). ?format accepts only json, so a client asking for
+// another rendering fails loudly instead of parsing the wrong shape.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	minUS := 0.0
@@ -555,9 +498,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	graphF := q.Get("graph")
 	format := q.Get("format")
-	if format != "" && format != "json" && format != "chrome" {
+	if format != "" && format != "json" {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("server: format %q, want json or chrome", format))
+			fmt.Errorf("server: format %q, want json", format))
 		return
 	}
 	traces := s.cfg.Obs.Traces().Snapshot()
@@ -574,17 +517,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		kept = append(kept, td)
 	}
-	if format == "chrome" {
-		doc, err := obs.ChromeTrace(kept)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(doc)
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"count":  len(kept),
 		"traces": kept,
@@ -592,7 +524,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWorkload serves the per-graph workload analytics:
-// GET /debug/workload → {"graphs": {id: {top_pairs, ops, slo}}}.
+// GET /debug/workload → {"graphs": {id: {top_pairs, total_pairs, ops}}}.
 // ?graph={id} narrows to one graph, ?k={n} bounds the reported heavy
 // hitters (default 32, 0 = the full sketch).
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
@@ -660,44 +592,6 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 		"stretch_buckets": obs.StretchBuckets(),
 		"graphs":          graphs,
 	})
-}
-
-// handleProfiles serves the continuous-profiling ring:
-// GET /debug/profiles/ lists the captured files, GET
-// /debug/profiles/{name} streams one (a plain pprof proto —
-// `go tool pprof` reads the URL directly). File names are validated
-// against the collector's own naming scheme, so this can never read
-// outside the ring directory.
-func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	if s.prof == nil {
-		writeError(w, http.StatusNotFound,
-			errors.New("server: continuous profiling not enabled (no profile dir)"))
-		return
-	}
-	name := r.PathValue("name")
-	if name == "" {
-		names, err := obs.ListProfiles(s.prof.Dir())
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		if names == nil {
-			names = []string{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"dir":      s.prof.Dir(),
-			"captures": s.prof.Captures(),
-			"profiles": names,
-		})
-		return
-	}
-	if !obs.ValidProfileName(name) {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("server: %q is not a profile ring file", name))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	http.ServeFile(w, r, filepath.Join(s.prof.Dir(), name))
 }
 
 // edgeUpdate is the wire shape of one mutation.
@@ -837,10 +731,8 @@ type graphStats struct {
 	Dynamic *DynamicInfo `json:"dynamic,omitempty"`
 	// Costs is the accountant's per-op resource attribution for this
 	// graph (CPU seconds, allocation deltas, per op: query/batch/
-	// build/rebuild); SLO is the latency objective's burn-rate state
-	// (nil when SLO tracking is off).
+	// build/rebuild).
 	Costs []obs.CostSnapshot `json:"costs,omitempty"`
-	SLO   *obs.SLOSnapshot   `json:"slo,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -861,7 +753,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Snapshot:      info.Snapshot,
 			Dynamic:       info.Dynamic,
 			Costs:         acct.GraphSnapshot(info.ID),
-			SLO:           e.Workload().SLOSnapshot(),
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

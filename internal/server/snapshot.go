@@ -285,7 +285,7 @@ func (r *Registry) warmStartFile(id, path string) error {
 		snapTime: snapTime,
 	}
 	e.exec = newExecutor(dyn, r.cfg, e.stats)
-	e.workload = obs.NewWorkload(r.cfg.workloadOptions())
+	e.workload = obs.NewWorkload(r.cfg.WorkloadTopK)
 	r.registerAudit(id, dyn)
 	e.exec.instrument(id, e.workload, r.cfg.Obs.Account(), r.aud)
 	r.mu.Lock()

@@ -157,12 +157,13 @@ func TestDeltaSteppingDeterministic(t *testing.T) {
 	})
 }
 
-// TestWeightedDispatcher: a parallel execution context selects
-// Δ-stepping over Dial and both agree.
+// TestWeightedDispatcher: the two weighted kernels a caller picks
+// between by execution context — Δ-stepping on a parallel one, the
+// sequential Dial race otherwise — agree on every distance.
 func TestWeightedDispatcher(t *testing.T) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(300, 900, 41), 18, 42)
-	seqRes := Weighted(g, []graph.V{0}, Options{})
-	parRes := Weighted(g, []graph.V{0}, Options{Exec: exec.Parallel(4)})
+	seqRes := Dial(g, []graph.V{0}, Options{})
+	parRes := DeltaStepping(g, []graph.V{0}, Options{Exec: exec.Parallel(4)})
 	sameDistances(t, "dispatcher", parRes, seqRes)
 }
 

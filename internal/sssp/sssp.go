@@ -516,21 +516,6 @@ func (q *RadixHeap) Pop() graph.V {
 	return v
 }
 
-// Weighted dispatches a weighted multi-source SSSP on the execution
-// context: Δ-stepping with pooled
-// goroutine frontier expansion when the context is parallel, the
-// sequential Dial bucket race otherwise. Distances are identical
-// either way (both are exact); parent trees may differ (any
-// certifying tree is valid). Layers that consume weighted searches —
-// the hopset recursion, the oracle query engine — call this so one
-// execution context flips the whole stack to multicore execution.
-func Weighted(g *graph.Graph, sources []graph.V, opt Options) *Result {
-	if opt.Exec.IsParallel() {
-		return DeltaStepping(g, sources, opt)
-	}
-	return Dial(g, sources, opt)
-}
-
 // HopLimited computes h-hop-limited distances dist^h_{E ∪ extra}(s, ·)
 // by h synchronous Bellman–Ford rounds over the graph's edges plus the
 // extra (hopset) edges. This is the defining quantity of Definition

@@ -40,7 +40,8 @@ import (
 )
 
 // Re-exported fundamental types. Vertices are int32 ids, weights are
-// positive int64, InfDist marks unreachable.
+// positive int64 with w·max(n−1, 1) < InfDist, so every finite distance
+// stays below InfDist, which marks unreachable.
 type (
 	// Graph is an immutable undirected graph in CSR form.
 	Graph = graph.Graph
@@ -109,7 +110,9 @@ func ParallelExec(workers int) *ExecCtx { return exec.Parallel(workers) }
 // Graph construction.
 
 // NewGraph builds an undirected graph over n vertices from an edge
-// list. Pass weighted=false to ignore weights (unit lengths).
+// list. Pass weighted=false to ignore weights (unit lengths). It panics
+// on a malformed edge, a weight w ≤ 0 or w·max(n−1, 1) ≥ InfDist
+// included.
 func NewGraph(n V, edges []Edge, weighted bool) *Graph {
 	return graph.FromEdges(n, edges, weighted)
 }
@@ -152,7 +155,7 @@ func WithMultiScaleWeights(g *Graph, base, scales float64, seed uint64) *Graph {
 // the vertex u maximizing δ_u − dist(u, v), δ_u ~ Exp(beta). Cluster
 // radii are O(β^{-1} log n) with high probability (Lemma 2.1) and
 // every edge is cut with probability ≤ β·w(e) (Corollary 2.3). It
-// panics on beta <= 0; any edge weight below InfDist is accepted.
+// panics on beta <= 0; every weight a Graph holds is accepted.
 func ESTCluster(g *Graph, beta float64, seed uint64) *Clustering {
 	return core.Cluster(g, beta, seed, core.Options{})
 }
