@@ -1,6 +1,6 @@
 // Command loadgen replays synthetic query mixes against a running
 // spanhopd and reports client-side throughput/latency plus the
-// server's own coalescing and cache counters — the repo's end-to-end
+// server's own batch and cache counters — the repo's end-to-end
 // serving benchmark.
 //
 // Usage:
@@ -35,10 +35,11 @@
 // cache/batch/regime annotations) against the client-observed
 // latency — where a slow request actually spent its time.
 //
-// With -report-workload, loadgen snapshots GET /debug/workload before
-// and after the read phase and cross-checks the server's per-graph
-// analytics against the load it just generated: the op-mix delta must
-// equal the queries offered, the heavy-hitter sketch total must
+// With -report-workload, loadgen snapshots GET /debug/workload and the
+// /stats request counter before and after the read phase and
+// cross-checks the server's per-graph analytics against the load it
+// just generated: the request-counter delta must equal the queries
+// offered, the heavy-hitter sketch total must
 // advance by the same amount, and every sketch entry the server
 // reports as exact (err == 0) must carry precisely the count this run
 // sent for that pair — an end-to-end check that the analytics
@@ -92,7 +93,7 @@ func main() {
 	mutateMaxW := flag.Int64("mutate-maxw", 50, "max weight for inserted/reweighted edges (weighted graphs)")
 	workers := flag.Int("workers", 0, "worker cap for the local -verify rebuild; must mirror the daemon's -workers so both sides build the same oracle (0 = the sequential reference build, matching a daemon without -workers)")
 	traceSample := flag.Int("trace-sample", 0, "request a server-side trace for every Nth query and print the slowest traced request's span breakdown (0 disables)")
-	reportWorkload := flag.Bool("report-workload", false, "snapshot /debug/workload around the run and assert the server's hot-pair sketch and op mix match the generated load")
+	reportWorkload := flag.Bool("report-workload", false, "snapshot /debug/workload around the run and assert the server's hot-pair sketch and request count match the generated load")
 	reportQuality := flag.Bool("report-quality", false, "snapshot /debug/quality around the run and assert the server's answer auditor found zero envelope violations in this run's sampled traffic")
 	timeout := flag.Duration("timeout", 120*time.Second, "build-wait timeout")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON summary on stdout (progress moves to stderr)")
@@ -205,12 +206,16 @@ func main() {
 		}
 	}
 
-	// The -report-workload baseline: analytics counters are cumulative
-	// since graph registration, so assertions compare deltas across the
-	// read phase (the mutation phase above already recorded op units).
+	// The -report-workload baseline: the sketch and the /stats request
+	// counter are cumulative since graph registration, so assertions
+	// compare deltas across the read phase.
 	var beforeWL obs.WorkloadSnapshot
+	var beforeReq int64
 	if *reportWorkload {
 		snap, _, err := fetchWorkload(client, *addr, id)
+		if err == nil {
+			beforeReq, err = fetchRequests(client, *addr, id)
+		}
 		if err != nil {
 			fatal(fmt.Errorf("report-workload: pre-run snapshot: %w", err))
 		}
@@ -412,8 +417,9 @@ func main() {
 		}
 	}
 
-	// Server-side counters: did the executor actually coalesce, did the
-	// cache absorb the hot set?
+	// Server-side counters: how many oracle calls did the executor make
+	// (mean batch size reads 1 for single queries), did the cache absorb
+	// the hot set?
 	var serverStats any
 	code, body, err := doJSON(client, "GET", *addr+"/stats", nil)
 	if err == nil && code == http.StatusOK {
@@ -450,11 +456,15 @@ func main() {
 		if err == nil && !ok {
 			err = fmt.Errorf("graph %s missing from /debug/workload", id)
 		}
+		var afterReq int64
+		if err == nil {
+			afterReq, err = fetchRequests(client, *addr, id)
+		}
 		if err != nil {
 			fatal(fmt.Errorf("report-workload: %w", err))
 		}
 		afterWL = &snap
-		workloadErr = checkWorkload(beforeWL, snap, pairSent, offered)
+		workloadErr = checkWorkload(beforeWL, snap, afterReq-beforeReq, pairSent, offered)
 		if workloadErr == nil {
 			infof("workload: server analytics match the generated load (%d offered, %d distinct pairs, sketch total %d)\n",
 				offered, len(pairSent), snap.TotalPairs)
@@ -617,12 +627,37 @@ func fetchWorkload(client *http.Client, addr, id string) (obs.WorkloadSnapshot, 
 	return snap, ok, nil
 }
 
+// fetchRequests reads one graph's /stats request counter: single
+// queries counted at executor entry.
+func fetchRequests(client *http.Client, addr, id string) (int64, error) {
+	code, body, err := doJSON(client, "GET", addr+"/stats", nil)
+	if err != nil {
+		return 0, err
+	}
+	if code != http.StatusOK {
+		return 0, fmt.Errorf("GET /stats: %d: %s", code, body)
+	}
+	var resp struct {
+		Graphs map[string]struct {
+			Requests int64 `json:"requests"`
+		} `json:"graphs"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return 0, err
+	}
+	g, ok := resp.Graphs[id]
+	if !ok {
+		return 0, fmt.Errorf("graph %s missing from /stats", id)
+	}
+	return g.Requests, nil
+}
+
 // checkWorkload asserts the server's analytics deltas across the read
 // phase match the load this run generated:
 //
-//   - the "query" op counter advanced by exactly the offered requests
-//     (the executor counts demand at entry — cache hits, rejects, and
-//     failures included);
+//   - the /stats request counter advanced by exactly the offered
+//     requests (reqDelta; the executor counts demand at entry — cache
+//     hits, rejects, and failures included);
 //   - the heavy-hitter sketch's observation total advanced by the
 //     same amount;
 //   - every sketch entry the server reports as exact (err == 0) on a
@@ -636,19 +671,11 @@ func fetchWorkload(client *http.Client, addr, id string) (obs.WorkloadSnapshot, 
 // On a graph that already carried traffic (before.TotalPairs > 0) the
 // per-pair checks weaken to lower bounds, since the baseline snapshot
 // only exposes the sketch's top entries, not every historical pair.
-func checkWorkload(before, after obs.WorkloadSnapshot, sent map[[2]graph.V]int64, offered int64) error {
-	opCount := func(s obs.WorkloadSnapshot, op string) int64 {
-		for _, o := range s.Ops {
-			if o.Op == op {
-				return o.Count
-			}
-		}
-		return 0
-	}
+func checkWorkload(before, after obs.WorkloadSnapshot, reqDelta int64, sent map[[2]graph.V]int64, offered int64) error {
 	var problems []string
-	if d := opCount(after, obs.OpQuery) - opCount(before, obs.OpQuery); d != offered {
+	if reqDelta != offered {
 		problems = append(problems,
-			fmt.Sprintf("op mix: server %q counter advanced by %d, client offered %d", obs.OpQuery, d, offered))
+			fmt.Sprintf("requests: server counter advanced by %d, client offered %d", reqDelta, offered))
 	}
 	if d := int64(after.TotalPairs) - int64(before.TotalPairs); d != offered {
 		problems = append(problems,
@@ -692,8 +719,8 @@ func checkWorkload(before, after obs.WorkloadSnapshot, sent map[[2]graph.V]int64
 			}
 		}
 	}
-	infof("workload: sketch holds %d pairs (%d exact, %d approximate), op %q total %d\n",
-		len(after.TopPairs), exact, inexact, obs.OpQuery, opCount(after, obs.OpQuery))
+	infof("workload: sketch holds %d pairs (%d exact, %d approximate), %d requests this run\n",
+		len(after.TopPairs), exact, inexact, reqDelta)
 	if len(problems) > 0 {
 		if len(problems) > 5 {
 			problems = append(problems[:5], fmt.Sprintf("... and %d more", len(problems)-5))

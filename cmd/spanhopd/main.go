@@ -6,7 +6,7 @@
 //
 //	spanhopd -addr :8080 [-load name=path]... [-gen name=spec]... \
 //	    [-eps 0.25] [-seed 1] [-workers N] \
-//	    [-build-workers 1] [-build-queue 16] [-max-batch 64] \
+//	    [-build-workers 1] [-build-queue 16] \
 //	    [-query-workers N] [-query-queue 1024] [-cache 4096] \
 //	    [-snapshot-dir DIR] \
 //	    [-rebuild-max-journal N] [-rebuild-max-patch-frac F] \
@@ -29,10 +29,10 @@
 // internal/graph text or binary format, -gen for workload.ParseSpec
 // generator strings such as "er:n=4096,d=8,w=uniform") or registered
 // at runtime via POST /graphs. Queries go to POST /graphs/{id}/query;
-// see internal/server for the full API. A cache miss runs as soon as
-// one of the graph's -query-workers is free; misses that queue while
-// all of them are busy leave together as one batch of at most
-// -max-batch. SIGINT/SIGTERM drain in-flight requests before exit.
+// see internal/server for the full API. A cache miss or a batch runs
+// as soon as one of the graph's -query-workers is free; at most
+// -query-queue of them wait for one, and the rest get 503.
+// SIGINT/SIGTERM drain in-flight requests before exit.
 //
 // With -snapshot-dir, every oracle that becomes ready is persisted to
 // DIR (one self-contained .snap flat arena per graph, written
@@ -55,7 +55,7 @@
 // Cost attribution and workload analytics: per-graph CPU/allocation
 // counters surface as spanhop_graph_* in /metrics and under each
 // graph in /stats; GET /debug/workload reports per-graph hot (s,t)
-// pairs and op mix (-workload-topk bounds the pair sketch).
+// pairs (-workload-topk bounds the pair sketch).
 //
 // Answer-quality auditing: every -audit-sample'th served query (and
 // every traced one) is shadow re-checked in the background against an
@@ -90,9 +90,8 @@ func main() {
 	workers := flag.Int("workers", 0, "worker cap for oracle builds: 0 or 1 = sequential reference build, N > 1 = multicore capped at N")
 	buildWorkers := flag.Int("build-workers", 1, "concurrent oracle builds")
 	buildQueue := flag.Int("build-queue", 16, "max queued builds (overflow → 503)")
-	maxBatch := flag.Int("max-batch", 64, "max queued queries one micro-batch takes when a pool slot frees up")
 	queryWorkers := flag.Int("query-workers", 0, "concurrent query batches per graph (0 = GOMAXPROCS)")
-	queryQueue := flag.Int("query-queue", 1024, "max waiting single queries per graph (overflow → 503)")
+	queryQueue := flag.Int("query-queue", 1024, "max single queries and batches waiting for a query worker per graph (overflow → 503)")
 	cacheSize := flag.Int("cache", 4096, "per-graph LRU result cache entries (negative disables)")
 	snapshotDir := flag.String("snapshot-dir", "", "persist ready oracles here and warm-start them on boot (empty disables)")
 	rebuildJournal := flag.Int("rebuild-max-journal", 0, "rebuild a graph's oracle once this many mutations are pending (0 = default 256, negative disables)")
@@ -145,7 +144,6 @@ func main() {
 		BuildWorkers: *buildWorkers,
 		BuildQueue:   *buildQueue,
 		Workers:      *workers,
-		MaxBatch:     *maxBatch,
 		QueryWorkers: *queryWorkers,
 		QueryQueue:   *queryQueue,
 		CacheSize:    *cacheSize,
@@ -222,7 +220,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	logger.Info("spanhopd: listening", "addr", *addr,
-		"max_batch", *maxBatch,
 		"log_format", *logFormat, "trace_sample", *traceSample)
 
 	select {

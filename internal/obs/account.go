@@ -40,12 +40,11 @@ import (
 
 func nowNanos() int64 { return time.Now().UnixNano() }
 
-// Operation names the accountant and workload analytics use. Shared
-// constants so /metrics, /stats, and /debug/workload agree.
+// Operation names the accountant and the pprof labels use. Shared
+// constants so /metrics, /stats, and profiles agree.
 const (
-	OpQuery   = "query"   // coalesced micro-batch execution
+	OpQuery   = "query"   // single-query cache-miss execution
 	OpBatch   = "batch"   // explicit batch API execution
-	OpMutate  = "mutate"  // edge-mutation batch application
 	OpBuild   = "build"   // initial oracle construction
 	OpRebuild = "rebuild" // overlay journal fold
 	OpAudit   = "audit"   // answer-quality shadow re-check

@@ -84,9 +84,6 @@ func TestTraceSpansAndAttrs(t *testing.T) {
 	if td.Attrs["cache"] != "miss" || td.Attrs["batch_size"] != 3 {
 		t.Fatalf("attrs = %+v", td.Attrs)
 	}
-	if !tr.HasSpan("exec") || tr.HasSpan("nope") {
-		t.Fatal("HasSpan misreports")
-	}
 	if s := td.SpanSummary(); !strings.Contains(s, "decode=") || !strings.Contains(s, "exec=") {
 		t.Fatalf("SpanSummary = %q", s)
 	}
@@ -96,10 +93,9 @@ func TestNilTraceIsFree(t *testing.T) {
 	var tr *Trace
 	tr.StartSpan("x")()
 	tr.SpanSince("y", time.Now())
-	tr.SpanDur("z", time.Now(), time.Millisecond)
 	tr.SpanEnd("w", time.Millisecond)
 	tr.Annotate("k", 1)
-	if tr.HasSpan("x") || tr.ID() != "" {
+	if tr.ID() != "" {
 		t.Fatal("nil trace reports state")
 	}
 	if td := tr.Finish(); len(td.Spans) != 0 {

@@ -89,16 +89,6 @@ func (t *Trace) SpanSince(name string, start time.Time) {
 	t.add(name, start, time.Since(start))
 }
 
-// SpanDur records a span with an explicit start and duration — used
-// when one measurement (a coalesced batch dispatch) is shared across
-// several traces.
-func (t *Trace) SpanDur(name string, start time.Time, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.add(name, start, d)
-}
-
 // SpanEnd records a span of duration d ending now — for callers that
 // only learn the duration after the fact (exec stage telemetry).
 func (t *Trace) SpanEnd(name string, d time.Duration) {
@@ -131,23 +121,6 @@ func (t *Trace) Annotate(key string, v any) {
 	t.mu.Lock()
 	t.attrs[key] = v
 	t.mu.Unlock()
-}
-
-// HasSpan reports whether a span with the given name was recorded —
-// the cancellation path uses it to tell a request canceled while
-// still queued from one canceled mid-execution.
-func (t *Trace) HasSpan(name string) bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, s := range t.spans {
-		if s.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Finish closes the trace and returns its immutable snapshot, spans

@@ -2,29 +2,24 @@ package obs
 
 // Workload analytics: who is asking for what?
 //
-// One Workload per served graph bundles
+// One Workload per served graph holds a space-saving heavy-hitter
+// sketch (Metwally, Agrawal, El Abbadi, 2005) over (s, t) query pairs:
+// fixed capacity k, O(log k) per observation, with the classic
+// guarantee that any pair whose true count exceeds N/k is present and
+// every reported count overestimates truth by at most the item's error
+// bound — a bound the sketch reports per entry, so a consumer can tell
+// exact counts (err == 0, the common case for concentrated workloads)
+// from clipped ones. Request, failure and latency counts live in the
+// server's per-graph stats, not here.
 //
-//   - a space-saving heavy-hitter sketch (Metwally, Agrawal, El
-//     Abbadi, 2005) over (s, t) query pairs: fixed capacity k, O(log k)
-//     per observation, with the classic guarantee that any pair whose
-//     true count exceeds N/k is present and every reported count
-//     overestimates truth by at most the item's error bound — a bound
-//     the sketch reports per entry, so a consumer can tell exact
-//     counts (err == 0, the common case for concentrated workloads)
-//     from clipped ones;
-//   - per-operation RED counters (rate from a cumulative count, errors,
-//     duration) for the query/batch/mutate surfaces.
-//
-// Everything is mutex- or atomic-guarded and cheap enough for the
-// query hot path: one sketch observation is a map probe plus a heap
-// fix under one per-graph mutex.
+// The sketch is mutex-guarded and cheap enough for the query hot
+// path: one observation is a map probe plus a heap fix under one
+// per-graph mutex.
 
 import (
 	"container/heap"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // PairKey packs an (s, t) vertex pair into the sketch's key. Vertex
@@ -154,36 +149,21 @@ func (t *TopK) Snapshot(k int) (pairs []TopPair, total uint64) {
 // ---------------------------------------------------------------------------
 // Per-graph workload bundle.
 
-// opCell is one operation's RED counters.
-type opCell struct {
-	count atomic.Int64
-	errs  atomic.Int64
-	durNS atomic.Int64
-}
-
-// Workload bundles the per-graph analytics: the heavy-hitter sketch
-// and per-op RED counters. A nil *Workload is valid and inert (library
+// Workload is one graph's analytics: the heavy-hitter sketch over its
+// demanded (s, t) pairs. A nil *Workload is valid and inert (library
 // users of internal/server pay nothing).
 type Workload struct {
-	top   *TopK
-	start time.Time
-
-	mu  sync.RWMutex
-	ops map[string]*opCell
+	top *TopK
 }
 
 // NewWorkload builds one graph's analytics bundle; topK is the
 // heavy-hitter sketch capacity (0 = DefaultTopK).
 func NewWorkload(topK int) *Workload {
-	return &Workload{
-		top:   NewTopK(topK),
-		start: time.Now(),
-		ops:   make(map[string]*opCell, 4),
-	}
+	return &Workload{top: NewTopK(topK)}
 }
 
 // ObservePair counts one (s, t) query pair into the sketch. Record it
-// at executor entry — before the cache and the queue — so the sketch
+// at executor entry — before the cache and the pool — so the sketch
 // sees the demanded workload, not just the computed one.
 func (w *Workload) ObservePair(s, t int32) {
 	if w == nil {
@@ -192,88 +172,24 @@ func (w *Workload) ObservePair(s, t int32) {
 	w.top.Observe(PairKey(s, t))
 }
 
-func (w *Workload) op(name string) *opCell {
-	w.mu.RLock()
-	c := w.ops[name]
-	w.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if c = w.ops[name]; c == nil {
-		c = &opCell{}
-		w.ops[name] = c
-	}
-	return c
-}
-
-// RecordOp records one completed operation for the RED counters; n is
-// the number of work units (queries in a batch, mutations in a
-// mutation batch).
-func (w *Workload) RecordOp(name string, n int, d time.Duration, failed bool) {
-	if w == nil {
-		return
-	}
-	c := w.op(name)
-	c.count.Add(int64(n))
-	if failed {
-		c.errs.Add(1)
-	}
-	if d > 0 {
-		c.durNS.Add(int64(d))
-	}
-}
-
-// OpSnapshot is one operation's RED row.
-type OpSnapshot struct {
-	Op        string  `json:"op"`
-	Count     int64   `json:"count"`
-	Errors    int64   `json:"errors"`
-	RatePerS  float64 `json:"rate_per_s"`
-	MeanMS    float64 `json:"mean_ms"`
-	TotalSecs float64 `json:"total_seconds"`
-}
-
 // WorkloadSnapshot is the /debug/workload JSON shape for one graph.
 type WorkloadSnapshot struct {
 	// TopPairs are the sketch's heavy hitters, count-descending;
 	// TotalPairs is every observation the sketch has seen (so a
 	// consumer can compute coverage).
-	TopPairs   []TopPair    `json:"top_pairs"`
-	TotalPairs uint64       `json:"total_pairs"`
-	Ops        []OpSnapshot `json:"ops"`
+	TopPairs   []TopPair `json:"top_pairs"`
+	TotalPairs uint64    `json:"total_pairs"`
 }
 
 // Snapshot captures the analytics; k bounds the reported heavy
 // hitters (<= 0 reports the full sketch).
 func (w *Workload) Snapshot(k int) WorkloadSnapshot {
 	if w == nil {
-		return WorkloadSnapshot{TopPairs: []TopPair{}, Ops: []OpSnapshot{}}
+		return WorkloadSnapshot{TopPairs: []TopPair{}}
 	}
 	pairs, total := w.top.Snapshot(k)
 	if pairs == nil {
 		pairs = []TopPair{}
 	}
-	up := time.Since(w.start).Seconds()
-	w.mu.RLock()
-	ops := make([]OpSnapshot, 0, len(w.ops))
-	for name, c := range w.ops {
-		row := OpSnapshot{
-			Op:        name,
-			Count:     c.count.Load(),
-			Errors:    c.errs.Load(),
-			TotalSecs: float64(c.durNS.Load()) / 1e9,
-		}
-		if up > 0 {
-			row.RatePerS = float64(row.Count) / up
-		}
-		if row.Count > 0 {
-			row.MeanMS = float64(c.durNS.Load()) / 1e6 / float64(row.Count)
-		}
-		ops = append(ops, row)
-	}
-	w.mu.RUnlock()
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Op < ops[j].Op })
-	return WorkloadSnapshot{TopPairs: pairs, TotalPairs: total, Ops: ops}
+	return WorkloadSnapshot{TopPairs: pairs, TotalPairs: total}
 }

@@ -4,10 +4,7 @@ package obs
 // and admission guarantees, and the per-graph Workload bundle's snapshot shape (including nil safety —
 // library users of internal/server carry a nil bundle).
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestPairKeyRoundTrip(t *testing.T) {
 	cases := [][2]int32{{0, 0}, {1, 2}, {2, 1}, {-1, 7}, {1 << 30, -(1 << 30)}}
@@ -113,9 +110,6 @@ func TestWorkloadBundle(t *testing.T) {
 	w.ObservePair(3, 4)
 	w.ObservePair(3, 4)
 	w.ObservePair(5, 6)
-	w.RecordOp(OpQuery, 1, time.Millisecond, false)
-	w.RecordOp(OpQuery, 1, time.Millisecond, false)
-	w.RecordOp(OpBatch, 7, 2*time.Millisecond, true)
 
 	snap := w.Snapshot(10)
 	if snap.TotalPairs != 3 || len(snap.TopPairs) != 2 {
@@ -124,24 +118,13 @@ func TestWorkloadBundle(t *testing.T) {
 	if p := snap.TopPairs[0]; p.S != 3 || p.T != 4 || p.Count != 2 || p.Err != 0 {
 		t.Fatalf("top pair = %+v", p)
 	}
-	ops := map[string]OpSnapshot{}
-	for _, o := range snap.Ops {
-		ops[o.Op] = o
-	}
-	if q := ops[OpQuery]; q.Count != 2 || q.Errors != 0 || q.MeanMS <= 0 {
-		t.Fatalf("query op = %+v", q)
-	}
-	if b := ops[OpBatch]; b.Count != 7 || b.Errors != 1 {
-		t.Fatalf("batch op = %+v", b)
-	}
 
 	// Nil bundle: every method inert, snapshot non-nil slices (the
 	// HTTP layer marshals it directly).
 	var nw *Workload
 	nw.ObservePair(1, 2)
-	nw.RecordOp(OpQuery, 1, 0, false)
 	ns := nw.Snapshot(5)
-	if ns.TopPairs == nil || ns.Ops == nil {
+	if ns.TopPairs == nil {
 		t.Fatalf("nil workload snapshot = %+v", ns)
 	}
 }

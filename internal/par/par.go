@@ -57,7 +57,7 @@
 //
 // # Inherited-pool semantics
 //
-// For, ForIdx, Do, and DoN no longer spawn fresh goroutines per call:
+// For, Do, and DoN no longer spawn fresh goroutines per call:
 // chunks are handed to a process-wide pool of long-lived workers
 // (lazily grown to the largest parallelism ever requested) and the
 // calling goroutine always participates in its own loop. A handoff is
@@ -71,8 +71,8 @@
 //
 // The package-level entry points size their fan-out at
 // runtime.GOMAXPROCS(0). Routines running under an execution context
-// (internal/exec) instead call the *Workers variants (ForWorkers,
-// DoNWorkers, DoWorkers), which honor the context's worker cap: an
+// (internal/exec) instead go through ForLabeled and DoNLabeled, which
+// honor the context's worker cap and helper budget: an
 // exec.Ctx with Workers = 4 fans every For under it across at most 4
 // chunks-in-flight, GOMAXPROCS notwithstanding, and a cap of 1 runs
 // the body inline with no pool traffic at all. Cost accounting is
@@ -213,11 +213,8 @@ func ensureWorkers(want int) {
 	poolMu.Unlock()
 }
 
+// poolSizeAtomic mirrors poolSize for ensureWorkers' lock-free check.
 var poolSizeAtomic int64
-
-// PoolSize reports how many pooled workers currently exist (tests and
-// goroutine-leak accounting).
-func PoolSize() int { return int(atomic.LoadInt64(&poolSizeAtomic)) }
 
 // Limiter is a shared helper-goroutine budget: one execution context
 // (internal/exec) holds a Limiter with workers−1 tokens, and every
@@ -343,30 +340,18 @@ const minGrain = 512
 // should call cost.AddDepth(1) (or Round) themselves, since only the
 // caller knows the per-element work performed inside body.
 func For(n, grain int, body func(lo, hi int)) {
-	ForWorkers(0, n, grain, body)
+	ForLabeled(nil, nil, 0, n, grain, body)
 }
 
-// ForWorkers is For with an explicit worker cap: at most p chunks run
-// simultaneously (p <= 0 means Workers()).
-func ForWorkers(p, n, grain int, body func(lo, hi int)) {
-	ForLimited(nil, p, n, grain, body)
-}
-
-// ForLimited is ForWorkers drawing its helpers from a shared Limiter
-// budget. This is the entry point the execution context
-// (internal/exec) uses to impose its configured parallelism on every
-// loop beneath it: the per-call cap p bounds one loop's fan-out, the
-// Limiter bounds the aggregate across every loop nested under the
-// same context.
-func ForLimited(l *Limiter, p, n, grain int, body func(lo, hi int)) {
-	ForLabeled(nil, l, p, n, grain, body)
-}
-
-// ForLabeled is ForLimited with a pprof label context: helpers pulled
-// from the shared pool wear lctx's profiler labels while running this
-// loop's chunks (see fanOut), so CPU profile samples of pooled work
-// attribute to the graph/operation that submitted it. A nil lctx is
-// exactly ForLimited.
+// ForLabeled is For under an execution context's limits: at most p
+// chunks run simultaneously (p <= 0 means Workers()), and helpers are
+// drawn from the shared Limiter l (nil = unbounded), so the per-call
+// cap bounds one loop's fan-out while l bounds the aggregate across
+// every loop nested under the same context (internal/exec). Helpers
+// pulled from the shared pool wear lctx's profiler labels while
+// running this loop's chunks (see fanOut), so CPU profile samples of
+// pooled work attribute to the graph/operation that submitted it; a
+// nil lctx leaves them unlabeled.
 func ForLabeled(lctx context.Context, l *Limiter, p, n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -414,59 +399,26 @@ func ForLabeled(lctx context.Context, l *Limiter, p, n, grain int, body func(lo,
 	fanOut(lctx, l, helpers-1, run)
 }
 
-// ForIdx executes body(i) for every i in [0, n) in parallel chunks.
-func ForIdx(n, grain int, body func(i int)) {
-	For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // Do runs the given thunks in parallel and waits for all of them; it is
 // the fork-join primitive used for "recurse on each cluster in
 // parallel" (Algorithm 4 line 10).
 func Do(thunks ...func()) {
-	DoWorkers(0, thunks...)
-}
-
-// DoWorkers is Do with an explicit worker cap (p <= 0 means Workers()).
-func DoWorkers(p int, thunks ...func()) {
-	switch len(thunks) {
-	case 0:
-		return
-	case 1:
-		thunks[0]()
-		return
-	}
-	DoNWorkers(p, len(thunks), func(i int) { thunks[i]() })
+	DoN(len(thunks), func(i int) { thunks[i]() })
 }
 
 // DoN runs body(i) for i in [0, n) in parallel and waits, limiting the
 // number of simultaneously running invocations to Workers(). Unlike
-// ForIdx it gives every i its own invocation even when n is small,
-// which is what recursive algorithm fan-out wants.
+// For it gives every i its own invocation even when n is small, which
+// is what recursive algorithm fan-out wants.
 func DoN(n int, body func(i int)) {
-	DoNWorkers(0, n, body)
+	DoNLabeled(nil, nil, 0, n, body)
 }
 
-// DoNWorkers is DoN with an explicit worker cap (p <= 0 means
-// Workers()). Bodies may themselves issue nested For/DoN calls: when
-// the pool is saturated the nested call runs inline on the same
-// goroutine, so recursive fan-out (the hopset recursion) can never
-// deadlock on pool capacity.
-func DoNWorkers(p, n int, body func(i int)) {
-	DoNLimited(nil, p, n, body)
-}
-
-// DoNLimited is DoNWorkers drawing its helpers from a shared Limiter
-// budget (see ForLimited).
-func DoNLimited(l *Limiter, p, n int, body func(i int)) {
-	DoNLabeled(nil, l, p, n, body)
-}
-
-// DoNLabeled is DoNLimited with a pprof label context for pooled
-// helpers (see ForLabeled).
+// DoNLabeled is DoN under an execution context's limits and pprof
+// labels (see ForLabeled). Bodies may themselves issue nested For/DoN
+// calls: when the pool is saturated the nested call runs inline on
+// the same goroutine, so recursive fan-out (the hopset recursion) can
+// never deadlock on pool capacity.
 func DoNLabeled(lctx context.Context, l *Limiter, p, n int, body func(i int)) {
 	if n <= 0 {
 		return
@@ -499,72 +451,4 @@ func DoNLabeled(lctx context.Context, l *Limiter, p, n int, body func(i int)) {
 		helpers = n
 	}
 	fanOut(lctx, l, helpers-1, run)
-}
-
-// ---------------------------------------------------------------------------
-// Parallel reductions and scans used by the graph substrate.
-
-// SumInt64 returns the sum of xs, computed in parallel chunks.
-func SumInt64(xs []int64) int64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	var total atomic.Int64
-	For(n, 0, func(lo, hi int) {
-		var s int64
-		for _, v := range xs[lo:hi] {
-			s += v
-		}
-		total.Add(s)
-	})
-	return total.Load()
-}
-
-// MaxInt64 returns the maximum of xs, or def when xs is empty.
-func MaxInt64(xs []int64, def int64) int64 {
-	n := len(xs)
-	if n == 0 {
-		return def
-	}
-	var mu sync.Mutex
-	best := xs[0]
-	For(n, 0, func(lo, hi int) {
-		m := xs[lo]
-		for _, v := range xs[lo:hi] {
-			if v > m {
-				m = v
-			}
-		}
-		mu.Lock()
-		if m > best {
-			best = m
-		}
-		mu.Unlock()
-	})
-	return best
-}
-
-// ExclusivePrefixSum replaces counts with its exclusive prefix sum and
-// returns the total. counts[i] afterwards holds the sum of the original
-// counts[0:i]. This is the standard CSR-building scan; its PRAM depth
-// is O(log n), which callers account with cost.AddDepth.
-func ExclusivePrefixSum(counts []int64) int64 {
-	var run int64
-	for i, c := range counts {
-		counts[i] = run
-		run += c
-	}
-	return run
-}
-
-// ExclusivePrefixSum32 is ExclusivePrefixSum for int32 counters, which
-// the CSR builder uses for per-vertex degrees.
-func ExclusivePrefixSum32(counts []int32) int64 {
-	var run int64
-	for i, c := range counts {
-		counts[i] = int32(run)
-		run += int64(c)
-	}
-	return run
 }

@@ -96,29 +96,13 @@ func TestDoNParallelBounded(t *testing.T) {
 	})
 }
 
-func TestReductionsUnderParallelism(t *testing.T) {
-	withProcs(t, 8, func() {
-		xs := make([]int64, 300000)
-		var want int64
-		for i := range xs {
-			xs[i] = int64(i % 101)
-			want += xs[i]
-		}
-		if got := SumInt64(xs); got != want {
-			t.Fatalf("parallel SumInt64 = %d, want %d", got, want)
-		}
-		xs[299999] = 1 << 40
-		if got := MaxInt64(xs, 0); got != 1<<40 {
-			t.Fatalf("parallel MaxInt64 = %d", got)
-		}
-	})
-}
-
 func TestCostUnderHeavyContention(t *testing.T) {
 	withProcs(t, 8, func() {
 		c := NewCost()
-		ForIdx(100000, 100, func(i int) {
-			c.AddWork(1)
+		For(100000, 100, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				c.AddWork(1)
+			}
 		})
 		if c.Work() != 100000 {
 			t.Fatalf("contended work = %d, want 100000", c.Work())

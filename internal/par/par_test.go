@@ -110,16 +110,6 @@ func TestForCoversRange(t *testing.T) {
 	}
 }
 
-func TestForIdx(t *testing.T) {
-	const n = 5000
-	var sum atomic.Int64
-	ForIdx(n, 0, func(i int) { sum.Add(int64(i)) })
-	want := int64(n) * (n - 1) / 2
-	if sum.Load() != want {
-		t.Fatalf("ForIdx sum = %d, want %d", sum.Load(), want)
-	}
-}
-
 func TestForAutoGrain(t *testing.T) {
 	const n = 100000
 	var count atomic.Int64
@@ -157,93 +147,6 @@ func TestDoN(t *testing.T) {
 				t.Fatalf("DoN(%d) index %d hit %d times", n, i, hits[i].Load())
 			}
 		}
-	}
-}
-
-func TestSumInt64(t *testing.T) {
-	xs := make([]int64, 10000)
-	var want int64
-	for i := range xs {
-		xs[i] = int64(i % 17)
-		want += xs[i]
-	}
-	if got := SumInt64(xs); got != want {
-		t.Fatalf("SumInt64 = %d, want %d", got, want)
-	}
-	if got := SumInt64(nil); got != 0 {
-		t.Fatalf("SumInt64(nil) = %d", got)
-	}
-}
-
-func TestMaxInt64(t *testing.T) {
-	xs := make([]int64, 9001)
-	for i := range xs {
-		xs[i] = int64(i * 3 % 7919)
-	}
-	var want int64
-	for _, v := range xs {
-		if v > want {
-			want = v
-		}
-	}
-	if got := MaxInt64(xs, -1); got != want {
-		t.Fatalf("MaxInt64 = %d, want %d", got, want)
-	}
-	if got := MaxInt64(nil, -1); got != -1 {
-		t.Fatalf("MaxInt64(nil) = %d, want default -1", got)
-	}
-}
-
-func TestExclusivePrefixSum(t *testing.T) {
-	xs := []int64{3, 1, 4, 1, 5}
-	total := ExclusivePrefixSum(xs)
-	want := []int64{0, 3, 4, 8, 9}
-	if total != 14 {
-		t.Fatalf("total = %d, want 14", total)
-	}
-	for i := range xs {
-		if xs[i] != want[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, xs[i], want[i])
-		}
-	}
-}
-
-func TestExclusivePrefixSum32(t *testing.T) {
-	xs := []int32{2, 0, 7}
-	total := ExclusivePrefixSum32(xs)
-	if total != 9 {
-		t.Fatalf("total = %d, want 9", total)
-	}
-	want := []int32{0, 2, 2}
-	for i := range xs {
-		if xs[i] != want[i] {
-			t.Fatalf("prefix32[%d] = %d, want %d", i, xs[i], want[i])
-		}
-	}
-}
-
-// Property: prefix sum of arbitrary non-negative counts reconstructs
-// the running totals (scan correctness invariant).
-func TestPrefixSumProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		xs := make([]int64, len(raw))
-		orig := make([]int64, len(raw))
-		for i, v := range raw {
-			xs[i] = int64(v)
-			orig[i] = int64(v)
-		}
-		total := ExclusivePrefixSum(xs)
-		var run int64
-		for i := range xs {
-			if xs[i] != run {
-				return false
-			}
-			run += orig[i]
-		}
-		return total == run
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -128,14 +128,12 @@ func TestWorkloadEndpoint(t *testing.T) {
 	if p := snap.TopPairs[0]; p.S != 7 || p.T != 9 || p.Count != 3 || p.Err != 0 {
 		t.Fatalf("top pair = %+v, want (7,9) exact count 3", p)
 	}
-	var query *obs.OpSnapshot
-	for i := range snap.Ops {
-		if snap.Ops[i].Op == obs.OpQuery {
-			query = &snap.Ops[i]
-		}
+	var stats struct {
+		Graphs map[string]graphStats `json:"graphs"`
 	}
-	if query == nil || query.Count != 5 || query.Errors != 0 {
-		t.Fatalf("query op = %+v, want count 5", query)
+	httpJSON(t, ts, "GET", "/stats", nil, &stats)
+	if got := stats.Graphs["wl"].Requests; got != 5 {
+		t.Fatalf("requests = %d, want 5", got)
 	}
 
 	// ?k bounds the report; bad values and unknown graphs are client

@@ -143,8 +143,8 @@ func TestDeleteQueuedBuild(t *testing.T) {
 }
 
 // TestDeleteVsQueryRace is the -race stress for the delete-vs-query
-// contract: a DELETE landing while coalesced micro-batches and
-// explicit batch calls are in flight must leave every caller with
+// contract: a DELETE landing while single queries and explicit batch
+// calls are in flight must leave every caller with
 // either a complete answer set or a clean 404 — never a partial
 // batch, and never a misleading 503 for a graph that is simply gone.
 func TestDeleteVsQueryRace(t *testing.T) {

@@ -21,62 +21,23 @@ var (
 	ErrClosed     = errors.New("server: shutting down")
 )
 
-// servingOracle is the query surface the executor batches over — both
-// the static spanhop.DistanceOracle and the mutation-absorbing
-// spanhop.DynamicOracle implement it. The registry always hands the
-// executor a dynamic oracle so mutations are visible to queries the
-// moment ApplyUpdates returns.
-type servingOracle interface {
-	QueryStats(s, t graph.V) (spanhop.QueryStats, error)
-	QueryBatch(pairs [][2]graph.V) ([]spanhop.QueryStats, error)
-	NumVertices() int32
-}
-
-// request is one single query waiting to be coalesced.
-type request struct {
-	s, t graph.V
-	ch   chan response
-	enq  time.Time
-	// tr is the request's trace, nil on the untraced hot path — the
-	// dispatch loop checks the pointer once per request and otherwise
-	// touches nothing.
-	tr *obs.Trace
-}
-
-// traceInfoer is the optional oracle surface traces read for overlay
-// attribution. The dynamic facade implements it; bare static oracles
-// (reference tests) need not.
-type traceInfoer interface {
-	TraceInfo() (regime string, gen uint64)
-}
-
-type response struct {
-	st  spanhop.QueryStats
-	err error
-}
-
-// Executor turns concurrently arriving single queries into QueryBatch
-// fan-outs. A collector goroutine takes the first queued request,
-// waits for a free slot of the bounded worker pool, and only then
-// gathers whatever else queued meanwhile (up to MaxBatch) into one
-// micro-batch; the pool runs DistanceOracle.QueryBatch (the parallel
-// fan-out) and distributes results. The collector never waits while a
-// slot is free, so an idle executor answers a miss at once, and
-// batches form exactly when the pool is busy. Because QueryBatch is
-// positionally identical to serial Query calls, coalescing changes
-// wall-clock shape only, never an answer.
+// Executor answers queries for one ready graph: single queries
+// through an LRU result cache, and every cache miss or explicit batch
+// through one compute section — wait on the caller's goroutine for a
+// slot of the bounded worker pool, then run
+// DynamicOracle.QueryBatch (the parallel fan-out) on it. A single
+// query is a batch of one, and QueryBatch is positionally identical
+// to serial Query calls, so every answer is bit-identical to a serial
+// DistanceOracle.Query.
 //
-// Backpressure: the request queue is a bounded channel and Query never
-// blocks on a full one — it fails fast with ErrOverloaded. When every
-// pool worker is busy the collector itself blocks waiting for a slot,
-// the queue fills, and overload propagates to callers as typed errors
-// rather than unbounded goroutine pileup.
+// Backpressure: at most QueryQueue callers, single and batch alike,
+// may wait for a pool slot; beyond that a call fails fast with
+// ErrOverloaded instead of piling up goroutines, and a canceled ctx
+// abandons the wait.
 type Executor struct {
-	oracle servingOracle
+	oracle *spanhop.DynamicOracle
 	n      graph.V
-	maxB   int
 
-	reqs  chan request
 	sem   chan struct{} // worker-pool slots
 	cache *lruCache
 	stats *GraphStats
@@ -89,7 +50,7 @@ type Executor struct {
 	workload *obs.Workload
 	acct     *obs.Accountant
 	aud      *obs.Auditor
-	lblQuery context.Context // pprof labels for coalesced-batch compute
+	lblQuery context.Context // pprof labels for single-query compute
 	lblBatch context.Context // pprof labels for explicit-batch compute
 	// corrupt, when set (tests only), rewrites computed results before
 	// caching, auditing, and response delivery — the fault-injection
@@ -97,36 +58,26 @@ type Executor struct {
 	// distance end to end. Atomic so -race tests can arm it while the
 	// executor serves.
 	corrupt atomic.Pointer[func(s, t graph.V, st spanhop.QueryStats) spanhop.QueryStats]
-	// batchWaiters bounds explicit Batch calls parked on the pool, so
-	// batch traffic gets the same fail-fast contract as the coalesced
-	// path instead of unbounded goroutine pileup.
-	batchWaiters atomic.Int64
-	maxWaiters   int64
+	// waiters counts calls parked on the pool, bounded by maxWaiters.
+	waiters    atomic.Int64
+	maxWaiters int64
 
-	quit chan struct{} // closed by Close: stop accepting
-	done chan struct{} // closed when the collector has drained
-	wg   sync.WaitGroup
-
+	quit      chan struct{} // closed by Close: stop accepting
 	closeOnce sync.Once
 }
 
-// newExecutor starts the collector for a ready oracle.
-func newExecutor(oracle servingOracle, cfg Config, stats *GraphStats) *Executor {
+// newExecutor serves a ready oracle.
+func newExecutor(oracle *spanhop.DynamicOracle, cfg Config, stats *GraphStats) *Executor {
 	cfg = cfg.withDefaults()
-	x := &Executor{
-		oracle: oracle,
-		n:      oracle.NumVertices(),
-		maxB:   cfg.MaxBatch,
-		reqs:   make(chan request, cfg.QueryQueue),
-		sem:    make(chan struct{}, cfg.QueryWorkers),
-		cache:  newLRUCache(cfg.CacheSize),
-		stats:  stats,
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+	return &Executor{
+		oracle:     oracle,
+		n:          oracle.NumVertices(),
+		sem:        make(chan struct{}, cfg.QueryWorkers),
+		cache:      newLRUCache(cfg.CacheSize),
+		stats:      stats,
+		maxWaiters: int64(cfg.QueryQueue),
+		quit:       make(chan struct{}),
 	}
-	x.maxWaiters = int64(cfg.QueryQueue)
-	go x.collect()
-	return x
 }
 
 // instrument attaches the executor to the serving observability: the
@@ -146,17 +97,8 @@ func (x *Executor) instrument(id string, wl *obs.Workload, acct *obs.Accountant,
 		pprof.Labels("graph", id, "op", obs.OpBatch))
 }
 
-// recordQuery feeds the workload analytics' RED counters with one
-// completed single-query operation. The count reflects demanded
-// queries — failures count too — matching ObservePair's at-entry
-// semantics.
-func (x *Executor) recordQuery(d time.Duration, failed bool) {
-	x.workload.RecordOp(obs.OpQuery, 1, d, failed)
-}
-
-// checkPair validates ids before enqueueing, so one malformed query
-// can never poison the whole micro-batch it would have joined
-// (QueryBatch fails a batch on its first invalid pair).
+// checkPair validates ids up front, so a malformed query fails alone
+// and before it waits for a pool slot.
 func (x *Executor) checkPair(s, t graph.V) error {
 	if s < 0 || s >= x.n || t < 0 || t >= x.n {
 		return fmt.Errorf("server: query (%d,%d) out of range n=%d", s, t, x.n)
@@ -164,14 +106,13 @@ func (x *Executor) checkPair(s, t graph.V) error {
 	return nil
 }
 
-// Query answers one s-t query through the cache and the coalescing
-// path. The returned stats are bit-identical to a direct serial
-// DistanceOracle.Query.
+// Query answers one s-t query through the cache, and on a miss as a
+// batch of one. The returned stats are bit-identical to a direct
+// serial DistanceOracle.Query.
 func (x *Executor) Query(ctx context.Context, s, t graph.V) (spanhop.QueryStats, error) {
 	x.stats.requests.Add(1)
 	if err := x.checkPair(s, t); err != nil {
 		x.stats.failures.Add(1)
-		x.recordQuery(0, true)
 		return spanhop.QueryStats{}, err
 	}
 	select {
@@ -180,7 +121,7 @@ func (x *Executor) Query(ctx context.Context, s, t graph.V) (spanhop.QueryStats,
 	default:
 	}
 	// The sketch sees every valid demanded pair — before the cache and
-	// the queue — so /debug/workload reports the offered workload, not
+	// the pool — so /debug/workload reports the offered workload, not
 	// just the computed remainder.
 	x.workload.ObservePair(int32(s), int32(t))
 	tr := obs.FromContext(ctx)
@@ -188,64 +129,27 @@ func (x *Executor) Query(ctx context.Context, s, t graph.V) (spanhop.QueryStats,
 	if st, ok := x.cache.get([2]graph.V{s, t}); ok {
 		x.stats.cacheHits.Add(1)
 		x.stats.lat.Record(time.Since(start))
-		x.recordQuery(time.Since(start), false)
 		tr.SpanSince("cache", start)
 		tr.Annotate("cache", "hit")
 		return st, nil
 	}
 	tr.Annotate("cache", "miss")
-	r := request{s: s, t: t, ch: make(chan response, 1), enq: start, tr: tr}
-	select {
-	case x.reqs <- r:
-	default:
-		x.stats.rejects.Add(1)
-		x.recordQuery(time.Since(start), true)
-		return spanhop.QueryStats{}, ErrOverloaded
+	res, err := x.compute(ctx, tr, [][2]graph.V{{s, t}}, obs.OpQuery, x.lblQuery)
+	if err != nil {
+		return spanhop.QueryStats{}, err
 	}
-	select {
-	case resp := <-r.ch:
-		if resp.err != nil {
-			x.stats.failures.Add(1)
-			x.recordQuery(time.Since(start), true)
-			return spanhop.QueryStats{}, resp.err
-		}
-		x.stats.lat.Record(time.Since(start))
-		x.recordQuery(time.Since(start), false)
-		return resp.st, nil
-	case <-ctx.Done():
-		// The response channel is buffered, so the batch worker that
-		// eventually answers doesn't leak; the result is dropped. The
-		// queue-wait span is recorded at dispatch, so its absence means
-		// the request died waiting for a pool slot.
-		if tr.HasSpan("queue-wait") {
-			tr.Annotate("cancel_stage", "exec")
-		} else {
-			tr.Annotate("cancel_stage", "queue-wait")
-		}
-		x.recordQuery(time.Since(start), true)
-		return spanhop.QueryStats{}, ctx.Err()
-	case <-x.done:
-		// Collector exited; a response may still have raced in (or may
-		// yet arrive from an in-flight batch — shutdown forfeits it).
-		select {
-		case resp := <-r.ch:
-			return resp.st, resp.err
-		default:
-			return spanhop.QueryStats{}, ErrClosed
-		}
-	}
+	x.stats.lat.Record(time.Since(start))
+	return res[0], nil
 }
 
-// Batch answers an explicit batch request through the worker pool
-// (bounded like the coalesced path, but bypassing the collector — the
-// caller already batched). At most QueryQueue batch calls may
-// wait for a pool slot; beyond that Batch fails fast with
-// ErrOverloaded, and a canceled ctx abandons the wait.
+// Batch answers an explicit batch request in one compute section. The
+// caller already batched, so no pair is looked up in the cache; the
+// call shares the single-query path's waiter bound and fail-fast
+// contract.
 func (x *Executor) Batch(ctx context.Context, pairs [][2]graph.V) ([]spanhop.QueryStats, error) {
 	for _, p := range pairs {
 		if err := x.checkPair(p[0], p[1]); err != nil {
 			x.stats.failures.Add(1)
-			x.workload.RecordOp(obs.OpBatch, len(pairs), 0, true)
 			return nil, err
 		}
 	}
@@ -254,236 +158,104 @@ func (x *Executor) Batch(ctx context.Context, pairs [][2]graph.V) ([]spanhop.Que
 			x.workload.ObservePair(int32(p[0]), int32(p[1]))
 		}
 	}
-	if x.batchWaiters.Add(1) > x.maxWaiters {
-		x.batchWaiters.Add(-1)
-		x.stats.rejects.Add(1)
-		x.workload.RecordOp(obs.OpBatch, len(pairs), 0, true)
-		return nil, ErrOverloaded
-	}
-	defer x.batchWaiters.Add(-1)
-	tr := obs.FromContext(ctx)
-	enq := time.Now()
-	select {
-	case <-x.quit:
-		return nil, ErrClosed
-	case <-ctx.Done():
-		tr.Annotate("cancel_stage", "queue-wait")
-		x.workload.RecordOp(obs.OpBatch, len(pairs), time.Since(enq), true)
-		return nil, ctx.Err()
-	case x.sem <- struct{}{}:
-	}
-	defer func() { <-x.sem }()
-	tr.SpanSince("queue-wait", enq)
-	tr.Annotate("batch_size", len(pairs))
-	x.annotateOracle(tr)
 	start := time.Now()
-	x.stats.batchCalls.Add(1)
-	x.stats.batchQueries.Add(int64(len(pairs)))
-	// Capture the cache epoch before computing: if a mutation batch
-	// flushes the cache while this QueryBatch runs, the results below
-	// belong to the old generation and must not be re-cached.
-	epoch := x.cache.epoch()
-	regime, gen, auditing := x.auditInfo()
-	cs := x.acct.Begin()
-	if x.lblBatch != nil {
-		// Prebuilt label context: the compute section's CPU samples
-		// carry {graph, op}. Restored to the request context's labels
-		// afterwards — this goroutine belongs to the HTTP server pool.
-		pprof.SetGoroutineLabels(x.lblBatch)
-	}
-	res, err := x.oracle.QueryBatch(pairs)
-	if x.lblBatch != nil {
-		pprof.SetGoroutineLabels(ctx)
-	}
-	x.acct.End(cs, x.id, obs.OpBatch, len(pairs), err != nil)
-	if f := x.corrupt.Load(); f != nil && err == nil {
-		for i := range res {
-			res[i] = (*f)(pairs[i][0], pairs[i][1], res[i])
-		}
-	}
-	tr.SpanSince("exec", start)
-	x.workload.RecordOp(obs.OpBatch, len(pairs), time.Since(start), err != nil)
+	res, err := x.compute(ctx, obs.FromContext(ctx), pairs, obs.OpBatch, x.lblBatch)
 	if err != nil {
-		x.stats.failures.Add(1)
 		return nil, err
 	}
-	if auditing {
-		x.auditOffer(regime, gen, pairs, res, func(int) *obs.Trace { return tr })
-	}
-	for i, p := range pairs {
-		x.cache.put(p, res[i], epoch)
-	}
+	x.stats.batchCalls.Add(1)
+	x.stats.batchQueries.Add(int64(len(pairs)))
 	x.stats.lat.Record(time.Since(start))
 	return res, nil
 }
 
-// collect is the dispatch loop. It blocks for the first queued
-// request, then for a free pool slot, and only then takes into the
-// batch whatever else queued meanwhile, up to MaxBatch, without
-// blocking. An idle pool therefore answers a miss at once, and a busy
-// one still coalesces: requests pile up while every slot is working.
-func (x *Executor) collect() {
-	defer close(x.done)
-	for {
-		var first request
-		select {
-		case first = <-x.reqs:
-		case <-x.quit:
-			x.failQueued()
-			return
-		}
-		select {
-		case x.sem <- struct{}{}:
-		case <-x.quit:
-			first.ch <- response{err: ErrClosed}
-			x.failQueued()
-			return
-		}
-		batch := []request{first}
-	drain:
-		for len(batch) < x.maxB {
-			select {
-			case r := <-x.reqs:
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		x.dispatch(batch)
+// compute is the one path to QueryBatch. It waits on the caller's
+// goroutine for a pool slot (failing fast past the waiter bound),
+// pins the overlay generation for auditing, runs the batch inside an
+// accountant section under the op's pprof labels, then offers audit
+// samples and fills the cache before releasing the slot.
+func (x *Executor) compute(ctx context.Context, tr *obs.Trace, pairs [][2]graph.V,
+	op string, lbl context.Context) ([]spanhop.QueryStats, error) {
+	if x.waiters.Add(1) > x.maxWaiters {
+		x.waiters.Add(-1)
+		x.stats.rejects.Add(1)
+		return nil, ErrOverloaded
 	}
-}
-
-// failQueued answers every request still queued with ErrClosed, so
-// each caller gets a definitive response at shutdown.
-func (x *Executor) failQueued() {
-	for {
-		select {
-		case r := <-x.reqs:
-			r.ch <- response{err: ErrClosed}
-		default:
-			return
-		}
+	enq := time.Now()
+	select {
+	case x.sem <- struct{}{}:
+		x.waiters.Add(-1)
+	case <-x.quit:
+		x.waiters.Add(-1)
+		return nil, ErrClosed
+	case <-ctx.Done():
+		x.waiters.Add(-1)
+		tr.Annotate("cancel_stage", "queue-wait")
+		return nil, ctx.Err()
 	}
-}
-
-// dispatch runs one batch on the pool slot the collector acquired for
-// it and releases the slot when the results are delivered.
-func (x *Executor) dispatch(batch []request) {
-	x.wg.Add(1)
-	go func() {
-		defer func() {
-			<-x.sem
-			x.wg.Done()
-		}()
-		pairs := make([][2]graph.V, len(batch))
-		traced := false
-		for i, r := range batch {
-			pairs[i] = [2]graph.V{r.s, r.t}
-			traced = traced || r.tr != nil
-		}
-		if traced {
-			now := time.Now()
-			for _, r := range batch {
-				if r.tr == nil {
-					continue
-				}
-				r.tr.SpanDur("queue-wait", r.enq, now.Sub(r.enq))
-				r.tr.Annotate("batch_size", len(batch))
-				x.annotateOracle(r.tr)
-			}
-		}
-		x.stats.coalesced.Add(1)
-		x.stats.coalescedQueries.Add(int64(len(batch)))
-		epoch := x.cache.epoch()
-		regime, gen, auditing := x.auditInfo()
-		t0 := time.Time{}
-		if traced {
-			t0 = time.Now()
-		}
-		cs := x.acct.Begin()
-		if x.lblQuery != nil {
-			// This goroutine is batch-scoped, so the labels simply ride
-			// to its end; result distribution below is this graph's work
-			// too.
-			pprof.SetGoroutineLabels(x.lblQuery)
-		}
-		res, err := x.oracle.QueryBatch(pairs)
-		x.acct.End(cs, x.id, obs.OpQuery, len(batch), err != nil)
-		if f := x.corrupt.Load(); f != nil && err == nil {
-			for i := range res {
-				res[i] = (*f)(pairs[i][0], pairs[i][1], res[i])
-			}
-		}
-		var dur time.Duration
-		if traced {
-			dur = time.Since(t0)
-		}
-		if auditing && err == nil {
-			// Offer before responses ship: sampled traces gain their
-			// "audit" attribute while the handler still owns the trace.
-			x.auditOffer(regime, gen, pairs, res,
-				func(i int) *obs.Trace { return batch[i].tr })
-		}
-		for i, r := range batch {
-			if r.tr != nil {
-				r.tr.SpanDur("exec", t0, dur)
-			}
-			if err != nil {
-				r.ch <- response{err: err}
-				continue
-			}
-			x.cache.put(pairs[i], res[i], epoch)
-			r.ch <- response{st: res[i]}
-		}
-	}()
-}
-
-// annotateOracle pins the overlay regime and generation onto a trace
-// when the serving oracle exposes them. No-op for nil traces and for
-// oracles without TraceInfo.
-func (x *Executor) annotateOracle(tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	if ti, ok := x.oracle.(traceInfoer); ok {
-		regime, gen := ti.TraceInfo()
+	defer func() { <-x.sem }()
+	tr.SpanSince("queue-wait", enq)
+	tr.Annotate("batch_size", len(pairs))
+	// Capture the cache epoch and the overlay (regime, generation)
+	// before computing: if a mutation commits while QueryBatch runs,
+	// the results belong to the old generation and are neither
+	// re-cached nor audited.
+	epoch := x.cache.epoch()
+	var regime string
+	var gen uint64
+	if tr != nil || x.aud != nil {
+		regime, gen = x.oracle.TraceInfo()
 		tr.Annotate("regime", regime)
 		tr.Annotate("generation", gen)
 	}
+	start := time.Now()
+	x.stats.batches.Add(1)
+	x.stats.batchedQueries.Add(int64(len(pairs)))
+	cs := x.acct.Begin()
+	if lbl != nil {
+		// Prebuilt label context: the compute section's CPU samples
+		// carry {graph, op}. Restored to the request context's labels
+		// afterwards — this goroutine belongs to the HTTP server pool.
+		pprof.SetGoroutineLabels(lbl)
+	}
+	res, err := x.oracle.QueryBatch(pairs)
+	if lbl != nil {
+		pprof.SetGoroutineLabels(ctx)
+	}
+	x.acct.End(cs, x.id, op, len(pairs), err != nil)
+	tr.SpanSince("exec", start)
+	if err != nil {
+		x.stats.failures.Add(1)
+		return nil, err
+	}
+	if f := x.corrupt.Load(); f != nil {
+		for i := range res {
+			res[i] = (*f)(pairs[i][0], pairs[i][1], res[i])
+		}
+	}
+	if x.aud != nil {
+		x.auditOffer(regime, gen, pairs, res, tr)
+	}
+	for i, p := range pairs {
+		x.cache.put(p, res[i], epoch)
+	}
+	return res, nil
 }
 
-// auditInfo pins the overlay regime and generation before a batch
-// computes, so audit samples carry the generation their answers were
-// actually served from. ok is false when auditing is off for this
-// executor or the oracle exposes no generation to pin.
-func (x *Executor) auditInfo() (regime string, gen uint64, ok bool) {
-	if x.aud == nil {
-		return "", 0, false
-	}
-	ti, isTI := x.oracle.(traceInfoer)
-	if !isTI {
-		return "", 0, false
-	}
-	regime, gen = ti.TraceInfo()
-	return regime, gen, true
-}
-
-// auditOffer shadow-samples a computed batch into the auditor: traced
-// requests always, the rest on the deterministic every-Nth grid. The
-// pre-compute (regime, gen) pin is re-read here — if either moved, a
-// mutation or rebuild landed while the batch computed, and the
-// answers cannot be attributed to a single generation; the whole
+// auditOffer shadow-samples a computed batch into the auditor: every
+// pair of a traced request, the rest on the deterministic every-Nth
+// grid. The pre-compute (regime, gen) pin is re-read here — if either
+// moved, a mutation or rebuild landed while the batch computed, and
+// the answers cannot be attributed to a single generation; the whole
 // batch is skipped (this is sampling, not proof, and a torn pin would
 // manufacture false violations). Generations only increase, so
 // equality means no mutation committed in between.
 func (x *Executor) auditOffer(regime string, gen uint64, pairs [][2]graph.V,
-	res []spanhop.QueryStats, trOf func(i int) *obs.Trace) {
-	r2, g2, ok := x.auditInfo()
-	if !ok || r2 != regime || g2 != gen {
+	res []spanhop.QueryStats, tr *obs.Trace) {
+	if r2, g2 := x.oracle.TraceInfo(); r2 != regime || g2 != gen {
 		return
 	}
 	for i := range pairs {
-		tr := trOf(i)
 		if tr == nil && !x.aud.SampleHit() {
 			continue
 		}
@@ -509,13 +281,15 @@ func (x *Executor) auditOffer(regime string, gen uint64, pairs [][2]graph.V,
 // mutation batch commits: cached answers reflect an older generation.
 func (x *Executor) flushCache() { x.cache.flush() }
 
-// Close stops the collector, fails queued requests with ErrClosed,
-// and waits for in-flight batches. Safe to call more than once.
+// Close fails every caller still waiting for a pool slot with
+// ErrClosed, then takes every slot, so it returns only once in-flight
+// compute sections have finished. Safe to call more than once.
 func (x *Executor) Close() {
 	x.closeOnce.Do(func() {
 		close(x.quit)
-		<-x.done
-		x.wg.Wait()
+		for i := 0; i < cap(x.sem); i++ {
+			x.sem <- struct{}{}
+		}
 	})
 }
 

@@ -20,6 +20,15 @@ func testOracle(t *testing.T) *spanhop.DistanceOracle {
 	return spanhop.NewDistanceOracle(g, 0.3, 5)
 }
 
+// served wraps a static oracle in the dynamic facade the registry
+// serves through, with rebuilds off.
+func served(t *testing.T, o *spanhop.DistanceOracle) *spanhop.DynamicOracle {
+	t.Helper()
+	d := spanhop.NewDynamicOracle(o, spanhop.RebuildPolicy{Disabled: true})
+	t.Cleanup(d.Close)
+	return d
+}
+
 func withProcs(t *testing.T, p int, body func()) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(p)
@@ -27,22 +36,20 @@ func withProcs(t *testing.T, p int, body func()) {
 	body()
 }
 
-// TestCoalescingMatchesSerial is the serving-path differential test:
-// many goroutines hammer the executor with single queries; every
-// answer must be bit-identical to a serial DistanceOracle.Query, and
-// a busy pool must demonstrably coalesce (mean batch size > 1). The
-// pool is held until every worker's first query is queued, so at
-// least that first batch is formed while all slots are busy.
-// Runs under -race in CI.
-func TestCoalescingMatchesSerial(t *testing.T) {
+// TestExecutorConcurrentMatchesSerial is the serving-path
+// differential test: many goroutines hammer the executor with single
+// queries; every answer must be bit-identical to a serial
+// DistanceOracle.Query, and every miss must be exactly one oracle
+// call. The pool is held until every worker's first query waits for
+// it, so those queries all meet a busy pool. Runs under -race in CI.
+func TestExecutorConcurrentMatchesSerial(t *testing.T) {
 	withProcs(t, 4, func() {
 		oracle := testOracle(t)
 		stats := &GraphStats{}
-		x := newExecutor(oracle, Config{
-			MaxBatch:     1024,
+		x := newExecutor(served(t, oracle), Config{
 			QueryWorkers: 4,
 			QueryQueue:   4096,
-			CacheSize:    -1, // force every query through the batching path
+			CacheSize:    -1, // force every query through the compute section
 		}, stats)
 		defer x.Close()
 		wedge(x)
@@ -72,12 +79,10 @@ func TestCoalescingMatchesSerial(t *testing.T) {
 				}
 			}(w)
 		}
-		// The collector holds one first query while it waits for a
-		// slot; the other workers' first queries queue behind it.
-		queued := waitQueued(x, workers-1)
+		waiting := waitWaiters(x, workers)
 		unwedge(x)
-		if !queued {
-			t.Fatalf("%d queries queued, want %d", len(x.reqs), workers-1)
+		if !waiting {
+			t.Fatalf("%d queries waiting, want %d", x.waiters.Load(), workers)
 		}
 		wg.Wait()
 		if t.Failed() {
@@ -91,7 +96,7 @@ func TestCoalescingMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				if r.st != want {
-					t.Fatalf("worker %d: coalesced Query(%d,%d) = %+v, serial = %+v",
+					t.Fatalf("worker %d: concurrent Query(%d,%d) = %+v, serial = %+v",
 						w, r.s, r.t, r.st, want)
 				}
 			}
@@ -101,12 +106,9 @@ func TestCoalescingMatchesSerial(t *testing.T) {
 		if snap.Requests != workers*perWorker {
 			t.Fatalf("requests = %d, want %d", snap.Requests, workers*perWorker)
 		}
-		if snap.BatchedQueries != workers*perWorker {
-			t.Fatalf("batched queries = %d, want %d", snap.BatchedQueries, workers*perWorker)
-		}
-		if snap.Batches == 0 || snap.MeanBatchSize <= 1 {
-			t.Fatalf("coalescing did not batch: %d batches, mean size %.2f",
-				snap.Batches, snap.MeanBatchSize)
+		if snap.Batches != workers*perWorker || snap.BatchedQueries != workers*perWorker {
+			t.Fatalf("%d queries ran as %d oracle calls, want %d of each",
+				snap.BatchedQueries, snap.Batches, workers*perWorker)
 		}
 		if snap.Latency.Count != workers*perWorker {
 			t.Fatalf("latency count = %d, want %d", snap.Latency.Count, workers*perWorker)
@@ -117,7 +119,7 @@ func TestCoalescingMatchesSerial(t *testing.T) {
 func TestExecutorCacheHits(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{CacheSize: 16}, stats)
+	x := newExecutor(served(t, oracle), Config{CacheSize: 16}, stats)
 	defer x.Close()
 
 	first, err := x.Query(context.Background(), 3, 77)
@@ -143,7 +145,7 @@ func TestExecutorCacheHits(t *testing.T) {
 func TestExecutorBatchAPI(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{}, stats)
+	x := newExecutor(served(t, oracle), Config{}, stats)
 	defer x.Close()
 
 	pairs := [][2]graph.V{{0, 10}, {20, 30}, {7, 7}}
@@ -171,11 +173,11 @@ func TestExecutorBatchAPI(t *testing.T) {
 }
 
 // TestExecutorValidationIsolated: a malformed single query errors
-// synchronously and never joins (and so never fails) a micro-batch.
+// synchronously and never fails a concurrent valid one.
 func TestExecutorValidationIsolated(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{}, stats)
+	x := newExecutor(served(t, oracle), Config{}, stats)
 	defer x.Close()
 
 	var wg sync.WaitGroup
@@ -201,8 +203,7 @@ func TestExecutorValidationIsolated(t *testing.T) {
 func TestExecutorBackpressure(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{
-		MaxBatch:     1,
+	x := newExecutor(served(t, oracle), Config{
 		QueryWorkers: 1,
 		QueryQueue:   2,
 		CacheSize:    -1,
@@ -221,11 +222,11 @@ func TestExecutorBackpressure(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	// Capacity while wedged: 1 held by the collector waiting for a
-	// slot + 2 in the queue; at least 3 of 6 must be rejected. Wait
-	// for that before releasing the pool.
+	// Capacity while wedged: the 2 waiters QueryQueue admits; the
+	// other 4 of 6 must be rejected. Wait for that before releasing
+	// the pool.
 	deadline := time.Now().Add(10 * time.Second)
-	for stats.rejects.Load() < 3 && time.Now().Before(deadline) {
+	for stats.rejects.Load() < n-2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	<-x.sem // release the pool
@@ -243,8 +244,8 @@ func TestExecutorBackpressure(t *testing.T) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	if overloaded < 3 {
-		t.Fatalf("overloaded = %d, want >= 3 of %d", overloaded, n)
+	if overloaded != n-2 {
+		t.Fatalf("overloaded = %d, want %d of %d", overloaded, n-2, n)
 	}
 	if ok != n-overloaded {
 		t.Fatalf("ok = %d, want %d", ok, n-overloaded)
@@ -254,14 +255,14 @@ func TestExecutorBackpressure(t *testing.T) {
 	}
 }
 
-// TestExecutorBatchOverload: explicit batch calls share the fail-fast
-// contract — with the pool wedged and the waiter bound at QueryQueue,
-// surplus Batch calls get ErrOverloaded and a canceled ctx frees a
-// parked one.
+// TestExecutorBatchOverload: explicit batch calls and single queries
+// share one waiter bound — with the pool wedged and QueryQueue = 1, a
+// parked Batch turns away both a second Batch and a single-query miss
+// with ErrOverloaded, and a canceled ctx frees the parked one.
 func TestExecutorBatchOverload(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{QueryWorkers: 1, QueryQueue: 1}, stats)
+	x := newExecutor(served(t, oracle), Config{QueryWorkers: 1, QueryQueue: 1}, stats)
 	defer x.Close()
 
 	x.sem <- struct{}{} // wedge the pool
@@ -273,115 +274,82 @@ func TestExecutorBatchOverload(t *testing.T) {
 	}()
 	// Wait for the goroutine to occupy the single waiter slot.
 	deadline := time.Now().Add(10 * time.Second)
-	for x.batchWaiters.Load() < 1 && time.Now().Before(deadline) {
+	for x.waiters.Load() < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := x.Batch(context.Background(), [][2]graph.V{{2, 3}}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second Batch = %v, want ErrOverloaded", err)
+	}
+	if _, err := x.Query(context.Background(), 4, 5); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("single Query = %v, want ErrOverloaded", err)
 	}
 	cancel()
 	if err := <-parked; !errors.Is(err, context.Canceled) {
 		t.Fatalf("parked Batch = %v, want context.Canceled", err)
 	}
 	<-x.sem // release for Close
-	if got := stats.Snapshot().Rejects; got != 1 {
-		t.Fatalf("rejects = %d, want 1", got)
+	if got := stats.Snapshot().Rejects; got != 2 {
+		t.Fatalf("rejects = %d, want 2", got)
 	}
 }
 
-// TestExecutorCloseFailsPending: queries parked behind a busy pool
-// when Close runs (one held by the collector, one still queued) get
-// ErrClosed, not a hang.
+// TestExecutorCloseFailsPending: queries and batches waiting for a
+// busy pool when Close runs get ErrClosed, not a hang, and Close
+// itself returns once the compute slots it waits on are free.
 func TestExecutorCloseFailsPending(t *testing.T) {
 	oracle := testOracle(t)
-	x := newExecutor(oracle, Config{}, &GraphStats{})
+	x := newExecutor(served(t, oracle), Config{}, &GraphStats{})
 	wedge(x) // no slot frees before Close
-	const pending = 2
+	const pending = 3
 	done := make(chan error, pending)
-	for i := 0; i < pending; i++ {
+	for i := 0; i < pending-1; i++ {
 		go func() {
 			_, err := x.Query(context.Background(), 0, 1)
 			done <- err
 		}()
 	}
-	if !waitQueued(x, 1) {
-		t.Fatal("no query reached the queue")
+	go func() {
+		_, err := x.Batch(context.Background(), [][2]graph.V{{2, 3}})
+		done <- err
+	}()
+	if !waitWaiters(x, pending) {
+		t.Fatalf("%d calls waiting, want %d", x.waiters.Load(), pending)
 	}
-	x.Close()
+	closed := make(chan struct{})
+	go func() {
+		x.Close()
+		close(closed)
+	}()
 	for i := 0; i < pending; i++ {
 		select {
 		case err := <-done:
 			if !errors.Is(err, ErrClosed) {
-				t.Fatalf("pending query got %v, want ErrClosed", err)
+				t.Fatalf("pending call got %v, want ErrClosed", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("pending query hung across Close")
+			t.Fatal("pending call hung across Close")
 		}
+	}
+	unwedge(x) // stands in for the compute sections Close waits out
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung after the pool freed")
 	}
 	if _, err := x.Query(context.Background(), 0, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Query after Close = %v, want ErrClosed", err)
 	}
-}
-
-// TestExecutorCoalescesWhilePoolBusy: requests that queue while every
-// pool slot is busy leave together, as one batch, on the first slot
-// that frees up.
-func TestExecutorCoalescesWhilePoolBusy(t *testing.T) {
-	oracle := testOracle(t)
-	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{QueryWorkers: 2, CacheSize: -1}, stats)
-	defer x.Close()
-
-	wedge(x)
-	const k = 5
-	type res struct {
-		s, t graph.V
-		st   spanhop.QueryStats
-		err  error
-	}
-	out := make(chan res, k)
-	for i := 0; i < k; i++ {
-		go func(s, u graph.V) {
-			st, err := x.Query(context.Background(), s, u)
-			out <- res{s: s, t: u, st: st, err: err}
-		}(graph.V(i), graph.V(200-i))
-	}
-	// One request is held by the collector, waiting for a slot; the
-	// other k-1 queue behind it.
-	if !waitQueued(x, k-1) {
-		unwedge(x)
-		t.Fatalf("%d queries queued, want %d", len(x.reqs), k-1)
-	}
-	<-x.sem // free one slot
-	for i := 0; i < k; i++ {
-		r := <-out
-		if r.err != nil {
-			t.Fatalf("Query(%d,%d): %v", r.s, r.t, r.err)
-		}
-		want, err := oracle.QueryStats(r.s, r.t)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.st != want {
-			t.Fatalf("Query(%d,%d) = %+v, serial = %+v", r.s, r.t, r.st, want)
-		}
-	}
-	for i := 1; i < cap(x.sem); i++ {
-		<-x.sem // the slots still held
-	}
-	if snap := stats.Snapshot(); snap.Batches != 1 || snap.BatchedQueries != k {
-		t.Fatalf("batches = %d of %d queries, want 1 of %d",
-			snap.Batches, snap.BatchedQueries, k)
+	if _, err := x.Batch(context.Background(), [][2]graph.V{{0, 1}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Batch after Close = %v, want ErrClosed", err)
 	}
 }
 
 // TestExecutorIdleDispatchesAtOnce: sequential misses on an idle
-// executor each run as their own batch — a miss never waits for
-// company while a pool slot is free.
+// executor each run as their own oracle call, at once.
 func TestExecutorIdleDispatchesAtOnce(t *testing.T) {
 	oracle := testOracle(t)
 	stats := &GraphStats{}
-	x := newExecutor(oracle, Config{CacheSize: -1}, stats)
+	x := newExecutor(served(t, oracle), Config{CacheSize: -1}, stats)
 	defer x.Close()
 
 	const n = 50
@@ -392,7 +360,7 @@ func TestExecutorIdleDispatchesAtOnce(t *testing.T) {
 	}
 	snap := stats.Snapshot()
 	if snap.Requests != n || snap.Batches != snap.Requests {
-		t.Fatalf("%d requests ran as %d batches, want %d of each",
+		t.Fatalf("%d requests ran as %d oracle calls, want %d of each",
 			snap.Requests, snap.Batches, n)
 	}
 }
@@ -456,8 +424,8 @@ func TestLatencyHistogram(t *testing.T) {
 	}
 }
 
-// wedge takes every pool slot of x, so the collector parks the next
-// request it receives until unwedge gives the slots back.
+// wedge takes every pool slot of x, so the next miss or batch waits
+// until unwedge gives the slots back.
 func wedge(x *Executor) {
 	for i := 0; i < cap(x.sem); i++ {
 		x.sem <- struct{}{}
@@ -470,10 +438,10 @@ func unwedge(x *Executor) {
 	}
 }
 
-// waitQueued reports whether k requests sit in x's queue within 10 s.
-func waitQueued(x *Executor, k int) bool {
+// waitWaiters reports whether k calls wait for x's pool within 10 s.
+func waitWaiters(x *Executor, k int64) bool {
 	deadline := time.Now().Add(10 * time.Second)
-	for len(x.reqs) < k {
+	for x.waiters.Load() < k {
 		if time.Now().After(deadline) {
 			return false
 		}

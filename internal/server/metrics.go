@@ -109,8 +109,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"spanhop_cache_hits_total", "Single queries answered from the LRU result cache.", func(s StatsSnapshot) int64 { return s.CacheHits }},
 		{"spanhop_rejects_total", "Queries rejected with backpressure (503).", func(s StatsSnapshot) int64 { return s.Rejects }},
 		{"spanhop_failures_total", "Queries that returned an error.", func(s StatsSnapshot) int64 { return s.Failures }},
-		{"spanhop_coalesced_batches_total", "Micro-batches dispatched by the coalescing executor.", func(s StatsSnapshot) int64 { return s.Batches }},
-		{"spanhop_coalesced_queries_total", "Single queries answered inside micro-batches.", func(s StatsSnapshot) int64 { return s.BatchedQueries }},
 		{"spanhop_batch_calls_total", "Explicit batch API calls.", func(s StatsSnapshot) int64 { return s.BatchCalls }},
 		{"spanhop_batch_call_queries_total", "Pairs inside explicit batch calls.", func(s StatsSnapshot) int64 { return s.BatchCallQueries }},
 		{"spanhop_mutation_batches_total", "Applied edge-mutation batches.", func(s StatsSnapshot) int64 { return s.MutationBatches }},

@@ -3,7 +3,7 @@ package server
 // Observability tests: the /metrics exposition is validated against
 // the Prometheus text-format rules (a scraper, not a human, is the
 // consumer), and trace propagation is exercised under -race — the
-// span plumbing rides the same coalescing machinery as the hot path,
+// span plumbing rides the same compute section as the hot path,
 // so these tests double as data-race coverage for it.
 
 import (
@@ -394,7 +394,7 @@ func spanNames(td obs.TraceData) map[string]float64 {
 	return m
 }
 
-func TestTraceConcurrentCoalescedQueries(t *testing.T) {
+func TestTraceConcurrentQueries(t *testing.T) {
 	_, ts := newTestServer(t)
 	code := httpJSON(t, ts, "POST", "/graphs",
 		GraphSpec{Name: "t1", Gen: "er:n=200,d=4,w=uniform", Eps: 0.3, Seed: 3}, nil)
@@ -413,8 +413,8 @@ func TestTraceConcurrentCoalescedQueries(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Distinct pairs: every query misses the cache and rides the
-			// coalescing path.
+			// Distinct pairs: every query misses the cache and runs a
+			// compute section.
 			td, rid := tracedQuery(t, ts, "t1", graph.V(w), graph.V(199-w))
 			if rid == "" {
 				t.Error("no X-Spanhop-Request header")
@@ -445,9 +445,8 @@ func TestTraceConcurrentCoalescedQueries(t *testing.T) {
 		if td.Attrs["cache"] != "miss" {
 			t.Errorf("trace %s: cache = %v, want miss", td.ID, td.Attrs["cache"])
 		}
-		bs, ok := td.Attrs["batch_size"].(float64) // JSON numbers decode as float64
-		if !ok || bs < 1 || bs > workers {
-			t.Errorf("trace %s: batch_size = %v, want 1..%d", td.ID, td.Attrs["batch_size"], workers)
+		if bs, ok := td.Attrs["batch_size"].(float64); !ok || bs != 1 { // JSON numbers decode as float64
+			t.Errorf("trace %s: batch_size = %v, want 1", td.ID, td.Attrs["batch_size"])
 		}
 		// Span tree consistency: spans start inside the trace and end
 		// before its total.

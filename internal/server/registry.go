@@ -1,7 +1,8 @@
 // Package server is the serving layer above the spanhop facade: a
-// registry of named graphs with background oracle builds, a batching
-// query executor that coalesces concurrent single queries into
-// QueryBatch fan-outs, and an HTTP/JSON API. cmd/spanhopd wires it to
+// registry of named graphs with background oracle builds, a query
+// executor that answers cache misses and explicit batches through
+// QueryBatch fan-outs on a bounded worker pool, and an HTTP/JSON API.
+// cmd/spanhopd wires it to
 // a listener; cmd/loadgen drives it.
 //
 // The paper's Theorem 1.2 oracle is a preprocess-once/query-many
@@ -572,7 +573,7 @@ func (r *Registry) build(e *Entry) {
 				Cost: spanhop.NewCost(),
 				Exec: ec,
 				// The query context's pooled helpers carry the graph
-				// label (no op: one context serves both the coalesced
+				// label (no op: one context serves both the single-query
 				// and the explicit batch surface), so profile samples
 				// from query fan-out attribute to the graph.
 				QueryExec: exec.New(exec.Options{
@@ -851,14 +852,12 @@ func (r *Registry) ApplyUpdates(id string, us []spanhop.DynamicUpdate) (uint64, 
 		return 0, nil, fmt.Errorf("%w: %q", ErrUnknownGraph, id)
 	}
 	e.mu.Lock()
-	state, dyn, ex, wl := e.state, e.dyn, e.exec, e.workload
+	state, dyn, ex := e.state, e.dyn, e.exec
 	e.mu.Unlock()
 	if state != StateReady || dyn == nil {
 		return 0, nil, fmt.Errorf("%w: %s is %s", ErrNotReady, id, state)
 	}
-	mstart := time.Now()
 	gen, err := dyn.ApplyUpdates(us)
-	wl.RecordOp(obs.OpMutate, len(us), time.Since(mstart), err != nil)
 	if err != nil {
 		return 0, nil, err
 	}

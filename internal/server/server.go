@@ -31,12 +31,9 @@ type Config struct {
 	// of the cap.
 	Workers int
 
-	// MaxBatch caps how many queued single queries one micro-batch
-	// takes when a pool slot frees up.
-	MaxBatch int
 	// QueryWorkers bounds concurrent QueryBatch executions per graph;
-	// QueryQueue bounds waiting single queries (overflow is a typed
-	// 503, the backpressure contract).
+	// QueryQueue bounds the single queries and batch calls waiting for
+	// one (overflow is a typed 503, the backpressure contract).
 	QueryWorkers int
 	QueryQueue   int
 	// CacheSize is the per-graph LRU result-cache capacity
@@ -109,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.BuildQueue <= 0 {
 		c.BuildQueue = 16
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.QueryWorkers <= 0 {
 		c.QueryWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -154,7 +148,7 @@ func (c Config) queryExecWorkers() int {
 //	GET    /graphs              list entries
 //	GET    /graphs/{id}         one entry
 //	DELETE /graphs/{id}         evict a graph; aborts an in-flight build
-//	POST   /graphs/{id}/query   {"s":..,"t":..} or {"pairs":[[s,t],..]}
+//	POST   /graphs/{id}/query   {"s":..,"t":..} or {"pairs":[[s,t],..]} (≤ 4096 pairs)
 //	POST   /graphs/{id}/edges   apply mutations: {"updates":[{"op":..},..]}
 //	DELETE /graphs/{id}/edges   delete edges: {"edges":[[u,v],..]}
 //	POST   /graphs/{id}/rebuild force a synchronous overlay rebuild
@@ -316,6 +310,11 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxBatchPairs caps the pairs of one explicit batch request. A batch
+// runs as one compute section on one pool slot, so the cap bounds how
+// long one request can hold a query worker; a larger body is a 413.
+const maxBatchPairs = 4096
+
 // queryRequest accepts a single query or an explicit batch.
 type queryRequest struct {
 	S     *graph.V     `json:"s,omitempty"`
@@ -414,6 +413,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if q.S != nil || q.T != nil {
 			writeError(w, http.StatusBadRequest,
 				errors.New("server: give either s/t or pairs, not both"))
+			return
+		}
+		if len(q.Pairs) > maxBatchPairs {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("server: batch of %d pairs, at most %d", len(q.Pairs), maxBatchPairs))
 			return
 		}
 		res, err := exec.Batch(ctx, q.Pairs)
@@ -524,7 +528,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWorkload serves the per-graph workload analytics:
-// GET /debug/workload → {"graphs": {id: {top_pairs, total_pairs, ops}}}.
+// GET /debug/workload → {"graphs": {id: {top_pairs, total_pairs}}}.
 // ?graph={id} narrows to one graph, ?k={n} bounds the reported heavy
 // hitters (default 32, 0 = the full sketch).
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {

@@ -256,12 +256,46 @@ func TestHTTPBuildFailureSurfaced(t *testing.T) {
 	}
 }
 
+// TestHTTPBatchPairCap: a batch of exactly maxBatchPairs pairs is
+// answered in full; one pair more is a 413 before anything computes.
+func TestHTTPBatchPairCap(t *testing.T) {
+	s, ts := newTestServer(t)
+	if code := httpJSON(t, ts, "POST", "/graphs",
+		GraphSpec{Name: "cap", Gen: "er:n=64,d=4,w=uniform", Eps: 0.3, Seed: 2}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	waitReady(t, ts, "cap")
+	pairs := make([][2]graph.V, maxBatchPairs+1)
+	for i := range pairs {
+		pairs[i] = [2]graph.V{graph.V(i % 64), graph.V(i / 64 % 64)}
+	}
+	var out struct {
+		Results []queryResult `json:"results"`
+	}
+	if code := httpJSON(t, ts, "POST", "/graphs/cap/query",
+		map[string]any{"pairs": pairs[:maxBatchPairs]}, &out); code != http.StatusOK {
+		t.Fatalf("%d pairs = %d, want 200", maxBatchPairs, code)
+	}
+	if len(out.Results) != maxBatchPairs {
+		t.Fatalf("%d pairs answered %d results", maxBatchPairs, len(out.Results))
+	}
+	e, _ := s.Registry().Get("cap")
+	before := e.stats.Snapshot()
+	if code := httpJSON(t, ts, "POST", "/graphs/cap/query",
+		map[string]any{"pairs": pairs}, nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d pairs = %d, want 413", len(pairs), code)
+	}
+	if after := e.stats.Snapshot(); after.Batches != before.Batches || after.BatchCalls != before.BatchCalls {
+		t.Fatalf("oversized batch reached the executor: %d -> %d oracle calls",
+			before.Batches, after.Batches)
+	}
+}
+
 // TestHTTPConcurrentSingleQueries hammers one graph over real HTTP
 // with concurrent single queries and asserts (a) every answer matches
-// the serial oracle and (b) the /stats mean batch size shows
-// coalescing — the acceptance criterion observed end to end. The
-// graph's pool is held until every worker's first query is queued,
-// so those queries meet a busy pool and must leave as one batch.
+// the serial oracle and (b) /stats counts every miss as one oracle
+// call. The graph's pool is held until every worker's first query
+// waits for it, so those queries meet a busy pool.
 func TestHTTPConcurrentSingleQueries(t *testing.T) {
 	s := New(Config{CacheSize: -1})
 	ts := httptest.NewServer(s.Handler())
@@ -316,12 +350,10 @@ func TestHTTPConcurrentSingleQueries(t *testing.T) {
 			errc <- nil
 		}(w)
 	}
-	// The collector holds one first query while it waits for a slot;
-	// the other workers' first queries queue behind it.
-	queued := waitQueued(x, workers-1)
+	waiting := waitWaiters(x, workers)
 	unwedge(x)
-	if !queued {
-		t.Fatalf("%d queries queued, want %d", len(x.reqs), workers-1)
+	if !waiting {
+		t.Fatalf("%d queries waiting, want %d", x.waiters.Load(), workers)
 	}
 	for w := 0; w < workers; w++ {
 		if err := <-errc; err != nil {
@@ -337,8 +369,8 @@ func TestHTTPConcurrentSingleQueries(t *testing.T) {
 	if gs.Requests != workers*perWorker {
 		t.Fatalf("requests = %d, want %d", gs.Requests, workers*perWorker)
 	}
-	if gs.Batches == 0 || gs.MeanBatchSize <= 1 {
-		t.Fatalf("no observable coalescing: %d batches, mean %.2f",
-			gs.Batches, gs.MeanBatchSize)
+	if gs.Batches != workers*perWorker || gs.MeanBatchSize != 1 {
+		t.Fatalf("%d queries ran as %d oracle calls (mean %.2f), want one each",
+			gs.Requests, gs.Batches, gs.MeanBatchSize)
 	}
 }

@@ -15,15 +15,15 @@ type GraphStats struct {
 	requests atomic.Int64
 	// cacheHits counts single queries answered from the LRU cache.
 	cacheHits atomic.Int64
-	// rejects counts single queries turned away with ErrOverloaded.
+	// rejects counts calls turned away with ErrOverloaded.
 	rejects atomic.Int64
-	// coalesced counts dispatched micro-batches; coalescedQueries is
-	// the total number of single queries inside them, so mean batch
-	// size = coalescedQueries / coalesced.
-	coalesced        atomic.Int64
-	coalescedQueries atomic.Int64
-	// batchCalls / batchQueries count explicit batch API calls and
-	// the pairs inside them (these bypass the collector).
+	// batches counts the executor's QueryBatch calls, one per cache
+	// miss or explicit batch; batchedQueries is the total number of
+	// pairs inside them, so mean batch size = batchedQueries / batches.
+	batches        atomic.Int64
+	batchedQueries atomic.Int64
+	// batchCalls / batchQueries count answered explicit batch API
+	// calls and the pairs inside them.
 	batchCalls   atomic.Int64
 	batchQueries atomic.Int64
 	// failures counts queries that returned an error from the oracle.
@@ -62,8 +62,8 @@ func (s *GraphStats) Snapshot() StatsSnapshot {
 		Requests:         s.requests.Load(),
 		CacheHits:        s.cacheHits.Load(),
 		Rejects:          s.rejects.Load(),
-		Batches:          s.coalesced.Load(),
-		BatchedQueries:   s.coalescedQueries.Load(),
+		Batches:          s.batches.Load(),
+		BatchedQueries:   s.batchedQueries.Load(),
 		BatchCalls:       s.batchCalls.Load(),
 		BatchCallQueries: s.batchQueries.Load(),
 		Failures:         s.failures.Load(),

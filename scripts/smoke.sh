@@ -123,15 +123,23 @@ grep -q 'spanhop_events_total{event="build_ready"}' <<<"$METRICS" \
     || { echo "metrics missing lifecycle event counters"; exit 1; }
 
 stage "workload analytics: /debug/workload + loadgen cross-check"
-# loadgen asserts the server's analytics deltas (op mix, sketch total,
-# exact heavy-hitter counts) match the load it just generated.
+# loadgen asserts the server's analytics deltas (request count, sketch
+# total, exact heavy-hitter counts) match the load it just generated.
+requests() {
+    local stats
+    stats=$(curl -fsS "http://$ADDR/stats")
+    grep -o '"requests":[0-9]*' <<<"$stats" | head -n 1 | cut -d: -f2
+}
+REQ0=$(requests)
 "$DIR/bin/loadgen" -addr "http://$ADDR" -graph grid -mix repeat \
     -concurrency 4 -requests 200 -report-workload | tee "$DIR/workload.out"
 grep -q "workload: server analytics match the generated load" "$DIR/workload.out" \
     || { echo "loadgen workload cross-check did not pass"; exit 1; }
 WL=$(curl -fsS "http://$ADDR/debug/workload?graph=grid&k=8")
 grep -q '"top_pairs":\[{' <<<"$WL" || { echo "workload missing heavy hitters"; exit 1; }
-grep -q '"op":"query"' <<<"$WL" || { echo "workload missing query op row"; exit 1; }
+REQ1=$(requests)
+[[ $((REQ1 - REQ0)) == 200 ]] \
+    || { echo "/stats requests advanced by $((REQ1 - REQ0)), want 200"; exit 1; }
 
 stage "per-graph cost attribution in /metrics and /stats"
 METRICS=$(curl -fsS "http://$ADDR/metrics")
