@@ -19,10 +19,11 @@ import (
 //
 // Pools are keyed by ceil-power-of-two capacity class, so a buffer
 // released for an n-vertex graph is reusable by any computation of
-// size up to the same class. The pools are shared by every Ctx —
-// sync.Pool handles the concurrency — and a nil Ctx bypasses them
-// entirely (plain make, Put is a no-op), keeping legacy call sites
-// byte-for-byte on their old allocation behavior.
+// size up to the same class. The pools are process-wide and shared by
+// every Ctx, the nil Ctx included — sync.Pool handles the concurrency —
+// so a search on a nil Ctx reuses its queue and distance scratch as
+// well. A buffer a caller keeps (a result it never releases) simply
+// never goes back; one it releases must not be touched afterwards.
 
 const numClasses = 33
 
@@ -76,18 +77,12 @@ var (
 	vertPools   slicePools[graph.V]
 	markPools   slicePools[int32]
 	bucketPools slicePools[[]graph.V]
+	wordPools   slicePools[uint64]
 )
 
 // Dists returns a len-n distance buffer filled with graph.InfDist —
-// the starting state of every search. Nil Ctx allocates fresh.
+// the starting state of every search.
 func (e *Ctx) Dists(n int) []graph.Dist {
-	if e == nil || !e.arenaOn {
-		s := make([]graph.Dist, n)
-		for i := range s {
-			s[i] = graph.InfDist
-		}
-		return s
-	}
 	s := distPools.get(n)
 	for i := range s {
 		s[i] = graph.InfDist
@@ -97,35 +92,20 @@ func (e *Ctx) Dists(n int) []graph.Dist {
 
 // DistsZero returns a len-n distance buffer filled with 0.
 func (e *Ctx) DistsZero(n int) []graph.Dist {
-	if e == nil || !e.arenaOn {
-		return make([]graph.Dist, n)
-	}
 	s := distPools.get(n)
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
-// PutDists releases a buffer obtained from Dists/DistsZero. No-op on
-// nil Ctx. The caller must not use the slice afterwards.
+// PutDists releases a buffer obtained from Dists/DistsZero. The caller
+// must not use the slice afterwards.
 func (e *Ctx) PutDists(s []graph.Dist) {
-	if e == nil || !e.arenaOn {
-		return
-	}
 	distPools.put(s)
 }
 
 // Verts returns a len-n vertex buffer filled with graph.NoVertex (the
 // parent-array starting state).
 func (e *Ctx) Verts(n int) []graph.V {
-	if e == nil || !e.arenaOn {
-		s := make([]graph.V, n)
-		for i := range s {
-			s[i] = graph.NoVertex
-		}
-		return s
-	}
 	s := vertPools.get(n)
 	for i := range s {
 		s[i] = graph.NoVertex
@@ -135,22 +115,12 @@ func (e *Ctx) Verts(n int) []graph.V {
 
 // PutVerts releases a buffer obtained from Verts.
 func (e *Ctx) PutVerts(s []graph.V) {
-	if e == nil || !e.arenaOn {
-		return
-	}
 	vertPools.put(s)
 }
 
 // Marks returns a len-n int32 buffer filled with -1 (the mark/token
 // and claimed-array starting state).
 func (e *Ctx) Marks(n int) []int32 {
-	if e == nil || !e.arenaOn {
-		s := make([]int32, n)
-		for i := range s {
-			s[i] = -1
-		}
-		return s
-	}
 	s := markPools.get(n)
 	for i := range s {
 		s[i] = -1
@@ -160,21 +130,13 @@ func (e *Ctx) Marks(n int) []int32 {
 
 // MarksZero returns a len-n int32 buffer filled with 0.
 func (e *Ctx) MarksZero(n int) []int32 {
-	if e == nil || !e.arenaOn {
-		return make([]int32, n)
-	}
 	s := markPools.get(n)
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
 // PutMarks releases a buffer obtained from Marks/MarksZero.
 func (e *Ctx) PutMarks(s []int32) {
-	if e == nil || !e.arenaOn {
-		return
-	}
 	markPools.put(s)
 }
 
@@ -182,9 +144,6 @@ func (e *Ctx) PutMarks(s []int32) {
 // Each keeps the capacity it had when released, so a queue reused
 // through the arena stops growing its buckets once warm.
 func (e *Ctx) Buckets(n int) [][]graph.V {
-	if e == nil || !e.arenaOn {
-		return make([][]graph.V, n)
-	}
 	s := bucketPools.get(n)
 	for i := range s {
 		s[i] = s[i][:0]
@@ -194,8 +153,18 @@ func (e *Ctx) Buckets(n int) [][]graph.V {
 
 // PutBuckets releases a buffer obtained from Buckets.
 func (e *Ctx) PutBuckets(s [][]graph.V) {
-	if e == nil || !e.arenaOn {
-		return
-	}
 	bucketPools.put(s)
+}
+
+// Words returns a len-n bitmap buffer filled with 0 (a bucket queue's
+// occupancy bits).
+func (e *Ctx) Words(n int) []uint64 {
+	s := wordPools.get(n)
+	clear(s)
+	return s
+}
+
+// PutWords releases a buffer obtained from Words.
+func (e *Ctx) PutWords(s []uint64) {
+	wordPools.put(s)
 }

@@ -16,11 +16,11 @@
 //
 // All methods are safe on a nil *Ctx, which means "legacy behavior":
 // For/Do/DoN delegate to the package-level par entry points (full
-// GOMAXPROCS fan-out on the shared pool), arenas fall back to plain
-// allocation, cancellation never fires, and telemetry is off. A
-// sequential, cancelable, arena-backed run is therefore an explicit
-// choice — exec.Sequential() — not the nil default, so every existing
-// call site keeps its exact pre-exec behavior.
+// GOMAXPROCS fan-out on the shared pool), cancellation never fires, and
+// telemetry is off. The arenas are process-wide, so a nil Ctx draws
+// scratch from the same pools as any other. A sequential or cancelable
+// run is therefore an explicit choice — exec.Sequential() — not the nil
+// default.
 //
 // # Cancellation contract
 //
@@ -86,7 +86,6 @@ type Ctx struct {
 	labels   context.Context
 	canceled atomic.Bool
 	rounds   atomic.Int64
-	arenaOn  bool
 }
 
 // New builds a Ctx from Options. A finite cap (Workers > 1) is
@@ -96,7 +95,7 @@ type Ctx struct {
 // goroutines of that build in flight however the recursion nests.
 func New(opt Options) *Ctx {
 	e := &Ctx{workers: opt.Workers, tel: opt.Telemetry, onStage: opt.OnStage,
-		labels: opt.Labels, arenaOn: true}
+		labels: opt.Labels}
 	if opt.Workers < 0 {
 		e.workers = 0
 	}
@@ -111,12 +110,11 @@ func New(opt Options) *Ctx {
 }
 
 // Sequential returns a Ctx that runs everything inline (workers = 1)
-// with arenas on and no cancellation: the reference-oracle shape, but
-// allocation-free on repeated calls.
+// with no cancellation: the reference-oracle shape.
 func Sequential() *Ctx { return New(Options{Workers: 1}) }
 
 // Parallel returns a Ctx capped at the given worker count (0 =
-// GOMAXPROCS) with arenas on and no cancellation.
+// GOMAXPROCS) with no cancellation.
 func Parallel(workers int) *Ctx { return New(Options{Workers: workers}) }
 
 // defaultCtx is the shared process-wide parallel context behind the
@@ -124,11 +122,11 @@ func Parallel(workers int) *Ctx { return New(Options{Workers: workers}) }
 var defaultCtx = Parallel(0)
 
 // Default returns the shared full-parallelism Ctx (GOMAXPROCS workers,
-// arenas on, never canceled).
+// never canceled).
 func Default() *Ctx { return defaultCtx }
 
-// Detached returns a Ctx with the same worker cap and arena setting
-// but no cancellation, no telemetry, and its own fresh helper budget:
+// Detached returns a Ctx with the same worker cap and labels but no
+// cancellation, no telemetry, and its own fresh helper budget:
 // the shape query paths want, where a canceled build must never
 // truncate a search that is computing a user-visible answer. Safe on
 // nil (returns nil).
@@ -136,7 +134,7 @@ func (e *Ctx) Detached() *Ctx {
 	if e == nil {
 		return nil
 	}
-	d := &Ctx{workers: e.workers, arenaOn: e.arenaOn, labels: e.labels}
+	d := &Ctx{workers: e.workers, labels: e.labels}
 	if d.workers > 1 {
 		d.limiter = par.NewLimiter(d.workers - 1)
 	}

@@ -31,7 +31,7 @@ func TestNilCtxLegacyBehavior(t *testing.T) {
 			t.Fatalf("index %d visited %d times", i, hits[i].Load())
 		}
 	}
-	// Arena calls still work (plain allocation).
+	// Arena calls work too: the pools are process-wide.
 	d := e.Dists(8)
 	if len(d) != 8 || d[0] != graph.InfDist {
 		t.Fatalf("nil Dists = %v", d)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,28 +96,32 @@ func UnweightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
 	if k < 1 {
 		panic(fmt.Sprintf("spanner: k = %d", k))
 	}
-	ids, clus := unweightedStep(g, k, seed, opt)
+	ids, _, clus := unweightedStep(g, k, seed, opt)
 	return &Result{EdgeIDs: ids, Clustering: clus, Levels: 1}
 }
 
 // unweightedStep performs the decomposition-plus-boundary-edges step
 // shared by Unweighted and WellSeparated: cluster g with unit weights,
 // keep the forest, and add one edge per (boundary vertex, adjacent
-// cluster) pair. Returns edge ids of g, ascending and duplicate-free.
-func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *core.Result) {
+// cluster) pair. Returns edge ids of g, ascending and duplicate-free,
+// the forest's edge ids on their own (WellSeparated contracts them) and
+// the clustering.
+func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) (ids, forest []int32, clus *core.Result) {
 	cost := opt.Cost
 	n := g.NumVertices()
 	if n == 0 || g.NumEdges() == 0 {
-		return nil, core.Cluster(g, 1, seed, core.Options{Cost: cost})
+		return nil, nil, core.Cluster(g, 1, seed, core.Options{Cost: cost})
 	}
 	beta := betaFor(n, k)
-	clus := core.Cluster(g, beta, seed, core.Options{
+	clus = core.Cluster(g, beta, seed, core.Options{
 		Cost: cost, UnitWeights: true, Exec: opt.Exec,
 	})
 	if opt.Exec.Canceled() {
-		return nil, clus // partial, invalid; owner must check Err()
+		return nil, nil, clus // partial, invalid; owner must check Err()
 	}
-	ids := core.ForestEdges(g, clus)
+	forest = core.ForestEdges(g, clus)
+	// uniqueIDs below reuses ids' storage, so ids starts as a copy.
+	ids = slices.Clone(forest)
 
 	// Boundary edges: per vertex, the lightest edge to each adjacent
 	// foreign cluster (Algorithm 2 line 2). One parallel round over
@@ -170,7 +175,7 @@ func unweightedStep(g *graph.Graph, k int, seed uint64, opt Options) ([]int32, *
 	}
 	cost.AddWork(boundaryWork.Load())
 	cost.AddDepth(1)
-	return uniqueIDs(ids, g.NumEdges()), clus
+	return uniqueIDs(ids, g.NumEdges()), forest, clus
 }
 
 // better orders candidate boundary edges by (weight, id) so selection
@@ -276,14 +281,13 @@ func wellSeparated(g *graph.Graph, groupEdges []int32, k int, seed uint64, opt O
 		}
 		// Cluster Γ_i with uniform weights and collect forest +
 		// boundary edges, mapped back to g's edge ids.
-		gammaIDs, clus := unweightedStep(gamma, k, r.Uint64(), opt)
+		gammaIDs, forest, _ := unweightedStep(gamma, k, r.Uint64(), opt)
 		for _, ge := range gammaIDs {
 			out = append(out, bucketIDs[src[ge]])
 		}
 		// Contract the new forest into H_i (Algorithm 3 line 7): union
 		// the original endpoints of every Γ-forest edge, merging the
 		// H-components the tree connects.
-		forest := core.ForestEdges(gamma, clus)
 		for _, ge := range forest {
 			orig := g.Edges()[bucketIDs[src[ge]]]
 			uf.Union(orig.U, orig.V)

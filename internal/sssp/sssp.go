@@ -5,10 +5,24 @@
 // rounds (the h-hop distances that define hopsets), and a sequential
 // Dijkstra used as the exact reference in tests and evaluations.
 //
+// Two monotone queues back the exact searches. Dial's ring (Dial,
+// CACM 1969) holds one bucket per weight unit and jumps over empty
+// buckets through an occupancy bitmap; Dial and DialTo always run on
+// it, and Dijkstra and DijkstraTo run on it whenever the graph's
+// largest weight is at most ringMaxWeight (4095). Above that the ring
+// would grow with the weights, so Dijkstra runs on the radix heap
+// (Ahuja–Mehlhorn–Orlin–Tarjan, JACM 1990), whose cost grows only with
+// their logarithm; the dynamic overlay's patched search, which relaxes
+// arcs no CSR holds, uses the exported RadixHeap directly. Both queues
+// give the same distances. The queue buffers come from the exec arenas
+// on every context, nil included.
+//
 // Depth accounting follows the paper: one synchronous round per BFS
 // level (or per Dial bucket), with the CRCW O(log* n) per-round factor
 // treated as a model constant (Appendix A). Work is the number of
-// edge relaxations plus vertex settlements.
+// edge relaxations plus vertex settlements. Dijkstra is costed as the
+// sequential algorithm it is, on either queue: work and depth both
+// equal the arcs it scans.
 //
 // All searches accept an optional vertex restriction (Mark/Token):
 // only vertices v with Mark[v] == Token participate. The hopset
@@ -18,6 +32,7 @@ package sssp
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -43,8 +58,8 @@ type Options struct {
 	// cancellation is polled at level/bucket boundaries — a canceled
 	// search returns immediately with an invalid partial result, so
 	// callers must check Exec.Err() before using it. Nil keeps the
-	// legacy behavior (full GOMAXPROCS, plain allocation, no
-	// cancellation).
+	// legacy behavior (full GOMAXPROCS, freshly allocated results, no
+	// cancellation); scratch comes from the same process-wide arenas.
 	Exec *exec.Ctx
 	// Shift makes Dial relax every arc at ⌈w/2^Shift⌉ instead of w:
 	// Lemma 5.2's rounding to a power-of-two granularity, applied per
@@ -94,7 +109,8 @@ func newResult(n int32) *Result {
 }
 
 // newResultOn acquires the result arrays from ec's arenas (already
-// reset to InfDist / NoVertex); nil ec allocates fresh.
+// reset to InfDist / NoVertex); nil ec allocates them fresh at exactly
+// n, since a nil-context caller never releases them.
 func newResultOn(ec *exec.Ctx, n int32) *Result {
 	if ec == nil {
 		return newResult(n)
@@ -191,7 +207,8 @@ func BFS(g *graph.Graph, sources []graph.V, opt Options) *Result {
 // Work is one per settled vertex plus the arcs it scans; a stale
 // bucket entry (a vertex queued again at a lower key) is skipped and
 // costs nothing, so Work equals Σ(1 + degree) over the settled
-// vertices.
+// vertices. Empty levels count toward the depth but are jumped over,
+// not visited (see ring).
 func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	res := newResultOn(opt.Exec, g.NumVertices())
 	dial(g, sources, &opt, graph.NoVertex, res)
@@ -203,8 +220,8 @@ func Dial(g *graph.Graph, sources []graph.V, opt Options) *Result {
 // admitted), stopping as soon as dst is settled. Its depth is the
 // number of levels up to and including dst's, its work Dial's over the
 // vertices settled before dst, plus one for dst. It keeps no parents,
-// and its one distance buffer comes from and returns to opt.Exec, so
-// on an execution context it allocates a small constant, not O(n).
+// and its distance and queue buffers come from and return to the exec
+// arenas, so it allocates a small constant, not O(n).
 func DialTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
 	res := Result{Dist: opt.Exec.Dists(int(g.NumVertices()))}
 	sources := [1]graph.V{src}
@@ -214,126 +231,271 @@ func DialTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
 	return d
 }
 
-// dial is the bucket race behind Dial and DialTo. It settles vertices
-// into res in distance order and returns as soon as stop is settled
-// (never, for NoVertex); it records parents only when res.Parent is
-// non-nil. A run that neither stops nor is canceled leaves no
+// dial is the body behind Dial and DialTo: the ring search at
+// opt.Shift, costed as the weighted parallel BFS. Every distance level
+// up to the last one drained is one synchronous round, empty or not:
+// this is the "depth linear in path lengths" that Section 5's rounding
+// scheme exists to shrink.
+func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result) {
+	maxW := (g.MaxWeight()-1)>>opt.Shift + 1
+	c := ringSearch(g, sources, opt, opt.Shift, maxW, stop, res, true)
+	work := c.settled + c.arcs
+	if c.stopped {
+		work++
+	}
+	opt.Cost.AddWork(work)
+	opt.Cost.AddDepth(int64(c.levels))
+}
+
+// ringCount is what one ringSearch did, for its caller to cost.
+type ringCount struct {
+	settled int64      // vertices settled and scanned; a stop vertex is not
+	arcs    int64      // arcs scanned from them
+	levels  graph.Dist // distance levels swept: the last key drained + 1
+	stopped bool       // the stop vertex settled
+	visits  int64      // the ring's visits
+}
+
+// maxBuckets bounds a ring: a wider weight span must be rounded
+// (Options.Shift) or capped (Options.MaxDist) first.
+const maxBuckets = 1 << 28
+
+// ringSearch settles vertices into res in distance order on a ring,
+// relaxing every arc at ⌈w/2^shift⌉ given maxW, the largest such
+// rounded weight. It returns as soon as stop is settled (never, for
+// NoVertex) and records parents only when res.Parent is non-nil.
+// Buckets drain in insertion order, so ties settle the same way on
+// every run. At each non-empty bucket it polls the context, by
+// Checkpoint (a counted round) when rounds is set and by Canceled
+// otherwise. A run that neither stops nor is canceled leaves no
 // tentative distance behind: every queued key is within the bound and
 // is drained, so each finite Dist is final.
-func dial(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result) {
+func ringSearch(g *graph.Graph, sources []graph.V, opt *Options, shift uint, maxW graph.W, stop graph.V, res *Result, rounds bool) (c ringCount) {
 	bound := opt.bound()
-	shift := opt.Shift
-	maxW := (g.MaxWeight()-1)>>shift + 1
-	if maxW < 1 {
-		maxW = 1
-	}
-	// Circular buckets: a relaxation increases the key by at most
-	// maxW, so maxW+1 buckets suffice. A bounded search never keeps
-	// keys above the bound, so the bucket span clamps to it — this is
-	// what keeps level-capped searches on huge-weight graphs cheap.
-	span := maxW
+	// A relaxation increases the key by at most maxW, so maxW+1
+	// buckets suffice. A bounded search never keeps keys above the
+	// bound, so the span clamps to it — this is what keeps level-capped
+	// searches on huge-weight graphs cheap.
+	span := max(maxW, 1)
 	if bound < graph.InfDist && graph.W(bound)+1 < span {
 		span = graph.W(bound) + 1
 	}
-	const maxBuckets = 1 << 28
 	if span+1 > maxBuckets {
 		panic(fmt.Sprintf("sssp: Dial bucket span %d too large; round weights or set MaxDist", span))
 	}
-	nb := int(span) + 1
-	buckets := opt.Exec.Buckets(nb)
-	defer opt.Exec.PutBuckets(buckets)
+	ec := opt.Exec
+	r := newRing(ec, span)
+	defer func() {
+		c.visits = r.visits
+		r.release(ec)
+	}()
+	dist, parent := res.Dist, res.Parent
+	mark, token := opt.Mark, opt.Token
 	pending := 0
 	for _, s := range sources {
-		if !opt.admits(s) || res.Dist[s] == 0 {
+		if !opt.admits(s) || dist[s] == 0 {
 			continue
 		}
-		res.Dist[s] = 0
-		buckets[0] = append(buckets[0], s)
+		dist[s] = 0
+		r.push(0, s)
 		pending++
 	}
-	for level := graph.Dist(0); pending > 0 && level <= bound; level++ {
-		// Every distance level is one synchronous round of the
-		// weighted parallel BFS, empty or not: this is the "depth
-		// linear in path lengths" that Section 5's rounding scheme
-		// exists to shrink.
-		opt.Cost.AddDepth(1)
-		b := buckets[int(level)%nb]
-		if len(b) == 0 {
-			continue
+	// The unrestricted case — no Mark, no bound, true weights, every
+	// weight in its Arc — is every full search from the facade and
+	// every exact s–t query; it gets its own loop.
+	tight := mark == nil && bound == graph.InfDist && shift == 0 && g.MaxWeight() <= math.MaxUint32
+	var level graph.Dist
+	for pending > 0 {
+		level = r.next(level)
+		c.levels = level + 1
+		if rounds && ec.Checkpoint() || !rounds && ec.Canceled() {
+			return c // canceled: partial, invalid
 		}
-		if opt.Exec.Checkpoint() {
-			return // canceled: partial, invalid
-		}
+		i := int(level) & r.mask
+		b := r.buckets[i]
 		pending -= len(b)
-		var work int64
 		for _, v := range b {
 			// A vertex is queued at most once per key and every entry
 			// is drained at its own key, so an entry is current iff
 			// its key is still the vertex's distance.
-			if res.Dist[v] != level {
+			if dist[v] != level {
 				continue // stale entry
 			}
 			if v == stop {
-				opt.Cost.AddWork(work + 1)
-				return
+				c.stopped = true
+				return c
 			}
 			arcs := g.Arcs(v)
+			c.settled++
+			c.arcs += int64(len(arcs))
+			// A settled u already has Dist[u] <= level < nd, and an
+			// admitted nd lands in another bucket than the one being
+			// drained: 0 < nd-level <= span < len(buckets).
+			if tight {
+				for _, a := range arcs {
+					u := a.To
+					if nd := level + graph.Dist(a.W); nd < dist[u] {
+						dist[u] = nd
+						if parent != nil {
+							parent[u] = v
+						}
+						r.push(nd, u)
+						pending++
+					}
+				}
+				continue
+			}
 			wide := g.Wide(v)
-			work += 1 + int64(len(arcs))
-			for i, a := range arcs {
+			for j, a := range arcs {
 				w := graph.W(a.W)
 				if wide != nil {
-					w = wide[i]
+					w = wide[j]
 				}
 				u := a.To
-				// A settled u already has Dist[u] <= level < nd. An
-				// admitted nd lands in bucket nd%nb, never the one
-				// being drained: 0 < nd-level <= span < nb.
 				nd := level + (w-1)>>shift + 1 // ⌈w/2^shift⌉, w >= 1
-				if nd < res.Dist[u] && nd <= bound && opt.admits(u) {
-					res.Dist[u] = nd
-					if res.Parent != nil {
-						res.Parent[u] = v
+				if nd < dist[u] && nd <= bound && (mark == nil || atomic.LoadInt32(&mark[u]) == token) {
+					dist[u] = nd
+					if parent != nil {
+						parent[u] = v
 					}
-					buckets[int(nd)%nb] = append(buckets[int(nd)%nb], u)
+					r.push(nd, u)
 					pending++
 				}
 			}
 		}
-		// Keep the drained bucket's capacity for its next refill.
-		buckets[int(level)%nb] = b[:0]
-		opt.Cost.AddWork(work)
+		r.drained(i)
+	}
+	return c
+}
+
+// ring is the circular bucket queue behind Dial and the small-weight
+// Dijkstra: a power-of-two number of buckets, indexed by key & mask, at
+// least one more than the span of keys queued at once, so no two live
+// keys share a bucket. occ has bit i set iff bucket i is non-empty and
+// sum has bit j set iff occ[j] is non-zero, so next jumps over any run
+// of empty buckets in a few word reads: a path of heavy edges costs
+// O(1) per level it skips, not one visit per empty level.
+type ring struct {
+	buckets [][]graph.V
+	occ     []uint64 // sum follows it in the same arena buffer
+	sum     []uint64
+	mask    int
+	visits  int64 // buckets drained plus bitmap words read to find them
+}
+
+// newRing takes a ring for keys spanning at most span above the level
+// being drained from ec's arenas.
+func newRing(ec *exec.Ctx, span graph.W) ring {
+	nb := 1 << bits.Len64(uint64(span)) // the least power of two > span
+	nw := max(nb>>6, 1)
+	words := ec.Words(nw + max(nw>>6, 1))
+	return ring{buckets: ec.Buckets(nb), occ: words[:nw], sum: words[nw:], mask: nb - 1}
+}
+
+// release returns the ring's buffers to ec's arenas; occ still spans
+// the whole bitmap buffer through its capacity.
+func (r *ring) release(ec *exec.Ctx) {
+	ec.PutBuckets(r.buckets)
+	ec.PutWords(r.occ)
+}
+
+// push queues v at key.
+func (r *ring) push(key graph.Dist, v graph.V) {
+	i := int(key) & r.mask
+	if len(r.buckets[i]) == 0 {
+		r.occ[i>>6] |= 1 << (i & 63)
+		r.sum[i>>12] |= 1 << (i >> 6 & 63)
+	}
+	r.buckets[i] = append(r.buckets[i], v)
+}
+
+// drained empties bucket i once its entries are processed, keeping its
+// capacity for the next refill.
+func (r *ring) drained(i int) {
+	r.buckets[i] = r.buckets[i][:0]
+	r.visits++
+	w := i >> 6
+	if r.occ[w] &^= 1 << (i & 63); r.occ[w] == 0 {
+		r.sum[w>>6] &^= 1 << (w & 63)
 	}
 }
 
-// Dijkstra is the exact sequential reference implementation, run on
-// the radix heap of Ahuja, Mehlhorn, Orlin and Tarjan (JACM 1990) keyed
-// by Result.Dist (see RadixHeap): O(m + n log C) for integer weights up
-// to C, with one queue for every weight range. A run on an execution
-// context takes every O(n) buffer from the arenas, so the allocation
-// count is a constant independent of n, m and the weights.
+// next returns the least queued key, given that the ring is not empty
+// and every queued key lies in [level, level+mask]. It counts the
+// bitmap words it reads in r.visits.
+func (r *ring) next(level graph.Dist) graph.Dist {
+	i := int(level) & r.mask
+	r.visits++
+	if m := r.occ[i>>6] >> (i & 63); m != 0 {
+		return level + graph.Dist(bits.TrailingZeros64(m))
+	}
+	return level + graph.Dist(r.after(i))
+}
+
+// after is next past the word holding bucket i, which has no occupied
+// bucket at or above i: it returns the circular distance from i to the
+// first occupied bucket of the first non-empty word after it, which is
+// i's own word, below i, when every other word is empty.
+func (r *ring) after(i int) int {
+	x := (i>>6 + 1) & (len(r.occ) - 1)
+	s := x >> 6
+	r.visits += 2
+	if m := r.sum[s] >> (x & 63); m != 0 {
+		x += bits.TrailingZeros64(m)
+	} else {
+		for {
+			s = (s + 1) & (len(r.sum) - 1)
+			r.visits++
+			if r.sum[s] != 0 {
+				break
+			}
+		}
+		x = s<<6 | bits.TrailingZeros64(r.sum[s])
+	}
+	k := x<<6 | bits.TrailingZeros64(r.occ[x])
+	return (k - i) & r.mask
+}
+
+// ringMaxWeight is the largest graph weight Dijkstra searches on the
+// ring rather than the radix heap. Its ring has at most 4096 buckets,
+// so the occupancy bitmap is 64 words under one summary word and every
+// jump to the next non-empty bucket reads at most four words. Wider
+// weights stay on the radix heap, whose cost grows only with their
+// logarithm: a ring must hold one bucket per weight unit.
+const ringMaxWeight = 1<<12 - 1
+
+// Dijkstra is the exact sequential reference implementation. On a
+// graph whose weights are at most ringMaxWeight it runs on Dial's
+// bucket ring, otherwise on the radix heap of Ahuja, Mehlhorn, Orlin
+// and Tarjan (JACM 1990) keyed by Result.Dist (see RadixHeap): O(m + n
+// log C) for integer weights up to C. The queue buffers come from the
+// exec arenas on every context, nil included, so a call allocates its
+// result and a small constant besides, independent of n, m and the
+// weights; on an execution context with a released result, only the
+// constant.
 //
-// Distances are exact; parents form some certifying shortest-path tree
-// (ties among equal-length paths may resolve either way). It accepts
-// the same Options; MaxDist is enforced at relaxation, as in Dial, so
-// no key past the bound is ever queued. Cost accounting treats it as a
-// sequential algorithm: work and depth both equal the edges scanned
-// from settled vertices.
+// Distances are exact and identical on either queue; parents form some
+// certifying shortest-path tree (ties among equal-length paths may
+// resolve either way). It accepts the same Options but Shift; MaxDist
+// is enforced at relaxation, as in Dial, so no key past the bound is
+// ever queued. Cost accounting treats it as a sequential algorithm on
+// either queue: work and depth both equal the edges scanned from
+// settled vertices.
 func Dijkstra(g *graph.Graph, sources []graph.V, opt Options) *Result {
 	res := newResultOn(opt.Exec, g.NumVertices())
 	dijkstra(g, sources, &opt, graph.NoVertex, res)
 	return res
 }
 
-// DijkstraTo is the point-to-point Dijkstra, the radix-heap twin of
-// DialTo: it returns the distance from src to dst (InfDist if dst is
+// DijkstraTo is the point-to-point Dijkstra, on the same queue choice:
+// it returns the distance from src to dst (InfDist if dst is
 // unreachable, outside opt.MaxDist or not admitted), stopping as soon
 // as dst is settled. Its work and depth are the edges scanned from the
 // vertices settled before dst; dst itself scans nothing. It keeps no
 // parents, and its distance and queue buffers come from and return to
-// opt.Exec, so on an execution context it allocates a small constant,
-// not O(n). This is the repository's one exact s–t kernel: every
-// ground-truth distance and every exact fallback runs on it.
+// the exec arenas, so it allocates a small constant, not O(n). This is
+// the repository's one exact s–t kernel: every ground-truth distance
+// and every exact fallback runs on it.
 func DijkstraTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
 	res := Result{Dist: opt.Exec.Dists(int(g.NumVertices()))}
 	sources := [1]graph.V{src}
@@ -343,13 +505,26 @@ func DijkstraTo(g *graph.Graph, src, dst graph.V, opt Options) graph.Dist {
 	return d
 }
 
-// dijkstra is the radix-heap search behind Dijkstra and DijkstraTo. It
-// settles vertices into res in distance order and returns as soon as
-// stop is settled (never, for NoVertex); it records parents only when
-// res.Parent is non-nil. A run that is not canceled drains every
-// queued vertex it does not stop before, so each finite Dist it
-// leaves is final.
+// dijkstra is the body behind Dijkstra and DijkstraTo: it picks the
+// queue by the graph's largest weight and costs the arcs scanned.
 func dijkstra(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result) {
+	var scanned int64
+	if maxW := g.MaxWeight(); maxW <= ringMaxWeight {
+		scanned = ringSearch(g, sources, opt, 0, maxW, stop, res, false).arcs
+	} else {
+		scanned = radixSearch(g, sources, opt, stop, res)
+	}
+	opt.Cost.AddWork(scanned)
+	opt.Cost.AddDepth(scanned)
+}
+
+// radixSearch is dijkstra on the radix heap: it settles vertices into
+// res in distance order, returns as soon as stop is settled (never,
+// for NoVertex), records parents only when res.Parent is non-nil, and
+// returns the arcs it scanned. A run that is not canceled drains every
+// queued vertex it does not stop before, so each finite Dist it leaves
+// is final.
+func radixSearch(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res *Result) int64 {
 	n := int(g.NumVertices())
 	bound := opt.bound()
 	// One arena buffer holds the three per-vertex queue arrays.
@@ -366,7 +541,7 @@ func dijkstra(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res
 	var ops int64
 	for !q.Empty() {
 		if opt.Exec.Canceled() {
-			return // canceled: partial, invalid
+			return ops // canceled: partial, invalid
 		}
 		v := q.Pop()
 		if v == stop {
@@ -396,8 +571,7 @@ func dijkstra(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res
 			}
 		}
 	}
-	opt.Cost.AddWork(ops)
-	opt.Cost.AddDepth(ops)
+	return ops
 }
 
 // radixBuckets is the number of radix-heap buckets: queued keys are
@@ -405,10 +579,11 @@ func dijkstra(g *graph.Graph, sources []graph.V, opt *Options, stop graph.V, res
 const radixBuckets = 63
 
 // RadixHeap is the monotone priority queue of Ahuja, Mehlhorn, Orlin
-// and Tarjan over vertex ids keyed by dist[v], the queue of every exact
-// search in the repository: Dijkstra and DijkstraTo here, and the
-// dynamic overlay's patched search, which relaxes arcs no CSR holds.
-// Pops are monotone: every key passed to Update must be at least the
+// and Tarjan over vertex ids keyed by dist[v], the exact searches'
+// queue wherever weights are too wide for the ring: Dijkstra and
+// DijkstraTo on graphs with a weight above ringMaxWeight, and the
+// dynamic overlay's patched search, which relaxes arcs no CSR holds
+// and whose weights no graph bounds. Pops are monotone: every key passed to Update must be at least the
 // last popped one, which positive weights guarantee.
 //
 // A queued key k sits in bucket bits.Len64(k ^ last), where last is

@@ -250,15 +250,18 @@ func TestEccentricityAndDiameter(t *testing.T) {
 var weightRanges = [4]graph.W{15, 1 << 16, 1 << 40, 1 << 55}
 
 // boundaryRanges replace weightRanges when flag bit 6 is set: ceilings
-// on either side of math.MaxUint32, the largest weight an Arc holds.
-// Half the edges then sit within 2 of the ceiling, so a 2^32+1 graph
-// mixes narrow arcs with arcs only its Wide weights describe, and a
-// 2^32-1 graph stores weights up to exactly math.MaxUint32 in its arcs.
-var boundaryRanges = [2]graph.W{1<<32 - 1, 1<<32 + 1}
+// on either side of math.MaxUint32, the largest weight an Arc holds,
+// and on either side of ringMaxWeight, the largest weight Dijkstra
+// searches on the ring rather than the radix heap. Edge 0 sits at the
+// ceiling and half the others within 2 of it, so a 2^32+1 graph mixes
+// narrow arcs with arcs only its Wide weights describe, a 2^32-1 graph
+// stores weights up to exactly math.MaxUint32 in its arcs, and the
+// last two run Dijkstra on either queue.
+var boundaryRanges = [4]graph.W{1<<32 - 1, 1<<32 + 1, ringMaxWeight, ringMaxWeight + 1}
 
 // randomSearch draws a random search instance for the differential
 // properties: a connected graph with unit weights or random weights up
-// to weightRanges[flags>>4&3] (boundaryRanges[flags>>4&1] when flags
+// to weightRanges[flags>>4&3] (boundaryRanges[flags>>4&3] when flags
 // has bit 6), optional parallel edges (a second copy
 // of some edges at a new weight), one or several possibly duplicated
 // sources, an optional Mark/Token restriction to about three quarters
@@ -275,7 +278,7 @@ func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, 
 	maxW := weightRanges[flags>>4&3]
 	boundary := flags&0x40 != 0
 	if boundary {
-		maxW = boundaryRanges[flags>>4&1]
+		maxW = boundaryRanges[flags>>4&3]
 	}
 	edges := append([]graph.Edge(nil), graph.RandomConnectedGNM(n, m, seed).Edges()...)
 	if flags&2 != 0 {
@@ -290,6 +293,9 @@ func randomSearch(seed uint64, boundRaw, flags uint8) (*graph.Graph, []graph.V, 
 		if boundary && r.Intn(2) == 0 {
 			edges[i].W = maxW - r.Int63n(3)
 		}
+	}
+	if boundary {
+		edges[0].W = maxW
 	}
 	g := graph.FromEdges(n, edges, weighted)
 
@@ -434,9 +440,13 @@ func checkDijkstraTo(g *graph.Graph, src graph.V, opt Options, ec *exec.Ctx) err
 // parallel edges, multiple and duplicate sources, Mark/Token
 // restriction, distance bounds) Dijkstra passes checkDijkstra, and
 // where the weights fit Dial's buckets its distances equal Dial's.
+// Instances at ringMaxWeight and one above it run Dijkstra on either
+// side of its queue dispatch; the test fails unless both occur.
 func TestDialDijkstraProperty(t *testing.T) {
+	var queues queueSides
 	f := func(seedRaw uint32, boundRaw, flags uint8) bool {
 		g, sources, opt := randomSearch(uint64(seedRaw), boundRaw, flags)
+		queues.count(g)
 		if err := checkDijkstra(g, sources, opt); err != nil {
 			t.Log(err)
 			return false
@@ -447,19 +457,44 @@ func TestDialDijkstraProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+	queues.check(t)
+}
+
+// queueSides counts the instances a test ran exactly at ringMaxWeight
+// (Dijkstra on the ring) and exactly one above it (on the radix heap).
+type queueSides struct{ atCap, aboveCap int }
+
+func (q *queueSides) count(g *graph.Graph) {
+	switch g.MaxWeight() {
+	case ringMaxWeight:
+		q.atCap++
+	case ringMaxWeight + 1:
+		q.aboveCap++
+	}
+}
+
+func (q *queueSides) check(t *testing.T) {
+	t.Helper()
+	if q.atCap == 0 || q.aboveCap == 0 {
+		t.Fatalf("%d instances at max weight %d (ring), %d at %d (radix heap); want both > 0",
+			q.atCap, ringMaxWeight, q.aboveCap, ringMaxWeight+1)
+	}
 }
 
 // TestDijkstraMatchesReference runs checkDijkstra on every randomSearch
-// flag combination (unit or random weights in each weight range and on
-// either side of math.MaxUint32, parallel edges, duplicate sources,
-// Mark), unbounded and at two distance bounds, so each range, 2^55
-// included, is covered with and without MaxDist on every run.
+// flag combination (unit or random weights in each weight range, on
+// either side of math.MaxUint32 and on either side of the ring/radix
+// dispatch, parallel edges, duplicate sources, Mark), unbounded and at
+// two distance bounds, so each range, 2^55 included, is covered with
+// and without MaxDist on every run.
 func TestDijkstraMatchesReference(t *testing.T) {
 	wide := 0
+	var queues queueSides
 	for flags := 0; flags < 128; flags++ {
 		for _, boundRaw := range []uint8{1, 40, 120} {
 			for seed := uint64(0); seed < 4; seed++ {
 				g, sources, opt := randomSearch(seed, boundRaw, uint8(flags))
+				queues.count(g)
 				if g.Wide(0) != nil {
 					wide++
 				}
@@ -472,6 +507,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 	if wide == 0 {
 		t.Fatal("no instance has Wide weights")
 	}
+	queues.check(t)
 }
 
 // dialShifts are the Options.Shift values TestDialMatchesReference
@@ -592,21 +628,27 @@ func TestDialToMatchesDial(t *testing.T) {
 
 // TestDialWorkCounted pins the work Dial and DialTo report to
 // referenceDial's count, on random instances (unit and random weights
-// up to 15, parallel edges, several sources, Mark restriction) at every
-// Shift in {0, 1, 3}, bounded and unbounded: Dial's work is Σ(1 +
-// degree) over the vertices it settles, and DialTo's to each dst is
-// that sum over the vertices settled before dst, plus one. The
-// instances drain stale entries, so a kernel that expanded them again
-// would report more. Dijkstra's work, the degree sum over its settled
-// vertices, is pinned on the same instances by checkDijkstra, and
-// DijkstraTo's to every dst by checkDijkstraTo.
+// up to 15, at ringMaxWeight and at one above it, parallel edges,
+// several sources, Mark restriction) at every Shift in {0, 1, 3},
+// bounded and unbounded: Dial's work is Σ(1 + degree) over the
+// vertices it settles, and DialTo's to each dst is that sum over the
+// vertices settled before dst, plus one. The instances drain stale
+// entries, so a kernel that expanded them again would report more.
+// Dijkstra's work, the degree sum over its settled vertices, is pinned
+// on the same instances by checkDijkstra, and DijkstraTo's to every
+// dst by checkDijkstraTo, on either side of Dijkstra's queue dispatch.
 func TestDialWorkCounted(t *testing.T) {
 	ec := exec.Sequential()
 	var stale int64
-	for flags := 0; flags < 16; flags++ {
+	var queues queueSides
+	for i := 0; i < 48; i++ {
+		// flags 0–15, then the same options at either boundaryRanges
+		// ceiling around ringMaxWeight.
+		flags := i&15 | []int{0, 0x60, 0x70}[i>>4]
 		for _, boundRaw := range []uint8{1, 20} {
 			for seed := uint64(0); seed < 3; seed++ {
 				g, sources, opt := randomSearch(seed, boundRaw, uint8(flags))
+				queues.count(g)
 				if err := checkDijkstra(g, sources, opt); err != nil {
 					t.Fatalf("flags %#x, MaxDist %d, seed %d: Dijkstra: %v", flags, opt.MaxDist, seed, err)
 				}
@@ -645,6 +687,7 @@ func TestDialWorkCounted(t *testing.T) {
 	if stale == 0 {
 		t.Fatal("no instance drained a stale entry: the test must cover one")
 	}
+	queues.check(t)
 }
 
 // Property: Dial's parent pointers always certify the reported
@@ -910,32 +953,23 @@ func (h *indexedHeap) down(i int) {
 
 // TestDijkstraAllocsConstant pins the point-to-point kernels'
 // allocation counts: on an execution context with released results,
-// Dijkstra, DijkstraTo and DialTo each allocate the same small constant however
-// many edges they relax and however wide the weights — the radix heap
-// links vertex ids through an arena buffer, and Dial's buckets come
-// back from the arena with their capacity, so nothing is allocated per
-// push.
+// and on a nil context (the facade's ShortestPaths), Dijkstra,
+// DijkstraTo and DialTo each allocate the same small constant however
+// many edges they relax — the ring's buckets and bitmap, the radix
+// heap's links and DialTo's distances come back from the arenas with
+// their capacity, so nothing is allocated per push. The ring (weights
+// up to 50 here) and the radix heap (weights up to 2^40) each have
+// their constant; on a nil context it includes the result.
 func TestDijkstraAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
 	}
-	ec := exec.Sequential()
 	sparseG := graph.UniformWeights(graph.RandomConnectedGNM(2000, 4000, 1), 50, 2)
 	denseG := graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 3), 50, 4)
+	wideSparseG := graph.UniformWeights(graph.RandomConnectedGNM(2000, 4000, 5), 1<<40, 6)
 	wideG := graph.UniformWeights(graph.RandomConnectedGNM(2000, 60000, 5), 1<<40, 6)
-	allocs := func(g *graph.Graph) float64 {
-		return testing.AllocsPerRun(20, func() {
-			Dijkstra(g, []graph.V{0}, Options{Exec: ec}).Release(ec)
-		})
-	}
-	sparse, dense, wide := allocs(sparseG), allocs(denseG), allocs(wideG)
-	if sparse != dense || wide != dense || dense > 8 {
-		t.Fatalf("Dijkstra allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40); want the same constant <= 8",
-			sparse, dense, wide)
-	}
 	// The point-to-point kernels run to the vertex the search settles
-	// last, so they relax every edge; DialTo rounds the wide graph down
-	// to 2^10 buckets.
+	// last, so they relax every edge.
 	farthest := func(g *graph.Graph) graph.V {
 		res := Dijkstra(g, []graph.V{0}, Options{})
 		last := graph.V(0)
@@ -946,27 +980,71 @@ func TestDijkstraAllocsConstant(t *testing.T) {
 		}
 		return last
 	}
-	allocsExact := func(g *graph.Graph) float64 {
-		last := farthest(g)
-		return testing.AllocsPerRun(20, func() {
-			DijkstraTo(g, 0, last, Options{Exec: ec})
+	for _, ctx := range []struct {
+		name string
+		ec   *exec.Ctx
+	}{{"exec.Sequential()", exec.Sequential()}, {"nil context", nil}} {
+		ec := ctx.ec
+		check := func(kernel string, run func(g *graph.Graph, opt Options) func()) {
+			t.Helper()
+			allocs := func(g *graph.Graph, opt Options) float64 {
+				opt.Exec = ec
+				return testing.AllocsPerRun(20, run(g, opt))
+			}
+			sparse, dense := allocs(sparseG, Options{}), allocs(denseG, Options{})
+			wideSparse, wide := allocs(wideSparseG, Options{}), allocs(wideG, Options{})
+			if sparse != dense || wideSparse != wide || max(dense, wide) > 8 {
+				t.Fatalf("%s on %s: allocs/op = %v (m=4000), %v (m=60000), %v (m=4000, w < 2^40), %v (m=60000, w < 2^40); want one constant <= 8 per weight range",
+					kernel, ctx.name, sparse, dense, wideSparse, wide)
+			}
+		}
+		check("Dijkstra", func(g *graph.Graph, opt Options) func() {
+			return func() { Dijkstra(g, []graph.V{0}, opt).Release(opt.Exec) }
+		})
+		check("DijkstraTo", func(g *graph.Graph, opt Options) func() {
+			last := farthest(g)
+			return func() { DijkstraTo(g, 0, last, opt) }
+		})
+		// DialTo rounds the wide graphs down to 2^10 buckets.
+		check("DialTo", func(g *graph.Graph, opt Options) func() {
+			last := farthest(g)
+			if g.MaxWeight() > 1<<32 {
+				opt.Shift = 30
+			}
+			return func() { DialTo(g, 0, last, opt) }
 		})
 	}
-	sparse, dense, wide = allocsExact(sparseG), allocsExact(denseG), allocsExact(wideG)
-	if sparse != dense || wide != dense || dense > 8 {
-		t.Fatalf("DijkstraTo allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40); want the same constant <= 8",
-			sparse, dense, wide)
+}
+
+// TestRingJumpsEmptyLevels runs Dijkstra down a 10^5-vertex path whose
+// every weight is ringMaxWeight, so it searches on the ring and each
+// step leaves ringMaxWeight-1 empty levels behind. The ring's visits —
+// buckets drained plus bitmap words read — stay within 4(n+m); a ring
+// that stepped through empty levels one by one would make about
+// n·ringMaxWeight ≈ 4·10^8.
+func TestRingJumpsEmptyLevels(t *testing.T) {
+	const n = 100_000
+	edges := make([]graph.Edge, n-1)
+	for i := range edges {
+		edges[i] = graph.Edge{U: graph.V(i), V: graph.V(i + 1), W: ringMaxWeight}
 	}
-	allocsTo := func(g *graph.Graph, shift uint) float64 {
-		last := farthest(g)
-		return testing.AllocsPerRun(20, func() {
-			DialTo(g, 0, last, Options{Exec: ec, Shift: shift})
-		})
+	g := graph.FromEdges(n, edges, true)
+	res := newResult(n)
+	c := ringSearch(g, []graph.V{0}, &Options{}, 0, g.MaxWeight(), graph.NoVertex, res, false)
+	for v, d := range res.Dist {
+		if d != graph.Dist(v)*ringMaxWeight {
+			t.Fatalf("dist[%d] = %d, want %d", v, d, graph.Dist(v)*ringMaxWeight)
+		}
 	}
-	sparse, dense, wide = allocsTo(sparseG, 0), allocsTo(denseG, 0), allocsTo(wideG, 30)
-	if sparse != dense || wide != dense || dense > 8 {
-		t.Fatalf("DialTo allocs/op = %v (m=4000), %v (m=60000), %v (m=60000, w < 2^40, Shift 30); want the same constant <= 8",
-			sparse, dense, wide)
+	if bound := 4 * (int64(n) + g.NumEdges()); c.visits > bound {
+		t.Fatalf("%d ring visits, want at most 4(n+m) = %d", c.visits, bound)
+	}
+	cost := par.NewCost()
+	if d := Dijkstra(g, []graph.V{0}, Options{Cost: cost}).Dist[n-1]; d != (n-1)*ringMaxWeight {
+		t.Fatalf("Dijkstra dist[%d] = %d, want %d", n-1, d, (n-1)*ringMaxWeight)
+	}
+	if want := 2 * g.NumEdges(); cost.Work() != want || cost.Depth() != want {
+		t.Fatalf("Dijkstra work %d, depth %d; want the degree sum %d", cost.Work(), cost.Depth(), want)
 	}
 }
 
@@ -996,6 +1074,9 @@ func BenchmarkDijkstraRandom(b *testing.B) {
 
 func BenchmarkDijkstraWide(b *testing.B) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(16384, 200000, 3), 1<<40, 4)
+	if g.MaxWeight() <= ringMaxWeight {
+		b.Fatalf("max weight %d runs on the ring; this benchmark times the radix heap", g.MaxWeight())
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

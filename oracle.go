@@ -71,7 +71,8 @@ type OracleOptions struct {
 	// boundaries — a canceled build's oracle is invalid and must be
 	// discarded after checking Exec.Err()), and per-stage telemetry.
 	// Queries run on a detached copy that ignores the cancellation.
-	// Nil keeps legacy behavior (sequential, plain allocation).
+	// Nil keeps legacy behavior (sequential, no cancellation, no
+	// telemetry; scratch still comes from the process-wide arenas).
 	Exec *ExecCtx
 	// QueryExec overrides the execution context queries run on
 	// (default: Exec.Detached()). The serving layer passes a

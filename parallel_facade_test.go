@@ -1,7 +1,10 @@
 package spanhop
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -114,4 +117,41 @@ func TestFacadeParallelVariantsAgree(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWeightedSpannerDigest pins WeightedSpannerOn's edge sets with one
+// FNV-1a digest over k ∈ {2, 3, 4, 8}, four seeds, a sequential and a
+// two-worker context, on an ER graph, a multi-scale grid and a uniform
+// grid. The digest was taken from the build before the well-separated
+// loop reused unweightedStep's forest, so a rewrite of that loop that
+// changes any edge id, or the order of the output, fails here.
+func TestWeightedSpannerDigest(t *testing.T) {
+	graphs := []*Graph{
+		WithUniformWeights(RandomGraph(600, 3000, 31), 1000, 32),
+		WithMultiScaleWeights(GridGraph(20, 20), 4, 5, 33),
+		WithUniformWeights(GridGraph(20, 20), 100, 34),
+	}
+	h := fnv.New64a()
+	var buf [4]byte
+	for gi, g := range graphs {
+		for _, k := range []int{2, 3, 4, 8} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				seq := WeightedSpannerOn(g, k, seed, SequentialExec(), nil)
+				two := WeightedSpannerOn(g, k, seed, ParallelExec(2), nil)
+				if !slices.Equal(seq.EdgeIDs, two.EdgeIDs) {
+					t.Fatalf("graph %d, k %d, seed %d: sequential and 2-worker edge sets differ", gi, k, seed)
+				}
+				binary.LittleEndian.PutUint32(buf[:], uint32(len(seq.EdgeIDs)))
+				h.Write(buf[:])
+				for _, e := range seq.EdgeIDs {
+					binary.LittleEndian.PutUint32(buf[:], uint32(e))
+					h.Write(buf[:])
+				}
+			}
+		}
+	}
+	const want = 0x15f498db3f54890b
+	if got := h.Sum64(); got != want {
+		t.Fatalf("digest %#x, want %#x", got, uint64(want))
+	}
 }

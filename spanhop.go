@@ -312,7 +312,10 @@ func LimitedHopset(g *Graph, alpha, eps float64, seed uint64) *Hopset {
 // Searches.
 
 // ShortestPaths runs exact Dijkstra from src (the sequential
-// reference).
+// reference): on Dial's bucket ring when every weight is at most 4095,
+// on the radix heap otherwise, with the same distances either way. Its
+// queue buffers come from the process-wide arenas, so a call allocates
+// only the result it returns.
 func ShortestPaths(g *Graph, src V) *PathResult {
 	return sssp.Dijkstra(g, []V{src}, sssp.Options{})
 }
