@@ -368,7 +368,7 @@ func BenchmarkHopsetScaling(b *testing.B) {
 // depth after preprocessing.
 func BenchmarkOracleQuery(b *testing.B) {
 	g := WithUniformWeights(GridGraph(50, 50), 500, 1)
-	o := NewDistanceOracle(g, 0.25, 2)
+	o := hopsetOracle(g, 0.25, 2)
 	s, t := V(0), g.NumVertices()-1
 	if _, err := o.Query(s, t); err != nil { // warm caches
 		b.Fatal(err)
@@ -551,7 +551,7 @@ func BenchmarkOracleQueryBatch(b *testing.B) {
 	for i := V(0); i < 64; i++ {
 		pairs = append(pairs, [2]V{(i * 37) % n, (n - 1 - i*53%n) % n})
 	}
-	legacy := NewDistanceOracle(g, 0.25, 2)
+	legacy := hopsetOracle(g, 0.25, 2)
 	flat, _, err := OpenOracleFile(flatFile(b, legacy), g, OracleOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -561,7 +561,7 @@ func BenchmarkOracleQueryBatch(b *testing.B) {
 		o    *DistanceOracle
 	}{
 		{"legacy", legacy},
-		{"exec", NewDistanceOracleOpts(g, 0.25, 2, OracleOptions{Exec: ParallelExec(0)})},
+		{"exec", NewDistanceOracleOpts(g, 0.25, 2, OracleOptions{Hopset: true, Exec: ParallelExec(0)})},
 		{"flat", flat},
 	} {
 		o := mode.o
@@ -594,7 +594,7 @@ func BenchmarkOracleQueryBatch(b *testing.B) {
 // size of the file each row writes or reads.
 func BenchmarkSnapshot(b *testing.B) {
 	g := queryGrid()
-	o := NewDistanceOracle(g, 0.25, 2)
+	o := hopsetOracle(g, 0.25, 2)
 	path := flatFile(b, o)
 	st, err := os.Stat(path)
 	if err != nil {
@@ -633,21 +633,21 @@ func BenchmarkOracleBuild(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			NewDistanceOracle(g, 0.25, 2)
+			hopsetOracle(g, 0.25, 2)
 		}
 	})
 	b.Run("exec-sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		ec := SequentialExec()
 		for i := 0; i < b.N; i++ {
-			NewDistanceOracleOpts(g, 0.25, 2, OracleOptions{Exec: ec})
+			NewDistanceOracleOpts(g, 0.25, 2, OracleOptions{Hopset: true, Exec: ec})
 		}
 	})
 	b.Run("exec-parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		ec := ParallelExec(0)
 		for i := 0; i < b.N; i++ {
-			NewDistanceOracleOpts(g, 0.25, 2, OracleOptions{Exec: ec})
+			NewDistanceOracleOpts(g, 0.25, 2, OracleOptions{Hopset: true, Exec: ec})
 		}
 	})
 }
@@ -660,7 +660,7 @@ func BenchmarkOracleBuild(b *testing.B) {
 func BenchmarkDynamicOracleQuery(b *testing.B) {
 	g := WithUniformWeights(GridGraph(40, 40), 50, 3)
 	n := g.NumVertices()
-	o := NewDistanceOracle(g, 0.25, 2)
+	o := hopsetOracle(g, 0.25, 2)
 	run := func(b *testing.B, d *DynamicOracle) {
 		b.Helper()
 		b.ReportAllocs()

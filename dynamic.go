@@ -94,7 +94,7 @@ func (b baseAdapter) Query(s, t V) (Dist, error) { return b.o.Query(s, t) }
 // scheduler rebuilds the underlying static oracle in the background
 // once the policy triggers and atomically swaps it in, after which
 // answers exactly match a from-scratch oracle built on the mutated
-// graph with the same eps and seed. All methods are safe for
+// graph with the same engine, eps and seed. All methods are safe for
 // concurrent use.
 type DynamicOracle struct {
 	ov  *dynamic.Oracle
@@ -105,9 +105,9 @@ type DynamicOracle struct {
 	disabled bool
 }
 
-// NewDynamicOracle wraps a built oracle. The oracle's graph, eps, and
-// seed carry over; rebuilds reuse the same seed so a rebuilt oracle
-// is reproducible from (mutated graph, eps, seed) alone.
+// NewDynamicOracle wraps a built oracle. The oracle's graph, engine,
+// eps, and seed carry over; rebuilds reuse them, so a rebuilt oracle
+// is reproducible from (mutated graph, engine, eps, seed) alone.
 func NewDynamicOracle(o *DistanceOracle, pol RebuildPolicy) *DynamicOracle {
 	return newDynamicOracleAt(o, pol, 0)
 }
@@ -127,10 +127,12 @@ func newDynamicOracleAt(o *DistanceOracle, pol RebuildPolicy, floor uint64) *Dyn
 	// server's query-worker cap), not the rebuild's build cap —
 	// otherwise the first rebuild would silently change query fan-out.
 	queryEc := o.queryEc
+	hop := o.hopset
 	d.sch = dynamic.NewScheduler(d.ov, pol.inner(),
 		func(ctx context.Context, g *graph.Graph) (dynamic.Querier, error) {
 			ec := exec.New(exec.Options{Context: ctx, Workers: workers, Labels: pol.Labels})
 			no := NewDistanceOracleOpts(g, d.eps, d.seed, OracleOptions{
+				Hopset:    hop,
 				Exec:      ec,
 				QueryExec: queryEc,
 			})
@@ -265,9 +267,9 @@ func (d *DynamicOracle) QueryAt(gen uint64, s, t V) (Dist, error) {
 
 // ExactDistanceAt computes the exact s-t distance at a pinned
 // generation via point-to-point Dijkstra over the patched adjacency —
-// no hopset approximation on any path, in any regime. Its cost is one
-// O(n) scratch reset plus the searched ball, and it exists for answer
-// auditing: the serving layer shadow-samples
+// no hopset approximation on any path, in any regime, whatever the
+// engine. Its cost is one O(n) scratch reset plus the searched ball,
+// and it exists for answer auditing: the serving layer shadow-samples
 // served answers and re-checks them against this ground truth.
 // Returns ErrCompactedGen when a rebuild folded gen into the base.
 func (d *DynamicOracle) ExactDistanceAt(gen uint64, s, t V) (Dist, error) {
@@ -278,7 +280,8 @@ func (d *DynamicOracle) ExactDistanceAt(gen uint64, s, t V) (Dist, error) {
 // current base oracle promises (see DistanceOracle.StretchEnvelope).
 // A clean overlay's answers come from the base oracle and lie inside
 // it; a dirty (degrading) overlay answers exactly (ratio 1 by
-// construction).
+// construction). An exact oracle's envelope is [1, 1] in both
+// regimes.
 func (d *DynamicOracle) StretchEnvelope() (lo, hi float64) {
 	return d.Oracle().StretchEnvelope()
 }
@@ -287,7 +290,7 @@ func (d *DynamicOracle) StretchEnvelope() (lo, hi float64) {
 // is clean (no pair diverges from the base graph) the full static
 // diagnostics pass through; once it is dirty the exact patched search
 // answers and Levels/Fallback read zero (that search has no hopset
-// depth to report).
+// depth to report), as they always do on an exact oracle.
 func (d *DynamicOracle) QueryStats(s, t V) (QueryStats, error) {
 	if reg, _ := d.ov.Regime(); reg == "clean" {
 		return d.Oracle().QueryStats(s, t)

@@ -93,14 +93,14 @@ func TestDynamicOracleDifferential(t *testing.T) {
 		seed := uint64(fi)*13 + 2
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
-			o := NewDistanceOracle(f.g, eps, seed)
+			o := hopsetOracle(f.g, eps, seed)
 			d := NewDynamicOracle(o, RebuildPolicy{Disabled: true})
 			defer d.Close()
 			if _, err := d.ApplyUpdates(mutationSequence(f.g, 10, seed^0xfeed)); err != nil {
 				t.Fatal(err)
 			}
 			mutated := d.MutatedGraph()
-			fresh := NewDistanceOracle(mutated, eps, seed)
+			fresh := hopsetOracle(mutated, eps, seed)
 
 			r := rng.New(seed ^ 0xbeef)
 			n := f.g.NumVertices()
@@ -156,7 +156,7 @@ func TestDynamicOracleDifferential(t *testing.T) {
 // from-scratch build.
 func TestDynamicOracleAutoRebuild(t *testing.T) {
 	g := WithUniformWeights(RandomGraph(70, 180, 11), 20, 12)
-	o := NewDistanceOracle(g, 0.25, 9)
+	o := hopsetOracle(g, 0.25, 9)
 	d := NewDynamicOracle(o, RebuildPolicy{MaxJournal: 6, MaxPatchFraction: -1, Workers: 2})
 	defer d.Close()
 	if _, err := d.ApplyUpdates(mutationSequence(g, 7, 77)); err != nil {
@@ -173,7 +173,7 @@ func TestDynamicOracleAutoRebuild(t *testing.T) {
 	if st.Rebuilds < 1 || st.LastError != "" || st.LastCause != "journal" {
 		t.Fatalf("rebuild stats = %+v", st)
 	}
-	fresh := NewDistanceOracle(d.MutatedGraph(), 0.25, 9)
+	fresh := hopsetOracle(d.MutatedGraph(), 0.25, 9)
 	r := rng.New(5)
 	for q := 0; q < 30; q++ {
 		s, u := r.Int31n(g.NumVertices()), r.Int31n(g.NumVertices())
@@ -190,7 +190,7 @@ func TestDynamicOracleAutoRebuild(t *testing.T) {
 // rebuild compacts old generations away.
 func TestDynamicOracleQueryAtAndBatch(t *testing.T) {
 	g := WithUniformWeights(GridGraph(6, 6), 15, 21)
-	o := NewDistanceOracle(g, 0.3, 4)
+	o := hopsetOracle(g, 0.3, 4)
 	d := NewDynamicOracle(o, RebuildPolicy{Disabled: true})
 	defer d.Close()
 
@@ -252,7 +252,7 @@ func TestDynamicOracleQueryAtAndBatch(t *testing.T) {
 // overlay answers the exact distance on the mutated graph.
 func TestDynamicOracleQueryStatsDispatch(t *testing.T) {
 	g := WithUniformWeights(GridGraph(8, 8), 20, 5)
-	o := NewDistanceOracle(g, 0.3, 6)
+	o := hopsetOracle(g, 0.3, 6)
 	d := NewDynamicOracle(o, RebuildPolicy{Disabled: true})
 	defer d.Close()
 	pairs := [][2]V{{0, 63}, {7, 56}, {10, 45}}
@@ -303,7 +303,7 @@ func TestDynamicOracleQueryStatsDispatch(t *testing.T) {
 // silently drop the journal.
 func TestDynamicOracleSnapshotRoundTrip(t *testing.T) {
 	g := WithUniformWeights(RandomGraph(60, 150, 31), 20, 32)
-	o := NewDistanceOracle(g, 0.25, 33)
+	o := hopsetOracle(g, 0.25, 33)
 	d := NewDynamicOracle(o, RebuildPolicy{Disabled: true})
 	defer d.Close()
 	if _, err := d.ApplyUpdates(mutationSequence(g, 8, 333)); err != nil {
@@ -389,7 +389,7 @@ func TestDynamicOracleUnweightedJournalRoundTrip(t *testing.T) {
 // rebuild graduates it to a real oracle.
 func TestDynamicOracleDegenerateBase(t *testing.T) {
 	g := NewGraph(4, nil, false)
-	o := NewDistanceOracle(g, 0.5, 1)
+	o := hopsetOracle(g, 0.5, 1)
 	if !o.Degenerate() {
 		t.Fatal("edgeless oracle not degenerate")
 	}

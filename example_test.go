@@ -57,10 +57,27 @@ func ExampleBuildHopset() {
 	// 10 hops without hopset reaches: false
 }
 
-// ExampleNewDistanceOracle runs the end-to-end Theorem 1.2 pipeline.
+// ExampleNewDistanceOracle answers exact distances: the default
+// engine builds nothing and runs point-to-point Dijkstra per query.
 func ExampleNewDistanceOracle() {
 	g := spanhop.WithUniformWeights(spanhop.GridGraph(20, 20), 100, 5)
 	oracle := spanhop.NewDistanceOracle(g, 0.25, 6)
+	d, err := oracle.Query(0, g.NumVertices()-1)
+	fmt.Println("err:", err)
+	fmt.Println("exact:", d == oracle.ExactDistance(0, g.NumVertices()-1))
+	fmt.Println("hopset edges:", oracle.HopsetSize())
+	// Output:
+	// err: <nil>
+	// exact: true
+	// hopset edges: 0
+}
+
+// ExampleNewDistanceOracleOpts runs the end-to-end Theorem 1.2
+// pipeline: OracleOptions.Hopset builds the hopset, whose answers are
+// (1+ε)-approximate with low parallel depth.
+func ExampleNewDistanceOracleOpts() {
+	g := spanhop.WithUniformWeights(spanhop.GridGraph(20, 20), 100, 5)
+	oracle := spanhop.NewDistanceOracleOpts(g, 0.25, 6, spanhop.OracleOptions{Hopset: true})
 	approx, err := oracle.Query(0, g.NumVertices()-1)
 	exact := oracle.ExactDistance(0, g.NumVertices()-1)
 	fmt.Println("err:", err)
@@ -93,10 +110,11 @@ func ExampleParallelShortestPaths() {
 }
 
 // ExampleDistanceOracle_QueryBatch serves a batch of (1+ε)-approximate
-// distance queries, fanned across goroutines after one preprocessing.
+// distance queries, fanned across goroutines after one hopset
+// preprocessing.
 func ExampleDistanceOracle_QueryBatch() {
 	g := spanhop.WithUniformWeights(spanhop.GridGraph(20, 20), 50, 5)
-	oracle := spanhop.NewDistanceOracle(g, 0.25, 6)
+	oracle := spanhop.NewDistanceOracleOpts(g, 0.25, 6, spanhop.OracleOptions{Hopset: true})
 	pairs := [][2]spanhop.V{
 		{0, g.NumVertices() - 1},
 		{0, 19},

@@ -63,9 +63,11 @@ func main() {
 	}
 
 	// 4. The end-to-end (1+eps) distance oracle of Theorem 1.2, on a
-	// weighted version of the grid (weighted diameter ~50k).
+	// weighted version of the grid (weighted diameter ~50k). The
+	// default oracle answers exactly; Hopset selects the paper's
+	// pipeline.
 	wg := spanhop.WithUniformWeights(grid, 1000, 5)
-	oracle := spanhop.NewDistanceOracle(wg, 0.25, 6)
+	oracle := spanhop.NewDistanceOracleOpts(wg, 0.25, 6, spanhop.OracleOptions{Hopset: true})
 	s, t := spanhop.V(0), wg.NumVertices()-1
 	st, err := oracle.QueryStats(s, t)
 	if err != nil {

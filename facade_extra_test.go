@@ -115,7 +115,7 @@ func TestOracleOnUnweightedGraph(t *testing.T) {
 	// Unweighted graphs flow through the direct (single-scale-ish)
 	// path: ratio 1 is trivially poly-bounded.
 	g := GridGraph(15, 15)
-	o := NewDistanceOracle(g, 0.25, 13)
+	o := hopsetOracle(g, 0.25, 13)
 	if o.Decomposed() {
 		t.Fatal("unweighted graph should not decompose")
 	}
@@ -131,7 +131,7 @@ func TestOracleOnUnweightedGraph(t *testing.T) {
 
 func TestOracleEmptyGraph(t *testing.T) {
 	g := NewGraph(3, nil, true)
-	o := NewDistanceOracle(g, 0.5, 14)
+	o := hopsetOracle(g, 0.5, 14)
 	if o.HopsetSize() != 0 {
 		t.Fatal("edgeless graph grew a hopset")
 	}

@@ -51,7 +51,7 @@ func TestFlatSnapshotDifferentialFamilies(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			o := NewDistanceOracle(tc.g, 0.3, 42)
+			o := hopsetOracle(tc.g, 0.3, 42)
 			pairs := queryPairs(tc.g.NumVertices(), 30, 99)
 			path := saveFlatFile(t, o)
 
@@ -94,7 +94,7 @@ func TestFlatSnapshotDifferentialFamilies(t *testing.T) {
 
 func TestFlatSnapshotDynamicRoundTrip(t *testing.T) {
 	g := WithUniformWeights(RandomGraph(60, 150, 31), 20, 32)
-	o := NewDistanceOracle(g, 0.25, 33)
+	o := hopsetOracle(g, 0.25, 33)
 	d := NewDynamicOracle(o, RebuildPolicy{Disabled: true})
 	defer d.Close()
 	if _, err := d.ApplyUpdates(mutationSequence(g, 8, 333)); err != nil {
@@ -138,7 +138,7 @@ func TestFlatSnapshotDynamicRoundTrip(t *testing.T) {
 
 func TestFlatSnapshotCorruptArena(t *testing.T) {
 	g := WithUniformWeights(GridGraph(8, 8), 9, 1)
-	o := NewDistanceOracle(g, 0.3, 2)
+	o := hopsetOracle(g, 0.3, 2)
 	path := saveFlatFile(t, o)
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -26,7 +26,7 @@ func TestSpannerThenOracle(t *testing.T) {
 	if h.NumEdges() >= g.NumEdges() {
 		t.Fatal("spanner did not sparsify")
 	}
-	oracle := NewDistanceOracle(h, 0.25, 4)
+	oracle := hopsetOracle(h, 0.25, 4)
 	r := rng.New(5)
 	for i := 0; i < 10; i++ {
 		s := r.Int31n(g.NumVertices())
@@ -149,7 +149,7 @@ func TestHopsetOnSpanner(t *testing.T) {
 // certified by some finite-hop path in the augmented graph.
 func TestOracleAgreesWithHopLimited(t *testing.T) {
 	g := WithUniformWeights(GridGraph(20, 20), 50, 17)
-	o := NewDistanceOracle(g, 0.25, 18)
+	o := hopsetOracle(g, 0.25, 18)
 	r := rng.New(19)
 	for i := 0; i < 6; i++ {
 		s := r.Int31n(g.NumVertices())

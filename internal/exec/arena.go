@@ -27,8 +27,13 @@ import (
 
 const numClasses = 33
 
+// slicePools holds released slices as *[]T boxes. A get empties the
+// box it drew and files it in boxes; a put refills one from there, so
+// once warm a release allocates nothing (a bare Put(&s) would box
+// every released slice on the heap).
 type slicePools[T any] struct {
 	classes [numClasses]sync.Pool
+	boxes   sync.Pool
 }
 
 func classOf(n int) int {
@@ -50,7 +55,10 @@ func (p *slicePools[T]) get(n int) []T {
 		return make([]T, n)
 	}
 	if v := p.classes[c].Get(); v != nil {
-		s := *(v.(*[]T))
+		box := v.(*[]T)
+		s := *box
+		*box = nil
+		p.boxes.Put(box)
 		if cap(s) >= n {
 			return s[:n]
 		}
@@ -68,8 +76,12 @@ func (p *slicePools[T]) put(s []T) {
 	if c >= numClasses {
 		c = numClasses - 1
 	}
-	s = s[:0]
-	p.classes[c].Put(&s)
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	p.classes[c].Put(box)
 }
 
 var (

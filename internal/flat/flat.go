@@ -30,7 +30,7 @@
 //	  eps         f64
 //	  seed        u64
 //	  floorGen    u64 (dynamic journal floor generation)
-//	  mode        u8  (degenerate / direct / decomposed) + 3 pad
+//	  mode        u8  (degenerate / direct / decomposed / exact) + 3 pad
 //	  tableCRC    u32 (CRC-32C, over the section table)
 //	  headerCRC   u32 (CRC-32C, over header bytes [0,64))
 //	  pad         u32
@@ -117,6 +117,9 @@ const (
 	modeDegenerate uint8 = 0
 	modeDirect     uint8 = 1
 	modeDecomposed uint8 = 2
+	// modeExact is an oracle that answers with exact search on its
+	// base graph: the arena holds the graph and nothing after it.
+	modeExact uint8 = 3
 )
 
 // Format limits.

@@ -12,9 +12,9 @@ import (
 
 // Parts is the exchange shape between a built oracle and its arena:
 // the facade's DistanceOracle converts to it on save and is assembled
-// from it on load. Exactly one of the three shapes is populated:
-// Degenerate, Direct, or Dec+Instances. A standalone multi-scale
-// hopset (cmd/hopset -save) is the direct shape.
+// from it on load. Exactly one of the four shapes is populated:
+// Exact, Degenerate, Direct, or Dec+Instances. A standalone
+// multi-scale hopset (cmd/hopset -save) is the direct shape.
 type Parts struct {
 	// Graph is the base graph the oracle answers queries on.
 	Graph *graph.Graph
@@ -25,7 +25,10 @@ type Parts struct {
 	// returns the header value (the arena CRCs vouch for the content,
 	// so the digest is identity metadata, not re-verified by hashing).
 	Fingerprint uint64
-	// Degenerate marks an oracle over a graph too small to route.
+	// Exact marks an oracle that builds nothing and answers with exact
+	// search on Graph; the arena stores the graph alone.
+	Exact bool
+	// Degenerate marks a hopset oracle over a graph too small to route.
 	Degenerate bool
 	// Direct is the single multi-scale hopset of a poly-bounded-ratio
 	// build.
@@ -67,6 +70,8 @@ func Freeze(p *Parts) (*Arena, error) {
 	}
 	mode := modeDegenerate
 	switch {
+	case p.Exact:
+		mode = modeExact
 	case p.Degenerate:
 	case p.Direct != nil:
 		mode = modeDirect

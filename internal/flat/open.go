@@ -52,6 +52,8 @@ func Open(data []byte, base *graph.Graph) (*Parts, error) {
 	}
 	p.Graph = g
 	switch h.mode {
+	case modeExact:
+		p.Exact = true
 	case modeDegenerate:
 		p.Degenerate = true
 	case modeDirect:

@@ -90,7 +90,12 @@ func (x *Executor) instrument(id string, wl *obs.Workload, acct *obs.Accountant,
 	x.id = id
 	x.workload = wl
 	x.acct = acct
-	x.aud = aud
+	// An exact graph's answers are ground truth by construction, so it
+	// offers the auditor nothing; rebuilds keep the engine, so this
+	// holds for the executor's lifetime.
+	if x.oracle.Oracle().Hopset() {
+		x.aud = aud
+	}
 	x.lblQuery = pprof.WithLabels(context.Background(),
 		pprof.Labels("graph", id, "op", obs.OpQuery))
 	x.lblBatch = pprof.WithLabels(context.Background(),
@@ -373,7 +378,8 @@ func (c *lruCache) put(k [2]graph.V, st spanhop.QueryStats, epoch uint64) {
 }
 
 // flush empties the cache and bumps the epoch, invalidating puts
-// computed before the flush.
+// computed before the flush. The map keeps its buckets, so a flush on
+// every mutation batch allocates nothing.
 func (c *lruCache) flush() {
 	if c.cap <= 0 {
 		return
@@ -381,7 +387,7 @@ func (c *lruCache) flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen++
-	c.m = make(map[[2]graph.V]*list.Element, c.cap)
+	clear(c.m)
 	c.l.Init()
 }
 

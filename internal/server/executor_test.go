@@ -13,11 +13,12 @@ import (
 	"repro/internal/rng"
 )
 
-// testOracle builds a small weighted oracle shared by executor tests.
+// testOracle builds a small weighted hopset oracle shared by executor
+// tests: concurrent queries race on its lazily built query graph.
 func testOracle(t *testing.T) *spanhop.DistanceOracle {
 	t.Helper()
 	g := graph.UniformWeights(graph.RandomConnectedGNM(256, 1024, 3), 40, 4)
-	return spanhop.NewDistanceOracle(g, 0.3, 5)
+	return spanhop.NewDistanceOracleOpts(g, 0.3, 5, spanhop.OracleOptions{Hopset: true})
 }
 
 // served wraps a static oracle in the dynamic facade the registry
@@ -401,6 +402,27 @@ func TestLRUCacheEpochFlush(t *testing.T) {
 	c.put([2]graph.V{0, 1}, st(11), c.epoch())
 	if got, ok := c.get([2]graph.V{0, 1}); !ok || got.Dist != 11 {
 		t.Fatal("fresh-epoch put missing")
+	}
+}
+
+// TestLRUCacheFlushAllocatesNothing: a flush runs on every mutation
+// batch and every rebuild swap, so it empties the cache in place —
+// the map keeps its buckets — instead of allocating a fresh
+// 4,096-entry map; the emptied cache still serves.
+func TestLRUCacheFlushAllocatesNothing(t *testing.T) {
+	c := newLRUCache(4096)
+	for i := graph.V(0); i < 4096; i++ {
+		c.put([2]graph.V{i, i + 1}, spanhop.QueryStats{Dist: graph.Dist(i)}, c.epoch())
+	}
+	if allocs := testing.AllocsPerRun(20, c.flush); allocs != 0 {
+		t.Fatalf("flush allocates %v times, want 0", allocs)
+	}
+	if c.len() != 0 {
+		t.Fatalf("len after flush = %d, want 0", c.len())
+	}
+	c.put([2]graph.V{0, 1}, spanhop.QueryStats{Dist: 7}, c.epoch())
+	if got, ok := c.get([2]graph.V{0, 1}); !ok || got.Dist != 7 {
+		t.Fatal("put after flush missing")
 	}
 }
 

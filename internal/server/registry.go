@@ -10,7 +10,9 @@
 // long-running daemon: builds are expensive and parallel (the PR 1
 // multicore substrate), queries are cheap, read-mostly, and batch
 // well. This package owns everything between the HTTP listener and
-// DistanceOracle.
+// DistanceOracle. Each graph runs one of the oracle's two engines,
+// chosen by GraphSpec.Hopset: exact point-to-point Dijkstra (the
+// default; its build only loads the graph) or that hopset pipeline.
 package server
 
 import (
@@ -60,6 +62,11 @@ type GraphSpec struct {
 	// deterministic in (spec, seed), which lets clients re-derive and
 	// verify server answers.
 	Seed uint64 `json:"seed,omitempty"`
+	// Hopset selects the graph's engine (spanhop.OracleOptions.Hopset).
+	// False, the default, serves exact point-to-point Dijkstra and
+	// builds nothing; true builds the hopset and serves (1+ε)-approximate
+	// answers. Rebuilds keep the engine.
+	Hopset bool `json:"hopset,omitempty"`
 }
 
 // Typed registry errors; the HTTP layer maps them to status codes.
@@ -124,10 +131,11 @@ type Info struct {
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
 	Spec  struct {
-		File string  `json:"file,omitempty"`
-		Gen  string  `json:"gen,omitempty"`
-		Eps  float64 `json:"eps"`
-		Seed uint64  `json:"seed"`
+		File   string  `json:"file,omitempty"`
+		Gen    string  `json:"gen,omitempty"`
+		Eps    float64 `json:"eps"`
+		Seed   uint64  `json:"seed"`
+		Hopset bool    `json:"hopset,omitempty"`
 	} `json:"spec"`
 	// Graph shape + oracle introspection, set once ready.
 	N           int32 `json:"n,omitempty"`
@@ -212,6 +220,7 @@ func (e *Entry) Info() Info {
 	info.Spec.Gen = e.spec.Gen
 	info.Spec.Eps = e.spec.Eps
 	info.Spec.Seed = e.spec.Seed
+	info.Spec.Hopset = e.spec.Hopset
 	// The current static oracle and its base graph live inside the
 	// overlay (rebuild swaps replace them); Introspect reads the pair
 	// under one lock so a concurrent swap cannot tear the row. Nothing
@@ -570,8 +579,9 @@ func (r *Registry) build(e *Entry) {
 		// columns in /stats.
 		oracle = spanhop.NewDistanceOracleOpts(g, e.spec.Eps, e.spec.Seed,
 			spanhop.OracleOptions{
-				Cost: spanhop.NewCost(),
-				Exec: ec,
+				Hopset: e.spec.Hopset,
+				Cost:   spanhop.NewCost(),
+				Exec:   ec,
 				// The query context's pooled helpers carry the graph
 				// label (no op: one context serves both the single-query
 				// and the explicit batch surface), so profile samples
@@ -818,8 +828,10 @@ func (r *Registry) Close() {
 }
 
 // registerAudit installs a ready graph's exact-recheck hook and
-// stretch envelope into the answer auditor. The recheck pins the
-// sampled generation through the dynamic overlay's patched
+// stretch envelope into the answer auditor. An exact graph registers
+// too, with envelope [1, 1], so /debug/quality reports it, but its
+// executor offers no samples: every answer is ground truth. The
+// recheck pins the sampled generation through the dynamic overlay's patched
 // point-to-point Dijkstra — ground truth, no hopset on any path — and
 // maps a generation compacted away by a rebuild to obs.ErrAuditStale
 // (a counted skip, never a violation). Runs before the executor is

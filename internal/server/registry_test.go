@@ -24,7 +24,7 @@ func waitState(t *testing.T, e *Entry) State {
 func TestRegistryBuildAndReady(t *testing.T) {
 	r := NewRegistry(Config{})
 	defer r.Close()
-	e, err := r.Add(GraphSpec{Name: "er0", Gen: "er:n=200,d=4,w=uniform,maxw=20", Eps: 0.3, Seed: 7})
+	e, err := r.Add(GraphSpec{Name: "er0", Gen: "er:n=200,d=4,w=uniform,maxw=20", Eps: 0.3, Seed: 7, Hopset: true})
 	if err != nil {
 		t.Fatal(err)
 	}

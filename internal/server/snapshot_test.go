@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	spanhop "repro"
 	"repro/internal/flat"
+	"repro/internal/workload"
 )
 
 func newSnapshotServer(t *testing.T, dir string) (*Server, *httptest.Server) {
@@ -44,10 +46,18 @@ func waitSnapshot(t *testing.T, path string) {
 	t.Fatalf("snapshot %s never appeared", path)
 }
 
+// TestSnapshotWarmStart runs once per engine: a restored graph keeps
+// its engine, its spec, and its answers.
 func TestSnapshotWarmStart(t *testing.T) {
+	for _, hop := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hopset=%v", hop), func(t *testing.T) { testSnapshotWarmStart(t, hop) })
+	}
+}
+
+func testSnapshotWarmStart(t *testing.T, hop bool) {
 	dir := t.TempDir()
 	const gen = "er:n=180,d=5,w=uniform,maxw=25"
-	spec := GraphSpec{Name: "wg", Gen: gen, Eps: 0.3, Seed: 7}
+	spec := GraphSpec{Name: "wg", Gen: gen, Eps: 0.3, Seed: 7, Hopset: hop}
 
 	// First life: build, auto-snapshot, capture answers.
 	_, ts := newSnapshotServer(t, dir)
@@ -91,8 +101,12 @@ func TestSnapshotWarmStart(t *testing.T) {
 	if len(info2.BuildStages) != 0 {
 		t.Fatalf("warm start recorded build stages %v — a rebuild happened", info2.BuildStages)
 	}
-	if info2.Spec.Gen != gen || info2.Spec.Eps != 0.3 || info2.Spec.Seed != 7 {
+	if info2.Spec.Gen != gen || info2.Spec.Eps != 0.3 || info2.Spec.Seed != 7 || info2.Spec.Hopset != hop {
 		t.Fatalf("restored spec %+v does not match the registration", info2.Spec)
+	}
+	if info2.HopsetEdges != info.HopsetEdges || (info.HopsetEdges > 0) != hop {
+		t.Fatalf("hopset edges %d before restart, %d after; want > 0 exactly when hopset=%v",
+			info.HopsetEdges, info2.HopsetEdges, hop)
 	}
 	if info2.Snapshot == nil || info2.Snapshot.SizeBytes <= 0 {
 		t.Fatalf("restored graph missing snapshot info: %+v", info2.Snapshot)
@@ -247,6 +261,43 @@ func TestWarmStartSkipsOldArenaVersion(t *testing.T) {
 	}
 	if _, err := s2.Registry().Add(spec); err != nil {
 		t.Fatalf("registering the skipped graph again: %v", err)
+	}
+}
+
+// TestWarmStartEngineFromArena: a snapshot whose spec note predates
+// GraphSpec.Hopset but whose arena holds a hopset oracle restores as a
+// hopset graph, spec included, so loadgen -verify and rebuilds see the
+// engine that actually serves.
+func TestWarmStartEngineFromArena(t *testing.T) {
+	dir := t.TempDir()
+	const gen = "grid:side=6,w=uniform,maxw=9"
+	spec, err := workload.ParseSpec(gen, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := spanhop.NewDistanceOracleOpts(spec.Gen(), 0.4, 3, spanhop.OracleOptions{Hopset: true})
+	f, err := os.Create(filepath.Join(dir, "legacy.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	note := []byte(`{"name":"legacy","gen":"` + gen + `","eps":0.4,"seed":3}`)
+	if err := spanhop.SaveOracleNote(f, o, note); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newSnapshotServer(t, dir)
+	if loaded, errs := s.Registry().WarmStart(); loaded != 1 || len(errs) != 0 {
+		t.Fatalf("warm start loaded=%d errs=%v", loaded, errs)
+	}
+	var info Info
+	if code := httpJSON(t, ts, "GET", "/graphs/legacy", nil, &info); code != http.StatusOK {
+		t.Fatalf("GET /graphs/legacy = %d", code)
+	}
+	if !info.Spec.Hopset || info.HopsetEdges != o.HopsetSize() {
+		t.Fatalf("restored spec %+v with %d hopset edges, want the arena's hopset engine (%d edges)",
+			info.Spec, info.HopsetEdges, o.HopsetSize())
 	}
 }
 

@@ -12,11 +12,20 @@ import (
 	"repro/internal/wscale"
 )
 
-// DistanceOracle is the end-to-end Theorem 1.2 pipeline: preprocess a
-// non-negatively weighted undirected graph so that (1+ε)-approximate
-// s-t distances can be answered with low parallel depth.
+// DistanceOracle answers s-t distance queries on a non-negatively
+// weighted undirected graph with one of two engines, chosen once by
+// OracleOptions.Hopset.
 //
-// Preprocessing composes the paper's two reductions:
+// Exact, the zero value and the default, builds nothing: every query
+// runs point-to-point Dijkstra on the graph (sssp.DijkstraTo),
+// stopping once t settles, and every answer is exact. On every graph
+// measured on 2 vCPUs this beats the hopset in wall time (DESIGN.md,
+// "Known deviations").
+//
+// Hopset is the end-to-end Theorem 1.2 pipeline, the paper's
+// low-depth mode: preprocess the graph so that (1+ε)-approximate s-t
+// distances can be answered with low parallel depth. Preprocessing
+// composes the paper's two reductions:
 //
 //  1. If the graph's weight ratio exceeds the polynomial bound the
 //     Section 5 construction assumes, the Appendix B weight-class
@@ -27,14 +36,18 @@ import (
 //     distance band, Klein–Subramanian rounding plus the Algorithm 4
 //     EST-clustering recursion.
 //
-// Queries route through the decomposition to the right instance and
-// run the level-capped weighted parallel BFS of the hopset query
-// engine; answers are within [(1−ε)·d, (1+ε̃)·d] where ε̃ is the
-// hopset construction's distortion envelope.
+// Hopset queries route through the decomposition to the right
+// instance and run the level-capped weighted parallel BFS of the
+// hopset query engine; answers are within [(1−ε)·d, (1+ε̃)·d] where ε̃
+// is the hopset construction's distortion envelope.
 type DistanceOracle struct {
 	g    *Graph
 	eps  float64
 	seed uint64
+
+	// hopset selects the engine (OracleOptions.Hopset): false answers
+	// every query with exact search on g and builds nothing.
+	hopset bool
 
 	// degenerate marks an oracle over a graph too small to route
 	// (n < 2 or no edges): no hopset is built and every s ≠ t query
@@ -42,7 +55,7 @@ type DistanceOracle struct {
 	// fallthrough.
 	degenerate bool
 
-	// Either direct (poly-bounded ratio) ...
+	// A hopset oracle is either direct (poly-bounded ratio) ...
 	direct *hopset.Scaled
 	// ... or decomposed: one scaled hopset per wscale instance.
 	dec       *wscale.Decomposition
@@ -63,6 +76,13 @@ type DistanceOracle struct {
 
 // OracleOptions tune DistanceOracle preprocessing.
 type OracleOptions struct {
+	// Hopset selects the query engine. The zero value is exact: the
+	// oracle builds nothing and answers every query with point-to-point
+	// Dijkstra, so its stretch envelope is [1, 1]. True builds the
+	// Theorem 1.2 hopset pipeline and answers (1±ε̃)-approximately with
+	// low parallel depth. Snapshot loads ignore it: the arena records
+	// the engine it was saved with.
+	Hopset bool
 	// Cost, when non-nil, accumulates the PRAM work/depth of the
 	// preprocessing.
 	Cost *Cost
@@ -82,8 +102,10 @@ type OracleOptions struct {
 	QueryExec *ExecCtx
 }
 
-// NewDistanceOracle preprocesses g. eps ∈ (0, 1) controls both the
-// decomposition loss and the hopset rounding.
+// NewDistanceOracle returns an exact oracle over g. eps ∈ (0, 1) is
+// recorded for a hopset rebuild or snapshot; see NewDistanceOracleOpts
+// for the hopset engine, where it controls both the decomposition loss
+// and the hopset rounding.
 func NewDistanceOracle(g *Graph, eps float64, seed uint64) *DistanceOracle {
 	return NewDistanceOracleOpts(g, eps, seed, OracleOptions{})
 }
@@ -94,8 +116,9 @@ func NewDistanceOracleWithCost(g *Graph, eps float64, seed uint64, cost *Cost) *
 	return NewDistanceOracleOpts(g, eps, seed, OracleOptions{Cost: cost})
 }
 
-// NewDistanceOracleOpts is NewDistanceOracle with explicit options
-// (cost accounting, machine-parallel construction).
+// NewDistanceOracleOpts is NewDistanceOracle with explicit options:
+// the engine (Hopset), cost accounting and machine-parallel
+// construction.
 func NewDistanceOracleOpts(g *Graph, eps float64, seed uint64, opt OracleOptions) *DistanceOracle {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("spanhop: DistanceOracle eps = %v, want (0,1)", eps))
@@ -106,15 +129,15 @@ func NewDistanceOracleOpts(g *Graph, eps float64, seed uint64, opt OracleOptions
 	if queryEc == nil {
 		queryEc = ec.Detached()
 	}
-	o := &DistanceOracle{g: g, eps: eps, seed: seed, queryEc: queryEc}
+	o := &DistanceOracle{g: g, eps: eps, seed: seed, hopset: opt.Hopset,
+		queryEc: queryEc, degenerate: degenerateGraph(g)}
+	if o.degenerate || !o.hopset {
+		return o
+	}
 	wp := hopset.DefaultWeightedParams(seed)
 	wp.Zeta = eps
 	wp.Exec = ec
 	n := float64(g.NumVertices())
-	if n < 2 || g.NumEdges() == 0 {
-		o.degenerate = true
-		return o
-	}
 	polyBound := math.Pow(n/eps, 3)
 	if g.WeightRatio() <= polyBound {
 		stop := ec.Stage("hopset-build", cost)
@@ -143,6 +166,14 @@ func NewDistanceOracleOpts(g *Graph, eps float64, seed uint64, opt OracleOptions
 	return o
 }
 
+// degenerateGraph reports whether g is too small to route: fewer than
+// two vertices, or no edges.
+func degenerateGraph(g *Graph) bool { return g.NumVertices() < 2 || g.NumEdges() == 0 }
+
+// Hopset reports whether the oracle answers through the hopset
+// (OracleOptions.Hopset); false means exact point-to-point search.
+func (o *DistanceOracle) Hopset() bool { return o.hopset }
+
 // Decomposed reports whether the oracle needed the Appendix B
 // weight-class decomposition.
 func (o *DistanceOracle) Decomposed() bool { return o.dec != nil }
@@ -167,8 +198,12 @@ func (o *DistanceOracle) Seed() uint64 { return o.seed }
 // practice observed stretch concentrates far inside it; the serving
 // layer's answer auditor alarms only when an answer escapes this
 // envelope, because that can never happen in a correct build.
-// Degenerate oracles answer exactly (0 or InfDist), so hi is 1.
+// Degenerate oracles answer exactly (0 or InfDist), so hi is 1. An
+// exact oracle's envelope is [1, 1].
 func (o *DistanceOracle) StretchEnvelope() (lo, hi float64) {
+	if !o.hopset {
+		return 1, 1
+	}
 	lo = 1 - o.eps
 	if lo < 0 {
 		lo = 0
@@ -197,7 +232,7 @@ func (o *DistanceOracle) NumVertices() int32 { return o.g.NumVertices() }
 // InstanceCount returns how many hopset instances back the oracle:
 // 1 when the weight ratio was polynomially bounded (direct build),
 // the number of Appendix B weight-class instances when decomposed,
-// and 0 for a degenerate oracle.
+// and 0 for a degenerate or exact oracle.
 func (o *DistanceOracle) InstanceCount() int {
 	switch {
 	case o.direct != nil:
@@ -210,7 +245,7 @@ func (o *DistanceOracle) InstanceCount() int {
 }
 
 // HopsetSize returns the total number of hopset edges across all
-// instances.
+// instances (0 for an exact oracle).
 func (o *DistanceOracle) HopsetSize() int {
 	if o.direct != nil {
 		return o.direct.Size()
@@ -226,14 +261,17 @@ func (o *DistanceOracle) HopsetSize() int {
 type QueryStats struct {
 	// Dist is the distance estimate (InfDist when disconnected).
 	Dist Dist
-	// Levels is the query's parallel depth in synchronous rounds.
+	// Levels is the query's parallel depth in synchronous rounds (0
+	// on an exact oracle, whose search reports no hopset depth).
 	Levels int64
 	// Fallback reports whether the probabilistic search budget was
-	// exhausted and the deterministic fallback answered.
+	// exhausted and the deterministic fallback answered (always false
+	// on an exact oracle).
 	Fallback bool
 }
 
-// Query returns a (1±ε̃)-approximate s-t distance.
+// Query returns the s-t distance: exact, or (1±ε̃)-approximate on a
+// hopset oracle.
 func (o *DistanceOracle) Query(s, t V) (Dist, error) {
 	st, err := o.QueryStats(s, t)
 	return st.Dist, err
@@ -253,6 +291,9 @@ func (o *DistanceOracle) QueryStats(s, t V) (QueryStats, error) {
 		// are unreachable by definition.
 		return QueryStats{Dist: InfDist}, nil
 	}
+	if !o.hopset {
+		return QueryStats{Dist: sssp.DijkstraTo(o.g, s, t, sssp.Options{Exec: o.queryEc})}, nil
+	}
 	if o.direct != nil {
 		q := o.direct.QueryOn(o.queryEc, s, t, nil)
 		return QueryStats{Dist: q.Dist, Levels: q.Levels, Fallback: q.Fallback}, nil
@@ -271,8 +312,9 @@ func (o *DistanceOracle) QueryStats(s, t V) (QueryStats, error) {
 // QueryBatch answers many s-t queries, fanning them across the pooled
 // workers (bounded by the oracle's execution context, or par.Workers()
 // when it was built without one). The oracle is read-mostly after
-// preprocessing — the only lazy state is each hopset's augmented
-// graph, built once under its mutex — so queries run concurrently
+// preprocessing — an exact search draws its scratch from the
+// process-wide arenas, and the only lazy state is each hopset's
+// augmented graph, built once under its mutex — so queries run concurrently
 // without coordination; this is the serving shape of the Theorem 1.2
 // pipeline: preprocess once, answer query traffic in parallel. Results
 // are positionally aligned with pairs and identical to issuing each

@@ -4,66 +4,74 @@ package spanhop
 // to preprocess (n < 2 or no edges) must still answer queries with
 // defined semantics — 0 on the diagonal, InfDist off it — through both
 // Query and QueryBatch, and report themselves via the introspection
-// accessors.
+// accessors, whichever engine the oracle was built with.
 
 import "testing"
 
 func TestDegenerateOracleEdgeless(t *testing.T) {
+	for _, hop := range []bool{false, true} {
+		testDegenerateOracleEdgeless(t, hop)
+	}
+}
+
+func testDegenerateOracleEdgeless(t *testing.T, hop bool) {
 	g := NewGraph(4, nil, false)
-	o := NewDistanceOracle(g, 0.25, 1)
+	o := NewDistanceOracleOpts(g, 0.25, 1, OracleOptions{Hopset: hop})
 	if !o.Degenerate() {
-		t.Fatalf("edgeless oracle not marked degenerate")
+		t.Fatalf("hopset=%v: edgeless oracle not marked degenerate", hop)
 	}
 	if o.InstanceCount() != 0 {
-		t.Fatalf("InstanceCount = %d, want 0", o.InstanceCount())
+		t.Fatalf("hopset=%v: InstanceCount = %d, want 0", hop, o.InstanceCount())
 	}
 	if o.HopsetSize() != 0 {
-		t.Fatalf("HopsetSize = %d, want 0", o.HopsetSize())
+		t.Fatalf("hopset=%v: HopsetSize = %d, want 0", hop, o.HopsetSize())
 	}
 	if d, err := o.Query(0, 0); err != nil || d != 0 {
-		t.Fatalf("Query(0,0) = (%d, %v), want (0, nil)", d, err)
+		t.Fatalf("hopset=%v: Query(0,0) = (%d, %v), want (0, nil)", hop, d, err)
 	}
 	for _, pair := range [][2]V{{0, 3}, {3, 0}, {1, 2}} {
 		d, err := o.Query(pair[0], pair[1])
 		if err != nil {
-			t.Fatalf("Query(%d,%d) error: %v", pair[0], pair[1], err)
+			t.Fatalf("hopset=%v: Query(%d,%d) error: %v", hop, pair[0], pair[1], err)
 		}
 		if d != InfDist {
-			t.Fatalf("Query(%d,%d) = %d, want InfDist", pair[0], pair[1], d)
+			t.Fatalf("hopset=%v: Query(%d,%d) = %d, want InfDist", hop, pair[0], pair[1], d)
 		}
 	}
 	if _, err := o.Query(0, 4); err == nil {
-		t.Fatalf("Query(0,4) out of range: want error")
+		t.Fatalf("hopset=%v: Query(0,4) out of range: want error", hop)
 	}
 	res, err := o.QueryBatch([][2]V{{0, 1}, {2, 2}, {3, 1}})
 	if err != nil {
-		t.Fatalf("QueryBatch error: %v", err)
+		t.Fatalf("hopset=%v: QueryBatch error: %v", hop, err)
 	}
 	want := []Dist{InfDist, 0, InfDist}
 	for i, st := range res {
 		if st.Dist != want[i] {
-			t.Fatalf("QueryBatch[%d].Dist = %d, want %d", i, st.Dist, want[i])
+			t.Fatalf("hopset=%v: QueryBatch[%d].Dist = %d, want %d", hop, i, st.Dist, want[i])
 		}
 	}
 }
 
 func TestDegenerateOracleSingleVertex(t *testing.T) {
 	g := NewGraph(1, nil, false)
-	o := NewDistanceOracle(g, 0.5, 9)
-	if !o.Degenerate() {
-		t.Fatalf("single-vertex oracle not marked degenerate")
-	}
-	if d, err := o.Query(0, 0); err != nil || d != 0 {
-		t.Fatalf("Query(0,0) = (%d, %v), want (0, nil)", d, err)
-	}
-	if _, err := o.Query(0, 1); err == nil {
-		t.Fatalf("Query(0,1) out of range: want error")
+	for _, hop := range []bool{false, true} {
+		o := NewDistanceOracleOpts(g, 0.5, 9, OracleOptions{Hopset: hop})
+		if !o.Degenerate() {
+			t.Fatalf("hopset=%v: single-vertex oracle not marked degenerate", hop)
+		}
+		if d, err := o.Query(0, 0); err != nil || d != 0 {
+			t.Fatalf("hopset=%v: Query(0,0) = (%d, %v), want (0, nil)", hop, d, err)
+		}
+		if _, err := o.Query(0, 1); err == nil {
+			t.Fatalf("hopset=%v: Query(0,1) out of range: want error", hop)
+		}
 	}
 }
 
 func TestOracleIntrospection(t *testing.T) {
 	g := WithUniformWeights(RandomGraph(200, 600, 7), 50, 8)
-	o := NewDistanceOracle(g, 0.3, 2)
+	o := hopsetOracle(g, 0.3, 2)
 	if o.Degenerate() {
 		t.Fatalf("real oracle marked degenerate")
 	}
@@ -83,8 +91,8 @@ func TestOracleIntrospection(t *testing.T) {
 func TestOracleOptsParallelEquivalent(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := WithUniformWeights(GridGraph(12, 12), 30, 3)
-		seq := NewDistanceOracle(g, 0.3, 5)
-		parl := NewDistanceOracleOpts(g, 0.3, 5, OracleOptions{Exec: ParallelExec(0)})
+		seq := hopsetOracle(g, 0.3, 5)
+		parl := NewDistanceOracleOpts(g, 0.3, 5, OracleOptions{Hopset: true, Exec: ParallelExec(0)})
 		pairs := [][2]V{{0, 143}, {5, 77}, {11, 132}, {60, 61}}
 		for _, p := range pairs {
 			ds, err1 := seq.Query(p[0], p[1])

@@ -21,7 +21,7 @@ func withProcs(t *testing.T, p int, body func()) {
 func TestQueryBatchMatchesSerial(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := WithUniformWeights(GridGraph(25, 25), 200, 11)
-		o := NewDistanceOracle(g, 0.25, 12)
+		o := hopsetOracle(g, 0.25, 12)
 		n := g.NumVertices()
 		var pairs [][2]V
 		for i := V(0); i < 40; i++ {
@@ -49,7 +49,7 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 func TestQueryBatchDecomposed(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := WithMultiScaleWeights(RandomGraph(150, 600, 13), 4, 25, 14)
-		o := NewDistanceOracle(g, 0.3, 15)
+		o := hopsetOracle(g, 0.3, 15)
 		if !o.Decomposed() {
 			t.Skip("weight ratio did not trigger decomposition")
 		}

@@ -13,8 +13,8 @@ import (
 // DistanceOracle can be saved as a flat arena — the oracle's arrays
 // laid out contiguously behind a checksummed section table — and
 // restored by pointing slices at the bytes instead of decoding them.
-// The wscale decomposition, every per-band hopset, and the
-// degenerate/direct fast paths round-trip bit-identically (restored
+// The engine, the wscale decomposition, every per-band hopset, and
+// the degenerate/direct fast paths round-trip bit-identically (restored
 // oracles answer exactly what the in-memory oracle would, QueryStats
 // included). The arena is host-endianness: saving and loading refuse
 // to run on a big-endian host.
@@ -59,7 +59,8 @@ func (o *DistanceOracle) exchange(note []byte, floor uint64, journal []dynamic.E
 		Graph:      o.g,
 		Eps:        o.eps,
 		Seed:       o.seed,
-		Degenerate: o.degenerate,
+		Exact:      !o.hopset,
+		Degenerate: o.hopset && o.degenerate,
 		Direct:     o.direct,
 		Dec:        o.dec,
 		Instances:  o.instances,
@@ -177,7 +178,8 @@ func openArena(data []byte, g *Graph, opt OracleOptions) (*DistanceOracle, *flat
 		g:          p.Graph,
 		eps:        p.Eps,
 		seed:       p.Seed,
-		degenerate: p.Degenerate,
+		hopset:     !p.Exact,
+		degenerate: p.Degenerate || (p.Exact && degenerateGraph(p.Graph)),
 		direct:     p.Direct,
 		dec:        p.Dec,
 		instances:  p.Instances,

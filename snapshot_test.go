@@ -88,7 +88,7 @@ func TestSnapshotRoundTripFamilies(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			o := NewDistanceOracle(tc.g, 0.3, 42)
+			o := hopsetOracle(tc.g, 0.3, 42)
 			pairs := queryPairs(tc.g.NumVertices(), 30, 99)
 			// Load both against the caller graph and self-contained.
 			back := saveLoad(t, o, tc.g)
@@ -109,7 +109,7 @@ func TestSnapshotRoundTripFamilies(t *testing.T) {
 func TestSnapshotRoundTripDecomposed(t *testing.T) {
 	// Extreme weight ratio forces the Appendix B decomposition.
 	g := WithMultiScaleWeights(RandomGraph(120, 480, 21), 10, 30, 22)
-	o := NewDistanceOracle(g, 0.25, 5)
+	o := hopsetOracle(g, 0.25, 5)
 	if !o.Decomposed() {
 		t.Fatal("test graph did not trigger the weight-class decomposition")
 	}
@@ -128,7 +128,7 @@ func TestSnapshotRoundTripDegenerate(t *testing.T) {
 		{"single-vertex", NewGraph(1, nil, false)},
 		{"no-edges", NewGraph(5, nil, false)},
 	} {
-		o := NewDistanceOracle(tc.g, 0.5, 3)
+		o := hopsetOracle(tc.g, 0.5, 3)
 		if !o.Degenerate() {
 			t.Fatalf("%s: oracle not degenerate", tc.name)
 		}
@@ -149,7 +149,7 @@ func TestSnapshotParallelQueryEquivalence(t *testing.T) {
 	// A restored oracle handed a parallel query context must still
 	// answer bit-identically (queries are context-invariant).
 	g := WithUniformWeights(RandomGraph(200, 800, 31), 20, 32)
-	o := NewDistanceOracle(g, 0.3, 9)
+	o := hopsetOracle(g, 0.3, 9)
 	var buf bytes.Buffer
 	if err := SaveOracle(&buf, o); err != nil {
 		t.Fatalf("SaveOracle: %v", err)
@@ -169,7 +169,7 @@ func TestSnapshotRejectsCanceledBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the build starts
 	ec := NewExecCtx(ctx, 2)
-	o := NewDistanceOracleOpts(g, 0.3, 9, OracleOptions{Exec: ec})
+	o := NewDistanceOracleOpts(g, 0.3, 9, OracleOptions{Hopset: true, Exec: ec})
 	var buf bytes.Buffer
 	err := SaveOracle(&buf, o)
 	if err == nil {

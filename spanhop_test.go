@@ -107,7 +107,7 @@ func TestFacadeBaselines(t *testing.T) {
 func TestDistanceOracleDirect(t *testing.T) {
 	// Single-scale weights: no decomposition needed.
 	g := WithUniformWeights(RandomGraph(400, 1600, 11), 30, 12)
-	o := NewDistanceOracle(g, 0.25, 13)
+	o := hopsetOracle(g, 0.25, 13)
 	if o.Decomposed() {
 		t.Fatal("poly-bounded weights should not trigger decomposition")
 	}
@@ -136,7 +136,7 @@ func TestDistanceOracleDecomposed(t *testing.T) {
 	// Weights spanning ~18 decades force the Appendix B decomposition
 	// for eps = 0.25 at n = 150 ((n/eps)³ ≈ 2·10⁸).
 	g := WithMultiScaleWeights(RandomGraph(150, 600, 15), 10, 18, 16)
-	o := NewDistanceOracle(g, 0.25, 17)
+	o := hopsetOracle(g, 0.25, 17)
 	if !o.Decomposed() {
 		t.Fatalf("ratio %.3g should trigger decomposition", g.WeightRatio())
 	}
@@ -165,18 +165,20 @@ func TestDistanceOracleDecomposed(t *testing.T) {
 
 func TestDistanceOracleEdgeCases(t *testing.T) {
 	g := NewGraph(4, []Edge{{U: 0, V: 1, W: 5}}, true)
-	o := NewDistanceOracle(g, 0.5, 1)
-	if d, err := o.Query(2, 2); err != nil || d != 0 {
-		t.Fatalf("self query = %d, %v", d, err)
-	}
-	if d, err := o.Query(0, 3); err != nil || d != InfDist {
-		t.Fatalf("disconnected query = %d, %v", d, err)
-	}
-	if _, err := o.Query(-1, 2); err == nil {
-		t.Fatal("out-of-range query should error")
-	}
-	if _, err := o.Query(0, 4); err == nil {
-		t.Fatal("out-of-range query should error")
+	for _, hop := range []bool{false, true} {
+		o := NewDistanceOracleOpts(g, 0.5, 1, OracleOptions{Hopset: hop})
+		if d, err := o.Query(2, 2); err != nil || d != 0 {
+			t.Fatalf("hopset=%v: self query = %d, %v", hop, d, err)
+		}
+		if d, err := o.Query(0, 3); err != nil || d != InfDist {
+			t.Fatalf("hopset=%v: disconnected query = %d, %v", hop, d, err)
+		}
+		if _, err := o.Query(-1, 2); err == nil {
+			t.Fatalf("hopset=%v: out-of-range query should error", hop)
+		}
+		if _, err := o.Query(0, 4); err == nil {
+			t.Fatalf("hopset=%v: out-of-range query should error", hop)
+		}
 	}
 }
 
@@ -212,7 +214,7 @@ func TestDistanceOracleSoundnessProperty(t *testing.T) {
 			g = WithUniformWeights(g, 20, seed^1)
 		}
 		eps := 0.25
-		o := NewDistanceOracle(g, eps, seed^2)
+		o := hopsetOracle(g, eps, seed^2)
 		for i := 0; i < 5; i++ {
 			s := r.Int31n(n)
 			u := r.Int31n(n)
