@@ -11,15 +11,11 @@
 //	    [-mutate N] [-mutate-batch 4] [-mutate-mix churn] \
 //	    [-eps 0.25] [-seed 1] [-verify] [-workers N] [-trace-sample N]
 //
-// With -gen, loadgen registers the graph itself (id "loadgen", with
-// the default exact engine) and waits for the build; a graph already
-// registered under that id (a 409) is reused if its gen, eps and seed
-// match. With -verify (requires -gen), it rebuilds the same oracle
-// locally — with the engine GET /graphs/loadgen's spec names, so a
-// graph registered with "hopset": true is verified against a local
-// hopset — and asserts every server answer is bit-identical to serial
-// DistanceOracle.Query: generation and preprocessing are deterministic
-// in (gen, seed, eps, engine).
+// With -gen, loadgen registers the graph itself (id "loadgen") and
+// waits for the build. With -verify (requires -gen), it rebuilds the
+// same oracle locally — generation and preprocessing are
+// deterministic in (gen, seed, eps) — and asserts every server answer
+// is bit-identical to serial DistanceOracle.Query.
 //
 // With -mutate N (requires -gen), loadgen first drives N edge-mutation
 // batches through POST /graphs/{id}/edges using a deterministic
@@ -180,11 +176,8 @@ func main() {
 	}
 	var replica *spanhop.DynamicOracle
 	if *verify {
-		infof("verify: rebuilding oracle locally (eps=%g seed=%d workers=%d hopset=%v)...\n",
-			*eps, *seed, *workers, info.Spec.Hopset)
-		// The replica runs the engine the daemon registered the graph
-		// with, which its spec records.
-		opt := spanhop.OracleOptions{Hopset: info.Spec.Hopset}
+		infof("verify: rebuilding oracle locally (eps=%g seed=%d workers=%d)...\n", *eps, *seed, *workers)
+		var opt spanhop.OracleOptions
 		if *workers > 0 {
 			opt.Exec = spanhop.ParallelExec(*workers)
 		}
@@ -504,8 +497,6 @@ func main() {
 		case quality.Violations > 0:
 			qualityErr = fmt.Errorf("auditor flagged %d envelope violation(s) during this run (max observed stretch %.4f, envelope [%.4f, %.4f]); see GET /debug/quality?graph=%s for the evidence ring",
 				quality.Violations, maxRatio, afterQ.Envelope.Lo, afterQ.Envelope.Hi, id)
-		case quality.SamplesAudited == 0 && afterQ.Envelope == (obs.Envelope{Lo: 1, Hi: 1}):
-			infof("quality: exact graph, every answer is ground truth — nothing sampled\n")
 		case quality.SamplesAudited == 0:
 			infof("quality: no samples audited this run (sampling stride above the request count and no traced requests?) — nothing to assert\n")
 		default:

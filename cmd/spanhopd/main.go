@@ -29,11 +29,9 @@
 // internal/graph text or binary format, -gen for workload.ParseSpec
 // generator strings such as "er:n=4096,d=8,w=uniform") or registered
 // at runtime via POST /graphs. Every graph answers exactly (point-to-
-// point Dijkstra, nothing built) unless its POST /graphs spec sets
-// "hopset": true, which builds the paper's hopset and answers
-// (1+eps)-approximately; preloaded graphs are exact. Queries go to
-// POST /graphs/{id}/query;
-// see internal/server for the full API. A cache miss or a batch runs
+// point Dijkstra; its build only loads the graph); a warm-started
+// snapshot keeps the engine its arena records. Queries go to
+// POST /graphs/{id}/query; see internal/server for the full API. A cache miss or a batch runs
 // as soon as one of the graph's -query-workers is free; at most
 // -query-queue of them wait for one, and the rest get 503.
 // SIGINT/SIGTERM drain in-flight requests before exit.

@@ -69,9 +69,10 @@ func TestDeleteAbortsInFlightBuild(t *testing.T) {
 	waitRegState(t, reg, "warm", StateReady)
 	base := runtime.NumGoroutine()
 
-	// A build slow enough (~seconds sequential) to still be in flight
-	// when the DELETE lands.
-	slow, err := reg.Add(GraphSpec{Name: "slow", Gen: "er:n=32768,d=8,w=uniform,maxw=64", Seed: 2, Hopset: true})
+	// A build slow enough to still be in flight when the DELETE lands:
+	// an exact build only generates the graph, so the graph is large
+	// (262,144 vertices take most of a second to generate).
+	slow, err := reg.Add(GraphSpec{Name: "slow", Gen: "er:n=262144,d=8,w=uniform,maxw=64", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestDeleteQueuedBuild(t *testing.T) {
 	defer s.Close()
 	reg := s.Registry()
 
-	if _, err := reg.Add(GraphSpec{Name: "front", Gen: "er:n=16384,d=8,w=uniform,maxw=64", Seed: 5, Hopset: true}); err != nil {
+	if _, err := reg.Add(GraphSpec{Name: "front", Gen: "er:n=16384,d=8,w=uniform,maxw=64", Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	queued, err := reg.Add(GraphSpec{Name: "queued", Gen: "er:n=64,d=4", Seed: 6})

@@ -28,7 +28,7 @@ func TestMutationEndpoints(t *testing.T) {
 	_, ts := newTestServer(t)
 	const genSpec = "grid:side=6,w=uniform,maxw=9"
 	if code := httpJSON(t, ts, "POST", "/graphs",
-		GraphSpec{Name: "g", Gen: genSpec, Seed: 3, Hopset: true}, nil); code != http.StatusAccepted {
+		GraphSpec{Name: "g", Gen: genSpec, Seed: 3}, nil); code != http.StatusAccepted {
 		t.Fatalf("POST /graphs = %d", code)
 	}
 	info := waitReady(t, ts, "g")
@@ -44,7 +44,7 @@ func TestMutationEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := spanhop.NewDynamicOracle(
-		spanhop.NewDistanceOracleOpts(spec.Gen(), 0.25, 3, spanhop.OracleOptions{Hopset: true}),
+		spanhop.NewDistanceOracleOpts(spec.Gen(), 0.25, 3, spanhop.OracleOptions{}),
 		spanhop.RebuildPolicy{Disabled: true})
 	defer local.Close()
 
@@ -240,7 +240,7 @@ func TestAutoRebuildOverHTTP(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	if code := httpJSON(t, ts, "POST", "/graphs",
-		GraphSpec{Name: "m", Gen: "grid:side=5", Seed: 1, Hopset: true}, nil); code != http.StatusAccepted {
+		GraphSpec{Name: "m", Gen: "grid:side=5", Seed: 1}, nil); code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
 	}
 	waitReady(t, ts, "m")
@@ -275,7 +275,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`spanhop_mutations_total{graph="m"} 1`,
 		`spanhop_query_latency_seconds_count{graph="m"} 2`,
 		"# TYPE spanhop_query_latency_seconds histogram",
-		`spanhop_build_stage_wall_seconds{graph="m",stage="hopset-build"}`,
+		`spanhop_build_stage_wall_seconds{graph="m",stage="load-graph"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

@@ -90,12 +90,7 @@ func (x *Executor) instrument(id string, wl *obs.Workload, acct *obs.Accountant,
 	x.id = id
 	x.workload = wl
 	x.acct = acct
-	// An exact graph's answers are ground truth by construction, so it
-	// offers the auditor nothing; rebuilds keep the engine, so this
-	// holds for the executor's lifetime.
-	if x.oracle.Oracle().Hopset() {
-		x.aud = aud
-	}
+	x.aud = aud
 	x.lblQuery = pprof.WithLabels(context.Background(),
 		pprof.Labels("graph", id, "op", obs.OpQuery))
 	x.lblBatch = pprof.WithLabels(context.Background(),

@@ -84,7 +84,7 @@ func awaitRegime(t *testing.T, s *Server, ts *httptest.Server, id, regime string
 func TestQualityEndpointEndToEnd(t *testing.T) {
 	s, ts := newAuditTestServer(t)
 	code := httpJSON(t, ts, "POST", "/graphs",
-		GraphSpec{Name: "q1", Gen: "grid:side=6", Eps: 0.3, Seed: 4, Hopset: true}, nil)
+		GraphSpec{Name: "q1", Gen: "grid:side=6", Eps: 0.3, Seed: 4}, nil)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /graphs = %d", code)
 	}
@@ -135,13 +135,18 @@ func TestQualityEndpointEndToEnd(t *testing.T) {
 	if snap.Sampled < snap.Audited || snap.Audited == 0 {
 		t.Fatalf("counters inconsistent: %+v", snap)
 	}
-	if snap.Envelope.Hi < 1 || snap.Envelope.Lo < 0 || snap.Envelope.Lo > 1 {
-		t.Fatalf("envelope = %+v", snap.Envelope)
+	// A registry-built graph is exact: its envelope is [1, 1], and the
+	// samples check that the cache and the overlay serve ground truth.
+	if snap.Envelope != (obs.Envelope{Lo: 1, Hi: 1}) {
+		t.Fatalf("envelope = %+v, want [1, 1]", snap.Envelope)
 	}
 	var regimes []string
 	for _, r := range snap.Regimes {
 		if r.Violations != 0 {
 			t.Fatalf("regime %s recorded violations: %+v", r.Regime, r)
+		}
+		if r.Count > 0 && (r.MinRatio != 1 || r.MaxRatio != 1) {
+			t.Fatalf("regime %s audited inexact answers: %+v", r.Regime, r)
 		}
 		if r.Count > 0 {
 			regimes = append(regimes, r.Regime)
@@ -207,7 +212,7 @@ func TestQualityEndpointEndToEnd(t *testing.T) {
 func TestQualityFaultInjection(t *testing.T) {
 	s, ts := newAuditTestServer(t)
 	code := httpJSON(t, ts, "POST", "/graphs",
-		GraphSpec{Name: "q2", Gen: "grid:side=8", Eps: 0.3, Seed: 6, Hopset: true}, nil)
+		GraphSpec{Name: "q2", Gen: "grid:side=8", Eps: 0.3, Seed: 6}, nil)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /graphs = %d", code)
 	}
@@ -369,48 +374,5 @@ func TestDebugContentTypes(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("Content-Type") != "application/json" {
 		t.Errorf("GET /graphs/nosuch = %d %q, want 404 application/json",
 			resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-}
-
-// TestExactGraphOffersNoAuditSamples: a default graph is exact. It
-// builds no hopset, records only its load-graph stage, and stays
-// registered with the auditor under envelope [1, 1], so
-// /debug/quality answers for it; its executor offers no samples,
-// traced or not, clean or dirty, because every answer is ground truth.
-func TestExactGraphOffersNoAuditSamples(t *testing.T) {
-	s, ts := newAuditTestServer(t)
-	code := httpJSON(t, ts, "POST", "/graphs",
-		GraphSpec{Name: "ex", Gen: "grid:side=6", Eps: 0.3, Seed: 4}, nil)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /graphs = %d", code)
-	}
-	info := waitReady(t, ts, "ex")
-	if info.Spec.Hopset || info.HopsetEdges != 0 || info.Instances != 0 {
-		t.Fatalf("exact graph info = %+v", info)
-	}
-	if len(info.BuildStages) != 1 || info.BuildStages[0].Name != "load-graph" {
-		t.Fatalf("exact graph build stages = %+v, want load-graph alone", info.BuildStages)
-	}
-	for i := 0; i < 5; i++ {
-		httpJSON(t, ts, "POST", "/graphs/ex/query", map[string]any{"s": i, "t": 35 - i}, nil)
-	}
-	if td, _ := tracedQuery(t, ts, "ex", 5, 29); td.Attrs["audit"] != nil {
-		t.Fatalf("traced query on an exact graph was audited: %v", td.Attrs)
-	}
-	code = httpJSON(t, ts, "POST", "/graphs/ex/edges", map[string]any{
-		"updates": []map[string]any{{"op": "delete", "u": 0, "v": 1}},
-	}, nil)
-	if code != http.StatusOK {
-		t.Fatalf("delete = %d", code)
-	}
-	var res struct {
-		Dist int64 `json:"dist"`
-	}
-	if code := httpJSON(t, ts, "POST", "/graphs/ex/query", map[string]any{"s": 0, "t": 1}, &res); code != http.StatusOK || res.Dist != 3 {
-		t.Fatalf("query around the deleted edge = %d (%d), want 3", res.Dist, code)
-	}
-	g := awaitQuality(t, s, ts, "ex", 0)
-	if g.Envelope != (obs.Envelope{Lo: 1, Hi: 1}) || g.Sampled != 0 || g.Audited != 0 || g.Violations != 0 {
-		t.Fatalf("exact graph quality = %+v, want envelope [1, 1] and no samples", g)
 	}
 }

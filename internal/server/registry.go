@@ -10,9 +10,10 @@
 // long-running daemon: builds are expensive and parallel (the PR 1
 // multicore substrate), queries are cheap, read-mostly, and batch
 // well. This package owns everything between the HTTP listener and
-// DistanceOracle. Each graph runs one of the oracle's two engines,
-// chosen by GraphSpec.Hopset: exact point-to-point Dijkstra (the
-// default; its build only loads the graph) or that hopset pipeline.
+// DistanceOracle. Every graph the registry builds answers with the
+// oracle's default exact engine (point-to-point Dijkstra; its build
+// only loads the graph); a snapshot arena restores with the engine it
+// was saved with.
 package server
 
 import (
@@ -62,11 +63,6 @@ type GraphSpec struct {
 	// deterministic in (spec, seed), which lets clients re-derive and
 	// verify server answers.
 	Seed uint64 `json:"seed,omitempty"`
-	// Hopset selects the graph's engine (spanhop.OracleOptions.Hopset).
-	// False, the default, serves exact point-to-point Dijkstra and
-	// builds nothing; true builds the hopset and serves (1+ε)-approximate
-	// answers. Rebuilds keep the engine.
-	Hopset bool `json:"hopset,omitempty"`
 }
 
 // Typed registry errors; the HTTP layer maps them to status codes.
@@ -131,11 +127,10 @@ type Info struct {
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
 	Spec  struct {
-		File   string  `json:"file,omitempty"`
-		Gen    string  `json:"gen,omitempty"`
-		Eps    float64 `json:"eps"`
-		Seed   uint64  `json:"seed"`
-		Hopset bool    `json:"hopset,omitempty"`
+		File string  `json:"file,omitempty"`
+		Gen  string  `json:"gen,omitempty"`
+		Eps  float64 `json:"eps"`
+		Seed uint64  `json:"seed"`
 	} `json:"spec"`
 	// Graph shape + oracle introspection, set once ready.
 	N           int32 `json:"n,omitempty"`
@@ -220,7 +215,6 @@ func (e *Entry) Info() Info {
 	info.Spec.Gen = e.spec.Gen
 	info.Spec.Eps = e.spec.Eps
 	info.Spec.Seed = e.spec.Seed
-	info.Spec.Hopset = e.spec.Hopset
 	// The current static oracle and its base graph live inside the
 	// overlay (rebuild swaps replace them); Introspect reads the pair
 	// under one lock so a concurrent swap cannot tear the row. Nothing
@@ -579,9 +573,8 @@ func (r *Registry) build(e *Entry) {
 		// columns in /stats.
 		oracle = spanhop.NewDistanceOracleOpts(g, e.spec.Eps, e.spec.Seed,
 			spanhop.OracleOptions{
-				Hopset: e.spec.Hopset,
-				Cost:   spanhop.NewCost(),
-				Exec:   ec,
+				Cost: spanhop.NewCost(),
+				Exec: ec,
 				// The query context's pooled helpers carry the graph
 				// label (no op: one context serves both the single-query
 				// and the explicit batch surface), so profile samples
@@ -828,10 +821,10 @@ func (r *Registry) Close() {
 }
 
 // registerAudit installs a ready graph's exact-recheck hook and
-// stretch envelope into the answer auditor. An exact graph registers
-// too, with envelope [1, 1], so /debug/quality reports it, but its
-// executor offers no samples: every answer is ground truth. The
-// recheck pins the sampled generation through the dynamic overlay's patched
+// stretch envelope into the answer auditor. An exact graph's envelope
+// is [1, 1]: its samples check that the cache and the overlay serve
+// the pinned generation's distance. The recheck pins the sampled
+// generation through the dynamic overlay's patched
 // point-to-point Dijkstra — ground truth, no hopset on any path — and
 // maps a generation compacted away by a rebuild to obs.ErrAuditStale
 // (a counted skip, never a violation). Runs before the executor is

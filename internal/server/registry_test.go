@@ -24,7 +24,7 @@ func waitState(t *testing.T, e *Entry) State {
 func TestRegistryBuildAndReady(t *testing.T) {
 	r := NewRegistry(Config{})
 	defer r.Close()
-	e, err := r.Add(GraphSpec{Name: "er0", Gen: "er:n=200,d=4,w=uniform,maxw=20", Eps: 0.3, Seed: 7, Hopset: true})
+	e, err := r.Add(GraphSpec{Name: "er0", Gen: "er:n=200,d=4,w=uniform,maxw=20", Eps: 0.3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,12 @@ func TestRegistryBuildAndReady(t *testing.T) {
 	if info.ID != "er0" || info.N != 200 || info.M < 199 || !info.Weighted {
 		t.Fatalf("bad info: %+v", info)
 	}
-	if info.Spec.Eps != 0.3 || info.HopsetEdges == 0 || info.Instances < 1 {
+	// A registry build is exact: it loads the graph and builds no hopset.
+	if info.Spec.Eps != 0.3 || info.HopsetEdges != 0 || info.Instances != 0 || info.Decomposed {
 		t.Fatalf("bad oracle introspection: %+v", info)
+	}
+	if len(info.BuildStages) != 1 || info.BuildStages[0].Name != "load-graph" {
+		t.Fatalf("build stages = %+v, want load-graph alone", info.BuildStages)
 	}
 	got, ok := r.Get("er0")
 	if !ok || got != e {

@@ -80,7 +80,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 	var created Info
 	code := httpJSON(t, ts, "POST", "/graphs",
-		GraphSpec{Name: "main", Gen: gen, Eps: eps, Seed: seed, Hopset: true}, &created)
+		GraphSpec{Name: "main", Gen: gen, Eps: eps, Seed: seed}, &created)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /graphs = %d", code)
 	}
@@ -88,7 +88,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("created = %+v", created)
 	}
 	info := waitReady(t, ts, "main")
-	if info.N != 150 || !info.Weighted || info.HopsetEdges == 0 {
+	if info.N != 150 || !info.Weighted || info.HopsetEdges != 0 {
 		t.Fatalf("ready info = %+v", info)
 	}
 
@@ -99,7 +99,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := spanhop.NewDistanceOracleOpts(spec.Gen(), eps, seed, spanhop.OracleOptions{Hopset: true})
+	oracle := spanhop.NewDistanceOracle(spec.Gen(), eps, seed)
 
 	for _, p := range [][2]graph.V{{0, 149}, {5, 5}, {42, 17}} {
 		var got queryResult
@@ -305,7 +305,7 @@ func TestHTTPConcurrentSingleQueries(t *testing.T) {
 	}()
 	const gen, eps, seed = "grid:side=12,w=uniform,maxw=20", 0.3, 4
 	if code := httpJSON(t, ts, "POST", "/graphs",
-		GraphSpec{Name: "grid", Gen: gen, Eps: eps, Seed: seed, Hopset: true}, nil); code != http.StatusAccepted {
+		GraphSpec{Name: "grid", Gen: gen, Eps: eps, Seed: seed}, nil); code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
 	}
 	info := waitReady(t, ts, "grid")
@@ -314,7 +314,7 @@ func TestHTTPConcurrentSingleQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := spanhop.NewDistanceOracleOpts(spec.Gen(), eps, seed, spanhop.OracleOptions{Hopset: true})
+	oracle := spanhop.NewDistanceOracle(spec.Gen(), eps, seed)
 	e, _ := s.Registry().Get("grid")
 	x, err := e.executor()
 	if err != nil {

@@ -266,9 +266,6 @@ func (r *Registry) warmStartFile(id, path string) error {
 		dyn.Close()
 		return fmt.Errorf("snapshot annotation is not a graph spec: %w", err)
 	}
-	// The arena records the engine; a snapshot written before specs
-	// named it holds a hopset oracle under a spec without the field.
-	spec.Hopset = dyn.Oracle().Hopset()
 	var size int64
 	snapTime := time.Now()
 	if st, err := os.Stat(path); err == nil {

@@ -46,18 +46,13 @@ func waitSnapshot(t *testing.T, path string) {
 	t.Fatalf("snapshot %s never appeared", path)
 }
 
-// TestSnapshotWarmStart runs once per engine: a restored graph keeps
-// its engine, its spec, and its answers.
+// TestSnapshotWarmStart: a restored graph keeps its spec and its
+// answers; a registry-built graph is exact, so neither life holds a
+// hopset.
 func TestSnapshotWarmStart(t *testing.T) {
-	for _, hop := range []bool{false, true} {
-		t.Run(fmt.Sprintf("hopset=%v", hop), func(t *testing.T) { testSnapshotWarmStart(t, hop) })
-	}
-}
-
-func testSnapshotWarmStart(t *testing.T, hop bool) {
 	dir := t.TempDir()
 	const gen = "er:n=180,d=5,w=uniform,maxw=25"
-	spec := GraphSpec{Name: "wg", Gen: gen, Eps: 0.3, Seed: 7, Hopset: hop}
+	spec := GraphSpec{Name: "wg", Gen: gen, Eps: 0.3, Seed: 7}
 
 	// First life: build, auto-snapshot, capture answers.
 	_, ts := newSnapshotServer(t, dir)
@@ -101,12 +96,12 @@ func testSnapshotWarmStart(t *testing.T, hop bool) {
 	if len(info2.BuildStages) != 0 {
 		t.Fatalf("warm start recorded build stages %v — a rebuild happened", info2.BuildStages)
 	}
-	if info2.Spec.Gen != gen || info2.Spec.Eps != 0.3 || info2.Spec.Seed != 7 || info2.Spec.Hopset != hop {
+	if info2.Spec.Gen != gen || info2.Spec.Eps != 0.3 || info2.Spec.Seed != 7 {
 		t.Fatalf("restored spec %+v does not match the registration", info2.Spec)
 	}
-	if info2.HopsetEdges != info.HopsetEdges || (info.HopsetEdges > 0) != hop {
-		t.Fatalf("hopset edges %d before restart, %d after; want > 0 exactly when hopset=%v",
-			info.HopsetEdges, info2.HopsetEdges, hop)
+	if info.HopsetEdges != 0 || info2.HopsetEdges != 0 {
+		t.Fatalf("hopset edges %d before restart, %d after; an exact graph has none",
+			info.HopsetEdges, info2.HopsetEdges)
 	}
 	if info2.Snapshot == nil || info2.Snapshot.SizeBytes <= 0 {
 		t.Fatalf("restored graph missing snapshot info: %+v", info2.Snapshot)
@@ -264,11 +259,11 @@ func TestWarmStartSkipsOldArenaVersion(t *testing.T) {
 	}
 }
 
-// TestWarmStartEngineFromArena: a snapshot whose spec note predates
-// GraphSpec.Hopset but whose arena holds a hopset oracle restores as a
-// hopset graph, spec included, so loadgen -verify and rebuilds see the
-// engine that actually serves.
-func TestWarmStartEngineFromArena(t *testing.T) {
+// TestWarmStartHopsetArena: the registry builds exact graphs only,
+// but a snapshot whose arena holds a hopset oracle (every graph an
+// earlier daemon built) restores with that engine, because the arena
+// records it, and answers as the library's hopset oracle does.
+func TestWarmStartHopsetArena(t *testing.T) {
 	dir := t.TempDir()
 	const gen = "grid:side=6,w=uniform,maxw=9"
 	spec, err := workload.ParseSpec(gen, 3)
@@ -295,9 +290,22 @@ func TestWarmStartEngineFromArena(t *testing.T) {
 	if code := httpJSON(t, ts, "GET", "/graphs/legacy", nil, &info); code != http.StatusOK {
 		t.Fatalf("GET /graphs/legacy = %d", code)
 	}
-	if !info.Spec.Hopset || info.HopsetEdges != o.HopsetSize() {
-		t.Fatalf("restored spec %+v with %d hopset edges, want the arena's hopset engine (%d edges)",
-			info.Spec, info.HopsetEdges, o.HopsetSize())
+	if o.HopsetSize() == 0 || info.HopsetEdges != o.HopsetSize() {
+		t.Fatalf("restored graph has %d hopset edges, want the arena's %d", info.HopsetEdges, o.HopsetSize())
+	}
+	for _, p := range [][2]int32{{0, 35}, {5, 30}, {12, 13}} {
+		want, err := o.QueryStats(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got queryResult
+		if code := httpJSON(t, ts, "POST", "/graphs/legacy/query",
+			map[string]any{"s": p[0], "t": p[1]}, &got); code != http.StatusOK {
+			t.Fatalf("query %v = %d", p, code)
+		}
+		if got.Dist != want.Dist || got.Levels != int64(want.Levels) {
+			t.Fatalf("query %v = %+v, want the hopset answer %+v", p, got, want)
+		}
 	}
 }
 

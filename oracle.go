@@ -170,10 +170,6 @@ func NewDistanceOracleOpts(g *Graph, eps float64, seed uint64, opt OracleOptions
 // two vertices, or no edges.
 func degenerateGraph(g *Graph) bool { return g.NumVertices() < 2 || g.NumEdges() == 0 }
 
-// Hopset reports whether the oracle answers through the hopset
-// (OracleOptions.Hopset); false means exact point-to-point search.
-func (o *DistanceOracle) Hopset() bool { return o.hopset }
-
 // Decomposed reports whether the oracle needed the Appendix B
 // weight-class decomposition.
 func (o *DistanceOracle) Decomposed() bool { return o.dec != nil }
@@ -292,7 +288,7 @@ func (o *DistanceOracle) QueryStats(s, t V) (QueryStats, error) {
 		return QueryStats{Dist: InfDist}, nil
 	}
 	if !o.hopset {
-		return QueryStats{Dist: sssp.DijkstraTo(o.g, s, t, sssp.Options{Exec: o.queryEc})}, nil
+		return QueryStats{Dist: o.ExactDistance(s, t)}, nil
 	}
 	if o.direct != nil {
 		q := o.direct.QueryOn(o.queryEc, s, t, nil)

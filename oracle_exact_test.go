@@ -73,12 +73,12 @@ func TestExactOracleMatchesDijkstra(t *testing.T) {
 				t.Fatalf("max weight %d does not reach the radix heap", g.MaxWeight())
 			}
 			o := NewDistanceOracle(g, 0.25, 11)
-			if o.Hopset() || o.HopsetSize() != 0 || o.InstanceCount() != 0 || o.Decomposed() {
-				t.Fatalf("default oracle built something: hopset=%v edges=%d instances=%d decomposed=%v",
-					o.Hopset(), o.HopsetSize(), o.InstanceCount(), o.Decomposed())
+			if o.HopsetSize() != 0 || o.InstanceCount() != 0 || o.Decomposed() {
+				t.Fatalf("default oracle built something: edges=%d instances=%d decomposed=%v",
+					o.HopsetSize(), o.InstanceCount(), o.Decomposed())
 			}
-			if lo, hi := o.StretchEnvelope(); lo != 1 || hi != 1 {
-				t.Fatalf("envelope [%v, %v], want [1, 1]", lo, hi)
+			if !isExact(o) {
+				t.Fatal("default oracle's envelope is not [1, 1]")
 			}
 			pairs := queryPairs(g.NumVertices(), 40, 21)
 			checkExact(t, "Query", g, pairs, serialAnswers(t, pairs, o.QueryStats))
@@ -94,9 +94,9 @@ func TestExactOracleMatchesDijkstra(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenOracleFile: %v", err)
 			}
-			if mapped.Hopset() || mapped.Degenerate() {
-				t.Fatalf("mapped oracle hopset=%v degenerate=%v, want an exact oracle",
-					mapped.Hopset(), mapped.Degenerate())
+			if !isExact(mapped) || mapped.Degenerate() {
+				t.Fatalf("mapped oracle exact=%v degenerate=%v, want an exact oracle",
+					isExact(mapped), mapped.Degenerate())
 			}
 			assertOracleEquivalent(t, "flat", o, mapped, pairs)
 
@@ -120,7 +120,7 @@ func TestExactOracleMatchesDijkstra(t *testing.T) {
 			if err := d.ForceRebuild(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if d.Oracle().Hopset() {
+			if !isExact(d.Oracle()) {
 				t.Fatal("rebuild of an exact oracle built a hopset")
 			}
 			checkExact(t, "dynamic rebuilt", mutated, pairs, serialAnswers(t, pairs, d.QueryStats))
@@ -140,7 +140,14 @@ func TestRebuildKeepsHopsetEngine(t *testing.T) {
 	if err := d.ForceRebuild(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if o := d.Oracle(); !o.Hopset() || o.HopsetSize() == 0 {
-		t.Fatalf("rebuilt oracle hopset=%v edges=%d, want a hopset", o.Hopset(), o.HopsetSize())
+	if o := d.Oracle(); isExact(o) || o.HopsetSize() == 0 {
+		t.Fatalf("rebuilt oracle exact=%v edges=%d, want a hopset", isExact(o), o.HopsetSize())
 	}
+}
+
+// isExact reports whether o runs the exact engine, whose envelope, and
+// only whose, is [1, 1].
+func isExact(o *DistanceOracle) bool {
+	lo, hi := o.StretchEnvelope()
+	return lo == 1 && hi == 1
 }

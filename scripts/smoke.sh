@@ -2,10 +2,10 @@
 # Serving-layer smoke test: build the binaries (race-instrumented, so
 # the whole end-to-end flow runs under the detector), start spanhopd
 # on a small graph, curl /healthz and a query, then run loadgen with
-# bit-exact verification against a locally rebuilt oracle, once on a
-# default (exact) graph and once on a graph registered with
-# "hopset": true, so both engines run end to end; the answer auditor
-# is exercised on the hopset graph, whose answers it samples. Kill the
+# bit-exact verification against a locally rebuilt oracle. Every
+# graph the daemon builds is exact (no hopset), so the hopset engine
+# runs end to end through the hopset CLI instead: build, save as a
+# flat arena, map it back, same answers. Kill the
 # daemon and restart it with the same -snapshot-dir to prove the warm
 # start: the graph is ready without a rebuild (no build-stage
 # telemetry) and answers are unchanged. Then mutate the live graph
@@ -79,38 +79,28 @@ echo "$OUT"
 grep -q '"dist":' <<<"$OUT" || { echo "query response missing dist"; exit 1; }
 COLD_DIST=$(echo "$OUT" | sed -n 's/.*"dist":\([0-9]*\).*/\1/p')
 
-# hopset_edges prints a graph's hopset size (the field is omitted, so
-# 0, on an exact graph).
-hopset_edges() {
-    local n
-    n=$(curl -fsS "http://$ADDR/graphs/$1" | sed -n 's/.*"hopset_edges":\([0-9]*\).*/\1/p')
-    echo "${n:-0}"
-}
+stage "loadgen with bit-exact verification"
+"$DIR/bin/loadgen" -addr "http://$ADDR" -gen "er:n=512,d=6,w=uniform,maxw=30" \
+    -mix hotspot -concurrency 8 -requests 400 -verify
 
-LOADGEN_GEN="er:n=512,d=6,w=uniform,maxw=30"
-verify_loadgen_graph() {
-    "$DIR/bin/loadgen" -addr "http://$ADDR" -gen "$LOADGEN_GEN" \
-        -mix hotspot -concurrency 8 -requests 400 -verify
-    "$DIR/bin/loadgen" -addr "http://$ADDR" -gen "$LOADGEN_GEN" \
-        -mix uniform -concurrency 8 -requests 200 \
-        -mutate 5 -mutate-batch 3 -mutate-mix churn -verify
-}
+stage "loadgen mutation traffic: mutate, verify overlay + rebuilt answers"
+"$DIR/bin/loadgen" -addr "http://$ADDR" -gen "er:n=512,d=6,w=uniform,maxw=30" \
+    -mix uniform -concurrency 8 -requests 200 \
+    -mutate 5 -mutate-batch 3 -mutate-mix churn -verify
+# The daemon builds exact graphs: the field is omitted, so no hopset.
+if curl -fsS "http://$ADDR/graphs/loadgen" | grep -q '"hopset_edges":'; then
+    echo "daemon-built graph reports hopset edges, want an exact graph"; exit 1
+fi
 
-stage "default (exact) graph: loadgen bit-exact verification, then mutate + verify"
-verify_loadgen_graph
-[ "$(hopset_edges loadgen)" = "0" ] || { echo "default graph built $(hopset_edges loadgen) hopset edges, want 0"; exit 1; }
-
-stage "hopset graph: register with \"hopset\": true, loadgen verification, then mutate + verify"
-# loadgen reuses a graph already registered under its id (its own
-# POST is a 409) and rebuilds its local replica with the engine the
-# graph's spec names.
-curl -fsS -X DELETE "http://$ADDR/graphs/loadgen" >/dev/null
-curl -fsS -X POST "http://$ADDR/graphs" \
-    -d "{\"name\":\"loadgen\",\"gen\":\"$LOADGEN_GEN\",\"eps\":0.25,\"seed\":1,\"hopset\":true}" >/dev/null
-verify_loadgen_graph
-[ "$(hopset_edges loadgen)" -gt 0 ] || { echo "hopset graph built no hopset edges"; exit 1; }
-curl -fsS "http://$ADDR/graphs/loadgen" | grep -q '"hopset":true' \
-    || { echo "hopset graph's spec does not record the engine"; exit 1; }
+stage "hopset engine end to end: build, save, map back, same answers"
+"$DIR/bin/hopset" -in "$DIR/grid.bin" -queries 20 -save "$DIR/hop.snap" | tee "$DIR/hop_build.out"
+"$DIR/bin/hopset" -load "$DIR/hop.snap" -queries 20 | tee "$DIR/hop_load.out"
+HOP_EDGES=$(sed -n 's/^est multi-scale hopset: \([0-9]*\) edges.*/\1/p' "$DIR/hop_build.out")
+[ "${HOP_EDGES:-0}" -gt 0 ] || { echo "hopset build produced no edges"; exit 1; }
+grep -q "restored from .*: $HOP_EDGES edges" "$DIR/hop_load.out" \
+    || { echo "mapped hopset size differs from the built one"; exit 1; }
+[ "$(grep '^queries:' "$DIR/hop_build.out")" = "$(grep '^queries:' "$DIR/hop_load.out")" ] \
+    || { echo "mapped hopset answers differ from the built one"; exit 1; }
 
 stage "/stats"
 STATS=$(curl -fsS "http://$ADDR/stats")
@@ -196,40 +186,9 @@ stage "forced snapshot write via the admin API"
 curl -fsS -X POST "http://$ADDR/graphs/grid/snapshot" | grep -q '"size_bytes"' \
     || { echo "forced snapshot failed"; exit 1; }
 
-stage "answer-quality auditing on the hopset graph: clean and degrading traffic"
-# Every query is sampled (-audit-sample 1). The first burst runs on the
-# clean rebuilt overlay, with a mix seed of its own so its pairs miss
-# the cache the verification runs filled; the inserted shortcut then
-# diverges from the base, so the second burst's answers come from the
-# exact patched search. loadgen waits for the audit queue to drain and
-# asserts zero envelope violations for the traffic it generated.
-"$DIR/bin/loadgen" -addr "http://$ADDR" -graph loadgen -mix uniform -seed 7 \
-    -concurrency 4 -requests 100 -trace-sample 2 -report-quality | tee "$DIR/quality.out"
-grep -q "quality: .* answers shadow re-checked, 0 violations" "$DIR/quality.out" \
-    || { echo "loadgen quality cross-check (clean) did not pass"; exit 1; }
-curl -fsS -X POST "http://$ADDR/graphs/loadgen/edges" \
-    -d '{"updates":[{"op":"insert","u":0,"v":511,"w":1}]}' >/dev/null
-"$DIR/bin/loadgen" -addr "http://$ADDR" -graph loadgen -mix uniform \
-    -concurrency 4 -requests 100 -trace-sample 2 -report-quality | tee "$DIR/quality.out"
-grep -q "quality: .* answers shadow re-checked, 0 violations" "$DIR/quality.out" \
-    || { echo "loadgen quality cross-check (degrading) did not pass"; exit 1; }
-QUALITY=$(curl -fsS "http://$ADDR/debug/quality?graph=loadgen")
-grep -q '"audited":[1-9]' <<<"$QUALITY" || { echo "auditor checked no samples"; exit 1; }
-grep -q '"violations":0' <<<"$QUALITY" || { echo "auditor reported violations"; exit 1; }
-grep -q '"evidence":\[\]' <<<"$QUALITY" \
-    || { echo "evidence ring not empty (or missing) on a correct build"; exit 1; }
-grep -q '"regime":"degrading"' <<<"$QUALITY" \
-    || { echo "no degrading-regime audits despite a live insertion"; exit 1; }
-# The stretch histogram reaches /metrics.
-METRICS=$(curl -fsS "http://$ADDR/metrics")
-grep -q 'spanhop_stretch_ratio_bucket{graph="loadgen"' <<<"$METRICS" \
-    || { echo "metrics missing stretch-ratio histogram"; exit 1; }
-grep -q 'spanhop_quality_violations_total{graph="loadgen"} 0' <<<"$METRICS" \
-    || { echo "metrics missing zero violation counter"; exit 1; }
-
 stage "DELETE a building graph (abort the in-flight build)"
 curl -fsS -X POST "http://$ADDR/graphs" \
-    -d '{"name":"doomed","gen":"er:n=16384,d=8,w=uniform,maxw=64","seed":9,"hopset":true}' >/dev/null
+    -d '{"name":"doomed","gen":"er:n=16384,d=8,w=uniform,maxw=64","seed":9}' >/dev/null
 curl -fsS -X DELETE "http://$ADDR/graphs/doomed" | grep -q '"deleted":true' \
     || { echo "DELETE of building graph failed"; exit 1; }
 CODE=$(curl -s -o /dev/null -w "%{http_code}" "http://$ADDR/graphs/doomed")
@@ -288,18 +247,30 @@ grep -q 'spanhop_generation{graph="grid"} 2' <<<"$METRICS" \
 grep -q 'spanhop_requests_total{graph="grid"}' <<<"$METRICS" \
     || { echo "metrics missing request counter"; exit 1; }
 
-stage "exact graph in the auditor: registered, envelope [1, 1], nothing sampled"
-# grid is a default (exact) graph: every answer is ground truth, so its
-# executor offers the auditor no samples, while /debug/quality still
-# reports it.
+stage "answer-quality auditing: traced burst over the mutated graph"
+# Every query is sampled (-audit-sample 1) and the graph carries live
+# mutations, so the auditor re-checks clean and degrading
+# answers alike; the graph is exact, so its envelope is [1, 1]. loadgen
+# waits for the audit queue to drain and asserts zero envelope
+# violations for the traffic it generated.
 "$DIR/bin/loadgen" -addr "http://$ADDR" -graph grid -mix uniform \
     -concurrency 4 -requests 100 -trace-sample 2 -report-quality | tee "$DIR/quality.out"
-grep -q "quality: exact graph" "$DIR/quality.out" \
-    || { echo "loadgen did not report grid as exact"; exit 1; }
+grep -q "quality: .* answers shadow re-checked, 0 violations" "$DIR/quality.out" \
+    || { echo "loadgen quality cross-check did not pass"; exit 1; }
 QUALITY=$(curl -fsS "http://$ADDR/debug/quality?graph=grid")
-grep -q '"envelope":{"lo":1,"hi":1}' <<<"$QUALITY" || { echo "exact graph envelope is not [1, 1]"; exit 1; }
-grep -q '"sampled":0' <<<"$QUALITY" || { echo "exact graph offered audit samples"; exit 1; }
+grep -q '"audited":[1-9]' <<<"$QUALITY" || { echo "auditor checked no samples"; exit 1; }
 grep -q '"violations":0' <<<"$QUALITY" || { echo "auditor reported violations"; exit 1; }
+grep -q '"envelope":{"lo":1,"hi":1}' <<<"$QUALITY" || { echo "exact graph envelope is not [1, 1]"; exit 1; }
+grep -q '"evidence":\[\]' <<<"$QUALITY" \
+    || { echo "evidence ring not empty (or missing) on a correct build"; exit 1; }
+grep -q '"regime":"degrading"' <<<"$QUALITY" \
+    || { echo "no degrading-regime audits despite live deletions"; exit 1; }
+# The stretch histogram reaches /metrics, and a hostile filter 404s.
+METRICS=$(curl -fsS "http://$ADDR/metrics")
+grep -q 'spanhop_stretch_ratio_bucket{graph="grid"' <<<"$METRICS" \
+    || { echo "metrics missing stretch-ratio histogram"; exit 1; }
+grep -q 'spanhop_quality_violations_total{graph="grid"} 0' <<<"$METRICS" \
+    || { echo "metrics missing zero violation counter"; exit 1; }
 CODE=$(curl -s -o /dev/null -w "%{http_code}" "http://$ADDR/debug/quality?graph=nosuch")
 [ "$CODE" = "404" ] || { echo "hostile quality filter returned $CODE, want 404"; exit 1; }
 

@@ -14,17 +14,23 @@
 // are measured.
 //
 // This package is the public facade: it re-exports the core types and
-// wires the end-to-end (1+ε)-approximate shortest-path pipeline of
-// Theorem 1.2 as DistanceOracle. The implementation lives in the
+// serves s-t distances through DistanceOracle. By default the oracle
+// is exact (point-to-point Dijkstra, nothing built);
+// OracleOptions{Hopset: true} selects the end-to-end
+// (1+ε)-approximate shortest-path pipeline of Theorem 1.2, the
+// paper's low-depth mode. The implementation lives in the
 // internal packages (internal/core is the clustering at the heart of
 // everything; see DESIGN.md for the full inventory).
 //
 // # Quick start
 //
 //	g := spanhop.RandomGraph(10_000, 40_000, 42)
-//	sp := spanhop.UnweightedSpanner(g, 3, 1)      // O(k)-stretch spanner
-//	oracle := spanhop.NewDistanceOracle(g, 0.25, 2)
-//	d, _ := oracle.Query(0, 9_999)                 // (1±ε) distance
+//	sp := spanhop.UnweightedSpanner(g, 3, 1)        // O(k)-stretch spanner
+//	oracle := spanhop.NewDistanceOracle(g, 0.25, 2) // exact, builds nothing
+//	d, _ := oracle.Query(0, 9_999)                  // exact distance
+//	hop := spanhop.NewDistanceOracleOpts(g, 0.25, 2,
+//		spanhop.OracleOptions{Hopset: true}) // Theorem 1.2 hopset
+//	a, _ := hop.Query(0, 9_999)                     // (1±ε) distance
 package spanhop
 
 import (
