@@ -48,11 +48,10 @@
 // With -report-quality, loadgen snapshots GET /debug/quality before
 // the run, waits for the daemon's background answer auditor to drain
 // the samples it took from this run's traffic, and asserts zero new
-// envelope violations — a closed-loop check that every shadow
-// re-checked answer stayed inside the proven stretch envelope. Any new
-// violation exits non-zero (it is a server correctness alarm, not a
-// load-generation artifact). The -json summary gains a "quality"
-// block (samples audited, violations, max stretch ratio).
+// violations — a closed-loop check that every shadow re-checked answer
+// equals an exact recomputation. Any new violation exits non-zero (it
+// is a server correctness alarm, not a load-generation artifact). The
+// -json summary gains a "quality" block (samples audited, violations).
 package main
 
 import (
@@ -94,7 +93,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker cap for the local -verify rebuild; must mirror the daemon's -workers so both sides build the same oracle (0 = the sequential reference build, matching a daemon without -workers)")
 	traceSample := flag.Int("trace-sample", 0, "request a server-side trace for every Nth query and print the slowest traced request's span breakdown (0 disables)")
 	reportWorkload := flag.Bool("report-workload", false, "snapshot /debug/workload around the run and assert the server's hot-pair sketch and request count match the generated load")
-	reportQuality := flag.Bool("report-quality", false, "snapshot /debug/quality around the run and assert the server's answer auditor found zero envelope violations in this run's sampled traffic")
+	reportQuality := flag.Bool("report-quality", false, "snapshot /debug/quality around the run and assert the server's answer auditor found zero violations in this run's sampled traffic")
 	timeout := flag.Duration("timeout", 120*time.Second, "build-wait timeout")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON summary on stdout (progress moves to stderr)")
 	flag.Parse()
@@ -155,8 +154,8 @@ func main() {
 				id, info.Dynamic.Generation, id))
 		}
 	}
-	infof("graph %s: n=%d m=%d weighted=%v hopset=%d instances=%d (built in %dms)\n",
-		id, info.N, info.M, info.Weighted, info.HopsetEdges, info.Instances, info.BuildMS)
+	infof("graph %s: n=%d m=%d weighted=%v (built in %dms)\n",
+		id, info.N, info.M, info.Weighted, info.BuildMS)
 
 	// Generate the spec graph once: the -verify replica and the
 	// -mutate stream both derive from it.
@@ -171,9 +170,7 @@ func main() {
 
 	// The verification reference: a plain static oracle without
 	// mutations, or a DynamicOracle replica once -mutate is in play.
-	var oracle interface {
-		QueryStats(s, t graph.V) (spanhop.QueryStats, error)
-	}
+	var oracle reference
 	var replica *spanhop.DynamicOracle
 	if *verify {
 		infof("verify: rebuilding oracle locally (eps=%g seed=%d workers=%d)...\n", *eps, *seed, *workers)
@@ -323,31 +320,11 @@ func main() {
 				samples = append(samples, sample{lat: lat})
 				mu.Unlock()
 				if oracle != nil {
-					var got struct {
-						Dist        graph.Dist `json:"dist"`
-						Unreachable bool       `json:"unreachable"`
-						Levels      int64      `json:"levels"`
-						Fallback    bool       `json:"fallback"`
-					}
-					if err := json.Unmarshal(body, &got); err != nil {
-						fatal(err)
-					}
-					want, err := oracle.QueryStats(p[0], p[1])
-					if err != nil {
-						fatal(err)
-					}
-					wantUnreachable := want.Dist == graph.InfDist
-					wantDist := want.Dist
-					if wantUnreachable {
-						wantDist = 0
-					}
-					if got.Dist != wantDist || got.Unreachable != wantUnreachable ||
-						got.Levels != want.Levels || got.Fallback != want.Fallback {
+					if err := checkAnswer(body, oracle, p); err != nil {
 						mu.Lock()
 						mismatch++
 						if len(firstErrs) < 3 {
-							firstErrs = append(firstErrs,
-								fmt.Sprintf("query %v: got %+v, want %+v", p, got, want))
+							firstErrs = append(firstErrs, err.Error())
 						}
 						mu.Unlock()
 					}
@@ -472,9 +449,9 @@ func main() {
 	}
 
 	// -report-quality: let the daemon's background auditor drain the
-	// samples it took from this run's traffic, then assert no served
-	// answer escaped its stretch envelope. The verdict (and exit)
-	// happens below, after the JSON is emitted.
+	// samples it took from this run's traffic, then assert every served
+	// answer it re-checked was exact. The verdict (and exit) happens
+	// below, after the JSON is emitted.
 	var quality *qualityBlock
 	var qualityErr error
 	if *reportQuality {
@@ -482,26 +459,18 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("report-quality: %w", err))
 		}
-		maxRatio := 0.0
-		for _, reg := range afterQ.Regimes {
-			if reg.MaxRatio > maxRatio {
-				maxRatio = reg.MaxRatio
-			}
-		}
 		quality = &qualityBlock{
 			SamplesAudited: afterQ.Audited - beforeQ.Audited,
 			Violations:     afterQ.Violations - beforeQ.Violations,
-			MaxRatio:       maxRatio,
 		}
 		switch {
 		case quality.Violations > 0:
-			qualityErr = fmt.Errorf("auditor flagged %d envelope violation(s) during this run (max observed stretch %.4f, envelope [%.4f, %.4f]); see GET /debug/quality?graph=%s for the evidence ring",
-				quality.Violations, maxRatio, afterQ.Envelope.Lo, afterQ.Envelope.Hi, id)
+			qualityErr = fmt.Errorf("auditor flagged %d answer(s) that differ from an exact recomputation during this run; see GET /debug/quality?graph=%s for the evidence ring",
+				quality.Violations, id)
 		case quality.SamplesAudited == 0:
 			infof("quality: no samples audited this run (sampling stride above the request count and no traced requests?) — nothing to assert\n")
 		default:
-			infof("quality: %d answers shadow re-checked, 0 violations, max stretch %.4f within envelope [%.4f, %.4f]\n",
-				quality.SamplesAudited, maxRatio, afterQ.Envelope.Lo, afterQ.Envelope.Hi)
+			infof("quality: %d answers shadow re-checked, 0 violations\n", quality.SamplesAudited)
 		}
 	}
 
@@ -868,9 +837,7 @@ func runMutations(client *http.Client, addr, id string, g *graph.Graph, cfg muta
 }
 
 // verifyOne compares one server answer against the local reference.
-func verifyOne(client *http.Client, addr, id string, oracle interface {
-	QueryStats(s, t graph.V) (spanhop.QueryStats, error)
-}, p [2]graph.V) error {
+func verifyOne(client *http.Client, addr, id string, oracle reference, p [2]graph.V) error {
 	code, body, err := doJSON(client, "POST", fmt.Sprintf("%s/graphs/%s/query", addr, id),
 		map[string]any{"s": p[0], "t": p[1]})
 	if err != nil {
@@ -879,6 +846,18 @@ func verifyOne(client *http.Client, addr, id string, oracle interface {
 	if code != http.StatusOK {
 		return fmt.Errorf("query %v: %d: %s", p, code, body)
 	}
+	return checkAnswer(body, oracle, p)
+}
+
+// reference is the -verify oracle: a static DistanceOracle, or a
+// DynamicOracle replica once -mutate is in play.
+type reference interface {
+	Query(s, t graph.V) (graph.Dist, error)
+}
+
+// checkAnswer compares one query response body against the local
+// reference: the same distance, or both unreachable.
+func checkAnswer(body []byte, oracle reference, p [2]graph.V) error {
 	var got struct {
 		Dist        graph.Dist `json:"dist"`
 		Unreachable bool       `json:"unreachable"`
@@ -886,17 +865,16 @@ func verifyOne(client *http.Client, addr, id string, oracle interface {
 	if err := json.Unmarshal(body, &got); err != nil {
 		return err
 	}
-	want, err := oracle.QueryStats(p[0], p[1])
+	want, err := oracle.Query(p[0], p[1])
 	if err != nil {
 		return err
 	}
-	wantUnreachable := want.Dist == graph.InfDist
-	wantDist := want.Dist
+	wantUnreachable := want == graph.InfDist
 	if wantUnreachable {
-		wantDist = 0
+		want = 0
 	}
-	if got.Dist != wantDist || got.Unreachable != wantUnreachable {
-		return fmt.Errorf("query %v: server %d/%v, local %d/%v", p, got.Dist, got.Unreachable, wantDist, wantUnreachable)
+	if got.Dist != want || got.Unreachable != wantUnreachable {
+		return fmt.Errorf("query %v: server %d/%v, local %d/%v", p, got.Dist, got.Unreachable, want, wantUnreachable)
 	}
 	return nil
 }
@@ -1007,10 +985,8 @@ type jsonSummary struct {
 }
 
 // qualityBlock is the -json "quality" member: the run's delta of the
-// server's answer-audit counters plus the cumulative max stretch
-// high-water mark.
+// server's answer-audit counters.
 type qualityBlock struct {
-	SamplesAudited int64   `json:"samples_audited"`
-	Violations     int64   `json:"violations"`
-	MaxRatio       float64 `json:"max_ratio"`
+	SamplesAudited int64 `json:"samples_audited"`
+	Violations     int64 `json:"violations"`
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	spanhopd -addr :8080 [-load name=path]... [-gen name=spec]... \
-//	    [-eps 0.25] [-seed 1] [-workers N] \
+//	    [-seed 1] [-workers N] \
 //	    [-build-workers 1] [-build-queue 16] \
 //	    [-query-workers N] [-query-queue 1024] [-cache 4096] \
 //	    [-snapshot-dir DIR] \
@@ -29,11 +29,11 @@
 // internal/graph text or binary format, -gen for workload.ParseSpec
 // generator strings such as "er:n=4096,d=8,w=uniform") or registered
 // at runtime via POST /graphs. Every graph answers exactly (point-to-
-// point Dijkstra; its build only loads the graph); a warm-started
-// snapshot keeps the engine its arena records. Queries go to
-// POST /graphs/{id}/query; see internal/server for the full API. A cache miss or a batch runs
-// as soon as one of the graph's -query-workers is free; at most
-// -query-queue of them wait for one, and the rest get 503.
+// point Dijkstra; its build only loads the graph). Queries go to
+// POST /graphs/{id}/query; see internal/server for the full API. A
+// cache miss or a batch runs as soon as one of the graph's
+// -query-workers is free; at most -query-queue of them wait for one,
+// and the rest get 503.
 // SIGINT/SIGTERM drain in-flight requests before exit.
 //
 // With -snapshot-dir, every oracle that becomes ready is persisted to
@@ -42,9 +42,11 @@
 // there by memory mapping it: graphs are ready to serve immediately,
 // with no rebuild and no build-stage telemetry. Arenas are
 // host-endianness; a file that is not a current arena is skipped with
-// a warning. A -load/-gen preload whose name was already
-// warm-started is skipped, so restarting with identical flags is
-// idempotent and cheap.
+// a warning, and so is a hopset arena an earlier daemon wrote (the
+// warning carries its spec, to register it again; a -load/-gen preload
+// of that name rebuilds it exact). A -load/-gen preload whose name was
+// already warm-started is skipped, so restarting with identical flags
+// is idempotent and cheap.
 //
 // Observability: every request gets an edge-minted ID (echoed in
 // X-Spanhop-Request); lifecycle events log structurally (text or JSON
@@ -61,11 +63,12 @@
 //
 // Answer-quality auditing: every -audit-sample'th served query (and
 // every traced one) is shadow re-checked in the background against an
-// exact recomputation at the generation it was served from, under a
-// hard per-graph CPU budget (-audit-cpu-frac). Observed stretch-ratio
-// histograms, violation alarms, and the evidence behind them are at
-// GET /debug/quality and as spanhop_stretch_ratio / spanhop_audit_*
-// in /metrics; an envelope violation also logs a structured ERROR.
+// independent exact recomputation at the generation it was served
+// from, under a hard per-graph CPU budget (-audit-cpu-frac). A served
+// answer that differs is a violation: per-regime counts, violation
+// alarms, and the evidence behind them are at GET /debug/quality and
+// as spanhop_quality_violations_total / spanhop_audit_* in /metrics;
+// a violation also logs a structured ERROR.
 package main
 
 import (
@@ -87,7 +90,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	eps := flag.Float64("eps", 0.25, "oracle accuracy for preloaded graphs")
 	seed := flag.Uint64("seed", 1, "seed for preloaded graphs")
 	workers := flag.Int("workers", 0, "worker cap for oracle builds: 0 or 1 = sequential reference build, N > 1 = multicore capped at N")
 	buildWorkers := flag.Int("build-workers", 1, "concurrent oracle builds")
@@ -185,12 +187,13 @@ func main() {
 			if e, ok := srv.Registry().Get(name); ok {
 				// Already warm-started from a snapshot. A restart with
 				// the same preload flags must not rebuild — but if the
-				// flags changed (different spec, eps, or seed) the
-				// stale oracle must not silently serve either: evict it
-				// (snapshot file included) and rebuild.
+				// flags changed (different spec or seed) the stale
+				// oracle must not silently serve either: evict it
+				// (snapshot file included) and rebuild. Eps is not
+				// compared: it changes no exact answer, and a preload
+				// sends 0, which the registry records as its default.
 				got := e.Info().Spec
-				if got.File == want.File && got.Gen == want.Gen &&
-					got.Eps == want.Eps && got.Seed == want.Seed {
+				if got.File == want.File && got.Gen == want.Gen && got.Seed == want.Seed {
 					logger.Info(fmt.Sprintf("spanhopd: skipping -%s %s: already warm-started", kind, name),
 						"flag", "-"+kind, "graph", name)
 					continue
@@ -209,10 +212,10 @@ func main() {
 		}
 	}
 	preload("load", loads, func(name, v string) server.GraphSpec {
-		return server.GraphSpec{Name: name, File: v, Eps: *eps, Seed: *seed}
+		return server.GraphSpec{Name: name, File: v, Seed: *seed}
 	})
 	preload("gen", gens, func(name, v string) server.GraphSpec {
-		return server.GraphSpec{Name: name, Gen: v, Eps: *eps, Seed: *seed}
+		return server.GraphSpec{Name: name, Gen: v, Seed: *seed}
 	})
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

@@ -322,9 +322,9 @@ func (d *DynamicOracle) QueryBatch(pairs [][2]V) ([]QueryStats, error) {
 }
 
 // SetOnRebuild registers a hook invoked after every completed rebuild
-// swap, background or forced. The serving layer uses it to invalidate
-// result caches (a swap changes answers within the envelope) and to
-// rewrite the persisted snapshot.
+// swap, background or forced. The serving layer uses it to rewrite
+// the persisted snapshot. A swap keeps every exact answer; on a hopset
+// oracle it may change answers within the envelope.
 func (d *DynamicOracle) SetOnRebuild(f func()) { d.sch.SetOnSwap(f) }
 
 // ForceRebuild synchronously folds the pending journal into a fresh

@@ -3,10 +3,9 @@
 // top of a built (static) distance oracle. Edge insertions, deletions,
 // and reweights append to an in-memory journal — each stamped with a
 // monotonically increasing generation — and queries answer against
-// the mutated graph without touching the expensive hopset
-// construction. A rebuild scheduler (scheduler.go) folds the journal
-// back into a fresh base oracle in the background and atomically
-// swaps generations.
+// the mutated graph without rebuilding the base oracle. A rebuild
+// scheduler (scheduler.go) folds the journal back into a fresh base
+// oracle in the background and atomically swaps generations.
 //
 // # Query semantics and bound
 //
@@ -17,8 +16,8 @@
 //
 //   - Clean (no pair's state at g diverges from G, e.g. an empty
 //     journal or an insert that was deleted again): G'(g) = G, so the
-//     base oracle answers directly and the static envelope holds
-//     verbatim.
+//     base oracle answers directly: exactly for an exact base, within
+//     its stretch envelope for a hopset base.
 //
 //   - Degrading (some pair is inserted, deleted, or reweighted
 //     relative to G): the answer is an exact point-to-point Dijkstra
@@ -30,8 +29,7 @@
 //
 //     The overlay adds zero approximation error, paid for with query
 //     work proportional to the searched ball (plus one O(n) scratch
-//     reset) rather than the hopset depth. The rebuild policy bounds
-//     how long this regime lasts.
+//     reset). The rebuild policy bounds how long this regime lasts.
 //
 // After the scheduler's rebuild completes at generation g*, queries
 // at g ≥ g* answer through a from-scratch oracle on G'(g*) and match
@@ -130,9 +128,10 @@ func badUpdatef(format string, args ...any) error {
 }
 
 // Querier is the slice of the static oracle the overlay composes
-// with: approximate point-to-point distances on the base graph.
-// Implementations must be safe for concurrent use and deterministic
-// (the same (s,t) always returns the same estimate).
+// with: point-to-point distances on the base graph, exact or (for a
+// hopset oracle) within its stretch envelope. Implementations must be
+// safe for concurrent use and deterministic (the same (s,t) always
+// returns the same answer).
 type Querier interface {
 	Query(s, t graph.V) (graph.Dist, error)
 }
@@ -634,15 +633,14 @@ func (d *Oracle) queryRLocked(gen uint64, s, t graph.V) (graph.Dist, error) {
 // point-to-point Dijkstra over the patched adjacency — the same search
 // the degrading regime serves from, run unconditionally regardless of
 // the generation's regime. Unlike QueryAt it never routes through the
-// approximate base oracle, so the answer carries no distortion
-// envelope at all: this is the ground truth the serving layer's
-// answer-quality auditor re-checks sampled answers against. Returns
+// base oracle, so it is an independent search whatever the base's
+// engine: this is the ground truth the serving layer's answer-quality
+// auditor re-checks sampled answers against. Returns
 // graph.InfDist for disconnected pairs. gen must lie in
 // [FloorGen, Generation] (ErrCompactedGen / ErrFutureGen otherwise —
 // an auditor holding a generation a rebuild compacted away must treat
 // that as a dropped sample, never a violation). Cost is one O(n)
-// scratch reset plus the searched ball, not the hopset depth; callers
-// budget accordingly.
+// scratch reset plus the searched ball; callers budget accordingly.
 func (d *Oracle) ExactDistanceAt(gen uint64, s, t graph.V) (graph.Dist, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

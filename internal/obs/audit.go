@@ -2,17 +2,15 @@ package obs
 
 // Answer-quality auditing: is the oracle telling the truth?
 //
-// Every dashboard PR 7/9 added watches latency, cost, and traffic —
-// none of them would notice the one failure mode that actually
-// matters for a distance oracle: silently wrong answers. The Auditor
-// closes that gap by shadow-sampling served queries and re-checking
-// them against an exact recomputation (point-to-point Dijkstra over
-// the patched adjacency, pinned to the generation the answer was
-// served at). The observed stretch ratio served/exact is accumulated
-// into per-(graph, regime) log-spaced histograms; a ratio outside the
-// regime's proven envelope is a correctness alarm — the theorem says
-// it cannot happen, so if it does, the build is broken and the
-// evidence is preserved.
+// Latency, cost and traffic dashboards would not notice the one
+// failure mode that actually matters for a distance oracle: silently
+// wrong answers. The Auditor closes that gap by shadow-sampling served
+// queries and re-checking them against an independent exact
+// recomputation (point-to-point Dijkstra over the patched adjacency,
+// pinned to the generation the answer was served at). Served graphs
+// answer exactly, so any difference — in distance or in connectivity
+// — is a correctness alarm: the serving path is broken (a stale cache
+// entry, a wrong overlay dispatch) and the evidence is preserved.
 //
 // Design constraints, in order:
 //
@@ -32,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"log/slog"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,16 +51,6 @@ var ErrAuditorClosed = errors.New("obs: auditor closed")
 // dist value is then meaningless). Implementations are called from
 // auditor worker goroutines and must be safe for concurrent use.
 type RecheckFunc func(gen uint64, s, t int32) (dist int64, unreachable bool, err error)
-
-// Envelope is the multiplicative answer guarantee for one graph:
-// every correctly served distance lies in [Lo·d, Hi·d] of the exact
-// distance d. The degrading overlay regime is held to exactness
-// (ratio ≡ 1) regardless of the envelope, because its serving path
-// *is* the exact search.
-type Envelope struct {
-	Lo float64 `json:"lo"`
-	Hi float64 `json:"hi"`
-}
 
 // AuditSample is one served answer queued for shadow re-checking.
 type AuditSample struct {
@@ -89,50 +76,15 @@ type AuditEvidence struct {
 	Exact             int64     `json:"exact"`
 	ServedUnreachable bool      `json:"served_unreachable,omitempty"`
 	ExactUnreachable  bool      `json:"exact_unreachable,omitempty"`
-	Ratio             float64   `json:"ratio"` // 0 when not meaningfully finite
 	TraceID           string    `json:"trace_id,omitempty"`
 	Reason            string    `json:"reason,omitempty"`
 }
 
 // Violation reasons recorded in evidence and logs.
 const (
-	ReasonBelowEnvelope       = "below-envelope"
-	ReasonAboveEnvelope       = "above-envelope"
-	ReasonExactMismatch       = "exact-mismatch"       // degrading regime answered ≠ exact
+	ReasonExactMismatch       = "exact-mismatch"       // served distance ≠ exact
 	ReasonUnreachableMismatch = "unreachable-mismatch" // connectivity disagreement
 )
-
-// stretchBounds are the stretch-ratio histogram bucket upper bounds:
-// powers of two, geometrically refined toward 1.0 where correct
-// answers concentrate (±3% resolution near 1, coarsening to octaves
-// at the tails). Symmetric in log space so under- and over-estimates
-// are resolved equally.
-var stretchBounds = func() []float64 {
-	exps := []float64{-1, -0.5, -0.25, -0.125, -0.0625, -0.03125,
-		0, 0.03125, 0.0625, 0.125, 0.25, 0.5, 1, 2}
-	b := make([]float64, len(exps))
-	for i, e := range exps {
-		b[i] = math.Pow(2, e)
-	}
-	return b
-}()
-
-// StretchBuckets returns a copy of the histogram bucket upper bounds
-// shared by /debug/quality and the /metrics exposition.
-func StretchBuckets() []float64 {
-	out := make([]float64, len(stretchBounds))
-	copy(out, stretchBounds)
-	return out
-}
-
-func bucketOf(ratio float64) int {
-	for i, b := range stretchBounds {
-		if ratio <= b {
-			return i
-		}
-	}
-	return len(stretchBounds) // overflow bucket
-}
 
 // AuditorOptions configure NewAuditor. Zero values pick defaults.
 type AuditorOptions struct {
@@ -166,21 +118,16 @@ const (
 	defaultAuditEvidence = 16
 )
 
-// auditRegime accumulates per-(graph, regime) stretch observations.
+// auditRegime counts per-(graph, regime) audits.
 type auditRegime struct {
 	count      int64
 	violations int64
-	sum        float64
-	max        float64
-	min        float64
-	buckets    []int64 // len(stretchBounds)+1; last is overflow
 }
 
 // auditGraph is one registered graph's audit state. Audits are
 // low-rate background work, so a single mutex per graph is plenty.
 type auditGraph struct {
 	mu      sync.Mutex
-	env     Envelope
 	recheck RecheckFunc
 	start   time.Time // budget wall-clock base
 
@@ -195,14 +142,12 @@ type auditGraph struct {
 
 	regimes  map[string]*auditRegime
 	evidence ring[AuditEvidence] // newest violations
-	worst    *AuditEvidence      // largest |log ratio| over ALL audits
-	worstDev float64
 }
 
 func (g *auditGraph) regime(name string) *auditRegime {
 	r := g.regimes[name]
 	if r == nil {
-		r = &auditRegime{buckets: make([]int64, len(stretchBounds)+1)}
+		r = &auditRegime{}
 		g.regimes[name] = r
 	}
 	return r
@@ -301,9 +246,9 @@ func (a *Auditor) CPUFrac() float64 {
 }
 
 // Register installs (or refreshes, preserving counters) a graph's
-// exact-recheck hook and answer envelope. Samples for unregistered
-// graphs are rejected at Offer.
-func (a *Auditor) Register(graph string, env Envelope, recheck RecheckFunc) {
+// exact-recheck hook. Samples for unregistered graphs are rejected at
+// Offer.
+func (a *Auditor) Register(graph string, recheck RecheckFunc) {
 	if a == nil || recheck == nil {
 		return
 	}
@@ -311,13 +256,11 @@ func (a *Auditor) Register(graph string, env Envelope, recheck RecheckFunc) {
 	defer a.mu.Unlock()
 	if g := a.graphs[graph]; g != nil {
 		g.mu.Lock()
-		g.env = env
 		g.recheck = recheck
 		g.mu.Unlock()
 		return
 	}
 	a.graphs[graph] = &auditGraph{
-		env:      env,
 		recheck:  recheck,
 		start:    time.Now(),
 		regimes:  make(map[string]*auditRegime),
@@ -472,7 +415,7 @@ func (a *Auditor) worker() {
 }
 
 // audit re-checks one sample: budget gate, exact recompute (metered
-// as op=audit), envelope classification, histogram/evidence/alarm.
+// as op=audit), equality check, regime counters/evidence/alarm.
 func (a *Auditor) audit(s AuditSample) {
 	g := a.graph(s.Graph)
 	if g == nil {
@@ -489,7 +432,6 @@ func (a *Auditor) audit(s AuditSample) {
 		}
 	}
 	recheck := g.recheck
-	env := g.env
 	g.mu.Unlock()
 
 	// The accountant section runs the recheck thread-locked; the CPU
@@ -519,60 +461,28 @@ func (a *Auditor) audit(s AuditSample) {
 	}
 	g.audited++
 
-	// Classify. ratio is only meaningful when both sides agree the
-	// pair is reachable (finite); connectivity disagreements are
-	// violations with no ratio.
-	var ratio float64
-	finite := false
+	// Classify: connectivity must agree, and a reachable pair must be
+	// served its exact distance.
 	reason := ""
 	switch {
-	case s.Unreachable && exUnreach:
-		ratio, finite = 1, true
 	case s.Unreachable != exUnreach:
 		reason = ReasonUnreachableMismatch
-	case exact == 0:
-		if s.Answer == 0 {
-			ratio, finite = 1, true
-		} else {
-			reason = ReasonExactMismatch
-		}
-	default:
-		ratio = float64(s.Answer) / float64(exact)
-		finite = true
+	case !exUnreach && s.Answer != exact:
+		reason = ReasonExactMismatch
 	}
-	if reason == "" && finite && !(s.Unreachable && exUnreach) {
-		const slack = 1e-9 // float envelope comparison headroom
-		switch {
-		case s.Regime == "degrading":
-			// The degrading serving path IS the exact search:
-			// anything but integer equality is a broken build.
-			if s.Answer != exact {
-				reason = ReasonExactMismatch
-			}
-		case ratio < env.Lo-slack:
-			reason = ReasonBelowEnvelope
-		case ratio > env.Hi+slack:
-			reason = ReasonAboveEnvelope
+	r := g.regime(s.Regime)
+	r.count++
+	if reason == "" {
+		if s.TraceID != "" {
+			a.traces.Annotate(s.TraceID, "audit", "ok")
 		}
+		return
 	}
-
-	if finite {
-		r := g.regime(s.Regime)
-		r.count++
-		r.sum += ratio
-		if r.count == 1 || ratio > r.max {
-			r.max = ratio
-		}
-		if r.count == 1 || ratio < r.min {
-			r.min = ratio
-		}
-		r.buckets[bucketOf(ratio)]++
-		if reason != "" {
-			r.violations++
-		}
-	}
-
-	ev := AuditEvidence{
+	// Correctness alarm: an exact serving path cannot disagree with
+	// the recheck.
+	r.violations++
+	g.violations++
+	g.evidence.push(AuditEvidence{
 		Time:              time.Now(),
 		S:                 s.S,
 		T:                 s.T,
@@ -584,74 +494,32 @@ func (a *Auditor) audit(s AuditSample) {
 		ExactUnreachable:  exUnreach,
 		TraceID:           s.TraceID,
 		Reason:            reason,
-	}
-	if finite {
-		ev.Ratio = ratio
-	}
-
-	// Worst offender: the audit whose ratio strays farthest from 1 in
-	// log space, violation or not. Ratio-0 served answers (zero for a
-	// reachable pair) produce a -Inf deviation sentinel that wins; the
-	// stored evidence stays finite for JSON.
-	if finite {
-		dev := math.Abs(math.Log2(ratio))
-		if ratio == 0 {
-			dev = math.Inf(1)
-		}
-		if g.worst == nil || dev > g.worstDev {
-			evCopy := ev
-			g.worst = &evCopy
-			g.worstDev = dev
-		}
-	} else if g.worst == nil {
-		evCopy := ev
-		g.worst = &evCopy
-		g.worstDev = math.Inf(1)
-	}
-
-	if reason == "" {
-		if s.TraceID != "" {
-			a.traces.Annotate(s.TraceID, "audit", "ok", "audit_ratio", ev.Ratio)
-		}
-		return
-	}
-
-	// Correctness alarm: the theorem says this cannot happen.
-	g.violations++
-	g.evidence.push(ev)
+	})
 	a.events.Count("quality_violation")
 	if a.log != nil {
-		a.log.Error("answer-quality violation: served distance outside envelope",
+		a.log.Error("answer-quality violation: served distance differs from exact",
 			"graph", s.Graph, "reason", reason,
 			"s", s.S, "t", s.T, "gen", s.Gen, "regime", s.Regime,
-			"served", s.Answer, "exact", exact, "ratio", ev.Ratio,
-			"envelope_lo", env.Lo, "envelope_hi", env.Hi,
+			"served", s.Answer, "exact", exact,
+			"served_unreachable", s.Unreachable, "exact_unreachable", exUnreach,
 			"trace", s.TraceID)
 	}
 	if s.TraceID != "" {
-		a.traces.Annotate(s.TraceID, "audit", "violation",
-			"audit_ratio", ev.Ratio, "audit_reason", reason)
+		a.traces.Annotate(s.TraceID, "audit", "violation", "audit_reason", reason)
 	}
 }
 
-// AuditRegimeSnapshot is one (graph, regime) histogram row.
+// AuditRegimeSnapshot is one (graph, regime) row: how many audits ran
+// in that overlay regime, and how many of them were violations.
 type AuditRegimeSnapshot struct {
-	Regime     string  `json:"regime"`
-	Count      int64   `json:"count"`
-	Violations int64   `json:"violations"`
-	MeanRatio  float64 `json:"mean_ratio"`
-	MinRatio   float64 `json:"min_ratio"`
-	MaxRatio   float64 `json:"max_ratio"`
-	SumRatio   float64 `json:"sum_ratio"`
-	// Buckets aligns with StretchBuckets(); the extra final element
-	// counts ratios above the last bound.
-	Buckets []int64 `json:"buckets"`
+	Regime     string `json:"regime"`
+	Count      int64  `json:"count"`
+	Violations int64  `json:"violations"`
 }
 
 // AuditGraphSnapshot is one graph's full audit state.
 type AuditGraphSnapshot struct {
 	Graph       string                `json:"graph"`
-	Envelope    Envelope              `json:"envelope"`
 	Sampled     int64                 `json:"sampled"`
 	Audited     int64                 `json:"audited"`
 	Dropped     int64                 `json:"dropped"`
@@ -662,7 +530,6 @@ type AuditGraphSnapshot struct {
 	AuditCPUNS  int64                 `json:"audit_cpu_ns"`
 	Regimes     []AuditRegimeSnapshot `json:"regimes"`
 	Evidence    []AuditEvidence       `json:"evidence"`
-	Worst       *AuditEvidence        `json:"worst,omitempty"`
 }
 
 func (g *auditGraph) snapshot(name string) AuditGraphSnapshot {
@@ -670,7 +537,6 @@ func (g *auditGraph) snapshot(name string) AuditGraphSnapshot {
 	defer g.mu.Unlock()
 	snap := AuditGraphSnapshot{
 		Graph:       name,
-		Envelope:    g.env,
 		Sampled:     g.sampled,
 		Audited:     g.audited,
 		Dropped:     g.dropped,
@@ -683,27 +549,12 @@ func (g *auditGraph) snapshot(name string) AuditGraphSnapshot {
 		Evidence:    g.evidence.slice(), // newest first, like the trace ring
 	}
 	for name, r := range g.regimes {
-		rs := AuditRegimeSnapshot{
-			Regime:     name,
-			Count:      r.count,
-			Violations: r.violations,
-			MinRatio:   r.min,
-			MaxRatio:   r.max,
-			SumRatio:   r.sum,
-			Buckets:    append([]int64(nil), r.buckets...),
-		}
-		if r.count > 0 {
-			rs.MeanRatio = r.sum / float64(r.count)
-		}
-		snap.Regimes = append(snap.Regimes, rs)
+		snap.Regimes = append(snap.Regimes,
+			AuditRegimeSnapshot{Regime: name, Count: r.count, Violations: r.violations})
 	}
 	sort.Slice(snap.Regimes, func(i, j int) bool {
 		return snap.Regimes[i].Regime < snap.Regimes[j].Regime
 	})
-	if g.worst != nil {
-		w := *g.worst
-		snap.Worst = &w
-	}
 	return snap
 }
 

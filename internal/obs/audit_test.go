@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -47,132 +46,118 @@ func newTestAuditor(t *testing.T, opts AuditorOptions) *Auditor {
 
 func TestAuditorCleanAnswer(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(100, false, nil))
-	if !a.Offer(AuditSample{Graph: "g", S: 1, T: 2, Answer: 130, Regime: "clean", Gen: 0}) {
+	a.Register("g", fixedRecheck(100, false, nil))
+	if !a.Offer(AuditSample{Graph: "g", S: 1, T: 2, Answer: 100, Regime: "clean", Gen: 0}) {
 		t.Fatal("Offer rejected")
 	}
 	snap := awaitAudit(t, a, "g", 1)
 	if snap.Audited != 1 || snap.Violations != 0 {
 		t.Fatalf("audited=%d violations=%d, want 1/0", snap.Audited, snap.Violations)
 	}
-	if len(snap.Regimes) != 1 || snap.Regimes[0].Regime != "clean" {
-		t.Fatalf("regimes = %+v, want one clean row", snap.Regimes)
-	}
-	r := snap.Regimes[0]
-	if r.Count != 1 || math.Abs(r.MaxRatio-1.3) > 1e-12 || math.Abs(r.SumRatio-1.3) > 1e-12 {
-		t.Fatalf("regime row = %+v, want count 1 ratio 1.3", r)
-	}
-	var total int64
-	for _, b := range r.Buckets {
-		total += b
-	}
-	if total != 1 {
-		t.Fatalf("histogram holds %d observations, want 1", total)
-	}
-	if len(r.Buckets) != len(StretchBuckets())+1 {
-		t.Fatalf("bucket count %d, want %d", len(r.Buckets), len(StretchBuckets())+1)
-	}
-	if snap.Worst == nil || snap.Worst.Ratio != 1.3 {
-		t.Fatalf("worst = %+v, want ratio 1.3", snap.Worst)
+	want := []AuditRegimeSnapshot{{Regime: "clean", Count: 1}}
+	if len(snap.Regimes) != 1 || snap.Regimes[0] != want[0] {
+		t.Fatalf("regimes = %+v, want %+v", snap.Regimes, want)
 	}
 	if len(snap.Evidence) != 0 {
 		t.Fatalf("clean audit left evidence: %+v", snap.Evidence)
 	}
 }
 
-func TestAuditorEnvelopeViolation(t *testing.T) {
-	events := NewEvents()
-	ring := NewRing(8)
-	ring.Add(TraceData{ID: "tr-1"})
-	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Events: events, Traces: ring})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 1.5}, fixedRecheck(100, false, nil))
-	a.Offer(AuditSample{Graph: "g", S: 3, T: 4, Answer: 200, Regime: "clean", Gen: 7, TraceID: "tr-1"})
-	snap := awaitAudit(t, a, "g", 1)
-	if snap.Violations != 1 {
-		t.Fatalf("violations = %d, want 1", snap.Violations)
-	}
-	if len(snap.Evidence) != 1 {
-		t.Fatalf("evidence = %+v, want one entry", snap.Evidence)
-	}
-	ev := snap.Evidence[0]
-	if ev.Reason != ReasonAboveEnvelope || ev.Served != 200 || ev.Exact != 100 || ev.Gen != 7 {
-		t.Fatalf("evidence = %+v", ev)
-	}
-	if ev.TraceID != "tr-1" {
-		t.Fatalf("evidence trace id = %q, want tr-1", ev.TraceID)
-	}
-	if got := events.Get("quality_violation"); got != 1 {
-		t.Fatalf("quality_violation event count = %d, want 1", got)
-	}
-	// The finished trace carries the audit outcome.
-	tds := ring.Snapshot()
-	if len(tds) != 1 || tds[0].Attrs["audit"] != "violation" || tds[0].Attrs["audit_reason"] != ReasonAboveEnvelope {
-		t.Fatalf("trace attrs = %+v, want audit=violation", tds[0].Attrs)
-	}
-}
-
-func TestAuditorBelowEnvelope(t *testing.T) {
-	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(100, false, nil))
-	a.Offer(AuditSample{Graph: "g", Answer: 50, Regime: "clean"})
-	snap := awaitAudit(t, a, "g", 1)
-	if snap.Violations != 1 || len(snap.Evidence) != 1 || snap.Evidence[0].Reason != ReasonBelowEnvelope {
-		t.Fatalf("snapshot = %+v, want one below-envelope violation", snap)
-	}
-}
-
-func TestAuditorDegradingRequiresExactness(t *testing.T) {
-	// 101/100 is comfortably inside the envelope, but the degrading
-	// serving path is an exact search: any inequality is a violation.
-	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
-	a.Register("g", Envelope{Lo: 0.5, Hi: 3}, fixedRecheck(100, false, nil))
-	a.Offer(AuditSample{Graph: "g", Answer: 101, Regime: "degrading"})
-	a.Offer(AuditSample{Graph: "g", Answer: 100, Regime: "degrading"})
-	snap := awaitAudit(t, a, "g", 2)
-	if snap.Violations != 1 {
-		t.Fatalf("violations = %d, want 1 (inexact degrading answer only)", snap.Violations)
-	}
-	if len(snap.Evidence) != 1 || snap.Evidence[0].Reason != ReasonExactMismatch {
-		t.Fatalf("evidence = %+v, want exact-mismatch", snap.Evidence)
+// TestAuditorRequiresExactness: in every overlay regime, a reachable
+// answer other than the recheck's exact distance, above or below it,
+// is an exact-mismatch violation with its evidence, event and trace
+// verdict; the exact answer is not.
+func TestAuditorRequiresExactness(t *testing.T) {
+	for _, regime := range []string{"clean", "degrading"} {
+		for _, tc := range []struct {
+			served int64
+			bad    bool
+		}{{101, true}, {99, true}, {200, true}, {1, true}, {100, false}} {
+			name := fmt.Sprintf("%s/served=%d", regime, tc.served)
+			t.Run(name, func(t *testing.T) {
+				events := NewEvents()
+				ring := NewRing(8)
+				ring.Add(TraceData{ID: "tr-1"})
+				a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Events: events, Traces: ring})
+				a.Register("g", fixedRecheck(100, false, nil))
+				a.Offer(AuditSample{Graph: "g", S: 3, T: 4, Answer: tc.served,
+					Regime: regime, Gen: 7, TraceID: "tr-1"})
+				snap := awaitAudit(t, a, "g", 1)
+				var violations int64
+				verdict := "ok"
+				if tc.bad {
+					violations, verdict = 1, "violation"
+				}
+				row := AuditRegimeSnapshot{Regime: regime, Count: 1, Violations: violations}
+				if snap.Violations != violations || len(snap.Regimes) != 1 || snap.Regimes[0] != row {
+					t.Fatalf("violations = %d, regimes = %+v, want %d and %+v",
+						snap.Violations, snap.Regimes, violations, row)
+				}
+				if got := events.Get("quality_violation"); got != violations {
+					t.Fatalf("quality_violation event count = %d, want %d", got, violations)
+				}
+				// The finished trace carries the audit outcome.
+				tds := ring.Snapshot()
+				if len(tds) != 1 || tds[0].Attrs["audit"] != verdict {
+					t.Fatalf("trace attrs = %+v, want audit=%s", tds[0].Attrs, verdict)
+				}
+				if !tc.bad {
+					if len(snap.Evidence) != 0 {
+						t.Fatalf("exact answer left evidence: %+v", snap.Evidence)
+					}
+					return
+				}
+				if tds[0].Attrs["audit_reason"] != ReasonExactMismatch {
+					t.Fatalf("trace attrs = %+v, want audit_reason=%s", tds[0].Attrs, ReasonExactMismatch)
+				}
+				want := AuditEvidence{S: 3, T: 4, Gen: 7, Regime: regime, Served: tc.served,
+					Exact: 100, TraceID: "tr-1", Reason: ReasonExactMismatch}
+				if len(snap.Evidence) != 1 {
+					t.Fatalf("evidence = %+v, want one entry", snap.Evidence)
+				}
+				ev := snap.Evidence[0]
+				ev.Time = time.Time{}
+				if ev != want {
+					t.Fatalf("evidence = %+v, want %+v", ev, want)
+				}
+			})
+		}
 	}
 }
 
 func TestAuditorUnreachableMismatch(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(100, false, nil))
+	a.Register("g", fixedRecheck(100, false, nil))
 	a.Offer(AuditSample{Graph: "g", Answer: 1 << 60, Unreachable: true, Regime: "clean"})
 	snap := awaitAudit(t, a, "g", 1)
 	if snap.Violations != 1 || len(snap.Evidence) != 1 {
 		t.Fatalf("snapshot = %+v, want one violation", snap)
 	}
-	ev := snap.Evidence[0]
-	if ev.Reason != ReasonUnreachableMismatch || ev.Ratio != 0 {
-		t.Fatalf("evidence = %+v, want unreachable-mismatch with no ratio", ev)
+	if ev := snap.Evidence[0]; ev.Reason != ReasonUnreachableMismatch {
+		t.Fatalf("evidence = %+v, want unreachable-mismatch", ev)
 	}
-	// No finite ratio → no histogram observation.
-	for _, r := range snap.Regimes {
-		if r.Count != 0 {
-			t.Fatalf("regime row %+v counted a non-finite ratio", r)
-		}
+	want := AuditRegimeSnapshot{Regime: "clean", Count: 1, Violations: 1}
+	if len(snap.Regimes) != 1 || snap.Regimes[0] != want {
+		t.Fatalf("regimes = %+v, want %+v", snap.Regimes, want)
 	}
 }
 
 func TestAuditorBothUnreachableOK(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(0, true, nil))
+	a.Register("g", fixedRecheck(0, true, nil))
 	a.Offer(AuditSample{Graph: "g", Answer: 1 << 60, Unreachable: true, Regime: "clean"})
 	snap := awaitAudit(t, a, "g", 1)
 	if snap.Violations != 0 {
 		t.Fatalf("violations = %d; agreeing on disconnection is not a violation", snap.Violations)
 	}
-	if snap.Regimes[0].Count != 1 || snap.Regimes[0].MaxRatio != 1 {
-		t.Fatalf("regime row = %+v, want ratio-1 observation", snap.Regimes[0])
+	if want := (AuditRegimeSnapshot{Regime: "clean", Count: 1}); snap.Regimes[0] != want {
+		t.Fatalf("regime row = %+v, want %+v", snap.Regimes[0], want)
 	}
 }
 
 func TestAuditorStaleSkip(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(0, false, fmt.Errorf("wrapped: %w", ErrAuditStale)))
+	a.Register("g", fixedRecheck(0, false, fmt.Errorf("wrapped: %w", ErrAuditStale)))
 	a.Offer(AuditSample{Graph: "g", Answer: 10, Regime: "clean"})
 	snap := awaitAudit(t, a, "g", 1)
 	if snap.StaleSkips != 1 || snap.Audited != 0 || snap.Violations != 0 || snap.Errors != 0 {
@@ -182,7 +167,7 @@ func TestAuditorStaleSkip(t *testing.T) {
 
 func TestAuditorRecheckError(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(0, false, errors.New("boom")))
+	a.Register("g", fixedRecheck(0, false, errors.New("boom")))
 	a.Offer(AuditSample{Graph: "g", Answer: 10, Regime: "clean"})
 	snap := awaitAudit(t, a, "g", 1)
 	if snap.Errors != 1 || snap.Violations != 0 {
@@ -192,7 +177,7 @@ func TestAuditorRecheckError(t *testing.T) {
 
 func TestAuditorBudgetSkip(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, CPUFrac: 0.01})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(100, false, nil))
+	a.Register("g", fixedRecheck(100, false, nil))
 	// White-box: pretend past audits already burned an hour of CPU, so
 	// any budget fraction of the wall time since Register is exceeded.
 	g := a.graph("g")
@@ -209,7 +194,7 @@ func TestAuditorBudgetSkip(t *testing.T) {
 
 func TestAuditorEvidenceRingBounded(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Evidence: 2, Workers: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 1.1}, fixedRecheck(100, false, nil))
+	a.Register("g", fixedRecheck(100, false, nil))
 	// Three violations with distinct served values; a single worker
 	// audits them in offer order.
 	for i, served := range []int64{200, 300, 400} {
@@ -227,17 +212,13 @@ func TestAuditorEvidenceRingBounded(t *testing.T) {
 		t.Fatalf("evidence order = [%d, %d], want [400, 300]",
 			snap.Evidence[0].Served, snap.Evidence[1].Served)
 	}
-	// Worst offender survives eviction (largest |log2 ratio| = 4x).
-	if snap.Worst == nil || snap.Worst.Served != 400 {
-		t.Fatalf("worst = %+v, want the 4x answer", snap.Worst)
-	}
 }
 
 func TestAuditorDropOldest(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 16)
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Queue: 2, Workers: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, func(gen uint64, s, t int32) (int64, bool, error) {
+	a.Register("g", func(gen uint64, s, t int32) (int64, bool, error) {
 		started <- struct{}{}
 		<-block
 		return 100, false, nil
@@ -274,7 +255,7 @@ func TestAuditorDrain(t *testing.T) {
 	if err := a.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain on an idle auditor = %v", err)
 	}
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, func(gen uint64, s, t int32) (int64, bool, error) {
+	a.Register("g", func(gen uint64, s, t int32) (int64, bool, error) {
 		<-block
 		return 100, false, nil
 	})
@@ -300,7 +281,7 @@ func TestAuditorDrain(t *testing.T) {
 
 	stuck := make(chan struct{})
 	b := NewAuditor(AuditorOptions{SampleEvery: 1, CPUFrac: -1, Workers: 1})
-	b.Register("g", Envelope{Lo: 0.9, Hi: 2}, func(gen uint64, s, t int32) (int64, bool, error) {
+	b.Register("g", func(gen uint64, s, t int32) (int64, bool, error) {
 		<-stuck
 		return 100, false, nil
 	})
@@ -321,7 +302,7 @@ func TestAuditorDrain(t *testing.T) {
 // accepted sample and the pending count is back at zero.
 func TestAuditorDrainConcurrentOffers(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Queue: 4, Workers: 2})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(100, false, nil))
+	a.Register("g", fixedRecheck(100, false, nil))
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var offers sync.WaitGroup
@@ -375,7 +356,7 @@ func TestAuditorOfferUnregistered(t *testing.T) {
 	if a.Offer(AuditSample{Graph: "nope", Answer: 1}) {
 		t.Fatal("Offer accepted a sample for an unregistered graph")
 	}
-	a.Register("g", Envelope{Lo: 0, Hi: 2}, fixedRecheck(1, false, nil))
+	a.Register("g", fixedRecheck(1, false, nil))
 	a.Forget("g")
 	if a.Offer(AuditSample{Graph: "g", Answer: 1}) {
 		t.Fatal("Offer accepted a sample for a forgotten graph")
@@ -387,17 +368,18 @@ func TestAuditorOfferUnregistered(t *testing.T) {
 
 func TestAuditorRegisterRefreshPreservesCounters(t *testing.T) {
 	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1})
-	a.Register("g", Envelope{Lo: 0.9, Hi: 2}, fixedRecheck(100, false, nil))
+	a.Register("g", fixedRecheck(100, false, nil))
 	a.Offer(AuditSample{Graph: "g", Answer: 100, Regime: "clean"})
 	awaitAudit(t, a, "g", 1)
-	// A rebuild refreshes the recheck hook and envelope in place.
-	a.Register("g", Envelope{Lo: 0.8, Hi: 3}, fixedRecheck(50, false, nil))
+	// A re-registration refreshes the recheck hook in place.
+	a.Register("g", fixedRecheck(50, false, nil))
 	snap, ok := a.GraphSnapshot("g")
 	if !ok || snap.Audited != 1 {
 		t.Fatalf("refresh lost counters: %+v", snap)
 	}
-	if snap.Envelope.Hi != 3 {
-		t.Fatalf("refresh kept stale envelope: %+v", snap.Envelope)
+	a.Offer(AuditSample{Graph: "g", Answer: 50, Regime: "clean"})
+	if snap = awaitAudit(t, a, "g", 2); snap.Violations != 0 {
+		t.Fatalf("refresh kept the stale recheck: %+v", snap)
 	}
 }
 
@@ -423,7 +405,7 @@ func TestAuditorSampleHit(t *testing.T) {
 
 func TestAuditorNilSafe(t *testing.T) {
 	var a *Auditor
-	a.Register("g", Envelope{}, fixedRecheck(1, false, nil))
+	a.Register("g", fixedRecheck(1, false, nil))
 	if a.Offer(AuditSample{Graph: "g"}) {
 		t.Fatal("nil auditor accepted a sample")
 	}
@@ -438,36 +420,6 @@ func TestAuditorNilSafe(t *testing.T) {
 	}
 	a.Forget("g")
 	a.Close()
-}
-
-func TestStretchBucketsShape(t *testing.T) {
-	b := StretchBuckets()
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			t.Fatalf("bucket bounds not strictly increasing at %d: %v", i, b)
-		}
-	}
-	// 1.0 must be an exact bound so correct answers land in a
-	// dedicated bucket, and the mutable copy must not alias.
-	found := false
-	for _, v := range b {
-		if v == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no 1.0 bound in %v", b)
-	}
-	b[0] = 99
-	if StretchBuckets()[0] == 99 {
-		t.Fatal("StretchBuckets returned an aliased slice")
-	}
-	if bucketOf(1) != bucketOf(0.999) && bucketOf(1) == bucketOf(1.001) {
-		t.Fatal("ratio 1.0 shares a bucket with over-estimates")
-	}
-	if got := bucketOf(1e9); got != len(b) {
-		t.Fatalf("overflow ratio bucket = %d, want %d", got, len(b))
-	}
 }
 
 func TestRingAnnotate(t *testing.T) {
@@ -516,11 +468,11 @@ func TestRingAnnotateBeforeAdd(t *testing.T) {
 	if r.Annotate("early", "audit", "ok") {
 		t.Fatal("Annotate reported a trace that was never added")
 	}
-	r.Annotate("early", "audit_ratio", 1.5)
+	r.Annotate("early", "audit_reason", ReasonExactMismatch)
 	attrs := map[string]any{"k": 1}
 	r.Add(TraceData{ID: "early", Attrs: attrs})
 	got := r.Snapshot()[0].Attrs
-	if got["audit"] != "ok" || got["audit_ratio"] != 1.5 || got["k"] != 1 {
+	if got["audit"] != "ok" || got["audit_reason"] != ReasonExactMismatch || got["k"] != 1 {
 		t.Fatalf("parked annotation not applied: %+v", got)
 	}
 	if _, leaked := attrs["audit"]; leaked {

@@ -235,6 +235,60 @@ func TestAutoRebuildOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRebuildKeepsCache: an exact rebuild changes no answer at the
+// current generation, so its swap keeps the result cache. A pair
+// cached after a mutation batch is served as a cache hit after
+// POST /graphs/{id}/rebuild, and equals ExactDistanceAt at the rebuilt
+// generation.
+func TestRebuildKeepsCache(t *testing.T) {
+	s, ts := newTestServer(t)
+	if code := httpJSON(t, ts, "POST", "/graphs",
+		GraphSpec{Name: "g", Gen: "grid:side=6,w=uniform,maxw=9", Seed: 3}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /graphs = %d", code)
+	}
+	waitReady(t, ts, "g")
+	var ar applyResponse
+	if code := httpJSON(t, ts, "POST", "/graphs/g/edges", map[string]any{"updates": []map[string]any{
+		{"op": "delete", "u": 0, "v": 1},
+		{"op": "insert", "u": 2, "v": 33, "w": 4},
+	}}, &ar); code != http.StatusOK {
+		t.Fatalf("edges = %d", code)
+	}
+	query := func() int64 {
+		var res struct {
+			Dist int64 `json:"dist"`
+		}
+		if code := httpJSON(t, ts, "POST", "/graphs/g/query",
+			map[string]any{"s": 0, "t": 34}, &res); code != http.StatusOK {
+			t.Fatalf("query = %d", code)
+		}
+		return res.Dist
+	}
+	e, _ := s.Registry().Get("g")
+	before := query() // a miss: the mutation batch flushed the cache
+	hits := e.stats.Snapshot().CacheHits
+	var rb struct {
+		Dynamic DynamicInfo `json:"dynamic"`
+	}
+	if code := httpJSON(t, ts, "POST", "/graphs/g/rebuild", nil, &rb); code != http.StatusOK {
+		t.Fatalf("rebuild = %d", code)
+	}
+	if dyn := rb.Dynamic; dyn.BaseGeneration != ar.Generation || dyn.PendingUpdates != 0 {
+		t.Fatalf("rebuild left %+v, want base generation %d and no pending updates", dyn, ar.Generation)
+	}
+	got := query()
+	if h := e.stats.Snapshot().CacheHits; h != hits+1 {
+		t.Fatalf("cache hits %d -> %d across the rebuild, want one more", hits, h)
+	}
+	want, err := e.dyn.ExactDistanceAt(ar.Generation, 0, 34)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != int64(want) || before != got {
+		t.Fatalf("cached answer %d (before the rebuild %d), want the exact %d", got, before, want)
+	}
+}
+
 // TestMetricsEndpoint: /metrics emits the Prometheus exposition with
 // the serving counters and the dynamic gauges.
 func TestMetricsEndpoint(t *testing.T) {

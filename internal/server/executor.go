@@ -297,12 +297,13 @@ func (x *Executor) Close() {
 // LRU result cache.
 
 // lruCache memoizes QueryStats keyed on the ordered (s, t) pair.
-// Query answers are deterministic for a built oracle, so a cached
+// Answers are exact distances at the current generation, so a cached
 // result is exactly what re-running the query would return — until a
-// mutation or rebuild changes the graph, which flushes the cache and
-// bumps its epoch; writers that captured an older epoch before
-// computing stand down, so a batch in flight across a flush can never
-// re-insert a pre-mutation answer. cap <= 0 disables caching.
+// mutation batch changes the graph, which flushes the cache and bumps
+// its epoch; writers that captured an older epoch before computing
+// stand down, so a batch in flight across a flush can never re-insert
+// a pre-mutation answer. A rebuild swap changes no generation and no
+// answer, so it keeps the cache. cap <= 0 disables caching.
 type lruCache struct {
 	mu  sync.Mutex
 	cap int

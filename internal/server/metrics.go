@@ -232,47 +232,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("spanhop_graph_alloc_bytes_total", costLabels(c), c.AllocBytes)
 	}
 
-	// Answer-quality auditing: the stretch actually delivered, the
-	// violation alarm, and the audit pipeline's own health. Families
-	// are declared unconditionally (scrapers want stable schemas);
-	// rows appear as graphs register with the auditor.
+	// Answer-quality auditing: the violation alarm and the audit
+	// pipeline's own health. Families are declared unconditionally
+	// (scrapers want stable schemas); rows appear as graphs register
+	// with the auditor.
 	audits := s.reg.aud.Snapshot()
-	p.family("spanhop_stretch_ratio",
-		"Audited served/exact distance ratio (1 = exact; the envelope is the proven bound).", "histogram")
-	stretchBounds := obs.StretchBuckets()
-	for _, ag := range audits {
-		for _, reg := range ag.Regimes {
-			labels := func(extra ...[2]string) [][2]string {
-				return append([][2]string{{"graph", ag.Graph}, {"regime", reg.Regime}}, extra...)
-			}
-			cum := int64(0)
-			for i, c := range reg.Buckets {
-				cum += c
-				if i == len(reg.Buckets)-1 {
-					break // overflow bucket: +Inf carries it
-				}
-				p.sample("spanhop_stretch_ratio_bucket",
-					labels([2]string{"le", fmt.Sprintf("%g", stretchBounds[i])}), cum)
-			}
-			p.sample("spanhop_stretch_ratio_bucket",
-				labels([2]string{"le", "+Inf"}), reg.Count)
-			p.sample("spanhop_stretch_ratio_sum", labels(), reg.SumRatio)
-			p.sample("spanhop_stretch_ratio_count", labels(), reg.Count)
-		}
-	}
-	p.family("spanhop_stretch_ratio_max",
-		"High-water mark of the audited stretch ratio.", "gauge")
-	for _, ag := range audits {
-		for _, reg := range ag.Regimes {
-			if reg.Count == 0 {
-				continue
-			}
-			p.sample("spanhop_stretch_ratio_max",
-				[][2]string{{"graph", ag.Graph}, {"regime", reg.Regime}}, reg.MaxRatio)
-		}
-	}
 	p.family("spanhop_quality_violations_total",
-		"Audited answers outside the regime's proven stretch envelope — a correctness alarm.", "counter")
+		"Audited answers that differ from an exact recomputation — a correctness alarm.", "counter")
 	for _, ag := range audits {
 		p.sample("spanhop_quality_violations_total",
 			[][2]string{{"graph", ag.Graph}}, ag.Violations)

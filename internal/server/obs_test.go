@@ -250,7 +250,6 @@ func TestMetricsExposition(t *testing.T) {
 		"spanhop_trace_annotations_dropped_total",
 		"spanhop_go_goroutines", "spanhop_go_heap_alloc_bytes", "spanhop_go_gc_cycles_total",
 		"spanhop_go_sched_latency_seconds", "spanhop_query_latency_seconds",
-		"spanhop_stretch_ratio", "spanhop_stretch_ratio_max",
 		"spanhop_quality_violations_total", "spanhop_audit_samples_total",
 		"spanhop_audit_checked_total", "spanhop_audit_dropped_total",
 		"spanhop_audit_budget_skips_total", "spanhop_audit_stale_skips_total",

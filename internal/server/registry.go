@@ -2,18 +2,15 @@
 // registry of named graphs with background oracle builds, a query
 // executor that answers cache misses and explicit batches through
 // QueryBatch fan-outs on a bounded worker pool, and an HTTP/JSON API.
-// cmd/spanhopd wires it to
-// a listener; cmd/loadgen drives it.
+// cmd/spanhopd wires it to a listener; cmd/loadgen drives it.
 //
-// The paper's Theorem 1.2 oracle is a preprocess-once/query-many
-// structure, which is exactly the shape that wants to live behind a
-// long-running daemon: builds are expensive and parallel (the PR 1
-// multicore substrate), queries are cheap, read-mostly, and batch
-// well. This package owns everything between the HTTP listener and
-// DistanceOracle. Every graph the registry builds answers with the
-// oracle's default exact engine (point-to-point Dijkstra; its build
-// only loads the graph); a snapshot arena restores with the engine it
-// was saved with.
+// A graph is loaded once and queried many times, which is the shape
+// that wants to live behind a long-running daemon: queries are
+// read-mostly and batch well. This package owns everything between
+// the HTTP listener and DistanceOracle. Every graph the registry holds
+// answers with the oracle's default exact engine (point-to-point
+// Dijkstra; its build only loads the graph); a warm start refuses a
+// snapshot arena that holds any other engine.
 package server
 
 import (
@@ -57,7 +54,9 @@ type GraphSpec struct {
 	File string `json:"file,omitempty"`
 	// Gen is a generator spec, e.g. "er:n=4096,d=8,w=uniform".
 	Gen string `json:"gen,omitempty"`
-	// Eps is the oracle accuracy parameter; default 0.25.
+	// Eps is the hopset accuracy parameter, in (0, 1); default 0.25.
+	// It is recorded and validated but changes no answer: every graph
+	// the registry holds is exact.
 	Eps float64 `json:"eps,omitempty"`
 	// Seed drives both generation and preprocessing; builds are
 	// deterministic in (spec, seed), which lets clients re-derive and
@@ -133,18 +132,14 @@ type Info struct {
 		Seed uint64  `json:"seed"`
 	} `json:"spec"`
 	// Graph shape + oracle introspection, set once ready.
-	N           int32 `json:"n,omitempty"`
-	M           int64 `json:"m,omitempty"`
-	Weighted    bool  `json:"weighted,omitempty"`
-	HopsetEdges int   `json:"hopset_edges,omitempty"`
-	Decomposed  bool  `json:"decomposed,omitempty"`
-	Instances   int   `json:"instances,omitempty"`
-	Degenerate  bool  `json:"degenerate,omitempty"`
-	BuildMS     int64 `json:"build_ms,omitempty"`
-	// BuildStages is the per-stage build telemetry (graph loading,
-	// weight-class decomposition, hopset construction) recorded by the
-	// build's execution context. Empty for warm-started graphs: they
-	// never built anything in this process.
+	N          int32 `json:"n,omitempty"`
+	M          int64 `json:"m,omitempty"`
+	Weighted   bool  `json:"weighted,omitempty"`
+	Degenerate bool  `json:"degenerate,omitempty"`
+	BuildMS    int64 `json:"build_ms,omitempty"`
+	// BuildStages is the per-stage build telemetry (graph loading)
+	// recorded by the build's execution context. Empty for
+	// warm-started graphs: they never built anything in this process.
 	BuildStages []exec.StageStats `json:"build_stages,omitempty"`
 	// WarmStarted marks a graph restored from a snapshot at boot.
 	WarmStarted bool `json:"warm_started,omitempty"`
@@ -224,9 +219,6 @@ func (e *Entry) Info() Info {
 		info.N = g.NumVertices()
 		info.M = g.NumEdges()
 		info.Weighted = g.Weighted()
-		info.HopsetEdges = oracle.HopsetSize()
-		info.Decomposed = oracle.Decomposed()
-		info.Instances = oracle.InstanceCount()
 		info.Degenerate = oracle.Degenerate()
 		info.Flat, info.FlatBytes = oracle.FlatInfo()
 	}
@@ -606,7 +598,7 @@ func (r *Registry) build(e *Entry) {
 	wl := obs.NewWorkload(r.cfg.WorkloadTopK)
 	r.registerAudit(e.id, dyn)
 	ex.instrument(e.id, wl, acct, r.aud)
-	r.hookRebuild(e, dyn, ex)
+	r.hookRebuild(e, dyn)
 	e.mu.Lock()
 	e.dyn = dyn
 	e.exec = ex
@@ -623,7 +615,7 @@ func (r *Registry) build(e *Entry) {
 	}
 	r.cfg.Obs.Event("build_ready", "rid", e.btr.ID(), "graph", e.id,
 		"build_ms", time.Since(start).Milliseconds(),
-		"n", g.NumVertices(), "m", g.NumEdges(), "hopset_edges", oracle.HopsetSize())
+		"n", g.NumVertices(), "m", g.NumEdges())
 	e.btr.Annotate("n", g.NumVertices())
 	e.btr.Annotate("m", g.NumEdges())
 	r.cfg.Obs.Publish(e.btr.Finish())
@@ -642,7 +634,7 @@ func (r *Registry) build(e *Entry) {
 
 // ForceRebuild synchronously folds a ready graph's pending journal
 // into a fresh oracle (the POST /graphs/{id}/rebuild path), then
-// flushes the executor cache and rewrites the snapshot.
+// rewrites the snapshot.
 func (r *Registry) ForceRebuild(ctx context.Context, id string) (*DynamicInfo, error) {
 	e, ok := r.Get(id)
 	if !ok {
@@ -654,9 +646,9 @@ func (r *Registry) ForceRebuild(ctx context.Context, id string) (*DynamicInfo, e
 	if state != StateReady || dyn == nil {
 		return nil, fmt.Errorf("%w: %s is %s", ErrNotReady, id, state)
 	}
-	// Cache invalidation and the snapshot rewrite ride on the
-	// oracle's post-swap hook (hookRebuild), exactly as they do for a
-	// policy-triggered background rebuild.
+	// The snapshot rewrite rides on the oracle's post-swap hook
+	// (hookRebuild), exactly as it does for a policy-triggered
+	// background rebuild.
 	if err := dyn.ForceRebuild(ctx); err != nil {
 		// A DELETE racing the rebuild closes the scheduler; that is
 		// "graph gone", not an internal error. Registry shutdown maps
@@ -698,11 +690,11 @@ func (r *Registry) graphRebuildPolicy(id string) spanhop.RebuildPolicy {
 
 // hookRebuild wires an entry's rebuild-swap hook: whenever the
 // overlay scheduler swaps in a freshly rebuilt oracle (background or
-// forced), the executor's result cache is flushed — cached answers
-// are bound-correct for the mutated graph but may differ from the
-// rebuilt oracle's canonical answers — and the snapshot is rewritten
-// so the compacted state (not the journal) persists.
-func (r *Registry) hookRebuild(e *Entry, dyn *spanhop.DynamicOracle, ex *Executor) {
+// forced), the snapshot is rewritten so the compacted state (not the
+// journal) persists. The result cache is kept: an exact rebuild
+// changes no answer at the current generation, and the mutation
+// batches it folds in already flushed the cache in ApplyUpdates.
+func (r *Registry) hookRebuild(e *Entry, dyn *spanhop.DynamicOracle) {
 	dyn.SetRebuildObserver(func(ev spanhop.RebuildEvent) {
 		switch ev.Kind {
 		case "start":
@@ -722,10 +714,7 @@ func (r *Registry) hookRebuild(e *Entry, dyn *spanhop.DynamicOracle, ex *Executo
 				"rebuild_ms", ev.Dur.Milliseconds())
 		}
 	})
-	dyn.SetOnRebuild(func() {
-		ex.flushCache()
-		r.scheduleSnapshot(e)
-	})
+	dyn.SetOnRebuild(func() { r.scheduleSnapshot(e) })
 	// Rebuild attribution: the scheduler's build step runs under the
 	// graph's {graph, op=rebuild} labels (this goroutine here; pooled
 	// helpers via the policy's label context) and is measured into the
@@ -820,29 +809,26 @@ func (r *Registry) Close() {
 	r.aud.Close()
 }
 
-// registerAudit installs a ready graph's exact-recheck hook and
-// stretch envelope into the answer auditor. An exact graph's envelope
-// is [1, 1]: its samples check that the cache and the overlay serve
-// the pinned generation's distance. The recheck pins the sampled
-// generation through the dynamic overlay's patched
-// point-to-point Dijkstra — ground truth, no hopset on any path — and
-// maps a generation compacted away by a rebuild to obs.ErrAuditStale
-// (a counted skip, never a violation). Runs before the executor is
+// registerAudit installs a ready graph's exact-recheck hook into the
+// answer auditor: its samples check that the cache and the overlay
+// serve the pinned generation's exact distance. The recheck pins the
+// sampled generation through the dynamic overlay's patched
+// point-to-point Dijkstra, an independent search, and maps a
+// generation compacted away by a rebuild to obs.ErrAuditStale (a
+// counted skip, never a violation). Runs before the executor is
 // instrumented so the first sampled query already finds the graph
 // registered.
 func (r *Registry) registerAudit(id string, dyn *spanhop.DynamicOracle) {
-	lo, hi := dyn.StretchEnvelope()
-	r.aud.Register(id, obs.Envelope{Lo: lo, Hi: hi},
-		func(gen uint64, s, t int32) (int64, bool, error) {
-			d, err := dyn.ExactDistanceAt(gen, graph.V(s), graph.V(t))
-			if err != nil {
-				if errors.Is(err, spanhop.ErrCompactedGen) {
-					return 0, false, obs.ErrAuditStale
-				}
-				return 0, false, err
+	r.aud.Register(id, func(gen uint64, s, t int32) (int64, bool, error) {
+		d, err := dyn.ExactDistanceAt(gen, graph.V(s), graph.V(t))
+		if err != nil {
+			if errors.Is(err, spanhop.ErrCompactedGen) {
+				return 0, false, obs.ErrAuditStale
 			}
-			return int64(d), d >= graph.InfDist, nil
-		})
+			return 0, false, err
+		}
+		return int64(d), d >= graph.InfDist, nil
+	})
 }
 
 // ApplyUpdates applies a mutation batch to a ready graph's dynamic

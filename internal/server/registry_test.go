@@ -36,9 +36,10 @@ func TestRegistryBuildAndReady(t *testing.T) {
 		t.Fatalf("bad info: %+v", info)
 	}
 	// A registry build is exact: it loads the graph and builds no hopset.
-	if info.Spec.Eps != 0.3 || info.HopsetEdges != 0 || info.Instances != 0 || info.Decomposed {
-		t.Fatalf("bad oracle introspection: %+v", info)
+	if info.Spec.Eps != 0.3 {
+		t.Fatalf("spec eps = %g, want the registered 0.3", info.Spec.Eps)
 	}
+	assertExact(t, r, "er0")
 	if len(info.BuildStages) != 1 || info.BuildStages[0].Name != "load-graph" {
 		t.Fatalf("build stages = %+v, want load-graph alone", info.BuildStages)
 	}

@@ -77,7 +77,7 @@ type Config struct {
 	// AuditSample drives continuous answer-quality auditing: every Nth
 	// served query is shadow-sampled and re-checked in the background
 	// against an exact recomputation at the generation it was served
-	// from, with envelope violations alarmed at /debug/quality and in
+	// from, with any difference alarmed at /debug/quality and in
 	// /metrics. Traced requests are always audited regardless of the
 	// stride. 0 takes the default (obs.DefaultAuditSample), negative
 	// disables rate-based sampling (traced requests still audit).
@@ -330,12 +330,10 @@ type queryResult struct {
 	T           graph.V    `json:"t"`
 	Dist        graph.Dist `json:"dist"`
 	Unreachable bool       `json:"unreachable,omitempty"`
-	Levels      int64      `json:"levels"`
-	Fallback    bool       `json:"fallback,omitempty"`
 }
 
 func toResult(s, t graph.V, st spanhop.QueryStats) queryResult {
-	res := queryResult{S: s, T: t, Dist: st.Dist, Levels: st.Levels, Fallback: st.Fallback}
+	res := queryResult{S: s, T: t, Dist: st.Dist}
 	if st.Dist == graph.InfDist {
 		res.Dist = 0
 		res.Unreachable = true
@@ -570,12 +568,12 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuality serves the answer-quality audit state:
-// GET /debug/quality → {uptime_ms, sample_every, cpu_frac,
-// stretch_buckets, graphs: [per-graph histograms, counters, evidence,
-// worst offender]}. ?graph={id} narrows to one graph (404 on
-// unknown). Violations here are correctness alarms: a served distance
-// escaped the envelope the paper proves, so the page preserves the
-// offending queries verbatim for reproduction.
+// GET /debug/quality → {uptime_ms, sample_every, cpu_frac, graphs:
+// [per-graph counters, per-regime rows, evidence]}. ?graph={id}
+// narrows to one graph (404 on unknown). Violations here are
+// correctness alarms: a served distance differed from an exact
+// recomputation, so the page preserves the offending queries verbatim
+// for reproduction.
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	aud := s.reg.aud
 	var graphs []obs.AuditGraphSnapshot
@@ -590,11 +588,10 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 		graphs = []obs.AuditGraphSnapshot{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_ms":       time.Since(s.start).Milliseconds(),
-		"sample_every":    aud.SampleEvery(),
-		"cpu_frac":        aud.CPUFrac(),
-		"stretch_buckets": obs.StretchBuckets(),
-		"graphs":          graphs,
+		"uptime_ms":    time.Since(s.start).Milliseconds(),
+		"sample_every": aud.SampleEvery(),
+		"cpu_frac":     aud.CPUFrac(),
+		"graphs":       graphs,
 	})
 }
 

@@ -73,8 +73,27 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// assertExact fails unless graph id is ready with an exact oracle:
+// stretch envelope [1, 1].
+func assertExact(t *testing.T, r *Registry, id string) {
+	t.Helper()
+	e, ok := r.Get(id)
+	if !ok {
+		t.Fatalf("graph %s not registered", id)
+	}
+	e.mu.Lock()
+	dyn := e.dyn
+	e.mu.Unlock()
+	if dyn == nil {
+		t.Fatalf("graph %s is not ready", id)
+	}
+	if lo, hi := dyn.StretchEnvelope(); lo != 1 || hi != 1 {
+		t.Fatalf("graph %s has stretch envelope [%g, %g], want an exact [1, 1]", id, lo, hi)
+	}
+}
+
 func TestHTTPEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	const gen = "er:n=150,d=4,w=uniform,maxw=30"
 	const eps, seed = 0.3, 11
 
@@ -88,9 +107,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("created = %+v", created)
 	}
 	info := waitReady(t, ts, "main")
-	if info.N != 150 || !info.Weighted || info.HopsetEdges != 0 {
+	if info.N != 150 || !info.Weighted {
 		t.Fatalf("ready info = %+v", info)
 	}
+	assertExact(t, s.Registry(), "main")
 
 	// The serving answers must match a locally rebuilt oracle
 	// bit-for-bit: generation and preprocessing are deterministic in

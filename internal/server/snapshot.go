@@ -246,7 +246,12 @@ func (r *Registry) WarmStart() (int, []WarmStartError) {
 // warmStartFile restores one snapshot into a ready entry. The arena is
 // memory-mapped: startup is checksum validation, and pages fault in as
 // queries touch them. A file that is not an arena fails flat.Open and
-// is skipped like any other corrupt snapshot.
+// is skipped like any other corrupt snapshot. An arena whose oracle is
+// not exact (a hopset arena an earlier daemon wrote) is refused too:
+// the registry holds exact graphs only. The error carries the file's
+// spec, so the graph can be registered again; a -load/-gen preload of
+// the same name rebuilds it exact and overwrites the file. A pending
+// journal in a refused file is not replayed.
 func (r *Registry) warmStartFile(id, path string) error {
 	opt := spanhop.OracleOptions{
 		QueryExec: exec.New(exec.Options{
@@ -265,6 +270,12 @@ func (r *Registry) warmStartFile(id, path string) error {
 		// tear it down or the goroutine outlives the registry.
 		dyn.Close()
 		return fmt.Errorf("snapshot annotation is not a graph spec: %w", err)
+	}
+	// Every hopset oracle, degenerate ones included, has lo = 1-eps.
+	if lo, hi := dyn.StretchEnvelope(); lo != 1 || hi != 1 {
+		dyn.Close()
+		return fmt.Errorf("arena holds a hopset oracle (stretch envelope [%g, %g]), "+
+			"and the daemon serves exact graphs only; register it again from its spec %s", lo, hi, note)
 	}
 	var size int64
 	snapTime := time.Now()
@@ -308,6 +319,6 @@ func (r *Registry) warmStartFile(id, path string) error {
 	// policy-due and its rebuild finished in the window above, the
 	// hook's missed-swap replay fires now — against a registered entry
 	// the snapshot writer will accept.
-	r.hookRebuild(e, dyn, e.exec)
+	r.hookRebuild(e, dyn)
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestSnapshotWarmStart(t *testing.T) {
 	spec := GraphSpec{Name: "wg", Gen: gen, Eps: 0.3, Seed: 7}
 
 	// First life: build, auto-snapshot, capture answers.
-	_, ts := newSnapshotServer(t, dir)
+	s1, ts := newSnapshotServer(t, dir)
 	if code := httpJSON(t, ts, "POST", "/graphs", spec, nil); code != http.StatusAccepted {
 		t.Fatalf("POST /graphs = %d", code)
 	}
@@ -99,10 +100,8 @@ func TestSnapshotWarmStart(t *testing.T) {
 	if info2.Spec.Gen != gen || info2.Spec.Eps != 0.3 || info2.Spec.Seed != 7 {
 		t.Fatalf("restored spec %+v does not match the registration", info2.Spec)
 	}
-	if info.HopsetEdges != 0 || info2.HopsetEdges != 0 {
-		t.Fatalf("hopset edges %d before restart, %d after; an exact graph has none",
-			info.HopsetEdges, info2.HopsetEdges)
-	}
+	assertExact(t, s1.Registry(), "wg")
+	assertExact(t, s2.Registry(), "wg")
 	if info2.Snapshot == nil || info2.Snapshot.SizeBytes <= 0 {
 		t.Fatalf("restored graph missing snapshot info: %+v", info2.Snapshot)
 	}
@@ -259,10 +258,11 @@ func TestWarmStartSkipsOldArenaVersion(t *testing.T) {
 	}
 }
 
-// TestWarmStartHopsetArena: the registry builds exact graphs only,
-// but a snapshot whose arena holds a hopset oracle (every graph an
-// earlier daemon built) restores with that engine, because the arena
-// records it, and answers as the library's hopset oracle does.
+// TestWarmStartHopsetArena: the registry holds exact graphs only, so
+// a snapshot whose arena holds a hopset oracle (every graph an earlier
+// daemon built) is refused with a WarmStartError that names the graph
+// and carries the spec from the file's note; registering that spec
+// again serves exact answers, and its snapshot replaces the file.
 func TestWarmStartHopsetArena(t *testing.T) {
 	dir := t.TempDir()
 	const gen = "grid:side=6,w=uniform,maxw=9"
@@ -271,42 +271,58 @@ func TestWarmStartHopsetArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := spanhop.NewDistanceOracleOpts(spec.Gen(), 0.4, 3, spanhop.OracleOptions{Hopset: true})
-	f, err := os.Create(filepath.Join(dir, "legacy.snap"))
+	path := filepath.Join(dir, "legacy.snap")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	note := []byte(`{"name":"legacy","gen":"` + gen + `","eps":0.4,"seed":3}`)
-	if err := spanhop.SaveOracleNote(f, o, note); err != nil {
+	note := `{"name":"legacy","gen":"` + gen + `","eps":0.4,"seed":3}`
+	if err := spanhop.SaveOracleNote(f, o, []byte(note)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s, ts := newSnapshotServer(t, dir)
-	if loaded, errs := s.Registry().WarmStart(); loaded != 1 || len(errs) != 0 {
-		t.Fatalf("warm start loaded=%d errs=%v", loaded, errs)
+	loaded, errs := s.Registry().WarmStart()
+	if loaded != 0 || len(errs) != 1 {
+		t.Fatalf("warm start loaded=%d errs=%v, want 0 and the hopset arena", loaded, errs)
 	}
-	var info Info
-	if code := httpJSON(t, ts, "GET", "/graphs/legacy", nil, &info); code != http.StatusOK {
-		t.Fatalf("GET /graphs/legacy = %d", code)
+	if errs[0].ID != "legacy" || errs[0].File != "legacy.snap" ||
+		!strings.Contains(errs[0].Error(), "hopset") || !strings.Contains(errs[0].Error(), note) {
+		t.Fatalf("warm start error = %v, want graph legacy refused as a hopset arena with its spec", errs[0])
 	}
-	if o.HopsetSize() == 0 || info.HopsetEdges != o.HopsetSize() {
-		t.Fatalf("restored graph has %d hopset edges, want the arena's %d", info.HopsetEdges, o.HopsetSize())
+	if list := s.Registry().List(); len(list) != 0 {
+		t.Fatalf("refused arena registered graphs: %+v", list)
 	}
+
+	// Registered again under the same name, the graph is exact.
+	if code := httpJSON(t, ts, "POST", "/graphs",
+		GraphSpec{Name: "legacy", Gen: gen, Eps: 0.4, Seed: 3}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /graphs = %d", code)
+	}
+	waitReady(t, ts, "legacy")
+	assertExact(t, s.Registry(), "legacy")
 	for _, p := range [][2]int32{{0, 35}, {5, 30}, {12, 13}} {
-		want, err := o.QueryStats(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := o.ExactDistance(p[0], p[1])
 		var got queryResult
 		if code := httpJSON(t, ts, "POST", "/graphs/legacy/query",
 			map[string]any{"s": p[0], "t": p[1]}, &got); code != http.StatusOK {
 			t.Fatalf("query %v = %d", p, code)
 		}
-		if got.Dist != want.Dist || got.Levels != int64(want.Levels) {
-			t.Fatalf("query %v = %+v, want the hopset answer %+v", p, got, want)
+		if got.Dist != want {
+			t.Fatalf("query %v = %+v, want the exact %d", p, got, want)
 		}
 	}
+	// Its snapshot replaces the refused file, so the next boot restores it.
+	if _, err := s.Registry().Snapshot("legacy"); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := newSnapshotServer(t, dir)
+	if loaded, errs := s2.Registry().WarmStart(); loaded != 1 || len(errs) != 0 {
+		t.Fatalf("warm start after re-registration loaded=%d errs=%v", loaded, errs)
+	}
+	assertExact(t, s2.Registry(), "legacy")
 }
 
 func TestWarmStartDuplicatePreload(t *testing.T) {

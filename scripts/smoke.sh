@@ -39,7 +39,7 @@ stage "generate a small weighted grid (binary format)"
 
 start_daemon() {
     "$DIR/bin/spanhopd" -addr "$ADDR" -load "grid=$DIR/grid.bin" \
-        -eps 0.3 -seed 2 -snapshot-dir "$SNAPDIR" \
+        -seed 2 -snapshot-dir "$SNAPDIR" \
         -audit-sample 1 -audit-cpu-frac 0.5 >"$1" 2>&1 &
     DAEMON_PID=$!
 }
@@ -87,10 +87,6 @@ stage "loadgen mutation traffic: mutate, verify overlay + rebuilt answers"
 "$DIR/bin/loadgen" -addr "http://$ADDR" -gen "er:n=512,d=6,w=uniform,maxw=30" \
     -mix uniform -concurrency 8 -requests 200 \
     -mutate 5 -mutate-batch 3 -mutate-mix churn -verify
-# The daemon builds exact graphs: the field is omitted, so no hopset.
-if curl -fsS "http://$ADDR/graphs/loadgen" | grep -q '"hopset_edges":'; then
-    echo "daemon-built graph reports hopset edges, want an exact graph"; exit 1
-fi
 
 stage "hopset engine end to end: build, save, map back, same answers"
 "$DIR/bin/hopset" -in "$DIR/grid.bin" -queries 20 -save "$DIR/hop.snap" | tee "$DIR/hop_build.out"
@@ -250,9 +246,9 @@ grep -q 'spanhop_requests_total{graph="grid"}' <<<"$METRICS" \
 stage "answer-quality auditing: traced burst over the mutated graph"
 # Every query is sampled (-audit-sample 1) and the graph carries live
 # mutations, so the auditor re-checks clean and degrading
-# answers alike; the graph is exact, so its envelope is [1, 1]. loadgen
-# waits for the audit queue to drain and asserts zero envelope
-# violations for the traffic it generated.
+# answers alike, each against an exact recomputation. loadgen waits
+# for the audit queue to drain and asserts zero violations for the
+# traffic it generated.
 "$DIR/bin/loadgen" -addr "http://$ADDR" -graph grid -mix uniform \
     -concurrency 4 -requests 100 -trace-sample 2 -report-quality | tee "$DIR/quality.out"
 grep -q "quality: .* answers shadow re-checked, 0 violations" "$DIR/quality.out" \
@@ -260,15 +256,14 @@ grep -q "quality: .* answers shadow re-checked, 0 violations" "$DIR/quality.out"
 QUALITY=$(curl -fsS "http://$ADDR/debug/quality?graph=grid")
 grep -q '"audited":[1-9]' <<<"$QUALITY" || { echo "auditor checked no samples"; exit 1; }
 grep -q '"violations":0' <<<"$QUALITY" || { echo "auditor reported violations"; exit 1; }
-grep -q '"envelope":{"lo":1,"hi":1}' <<<"$QUALITY" || { echo "exact graph envelope is not [1, 1]"; exit 1; }
 grep -q '"evidence":\[\]' <<<"$QUALITY" \
     || { echo "evidence ring not empty (or missing) on a correct build"; exit 1; }
 grep -q '"regime":"degrading"' <<<"$QUALITY" \
     || { echo "no degrading-regime audits despite live deletions"; exit 1; }
-# The stretch histogram reaches /metrics, and a hostile filter 404s.
+# The audit counters reach /metrics, and a hostile filter 404s.
 METRICS=$(curl -fsS "http://$ADDR/metrics")
-grep -q 'spanhop_stretch_ratio_bucket{graph="grid"' <<<"$METRICS" \
-    || { echo "metrics missing stretch-ratio histogram"; exit 1; }
+grep -q 'spanhop_audit_checked_total{graph="grid"} [1-9]' <<<"$METRICS" \
+    || { echo "metrics show no audited answers on grid"; exit 1; }
 grep -q 'spanhop_quality_violations_total{graph="grid"} 0' <<<"$METRICS" \
     || { echo "metrics missing zero violation counter"; exit 1; }
 CODE=$(curl -s -o /dev/null -w "%{http_code}" "http://$ADDR/debug/quality?graph=nosuch")
