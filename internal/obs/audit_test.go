@@ -63,65 +63,88 @@ func TestAuditorCleanAnswer(t *testing.T) {
 	}
 }
 
-// TestAuditorRequiresExactness: in every overlay regime, a reachable
-// answer other than the recheck's exact distance, above or below it,
-// is an exact-mismatch violation with its evidence, event and trace
-// verdict; the exact answer is not.
-func TestAuditorRequiresExactness(t *testing.T) {
-	for _, regime := range []string{"clean", "degrading"} {
-		for _, tc := range []struct {
-			served int64
-			bad    bool
-		}{{101, true}, {99, true}, {200, true}, {1, true}, {100, false}} {
-			name := fmt.Sprintf("%s/served=%d", regime, tc.served)
-			t.Run(name, func(t *testing.T) {
-				events := NewEvents()
-				ring := NewRing(8)
-				ring.Add(TraceData{ID: "tr-1"})
-				a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Events: events, Traces: ring})
-				a.Register("g", fixedRecheck(100, false, nil))
-				a.Offer(AuditSample{Graph: "g", S: 3, T: 4, Answer: tc.served,
-					Regime: regime, Gen: 7, TraceID: "tr-1"})
-				snap := awaitAudit(t, a, "g", 1)
-				var violations int64
-				verdict := "ok"
-				if tc.bad {
-					violations, verdict = 1, "violation"
-				}
-				row := AuditRegimeSnapshot{Regime: regime, Count: 1, Violations: violations}
-				if snap.Violations != violations || len(snap.Regimes) != 1 || snap.Regimes[0] != row {
-					t.Fatalf("violations = %d, regimes = %+v, want %d and %+v",
-						snap.Violations, snap.Regimes, violations, row)
-				}
-				if got := events.Get("quality_violation"); got != violations {
-					t.Fatalf("quality_violation event count = %d, want %d", got, violations)
-				}
-				// The finished trace carries the audit outcome.
-				tds := ring.Snapshot()
-				if len(tds) != 1 || tds[0].Attrs["audit"] != verdict {
-					t.Fatalf("trace attrs = %+v, want audit=%s", tds[0].Attrs, verdict)
-				}
-				if !tc.bad {
-					if len(snap.Evidence) != 0 {
-						t.Fatalf("exact answer left evidence: %+v", snap.Evidence)
-					}
-					return
-				}
-				if tds[0].Attrs["audit_reason"] != ReasonExactMismatch {
-					t.Fatalf("trace attrs = %+v, want audit_reason=%s", tds[0].Attrs, ReasonExactMismatch)
-				}
-				want := AuditEvidence{S: 3, T: 4, Gen: 7, Regime: regime, Served: tc.served,
-					Exact: 100, TraceID: "tr-1", Reason: ReasonExactMismatch}
-				if len(snap.Evidence) != 1 {
-					t.Fatalf("evidence = %+v, want one entry", snap.Evidence)
-				}
-				ev := snap.Evidence[0]
-				ev.Time = time.Time{}
-				if ev != want {
-					t.Fatalf("evidence = %+v, want %+v", ev, want)
-				}
-			})
+// checkExactness offers one answer against an exact distance of 100 in
+// the given overlay regime and checks the outcome: a reachable answer
+// other than the exact distance, above or below it, is an
+// exact-mismatch violation with its evidence, event and trace verdict;
+// the exact answer is not.
+func checkExactness(t *testing.T, regime string, served int64) {
+	t.Helper()
+	bad := served != 100
+	events := NewEvents()
+	ring := NewRing(8)
+	ring.Add(TraceData{ID: "tr-1"})
+	a := newTestAuditor(t, AuditorOptions{SampleEvery: 1, Events: events, Traces: ring})
+	a.Register("g", fixedRecheck(100, false, nil))
+	a.Offer(AuditSample{Graph: "g", S: 3, T: 4, Answer: served,
+		Regime: regime, Gen: 7, TraceID: "tr-1"})
+	snap := awaitAudit(t, a, "g", 1)
+	var violations int64
+	verdict := "ok"
+	if bad {
+		violations, verdict = 1, "violation"
+	}
+	row := AuditRegimeSnapshot{Regime: regime, Count: 1, Violations: violations}
+	if snap.Violations != violations || len(snap.Regimes) != 1 || snap.Regimes[0] != row {
+		t.Fatalf("violations = %d, regimes = %+v, want %d and %+v",
+			snap.Violations, snap.Regimes, violations, row)
+	}
+	if got := events.Get("quality_violation"); got != violations {
+		t.Fatalf("quality_violation event count = %d, want %d", got, violations)
+	}
+	// The finished trace carries the audit outcome.
+	tds := ring.Snapshot()
+	if len(tds) != 1 || tds[0].Attrs["audit"] != verdict {
+		t.Fatalf("trace attrs = %+v, want audit=%s", tds[0].Attrs, verdict)
+	}
+	if !bad {
+		if len(snap.Evidence) != 0 {
+			t.Fatalf("exact answer left evidence: %+v", snap.Evidence)
 		}
+		return
+	}
+	if tds[0].Attrs["audit_reason"] != ReasonExactMismatch {
+		t.Fatalf("trace attrs = %+v, want audit_reason=%s", tds[0].Attrs, ReasonExactMismatch)
+	}
+	want := AuditEvidence{S: 3, T: 4, Gen: 7, Regime: regime, Served: served,
+		Exact: 100, TraceID: "tr-1", Reason: ReasonExactMismatch}
+	if len(snap.Evidence) != 1 {
+		t.Fatalf("evidence = %+v, want one entry", snap.Evidence)
+	}
+	ev := snap.Evidence[0]
+	ev.Time = time.Time{}
+	if ev != want {
+		t.Fatalf("evidence = %+v, want %+v", ev, want)
+	}
+}
+
+// TestAuditorEnvelopeViolation: a clean answer above the exact distance
+// is an exact-mismatch violation, however close to it.
+func TestAuditorEnvelopeViolation(t *testing.T) {
+	for _, served := range []int64{101, 200} {
+		t.Run(fmt.Sprintf("served=%d", served), func(t *testing.T) {
+			checkExactness(t, "clean", served)
+		})
+	}
+}
+
+// TestAuditorBelowEnvelope: a clean answer below the exact distance is
+// an exact-mismatch violation too; there is no separate below reason.
+func TestAuditorBelowEnvelope(t *testing.T) {
+	for _, served := range []int64{99, 1} {
+		t.Run(fmt.Sprintf("served=%d", served), func(t *testing.T) {
+			checkExactness(t, "clean", served)
+		})
+	}
+}
+
+// TestAuditorDegradingRequiresExactness: the degrading serving path is
+// held to the same equality as the clean one.
+func TestAuditorDegradingRequiresExactness(t *testing.T) {
+	for _, served := range []int64{101, 99, 200, 1, 100} {
+		t.Run(fmt.Sprintf("served=%d", served), func(t *testing.T) {
+			checkExactness(t, "degrading", served)
+		})
 	}
 }
 
