@@ -9,13 +9,13 @@
 //	    [-graph id | -gen "er:n=4096,d=8,w=uniform"] \
 //	    [-mix uniform|hotspot|repeat] [-concurrency 16] [-requests 2000] \
 //	    [-mutate N] [-mutate-batch 4] [-mutate-mix churn] \
-//	    [-eps 0.25] [-seed 1] [-verify] [-workers N] [-trace-sample N]
+//	    [-seed 1] [-verify] [-workers N] [-trace-sample N]
 //
 // With -gen, loadgen registers the graph itself (id "loadgen") and
 // waits for the build. With -verify (requires -gen), it rebuilds the
-// same oracle locally — generation and preprocessing are
-// deterministic in (gen, seed, eps) — and asserts every server answer
-// is bit-identical to serial DistanceOracle.Query.
+// same oracle locally — the daemon builds every graph exact, and the
+// graph is deterministic in (gen, seed) — and asserts every server
+// answer is bit-identical to serial DistanceOracle.Query.
 //
 // With -mutate N (requires -gen), loadgen first drives N edge-mutation
 // batches through POST /graphs/{id}/edges using a deterministic
@@ -83,7 +83,6 @@ func main() {
 	mixName := flag.String("mix", "uniform", "query mix: uniform, hotspot, repeat")
 	concurrency := flag.Int("concurrency", 16, "concurrent client workers")
 	requests := flag.Int("requests", 2000, "total queries to send")
-	eps := flag.Float64("eps", 0.25, "oracle accuracy (with -gen)")
 	seed := flag.Uint64("seed", 1, "seed (with -gen; also seeds the mixes)")
 	verify := flag.Bool("verify", false, "rebuild the oracle locally and verify every answer (needs -gen)")
 	mutate := flag.Int("mutate", 0, "edge-mutation batches to apply before the read phase (needs -gen; 0 = off)")
@@ -123,13 +122,13 @@ func main() {
 	if *gen != "" {
 		id = "loadgen"
 		code, body, err := doJSON(client, "POST", *addr+"/graphs",
-			server.GraphSpec{Name: id, Gen: *gen, Eps: *eps, Seed: *seed})
+			server.GraphSpec{Name: id, Gen: *gen, Seed: *seed})
 		if err != nil {
 			fatal(err)
 		}
 		// 409 duplicate = already registered by a previous run against
 		// the same daemon; querying it is fine because the build is
-		// deterministic in (gen, eps, seed).
+		// deterministic in (gen, seed).
 		if code != http.StatusAccepted && code != http.StatusConflict {
 			fatal(fmt.Errorf("POST /graphs: %d: %s", code, body))
 		}
@@ -141,9 +140,10 @@ func main() {
 		// registered by an earlier run with different parameters;
 		// querying — and especially -verify — would then target the
 		// wrong oracle.
-		if info.Spec.Gen != *gen || info.Spec.Eps != *eps || info.Spec.Seed != *seed {
-			fatal(fmt.Errorf("graph %q on the daemon was built from (gen=%q eps=%g seed=%d), not the requested (gen=%q eps=%g seed=%d); restart the daemon or change -gen",
-				id, info.Spec.Gen, info.Spec.Eps, info.Spec.Seed, *gen, *eps, *seed))
+		// Eps is not compared: it changes no exact answer.
+		if info.Spec.Gen != *gen || info.Spec.Seed != *seed {
+			fatal(fmt.Errorf("graph %q on the daemon was built from (gen=%q seed=%d), not the requested (gen=%q seed=%d); restart the daemon or change -gen",
+				id, info.Spec.Gen, info.Spec.Seed, *gen, *seed))
 		}
 		// A reused graph (409 above) may carry mutations from an earlier
 		// -mutate run; the local replica starts from the pristine spec
@@ -173,12 +173,14 @@ func main() {
 	var oracle reference
 	var replica *spanhop.DynamicOracle
 	if *verify {
-		infof("verify: rebuilding oracle locally (eps=%g seed=%d workers=%d)...\n", *eps, *seed, *workers)
+		infof("verify: rebuilding oracle locally (seed=%d workers=%d)...\n", *seed, *workers)
+		// The facade default engine (exact), like every graph the
+		// daemon builds; the daemon's recorded eps changes no answer.
 		var opt spanhop.OracleOptions
 		if *workers > 0 {
 			opt.Exec = spanhop.ParallelExec(*workers)
 		}
-		static := spanhop.NewDistanceOracleOpts(specGraph, *eps, *seed, opt)
+		static := spanhop.NewDistanceOracleOpts(specGraph, info.Spec.Eps, *seed, opt)
 		if *mutate > 0 {
 			replica = spanhop.NewDynamicOracle(static, spanhop.RebuildPolicy{Disabled: true, Workers: *workers})
 			defer replica.Close()

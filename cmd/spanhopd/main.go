@@ -41,10 +41,12 @@
 // atomically), and on boot the daemon warm-starts every snapshot found
 // there by memory mapping it: graphs are ready to serve immediately,
 // with no rebuild and no build-stage telemetry. Arenas are
-// host-endianness; a file that is not a current arena is skipped with
-// a warning, and so is a hopset arena an earlier daemon wrote (the
-// warning carries its spec, to register it again; a -load/-gen preload
-// of that name rebuilds it exact). A -load/-gen preload whose name was
+// host-endianness; a file that is not a current arena is skipped, and
+// so is a hopset arena an earlier daemon wrote. Each skip is logged
+// once, as a warm_start_skipped event naming the file, the graph and
+// the error (for a hopset arena the error carries its spec, to
+// register it again; a -load/-gen preload of that name rebuilds it
+// exact). A -load/-gen preload whose name was
 // already warm-started is skipped, so restarting with identical flags
 // is idempotent and cheap.
 //
@@ -164,13 +166,9 @@ func main() {
 		Obs: observer,
 	})
 	if *snapshotDir != "" {
-		loaded, errs := srv.Registry().WarmStart()
-		for _, we := range errs {
-			// The structured record names the file AND the graph id, so
-			// an operator can tell which snapshot to inspect or delete.
-			logger.Warn("spanhopd: warm-start: skipping snapshot",
-				"file", we.File, "graph", we.ID, "err", we.Err)
-		}
+		// A skipped snapshot is logged once, by the registry's
+		// warm_start_skipped event (file, graph and error).
+		loaded, _ := srv.Registry().WarmStart()
 		if loaded > 0 {
 			logger.Info(fmt.Sprintf("spanhopd: warm-started %d graph(s)", loaded),
 				"loaded", loaded, "dir", *snapshotDir)

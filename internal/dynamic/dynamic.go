@@ -35,6 +35,16 @@
 // at g ≥ g* answer through a from-scratch oracle on G'(g*) and match
 // it bit-for-bit.
 //
+// # Cost of a commit
+//
+// Apply costs O(batch·degree): it resolves only the batch's distinct
+// pairs against the base adjacency, and for those pairs alone moves
+// the latest generation's count of diverging pairs and its net-insert
+// arcs. OverlayEdges, Gauges and Regime read that count in O(1). Full
+// rescans of the patch set remain only in Swap, which changes the
+// base every pair compares against, and in QueryAt / ExactDistanceAt
+// at a historical generation.
+//
 // # Pair semantics
 //
 // Mutations address vertex PAIRS, not edge ids: deleting (u,v)
@@ -51,6 +61,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -178,14 +189,26 @@ type Oracle struct {
 	entries []Entry           // pending journal, ascending Gen
 	patch   map[pairKey][]ver // per-pair absolute state history, ascending gen
 
-	// curDirty/curIns cache the current generation's regime and the
+	// curDiverging/curIns are the current generation's regime and the
 	// net-insert adjacency the exact search walks — the values every
-	// Query (the overwhelmingly common gen == curGen case) needs — so
-	// the hot path skips the O(|patch|·degree) rescan; Apply and Swap
-	// hold the write lock and refresh them. Historical QueryAt
-	// generations still scan.
-	curDirty bool
-	curIns   map[graph.V][]arc // insert adjacency at curGen (dirty only)
+	// Query (the overwhelmingly common gen == curGen case) needs.
+	// curDiverging counts the pairs whose state at curGen differs from
+	// the base graph (the overlay is clean iff it is 0, and it is what
+	// OverlayEdges and Gauges report in O(1)); curIns holds the arcs of
+	// the pairs present at curGen and absent from the base. Apply moves
+	// both for the batch's distinct pairs only, so a commit costs
+	// O(batch·degree) base-adjacency reads whatever the journal's
+	// length. Full rescans remain only in Swap, which changes the base
+	// every pair compares against, and at historical QueryAt /
+	// ExactDistanceAt generations (dirtyAtLocked, insAdjLocked).
+	curDiverging int
+	curIns       map[graph.V][]arc
+
+	// baseArcReads counts the base arcs basePairLocked has scanned —
+	// the base-adjacency work of pair resolution, which tests pin per
+	// commit. Atomic: historical queries resolve pairs under the read
+	// lock.
+	baseArcReads atomic.Int64
 
 	// touched[v] reports whether v is an endpoint of some pair in
 	// patch, at any generation: the exact search relaxes every other
@@ -204,6 +227,7 @@ func New(base Querier, baseG *graph.Graph, floorGen uint64) *Oracle {
 		floorGen: floorGen,
 		curGen:   floorGen,
 		patch:    map[pairKey][]ver{},
+		curIns:   map[graph.V][]arc{},
 		touched:  make([]bool, baseG.NumVertices()),
 	}
 }
@@ -233,21 +257,11 @@ func (d *Oracle) Pending() int {
 
 // OverlayEdges returns how many pairs currently diverge from the base
 // graph (net inserts, deletes, and reweights at the latest
-// generation).
+// generation). O(1): Apply keeps the count.
 func (d *Oracle) OverlayEdges() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.overlayEdgesLocked()
-}
-
-func (d *Oracle) overlayEdgesLocked() int {
-	n := 0
-	for k, hist := range d.patch {
-		if d.divergesLocked(k, hist[len(hist)-1]) {
-			n++
-		}
-	}
-	return n
+	return d.curDiverging
 }
 
 // Gauges is a mutually consistent snapshot of the overlay's
@@ -270,7 +284,7 @@ func (d *Oracle) Gauges() Gauges {
 		Generation:   d.curGen,
 		FloorGen:     d.floorGen,
 		Pending:      len(d.entries),
-		OverlayEdges: d.overlayEdgesLocked(),
+		OverlayEdges: d.curDiverging,
 	}
 	if len(d.entries) > 0 {
 		g.OldestPending = d.entries[0].Applied
@@ -287,7 +301,7 @@ func (d *Oracle) Gauges() Gauges {
 func (d *Oracle) Regime() (string, uint64) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if d.curDirty {
+	if d.curDiverging > 0 {
 		return "degrading", d.curGen
 	}
 	return "clean", d.curGen
@@ -345,8 +359,10 @@ func (d *Oracle) basePairLocked(k pairKey) pairState {
 		u, v = v, u
 	}
 	wide := d.baseG.Wide(u)
+	arcs := d.baseG.Arcs(u)
+	d.baseArcReads.Add(int64(len(arcs)))
 	st := pairState{}
-	for i, a := range d.baseG.Arcs(u) {
+	for i, a := range arcs {
 		if a.To != v {
 			continue
 		}
@@ -361,15 +377,8 @@ func (d *Oracle) basePairLocked(k pairKey) pairState {
 	return st
 }
 
-// stateAtLocked resolves a pair's state at generation g.
-func (d *Oracle) stateAtLocked(k pairKey, g uint64) pairState {
-	hist := d.patch[k]
-	// Latest version with gen ≤ g.
-	i := sort.Search(len(hist), func(i int) bool { return hist[i].gen > g })
-	if i == 0 {
-		return d.basePairLocked(k)
-	}
-	v := hist[i-1]
+// state is the pair state version v sets.
+func (v ver) state() pairState {
 	if v.deleted {
 		return pairState{}
 	}
@@ -380,11 +389,7 @@ func (d *Oracle) stateAtLocked(k pairKey, g uint64) pairState {
 // base state (a deleted-then-reinserted-at-base-weight pair does not
 // diverge).
 func (d *Oracle) divergesLocked(k pairKey, v ver) bool {
-	base := d.basePairLocked(k)
-	if v.deleted {
-		return base.present
-	}
-	return !base.present || base.w != v.w
+	return v.state() != d.basePairLocked(k)
 }
 
 // Apply validates and applies a batch of updates atomically: either
@@ -400,14 +405,23 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 	n := d.baseG.NumVertices()
 	weighted := d.baseG.Weighted()
 
-	// Stage: net states of touched pairs, seeded lazily from the
-	// committed state, mutated as the batch validates in order.
-	stage := map[pairKey]pairState{}
-	stateOf := func(k pairKey) pairState {
-		if st, ok := stage[k]; ok {
-			return st
+	// Stage: per distinct pair of the batch, its base state, its
+	// committed state and its net state as the batch validates in
+	// order. The latest version of a pair's history is its committed
+	// state: every version's gen is ≤ curGen.
+	stage := map[pairKey]*pairStage{}
+	stateOf := func(k pairKey) *pairStage {
+		if ps, ok := stage[k]; ok {
+			return ps
 		}
-		return d.stateAtLocked(k, d.curGen)
+		ps := &pairStage{base: d.basePairLocked(k)}
+		ps.before = ps.base
+		if hist := d.patch[k]; len(hist) > 0 {
+			ps.before = hist[len(hist)-1].state()
+		}
+		ps.after = ps.before
+		stage[k] = ps
+		return ps
 	}
 	staged := make([]ver, 0, len(us))
 	keys := make([]pairKey, 0, len(us))
@@ -421,7 +435,8 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 			return 0, badUpdatef("update %d: self-loop at %d", i, u.U)
 		}
 		k := keyOf(u.U, u.V)
-		st := stateOf(k)
+		ps := stateOf(k)
+		st := ps.after
 		var nv ver
 		switch u.Op {
 		case OpInsert:
@@ -458,11 +473,7 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 		default:
 			return 0, badUpdatef("update %d: unknown op %d", i, u.Op)
 		}
-		if nv.deleted {
-			stage[k] = pairState{}
-		} else {
-			stage[k] = pairState{present: true, w: nv.w}
-		}
+		ps.after = nv.state()
 		staged = append(staged, nv)
 		keys = append(keys, k)
 	}
@@ -487,18 +498,69 @@ func (d *Oracle) Apply(us []Update) (uint64, error) {
 		}
 		d.entries = append(d.entries, Entry{Update: up, Gen: d.curGen, Applied: now})
 	}
-	d.refreshCurLocked()
+	for k, ps := range stage {
+		if ps.before == ps.after {
+			continue
+		}
+		d.movePairLocked(k, ps.base, ps.before, -1)
+		d.movePairLocked(k, ps.base, ps.after, +1)
+	}
 	return d.curGen, nil
 }
 
-// refreshCurLocked recomputes the cached current-generation regime
-// and (when dirty) the net-insert adjacency the exact search walks.
-// d.mu held for writing.
-func (d *Oracle) refreshCurLocked() {
-	d.curDirty = d.dirtyAtLocked(d.curGen)
-	d.curIns = nil
-	if d.curDirty {
-		d.curIns = d.insAdjLocked(d.curGen)
+// pairStage is one pair's staging during Apply.
+type pairStage struct{ base, before, after pairState }
+
+// movePairLocked adds (sign +1) or removes (sign −1) pair k in state st
+// to or from the current generation's caches: a state that differs
+// from base counts in curDiverging, and a state present at curGen but
+// absent from the base owns an arc at each endpoint in curIns. d.mu
+// held for writing.
+func (d *Oracle) movePairLocked(k pairKey, base, st pairState, sign int) {
+	if st != base {
+		d.curDiverging += sign
+	}
+	if !st.present || base.present {
+		return
+	}
+	if sign > 0 {
+		addArcs(d.curIns, k, st.w)
+		return
+	}
+	dropArc(d.curIns, k.a, k.b)
+	dropArc(d.curIns, k.b, k.a)
+}
+
+// addArcs adds pair k's arc at each endpoint to ins, with weight w.
+func addArcs(ins map[graph.V][]arc, k pairKey, w graph.W) {
+	ins[k.a] = append(ins[k.a], arc{u: k.a, v: k.b, w: w})
+	ins[k.b] = append(ins[k.b], arc{u: k.b, v: k.a, w: w})
+}
+
+// dropArc removes u's arc to v from ins.
+func dropArc(ins map[graph.V][]arc, u, v graph.V) {
+	arcs := ins[u]
+	for i := range arcs {
+		if arcs[i].v == v {
+			arcs[i] = arcs[len(arcs)-1]
+			arcs = arcs[:len(arcs)-1]
+			break
+		}
+	}
+	if len(arcs) == 0 {
+		delete(ins, u)
+		return
+	}
+	ins[u] = arcs
+}
+
+// recountLocked rebuilds curDiverging and curIns from the whole patch
+// set: Swap's one full rescan. d.mu held for writing.
+func (d *Oracle) recountLocked() {
+	d.curDiverging = 0
+	d.curIns = map[graph.V][]arc{}
+	for k, hist := range d.patch {
+		d.movePairLocked(k, d.basePairLocked(k), hist[len(hist)-1].state(), +1)
 	}
 }
 
@@ -611,7 +673,7 @@ func (d *Oracle) queryRLocked(gen uint64, s, t graph.V) (graph.Dist, error) {
 	}
 	// The common case queries the latest generation, whose regime is
 	// precomputed; historical generations rescan.
-	dirty := d.curDirty
+	dirty := d.curDiverging > 0
 	if gen != d.curGen {
 		dirty = d.dirtyAtLocked(gen)
 	}
@@ -686,7 +748,7 @@ func (d *Oracle) Swap(base Querier, newG *graph.Graph, upTo uint64) error {
 	for k := range d.patch {
 		d.touched[k.a], d.touched[k.b] = true, true
 	}
-	d.refreshCurLocked()
+	d.recountLocked()
 	return nil
 }
 

@@ -330,6 +330,82 @@ func TestSwapCompaction(t *testing.T) {
 	}
 }
 
+// TestCommitWorkIndependentOfJournal: a commit resolves only its own
+// pairs against the base adjacency, so its base-arc reads do not grow
+// with the journal, and OverlayEdges and Gauges read none. On a dense
+// ER base (degree 64), commit 8 and commit 240 reweight the same four
+// base pairs; every other commit touches four fresh pairs (an insert,
+// a delete and two reweights).
+func TestCommitWorkIndependentOfJournal(t *testing.T) {
+	const n, batch, commits = 2048, 4, 240
+	g := graph.UniformWeights(graph.RandomConnectedGNM(n, 32*n, 3), 100, 4)
+	base := pairWeights(g)
+	var present []pairKey
+	for _, e := range g.Edges() {
+		if k := keyOf(e.U, e.V); len(present) == 0 || present[len(present)-1] != k {
+			present = append(present, k)
+		}
+	}
+	fixed, present := present[:batch], present[batch:]
+	used := map[pairKey]bool{}
+	r := rng.New(5)
+	fresh := func(op Op) Update {
+		for {
+			var k pairKey
+			if op == OpInsert {
+				k = keyOf(r.Int31n(n), r.Int31n(n))
+				if _, ok := base[k]; ok || k.a == k.b {
+					continue
+				}
+			} else {
+				k, present = present[0], present[1:]
+			}
+			if used[k] {
+				continue
+			}
+			used[k] = true
+			// base[k]+1: a reweight that diverges from the base.
+			return Update{Op: op, U: k.a, V: k.b, W: base[k] + 1}
+		}
+	}
+	d := New(exactBase{g}, g, 0)
+	reads := map[int]int64{}
+	for c := 1; c <= commits; c++ {
+		var ups []Update
+		if c == 8 || c == commits {
+			for _, k := range fixed {
+				ups = append(ups, Update{Op: OpReweight, U: k.a, V: k.b, W: graph.W(100 + c)})
+			}
+		} else {
+			ups = []Update{fresh(OpInsert), fresh(OpDelete), fresh(OpReweight), fresh(OpReweight)}
+		}
+		before := d.baseArcReads.Load()
+		if _, err := d.Apply(ups); err != nil {
+			t.Fatalf("commit %d: %v", c, err)
+		}
+		reads[c] = d.baseArcReads.Load() - before
+	}
+	maxDeg := int64(0)
+	for v := graph.V(0); v < n; v++ {
+		maxDeg = max(maxDeg, int64(g.Degree(v)))
+	}
+	if reads[commits] != reads[8] || reads[8] > batch*maxDeg {
+		t.Fatalf("base arcs read: commit 8 %d, commit %d %d, want equal and at most %d (batch × max degree)",
+			reads[8], commits, reads[commits], batch*maxDeg)
+	}
+	before := d.baseArcReads.Load()
+	want := (commits-2)*batch + batch
+	if got := d.OverlayEdges(); got != want {
+		t.Fatalf("OverlayEdges() = %d, want %d", got, want)
+	}
+	if got := d.Gauges().OverlayEdges; got != want {
+		t.Fatalf("Gauges().OverlayEdges = %d, want %d", got, want)
+	}
+	if got := d.baseArcReads.Load() - before; got != 0 {
+		t.Fatalf("OverlayEdges and Gauges read %d base arcs, want 0", got)
+	}
+}
+
 // TestReplayRoundTrip: a journal survives persistence: replaying it
 // into a fresh overlay reproduces generation stamps and answers.
 func TestReplayRoundTrip(t *testing.T) {

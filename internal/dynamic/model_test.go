@@ -157,6 +157,7 @@ func runOverlayModel(t *testing.T, prog []byte) {
 		case 5:
 			m.replay()
 		}
+		m.checkOverlayEdges()
 	}
 	m.checkWindow(0, graph.V(m.n-1))
 }
@@ -281,6 +282,30 @@ func (m *overlayModel) checkWindow(s, u graph.V) {
 		if _, err := m.d.ExactDistanceAt(m.floor-1, s, u); !errors.Is(err, ErrCompactedGen) {
 			t.Fatalf("ExactDistanceAt(floor-1): err = %v, want ErrCompactedGen", err)
 		}
+	}
+}
+
+// checkOverlayEdges checks OverlayEdges and Gauges against the
+// model's count of pairs whose state at the latest generation differs
+// from the base's.
+func (m *overlayModel) checkOverlayEdges() {
+	cur, base := m.states[m.cur()], m.states[m.floor]
+	want := 0
+	for k, w := range cur {
+		if bw, ok := base[k]; !ok || bw != w {
+			want++
+		}
+	}
+	for k := range base {
+		if _, ok := cur[k]; !ok {
+			want++
+		}
+	}
+	if got := m.d.OverlayEdges(); got != want {
+		m.t.Fatalf("OverlayEdges() = %d, want %d", got, want)
+	}
+	if got := m.d.Gauges().OverlayEdges; got != want {
+		m.t.Fatalf("Gauges().OverlayEdges = %d, want %d", got, want)
 	}
 }
 

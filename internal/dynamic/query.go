@@ -34,8 +34,7 @@ func (d *Oracle) insAdjLocked(gen uint64) map[graph.V][]arc {
 		if v.deleted || d.basePairLocked(k).present {
 			continue
 		}
-		ins[k.a] = append(ins[k.a], arc{u: k.a, v: k.b, w: v.w})
-		ins[k.b] = append(ins[k.b], arc{u: k.b, v: k.a, w: v.w})
+		addArcs(ins, k, v.w)
 	}
 	return ins
 }
@@ -51,9 +50,8 @@ func (d *Oracle) insAdjLocked(gen uint64) map[graph.V][]arc {
 // be nil) gains the arcs scanned, as sssp.DijkstraTo counts them.
 // Caller holds d.mu (read).
 func (d *Oracle) exactPatchedLocked(gen uint64, s, t graph.V, cost *par.Cost) graph.Dist {
-	// The common case (latest generation) reuses the adjacency that
-	// refreshCurLocked precomputed (nil when that generation is clean:
-	// it has no net inserts); historical generations rebuild it.
+	// The common case (latest generation) reuses the adjacency Apply
+	// keeps; historical generations rebuild it.
 	ins := d.curIns
 	if gen != d.curGen {
 		ins = d.insAdjLocked(gen)

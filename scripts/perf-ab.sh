@@ -4,10 +4,11 @@
 #
 #	scripts/perf-ab.sh <base-rev> [pairs]     # pairs defaults to 10
 #
-# Builds <base-rev> in a git worktree under .bench_build/, then for each
-# workload in BENCHMARK.json runs `pairs` pairs of each side's own
-# perfbench/run.sh (--seed 1 --trace 0, BENCHMARK.json's run_seconds),
-# swapping which side runs first every pair. Prints a JSON array with
+# Extracts <base-rev> with `git archive` into .bench_build/ (nothing is
+# written under .git), then for each workload in BENCHMARK.json runs
+# `pairs` pairs of each side's own perfbench/run.sh (--seed 1 --trace 0,
+# BENCHMARK.json's run_seconds), swapping which side runs first every
+# pair. Prints a JSON array with
 # one object per workload x end-to-end metric: both medians, the base's
 # IQR, the change's wins and a verdict:
 #
@@ -36,10 +37,10 @@ out=.bench_build/perf-ab
 base_dir=.bench_build/perf-ab-base
 rm -rf "$out"
 mkdir -p "$out"
-git worktree remove --force "$base_dir" 2>/dev/null || rm -rf "$base_dir"
-git worktree prune
-git worktree add --quiet --detach "$base_dir" "$base_sha"
-trap 'git worktree remove --force "$base_dir"' EXIT
+rm -rf "$base_dir"
+mkdir -p "$base_dir"
+git archive "$base_sha" | tar -x -C "$base_dir"
+trap 'rm -rf "$base_dir"' EXIT
 
 seconds=$(jq -r .run_seconds BENCHMARK.json)
 mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
