@@ -320,7 +320,7 @@ func BenchmarkSpannerScaling(b *testing.B) {
 			var work, depth int64
 			for i := 0; i < b.N; i++ {
 				cost := NewCost()
-				UnweightedSpannerWithCost(g, 3, uint64(i), cost)
+				UnweightedSpannerOn(g, 3, uint64(i), nil, cost)
 				work, depth = cost.Work(), cost.Depth()
 			}
 			b.ReportMetric(float64(work), "work")
@@ -354,7 +354,7 @@ func BenchmarkHopsetScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p.Seed = uint64(i)
 				cost := NewCost()
-				hs := BuildHopsetWithCost(g, p, cost)
+				hs := BuildHopset(g, p, cost)
 				size, work, depth = int64(hs.Size()), cost.Work(), cost.Depth()
 			}
 			b.ReportMetric(float64(size), "size")
@@ -439,13 +439,13 @@ func BenchmarkWeightedSSSP(b *testing.B) {
 		b.Run(tc.name+"/dial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				WeightedParallelBFS(tc.g, 0, nil)
+				WeightedParallelBFSOn(tc.g, 0, nil, nil)
 			}
 		})
 		b.Run(tc.name+"/deltastep", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ParallelShortestPaths(tc.g, 0, nil)
+				ParallelShortestPathsOn(tc.g, 0, nil, nil)
 			}
 		})
 		// The pooled-execution shape: a shared exec context recycles
@@ -475,20 +475,14 @@ func BenchmarkWeightedSSSP(b *testing.B) {
 }
 
 // BenchmarkESTClusterParallel contrasts the sequential bucket race
-// against the goroutine bucket expansion (identical output), plus the
-// pooled-execution shape whose arenas recycle the race's scratch.
+// against the goroutine bucket expansion on a pooled parallel context
+// (identical output).
 func BenchmarkESTClusterParallel(b *testing.B) {
 	g := WithUniformWeights(RandomGraph(100_000, 400_000, 31), 16, 32)
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ESTCluster(g, 0.1, uint64(i))
-		}
-	})
-	b.Run("goroutines", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ESTClusterParallel(g, 0.1, uint64(i), nil)
+			ESTClusterOn(g, 0.1, uint64(i), nil, nil)
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {

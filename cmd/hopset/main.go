@@ -129,7 +129,7 @@ func main() {
 				if exact == graph.InfDist {
 					continue
 				}
-				q := s.Query(s1, t1, nil)
+				q := s.Query(nil, s1, t1, nil)
 				levels = append(levels, float64(q.Levels))
 				ratios = append(ratios, float64(q.Dist)/float64(exact))
 			}

@@ -457,7 +457,7 @@ func main() {
 	var quality *qualityBlock
 	var qualityErr error
 	if *reportQuality {
-		afterQ, err := awaitQuality(client, *addr, id, beforeQ)
+		afterQ, err := awaitQuality(client, *addr, id, 15*time.Second)
 		if err != nil {
 			fatal(fmt.Errorf("report-quality: %w", err))
 		}
@@ -553,11 +553,12 @@ func fetchQuality(client *http.Client, addr, id string) (obs.AuditGraphSnapshot,
 }
 
 // awaitQuality polls /debug/quality until the auditor has drained
-// every sample it accepted (each one audited, dropped, or skipped) or
-// a deadline passes — audits run on background workers, so the
-// counters lag the traffic that fed them.
-func awaitQuality(client *http.Client, addr, id string, before obs.AuditGraphSnapshot) (obs.AuditGraphSnapshot, error) {
-	deadline := time.Now().Add(15 * time.Second)
+// every sample it accepted (each one audited, dropped, or skipped) —
+// audits run on background workers, so the counters lag the traffic
+// that fed them. Samples still pending once timeout has passed are an
+// error: a verdict over them would report unchecked answers as clean.
+func awaitQuality(client *http.Client, addr, id string, timeout time.Duration) (obs.AuditGraphSnapshot, error) {
+	deadline := time.Now().Add(timeout)
 	for {
 		snap, ok, err := fetchQuality(client, addr, id)
 		if err != nil {
@@ -567,10 +568,13 @@ func awaitQuality(client *http.Client, addr, id string, before obs.AuditGraphSna
 			return snap, fmt.Errorf("graph %s missing from /debug/quality", id)
 		}
 		settled := snap.Audited + snap.Dropped + snap.BudgetSkips + snap.StaleSkips + snap.Errors
-		if settled >= snap.Sampled || time.Now().After(deadline) {
+		if settled >= snap.Sampled {
 			return snap, nil
 		}
-		time.Sleep(100 * time.Millisecond)
+		if time.Now().After(deadline) {
+			return snap, fmt.Errorf("auditor did not drain within %v: %d of %d samples settled", timeout, settled, snap.Sampled)
+		}
+		time.Sleep(min(100*time.Millisecond, timeout/4))
 	}
 }
 

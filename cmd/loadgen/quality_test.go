@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -75,7 +77,7 @@ func TestAwaitQualityDrains(t *testing.T) {
 		}
 		return []obs.AuditGraphSnapshot{g}
 	})
-	snap, err := awaitQuality(ts.Client(), ts.URL, "g", obs.AuditGraphSnapshot{})
+	snap, err := awaitQuality(ts.Client(), ts.URL, "g", 15*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,22 @@ func TestAwaitQualityDrains(t *testing.T) {
 
 func TestAwaitQualityMissingGraph(t *testing.T) {
 	ts := qualityServer(t, func(int64) []obs.AuditGraphSnapshot { return nil })
-	if _, err := awaitQuality(ts.Client(), ts.URL, "g", obs.AuditGraphSnapshot{}); err == nil {
+	if _, err := awaitQuality(ts.Client(), ts.URL, "g", 15*time.Second); err == nil {
 		t.Fatal("awaitQuality succeeded for a graph the server never audited")
+	}
+}
+
+// TestAwaitQualityTimeout: samples that never settle are an error that
+// names the settled and sampled counts, not a clean snapshot.
+func TestAwaitQualityTimeout(t *testing.T) {
+	ts := qualityServer(t, func(int64) []obs.AuditGraphSnapshot {
+		return []obs.AuditGraphSnapshot{{Graph: "g", Sampled: 8, Audited: 3, Dropped: 1}}
+	})
+	_, err := awaitQuality(ts.Client(), ts.URL, "g", 20*time.Millisecond)
+	if err == nil {
+		t.Fatal("awaitQuality reported a pipeline that never drained as settled")
+	}
+	if !strings.Contains(err.Error(), "4 of 8 samples settled") {
+		t.Fatalf("error %q does not name the settled and sampled counts", err)
 	}
 }

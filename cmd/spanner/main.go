@@ -56,9 +56,9 @@ func main() {
 			opts.Exec = exec.Parallel(*workers)
 		}
 		if g.Weighted() {
-			res = spanner.WeightedOpts(g, *k, *seed, opts)
+			res = spanner.Weighted(g, *k, *seed, opts)
 		} else {
-			res = spanner.UnweightedOpts(g, *k, *seed, opts)
+			res = spanner.Unweighted(g, *k, *seed, opts)
 		}
 	case "baswana-sen":
 		res = spanner.BaswanaSen(g, *k, *seed, cost)

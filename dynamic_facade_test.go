@@ -361,7 +361,7 @@ func TestDynamicOracleSnapshotRoundTrip(t *testing.T) {
 // otherwise reject the snapshot the writer itself produced.
 func TestDynamicOracleUnweightedJournalRoundTrip(t *testing.T) {
 	g := GridGraph(4, 4) // unweighted
-	o := NewDistanceOracle(g, 0.3, 2)
+	o := NewDistanceOracleOpts(g, 0.3, 2, OracleOptions{})
 	d := NewDynamicOracle(o, RebuildPolicy{Disabled: true})
 	defer d.Close()
 	if _, err := d.ApplyUpdates([]DynamicUpdate{

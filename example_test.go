@@ -9,11 +9,11 @@ import (
 	spanhop "repro"
 )
 
-// ExampleESTCluster shows the paper's key routine: with β = ln(n)/(2k)
+// ExampleESTClusterOn shows the paper's key routine: with β = ln(n)/(2k)
 // the clusters have radius O(k) with high probability.
-func ExampleESTCluster() {
+func ExampleESTClusterOn() {
 	g := spanhop.GridGraph(16, 16)
-	clus := spanhop.ESTCluster(g, 0.5, 7)
+	clus := spanhop.ESTClusterOn(g, 0.5, 7, nil, nil)
 	fmt.Println("clusters:", clus.NumClusters() > 1)
 	fmt.Println("radius bounded:", clus.MaxRadius() <= 12)
 	// Output:
@@ -21,11 +21,11 @@ func ExampleESTCluster() {
 	// radius bounded: true
 }
 
-// ExampleUnweightedSpanner builds an O(k)-stretch spanner and shows it
+// ExampleUnweightedSpannerOn builds an O(k)-stretch spanner and shows it
 // sparsifies a dense graph.
-func ExampleUnweightedSpanner() {
+func ExampleUnweightedSpannerOn() {
 	g := spanhop.RandomGraph(1000, 20000, 42)
-	sp := spanhop.UnweightedSpanner(g, 3, 1)
+	sp := spanhop.UnweightedSpannerOn(g, 3, 1, nil, nil)
 	fmt.Println("sparsified:", int64(sp.Size()) < g.NumEdges())
 	fmt.Println("spans graph:", func() bool {
 		h := sp.Graph(g)
@@ -43,7 +43,7 @@ func ExampleBuildHopset() {
 	g := spanhop.GridGraph(30, 30) // corner-to-corner distance 58
 	p := spanhop.DefaultHopsetParams(3)
 	p.Gamma2 = 0.6
-	hs := spanhop.BuildHopset(g, p)
+	hs := spanhop.BuildHopset(g, p, nil)
 	far := g.NumVertices() - 1
 	exact := spanhop.ShortestPaths(g, 0).Dist[far]
 	with := spanhop.HopLimitedDistances(g, hs.Edges, 0, 10)[far]
@@ -57,11 +57,12 @@ func ExampleBuildHopset() {
 	// 10 hops without hopset reaches: false
 }
 
-// ExampleNewDistanceOracle answers exact distances: the default
-// engine builds nothing and runs point-to-point Dijkstra per query.
-func ExampleNewDistanceOracle() {
+// ExampleNewDistanceOracleOpts_exact answers exact distances: the
+// default engine builds nothing and runs point-to-point Dijkstra per
+// query.
+func ExampleNewDistanceOracleOpts_exact() {
 	g := spanhop.WithUniformWeights(spanhop.GridGraph(20, 20), 100, 5)
-	oracle := spanhop.NewDistanceOracle(g, 0.25, 6)
+	oracle := spanhop.NewDistanceOracleOpts(g, 0.25, 6, spanhop.OracleOptions{})
 	d, err := oracle.Query(0, g.NumVertices()-1)
 	fmt.Println("err:", err)
 	fmt.Println("exact:", d == oracle.ExactDistance(0, g.NumVertices()-1))
@@ -89,12 +90,12 @@ func ExampleNewDistanceOracleOpts() {
 	// tight: true
 }
 
-// ExampleParallelShortestPaths shows the multicore Δ-stepping SSSP:
+// ExampleParallelShortestPathsOn shows the multicore Δ-stepping SSSP:
 // distances are bit-identical to the sequential Dijkstra reference
-// while the frontier expands on goroutines.
-func ExampleParallelShortestPaths() {
+// while the frontier expands on the context's workers.
+func ExampleParallelShortestPathsOn() {
 	g := spanhop.WithUniformWeights(spanhop.GridGraph(40, 40), 9, 3)
-	par := spanhop.ParallelShortestPaths(g, 0, nil)
+	par := spanhop.ParallelShortestPathsOn(g, 0, spanhop.ParallelExec(0), nil)
 	seq := spanhop.ShortestPaths(g, 0)
 	same := true
 	for v := range par.Dist {

@@ -19,7 +19,7 @@ func main() {
 	// With beta = ln(n)/(2k), radii are O(k) whp (Lemma 2.1) and each
 	// edge is cut with probability ~ln(n)/(2k) (Corollary 2.3).
 	cost := spanhop.NewCost()
-	clus := spanhop.ESTClusterWithCost(g, 0.42, 1, cost) // ln(5000)/(2*10)
+	clus := spanhop.ESTClusterOn(g, 0.42, 1, nil, cost) // ln(5000)/(2*10)
 	fmt.Printf("\nEST clustering (beta=0.42): %d clusters, max radius %d\n",
 		clus.NumClusters(), clus.MaxRadius())
 	fmt.Printf("  cost: work=%d, depth=%d rounds\n", cost.Work(), cost.Depth())
@@ -29,7 +29,7 @@ func main() {
 	// construction lands well under the input size.
 	for _, k := range []int{2, 3, 5} {
 		cost = spanhop.NewCost()
-		sp := spanhop.UnweightedSpannerWithCost(g, k, 2, cost)
+		sp := spanhop.UnweightedSpannerOn(g, k, 2, nil, cost)
 		fmt.Printf("\nspanner k=%d: %d of %d edges kept (%.1f%%), work=%d, depth=%d\n",
 			k, sp.Size(), g.NumEdges(),
 			100*float64(sp.Size())/float64(g.NumEdges()), cost.Work(), cost.Depth())
@@ -41,7 +41,7 @@ func main() {
 	p := spanhop.DefaultHopsetParams(3)
 	p.Gamma2 = 0.6
 	cost = spanhop.NewCost()
-	hs := spanhop.BuildHopsetWithCost(grid, p, cost)
+	hs := spanhop.BuildHopset(grid, p, cost)
 	fmt.Printf("\nhopset on 70x70 grid: %d edges (%d star + %d clique), work=%d, depth=%d\n",
 		hs.Size(), hs.Stars, hs.Cliques, cost.Work(), cost.Depth())
 

@@ -63,7 +63,7 @@ func main() {
 	wp := spanhop.DefaultScaledHopsetParams(1)
 	wp.Gamma2 = 0.7
 	prep := spanhop.NewCost()
-	hs := spanhop.BuildScaledHopsetWithCost(g, wp, prep)
+	hs := spanhop.BuildScaledHopset(g, wp, prep)
 	fmt.Printf("hopset: %d shortcut edges across %d distance bands\n", hs.Size(), len(hs.Scales))
 	fmt.Printf("preprocessing: work=%d depth=%d\n\n", prep.Work(), prep.Depth())
 
@@ -84,7 +84,7 @@ func main() {
 		if exact < 5000 { // only long trips carry signal
 			continue
 		}
-		q := hs.Query(s, t, nil)
+		q := hs.Query(nil, s, t, nil)
 		errPct := 100 * (float64(q.Dist)/float64(exact) - 1)
 		// Plain weighted parallel BFS needs `exact` levels.
 		fmt.Printf("%4d -> %-6d %-10d %-10d %6.2f%%  %-13d %-13d\n",

@@ -38,9 +38,9 @@ func main() {
 			cost := spanhop.NewCost()
 			var res *spanhop.Spanner
 			if algo == "est-spanner (ours)" {
-				res = spanhop.UnweightedSpannerWithCost(g, k, uint64(k), cost)
+				res = spanhop.UnweightedSpannerOn(g, k, uint64(k), nil, cost)
 			} else {
-				res = spanhop.BaswanaSenSpannerWithCost(g, k, uint64(k), cost)
+				res = spanhop.BaswanaSenSpanner(g, k, uint64(k), cost)
 			}
 			st := eval.SpannerStretch(g, res.EdgeIDs, 200, uint64(10*k))
 			fmt.Printf("%-4d %-22s %-10d %-8.1f %-10d %-10d %-12.1f\n",

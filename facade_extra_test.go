@@ -56,7 +56,7 @@ func TestConcurrentBFSFacade(t *testing.T) {
 func TestWeightedParallelBFSFacade(t *testing.T) {
 	g := WithUniformWeights(GridGraph(10, 10), 7, 6)
 	cost := NewCost()
-	res := WeightedParallelBFS(g, 0, cost)
+	res := WeightedParallelBFSOn(g, 0, nil, cost)
 	exact := ShortestPaths(g, 0)
 	for v := range res.Dist {
 		if res.Dist[v] != exact.Dist[v] {

@@ -21,7 +21,7 @@ import (
 func TestSpannerThenOracle(t *testing.T) {
 	g := WithUniformWeights(RandomGraph(800, 8000, 1), 20, 2)
 	k := 3
-	sp := WeightedSpanner(g, k, 3)
+	sp := WeightedSpannerOn(g, k, 3, nil, nil)
 	h := sp.Graph(g)
 	if h.NumEdges() >= g.NumEdges() {
 		t.Fatal("spanner did not sparsify")
@@ -62,7 +62,7 @@ func TestSparsifyThenSpanner(t *testing.T) {
 	if h.NumEdges() >= g.NumEdges() {
 		t.Fatal("sparsifier did not shrink")
 	}
-	sp := WeightedSpanner(h, 2, 8)
+	sp := WeightedSpannerOn(h, 2, 8, nil, nil)
 	if int64(sp.Size()) > h.NumEdges() {
 		t.Fatal("spanner larger than input")
 	}
@@ -83,7 +83,7 @@ func TestDistributedMatchesSharedMemorySize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := UnweightedSpanner(g, k, 11)
+	shared := UnweightedSpannerOn(g, k, 11, nil, nil)
 	lo, hi := shared.Size()/2, shared.Size()*2
 	if len(pairs) < lo || len(pairs) > hi {
 		t.Fatalf("distributed size %d far from shared-memory %d", len(pairs), shared.Size())
@@ -106,8 +106,8 @@ func TestSerializationPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := WeightedSpanner(g, 3, 14)
-	b := WeightedSpanner(back, 3, 14)
+	a := WeightedSpannerOn(g, 3, 14, nil, nil)
+	b := WeightedSpannerOn(back, 3, 14, nil, nil)
 	if a.Size() != b.Size() {
 		t.Fatalf("spanner differs after round trip: %d vs %d", a.Size(), b.Size())
 	}
@@ -124,11 +124,11 @@ func TestSerializationPipeline(t *testing.T) {
 // are designed to stack this way).
 func TestHopsetOnSpanner(t *testing.T) {
 	g := GridGraph(36, 36)
-	sp := UnweightedSpanner(g, 2, 15)
+	sp := UnweightedSpannerOn(g, 2, 15, nil, nil)
 	h := sp.Graph(g)
 	p := DefaultHopsetParams(16)
 	p.Gamma2 = 0.6
-	hs := BuildHopset(h, p)
+	hs := BuildHopset(h, p, nil)
 	if hs.Size() == 0 {
 		t.Fatal("no hopset on spanner")
 	}

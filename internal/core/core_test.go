@@ -562,7 +562,7 @@ func TestClusterHugeWeightsMatchReference(t *testing.T) {
 				t.Fatalf("seed %d: every vertex is its own center", seed)
 			}
 			sameClustering(t, "sequential vs reference", Cluster(g, 0.5, seed, Options{}), want)
-			sameClustering(t, "parallel vs reference", Cluster(g, 0.5, seed, Options{Exec: exec.Default()}), want)
+			sameClustering(t, "parallel vs reference", Cluster(g, 0.5, seed, Options{Exec: exec.Parallel(0)}), want)
 		}
 	})
 }

@@ -81,7 +81,7 @@ func HopsForApprox(g *graph.Graph, extra []graph.Edge, s, t graph.V, eps float64
 	bound := graph.Dist(math.Ceil(float64(exact) * (1 + eps)))
 	n := int(g.NumVertices())
 	ok := func(h int) bool {
-		return sssp.HopLimited(g, extra, []graph.V{s}, h, nil)[t] <= bound
+		return sssp.HopLimited(nil, g, extra, []graph.V{s}, h, nil)[t] <= bound
 	}
 	h := 1
 	for h < n && !ok(h) {

@@ -42,7 +42,7 @@ func TestSpannerStretchDetectsRealStretch(t *testing.T) {
 
 func TestSpannerStretchOnRealSpanner(t *testing.T) {
 	g := graph.RandomConnectedGNM(400, 2000, 5)
-	res := spanner.Unweighted(g, 3, 6, nil)
+	res := spanner.Unweighted(g, 3, 6, spanner.Options{})
 	st := SpannerStretch(g, res.EdgeIDs, 300, 7)
 	if math.IsInf(st.Max, 1) {
 		t.Fatal("spanner disconnected an edge")

@@ -117,14 +117,6 @@ func Sequential() *Ctx { return New(Options{Workers: 1}) }
 // GOMAXPROCS) with no cancellation.
 func Parallel(workers int) *Ctx { return New(Options{Workers: workers}) }
 
-// defaultCtx is the shared process-wide parallel context behind the
-// facade's *Parallel helpers.
-var defaultCtx = Parallel(0)
-
-// Default returns the shared full-parallelism Ctx (GOMAXPROCS workers,
-// never canceled).
-func Default() *Ctx { return defaultCtx }
-
 // Detached returns a Ctx with the same worker cap and labels but no
 // cancellation, no telemetry, and its own fresh helper budget:
 // the shape query paths want, where a canceled build must never

@@ -225,7 +225,7 @@ func AblationEscalation(scale Scale, seed uint64) []ScalingRow {
 		var levels, work, distort []float64
 		for _, p := range pairs {
 			exact := s.ExactDistance(p[0], p[1])
-			q := s.Query(p[0], p[1], nil)
+			q := s.Query(nil, p[0], p[1], nil)
 			levels = append(levels, float64(q.Levels))
 			work = append(work, float64(q.Work))
 			distort = append(distort, float64(q.Dist)/float64(exact))

@@ -115,7 +115,7 @@ func Corollary31Adjacency(scale Scale, seed uint64) []StatRow {
 	n := float64(g.NumVertices())
 	var rows []StatRow
 	for _, k := range []int{2, 3, 5} {
-		res := spanner.Unweighted(g, k, seed+uint64(k), nil)
+		res := spanner.Unweighted(g, k, seed+uint64(k), spanner.Options{})
 		total := 0.0
 		for v := graph.V(0); v < g.NumVertices(); v++ {
 			seen := map[int32]bool{res.Clustering.ClusterOf[v]: true}

@@ -44,7 +44,7 @@ func Theorem12Pipeline(scale Scale, seed uint64) []PipelineRow {
 		worst := 1.0
 		for _, p := range pairs {
 			exact := s.ExactDistance(p[0], p[1])
-			q := s.Query(p[0], p[1], nil)
+			q := s.Query(nil, p[0], p[1], nil)
 			if q.Fallback {
 				row.Fallbacks++
 			}

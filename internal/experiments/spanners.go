@@ -33,9 +33,9 @@ func spannerContenders() []spannerAlgo {
 			promise: "O(k)",
 			run: func(g *graph.Graph, k int, seed uint64, cost *par.Cost) *spanner.Result {
 				if g.Weighted() {
-					return spanner.Weighted(g, k, seed, cost)
+					return spanner.Weighted(g, k, seed, spanner.Options{Cost: cost})
 				}
-				return spanner.Unweighted(g, k, seed, cost)
+				return spanner.Unweighted(g, k, seed, spanner.Options{Cost: cost})
 			},
 		},
 		{
@@ -146,9 +146,9 @@ func Theorem11Scaling(scale Scale, seed uint64) []ScalingRow {
 				cost := par.NewCost()
 				var size int
 				if weighted {
-					size = spanner.Weighted(g, k, seed+5, cost).Size()
+					size = spanner.Weighted(g, k, seed+5, spanner.Options{Cost: cost}).Size()
 				} else {
-					size = spanner.Unweighted(g, k, seed+5, cost).Size()
+					size = spanner.Unweighted(g, k, seed+5, spanner.Options{Cost: cost}).Size()
 				}
 				bound := math.Pow(float64(n), 1+1/float64(k))
 				if weighted {
@@ -179,7 +179,7 @@ func Theorem33Contraction(scale Scale, seed uint64) []ScalingRow {
 	var rows []ScalingRow
 	for _, k := range []int{2, 3, 4, 6, 8} {
 		cost := par.NewCost()
-		res := spanner.Weighted(g, k, seed+uint64(k), cost)
+		res := spanner.Weighted(g, k, seed+uint64(k), spanner.Options{Cost: cost})
 		bound := math.Pow(float64(n), 1+1/float64(k)) * math.Max(1, math.Log2(float64(k)))
 		rows = append(rows, ScalingRow{
 			Label:   fmt.Sprintf("weighted k=%d", k),

@@ -164,8 +164,8 @@ func TestScaledRoundTrip(t *testing.T) {
 	if string(back.Note) != "n" || back.Direct.Size() != s.Size() || len(back.Direct.Scales) != len(s.Scales) {
 		t.Fatalf("scaled round trip mismatch: size %d vs %d", back.Direct.Size(), s.Size())
 	}
-	q1 := s.Query(0, g.NumVertices()-1, nil)
-	q2 := back.Direct.Query(0, g.NumVertices()-1, nil)
+	q1 := s.Query(nil, 0, g.NumVertices()-1, nil)
+	q2 := back.Direct.Query(nil, 0, g.NumVertices()-1, nil)
 	if q1.Dist != q2.Dist || q1.Levels != q2.Levels || q1.Fallback != q2.Fallback {
 		t.Fatalf("restored query %+v != original %+v", q2, q1)
 	}

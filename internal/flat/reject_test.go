@@ -173,10 +173,10 @@ func FuzzReadOracle(f *testing.F) {
 		if n := g.NumVertices(); n >= 2 {
 			switch {
 			case p.Direct != nil:
-				_ = p.Direct.Query(0, n-1, nil)
+				_ = p.Direct.Query(nil, 0, n-1, nil)
 			case p.Dec != nil:
 				if inst, s, d := p.Dec.InstanceFor(0, n-1); inst != nil && s != d {
-					_ = p.Instances[inst.Level].Query(s, d, nil)
+					_ = p.Instances[inst.Level].Query(nil, s, d, nil)
 				}
 			}
 		}

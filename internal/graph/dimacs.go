@@ -9,14 +9,12 @@ import (
 )
 
 // This file implements the 9th DIMACS Implementation Challenge
-// shortest-path formats, the lingua franca of road-network
+// shortest-path graph format, the lingua franca of road-network
 // benchmarks (USA-road-d.*.gr and friends):
 //
 //	.gr  —  "c ..." comments, one "p sp <n> <m>" problem line,
 //	        then m arc lines "a <u> <v> <w>" with 1-indexed
 //	        endpoints.
-//	.co  —  "c ..." comments, one "p aux sp co <n>" problem line,
-//	        then n vertex lines "v <id> <x> <y>".
 //
 // DIMACS graphs are directed multigraphs; this repository's Graph is
 // a simple undirected graph. ReadDIMACS therefore canonicalizes: the
@@ -154,111 +152,4 @@ func WriteDIMACS(w io.Writer, g *Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Coord is one vertex position from a DIMACS .co file. DIMACS road
-// files store longitude/latitude in micro-degrees.
-type Coord struct {
-	X, Y int64
-}
-
-// ReadDIMACSCoords parses a DIMACS .co coordinate file and returns
-// one Coord per vertex, 0-indexed. Every vertex declared in the
-// problem line must receive exactly one coordinate line. Memory grows
-// with the vertex lines read, never with the declared count alone:
-// lines in id order are appended in place, the rest wait in a side
-// list that is placed once the input is known to cover every vertex.
-func ReadDIMACSCoords(r io.Reader) ([]Coord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-
-	type lateCoord struct {
-		id int32
-		c  Coord
-	}
-	var coords []Coord // coords[i] is vertex i+1's, read in order
-	var late []lateCoord
-	n := -1 // declared vertex count; -1 before the problem line
-	lines := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		fields := strings.Fields(text)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "c":
-
-		case "p":
-			if n >= 0 {
-				return nil, fmt.Errorf("graph: dimacs co line %d: second problem line", line)
-			}
-			if len(fields) != 5 || fields[1] != "aux" || fields[2] != "sp" || fields[3] != "co" {
-				return nil, fmt.Errorf("graph: dimacs co line %d: bad problem line %q (want \"p aux sp co <n>\")", line, text)
-			}
-			n64, err := strconv.ParseInt(fields[4], 10, 32)
-			if err != nil || n64 < 0 {
-				return nil, fmt.Errorf("graph: dimacs co line %d: bad vertex count in %q", line, text)
-			}
-			if n64 > maxFileVertices {
-				return nil, fmt.Errorf("graph: dimacs co vertex count %d exceeds the file-format limit %d", n64, maxFileVertices)
-			}
-			n = int(n64)
-
-		case "v":
-			if n < 0 {
-				return nil, fmt.Errorf("graph: dimacs co line %d: vertex before problem line", line)
-			}
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("graph: dimacs co line %d: bad vertex line %q (want \"v <id> <x> <y>\")", line, text)
-			}
-			id64, err1 := strconv.ParseInt(fields[1], 10, 32)
-			x, err2 := strconv.ParseInt(fields[2], 10, 64)
-			y, err3 := strconv.ParseInt(fields[3], 10, 64)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, fmt.Errorf("graph: dimacs co line %d: bad vertex line %q", line, text)
-			}
-			if id64 < 1 || id64 > int64(n) {
-				return nil, fmt.Errorf("graph: dimacs co line %d: vertex id %d out of range, n=%d", line, id64, n)
-			}
-			if c := (Coord{X: x, Y: y}); int(id64) == len(coords)+1 {
-				coords = append(coords, c)
-			} else {
-				late = append(late, lateCoord{int32(id64), c})
-			}
-			lines++
-
-		default:
-			return nil, fmt.Errorf("graph: dimacs co line %d: unknown line type %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("graph: dimacs co input has no problem line")
-	}
-	if lines < n {
-		return nil, fmt.Errorf("graph: dimacs co truncated input: %d of %d vertices", lines, n)
-	}
-	if len(late) == 0 {
-		return coords, nil // n lines, all in id order
-	}
-	// n <= lines now, so sizing by n is backed by the input. With
-	// exactly n in-range lines, no duplicate means every vertex is set.
-	filled := make([]bool, n)
-	for i := range coords {
-		filled[i] = true
-	}
-	coords = append(coords, make([]Coord, n-len(coords))...)
-	for _, lc := range late {
-		if filled[lc.id-1] {
-			return nil, fmt.Errorf("graph: dimacs co: duplicate coordinate for vertex %d", lc.id)
-		}
-		filled[lc.id-1] = true
-		coords[lc.id-1] = lc.c
-	}
-	return coords, nil
 }

@@ -135,46 +135,6 @@ func TestReadAutoDetectsDIMACS(t *testing.T) {
 	}
 }
 
-func TestReadDIMACSCoords(t *testing.T) {
-	in := `c coords
-p aux sp co 3
-v 1 -73992335 40730054
-v 3 -74000000 40700000
-v 2 -73980000 40760000
-`
-	coords, err := ReadDIMACSCoords(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coords) != 3 {
-		t.Fatalf("len = %d, want 3", len(coords))
-	}
-	if coords[0] != (Coord{X: -73992335, Y: 40730054}) {
-		t.Fatalf("vertex 1 coord %+v wrong", coords[0])
-	}
-	if coords[2] != (Coord{X: -74000000, Y: 40700000}) {
-		t.Fatalf("vertex 3 coord %+v wrong", coords[2])
-	}
-
-	errCases := []struct{ name, in, wantErr string }{
-		{"no problem", "v 1 0 0\n", "vertex before problem line"},
-		{"bad problem", "p aux sp xx 2\n", "bad problem line"},
-		{"duplicate vertex", "p aux sp co 2\nv 1 0 0\nv 1 1 1\n", "duplicate coordinate"},
-		{"id out of range", "p aux sp co 2\nv 3 0 0\n", "out of range"},
-		{"truncated", "p aux sp co 2\nv 1 0 0\n", "truncated"},
-		{"late duplicate", "p aux sp co 3\nv 2 0 0\nv 1 0 0\nv 2 1 1\n", "duplicate coordinate"},
-		{"forged count", forgedCoordsN, "truncated"},
-	}
-	for _, tc := range errCases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadDIMACSCoords(strings.NewReader(tc.in))
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %v, want %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 // FuzzReadDIMACS hardens the DIMACS parser the same way
 // FuzzReadText hardens the native one: arbitrary input must never
 // panic, and any successfully parsed graph must be valid and must
@@ -217,33 +177,6 @@ func FuzzReadDIMACS(f *testing.F) {
 		}
 		if back.Fingerprint() != g.Fingerprint() {
 			t.Fatal("round trip changed the graph")
-		}
-	})
-}
-
-// FuzzReadDIMACSCoords: arbitrary .co input must never panic, and a
-// parsed file must have given every vertex exactly one coordinate.
-func FuzzReadDIMACSCoords(f *testing.F) {
-	f.Add("p aux sp co 3\nv 1 5 6\nv 3 1 2\nv 2 3 4\n")
-	f.Add("p aux sp co 2\nv 1 0 0\nv 1 1 1\n") // duplicate
-	f.Add("p aux sp co 2\nv 3 0 0\n")          // out of range
-	f.Add("v 1 0 0\n")                         // no problem line
-	f.Add(forgedCoordsN)
-	f.Add("")
-
-	f.Fuzz(func(t *testing.T, input string) {
-		coords, err := ReadDIMACSCoords(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		vLines := 0
-		for _, l := range strings.Split(input, "\n") {
-			if fs := strings.Fields(l); len(fs) > 0 && fs[0] == "v" {
-				vLines++
-			}
-		}
-		if vLines != len(coords) {
-			t.Fatalf("parsed %d coordinates from %d vertex lines", len(coords), vLines)
 		}
 	})
 }

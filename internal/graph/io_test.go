@@ -95,21 +95,19 @@ func TestReadTextErrors(t *testing.T) {
 // what they carry.
 const (
 	forgedTextM    = "spanhop-graph/v1 2 1000000000000000 0\n0 1 1\n"
-	forgedCoordsN  = "p aux sp co 67108864\nv 1 0 0\n"
 	forgedAllocCap = 8 << 20
 )
 
-// TestForgedCountsBoundAllocation: a declared edge or vertex count
-// must not size an allocation the input does not back. Each forged
-// input must fail cleanly with the bytes allocated bounded by the
-// readers' fixed buffers, not by the header.
+// TestForgedCountsBoundAllocation: a declared edge count must not size
+// an allocation the input does not back. Each forged input must fail
+// cleanly with the bytes allocated bounded by the readers' fixed
+// buffers, not by the header.
 func TestForgedCountsBoundAllocation(t *testing.T) {
 	cases := []struct {
 		name, in string
 		read     func(io.Reader) error
 	}{
 		{"text", forgedTextM, func(r io.Reader) error { _, err := ReadText(r); return err }},
-		{"dimacs-co", forgedCoordsN, func(r io.Reader) error { _, err := ReadDIMACSCoords(r); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 
 // TestBuildExecEquivalence: driving the build through an execution
 // context must reproduce the legacy builds exactly — a sequential ctx
-// matches the nil-Exec sequential build, a 4-worker ctx matches the
-// shared full-parallelism exec.Default().
+// matches the nil-Exec sequential build, a 4-worker ctx matches a
+// full-parallelism exec.Parallel(0).
 func TestBuildExecEquivalence(t *testing.T) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(600, 2400, 21), 12, 22)
 	base := DefaultParams(7)
@@ -26,7 +26,7 @@ func TestBuildExecEquivalence(t *testing.T) {
 	assertSameEdges(t, "sequential-ctx", legacySeq.Edges, seq.Edges)
 
 	pLegacyPar := base
-	pLegacyPar.Exec = exec.Default()
+	pLegacyPar.Exec = exec.Parallel(0)
 	legacyPar := Build(g, pLegacyPar, nil)
 	pPar := base
 	pPar.Exec = exec.Parallel(4)

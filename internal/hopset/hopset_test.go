@@ -41,13 +41,13 @@ func hopsNeeded(g *graph.Graph, extra []graph.Edge, s, t graph.V, eps float64) i
 	}
 	bound := graph.Dist(math.Ceil(float64(exact) * (1 + eps)))
 	for h := 1; h <= int(g.NumVertices()); h *= 2 {
-		d := sssp.HopLimited(g, extra, []graph.V{s}, h, nil)
+		d := sssp.HopLimited(nil, g, extra, []graph.V{s}, h, nil)
 		if d[t] <= bound {
 			// Refine within (h/2, h].
 			lo, hi := h/2+1, h
 			for lo < hi {
 				mid := (lo + hi) / 2
-				if sssp.HopLimited(g, extra, []graph.V{s}, mid, nil)[t] <= bound {
+				if sssp.HopLimited(nil, g, extra, []graph.V{s}, mid, nil)[t] <= bound {
 					hi = mid
 				} else {
 					lo = mid + 1
@@ -236,7 +236,7 @@ func TestBuildScaledMetricAndQuery(t *testing.T) {
 			continue
 		}
 		exact := s.ExactDistance(src, dst)
-		q := s.Query(src, dst, nil)
+		q := s.Query(nil, src, dst, nil)
 		if q.Dist < exact {
 			t.Fatalf("query returned %d below exact %d", q.Dist, exact)
 		}
@@ -261,7 +261,7 @@ func TestBuildScaledMetricAndQuery(t *testing.T) {
 func TestQueryIdenticalEndpoints(t *testing.T) {
 	g := graph.Path(20)
 	s := BuildScaled(g, DefaultWeightedParams(1), nil)
-	if q := s.Query(5, 5, nil); q.Dist != 0 {
+	if q := s.Query(nil, 5, 5, nil); q.Dist != 0 {
 		t.Fatalf("self query dist %d", q.Dist)
 	}
 }
@@ -269,7 +269,7 @@ func TestQueryIdenticalEndpoints(t *testing.T) {
 func TestQueryDisconnected(t *testing.T) {
 	g := graph.FromEdges(10, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}}, false)
 	s := BuildScaled(g, DefaultWeightedParams(2), nil)
-	q := s.Query(0, 3, nil)
+	q := s.Query(nil, 0, 3, nil)
 	if q.Dist != graph.InfDist {
 		t.Fatalf("disconnected query dist %d, want InfDist", q.Dist)
 	}
@@ -297,7 +297,7 @@ func TestQueryDepthBeatsPlainSearchOnGrid(t *testing.T) {
 		if exact < 5000 {
 			continue
 		}
-		q := s.Query(src, dst, nil)
+		q := s.Query(nil, src, dst, nil)
 		if q.Fallback {
 			continue
 		}
@@ -432,7 +432,7 @@ func TestPipelineSoundnessProperty(t *testing.T) {
 		src := graph.V(r.Int31n(n))
 		dst := graph.V(r.Int31n(n))
 		exact := s.ExactDistance(src, dst)
-		q := s.Query(src, dst, nil)
+		q := s.Query(nil, src, dst, nil)
 		if q.Dist < exact {
 			return false
 		}
@@ -471,10 +471,10 @@ func BenchmarkBuildScaledWeighted(b *testing.B) {
 func BenchmarkQuery(b *testing.B) {
 	g := graph.UniformWeights(graph.Grid2D(60, 60), 16, 1)
 	s := BuildScaled(g, DefaultWeightedParams(2), nil)
-	s.Query(0, g.NumVertices()-1, nil) // warm caches
+	s.Query(nil, 0, g.NumVertices()-1, nil) // warm caches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Query(0, g.NumVertices()-1, nil)
+		s.Query(nil, 0, g.NumVertices()-1, nil)
 	}
 }

@@ -25,7 +25,7 @@ func withProcs(t *testing.T, p int, body func()) {
 func TestBuildParallelMetricPreserved(t *testing.T) {
 	withProcs(t, 4, func() {
 		p := DefaultParams(2)
-		p.Exec = exec.Default()
+		p.Exec = exec.Parallel(0)
 		g := graph.RandomConnectedGNM(600, 2400, 1)
 		res := Build(g, p, nil)
 		if res.Size() == 0 {
@@ -35,7 +35,7 @@ func TestBuildParallelMetricPreserved(t *testing.T) {
 
 		wg := graph.UniformWeights(graph.Grid2D(20, 20), 5, 4)
 		wp := DefaultParams(5)
-		wp.Exec = exec.Default()
+		wp.Exec = exec.Parallel(0)
 		wres := Build(wg, wp, nil)
 		checkMetricPreserved(t, wg, wres.Edges, 6)
 	})
@@ -91,6 +91,7 @@ func TestBuildScaledDeterministicAcrossWorkers(t *testing.T) {
 		}{
 			{"er", graph.ExponentialWeights(graph.RandomConnectedGNM(1500, 6000, 31), 4, 5, 32)},
 			{"grid", graph.ExponentialWeights(graph.Grid2D(40, 40), 4, 5, 33)},
+			{"rmat", graph.ExponentialWeights(graph.RMAT(11, 6000, 0.57, 0.19, 0.19, 35), 4, 5, 36)},
 		} {
 			build := func(workers int) *Scaled {
 				wp := DefaultWeightedParams(34)
@@ -136,13 +137,13 @@ func TestBuildScaledParallelQueries(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := graph.UniformWeights(graph.Grid2D(15, 15), 30, 21)
 		wp := DefaultWeightedParams(22)
-		wp.Exec = exec.Default()
+		wp.Exec = exec.Parallel(0)
 		s := BuildScaled(g, wp, nil)
 		distortion := wp.ExpectedDistortion(int(g.NumVertices()))
 		for _, pairSeed := range []graph.V{0, 7, 100} {
 			src, dst := pairSeed, g.NumVertices()-1-pairSeed
 			exact := s.ExactDistance(src, dst)
-			q := s.Query(src, dst, nil)
+			q := s.Query(nil, src, dst, nil)
 			if q.Dist < exact {
 				t.Fatalf("query (%d,%d) returned %d below exact %d", src, dst, q.Dist, exact)
 			}

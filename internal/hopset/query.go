@@ -69,18 +69,14 @@ type QueryResult struct {
 // falls back to an exact point-to-point Dijkstra on the base graph
 // (hopset edges are real paths, so the base graph has the same
 // metric), and the answer is always finite iff s and t are connected.
-func (s *Scaled) Query(src, dst graph.V, cost *par.Cost) QueryResult {
-	return s.QueryOn(nil, src, dst, cost)
-}
-
-// QueryOn is Query on an execution context: every band search draws
-// its arrays from ec's arenas and releases them before it returns, so
-// steady-state query traffic stops allocating O(n) buffers per band
-// per query, and the augmented graph and hop-budget ceilings are
-// fetched once per query (see queryPlan). The
-// context must never be canceled (use exec.Ctx.Detached from a build
-// context): queries have no notion of a partial answer.
-func (s *Scaled) QueryOn(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryResult {
+//
+// Every band search draws its arrays from ec's arenas (nil included)
+// and releases them before it returns, so steady-state query traffic
+// stops allocating O(n) buffers per band per query, and the augmented
+// graph and hop-budget ceilings are fetched once per query (see
+// queryPlan). ec must never be canceled (use exec.Ctx.Detached from a
+// build context): queries have no notion of a partial answer.
+func (s *Scaled) Query(ec *exec.Ctx, src, dst graph.V, cost *par.Cost) QueryResult {
 	if src == dst {
 		return QueryResult{Dist: 0, Scale: -1}
 	}

@@ -26,12 +26,12 @@ func queryPairs(n graph.V, count int, seed uint64) [][2]graph.V {
 	return out
 }
 
-// answerDigests hashes QueryOn's (Dist, Scale, Fallback) and,
+// answerDigests hashes Query's (Dist, Scale, Fallback) and,
 // separately, its Levels over the pairs with FNV-64a.
 func answerDigests(s *Scaled, pairs [][2]graph.V) (answers, levels uint64) {
 	ha, hl := fnv.New64a(), fnv.New64a()
 	for _, p := range pairs {
-		q := s.QueryOn(nil, p[0], p[1], nil)
+		q := s.Query(nil, p[0], p[1], nil)
 		fmt.Fprintf(ha, "%d %d %v|", q.Dist, q.Scale, q.Fallback)
 		fmt.Fprintf(hl, "%d|", q.Levels)
 	}
@@ -67,7 +67,7 @@ func TestQueryOnAnswersPinned(t *testing.T) {
 	}
 }
 
-// referenceQueryOn is the full power-of-two band race QueryOn sweeps,
+// referenceQuery is the full power-of-two band race Query sweeps,
 // kept as the differential oracle for TestQueryOnMatchesReference:
 // every band of a round runs a full Dial from src out to its level cap
 // at ŵ = 2^⌊log₂(ζ·d/h)⌋, with no band skipped, the round's best band
@@ -75,7 +75,7 @@ func TestQueryOnAnswersPinned(t *testing.T) {
 // maximum. finer reports whether, in the answering round, a band after
 // the first one to reach dst had a strictly finer ŵ than it, so the
 // sweep had to run it rather than skip it.
-func referenceQueryOn(s *Scaled, src, dst graph.V) (total QueryResult, finer bool) {
+func referenceQuery(s *Scaled, src, dst graph.V) (total QueryResult, finer bool) {
 	if src == dst {
 		return QueryResult{Dist: 0, Scale: -1}, false
 	}
@@ -191,7 +191,7 @@ func clampedBand(s *Scaled, k int) *Scaled {
 // TestQueryOnMatchesReference: on ER, R-MAT (disconnected, so the
 // Dijkstra fallback answers some pairs) and multi-scale grid graphs at
 // several seeds, on a multi-scale 4×2048 ladder, and on the
-// disconnected graph of TestQueryDisconnected, QueryOn returns the full
+// disconnected graph of TestQueryDisconnected, Query returns the full
 // power-of-two band race's Dist, Scale and Fallback for every pair,
 // with no more relaxation work. The ladder, on fewer pairs since the
 // reference searches every band to its cap, is also queried through
@@ -222,16 +222,16 @@ func TestQueryOnMatchesReference(t *testing.T) {
 		ec := exec.Sequential()
 		pairs := append(queryPairs(s.Base.NumVertices(), in.pairs, 11), [2]graph.V{0, 3})
 		for _, p := range pairs {
-			got := s.QueryOn(ec, p[0], p[1], nil)
-			want, f := referenceQueryOn(s, p[0], p[1])
+			got := s.Query(ec, p[0], p[1], nil)
+			want, f := referenceQuery(s, p[0], p[1])
 			if f {
 				finer++
 			}
 			if got.Dist != want.Dist || got.Scale != want.Scale || got.Fallback != want.Fallback {
-				t.Fatalf("%s %v: QueryOn %+v, reference %+v", in.name, p, got, want)
+				t.Fatalf("%s %v: Query %+v, reference %+v", in.name, p, got, want)
 			}
 			if got.Work > want.Work {
-				t.Fatalf("%s %v: QueryOn work %d exceeds the reference's %d", in.name, p, got.Work, want.Work)
+				t.Fatalf("%s %v: Query work %d exceeds the reference's %d", in.name, p, got.Work, want.Work)
 			}
 			if got.Fallback {
 				fallbacks++
@@ -248,7 +248,7 @@ func TestQueryOnMatchesReference(t *testing.T) {
 
 // TestQueryOnStretchNotWorse: on serve-hot's uniform 64×64 grid,
 // offline-road's multi-scale 100×100 grid and a multi-scale 4×4096
-// ladder, the mean and max stretch of QueryOn over 64 fixed pairs,
+// ladder, the mean and max stretch of Query over 64 fixed pairs,
 // against ExactDistance, are no worse than before bands were rounded
 // to power-of-two granularities. The bounds are the earlier sweep's
 // figures on the same pairs, rounded up in the sixth decimal. It runs
@@ -272,7 +272,7 @@ func TestQueryOnStretchNotWorse(t *testing.T) {
 		var sum, worst float64
 		for _, p := range pairs {
 			exact := s.ExactDistance(p[0], p[1])
-			got := s.QueryOn(ec, p[0], p[1], nil).Dist
+			got := s.Query(ec, p[0], p[1], nil).Dist
 			stretch := 1.0
 			if exact > 0 {
 				stretch = float64(got) / float64(exact)
@@ -321,7 +321,7 @@ func TestQueryOnConcurrentCold(t *testing.T) {
 	pairs := queryPairs(g.NumVertices(), 64, 9)
 	want := make([]QueryResult, len(pairs))
 	for i, p := range pairs {
-		want[i] = built.QueryOn(nil, p[0], p[1], nil)
+		want[i] = built.Query(nil, p[0], p[1], nil)
 	}
 	cold := NewScaled(built.Base, built.Scales, built.Params)
 	workers := max(runtime.GOMAXPROCS(0), 2)
@@ -334,7 +334,7 @@ func TestQueryOnConcurrentCold(t *testing.T) {
 			ec := exec.Sequential()
 			for k := range pairs {
 				i := (k + w*len(pairs)/workers) % len(pairs)
-				if got := cold.QueryOn(ec, pairs[i][0], pairs[i][1], nil); got != want[i] {
+				if got := cold.Query(ec, pairs[i][0], pairs[i][1], nil); got != want[i] {
 					errs <- fmt.Sprintf("worker %d pair %d: %+v, want %+v", w, i, got, want[i])
 					return
 				}
@@ -363,13 +363,13 @@ func benchmarkQueryOn(b *testing.B, g *graph.Graph, wp WeightedParams) {
 	s := BuildScaled(g, wp, nil)
 	pairs := queryPairs(g.NumVertices(), 64, 3)
 	ec := exec.Sequential()
-	s.QueryOn(ec, pairs[0][0], pairs[0][1], nil) // build the augmented graph
+	s.Query(ec, pairs[0][0], pairs[0][1], nil) // build the augmented graph
 	var work, levels int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		q := s.QueryOn(ec, p[0], p[1], nil)
+		q := s.Query(ec, p[0], p[1], nil)
 		work += q.Work
 		levels += q.Levels
 	}

@@ -101,7 +101,7 @@ func TestBuildScaledSkipsSubMinimumBands(t *testing.T) {
 		t.Fatalf("first band %.0f wastes levels below min weight 10^6", s.Scales[0].D)
 	}
 	// The whole pipeline still answers correctly on the huge weights.
-	q := s.Query(0, 59, nil)
+	q := s.Query(nil, 0, 59, nil)
 	exact := s.ExactDistance(0, 59)
 	if q.Dist < exact || float64(q.Dist) > 1.6*float64(exact) {
 		t.Fatalf("huge-weight query %d vs exact %d", q.Dist, exact)
@@ -126,7 +126,7 @@ func TestBuildScaledBandEdgeFiltering(t *testing.T) {
 			t.Fatalf("hopset edge below metric: (%d,%d) w=%d dist=%d", e.U, e.V, e.W, d)
 		}
 	}
-	q := s.Query(0, 49, nil)
+	q := s.Query(nil, 0, 49, nil)
 	if q.Dist < 98 || q.Dist > 160 {
 		t.Fatalf("query = %d, want ~98 (path), not the 2^40 edge", q.Dist)
 	}
@@ -179,7 +179,7 @@ func TestQueryEscalationEngagesOnLongPaths(t *testing.T) {
 		wp.InitialHopBudget = initial
 		s := BuildScaled(g, wp, nil)
 		exact := s.ExactDistance(0, 799)
-		q := s.Query(0, 799, nil)
+		q := s.Query(nil, 0, 799, nil)
 		if q.Dist < exact || float64(q.Dist) > 1.6*float64(exact) {
 			t.Fatalf("initial=%g: query %d vs exact %d", initial, q.Dist, exact)
 		}

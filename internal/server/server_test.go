@@ -119,7 +119,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := spanhop.NewDistanceOracle(spec.Gen(), eps, seed)
+	oracle := spanhop.NewDistanceOracleOpts(spec.Gen(), eps, seed, spanhop.OracleOptions{})
 
 	for _, p := range [][2]graph.V{{0, 149}, {5, 5}, {42, 17}} {
 		var got queryResult
@@ -334,7 +334,7 @@ func TestHTTPConcurrentSingleQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := spanhop.NewDistanceOracle(spec.Gen(), eps, seed)
+	oracle := spanhop.NewDistanceOracleOpts(spec.Gen(), eps, seed, spanhop.OracleOptions{})
 	e, _ := s.Registry().Get("grid")
 	x, err := e.executor()
 	if err != nil {

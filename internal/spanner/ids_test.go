@@ -61,8 +61,8 @@ func TestSpannerEdgeIDsStrictlyAscending(t *testing.T) {
 			name string
 			res  *Result
 		}{
-			{"Unweighted", Unweighted(g, k, seed, nil)},
-			{"Weighted", Weighted(wg, k, seed, nil)},
+			{"Unweighted", Unweighted(g, k, seed, Options{})},
+			{"Weighted", Weighted(wg, k, seed, Options{})},
 			{"BaswanaSen", BaswanaSen(wg, k, seed, nil)},
 		} {
 			what := fmt.Sprintf("%s seed=%d k=%d", tc.name, seed, k)

@@ -35,8 +35,8 @@ func TestUnweightedParallelIdentical(t *testing.T) {
 	withProcs(t, 4, func() {
 		for seed := uint64(0); seed < 5; seed++ {
 			g := graph.RandomConnectedGNM(1200, 6000, seed)
-			seq := UnweightedOpts(g, 3, seed, Options{})
-			par := UnweightedOpts(g, 3, seed, Options{Exec: exec.Default()})
+			seq := Unweighted(g, 3, seed, Options{})
+			par := Unweighted(g, 3, seed, Options{Exec: exec.Parallel(0)})
 			sameEdgeIDs(t, "unweighted", par, seq)
 		}
 	})
@@ -48,8 +48,8 @@ func TestWeightedParallelIdentical(t *testing.T) {
 	withProcs(t, 4, func() {
 		for seed := uint64(0); seed < 4; seed++ {
 			g := graph.ExponentialWeights(graph.RandomConnectedGNM(600, 2400, seed), 2, 20, seed^9)
-			seq := WeightedOpts(g, 4, seed, Options{})
-			par := WeightedOpts(g, 4, seed, Options{Exec: exec.Default()})
+			seq := Weighted(g, 4, seed, Options{})
+			par := Weighted(g, 4, seed, Options{Exec: exec.Parallel(0)})
 			sameEdgeIDs(t, "weighted", par, seq)
 		}
 	})
@@ -61,9 +61,9 @@ func TestParallelCostAccounted(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := graph.RandomConnectedGNM(800, 3200, 3)
 		cSeq := par.NewCost()
-		UnweightedOpts(g, 3, 7, Options{Cost: cSeq})
+		Unweighted(g, 3, 7, Options{Cost: cSeq})
 		cPar := par.NewCost()
-		UnweightedOpts(g, 3, 7, Options{Cost: cPar, Exec: exec.Default()})
+		Unweighted(g, 3, 7, Options{Cost: cPar, Exec: exec.Parallel(0)})
 		if cSeq.Work() != cPar.Work() {
 			t.Fatalf("work diverged: %d vs %d", cSeq.Work(), cPar.Work())
 		}

@@ -43,7 +43,7 @@ type Options struct {
 	// clustering races, boundary sweeps, and weighted groups on the
 	// pooled workers under its cap; its cancellation is polled at
 	// bucket boundaries (a canceled build's result is invalid — check
-	// Exec.Err()). Nil keeps legacy behavior. The resulting edge set
+	// Exec.Err()). Nil runs sequentially. The resulting edge set
 	// is identical on a parallel context (the clustering is
 	// bit-identical and per-vertex boundary choices are independent;
 	// the id list is canonicalized by sorting).
@@ -86,13 +86,7 @@ func betaFor(n int32, k int) float64 {
 // O(n^{1+1/k}) for an unweighted graph (Algorithm 2). Edge weights, if
 // any, are ignored (every edge counts as 1), matching the paper's
 // unweighted setting. k must be ≥ 1.
-func Unweighted(g *graph.Graph, k int, seed uint64, cost *par.Cost) *Result {
-	return UnweightedOpts(g, k, seed, Options{Cost: cost})
-}
-
-// UnweightedOpts is Unweighted with the full option set (notably
-// Options.Exec for multicore execution).
-func UnweightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
+func Unweighted(g *graph.Graph, k int, seed uint64, opt Options) *Result {
 	if k < 1 {
 		panic(fmt.Sprintf("spanner: k = %d", k))
 	}
@@ -233,11 +227,7 @@ func numGroups(k int) int {
 // groupEdges (canonical edge ids), whose weight buckets must be well
 // separated (consecutive non-empty buckets differ by ≥ k^c; the caller
 // guarantees this by construction). It returns spanner edge ids of g.
-func WellSeparated(g *graph.Graph, groupEdges []int32, k int, seed uint64, cost *par.Cost) []int32 {
-	return wellSeparated(g, groupEdges, k, seed, Options{Cost: cost})
-}
-
-func wellSeparated(g *graph.Graph, groupEdges []int32, k int, seed uint64, opt Options) []int32 {
+func WellSeparated(g *graph.Graph, groupEdges []int32, k int, seed uint64, opt Options) []int32 {
 	cost := opt.Cost
 	if len(groupEdges) == 0 {
 		return nil
@@ -301,21 +291,14 @@ func wellSeparated(g *graph.Graph, groupEdges []int32, k int, seed uint64, opt O
 // power-of-two weight buckets into numGroups(k) well-separated groups
 // and runs WellSeparated on each. The groups are independent — in the
 // PRAM model they run side by side, which the cost accounting reflects
-// with JoinMax.
-func Weighted(g *graph.Graph, k int, seed uint64, cost *par.Cost) *Result {
-	return WeightedOpts(g, k, seed, Options{Cost: cost})
-}
-
-// WeightedOpts is Weighted with the full option set. On a parallel
-// Options.Exec the O(log k) well-separated groups — independent by
-// construction, side by side in the model — also run on their own
-// goroutines, each with parallel clustering inside.
-func WeightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
+// with JoinMax. On a parallel Options.Exec the groups also run on
+// their own goroutines, each with parallel clustering inside.
+func Weighted(g *graph.Graph, k int, seed uint64, opt Options) *Result {
 	if k < 1 {
 		panic(fmt.Sprintf("spanner: k = %d", k))
 	}
 	if !g.Weighted() {
-		return UnweightedOpts(g, k, seed, opt)
+		return Unweighted(g, k, seed, opt)
 	}
 	groups := numGroups(k)
 	minW := g.MinWeight()
@@ -335,7 +318,7 @@ func WeightedOpts(g *graph.Graph, k int, seed uint64, opt Options) *Result {
 	runGroup := func(j int) {
 		gOpt := opt
 		gOpt.Cost = costs[j]
-		perGroup[j] = wellSeparated(g, groupEdges[j], k, seeds[j], gOpt)
+		perGroup[j] = WellSeparated(g, groupEdges[j], k, seeds[j], gOpt)
 	}
 	if opt.Exec.IsParallel() {
 		opt.Exec.DoN(groups, runGroup)

@@ -52,7 +52,7 @@ func isSubsetOfEdges(g *graph.Graph, ids []int32) bool {
 
 func TestUnweightedBasics(t *testing.T) {
 	g := graph.RandomConnectedGNM(500, 3000, 1)
-	res := Unweighted(g, 3, 2, nil)
+	res := Unweighted(g, 3, 2, Options{})
 	if !isSubsetOfEdges(g, res.EdgeIDs) {
 		t.Fatal("spanner edge ids invalid or duplicated")
 	}
@@ -74,7 +74,7 @@ func TestUnweightedBasics(t *testing.T) {
 func TestUnweightedStretch(t *testing.T) {
 	for _, k := range []int{2, 3, 5} {
 		g := graph.RandomConnectedGNM(300, 1500, uint64(k))
-		res := Unweighted(g, k, uint64(100+k), nil)
+		res := Unweighted(g, k, uint64(100+k), Options{})
 		st := maxEdgeStretch(t, g, res.EdgeIDs)
 		// Lemma 3.2 promises O(k); radii are ≤ ~4k whp with β =
 		// ln(n)/(2k), so edge stretch ≤ ~8k+1. Use 10k+2 to absorb
@@ -90,7 +90,7 @@ func TestUnweightedSizeScaling(t *testing.T) {
 	// spanner must be well below m and within a constant of n^{1.5}.
 	n := int32(2000)
 	g := graph.RandomConnectedGNM(n, 40000, 7)
-	res := Unweighted(g, 2, 8, nil)
+	res := Unweighted(g, 2, 8, Options{})
 	bound := 6 * math.Pow(float64(n), 1.5)
 	if float64(res.Size()) > bound {
 		t.Fatalf("size %d exceeds 6·n^1.5 = %.0f", res.Size(), bound)
@@ -99,7 +99,7 @@ func TestUnweightedSizeScaling(t *testing.T) {
 		t.Fatal("spanner did not sparsify at all")
 	}
 	// Larger k must (on average) give smaller spanners.
-	res8 := Unweighted(g, 8, 8, nil)
+	res8 := Unweighted(g, 8, 8, Options{})
 	if res8.Size() >= res.Size() {
 		t.Fatalf("k=8 spanner (%d) not smaller than k=2 (%d)", res8.Size(), res.Size())
 	}
@@ -109,7 +109,7 @@ func TestUnweightedPathKeepsEverything(t *testing.T) {
 	// A tree is its own unique spanner: every edge is a forest or
 	// boundary edge, and connectivity must be preserved.
 	g := graph.Path(100)
-	res := Unweighted(g, 3, 5, nil)
+	res := Unweighted(g, 3, 5, Options{})
 	if int64(res.Size()) != g.NumEdges() {
 		t.Fatalf("path spanner has %d of %d edges", res.Size(), g.NumEdges())
 	}
@@ -117,7 +117,7 @@ func TestUnweightedPathKeepsEverything(t *testing.T) {
 
 func TestUnweightedDisconnected(t *testing.T) {
 	g := graph.FromEdges(6, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}}, false)
-	res := Unweighted(g, 2, 3, nil)
+	res := Unweighted(g, 2, 3, Options{})
 	h := res.Graph(g)
 	_, c := h.Components()
 	if c != 4 {
@@ -126,14 +126,14 @@ func TestUnweightedDisconnected(t *testing.T) {
 }
 
 func TestUnweightedEmptyAndTiny(t *testing.T) {
-	if got := Unweighted(graph.FromEdges(0, nil, false), 2, 1, nil).Size(); got != 0 {
+	if got := Unweighted(graph.FromEdges(0, nil, false), 2, 1, Options{}).Size(); got != 0 {
 		t.Fatalf("empty graph spanner size %d", got)
 	}
-	if got := Unweighted(graph.FromEdges(5, nil, false), 2, 1, nil).Size(); got != 0 {
+	if got := Unweighted(graph.FromEdges(5, nil, false), 2, 1, Options{}).Size(); got != 0 {
 		t.Fatalf("edgeless graph spanner size %d", got)
 	}
 	one := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1, W: 1}}, false)
-	if got := Unweighted(one, 2, 1, nil).Size(); got != 1 {
+	if got := Unweighted(one, 2, 1, Options{}).Size(); got != 1 {
 		t.Fatalf("single-edge graph spanner size %d, want 1", got)
 	}
 }
@@ -144,13 +144,13 @@ func TestUnweightedPanicsOnBadK(t *testing.T) {
 			t.Fatal("k=0 did not panic")
 		}
 	}()
-	Unweighted(graph.Path(3), 0, 1, nil)
+	Unweighted(graph.Path(3), 0, 1, Options{})
 }
 
 func TestWeightedBasics(t *testing.T) {
 	g := graph.ExponentialWeights(graph.RandomConnectedGNM(400, 2400, 9), 2, 12, 10)
 	cost := par.NewCost()
-	res := Weighted(g, 3, 11, cost)
+	res := Weighted(g, 3, 11, Options{Cost: cost})
 	if !isSubsetOfEdges(g, res.EdgeIDs) {
 		t.Fatal("weighted spanner ids invalid")
 	}
@@ -168,7 +168,7 @@ func TestWeightedBasics(t *testing.T) {
 func TestWeightedStretch(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		g := graph.ExponentialWeights(graph.RandomConnectedGNM(250, 1200, uint64(k+40)), 2, 10, uint64(k+50))
-		res := Weighted(g, k, uint64(60+k), nil)
+		res := Weighted(g, k, uint64(60+k), Options{})
 		st := maxEdgeStretch(t, g, res.EdgeIDs)
 		// Theorem 3.3: O(k) with a somewhat larger constant than the
 		// unweighted case (quotient translation costs a factor ~2,
@@ -181,7 +181,7 @@ func TestWeightedStretch(t *testing.T) {
 
 func TestWeightedOnUniformWeightsSparsifies(t *testing.T) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(1500, 30000, 13), 4, 14)
-	res := Weighted(g, 2, 15, nil)
+	res := Weighted(g, 2, 15, Options{})
 	if int64(res.Size()) >= g.NumEdges() {
 		t.Fatal("weighted spanner kept every edge on a dense graph")
 	}
@@ -189,7 +189,7 @@ func TestWeightedOnUniformWeightsSparsifies(t *testing.T) {
 
 func TestWeightedUnweightedFallback(t *testing.T) {
 	g := graph.RandomConnectedGNM(100, 400, 17)
-	res := Weighted(g, 3, 18, nil)
+	res := Weighted(g, 3, 18, Options{})
 	if res.Clustering == nil {
 		t.Fatal("unweighted fallback should expose clustering")
 	}
@@ -197,7 +197,7 @@ func TestWeightedUnweightedFallback(t *testing.T) {
 
 func TestWellSeparatedEmptyGroup(t *testing.T) {
 	g := graph.UniformWeights(graph.Path(10), 8, 19)
-	if got := WellSeparated(g, nil, 3, 1, nil); got != nil {
+	if got := WellSeparated(g, nil, 3, 1, Options{}); got != nil {
 		t.Fatalf("empty group produced %d edges", len(got))
 	}
 }
@@ -337,8 +337,8 @@ func TestSpannersPreserveConnectivityProperty(t *testing.T) {
 		}
 		g := graph.UniformWeights(graph.RandomConnectedGNM(n, m, seed), 16, seed^9)
 		for _, ids := range [][]int32{
-			Unweighted(g, k, seed^1, nil).EdgeIDs,
-			Weighted(g, k, seed^2, nil).EdgeIDs,
+			Unweighted(g, k, seed^1, Options{}).EdgeIDs,
+			Weighted(g, k, seed^2, Options{}).EdgeIDs,
 			BaswanaSen(g, k, seed^3, nil).EdgeIDs,
 		} {
 			if !isSubsetOfEdges(g, ids) {
@@ -362,7 +362,7 @@ func TestSpannersPreserveConnectivityProperty(t *testing.T) {
 func TestCorollary31BallIntersection(t *testing.T) {
 	g := graph.RandomConnectedGNM(600, 3000, 35)
 	k := 3
-	res := Unweighted(g, k, 36, nil)
+	res := Unweighted(g, k, 36, Options{})
 	// Average adjacent-cluster count per vertex ≈ ball(1) clusters.
 	total := 0.0
 	for v := graph.V(0); v < g.NumVertices(); v++ {
@@ -386,7 +386,7 @@ func BenchmarkUnweightedSpanner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Unweighted(g, 3, uint64(i), nil)
+		Unweighted(g, 3, uint64(i), Options{})
 	}
 }
 
@@ -395,7 +395,7 @@ func BenchmarkWeightedSpanner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Weighted(g, 3, uint64(i), nil)
+		Weighted(g, 3, uint64(i), Options{})
 	}
 }
 

@@ -96,7 +96,7 @@ func Spectral(g *graph.Graph, opt Options) *Result {
 			peelIDs[i] = int32(i)
 		}
 		for b := 0; b < opt.BundleSize && peel.NumEdges() > 0; b++ {
-			sp := spanner.Weighted(peel, opt.K, r.Uint64(), opt.Cost)
+			sp := spanner.Weighted(peel, opt.K, r.Uint64(), spanner.Options{Cost: opt.Cost})
 			if sp.Size() == 0 {
 				break
 			}

@@ -110,7 +110,7 @@ func TestBFSAndHopLimitedCancel(t *testing.T) {
 		t.Fatalf("canceled BFS settled %d vertices, want just the source", reached)
 	}
 
-	dist := HopLimitedOn(ec, g, nil, []graph.V{0}, 8, nil)
+	dist := HopLimited(ec, g, nil, []graph.V{0}, 8, nil)
 	reached = 0
 	for _, d := range dist {
 		if d < graph.InfDist {
@@ -120,7 +120,7 @@ func TestBFSAndHopLimitedCancel(t *testing.T) {
 	if reached > 1 {
 		t.Fatalf("canceled HopLimited settled %d vertices", reached)
 	}
-	dist2 := HopLimitedParallelOn(ec, g, nil, []graph.V{0}, 8, nil)
+	dist2 := HopLimitedParallel(ec, g, nil, []graph.V{0}, 8, nil)
 	reached = 0
 	for _, d := range dist2 {
 		if d < graph.InfDist {

@@ -342,17 +342,12 @@ func resolveParents(g *graph.Graph, res *Result, opt *Options) {
 // into the next-round array. Because min-updates commute, the output
 // is bit-identical to HopLimited for any schedule. Depth is one unit
 // per round, work O(m + |extra|) per round — the Definition 2.4
-// quantity at true multicore speed.
-func HopLimitedParallel(g *graph.Graph, extra []graph.Edge, sources []graph.V, hops int, cost *par.Cost) []graph.Dist {
-	return HopLimitedParallelOn(nil, g, extra, sources, hops, cost)
-}
-
-// HopLimitedParallelOn is HopLimitedParallel on an execution context:
-// the edge scans fan out under ec's worker cap, the scratch array
-// comes from its arena, and cancellation is polled per round. The
-// returned distances are freshly owned by the caller (release with
-// ec.PutDists when done).
-func HopLimitedParallelOn(ec *exec.Ctx, g *graph.Graph, extra []graph.Edge, sources []graph.V, hops int, cost *par.Cost) []graph.Dist {
+// quantity at true multicore speed. The edge scans fan out under ec's
+// worker cap (over GOMAXPROCS on a nil ec), the scratch array comes
+// from its arena, and cancellation is polled per round. The returned
+// distances are freshly owned by the caller (release with ec.PutDists
+// when done).
+func HopLimitedParallel(ec *exec.Ctx, g *graph.Graph, extra []graph.Edge, sources []graph.V, hops int, cost *par.Cost) []graph.Dist {
 	n := g.NumVertices()
 	dist := ec.Dists(int(n))
 	for _, s := range sources {

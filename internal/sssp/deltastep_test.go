@@ -219,8 +219,8 @@ func TestHopLimitedParallelMatches(t *testing.T) {
 		g := graph.UniformWeights(graph.RandomConnectedGNM(400, 1600, 61), 9, 62)
 		extra := []graph.Edge{{U: 0, V: 200, W: 3}, {U: 5, V: 399, W: 7}}
 		for _, hops := range []int{1, 2, 5, 20, int(g.NumVertices())} {
-			seqD := HopLimited(g, extra, []graph.V{0}, hops, nil)
-			parD := HopLimitedParallel(g, extra, []graph.V{0}, hops, nil)
+			seqD := HopLimited(nil, g, extra, []graph.V{0}, hops, nil)
+			parD := HopLimitedParallel(nil, g, extra, []graph.V{0}, hops, nil)
 			for v := range seqD {
 				if seqD[v] != parD[v] {
 					t.Fatalf("hops=%d: parallel %d vs sequential %d at %d",

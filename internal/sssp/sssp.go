@@ -695,16 +695,12 @@ func (q *RadixHeap) Pop() graph.V {
 // by h synchronous Bellman–Ford rounds over the graph's edges plus the
 // extra (hopset) edges. This is the defining quantity of Definition
 // 2.4; the evaluation uses it to certify hopset quality. Each round is
-// one depth unit of work O(m + |extra|).
-func HopLimited(g *graph.Graph, extra []graph.Edge, sources []graph.V, hops int, cost *par.Cost) []graph.Dist {
-	return HopLimitedOn(nil, g, extra, sources, hops, cost)
-}
-
-// HopLimitedOn is HopLimited on an execution context: the next-round
-// scratch array comes from ec's arena and cancellation is polled per
-// Bellman–Ford round. The returned distance array is freshly owned by
-// the caller (release with ec.PutDists when done).
-func HopLimitedOn(ec *exec.Ctx, g *graph.Graph, extra []graph.Edge, sources []graph.V, hops int, cost *par.Cost) []graph.Dist {
+// one depth unit of work O(m + |extra|). The rounds run sequentially
+// on any ec (nil included): the next-round scratch array comes from
+// ec's arena and cancellation is polled per round. The returned
+// distance array is freshly owned by the caller (release with
+// ec.PutDists when done).
+func HopLimited(ec *exec.Ctx, g *graph.Graph, extra []graph.Edge, sources []graph.V, hops int, cost *par.Cost) []graph.Dist {
 	n := g.NumVertices()
 	dist := ec.Dists(int(n))
 	for _, s := range sources {

@@ -184,18 +184,18 @@ func TestHopLimited(t *testing.T) {
 		{U: 0, V: 4, W: 10},
 	}, true)
 	// 1 hop: only the direct edge.
-	d1 := HopLimited(g, nil, []graph.V{0}, 1, nil)
+	d1 := HopLimited(nil, g, nil, []graph.V{0}, 1, nil)
 	if d1[4] != 10 {
 		t.Fatalf("1-hop dist = %d, want 10", d1[4])
 	}
 	// 4 hops: the light path.
-	d4 := HopLimited(g, nil, []graph.V{0}, 4, nil)
+	d4 := HopLimited(nil, g, nil, []graph.V{0}, 4, nil)
 	if d4[4] != 4 {
 		t.Fatalf("4-hop dist = %d, want 4", d4[4])
 	}
 	// Extra edge shrinks hops: add (0,3,3).
 	extra := []graph.Edge{{U: 0, V: 3, W: 3}}
-	d2 := HopLimited(g, extra, []graph.V{0}, 2, nil)
+	d2 := HopLimited(nil, g, extra, []graph.V{0}, 2, nil)
 	if d2[4] != 4 {
 		t.Fatalf("2-hop with hopset dist = %d, want 4", d2[4])
 	}
@@ -203,7 +203,7 @@ func TestHopLimited(t *testing.T) {
 
 func TestHopLimitedConvergesToDijkstra(t *testing.T) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(120, 360, 8), 9, 8)
-	hop := HopLimited(g, nil, []graph.V{0}, int(g.NumVertices()), nil)
+	hop := HopLimited(nil, g, nil, []graph.V{0}, int(g.NumVertices()), nil)
 	ref := Dijkstra(g, []graph.V{0}, Options{})
 	for v := range hop {
 		if hop[v] != ref.Dist[v] {
@@ -214,9 +214,9 @@ func TestHopLimitedConvergesToDijkstra(t *testing.T) {
 
 func TestHopLimitedMonotoneInHops(t *testing.T) {
 	g := graph.UniformWeights(graph.RandomConnectedGNM(80, 200, 12), 7, 13)
-	prev := HopLimited(g, nil, []graph.V{3}, 1, nil)
+	prev := HopLimited(nil, g, nil, []graph.V{3}, 1, nil)
 	for h := 2; h <= 12; h++ {
-		cur := HopLimited(g, nil, []graph.V{3}, h, nil)
+		cur := HopLimited(nil, g, nil, []graph.V{3}, h, nil)
 		for v := range cur {
 			if cur[v] > prev[v] {
 				t.Fatalf("hop distance increased with more hops at %d", v)

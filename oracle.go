@@ -102,23 +102,12 @@ type OracleOptions struct {
 	QueryExec *ExecCtx
 }
 
-// NewDistanceOracle returns an exact oracle over g. eps ∈ (0, 1) is
-// recorded for a hopset rebuild or snapshot; see NewDistanceOracleOpts
-// for the hopset engine, where it controls both the decomposition loss
-// and the hopset rounding.
-func NewDistanceOracle(g *Graph, eps float64, seed uint64) *DistanceOracle {
-	return NewDistanceOracleOpts(g, eps, seed, OracleOptions{})
-}
-
-// NewDistanceOracleWithCost is NewDistanceOracle with work/depth
-// accounting of the preprocessing.
-func NewDistanceOracleWithCost(g *Graph, eps float64, seed uint64, cost *Cost) *DistanceOracle {
-	return NewDistanceOracleOpts(g, eps, seed, OracleOptions{Cost: cost})
-}
-
-// NewDistanceOracleOpts is NewDistanceOracle with explicit options:
-// the engine (Hopset), cost accounting and machine-parallel
-// construction.
+// NewDistanceOracleOpts returns an oracle over g. The zero
+// OracleOptions give the exact engine, which builds nothing; opt
+// selects the hopset engine (Hopset), cost accounting of the
+// preprocessing and machine-parallel construction. eps ∈ (0, 1) is
+// recorded for a hopset rebuild or snapshot; with the hopset engine it
+// controls both the decomposition loss and the hopset rounding.
 func NewDistanceOracleOpts(g *Graph, eps float64, seed uint64, opt OracleOptions) *DistanceOracle {
 	if eps <= 0 || eps >= 1 {
 		panic(fmt.Sprintf("spanhop: DistanceOracle eps = %v, want (0,1)", eps))
@@ -291,7 +280,7 @@ func (o *DistanceOracle) QueryStats(s, t V) (QueryStats, error) {
 		return QueryStats{Dist: o.ExactDistance(s, t)}, nil
 	}
 	if o.direct != nil {
-		q := o.direct.QueryOn(o.queryEc, s, t, nil)
+		q := o.direct.Query(o.queryEc, s, t, nil)
 		return QueryStats{Dist: q.Dist, Levels: q.Levels, Fallback: q.Fallback}, nil
 	}
 	inst, is, it := o.dec.InstanceFor(s, t)
@@ -301,7 +290,7 @@ func (o *DistanceOracle) QueryStats(s, t V) (QueryStats, error) {
 	if is == it {
 		return QueryStats{Dist: 0}, nil
 	}
-	q := o.instances[inst.Level].QueryOn(o.queryEc, is, it, nil)
+	q := o.instances[inst.Level].Query(o.queryEc, is, it, nil)
 	return QueryStats{Dist: q.Dist, Levels: q.Levels, Fallback: q.Fallback}, nil
 }
 

@@ -1,6 +1,6 @@
 package spanhop
 
-// Degenerate DistanceOracle coverage: graphs NewDistanceOracle refuses
+// Degenerate DistanceOracle coverage: graphs NewDistanceOracleOpts refuses
 // to preprocess (n < 2 or no edges) must still answer queries with
 // defined semantics — 0 on the diagonal, InfDist off it — through both
 // Query and QueryBatch, and report themselves via the introspection

@@ -72,7 +72,7 @@ func TestExactOracleMatchesDijkstra(t *testing.T) {
 			if f.name == "er-wide" && g.MaxWeight() <= 1<<32 {
 				t.Fatalf("max weight %d does not reach the radix heap", g.MaxWeight())
 			}
-			o := NewDistanceOracle(g, 0.25, 11)
+			o := NewDistanceOracleOpts(g, 0.25, 11, OracleOptions{})
 			if o.HopsetSize() != 0 || o.InstanceCount() != 0 || o.Decomposed() {
 				t.Fatalf("default oracle built something: edges=%d instances=%d decomposed=%v",
 					o.HopsetSize(), o.InstanceCount(), o.Decomposed())

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func withProcs(t *testing.T, p int, body func()) {
@@ -69,51 +71,131 @@ func TestQueryBatchDecomposed(t *testing.T) {
 
 func TestQueryBatchRejectsOutOfRange(t *testing.T) {
 	g := GridGraph(5, 5)
-	o := NewDistanceOracle(g, 0.25, 1)
+	o := NewDistanceOracleOpts(g, 0.25, 1, OracleOptions{})
 	if _, err := o.QueryBatch([][2]V{{0, 3}, {0, 99}}); err == nil {
 		t.Fatal("out-of-range pair not rejected")
 	}
 }
 
-// TestFacadeParallelVariantsAgree pins the facade-level contract: the
-// parallel entry points return the same distances / edge sets /
-// clusterings as their sequential oracles.
+// asInt64 widens a vertex, edge-id or distance slice so that every
+// row of TestFacadeParallelVariantsAgree compares one type.
+func asInt64[T ~int32 | ~int64](xs []T) []int64 {
+	out := make([]int64, len(xs))
+	for i, x := range xs {
+		out[i] = int64(x)
+	}
+	return out
+}
+
+// TestFacadeParallelVariantsAgree pins the facade's execution contract:
+// every function that takes an ExecCtx returns the same clustering,
+// edge ids or distances on nil, SequentialExec(), ParallelExec(2) and
+// ParallelExec(0), with and without a cost, and records nonzero work
+// whenever the cost is non-nil. The searches must also equal
+// ShortestPaths, and the goroutine hop-limited kernel its sequential
+// reference.
 func TestFacadeParallelVariantsAgree(t *testing.T) {
 	withProcs(t, 4, func() {
 		g := WithUniformWeights(RandomGraph(2000, 8000, 21), 30, 22)
-
-		ds := ParallelShortestPaths(g, 0, nil)
-		dj := ShortestPaths(g, 0)
-		for v := range ds.Dist {
-			if ds.Dist[v] != dj.Dist[v] {
-				t.Fatalf("Δ-stepping dist[%d] = %d, want %d", v, ds.Dist[v], dj.Dist[v])
-			}
+		exact := asInt64(ShortestPaths(g, 0).Dist)
+		rows := []struct {
+			name string
+			run  func(ec *ExecCtx, cost *Cost) []int64
+			want []int64 // nil: the first run's answer
+		}{
+			{"ESTClusterOn", func(ec *ExecCtx, cost *Cost) []int64 {
+				c := ESTClusterOn(g, 0.2, 23, ec, cost)
+				return append(asInt64(c.Center), asInt64(c.DistToCenter)...)
+			}, nil},
+			{"UnweightedSpannerOn", func(ec *ExecCtx, cost *Cost) []int64 {
+				return asInt64(UnweightedSpannerOn(g, 3, 24, ec, cost).EdgeIDs)
+			}, nil},
+			{"WeightedSpannerOn", func(ec *ExecCtx, cost *Cost) []int64 {
+				return asInt64(WeightedSpannerOn(g, 4, 25, ec, cost).EdgeIDs)
+			}, nil},
+			{"WeightedParallelBFSOn", func(ec *ExecCtx, cost *Cost) []int64 {
+				return asInt64(WeightedParallelBFSOn(g, 0, ec, cost).Dist)
+			}, exact},
+			{"ParallelShortestPathsOn", func(ec *ExecCtx, cost *Cost) []int64 {
+				return asInt64(ParallelShortestPathsOn(g, 0, ec, cost).Dist)
+			}, exact},
 		}
-
-		cp := ESTClusterParallel(g, 0.2, 23, nil)
-		cs := ESTCluster(g, 0.2, 23)
-		for v := range cs.Center {
-			if cp.Center[v] != cs.Center[v] {
-				t.Fatalf("parallel clustering diverged at %d", v)
-			}
+		ctxs := []struct {
+			name string
+			ec   *ExecCtx
+		}{
+			{"nil", nil},
+			{"SequentialExec()", SequentialExec()},
+			{"ParallelExec(2)", ParallelExec(2)},
+			{"ParallelExec(0)", ParallelExec(0)},
 		}
-
-		sp := UnweightedSpannerParallel(g, 3, 24, nil)
-		ss := UnweightedSpanner(g, 3, 24)
-		if len(sp.EdgeIDs) != len(ss.EdgeIDs) {
-			t.Fatalf("spanner sizes diverged: %d vs %d", len(sp.EdgeIDs), len(ss.EdgeIDs))
-		}
-		for i := range ss.EdgeIDs {
-			if sp.EdgeIDs[i] != ss.EdgeIDs[i] {
-				t.Fatalf("spanner edge %d diverged", i)
+		for _, row := range rows {
+			want := row.want
+			for _, c := range ctxs {
+				for _, cost := range []*Cost{nil, NewCost()} {
+					got := row.run(c.ec, cost)
+					if want == nil {
+						want = got
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s on %s (cost %v): answer differs", row.name, c.name, cost != nil)
+					}
+					if cost != nil && cost.Work() == 0 {
+						t.Fatalf("%s on %s: no work recorded", row.name, c.name)
+					}
+				}
 			}
 		}
 
 		hp := ParallelHopLimitedDistances(g, nil, 0, 8)
 		hs := HopLimitedDistances(g, nil, 0, 8)
-		for v := range hs {
-			if hp[v] != hs[v] {
-				t.Fatalf("hop-limited dist diverged at %d", v)
+		if !slices.Equal(hp, hs) {
+			t.Fatal("goroutine hop-limited distances differ from the sequential reference")
+		}
+	})
+}
+
+// TestHopsetOracleAnswersAcrossWorkers: a hopset oracle built and
+// queried at 1, 2 and GOMAXPROCS workers answers 512 QueryBatch pairs
+// bit-identically (distance, levels and fallback), on a graph answered
+// by one direct hopset and on one the weight-class decomposition
+// splits. Run under -race in CI.
+func TestHopsetOracleAnswersAcrossWorkers(t *testing.T) {
+	withProcs(t, 4, func() {
+		for _, tc := range []struct {
+			name       string
+			g          *Graph
+			decomposed bool
+		}{
+			{"direct", WithUniformWeights(GridGraph(24, 24), 100, 41), false},
+			{"decomposed", WithMultiScaleWeights(RandomGraph(150, 600, 13), 4, 25, 14), true},
+		} {
+			n := tc.g.NumVertices()
+			r := rng.New(42)
+			pairs := make([][2]V, 512)
+			for i := range pairs {
+				pairs[i] = [2]V{V(r.Intn(int(n))), V(r.Intn(int(n)))}
+			}
+			answer := func(workers int) []QueryStats {
+				ec := ParallelExec(workers)
+				o := NewDistanceOracleOpts(tc.g, 0.3, 43, OracleOptions{Hopset: true, Exec: ec})
+				if o.Decomposed() != tc.decomposed {
+					t.Fatalf("%s: Decomposed() = %v", tc.name, o.Decomposed())
+				}
+				got, err := o.QueryBatch(pairs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			want := answer(1)
+			for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
+				got := answer(workers)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s, %d workers, pair %v: %+v, want %+v", tc.name, workers, pairs[i], got[i], want[i])
+					}
+				}
 			}
 		}
 	})

@@ -182,7 +182,7 @@ func TestSnapshotRejectsCanceledBuild(t *testing.T) {
 
 func TestSnapshotFingerprintMismatch(t *testing.T) {
 	g := WithUniformWeights(GridGraph(8, 8), 9, 1)
-	o := NewDistanceOracle(g, 0.3, 2)
+	o := NewDistanceOracleOpts(g, 0.3, 2, OracleOptions{})
 	var buf bytes.Buffer
 	if err := SaveOracle(&buf, o); err != nil {
 		t.Fatalf("SaveOracle: %v", err)
@@ -197,7 +197,7 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 
 func TestSnapshotNoteRoundTrip(t *testing.T) {
 	g := GridGraph(6, 6)
-	o := NewDistanceOracle(g, 0.4, 8)
+	o := NewDistanceOracleOpts(g, 0.4, 8, OracleOptions{})
 	note := []byte(`{"gen":"grid:rows=6,cols=6"}`)
 	var buf bytes.Buffer
 	if err := SaveOracleNote(&buf, o, note); err != nil {

@@ -25,12 +25,18 @@
 // # Quick start
 //
 //	g := spanhop.RandomGraph(10_000, 40_000, 42)
-//	sp := spanhop.UnweightedSpanner(g, 3, 1)        // O(k)-stretch spanner
-//	oracle := spanhop.NewDistanceOracle(g, 0.25, 2) // exact, builds nothing
-//	d, _ := oracle.Query(0, 9_999)                  // exact distance
+//	sp := spanhop.UnweightedSpannerOn(g, 3, 1, nil, nil) // O(k)-stretch spanner
+//	oracle := spanhop.NewDistanceOracleOpts(g, 0.25, 2,
+//		spanhop.OracleOptions{}) // exact, builds nothing
+//	d, _ := oracle.Query(0, 9_999) // exact distance
 //	hop := spanhop.NewDistanceOracleOpts(g, 0.25, 2,
 //		spanhop.OracleOptions{Hopset: true}) // Theorem 1.2 hopset
-//	a, _ := hop.Query(0, 9_999)                     // (1±ε) distance
+//	a, _ := hop.Query(0, 9_999) // (1±ε) distance
+//
+// Each paper construction has one entry point. Those that take an
+// *ExecCtx return the same answer for any context, nil included (each
+// says what nil runs); every *Cost parameter may be nil to skip
+// accounting.
 package spanhop
 
 import (
@@ -79,7 +85,8 @@ type (
 	PathResult = sssp.Result
 	// ExecCtx is the unified execution context (internal/exec): a
 	// pooled-worker cap, scratch arenas, cancellation, and per-stage
-	// telemetry shared by every layer. Pass nil for legacy behavior.
+	// telemetry shared by every layer. Every function that takes one
+	// accepts nil.
 	ExecCtx = exec.Ctx
 	// ExecTelemetry accumulates per-stage build statistics.
 	ExecTelemetry = exec.Telemetry
@@ -90,8 +97,8 @@ type (
 // InfDist is the "unreachable" distance sentinel.
 const InfDist = graph.InfDist
 
-// NewCost returns a fresh work/depth accumulator. Pass it to the
-// *WithCost variants (or nil to skip accounting).
+// NewCost returns a fresh work/depth accumulator. Pass it as the cost
+// argument of a construction (or nil to skip accounting).
 func NewCost() *Cost { return par.NewCost() }
 
 // NewExecCtx builds an execution context: ctx supplies cancellation
@@ -156,101 +163,48 @@ func WithMultiScaleWeights(g *Graph, base, scales float64, seed uint64) *Graph {
 // ---------------------------------------------------------------------------
 // Exponential start time clustering (the paper's §2.1 key routine).
 
-// ESTCluster partitions g into clusters using exponential start time
+// ESTClusterOn partitions g into clusters using exponential start time
 // clustering with parameter beta: every vertex joins the cluster of
 // the vertex u maximizing δ_u − dist(u, v), δ_u ~ Exp(beta). Cluster
 // radii are O(β^{-1} log n) with high probability (Lemma 2.1) and
-// every edge is cut with probability ≤ β·w(e) (Corollary 2.3). It
-// panics on beta <= 0; every weight a Graph holds is accepted.
-func ESTCluster(g *Graph, beta float64, seed uint64) *Clustering {
-	return core.Cluster(g, beta, seed, core.Options{})
-}
-
-// ESTClusterWithCost is ESTCluster with work/depth accounting.
-// Like ESTCluster, it panics on beta <= 0.
-func ESTClusterWithCost(g *Graph, beta float64, seed uint64, cost *Cost) *Clustering {
-	return core.Cluster(g, beta, seed, core.Options{Cost: cost})
-}
-
-// ESTClusterParallel is ESTCluster with every bucket of the race
-// expanded by concurrent goroutines — the multicore realization of the
-// CRCW frontier step. The clustering returned is bit-identical to
-// ESTCluster's for the same seed; only the wall-clock changes.
-// Like ESTCluster, it panics on beta <= 0.
-func ESTClusterParallel(g *Graph, beta float64, seed uint64, cost *Cost) *Clustering {
-	return core.Cluster(g, beta, seed, core.Options{Cost: cost, Exec: exec.Default()})
-}
-
-// ESTClusterOn is ESTCluster on an execution context: the race runs
-// under ec's worker cap with arena-backed scratch and aborts at the
-// next bucket once ec is canceled (check ec.Err() before using the
-// result). Output is bit-identical to ESTCluster for any ec.
-// Like ESTCluster, it panics on beta <= 0.
+// every edge is cut with probability ≤ β·w(e) (Corollary 2.3).
+//
+// The race runs on ec: a nil ec runs it sequentially; a parallel ec
+// expands every bucket on its pooled workers (the multicore
+// realization of the CRCW frontier step) with arena-backed scratch and
+// aborts at the next bucket once ec is canceled (check ec.Err() before
+// using the result). The clustering is bit-identical for any ec and
+// the same seed. A nil cost skips accounting. It panics on beta <= 0;
+// every weight a Graph holds is accepted.
 func ESTClusterOn(g *Graph, beta float64, seed uint64, ec *ExecCtx, cost *Cost) *Clustering {
 	return core.Cluster(g, beta, seed, core.Options{Cost: cost, Exec: ec})
 }
 
 // ---------------------------------------------------------------------------
-// Spanners (§3).
+// Spanners (§3). Each construction runs on ec (nil = sequential; a
+// parallel ec runs the clustering races and boundary sweeps on its
+// workers under its cap) and yields the same edge set for any ec. A
+// nil cost skips accounting.
 
-// UnweightedSpanner builds an O(k)-stretch spanner of expected size
+// UnweightedSpannerOn builds an O(k)-stretch spanner of expected size
 // O(n^{1+1/k}) in O(m) work (Algorithm 2 / Lemma 3.2 / Theorem 1.1).
-func UnweightedSpanner(g *Graph, k int, seed uint64) *Spanner {
-	return spanner.Unweighted(g, k, seed, nil)
+func UnweightedSpannerOn(g *Graph, k int, seed uint64, ec *ExecCtx, cost *Cost) *Spanner {
+	return spanner.Unweighted(g, k, seed, spanner.Options{Cost: cost, Exec: ec})
 }
 
-// UnweightedSpannerWithCost is UnweightedSpanner with accounting.
-func UnweightedSpannerWithCost(g *Graph, k int, seed uint64, cost *Cost) *Spanner {
-	return spanner.Unweighted(g, k, seed, cost)
-}
-
-// UnweightedSpannerParallel is UnweightedSpanner with the clustering
-// race and boundary sweep on goroutines; the edge set is identical to
-// the sequential construction for the same seed.
-func UnweightedSpannerParallel(g *Graph, k int, seed uint64, cost *Cost) *Spanner {
-	return spanner.UnweightedOpts(g, k, seed, spanner.Options{Cost: cost, Exec: exec.Default()})
-}
-
-// WeightedSpanner builds an O(k)-stretch spanner of expected size
+// WeightedSpannerOn builds an O(k)-stretch spanner of expected size
 // O(n^{1+1/k} log k) for weighted graphs (Theorem 3.3): power-of-two
 // weight buckets dealt into O(log k) well-separated groups, each
-// processed by hierarchical contraction (Algorithm 3).
-func WeightedSpanner(g *Graph, k int, seed uint64) *Spanner {
-	return spanner.Weighted(g, k, seed, nil)
-}
-
-// WeightedSpannerWithCost is WeightedSpanner with accounting.
-func WeightedSpannerWithCost(g *Graph, k int, seed uint64, cost *Cost) *Spanner {
-	return spanner.Weighted(g, k, seed, cost)
-}
-
-// WeightedSpannerParallel is WeightedSpanner with the O(log k)
-// well-separated groups, their clustering races, and boundary sweeps
-// all running on goroutines; same edge set as WeightedSpanner.
-func WeightedSpannerParallel(g *Graph, k int, seed uint64, cost *Cost) *Spanner {
-	return spanner.WeightedOpts(g, k, seed, spanner.Options{Cost: cost, Exec: exec.Default()})
-}
-
-// UnweightedSpannerOn is UnweightedSpanner on an execution context
-// (worker cap, arenas, cancellation); same edge set for any ec.
-func UnweightedSpannerOn(g *Graph, k int, seed uint64, ec *ExecCtx, cost *Cost) *Spanner {
-	return spanner.UnweightedOpts(g, k, seed, spanner.Options{Cost: cost, Exec: ec})
-}
-
-// WeightedSpannerOn is WeightedSpanner on an execution context
-// (worker cap, arenas, cancellation); same edge set for any ec.
+// processed by hierarchical contraction (Algorithm 3). On a parallel
+// ec the groups also run side by side.
 func WeightedSpannerOn(g *Graph, k int, seed uint64, ec *ExecCtx, cost *Cost) *Spanner {
-	return spanner.WeightedOpts(g, k, seed, spanner.Options{Cost: cost, Exec: ec})
+	return spanner.Weighted(g, k, seed, spanner.Options{Cost: cost, Exec: ec})
 }
 
 // BaswanaSenSpanner builds the (2k−1)-stretch baseline spanner of
-// Baswana and Sen [BS07] (Figure 1 comparison row).
-func BaswanaSenSpanner(g *Graph, k int, seed uint64) *Spanner {
-	return spanner.BaswanaSen(g, k, seed, nil)
-}
-
-// BaswanaSenSpannerWithCost is BaswanaSenSpanner with accounting.
-func BaswanaSenSpannerWithCost(g *Graph, k int, seed uint64, cost *Cost) *Spanner {
+// Baswana and Sen [BS07] (Figure 1 comparison row). A nil cost skips
+// accounting.
+func BaswanaSenSpanner(g *Graph, k int, seed uint64, cost *Cost) *Spanner {
 	return spanner.BaswanaSen(g, k, seed, cost)
 }
 
@@ -275,23 +229,15 @@ func DefaultScaledHopsetParams(seed uint64) ScaledHopsetParams {
 
 // BuildHopset runs Algorithm 4 once on g (any integer weights),
 // returning hopset edges whose weights are exact path weights in g.
-func BuildHopset(g *Graph, p HopsetParams) *Hopset {
-	return hopset.Build(g, p, nil)
-}
-
-// BuildHopsetWithCost is BuildHopset with accounting.
-func BuildHopsetWithCost(g *Graph, p HopsetParams, cost *Cost) *Hopset {
+// A nil cost skips accounting.
+func BuildHopset(g *Graph, p HopsetParams, cost *Cost) *Hopset {
 	return hopset.Build(g, p, cost)
 }
 
 // BuildScaledHopset constructs the queryable multi-scale hopset of
 // Section 5 (per-band Klein–Subramanian rounding plus Algorithm 4).
-func BuildScaledHopset(g *Graph, p ScaledHopsetParams) *ScaledHopset {
-	return hopset.BuildScaled(g, p, nil)
-}
-
-// BuildScaledHopsetWithCost is BuildScaledHopset with accounting.
-func BuildScaledHopsetWithCost(g *Graph, p ScaledHopsetParams, cost *Cost) *ScaledHopset {
+// A nil cost skips accounting.
+func BuildScaledHopset(g *Graph, p ScaledHopsetParams, cost *Cost) *ScaledHopset {
 	return hopset.BuildScaled(g, p, cost)
 }
 
@@ -339,34 +285,24 @@ func ConcurrentBFS(g *Graph, src V, cost *Cost) *PathResult {
 	return sssp.BFSParallel(g, []V{src}, sssp.Options{Cost: cost})
 }
 
-// WeightedParallelBFS runs the Dial bucket-queue search from src —
+// WeightedParallelBFSOn runs the Dial bucket-queue search from src —
 // exact for integer weights, with depth equal to the distance range
-// swept (the quantity Section 5's rounding shrinks).
-func WeightedParallelBFS(g *Graph, src V, cost *Cost) *PathResult {
-	return sssp.Dial(g, []V{src}, sssp.Options{Cost: cost})
-}
-
-// WeightedParallelBFSOn is WeightedParallelBFS on an execution
-// context: result and scratch arrays come from ec's arenas (release
-// with PathResult.Release), and a canceled ec aborts the sweep at the
-// next distance level.
+// swept (the quantity Section 5's rounding shrinks). On a non-nil ec
+// the result and scratch arrays come from ec's arenas (release with
+// PathResult.Release) and a canceled ec aborts the sweep at the next
+// distance level. A nil cost skips accounting.
 func WeightedParallelBFSOn(g *Graph, src V, ec *ExecCtx, cost *Cost) *PathResult {
 	return sssp.Dial(g, []V{src}, sssp.Options{Cost: cost, Exec: ec})
 }
 
-// ParallelShortestPaths runs Δ-stepping from src with the frontier
-// expanded by concurrent goroutines and CAS-claimed relaxations — the
-// weighted counterpart of ConcurrentBFS. Distances are exact and
-// bit-identical to ShortestPaths; wall-clock scales with GOMAXPROCS.
-func ParallelShortestPaths(g *Graph, src V, cost *Cost) *PathResult {
-	return sssp.DeltaStepping(g, []V{src}, sssp.Options{Cost: cost, Exec: exec.Default()})
-}
-
-// ParallelShortestPathsOn is ParallelShortestPaths on an execution
-// context: the frontier fan-out honors ec's worker cap and the O(n)
-// result and scratch arrays come from its arenas. Release the result
-// with PathResult.Release(ec) once consumed to make repeated searches
-// allocation-free. Distances remain bit-identical to ShortestPaths.
+// ParallelShortestPathsOn runs Δ-stepping from src — the weighted
+// counterpart of ConcurrentBFS. Every frontier is expanded by
+// concurrent goroutines with CAS-claimed relaxations: under ec's worker
+// cap, or over GOMAXPROCS on a nil ec. On a non-nil ec the O(n) result and scratch
+// arrays come from its arenas: release the result with
+// PathResult.Release(ec) once consumed to make repeated searches
+// allocation-free. Distances are exact and bit-identical to
+// ShortestPaths for any ec. A nil cost skips accounting.
 func ParallelShortestPathsOn(g *Graph, src V, ec *ExecCtx, cost *Cost) *PathResult {
 	return sssp.DeltaStepping(g, []V{src}, sssp.Options{Cost: cost, Exec: ec})
 }
@@ -374,12 +310,12 @@ func ParallelShortestPathsOn(g *Graph, src V, ec *ExecCtx, cost *Cost) *PathResu
 // HopLimitedDistances returns dist^h_{E∪extra}(src, ·): the h-hop
 // limited distances of Definition 2.4, via h Bellman–Ford rounds.
 func HopLimitedDistances(g *Graph, extra []Edge, src V, hops int) []Dist {
-	return sssp.HopLimited(g, extra, []V{src}, hops, nil)
+	return sssp.HopLimited(nil, g, extra, []V{src}, hops, nil)
 }
 
 // ParallelHopLimitedDistances is HopLimitedDistances with every
 // Bellman–Ford round scanned by concurrent goroutines (CAS min-update
 // relaxations); the output is bit-identical.
 func ParallelHopLimitedDistances(g *Graph, extra []Edge, src V, hops int) []Dist {
-	return sssp.HopLimitedParallel(g, extra, []V{src}, hops, nil)
+	return sssp.HopLimitedParallel(nil, g, extra, []V{src}, hops, nil)
 }

@@ -14,7 +14,7 @@ func TestESTClusterHugeWeight(t *testing.T) {
 	edges := []Edge{{U: 0, V: 1, W: 1 << 40}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 3}, {U: 3, V: 0, W: 1 << 33}}
 	g := NewGraph(4, edges, true)
 	for seed := uint64(1); seed <= 8; seed++ {
-		got, want := ESTCluster(g, 0.5, seed), core.ClusterReference(g, 0.5, seed, core.Options{})
+		got, want := ESTClusterOn(g, 0.5, seed, nil, nil), core.ClusterReference(g, 0.5, seed, core.Options{})
 		for v := range want.Center {
 			if got.Center[v] != want.Center[v] || got.Parent[v] != want.Parent[v] || got.DistToCenter[v] != want.DistToCenter[v] {
 				t.Fatalf("seed %d vertex %d: center/parent/dist %d/%d/%d, reference %d/%d/%d", seed, v,
@@ -26,11 +26,11 @@ func TestESTClusterHugeWeight(t *testing.T) {
 
 func TestFacadeQuickstartFlow(t *testing.T) {
 	g := RandomGraph(2000, 8000, 42)
-	sp := UnweightedSpanner(g, 3, 1)
+	sp := UnweightedSpannerOn(g, 3, 1, nil, nil)
 	if sp.Size() == 0 || int64(sp.Size()) >= g.NumEdges() {
 		t.Fatalf("spanner size %d of %d edges", sp.Size(), g.NumEdges())
 	}
-	hs := BuildHopset(g, DefaultHopsetParams(2))
+	hs := BuildHopset(g, DefaultHopsetParams(2), nil)
 	if hs.Size() == 0 {
 		t.Fatal("empty hopset")
 	}
@@ -40,26 +40,24 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestFacadeCostVariants: the constructions that take a cost but no
+// ExecCtx record work into it (TestFacadeParallelVariantsAgree covers
+// the ones that take both).
 func TestFacadeCostVariants(t *testing.T) {
 	g := RandomGraph(500, 2000, 7)
-	c1 := NewCost()
-	ESTClusterWithCost(g, 0.3, 1, c1)
-	if c1.Work() == 0 {
-		t.Fatal("clustering recorded no work")
-	}
 	c2 := NewCost()
-	UnweightedSpannerWithCost(g, 3, 2, c2)
+	BaswanaSenSpanner(g, 3, 2, c2)
 	if c2.Work() == 0 {
-		t.Fatal("spanner recorded no work")
+		t.Fatal("Baswana-Sen spanner recorded no work")
 	}
 	c3 := NewCost()
-	BuildHopsetWithCost(g, DefaultHopsetParams(3), c3)
+	BuildHopset(g, DefaultHopsetParams(3), c3)
 	if c3.Work() == 0 {
 		t.Fatal("hopset recorded no work")
 	}
 	c4 := NewCost()
 	wg := WithUniformWeights(g, 50, 4)
-	BuildScaledHopsetWithCost(wg, DefaultScaledHopsetParams(5), c4)
+	BuildScaledHopset(wg, DefaultScaledHopsetParams(5), c4)
 	if c4.Work() == 0 {
 		t.Fatal("scaled hopset recorded no work")
 	}
@@ -72,7 +70,7 @@ func TestFacadeSearches(t *testing.T) {
 	if bfs.Dist[99] != 18 {
 		t.Fatalf("grid BFS corner dist %d, want 18", bfs.Dist[99])
 	}
-	dial := WeightedParallelBFS(g, 0, nil)
+	dial := WeightedParallelBFSOn(g, 0, nil, nil)
 	dij := ShortestPaths(g, 0)
 	for v := range dial.Dist {
 		if dial.Dist[v] != dij.Dist[v] {
@@ -87,7 +85,7 @@ func TestFacadeSearches(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	g := WithUniformWeights(RandomGraph(300, 1200, 9), 9, 10)
-	if BaswanaSenSpanner(g, 2, 1).Size() == 0 {
+	if BaswanaSenSpanner(g, 2, 1, nil).Size() == 0 {
 		t.Fatal("empty Baswana-Sen spanner")
 	}
 	if GreedySpanner(g, 2).Size() == 0 {
@@ -191,7 +189,7 @@ func TestDistanceOraclePanicsOnBadEps(t *testing.T) {
 					t.Errorf("eps %v did not panic", eps)
 				}
 			}()
-			NewDistanceOracle(g, eps, 1)
+			NewDistanceOracleOpts(g, eps, 1, OracleOptions{})
 		}()
 	}
 }
